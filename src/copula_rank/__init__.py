@@ -26,9 +26,8 @@ from .geometry import (DiagnosticReport, EfficiencyBundle, adaptivity_check,
                        project_tangent, quad_influence_value, regularity_check,
                        score_generators)
 from .sampler import MarginSpec, apply_margins, copula_stream, sample_copula
-from .estimators import (EstimateResult, RankedSample, default_pilot, one_step,
-                         pilot_moment, ple_estimate, rank_transform,
-                         sigma_n_sq)
+from .estimators import (EstimateResult, RankedSample, one_step, pilot_moment,
+                         ple_estimate, rank_transform, sigma_n_sq)
 from .mc import (McConfig, McReport, run_experiment, run_grid, summarize,
                  write_errors_csv, write_report_json, write_summary_csv)
 from .validation import load_schema, validate_output
@@ -57,8 +56,8 @@ __all__ = [
     # sampling
     "MarginSpec", "apply_margins", "copula_stream", "sample_copula",
     # estimators
-    "EstimateResult", "RankedSample", "default_pilot", "one_step",
-    "pilot_moment", "ple_estimate", "rank_transform", "sigma_n_sq",
+    "EstimateResult", "RankedSample", "one_step", "pilot_moment",
+    "ple_estimate", "rank_transform", "sigma_n_sq",
     # monte carlo
     "McConfig", "McReport", "run_experiment", "run_grid", "summarize",
     "write_errors_csv", "write_report_json", "write_summary_csv",

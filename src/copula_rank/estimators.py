@@ -6,14 +6,15 @@ the normal-scores matrix Rhat = zhat' zhat / n.  Consequently every
 estimator in this module is exactly invariant under strictly increasing
 transformations of the raw columns.
 
-The pseudo-likelihood estimator solves the k pseudo-score equations
-
-    tr(dS_m(theta) (R(theta) - Rhat)) = 0,
-
-and the one-step estimator adds the inverse efficient information times
-the empirical mean of the efficient score to a root-n-consistent pilot.
-The mean efficient score has the closed form tr(A*_m Rhat) / 2, since the
-score is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.
+The pseudo-likelihood estimator minimises the mean negative
+pseudo-log-likelihood, whose gradient is minus half the pseudo-score
+tr(dS_m(theta) (R(theta) - Rhat)), by one Newton descent with the exact
+Hessian; it stops at pseudo-score sup-norm <= 1e-8 * k, or raises
+ConvergenceError with its iterate trace.  The one-step estimator adds the
+inverse efficient information times the empirical mean of the efficient
+score to a root-n-consistent pilot.  The mean efficient score has the closed
+form tr(A*_m Rhat) / 2, since the score is the quadratic form z' A*_m z / 2
+with tr(A*_m R) = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.optimize import minimize
 from scipy.stats import rankdata
 
 from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
@@ -167,21 +167,38 @@ def _mean_pseudo_negloglik(model, theta, rhat):
     return 0.5 * (logdet + float(np.trace(s_rhat)) - float(np.trace(rhat)))
 
 
-def _fd_jacobian(model, theta, rhat, base):
-    k = model.k
-    jac = np.empty((k, k))
-    for m in range(k):
-        h = max(1e-6, 1e-8 * abs(theta[m]))
-        up, dn = theta.copy(), theta.copy()
-        up[m] += h
-        dn[m] -= h
-        if model.domain_check(up) and model.domain_check(dn):
-            jac[:, m] = (_pseudo_score(model, up, rhat)
-                         - _pseudo_score(model, dn, rhat)) / (2.0 * h)
-        else:  # one-sided at the domain edge
-            pt, sign = (up, 1.0) if model.domain_check(up) else (dn, -1.0)
-            jac[:, m] = sign * (_pseudo_score(model, pt, rhat) - base) / h
-    return jac
+def _descent_step(model, theta, rhat):
+    """Pseudo-score psi and the step -|H|^-1 grad on `_mean_pseudo_negloglik`
+    from one factorization of R(theta), |H| taking the absolute eigenvalues
+    of the Hessian H = -(J + J')/4 so that the step always descends.
+
+    J_mj = -tr(d2R_mj W) + tr(S dR_m S dR_j (I - 2 S Rhat)) is the Jacobian
+    of psi, from W = S (R - Rhat) S and dW_j = -S dR_j S + S dR_j S Rhat S
+    + S Rhat S dR_j S.  d2R = 0 for affine families; otherwise d2R_mj is one
+    central difference of the analytic `model.r_dot`, exact up to roundoff
+    when dR is affine in theta, as in every built-in family.
+    """
+    r = model.r_of_theta(theta)
+    c = cho_factor(r, lower=True)
+    w = cho_solve(c, cho_solve(c, (r - rhat).T).T)
+    r_dots = model.r_dots(theta)
+    psi = np.array([-np.sum(rd * w) for rd in r_dots])
+
+    x = [cho_solve(c, rd) for rd in r_dots]  # S dR_j
+    right = np.eye(model.p) - 2.0 * cho_solve(c, rhat)  # I - 2 S Rhat
+    v = [xj @ right for xj in x]
+    jac = np.array([[np.sum(xm * vj.T) for vj in v] for xm in x])
+    if model.affine_generators is None:
+        for j, e in enumerate(np.eye(model.k)):
+            h = 1e-5 * max(1.0, abs(theta[j]))
+            pairs = zip(model.r_dots(theta + h * e), model.r_dots(theta - h * e))
+            for m, (a, b) in enumerate(pairs):
+                jac[m, j] -= np.sum((a - b) * w) / (2.0 * h)
+
+    lam, q = np.linalg.eigh(-0.25 * (jac + jac.T))
+    lam = np.maximum(np.abs(lam), 1e-12 * np.max(np.abs(lam)))
+    step = q @ ((q.T @ (0.5 * psi)) / lam)
+    return psi, step
 
 
 def _default_init(model, rhat):
@@ -201,12 +218,17 @@ def _ple_std_errors(model, theta, n):
 
 
 def ple_estimate(model, sample, init=None, max_iter=100):
-    """Pseudo-likelihood estimate by damped Newton on the pseudo-score
-    equations, with a direct likelihood-maximization fallback.
+    """Pseudo-likelihood estimate by Newton descent (`_descent_step`) with an
+    Armijo line search on `_mean_pseudo_negloglik`, from `init`, else the
+    moment pilot, else the model's default; every iterate is in the domain.
+
+    Converged means pseudo-score sup-norm <= 1e-8 * k, reached in
+    `iterations` steps.  If `max_iter` steps do not get there, or the line
+    search finds no descent, ConvergenceError carries the (theta, sup-norm)
+    trace.
 
     For the unrestricted family the solution is read off Rhat (its
     off-diagonal entries, in lower-triangle order) without iteration.
-    Convergence means pseudo-score sup-norm <= 1e-8 * k.
     """
     rhat = normal_scores_matrix(sample)
     tol = 1e-8 * model.k
@@ -223,10 +245,10 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     if not model.domain_check(theta):
         raise DomainError(f"initial theta {theta} outside the domain of {model.name}")
 
+    f = _mean_pseudo_negloglik(model, theta, rhat)
     trace = []
-    fallback_tried = False
-    for iteration in range(max_iter):
-        psi = _pseudo_score(model, theta, rhat)
+    for iteration in range(max_iter + 1):
+        psi, step = _descent_step(model, theta, rhat)
         norm = float(np.max(np.abs(psi)))
         trace.append((theta.copy(), norm))
         if norm <= tol:
@@ -234,39 +256,24 @@ def ple_estimate(model, sample, init=None, max_iter=100):
                 theta_hat=theta, method="ple", iterations=iteration,
                 converged=True, std_errors=_ple_std_errors(model, theta, sample.n),
                 tie_warning=sample.has_ties)
-        jac = _fd_jacobian(model, theta, rhat, psi)
-        step, *_ = np.linalg.lstsq(jac, -psi, rcond=None)
+        if iteration == max_iter:
+            break
+        # Armijo on the objective; the slack admits steps whose decrease is
+        # below the roundoff of f, which near the optimum is all of them.
+        slope = -0.5 * float(psi @ step)
+        slack = 1e-13 * (1.0 + abs(f))
         scale = 1.0
-        moved = False
         while scale > 2.0 ** -30:
             cand = theta + scale * step
-            if model.domain_check(cand):
-                if float(np.max(np.abs(_pseudo_score(model, cand, rhat)))) < norm:
-                    theta = cand
-                    moved = True
-                    break
-            scale *= 0.5
-        if not moved:
-            if fallback_tried:
+            f_cand = _mean_pseudo_negloglik(model, cand, rhat)  # inf off-domain
+            if f_cand <= f + 1e-4 * scale * slope + slack:
+                theta, f = cand, f_cand
                 break
-            fallback_tried = True
-            res = minimize(lambda t: _mean_pseudo_negloglik(model, t, rhat), theta,
-                           method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14,
-                                    "maxiter": 4000, "maxfev": 4000})
-            if model.domain_check(res.x):
-                theta = np.asarray(res.x, dtype=float)
-
-    psi = _pseudo_score(model, theta, rhat)
-    norm = float(np.max(np.abs(psi)))
-    trace.append((theta.copy(), norm))
-    if norm <= tol:
-        return EstimateResult(
-            theta_hat=theta, method="ple", iterations=len(trace) - 1,
-            converged=True, std_errors=_ple_std_errors(model, theta, sample.n),
-            tie_warning=sample.has_ties)
+            scale *= 0.5
+        else:
+            break
     raise ConvergenceError(
-        f"pseudo-score Newton did not converge for {model.name} "
+        f"pseudo-likelihood Newton descent did not converge for {model.name} "
         f"(final sup-norm {norm:.3e}, tolerance {tol:.3e})", trace=trace)
 
 
@@ -320,31 +327,24 @@ def pilot_moment(model, sample):
                           tie_warning=sample.has_ties)
 
 
-def default_pilot(model, sample):
-    """Pilot policy for the one-step estimator: the moment pilot for families
-    with an averaging map, the pseudo-likelihood estimator otherwise."""
-    result = pilot_moment(model, sample)
-    return result.theta_hat
-
-
 def one_step(model, sample, pilot=None, iterate_twice=False):
     """Efficient one-step update from a root-n-consistent pilot.
 
     theta_hat = pilot + I*^-1(pilot) mean_i efficient_score(pseudo_obs_i),
     with the mean efficient score computed as tr(A*_m Rhat) / 2.  A single
     update by default; `iterate_twice` repeats the update once from the
-    updated point.  Updates leaving the domain are clamped to its
-    eps-interior and flagged.
+    updated point.  An update leaving the domain is clamped to its
+    eps-interior, flagged, and is the last; `iterations` counts updates.
     """
     rhat = normal_scores_matrix(sample)
-    pilot = default_pilot(model, sample) if pilot is None else model.theta_vec(pilot)
+    pilot = (pilot_moment(model, sample).theta_hat if pilot is None
+             else model.theta_vec(pilot))
     if not model.domain_check(pilot):
         raise DomainError(f"pilot {pilot} outside the domain of {model.name}")
 
     theta = np.asarray(pilot, dtype=float).copy()
     clamped = False
-    rounds = 2 if iterate_twice else 1
-    for _ in range(rounds):
+    for rounds in range(1, 3 if iterate_twice else 2):
         geom = eval_geometry(model, theta)
         mats = efficient_score_matrices(geom)
         _, eff_inv = efficient_info(geom, eff_matrices=mats)

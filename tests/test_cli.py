@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import functools
 import io
 import json
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copula_rank.cli as cli
-from copula_rank import (exchangeable, lower_triangle_pairs, rank_transform,
-                         sample_copula, validate_output)
+from copula_rank import (exchangeable, lower_triangle_pairs, ple_estimate,
+                         rank_transform, sample_copula, toeplitz,
+                         validate_output)
 from copula_rank.estimators import normal_scores_matrix
 from copula_rank.exceptions import McExperimentError
 
@@ -183,6 +185,19 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--family", "exchangeable",
                                "--p", "3", "--data", "/no/such/file.csv")
         assert code == 2
+
+    def test_ple_non_convergence_exit_3(self, capsys, tmp_path, monkeypatch):
+        theta = [0.4945460, -0.4592764, -0.8462492]
+        path = tmp_path / "toep.csv"
+        np.savetxt(str(path), sample_copula(toeplitz(4).r_of_theta(theta), 250,
+                                            seed=6), delimiter=",")
+        monkeypatch.setattr(cli, "ple_estimate",
+                            functools.partial(ple_estimate, max_iter=1))
+        code, _, err = run_cli(capsys, "estimate", "--family", "toeplitz",
+                               "--p", "4", "--data", str(path),
+                               "--method", "ple")
+        assert code == 3
+        assert "last iterate:" in err
 
     def test_csv_format(self, capsys, tmp_path):
         path = tmp_path / "d.csv"

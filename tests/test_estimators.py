@@ -1,5 +1,6 @@
 """Tests for the rank-based estimation pipeline."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -9,14 +10,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from copula_rank import (circular, custom_affine, default_pilot, eval_geometry,
-                         efficient_info, exchangeable, norm_quantile, one_step,
-                         pilot_moment, ple_estimate, rank_transform,
+from copula_rank import (circular, custom_affine, eval_geometry,
+                         efficient_info, exchangeable, factor, norm_quantile,
+                         one_step, pilot_moment, ple_estimate, rank_transform,
                          sample_copula, sigma_n_sq, toeplitz, unrestricted,
                          adaptivity_demo, lower_triangle_pairs)
-from copula_rank.estimators import normal_scores_matrix, _pseudo_score
-from copula_rank.exceptions import (DegenerateMarginError, DomainError,
-                                    ShapeError)
+from copula_rank.estimators import (normal_scores_matrix, _mean_pseudo_negloglik,
+                                    _pseudo_score)
+from copula_rank.exceptions import (ConvergenceError, DegenerateMarginError,
+                                    DomainError, ShapeError)
+
+THETA_STAR = np.array([0.4945460, -0.4592764, -0.8462492])
 
 
 def exch_corr(p, theta):
@@ -154,6 +158,39 @@ class TestPleEstimate:
         assert result.converged
         assert result.std_errors is not None
 
+    @pytest.mark.parametrize("model,theta", [
+        (exchangeable(3), np.array([0.5])),
+        (toeplitz(4), THETA_STAR),
+        (circular(), np.array([0.4])),
+        (adaptivity_demo(), np.array([0.1])),
+        (factor(5, 1), np.linspace(0.3, 0.7, 5)),
+    ], ids=["exch3", "toep4", "circ", "adapt", "factor51"])
+    def test_local_minimiser(self, model, theta):
+        # Moves along single coordinates and along pairs e_i +- e_j: at the
+        # factor saddle L = 0 a single loading leaves R unchanged, a pair
+        # does not.
+        u = sample_copula(model.r_of_theta(theta), 300, seed=6)
+        sample = rank_transform(u)
+        rhat = normal_scores_matrix(sample)
+        theta_hat = ple_estimate(model, sample).theta_hat
+        f0 = _mean_pseudo_negloglik(model, theta_hat, rhat)
+        eye = np.eye(model.k)
+        moves = list(eye) + [eye[i] + sign * eye[j] for sign in (1.0, -1.0)
+                             for i, j in itertools.combinations(range(model.k), 2)]
+        for move in moves:
+            for h in (1e-3, -1e-3):
+                f = _mean_pseudo_negloglik(model, theta_hat + h * move, rhat)
+                assert f >= f0 - 1e-12, (move, h, f - f0)
+
+    def test_iteration_cap_raises_with_trace(self):
+        model = toeplitz(4)
+        u = sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6)
+        with pytest.raises(ConvergenceError) as info:
+            ple_estimate(model, rank_transform(u), max_iter=1)
+        trace = info.value.trace
+        assert trace
+        assert trace[-1][1] > 1e-8 * model.k
+
     def test_out_of_domain_init(self):
         u = sample_copula(exch_corr(3, 0.2), 50, seed=1)
         with pytest.raises(DomainError):
@@ -264,9 +301,12 @@ class TestOneStep:
         x = rng.standard_normal((60, 1))
         sample = rank_transform(np.hstack([x, x]))
         model = exchangeable(2)
-        result = one_step(model, sample, pilot=np.array([1.0 - 1e-6]))
-        assert result.clamped
-        assert model.domain_check(result.theta_hat)
+        for iterate_twice in (False, True):
+            result = one_step(model, sample, pilot=np.array([1.0 - 1e-6]),
+                              iterate_twice=iterate_twice)
+            assert result.clamped
+            assert result.iterations == 1
+            assert model.domain_check(result.theta_hat)
 
     def test_default_pilot_and_std_errors(self):
         model = exchangeable(3)
@@ -274,7 +314,7 @@ class TestOneStep:
         sample = rank_transform(u)
         result = one_step(model, sample)
         assert_allclose(result.theta_hat, one_step(
-            model, sample, pilot=default_pilot(model, sample)).theta_hat)
+            model, sample, pilot=pilot_moment(model, sample).theta_hat).theta_hat)
         _, inv = efficient_info(eval_geometry(model, result.theta_hat))
         assert_allclose(result.std_errors, np.sqrt(np.diag(inv) / 400),
                         rtol=1e-10)
