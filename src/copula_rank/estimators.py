@@ -25,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.stats import rankdata
 
 from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
@@ -90,8 +89,13 @@ class EstimateResult:
 def rank_transform(data):
     """Column ranks, pseudo-observations rank/(n+1), and their Gaussianization.
 
-    Ties get average ranks and a recorded warning; a constant column is a
-    degenerate margin and raises.
+    One stable argsort orders every column; runs of equal values in the
+    sorted columns reveal constant columns and ties.  Tie-free columns get
+    ranks 1..n through the inverse permutation.  Tied columns get average
+    ranks, the mean 1-based position of each run of equal values (so they
+    agree exactly with scipy.stats.rankdata(method="average")), and a
+    RuntimeWarning naming them.  A constant column is a degenerate margin
+    and raises DegenerateMarginError naming the first one.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -103,16 +107,19 @@ def rank_transform(data):
         raise DomainError("rank transform needs n >= 2 observations")
     if not np.all(np.isfinite(data)):
         raise DomainError("data must be finite")
+    order = np.argsort(data, axis=0, kind="stable")
+    ordered = np.take_along_axis(data, order, axis=0)
+    repeats = ordered[1:] == ordered[:-1]
+    constant = np.all(repeats, axis=0)
+    if np.any(constant):
+        raise DegenerateMarginError(f"column {int(np.argmax(constant))} is constant")
     ranks = np.empty((n, p))
-    ties = []
-    for j in range(p):
-        col = data[:, j]
-        n_distinct = np.unique(col).size
-        if n_distinct == 1:
-            raise DegenerateMarginError(f"column {j} is constant")
-        if n_distinct < n:
-            ties.append(j)
-        ranks[:, j] = rankdata(col, method="average")
+    np.put_along_axis(ranks, order, np.arange(1.0, n + 1.0)[:, None], axis=0)
+    ties = [int(j) for j in np.flatnonzero(np.any(repeats, axis=0))]
+    for j in ties:
+        first = np.flatnonzero(np.r_[True, ~repeats[:, j]])
+        last = np.r_[first[1:], n] - 1
+        ranks[order[:, j], j] = np.repeat((first + last + 2) / 2.0, last - first + 1)
     if ties:
         warnings.warn(f"ties in column(s) {ties}; average ranks used", RuntimeWarning,
                       stacklevel=2)

@@ -239,10 +239,12 @@ def factor(p, q, constraint="lower_triangular"):
     """Factor model R(theta) = I + offdiag(L L') with p x q loadings L.
 
     The raw parametrization (theta = L flattened row-major, k = p*q) is not
-    identifiable for q >= 2 -- R(LO) = R(L) for orthogonal O -- so estimation
-    needs a loading constraint; geometry and the efficiency diagnostics work
-    on the raw parametrization, where the span test tolerates the rank
-    deficiency of the derivative basis.
+    identifiable for q >= 2 -- R(LO) = R(L) for orthogonal O.  `constraint`
+    is recorded in the descriptor and the notes, but no estimator applies
+    it: ple_estimate, pilot_moment and one_step all work on the raw
+    loadings.  Geometry and the efficiency diagnostics work on the raw
+    parametrization too, where the span test tolerates the rank deficiency
+    of the derivative basis.
     """
     if p < 2:
         raise ConfigError("p: factor model needs p >= 2")
@@ -272,7 +274,9 @@ def factor(p, q, constraint="lower_triangular"):
     for j in range(q):
         init[:, j] = 0.5 / (j + 1) * np.cos(np.arange(p) + j)
     notes = (
-        f"loading constraint for estimation: {constraint}",
+        f"loading constraint {constraint} is recorded in the descriptor but not "
+        "applied by ple_estimate, pilot_moment or one_step; raw loadings are "
+        "not identifiable for q >= 2",
         "unverified reparametrization condition",
     )
     return CorrelationModel(

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-import jsonschema
-
 _NAMES = ("bound", "check", "estimate", "are", "mc_report",
           "model_descriptor", "mc_config")
 
@@ -19,5 +17,11 @@ def load_schema(name):
 
 
 def validate_output(name, obj):
-    """Raise jsonschema.ValidationError if obj does not match the named schema."""
+    """Raise jsonschema.ValidationError if obj does not match the named schema.
+
+    jsonschema is imported here, on first use, so that importing the
+    package (and every CLI call, none of which validates) does not pay for it.
+    """
+    import jsonschema
+
     jsonschema.validate(obj, load_schema(name))

@@ -4,13 +4,16 @@ import csv
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import copula_rank
 import copula_rank.cli as cli
 from copula_rank import (exchangeable, lower_triangle_pairs, ple_estimate,
                          rank_transform, sample_copula, toeplitz,
@@ -329,3 +332,37 @@ class TestEntryPoint:
             [sys.executable, "-m", "copula_rank.cli", "bound"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+class TestImportSet:
+    def test_cli_import_leaves_heavy_modules_unloaded(self, capsys):
+        # scipy.stats and jsonschema cost most of a CLI call's start-up and
+        # no command needs them; validate_output imports jsonschema itself.
+        code, out, _ = run_cli(capsys, "bound", "--family", "circular",
+                               "--theta", "0.5", "--format", "json")
+        assert code == 0
+        script = textwrap.dedent("""
+            import json, sys
+            import copula_rank.cli
+            heavy = ("scipy.stats", "scipy.optimize", "jsonschema")
+            loaded = [m for m in heavy if m in sys.modules]
+            from copula_rank import validate_output
+            obj = json.load(sys.stdin)
+            validate_output("bound", obj)
+            import jsonschema
+            del obj["fisher_info"]
+            try:
+                validate_output("bound", obj)
+                rejected = False
+            except jsonschema.ValidationError:
+                rejected = True
+            print(json.dumps({"loaded": loaded, "rejected": rejected}))
+        """)
+        src = os.path.dirname(os.path.dirname(copula_rank.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], input=out,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result == {"loaded": [], "rejected": True}

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
+from scipy.stats import rankdata
 
 from copula_rank import (circular, custom_affine, eval_geometry,
                          efficient_info, exchangeable, factor, norm_quantile,
@@ -60,6 +61,42 @@ class TestRankTransform:
         data = np.ones((5, 2))
         data[:, 0] = np.arange(5)
         with pytest.raises(DegenerateMarginError, match="column 1"):
+            rank_transform(data)
+
+    def test_matches_rankdata_reference(self):
+        # The package ranks without scipy.stats; rankdata is the reference.
+        rng = np.random.default_rng(7)
+        inputs = []
+        for _ in range(25):
+            n, p = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+            inputs += [
+                rng.standard_normal((n, p)),
+                rng.integers(0, 3, size=(n, p)).astype(float),
+                rng.integers(-1000, 1000, size=(n, p)).astype(float),
+                rng.choice([0.0, -0.0, 1.0, -1.5], size=(n, p)),
+                np.round(rng.standard_normal((n, p)), 1),
+            ]
+        for data in inputs:
+            tied = tuple(j for j in range(data.shape[1])
+                         if np.unique(data[:, j]).size < data.shape[0])
+            if any(np.unique(col).size == 1 for col in data.T):
+                with pytest.raises(DegenerateMarginError):
+                    rank_transform(data)
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sample = rank_transform(data)
+            ref = np.column_stack([rankdata(col, method="average") for col in data.T])
+            assert np.array_equal(sample.ranks, ref)
+            assert sample.tie_columns == tied
+            assert [w.category for w in caught] == ([RuntimeWarning] if tied else [])
+
+    def test_first_constant_column_named(self):
+        data = np.random.default_rng(3).standard_normal((6, 4))
+        data[:, 1] = 2.0
+        data[:, 3] = -0.0
+        data[::2, 3] = 0.0
+        with pytest.raises(DegenerateMarginError, match=r"^column 1 is constant$"):
             rank_transform(data)
 
     def test_too_small_or_bad_input(self):

@@ -78,6 +78,17 @@ class TestBuilders:
         assert any("unverified reparametrization" in note
                    for note in model.notes)
 
+    def test_factor_constraint_note_says_it_is_not_applied(self):
+        for constraint in ("lower_triangular", "none"):
+            model = factor(4, 2, constraint=constraint)
+            assert model.descriptor["constraint"] == constraint
+            note = next(n for n in model.notes if "loading constraint" in n)
+            assert constraint in note
+            assert "not applied" in note
+            for name in ("ple_estimate", "pilot_moment", "one_step"):
+                assert name in note
+            assert "not identifiable for q >= 2" in note
+
     def test_adaptivity_demo_curve(self):
         model = adaptivity_demo()
         r = model.r_of_theta(np.array([0.2]))

@@ -13,8 +13,8 @@ from copula_rank.exceptions import DomainError, ShapeError, SingularityError
 def oracle_quantile(p, dps=50):
     """Independent quantile oracle: bisection on the mpmath error function.
 
-    Deliberately avoids the production code path (rational approximation
-    plus Halley refinement).
+    Deliberately avoids the production code path (scipy.special.ndtri on
+    min(p, 1 - p), mirrored about p = 1/2).
     """
     with mp.workdps(dps):
         target = mp.mpf(p)
@@ -66,6 +66,16 @@ class TestNormQuantile:
             ref = oracle_quantile(p)
             got = float(norm_quantile(p))
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref)), p
+
+    def test_relative_accuracy_near_half(self):
+        # Near p = 1/2 the quantile is close to 0, so only a relative bound
+        # shows cancellation in its evaluation.
+        points = [float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0)),
+                  0.5 - 1e-12, 0.5 + 1e-12, 0.5 - 1e-9, 0.5 + 1e-9,
+                  0.500005, 0.49]
+        for p in points:
+            ref = oracle_quantile(p)
+            assert abs(float(norm_quantile(p)) - ref) <= 1e-14 * abs(ref), p
 
     def test_roundtrip(self):
         # Above x ~ 5.2 the roundtrip is limited by the spacing of doubles
