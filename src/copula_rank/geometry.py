@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_solve
 
-from .exceptions import ShapeError, SingularityError
-from .numcore import check_symmetric, gram, norm_quantile, span_residual, theta_inner
+from .exceptions import ShapeError
+from .numcore import (check_symmetric, gram, norm_quantile, span_residual, spd_factor,
+                      theta_inner)
 
 __all__ = [
     "EfficiencyBundle",
@@ -105,13 +106,7 @@ def _ir_hadamard_factor(geom):
     generator and projection systems (a Gram matrix, hence positive definite
     whenever R is)."""
     m = np.eye(geom.p) + geom.r * geom.s
-    try:
-        return cho_factor(0.5 * (m + m.T), lower=True)
-    except LinAlgError as exc:
-        eig = float(np.linalg.eigvalsh(m)[0])
-        raise SingularityError(
-            f"I + R*S failed to factor (min eigenvalue {eig:.3e})",
-            eigenvalue=eig) from exc
+    return (spd_factor(0.5 * (m + m.T), "I + R*S failed to factor"), True)
 
 
 def score_generators(geom):
@@ -147,14 +142,8 @@ def efficient_score_matrices(geom, generators=None):
 
 
 def _spd_inverse(mat, what):
-    try:
-        c = cho_factor(mat, lower=True)
-    except LinAlgError as exc:
-        eig = float(np.linalg.eigvalsh(mat)[0])
-        raise SingularityError(
-            f"{what} is not positive definite (min eigenvalue {eig:.3e})",
-            eigenvalue=eig, cond=float(np.linalg.cond(mat))) from exc
-    inv = cho_solve(c, np.eye(mat.shape[0]))
+    c = spd_factor(mat, f"{what} is not positive definite", cond=True)
+    inv = cho_solve((c, True), np.eye(mat.shape[0]))
     return 0.5 * (inv + inv.T)
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_solve
 
-from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
-from .numcore import InnerProductContext, check_symmetric
+from .exceptions import ConfigError, DomainError, ShapeError
+from .numcore import InnerProductContext, check_symmetric, spd_factor
 
 __all__ = [
     "CorrelationModel",
@@ -518,19 +518,14 @@ class Geometry:
 def eval_geometry(model, theta):
     """Evaluate R, S = R^-1 and their theta-derivatives at theta.
 
-    S is computed through a Cholesky factorization; failure raises a
-    SingularityError carrying the smallest-eigenvalue estimate.
+    S is computed through one Cholesky factorization, which the inner-product
+    context reuses; failure raises a SingularityError carrying the
+    smallest-eigenvalue estimate.
     """
     t = model.theta_vec(theta)
     r = model.r_of_theta(t)
-    try:
-        c = cho_factor(r, lower=True)
-    except LinAlgError as exc:
-        eig = float(np.linalg.eigvalsh(r)[0])
-        raise SingularityError(
-            f"R(theta) is not positive definite for {model.name} "
-            f"(min eigenvalue {eig:.3e})", eigenvalue=eig) from exc
-    s = cho_solve(c, np.eye(model.p))
+    c = spd_factor(r, f"R(theta) is not positive definite for {model.name}")
+    s = cho_solve((c, True), np.eye(model.p))
     s = 0.5 * (s + s.T)
     r_dots = model.r_dots(t)
     s_dots = []
@@ -538,4 +533,4 @@ def eval_geometry(model, theta):
         sd = -s @ g @ s
         s_dots.append(0.5 * (sd + sd.T))
     return Geometry(theta=t, r=r, s=s, r_dots=tuple(r_dots),
-                    s_dots=tuple(s_dots), ctx=InnerProductContext(r))
+                    s_dots=tuple(s_dots), ctx=InnerProductContext(r, chol=c))

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky
-from scipy.linalg import LinAlgError
+from scipy.linalg import cholesky, LinAlgError
 from scipy.special import ndtr, ndtri
 
 from .exceptions import DomainError, ShapeError, SingularityError
@@ -33,6 +32,7 @@ __all__ = [
     "gram",
     "span_residual",
     "check_symmetric",
+    "spd_factor",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -99,14 +99,41 @@ def std_gauss(kind, x):
     raise ValueError(f"unknown kind {kind!r}; expected density, cdf or quantile")
 
 
+def _all_close(x, y, atol):
+    """np.allclose(x, y, rtol=0, atol=atol) for equal-shape arrays, without
+    its overhead: every entry pair is equal (so equal infinities pass) or
+    within atol (so NaN and unequal infinities fail)."""
+    equal = x == y
+    if equal.all():
+        return True
+    with np.errstate(invalid="ignore"):
+        return bool(np.all(equal | (np.abs(x - y) <= atol)))
+
+
 def check_symmetric(a, name="matrix", atol=1e-8):
     """Validate that `a` is a square symmetric 2-d array and return it as float."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=atol):
+    if not _all_close(a, a.T, atol):
         raise ShapeError(f"{name} is not symmetric")
     return a
+
+
+def spd_factor(a, what, cond=False):
+    """Lower Cholesky factor L of the symmetric positive definite matrix `a`,
+    for use as `cho_solve((L, True), b)`.
+
+    Raises SingularityError "<what> (min eigenvalue ...)" carrying the
+    smallest eigenvalue, and the condition number when `cond` is true, if
+    `a` does not factor.
+    """
+    try:
+        return cholesky(a, lower=True)
+    except LinAlgError as exc:
+        eig = float(np.linalg.eigvalsh(a)[0])
+        raise SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig,
+                               cond=float(np.linalg.cond(a)) if cond else None) from exc
 
 
 @dataclass(frozen=True)
@@ -114,7 +141,9 @@ class InnerProductContext:
     """Holds the correlation matrix R defining the inner product <A,B> = tr(ARBR)/2.
 
     Construction validates that R is symmetric with unit diagonal and admits
-    a Cholesky factorization (i.e. is positive definite).
+    a Cholesky factorization (i.e. is positive definite).  A caller that has
+    already factored R passes the lower factor as `chol`, which is kept
+    instead of factoring R again.
     """
 
     corr: np.ndarray
@@ -122,18 +151,12 @@ class InnerProductContext:
 
     def __post_init__(self):
         r = check_symmetric(self.corr, name="correlation matrix")
-        if not np.allclose(np.diag(r), 1.0, rtol=0.0, atol=1e-10):
+        if not _all_close(np.diag(r), 1.0, 1e-10):
             raise ShapeError("correlation matrix must have unit diagonal")
-        try:
-            c = _cholesky(r, lower=True)
-        except LinAlgError as exc:
-            eig = float(np.linalg.eigvalsh(r)[0])
-            raise SingularityError(
-                f"correlation matrix is not positive definite (min eigenvalue {eig:.3e})",
-                eigenvalue=eig,
-            ) from exc
+        if self.chol is None:
+            object.__setattr__(self, "chol", spd_factor(
+                r, "correlation matrix is not positive definite"))
         object.__setattr__(self, "corr", r)
-        object.__setattr__(self, "chol", c)
 
     @property
     def dim(self):

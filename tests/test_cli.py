@@ -317,21 +317,30 @@ class TestSimulate:
         assert "failed" in err
 
 
+def child_env():
+    """The environment with the directory holding this copula_rank package
+    first on PYTHONPATH, so child interpreters import the code under test."""
+    src = os.path.dirname(os.path.dirname(copula_rank.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "copula_rank.cli", "bound", "--family",
              "circular", "--theta", "0.5", "--format", "json"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
         assert_allclose(json.loads(proc.stdout)["efficient_info_inv"],
                         [[0.140625]], rtol=1e-9)
 
     def test_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "copula_rank.cli", "bound"],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 2, proc.stderr
 
 
 class TestImportSet:
@@ -358,11 +367,8 @@ class TestImportSet:
                 rejected = True
             print(json.dumps({"loaded": loaded, "rejected": rejected}))
         """)
-        src = os.path.dirname(os.path.dirname(copula_rank.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", script], input=out,
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result == {"loaded": [], "rejected": True}

@@ -16,6 +16,7 @@ from copula_rank import (circular, custom_affine, eval_geometry,
                          one_step, pilot_moment, ple_estimate, rank_transform,
                          sample_copula, sigma_n_sq, toeplitz, unrestricted,
                          adaptivity_demo, lower_triangle_pairs)
+from copula_rank import estimators
 from copula_rank.estimators import (normal_scores_matrix, _mean_pseudo_negloglik,
                                     _pseudo_score)
 from copula_rank.exceptions import (ConvergenceError, DegenerateMarginError,
@@ -227,6 +228,45 @@ class TestPleEstimate:
         trace = info.value.trace
         assert trace
         assert trace[-1][1] > 1e-8 * model.k
+
+    def test_saddle_point_rejected(self):
+        # At L = 0 every dR_m vanishes, so the pseudo-score is exactly zero,
+        # but the objective curves downward along pairs of loadings.
+        model = factor(5, 1)
+        u = sample_copula(model.r_of_theta(np.linspace(0.3, 0.7, 5)), 300, seed=6)
+        sample = rank_transform(u)
+        with pytest.raises(ConvergenceError, match="saddle point") as info:
+            ple_estimate(model, sample, init=np.zeros(5))
+        assert info.value.trace[-1][1] <= 1e-8 * model.k
+        assert ple_estimate(model, sample).converged
+
+    def test_one_factorization_per_objective_evaluation(self, monkeypatch,
+                                                        factorizations):
+        objective, descent_step = estimators._objective_and_inverse, estimators._descent_step
+        per_evaluation, in_steps = [], []
+
+        def counted_objective(model, theta, rhat):
+            before = len(factorizations)
+            out = objective(model, theta, rhat)
+            per_evaluation.append((model.domain_check(theta), len(factorizations) - before))
+            return out
+
+        def counted_step(*args):
+            before = len(factorizations)
+            out = descent_step(*args)
+            in_steps.append(len(factorizations) - before)
+            return out
+
+        monkeypatch.setattr(estimators, "_objective_and_inverse", counted_objective)
+        monkeypatch.setattr(estimators, "_descent_step", counted_step)
+        model = toeplitz(4)
+        u = sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6)
+        result = ple_estimate(model, rank_transform(u))
+        assert result.converged and result.iterations > 0
+        assert len(in_steps) == result.iterations + 1
+        assert in_steps == [0] * len(in_steps)
+        assert len(per_evaluation) > result.iterations
+        assert all(count == int(in_domain) for in_domain, count in per_evaluation)
 
     def test_out_of_domain_init(self):
         u = sample_copula(exch_corr(3, 0.2), 50, seed=1)

@@ -260,6 +260,11 @@ class TestGeometry:
             target = -geom.s @ geom.r_dots[m] @ geom.s
             assert np.linalg.norm(geom.s_dots[m] - target) <= 1e-9
 
+    def test_factors_r_once(self, factorizations):
+        geom = eval_geometry(toeplitz(4), np.array([0.4945460, -0.4592764, -0.8462492]))
+        assert len(factorizations) == 1
+        assert_allclose(geom.ctx.chol @ geom.ctx.chol.T, geom.r, atol=1e-14)
+
     def test_non_pd_raises_with_eigenvalue(self):
         gen = np.zeros((2, 2))
         gen[0, 1] = gen[1, 0] = 1.0

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from copula_rank import (InnerProductContext, gram, norm_cdf, norm_pdf,
                          norm_quantile, span_residual, std_gauss, theta_inner)
 from copula_rank.exceptions import DomainError, ShapeError, SingularityError
+from copula_rank.numcore import check_symmetric
 
 
 def oracle_quantile(p, dps=50):
@@ -182,6 +183,52 @@ class TestInnerProduct:
             InnerProductContext(exchangeable_corr(3, -0.5))
         assert exc.value.eigenvalue is not None
         assert exc.value.eigenvalue <= 1e-10
+
+
+class TestCheckSymmetric:
+    def test_verdict_matches_allclose(self):
+        # The cheap test must raise exactly when allclose(a, a.T, rtol=0)
+        # is False, including at NaN, +-inf and the atol boundary.
+        rng = np.random.default_rng(20)
+        atol = 1e-8
+        cases = []
+        for p in (1, 2, 3, 5):
+            for _ in range(42):
+                a = rng.standard_normal((p, p))
+                a = a + a.T
+                kind = len(cases) % 7
+                if p > 1:
+                    i, j = rng.choice(p, size=2, replace=False)
+                    if kind == 0:
+                        a[i, j], a[j, i] = atol, 0.0
+                    elif kind == 1:
+                        a[i, j], a[j, i] = atol * (1.0 + 1e-12), 0.0
+                    elif kind == 2:
+                        a[i, j] = a[j, i] = rng.choice([np.nan, np.inf, -np.inf])
+                    elif kind == 3:
+                        a[i, j], a[j, i] = -np.inf, np.inf
+                    elif kind == 4:
+                        a[i, j] = np.nan
+                    elif kind == 5:
+                        a[i, j] = a[j, i] + 0.5 * atol
+                if rng.integers(4) == 0:
+                    a[rng.integers(p), rng.integers(p)] = rng.choice([np.nan, np.inf])
+                cases.append(a)
+        outcomes = set()
+        for a in cases:
+            expected = bool(np.allclose(a, a.T, rtol=0.0, atol=atol))
+            outcomes.add(expected)
+            try:
+                check_symmetric(a, atol=atol)
+                accepted = True
+            except ShapeError as exc:
+                assert "not symmetric" in str(exc)
+                accepted = False
+            assert accepted == expected, a
+        assert outcomes == {True, False}
+        for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ShapeError, match="square"):
+                check_symmetric(bad)
 
 
 class TestGram:
