@@ -19,22 +19,28 @@ inverse efficient information times the empirical mean of the efficient
 score to a root-n-consistent pilot.  The mean efficient score has the closed
 form tr(A*_m Rhat) / 2, since the score is the quadratic form z' A*_m z / 2
 with tr(A*_m R) = 0.
+
+An EstimateResult computes its standard errors (a geometry and an
+information matrix at the estimate) on first read of `std_errors`, so a
+caller that reads only theta_hat, as a Monte Carlo replication does, never
+pays for them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import LinAlgError
 
 from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
 from .geometry import efficient_info, efficient_score_matrices, ple_influence
 from .models import eval_geometry
-from .numcore import norm_quantile
+from .numcore import cholesky_lower, norm_quantile, spd_factor, spd_solve
 
 __all__ = [
     "RankedSample",
@@ -73,13 +79,21 @@ class RankedSample:
 
 @dataclass(frozen=True)
 class EstimateResult:
+    """An estimate and how it was reached.  `std_errors` calls
+    `std_errors_fn` on first read and caches the result; it is None without
+    one, or where the geometry at theta_hat is singular."""
+
     theta_hat: np.ndarray
     method: str
     iterations: int
     converged: bool
-    std_errors: Optional[np.ndarray] = None
+    std_errors_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
     clamped: bool = False
     tie_warning: bool = False
+
+    @cached_property
+    def std_errors(self):
+        return None if self.std_errors_fn is None else self.std_errors_fn()
 
     def to_dict(self):
         return {
@@ -160,8 +174,8 @@ def _pseudo_score(model, theta, rhat):
     factorization across components.
     """
     r = model.r_of_theta(theta)
-    c = cho_factor(r, lower=True)
-    w = cho_solve(c, cho_solve(c, (r - rhat).T).T)
+    c = spd_factor(r, f"R(theta) is not positive definite for {model.name}")
+    w = spd_solve(c, spd_solve(c, (r - rhat).T).T)
     return np.array([-np.sum(rd * w) for rd in model.r_dots(theta)])
 
 
@@ -170,17 +184,16 @@ def _objective_and_inverse(model, theta, rhat):
     factorization of R(theta); (inf, None) outside the domain."""
     if not model.domain_check(theta):
         return np.inf, None
-    r = model.r_of_theta(theta)
-    try:
-        c = cho_factor(r, lower=True)
-    except LinAlgError:
+    c = cholesky_lower(model.r_of_theta(theta))
+    if c is None:
         return np.inf, None
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c[0]))))
-    # cho_solve returns Fortran order.  In C order every product with S in
-    # `_descent_step` has operands of one layout: multithreaded OpenBLAS
-    # 0.3.31 took ~5 ms for a 100 x 100 C-by-Fortran product, against
-    # ~40 us for same-layout operands (2-CPU x86-64 VM, Haswell kernel).
-    s = np.ascontiguousarray(cho_solve(c, np.eye(model.p)))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+    # spd_solve (LAPACK dpotrs) returns Fortran order.  In C order every
+    # product with S in `_descent_step` has operands of one layout:
+    # multithreaded OpenBLAS 0.3.31 took ~5 ms for a 100 x 100 C-by-Fortran
+    # product, against ~40 us for same-layout operands (2-CPU x86-64 VM,
+    # Haswell kernel).
+    s = np.ascontiguousarray(spd_solve(c, np.eye(model.p)))
     return 0.5 * (logdet + float(np.sum(s * rhat)) - float(np.trace(rhat))), s
 
 
@@ -233,6 +246,8 @@ def _default_init(model, rhat):
 
 
 def _ple_std_errors(model, theta, n):
+    """Standard errors from the PLE asymptotic covariance at theta; None
+    where the geometry is singular."""
     try:
         geom = eval_geometry(model, theta)
         _, _, cov = ple_influence(geom)
@@ -266,7 +281,7 @@ def ple_estimate(model, sample, init=None, max_iter=100):
         theta = np.array([rhat[i, j] for i, j in lower_triangle_pairs(model.p)])
         return EstimateResult(
             theta_hat=theta, method="ple", iterations=0, converged=True,
-            std_errors=_ple_std_errors(model, theta, sample.n),
+            std_errors_fn=partial(_ple_std_errors, model, theta.copy(), sample.n),
             tie_warning=sample.has_ties)
 
     theta = model.theta_vec(_default_init(model, rhat) if init is None else init)
@@ -286,8 +301,8 @@ def ple_estimate(model, sample, init=None, max_iter=100):
                     f"for {model.name} (Hessian eigenvalues {eigs[0]:.3e} to "
                     f"{eigs[-1]:.3e})", trace=trace)
             return EstimateResult(
-                theta_hat=theta, method="ple", iterations=iteration,
-                converged=True, std_errors=_ple_std_errors(model, theta, sample.n),
+                theta_hat=theta, method="ple", iterations=iteration, converged=True,
+                std_errors_fn=partial(_ple_std_errors, model, theta.copy(), sample.n),
                 tie_warning=sample.has_ties)
         if iteration == max_iter:
             break
@@ -361,6 +376,17 @@ def pilot_moment(model, sample):
                           tie_warning=sample.has_ties)
 
 
+def _one_step_std_errors(model, theta, n):
+    """Standard errors from the semiparametric variance bound (the inverse
+    efficient information) at theta; None where the geometry is singular."""
+    try:
+        geom = eval_geometry(model, theta)
+        _, eff_inv = efficient_info(geom)
+        return np.sqrt(np.maximum(np.diag(eff_inv), 0.0) / n)
+    except (SingularityError, LinAlgError):
+        return None
+
+
 def one_step(model, sample, pilot=None, iterate_twice=False):
     """Efficient one-step update from a root-n-consistent pilot.
 
@@ -391,13 +417,7 @@ def one_step(model, sample, pilot=None, iterate_twice=False):
             clamped = True
             break
 
-    std = None
-    try:
-        geom = eval_geometry(model, theta)
-        _, eff_inv = efficient_info(geom)
-        std = np.sqrt(np.maximum(np.diag(eff_inv), 0.0) / sample.n)
-    except (SingularityError, LinAlgError):
-        pass
-    return EstimateResult(theta_hat=theta, method="one_step", iterations=rounds,
-                          converged=True, std_errors=std, clamped=clamped,
-                          tie_warning=sample.has_ties)
+    return EstimateResult(
+        theta_hat=theta, method="one_step", iterations=rounds, converged=True,
+        std_errors_fn=partial(_one_step_std_errors, model, theta.copy(), sample.n),
+        clamped=clamped, tie_warning=sample.has_ties)

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .exceptions import ShapeError
 from .numcore import (check_symmetric, gram, norm_quantile, span_residual, spd_factor,
-                      theta_inner)
+                      spd_solve, theta_inner)
 
 __all__ = [
     "EfficiencyBundle",
@@ -106,7 +105,7 @@ def _ir_hadamard_factor(geom):
     generator and projection systems (a Gram matrix, hence positive definite
     whenever R is)."""
     m = np.eye(geom.p) + geom.r * geom.s
-    return (spd_factor(0.5 * (m + m.T), "I + R*S failed to factor"), True)
+    return spd_factor(0.5 * (m + m.T), "I + R*S failed to factor")
 
 
 def score_generators(geom):
@@ -117,7 +116,7 @@ def score_generators(geom):
     """
     c = _ir_hadamard_factor(geom)
     rhs = np.column_stack([-(rd * geom.s).sum(axis=1) for rd in geom.r_dots])
-    return cho_solve(c, rhs).T
+    return spd_solve(c, rhs).T
 
 
 def generator_function(geom, m, j, u):
@@ -143,7 +142,7 @@ def efficient_score_matrices(geom, generators=None):
 
 def _spd_inverse(mat, what):
     c = spd_factor(mat, f"{what} is not positive definite", cond=True)
-    inv = cho_solve((c, True), np.eye(mat.shape[0]))
+    inv = spd_solve(c, np.eye(mat.shape[0]))
     return 0.5 * (inv + inv.T)
 
 
@@ -175,7 +174,7 @@ def project_tangent(a, geom):
     if a.shape[0] != geom.p:
         raise ShapeError(f"A has dim {a.shape[0]}, expected {geom.p}")
     c = _ir_hadamard_factor(geom)
-    b = cho_solve(c, np.diag(geom.r @ a))
+    b = spd_solve(c, np.diag(geom.r @ a))
     return b, d_operator(geom.s, b)
 
 

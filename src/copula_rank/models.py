@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .exceptions import ConfigError, DomainError, ShapeError
-from .numcore import InnerProductContext, check_symmetric, spd_factor
+from .numcore import InnerProductContext, check_symmetric, spd_factor, spd_solve
 
 __all__ = [
     "CorrelationModel",
@@ -76,10 +75,12 @@ class CorrelationModel:
 
     def theta_vec(self, theta):
         """Coerce theta to a validated 1-d float vector of length k."""
-        t = np.atleast_1d(np.asarray(theta, dtype=float))
-        if t.ndim != 1 or t.size != self.k:
+        t = np.asarray(theta, dtype=float)
+        if t.ndim == 0:
+            t = t.reshape(1)
+        if t.shape != (self.k,):
             raise ShapeError(f"theta must have length {self.k}, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise DomainError("theta must be finite")
         return t
 
@@ -93,6 +94,9 @@ class CorrelationModel:
         t = self.theta_vec(theta)
         if not 0 <= m < self.k:
             raise ShapeError(f"parameter index {m} out of range for k={self.k}")
+        return self._r_dot(t, m)
+
+    def _r_dot(self, t, m):
         if self.grad_fn is not None:
             return self.grad_fn(t, m)
         h = max(1e-6, 1e-8 * abs(t[m]))
@@ -102,7 +106,9 @@ class CorrelationModel:
         return (self.corr_fn(up) - self.corr_fn(dn)) / (2.0 * h)
 
     def r_dots(self, theta):
-        return tuple(self.r_dot(theta, m) for m in range(self.k))
+        """All k derivative matrices dR/dtheta_m, validating theta once."""
+        t = self.theta_vec(theta)
+        return tuple(self._r_dot(t, m) for m in range(self.k))
 
     def domain_check(self, theta):
         """True if theta lies in the declared (numerically safe) domain."""
@@ -525,7 +531,7 @@ def eval_geometry(model, theta):
     t = model.theta_vec(theta)
     r = model.r_of_theta(t)
     c = spd_factor(r, f"R(theta) is not positive definite for {model.name}")
-    s = cho_solve((c, True), np.eye(model.p))
+    s = spd_solve(c, np.eye(model.p))
     s = 0.5 * (s + s.T)
     r_dots = model.r_dots(t)
     s_dots = []

@@ -10,6 +10,12 @@ and the inner product
 on real symmetric p x p matrices, where R is a correlation matrix.  For
 Z ~ N(0, R) this inner product equals Cov(Z'AZ/2, Z'BZ/2), which is why
 Gram matrices built from it are information matrices.
+
+This module is the package's only entry point to LAPACK's Cholesky
+routines: `cholesky_lower` and `spd_factor` factor (dpotrf), `spd_solve`
+solves with the factor (dpotrs).  They call the LAPACK wrappers directly,
+with the input checks of scipy.linalg's cholesky/cho_solve and the same
+results bit for bit, but without their per-call overhead.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr, ndtri
 
 from .exceptions import DomainError, ShapeError, SingularityError
@@ -26,13 +32,14 @@ __all__ = [
     "norm_pdf",
     "norm_cdf",
     "norm_quantile",
-    "std_gauss",
     "InnerProductContext",
     "theta_inner",
     "gram",
     "span_residual",
     "check_symmetric",
+    "cholesky_lower",
     "spd_factor",
+    "spd_solve",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -82,23 +89,6 @@ def norm_quantile(p):
     return float(out) if out.ndim == 0 else out
 
 
-def std_gauss(kind, x):
-    """Dispatch to the standard normal density, cdf or quantile.
-
-    Parameters
-    ----------
-    kind : {"density", "cdf", "quantile"}
-    x : float or array_like
-    """
-    if kind == "density":
-        return norm_pdf(x)
-    if kind == "cdf":
-        return norm_cdf(x)
-    if kind == "quantile":
-        return norm_quantile(x)
-    raise ValueError(f"unknown kind {kind!r}; expected density, cdf or quantile")
-
-
 def _all_close(x, y, atol):
     """np.allclose(x, y, rtol=0, atol=atol) for equal-shape arrays, without
     its overhead: every entry pair is equal (so equal infinities pass) or
@@ -120,20 +110,59 @@ def check_symmetric(a, name="matrix", atol=1e-8):
     return a
 
 
-def spd_factor(a, what, cond=False):
-    """Lower Cholesky factor L of the symmetric positive definite matrix `a`,
-    for use as `cho_solve((L, True), b)`.
+def _finite(a):
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
 
-    Raises SingularityError "<what> (min eigenvalue ...)" carrying the
-    smallest eigenvalue, and the condition number when `cond` is true, if
-    `a` does not factor.
+
+def cholesky_lower(a):
+    """Lower Cholesky factor of the symmetric positive definite matrix `a`,
+    upper triangle zeroed (scipy.linalg.cholesky(a, lower=True)), or None
+    when `a` is not positive definite.  LAPACK reads only the lower
+    triangle; the finiteness check covers all of `a`.
+
+    Raises ValueError for non-square or non-finite input.
     """
-    try:
-        return cholesky(a, lower=True)
-    except LinAlgError as exc:
+    a = _finite(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    c, info = dpotrf(a, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c if info == 0 else None
+
+
+def spd_factor(a, what, cond=False):
+    """`cholesky_lower(a)`, raising SingularityError "<what> (min eigenvalue
+    ...)" carrying the smallest eigenvalue, and the condition number when
+    `cond` is true, where `a` is not positive definite.  Solve with the
+    factor through `spd_solve`.
+    """
+    c = cholesky_lower(a)
+    if c is None:
         eig = float(np.linalg.eigvalsh(a)[0])
         raise SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig,
-                               cond=float(np.linalg.cond(a)) if cond else None) from exc
+                               cond=float(np.linalg.cond(a)) if cond else None)
+    return c
+
+
+def spd_solve(c, b):
+    """Solve A x = b for x given the lower Cholesky factor `c` of A from
+    `cholesky_lower` or `spd_factor` (scipy.linalg.cho_solve((c, True), b)).
+    `b` is a vector or a matrix of right-hand sides; the result has its
+    shape, in Fortran order when 2-d.
+
+    Raises ValueError for non-finite `b` or a length that does not match.
+    """
+    b = _finite(b)
+    if b.ndim not in (1, 2) or b.shape[0] != c.shape[0]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
+    x, info = dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,29 @@
 import sys
 
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 
 
 @pytest.fixture
 def factorizations(monkeypatch):
     """Counts every Cholesky factorization the package makes: each package
-    module attribute bound to scipy.linalg's cho_factor or cholesky is
-    wrapped for the test.  Yields the list of calls made so far."""
+    module attribute bound to LAPACK's dpotrf (numcore's, the package's one
+    factor entry point) is wrapped for the test.  Yields the list of calls
+    made so far."""
     calls = []
-    for source in (scipy.linalg.cho_factor, scipy.linalg.cholesky):
-        def counted(*args, _source=source, **kwargs):
-            calls.append(_source.__name__)
-            return _source(*args, **kwargs)
+    source = scipy.linalg.lapack.dpotrf
 
-        for name, module in list(sys.modules.items()):
-            if module is None or not (name == "copula_rank" or name.startswith("copula_rank.")):
-                continue
-            for attr, value in list(vars(module).items()):
-                if value is source:
-                    monkeypatch.setattr(module, attr, counted)
+    def counted(*args, **kwargs):
+        calls.append("dpotrf")
+        return source(*args, **kwargs)
+
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "copula_rank" or name.startswith("copula_rank.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is source:
+                monkeypatch.setattr(module, attr, counted)
+                bound += 1
+    assert bound, "no package module binds LAPACK dpotrf"
     return calls

@@ -14,8 +14,8 @@ from scipy.stats import rankdata
 from copula_rank import (circular, custom_affine, eval_geometry,
                          efficient_info, exchangeable, factor, norm_quantile,
                          one_step, pilot_moment, ple_estimate, rank_transform,
-                         sample_copula, sigma_n_sq, toeplitz, unrestricted,
-                         adaptivity_demo, lower_triangle_pairs)
+                         run_experiment, sample_copula, sigma_n_sq, toeplitz,
+                         unrestricted, adaptivity_demo, lower_triangle_pairs)
 from copula_rank import estimators
 from copula_rank.estimators import (normal_scores_matrix, _mean_pseudo_negloglik,
                                     _pseudo_score)
@@ -414,3 +414,39 @@ class TestOneStep:
         result = one_step(exchangeable(2), sample)
         assert result.tie_warning
         assert result.to_dict()["tie_warning"] is True
+
+
+class TestLazyStdErrors:
+    def test_run_experiment_computes_none(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("standard errors computed")
+
+        monkeypatch.setattr(estimators, "_ple_std_errors", forbidden)
+        monkeypatch.setattr(estimators, "_one_step_std_errors", forbidden)
+        report = run_experiment({
+            "model": {"family": "circular"}, "theta_true": [0.5], "n": 80,
+            "replications": 4, "estimators": ["ple", "one_step", "pilot_moment"],
+            "seed": 3, "workers": 1})
+        assert report.failures == {"ple": 0, "one_step": 0, "pilot_moment": 0}
+
+    @pytest.mark.parametrize("model,theta,n", [
+        (toeplitz(4), THETA_STAR, 250),
+        (circular(), np.array([0.5]), 250),
+        (exchangeable(100), np.array([0.25]), 50),
+    ], ids=["toep4", "circ", "exch100"])
+    def test_first_read_equals_eager_value_then_cached(self, model, theta, n):
+        sample = rank_transform(sample_copula(model.r_of_theta(theta), n, seed=31))
+        ple = ple_estimate(model, sample)
+        ose = one_step(model, sample, pilot=ple.theta_hat)
+        _, eff_inv = efficient_info(eval_geometry(model, ose.theta_hat))
+        expected = [(ple, estimators._ple_std_errors(model, ple.theta_hat, n)),
+                    (ose, np.sqrt(np.maximum(np.diag(eff_inv), 0.0) / n))]
+        for result, eager in expected:
+            first = result.std_errors
+            assert np.array_equal(first, eager)
+            assert result.std_errors is first
+
+    def test_singular_geometry_reads_none(self):
+        model = exchangeable(3)
+        assert estimators._ple_std_errors(model, np.array([1.5]), 100) is None
+        assert estimators._one_step_std_errors(model, np.array([1.5]), 100) is None

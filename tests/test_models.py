@@ -1,5 +1,6 @@
 """Tests for the correlation-model builders and geometry evaluation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -130,6 +131,13 @@ class TestBuilders:
         with pytest.raises(DomainError):
             model.theta_vec(np.array([np.nan]))
 
+    def test_r_dots_validates_theta(self):
+        for model in (exchangeable(3), toeplitz(4), circular()):
+            with pytest.raises(ShapeError):
+                model.r_dots(np.full(model.k + 1, 0.1))
+            with pytest.raises(DomainError):
+                model.r_dots(np.full(model.k, np.nan))
+
 
 class TestDerivativesAndDomains:
     @pytest.mark.parametrize("model,theta", ALL_BUILTINS,
@@ -141,6 +149,17 @@ class TestDerivativesAndDomains:
             e[m] = h
             fd = (model.r_of_theta(theta + e) - model.r_of_theta(theta - e)) / (2 * h)
             assert np.max(np.abs(model.r_dot(theta, m) - fd)) <= 1e-6
+
+    @pytest.mark.parametrize("model,theta", ALL_BUILTINS + [
+        (dataclasses.replace(circular(), name="circular_fd", grad_fn=None),
+         np.array([0.45]))],
+        ids=lambda v: getattr(v, "name", None) or str(v))
+    def test_r_dots_equal_r_dot(self, model, theta):
+        # circular_fd has no analytic gradient: finite differences.
+        r_dots = model.r_dots(theta)
+        assert len(r_dots) == model.k
+        for m, rd in enumerate(r_dots):
+            assert np.array_equal(rd, model.r_dot(theta, m))
 
     @pytest.mark.parametrize("model,theta", ALL_BUILTINS,
                              ids=lambda v: getattr(v, "name", None) or str(v))

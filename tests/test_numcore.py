@@ -3,12 +3,13 @@
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from copula_rank import (InnerProductContext, gram, norm_cdf, norm_pdf,
-                         norm_quantile, span_residual, std_gauss, theta_inner)
+                         norm_quantile, span_residual, theta_inner)
 from copula_rank.exceptions import DomainError, ShapeError, SingularityError
-from copula_rank.numcore import check_symmetric
+from copula_rank.numcore import check_symmetric, cholesky_lower, spd_factor, spd_solve
 
 
 def oracle_quantile(p, dps=50):
@@ -105,17 +106,7 @@ class TestNormQuantile:
         assert out[0, 1] == 0.0
 
 
-class TestStdGauss:
-    def test_dispatch(self):
-        assert_allclose(std_gauss("density", 0.0), 1.0 / np.sqrt(2 * np.pi),
-                        rtol=1e-15)
-        assert std_gauss("cdf", 0.0) == 0.5
-        assert std_gauss("quantile", 0.5) == 0.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            std_gauss("pdf", 0.0)
-
+class TestNormPdf:
     def test_density_matches_cdf_derivative(self):
         x = np.linspace(-4, 4, 33)
         h = 1e-6
@@ -229,6 +220,57 @@ class TestCheckSymmetric:
         for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
             with pytest.raises(ShapeError, match="square"):
                 check_symmetric(bad)
+
+
+class TestSpdHelpers:
+    @pytest.mark.parametrize("p", [1, 3, 4, 100])
+    def test_bit_identical_to_scipy(self, p):
+        rng = np.random.default_rng(400 + p)
+        for _ in range(4):
+            x = rng.standard_normal((2 * p + 3, p))
+            a = x.T @ x / (2 * p + 3) + 0.05 * np.eye(p)
+            d = 1.0 / np.sqrt(np.diag(a))
+            for mat in (a, d[:, None] * a * d[None, :]):  # covariance and correlation
+                c = cholesky_lower(mat)
+                assert np.array_equal(c, scipy.linalg.cholesky(mat, lower=True))
+                assert np.array_equal(spd_factor(mat, "mat"), c)
+                for b in (rng.standard_normal(p), rng.standard_normal((p, 3)), np.eye(p)):
+                    assert np.array_equal(spd_solve(c, b),
+                                          scipy.linalg.cho_solve((c, True), b))
+
+    def test_error_contract(self):
+        a = exchangeable_corr(3, 0.2)
+        c = cholesky_lower(a)
+        for bad in (np.nan, np.inf, -np.inf):
+            m = a.copy()
+            m[0, 2] = bad  # upper triangle: LAPACK would not read it
+            with pytest.raises(ValueError):
+                cholesky_lower(m)
+            with pytest.raises(ValueError):
+                spd_factor(m, "m")
+            b = np.ones(3)
+            b[1] = bad
+            with pytest.raises(ValueError):
+                spd_solve(c, b)
+        for shape in ((2, 3), (3,), (2, 2, 2)):
+            with pytest.raises(ValueError):
+                cholesky_lower(np.ones(shape))
+            with pytest.raises(ValueError):
+                spd_factor(np.ones(shape), "m")
+        with pytest.raises(ValueError):
+            spd_solve(c, np.ones(4))
+
+        indefinite = exchangeable_corr(3, -0.6)
+        assert cholesky_lower(indefinite) is None
+        lam = np.linalg.eigvalsh(indefinite)[0]
+        with pytest.raises(SingularityError, match=r"^what \(min eigenvalue -2\.000e-01\)$") as exc:
+            spd_factor(indefinite, "what")
+        assert exc.value.eigenvalue == pytest.approx(lam, abs=1e-14)
+        assert exc.value.cond is None
+        with pytest.raises(SingularityError) as exc:
+            spd_factor(indefinite, "what", cond=True)
+        assert exc.value.eigenvalue == pytest.approx(lam, abs=1e-14)
+        assert exc.value.cond == pytest.approx(np.linalg.cond(indefinite))
 
 
 class TestGram:
