@@ -211,11 +211,7 @@ def cmd_check(args):
     adaptivity = adaptivity_check(geom, tol=tol)
     try:
         bundle = efficiency_bundle(geom)
-        ose_influence = [
-            sum(bundle.eff_info_inv[m, mm] * bundle.eff_matrices[mm]
-                for mm in range(geom.k))
-            for m in range(geom.k)
-        ]
+        ose_influence = np.tensordot(bundle.eff_info_inv, bundle.eff_matrices, axes=1)
         regularity = regularity_check(ose_influence, geom, tol=tol)
         regular = regularity.passed
     except SingularityError as exc:

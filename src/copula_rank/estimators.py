@@ -173,10 +173,11 @@ def _pseudo_score(model, theta, rhat):
     Computed as -sum(dR_m * W) with W = S (R - Rhat) S, sharing one
     factorization across components.
     """
-    r = model.r_of_theta(theta)
+    t = model.theta_vec(theta)
+    r = model.corr_fn(t)
     c = spd_factor(r, f"R(theta) is not positive definite for {model.name}")
     w = spd_solve(c, spd_solve(c, (r - rhat).T).T)
-    return np.array([-np.sum(rd * w) for rd in model.r_dots(theta)])
+    return -(model._r_dots(t).reshape(model.k, -1) @ w.ravel())
 
 
 def _objective_and_inverse(model, theta, rhat):
@@ -184,7 +185,7 @@ def _objective_and_inverse(model, theta, rhat):
     factorization of R(theta); (inf, None) outside the domain."""
     if not model.domain_check(theta):
         return np.inf, None
-    c = cholesky_lower(model.r_of_theta(theta))
+    c = cholesky_lower(model.corr_fn(theta))
     if c is None:
         return np.inf, None
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
@@ -198,16 +199,17 @@ def _objective_and_inverse(model, theta, rhat):
 
 
 def _mean_pseudo_negloglik(model, theta, rhat):
-    """Mean negative pseudo-log-likelihood, up to an additive constant:
-    (log det R + tr((S - I) Rhat)) / 2; +inf outside the domain."""
+    """Mean negative pseudo-log-likelihood at the float k-vector theta, up to
+    an additive constant: (log det R + tr((S - I) Rhat)) / 2; +inf outside
+    the domain."""
     return _objective_and_inverse(model, theta, rhat)[0]
 
 
 def _descent_step(model, theta, s, rhat):
     """Pseudo-score psi, the step -|H|^-1 grad on `_mean_pseudo_negloglik`
     and the eigenvalues of the Hessian H = -(J + J')/4, by matrix products
-    with S = R(theta)^-1 (no factorization); |H| takes absolute eigenvalues
-    so that the step always descends.
+    with S = R(theta)^-1 (no factorization) at the validated iterate theta;
+    |H| takes absolute eigenvalues so that the step always descends.
 
     psi_m = -tr(dR_m W) with W = S (R - Rhat) S = S - (S Rhat) S, and
     J_mj = -tr(d2R_mj W) + tr(S dR_m S dR_j (I - 2 S Rhat)) is the Jacobian
@@ -216,21 +218,21 @@ def _descent_step(model, theta, s, rhat):
     of the analytic `model.r_dot`, exact up to roundoff when dR is affine in
     theta, as in every built-in family.
     """
+    k = model.k
     s_rhat = s @ rhat
     w = s - s_rhat @ s
-    r_dots = model.r_dots(theta)
-    psi = np.array([-np.sum(rd * w) for rd in r_dots])
+    r_dots = model._r_dots(theta)
+    psi = -(r_dots.reshape(k, -1) @ w.ravel())
 
-    x = [s @ rd for rd in r_dots]  # S dR_j
-    right = np.eye(model.p) - 2.0 * s_rhat  # I - 2 S Rhat
-    v = [xj @ right for xj in x]
-    jac = np.array([[np.sum(xm * vj.T) for vj in v] for xm in x])
+    x = s @ r_dots  # S dR_j
+    v = x @ (np.eye(model.p) - 2.0 * s_rhat)  # S dR_j (I - 2 S Rhat)
+    # J_mj = tr(x_m v_j) = vec(x_m) . vec(v_j')
+    jac = x.reshape(k, -1) @ v.transpose(0, 2, 1).reshape(k, -1).T
     if model.affine_generators is None:
-        for j, e in enumerate(np.eye(model.k)):
+        for j, e in enumerate(np.eye(k)):
             h = 1e-5 * max(1.0, abs(theta[j]))
-            pairs = zip(model.r_dots(theta + h * e), model.r_dots(theta - h * e))
-            for m, (a, b) in enumerate(pairs):
-                jac[m, j] -= np.sum((a - b) * w) / (2.0 * h)
+            d2r = model._r_dots(theta + h * e) - model._r_dots(theta - h * e)
+            jac[:, j] -= (d2r.reshape(k, -1) @ w.ravel()) / (2.0 * h)
 
     eigs, q = np.linalg.eigh(-0.25 * (jac + jac.T))
     lam = np.maximum(np.abs(eigs), 1e-12 * np.max(np.abs(eigs)))
@@ -333,7 +335,7 @@ def ple_estimate(model, sample, init=None, max_iter=100):
 def _moment_theta(model, rhat):
     """Closed-form minimum-distance pilot where the family supports one."""
     if model.affine_generators is not None:
-        design = np.column_stack([g.ravel() for g in model.affine_generators])
+        design = model.affine_generators.reshape(model.k, -1).T
         theta, *_ = np.linalg.lstsq(design, (rhat - np.eye(model.p)).ravel(),
                                     rcond=None)
         return theta
@@ -394,7 +396,8 @@ def one_step(model, sample, pilot=None, iterate_twice=False):
     with the mean efficient score computed as tr(A*_m Rhat) / 2.  A single
     update by default; `iterate_twice` repeats the update once from the
     updated point.  An update leaving the domain is clamped to its
-    eps-interior, flagged, and is the last; `iterations` counts updates.
+    eps-interior, flagged, and is the last, and then `converged` is False;
+    `iterations` counts updates.
     """
     rhat = normal_scores_matrix(sample)
     pilot = (pilot_moment(model, sample).theta_hat if pilot is None
@@ -408,7 +411,7 @@ def one_step(model, sample, pilot=None, iterate_twice=False):
         geom = eval_geometry(model, theta)
         mats = efficient_score_matrices(geom)
         _, eff_inv = efficient_info(geom, eff_matrices=mats)
-        mean_score = np.array([0.5 * np.sum(a * rhat) for a in mats])
+        mean_score = 0.5 * np.tensordot(mats, rhat, axes=2)
         cand = theta + eff_inv @ mean_score
         if model.domain_check(cand):
             theta = cand
@@ -418,6 +421,6 @@ def one_step(model, sample, pilot=None, iterate_twice=False):
             break
 
     return EstimateResult(
-        theta_hat=theta, method="one_step", iterations=rounds, converged=True,
+        theta_hat=theta, method="one_step", iterations=rounds, converged=not clamped,
         std_errors_fn=partial(_one_step_std_errors, model, theta.copy(), sample.n),
         clamped=clamped, tie_warning=sample.has_ties)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .numcore import (check_symmetric, gram, norm_quantile, span_residual, spd_factor,
-                      spd_solve, theta_inner)
+from .numcore import (check_symmetric, check_symmetric_stack, gram, norm_quantile,
+                      spd_factor, spd_solve)
 
 __all__ = [
     "EfficiencyBundle",
@@ -82,10 +82,8 @@ def parametric_score(geom, z):
     z = np.asarray(z, dtype=float)
     if z.shape != (geom.p,):
         raise ShapeError(f"z must have length {geom.p}, got shape {z.shape}")
-    out = np.empty(geom.k)
-    for m, (rd, sd) in enumerate(zip(geom.r_dots, geom.s_dots)):
-        out[m] = -0.5 * np.sum(geom.s * rd) - 0.5 * (z @ sd @ z)
-    return out
+    return (-0.5 * (geom.r_dots.reshape(geom.k, -1) @ geom.s.ravel())
+            - 0.5 * (geom.s_dots @ z @ z))
 
 
 def d_operator(s, b):
@@ -115,8 +113,7 @@ def score_generators(geom):
     matrix serves all m.
     """
     c = _ir_hadamard_factor(geom)
-    rhs = np.column_stack([-(rd * geom.s).sum(axis=1) for rd in geom.r_dots])
-    return spd_solve(c, rhs).T
+    return spd_solve(c, -(geom.r_dots * geom.s).sum(axis=2).T).T
 
 
 def generator_function(geom, m, j, u):
@@ -131,13 +128,13 @@ def generator_function(geom, m, j, u):
 
 
 def efficient_score_matrices(geom, generators=None):
-    """Efficient-score matrices A*_m = D(g_m) - dS_m.
+    """Efficient-score matrices A*_m = D(g_m) - dS_m, as one (k, p, p) array.
 
     The efficient score at z is z' A*_m z / 2; tr(A*_m R) = 0, so the form
     is already centered under the model.
     """
     g = score_generators(geom) if generators is None else np.asarray(generators)
-    return tuple(d_operator(geom.s, g[m]) - geom.s_dots[m] for m in range(geom.k))
+    return geom.s * (g[:, :, None] + g[:, None, :]) - geom.s_dots
 
 
 def _spd_inverse(mat, what):
@@ -160,7 +157,7 @@ def efficient_info(geom, eff_matrices=None):
 
 def fisher_info(geom):
     """Parametric Fisher information: Gram matrix of {-dS_m} under theta_inner."""
-    return gram([-sd for sd in geom.s_dots], geom.ctx)
+    return gram(-geom.s_dots, geom.ctx)
 
 
 def project_tangent(a, geom):
@@ -185,26 +182,19 @@ def regularity_check(influence, geom, tol=1e-8):
     per_m_residuals[m] is the worst violation over both conditions for
     component m; details carries the two aggregate maxima.
     """
-    mats = [check_symmetric(m, name=f"influence[{i}]") for i, m in enumerate(influence)]
-    if len(mats) != geom.k:
-        raise ShapeError(f"expected {geom.k} influence matrices, got {len(mats)}")
-    per_m = []
-    max_diag = 0.0
-    max_trace = 0.0
-    for m, a in enumerate(mats):
-        dv = float(np.max(np.abs(np.diag(geom.r @ a))))
-        tv = 0.0
-        for mm, rd in enumerate(geom.r_dots):
-            target = 2.0 if mm == m else 0.0
-            tv = max(tv, abs(float(np.sum(a * rd)) - target))
-        per_m.append(max(dv, tv))
-        max_diag = max(max_diag, dv)
-        max_trace = max(max_trace, tv)
-    verdict = "regular" if max(per_m) <= tol else "not_regular"
+    mats = check_symmetric_stack(influence, geom.p, name="influence")
+    k = geom.k
+    if len(mats) != k:
+        raise ShapeError(f"expected {k} influence matrices, got {len(mats)}")
+    diag = np.abs(np.diagonal(geom.r @ mats, axis1=1, axis2=2)).max(axis=1)
+    traces = np.tensordot(mats, geom.r_dots, axes=([1, 2], [1, 2]))  # tr(A_m dR_m')
+    trace = np.abs(traces - 2.0 * np.eye(k)).max(axis=1)
+    per_m = np.maximum(diag, trace)
     return DiagnosticReport(
-        criterion="regularity", per_m_residuals=tuple(per_m), tolerance=tol,
-        verdict=verdict,
-        details={"max_diag_violation": max_diag, "max_trace_violation": max_trace},
+        criterion="regularity", per_m_residuals=tuple(map(float, per_m)), tolerance=tol,
+        verdict="regular" if per_m.max() <= tol else "not_regular",
+        details={"max_diag_violation": float(diag.max()),
+                 "max_trace_violation": float(trace.max())},
     )
 
 
@@ -213,16 +203,18 @@ def ple_influence(geom):
     estimator.
 
     B_m = -dS_m + diag(R dS_m), A_m = sum_m' (I^-1)_{mm'} B_m', and the
-    asymptotic covariance is cov_{mm'} = theta_inner(A_m, A_m').
+    asymptotic covariance is cov_{mm'} = theta_inner(A_m, A_m').  B and A
+    are (k, p, p) arrays.
     """
-    b = tuple(-sd + np.diag(np.diag(geom.r @ sd)) for sd in geom.s_dots)
-    fisher = fisher_info(geom)
-    finv = _spd_inverse(fisher, "Fisher information matrix")
-    a = tuple(
-        sum(finv[m, mm] * b[mm] for mm in range(geom.k)) for m in range(geom.k)
-    )
-    cov = gram(list(a), geom.ctx)
-    return b, a, cov
+    return _ple_influence(geom, fisher_info(geom))
+
+
+def _ple_influence(geom, fisher):
+    """`ple_influence` given the Fisher information at geom."""
+    diag = np.diagonal(geom.r @ geom.s_dots, axis1=1, axis2=2)  # diag(R dS_m)
+    b = diag[:, :, None] * np.eye(geom.p) - geom.s_dots
+    a = np.tensordot(_spd_inverse(fisher, "Fisher information matrix"), b, axes=1)
+    return b, a, gram(a, geom.ctx)
 
 
 def efficiency_criterion(geom, b_matrices=None, rtol=1e-8):
@@ -238,26 +230,26 @@ def efficiency_criterion(geom, b_matrices=None, rtol=1e-8):
     span residuals; the verdict compares residual_m against
     rtol * (1 + ||M_m||_F).
     """
+    r, k = geom.r, geom.k
     if b_matrices is None:
         criterion = "ple_efficiency"
-        b_r = [geom.r @ np.diag(np.diag(rd @ geom.s)) @ geom.r for rd in geom.r_dots]
+        b_r = (r * np.diagonal(geom.r_dots @ geom.s, axis1=1, axis2=2)[:, None, :]) @ r
     else:
         criterion = "influence_efficiency"
-        if len(b_matrices) != geom.k:
-            raise ShapeError(f"expected {geom.k} influence matrices, got {len(b_matrices)}")
-        b_r = [geom.r @ check_symmetric(b, name=f"B[{i}]") @ geom.r
-               for i, b in enumerate(b_matrices)]
-    residuals = []
-    ok = True
-    for m_r in b_r:
-        m_r = 0.5 * (m_r + m_r.T)
-        d = np.diag(np.diag(m_r))
-        crit = m_r - 0.5 * (d @ geom.r + geom.r @ d)
-        resid, _ = span_residual(crit, list(geom.r_dots))
-        residuals.append(resid)
-        ok = ok and resid <= rtol * (1.0 + float(np.linalg.norm(crit)))
+        if len(b_matrices) != k:
+            raise ShapeError(f"expected {k} influence matrices, got {len(b_matrices)}")
+        b_r = r @ check_symmetric_stack(b_matrices, geom.p, name="B") @ r
+    m_r = 0.5 * (b_r + b_r.transpose(0, 2, 1))
+    d = np.diagonal(m_r, axis1=1, axis2=2)
+    crit = (m_r - 0.5 * (d[:, :, None] * r + r * d[:, None, :])).reshape(k, -1).T
+    # One least-squares solve onto span{dR_m} (Frobenius geometry, rank
+    # deficiency allowed) with the k criterion matrices as right-hand sides.
+    design = geom.r_dots.reshape(k, -1).T
+    coeff, *_ = np.linalg.lstsq(design, crit, rcond=None)
+    residuals = np.linalg.norm(crit - design @ coeff, axis=0)
+    ok = np.all(residuals <= rtol * (1.0 + np.linalg.norm(crit, axis=0)))
     return DiagnosticReport(
-        criterion=criterion, per_m_residuals=tuple(residuals), tolerance=rtol,
+        criterion=criterion, per_m_residuals=tuple(map(float, residuals)), tolerance=rtol,
         verdict="efficient" if ok else "not_efficient",
     )
 
@@ -269,9 +261,8 @@ def adaptivity_check(geom, tol=1e-8):
     per_m_residuals[m] = ||diag(R dS_m)||_inf.  details carries the
     information gap ||fisher - eff_info||_F and whether the two routes agree.
     """
-    per_m = tuple(
-        float(np.max(np.abs(np.diag(geom.r @ sd)))) for sd in geom.s_dots
-    )
+    diag = np.diagonal(geom.r @ geom.s_dots, axis1=1, axis2=2)
+    per_m = tuple(map(float, np.abs(diag).max(axis=1)))
     fisher = fisher_info(geom)
     eff, _ = efficient_info(geom)
     gap = float(np.linalg.norm(fisher - eff))
@@ -304,23 +295,23 @@ class EfficiencyBundle:
 
     geometry: object
     g: np.ndarray               # (k, p) generator weights
-    eff_matrices: tuple         # k efficient-score matrices A*_m
+    eff_matrices: np.ndarray    # (k, p, p) efficient-score matrices A*_m
     fisher: np.ndarray          # k x k parametric information
     eff_info: np.ndarray        # k x k efficient information
     eff_info_inv: np.ndarray    # its inverse: the variance bound
-    ple_b: tuple                # k matrices B_m generating the PLE
-    ple_a: tuple                # k normalized PLE influence matrices
+    ple_b: np.ndarray           # (k, p, p) matrices B_m generating the PLE
+    ple_a: np.ndarray           # (k, p, p) normalized PLE influence matrices
     ple_cov: np.ndarray         # k x k PLE asymptotic covariance
 
 
 def efficiency_bundle(geom):
     """Assemble generators, efficient scores, information matrices and the
-    PLE influence/covariance in one pass."""
+    PLE influence/covariance in one pass, with one Fisher information."""
     g = score_generators(geom)
     mats = efficient_score_matrices(geom, generators=g)
     eff, eff_inv = efficient_info(geom, eff_matrices=mats)
     fisher = fisher_info(geom)
-    ple_b, ple_a, ple_cov = ple_influence(geom)
+    ple_b, ple_a, ple_cov = _ple_influence(geom, fisher)
     return EfficiencyBundle(
         geometry=geom, g=g, eff_matrices=mats, fisher=fisher,
         eff_info=eff, eff_info_inv=eff_inv,

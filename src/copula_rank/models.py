@@ -57,8 +57,9 @@ class CorrelationModel:
     default_init : a point well inside the domain, used to seed solvers
     descriptor : JSON-serializable dict that rebuilds the model via build_model
     notes : caveats attached to diagnostics (e.g. factor identifiability)
-    affine_generators : for affine families, the constant matrices G_m with
-        R(theta) = I + sum theta_m G_m; None otherwise
+    affine_generators : for affine families, the read-only (k, p, p) array
+        of the constant matrices G_m with R(theta) = I + sum theta_m G_m;
+        None otherwise
     """
 
     name: str
@@ -71,7 +72,7 @@ class CorrelationModel:
     default_init: np.ndarray = None
     descriptor: dict = field(default_factory=dict)
     notes: tuple = ()
-    affine_generators: Optional[tuple] = field(repr=False, default=None)
+    affine_generators: Optional[np.ndarray] = field(repr=False, default=None)
 
     def theta_vec(self, theta):
         """Coerce theta to a validated 1-d float vector of length k."""
@@ -106,9 +107,15 @@ class CorrelationModel:
         return (self.corr_fn(up) - self.corr_fn(dn)) / (2.0 * h)
 
     def r_dots(self, theta):
-        """All k derivative matrices dR/dtheta_m, validating theta once."""
-        t = self.theta_vec(theta)
-        return tuple(self._r_dot(t, m) for m in range(self.k))
+        """All k derivative matrices dR/dtheta_m as one C-contiguous
+        (k, p, p) array, validating theta once.  For affine families this is
+        the read-only `affine_generators` itself, not a copy."""
+        return self._r_dots(self.theta_vec(theta))
+
+    def _r_dots(self, t):
+        if self.affine_generators is not None:
+            return self.affine_generators
+        return np.stack([self._r_dot(t, m) for m in range(self.k)])
 
     def domain_check(self, theta):
         """True if theta lies in the declared (numerically safe) domain."""
@@ -144,14 +151,13 @@ def _offdiag(a):
 
 def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None,
                   default_init=None, notes=()):
-    gens = tuple(np.asarray(g, dtype=float) for g in generators)
+    gens = np.array(generators, dtype=float)
+    gens.flags.writeable = False
     k = len(gens)
+    flat = gens.reshape(k, p * p)
 
     def corr_fn(t):
-        r = np.eye(p)
-        for tm, g in zip(t, gens):
-            r = r + tm * g
-        return r
+        return np.eye(p) + (t @ flat).reshape(p, p)
 
     def grad_fn(t, m):
         return gens[m].copy()
@@ -168,12 +174,10 @@ def unrestricted(p):
     """All p(p-1)/2 correlations free; theta lists the lower triangle row-major."""
     if p < 2:
         raise ConfigError("p: unrestricted model needs p >= 2")
-    pairs = lower_triangle_pairs(p)
-    gens = []
-    for i, j in pairs:
-        g = np.zeros((p, p))
-        g[i, j] = g[j, i] = 1.0
-        gens.append(g)
+    i, j = np.tril_indices(p, -1)  # the order of lower_triangle_pairs
+    m = np.arange(len(i))
+    gens = np.zeros((len(i), p, p))
+    gens[m, i, j] = gens[m, j, i] = 1.0
     return _affine_model("unrestricted", p, gens, {"family": "unrestricted", "p": p})
 
 
@@ -201,12 +205,7 @@ def toeplitz(p):
     """R_ij = theta_|i-j|; k = p-1 free lag correlations."""
     if p < 2:
         raise ConfigError("p: toeplitz model needs p >= 2")
-    gens = []
-    for lag in range(1, p):
-        g = np.zeros((p, p))
-        for i in range(p - lag):
-            g[i, i + lag] = g[i + lag, i] = 1.0
-        gens.append(g)
+    gens = [np.eye(p, k=lag) + np.eye(p, k=-lag) for lag in range(1, p)]
     return _affine_model("toeplitz", p, gens, {"family": "toeplitz", "p": p})
 
 
@@ -466,14 +465,13 @@ def validate_assumption1(model, theta, pd_floor=1e-10, indep_rtol=1e-8):
     definite) and that the derivative matrices dR/dtheta_m are linearly
     independent, via the singular values of their vectorizations."""
     t = model.theta_vec(theta)
-    r = model.r_of_theta(t)
+    r = model.corr_fn(t)
     diag_err = float(np.max(np.abs(np.diag(r) - 1.0)))
     unit_ok = diag_err <= 1e-10
     min_eig = float(np.linalg.eigvalsh(r)[0])
     pd_ok = min_eig > pd_floor
 
-    stack = np.column_stack([g.ravel() for g in model.r_dots(t)])
-    svals = np.linalg.svd(stack, compute_uv=False)
+    svals = np.linalg.svd(model._r_dots(t).reshape(model.k, -1).T, compute_uv=False)
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
     tol = indep_rtol * max(1.0, smax)
@@ -501,15 +499,16 @@ def validate_assumption1(model, theta, pd_floor=1e-10, indep_rtol=1e-8):
 class Geometry:
     """All matrices of the model evaluated at a fixed theta.
 
-    r is the correlation matrix, s its inverse, r_dots/s_dots the parameter
-    derivatives of each, and ctx the inner-product context built on r.
+    r is the correlation matrix, s its inverse, r_dots/s_dots the (k, p, p)
+    arrays of the parameter derivatives of each, and ctx the inner-product
+    context built on r.  s, r_dots and s_dots are C-contiguous.
     """
 
     theta: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    r_dots: tuple
-    s_dots: tuple
+    r_dots: np.ndarray
+    s_dots: np.ndarray
     ctx: InnerProductContext
 
     @property
@@ -529,14 +528,12 @@ def eval_geometry(model, theta):
     smallest-eigenvalue estimate.
     """
     t = model.theta_vec(theta)
-    r = model.r_of_theta(t)
+    r = model.corr_fn(t)
     c = spd_factor(r, f"R(theta) is not positive definite for {model.name}")
     s = spd_solve(c, np.eye(model.p))
     s = 0.5 * (s + s.T)
-    r_dots = model.r_dots(t)
-    s_dots = []
-    for g in r_dots:
-        sd = -s @ g @ s
-        s_dots.append(0.5 * (sd + sd.T))
-    return Geometry(theta=t, r=r, s=s, r_dots=tuple(r_dots),
-                    s_dots=tuple(s_dots), ctx=InnerProductContext(r, chol=c))
+    r_dots = model._r_dots(t)
+    s_dots = -s @ r_dots @ s
+    s_dots = 0.5 * (s_dots + s_dots.transpose(0, 2, 1))
+    return Geometry(theta=t, r=r, s=s, r_dots=r_dots, s_dots=s_dots,
+                    ctx=InnerProductContext(r, chol=c))

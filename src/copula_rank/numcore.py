@@ -37,6 +37,7 @@ __all__ = [
     "gram",
     "span_residual",
     "check_symmetric",
+    "check_symmetric_stack",
     "cholesky_lower",
     "spd_factor",
     "spd_solve",
@@ -106,6 +107,20 @@ def check_symmetric(a, name="matrix", atol=1e-8):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
     if not _all_close(a, a.T, atol):
+        raise ShapeError(f"{name} is not symmetric")
+    return a
+
+
+def check_symmetric_stack(mats, p, name="basis", atol=1e-8):
+    """Validate a nonempty sequence of symmetric p x p matrices, or one
+    (k, p, p) array, and return it as one float (k, p, p) array."""
+    try:
+        a = np.asarray(mats, dtype=float)
+    except ValueError:  # a ragged sequence
+        a = np.empty(0)
+    if a.ndim != 3 or a.shape[1:] != (p, p) or len(a) == 0:
+        raise ShapeError(f"{name} must be a nonempty stack of {p} x {p} matrices")
+    if not _all_close(a, a.transpose(0, 2, 1), atol):
         raise ShapeError(f"{name} is not symmetric")
     return a
 
@@ -222,22 +237,17 @@ def theta_inner(a, b, ctx):
 
 
 def gram(basis, ctx):
-    """Gram matrix of a list of symmetric matrices under `theta_inner`.
+    """Gram matrix of symmetric matrices, a sequence of (p, p) arrays or one
+    (k, p, p) array, under `theta_inner`: entry (i, j) is
+    vec(A_i R) . vec((A_j R)') / 2, one matrix product, symmetrized.
 
     The result is symmetric positive semidefinite, and positive definite
     exactly when the basis is linearly independent.
     """
-    p = ctx.dim
-    mats = [_require_dim(m, p, f"basis[{i}]") for i, m in enumerate(basis)]
-    if not mats:
-        raise ShapeError("basis must contain at least one matrix")
-    prods = [m @ ctx.corr for m in mats]
-    k = len(mats)
-    out = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            out[i, j] = out[j, i] = 0.5 * np.sum(prods[i] * prods[j].T)
-    return out
+    prods = check_symmetric_stack(basis, ctx.dim) @ ctx.corr
+    k = len(prods)
+    out = prods.reshape(k, -1) @ prods.transpose(0, 2, 1).reshape(k, -1).T
+    return 0.25 * (out + out.T)
 
 
 def span_residual(m, basis):
@@ -251,7 +261,8 @@ def span_residual(m, basis):
     Parameters
     ----------
     m : (p, p) symmetric array
-    basis : sequence of (p, p) symmetric arrays; may be empty
+    basis : sequence of (p, p) symmetric arrays, or one (k, p, p) array;
+        may be empty
 
     Returns
     -------
@@ -264,8 +275,7 @@ def span_residual(m, basis):
     p = m.shape[0]
     if len(basis) == 0:
         return float(np.linalg.norm(m)), np.empty(0)
-    mats = [_require_dim(b, p, f"basis[{i}]") for i, b in enumerate(basis)]
-    design = np.column_stack([b.ravel() for b in mats])
+    design = check_symmetric_stack(basis, p).reshape(len(basis), -1).T
     coeff, *_ = np.linalg.lstsq(design, m.ravel(), rcond=None)
     resid = m.ravel() - design @ coeff
     return float(np.linalg.norm(resid)), coeff

@@ -382,6 +382,7 @@ class TestOneStep:
             result = one_step(model, sample, pilot=np.array([1.0 - 1e-6]),
                               iterate_twice=iterate_twice)
             assert result.clamped
+            assert not result.converged
             assert result.iterations == 1
             assert model.domain_check(result.theta_hat)
 

@@ -157,9 +157,13 @@ class TestDerivativesAndDomains:
     def test_r_dots_equal_r_dot(self, model, theta):
         # circular_fd has no analytic gradient: finite differences.
         r_dots = model.r_dots(theta)
-        assert len(r_dots) == model.k
+        assert r_dots.shape == (model.k, model.p, model.p)
         for m, rd in enumerate(r_dots):
             assert np.array_equal(rd, model.r_dot(theta, m))
+        if model.affine_generators is not None:
+            assert r_dots is model.affine_generators
+            with pytest.raises(ValueError):
+                r_dots[0, 0, 1] = 0.5
 
     @pytest.mark.parametrize("model,theta", ALL_BUILTINS,
                              ids=lambda v: getattr(v, "name", None) or str(v))
@@ -278,6 +282,16 @@ class TestGeometry:
         for m in range(model.k):
             target = -geom.s @ geom.r_dots[m] @ geom.s
             assert np.linalg.norm(geom.s_dots[m] - target) <= 1e-9
+
+    @pytest.mark.parametrize("model,theta", [(exchangeable(100), [0.25]),
+                                             (toeplitz(4), [0.4945460, -0.4592764, -0.8462492])],
+                             ids=["exchangeable100", "toeplitz4"])
+    def test_c_contiguous_layout(self, model, theta):
+        # Products with S in the geometry and the PLE descent rely on
+        # same-layout operands (see estimators._objective_and_inverse).
+        geom = eval_geometry(model, np.array(theta))
+        for a in (geom.s, geom.r_dots, geom.s_dots):
+            assert a.flags.c_contiguous
 
     def test_factors_r_once(self, factorizations):
         geom = eval_geometry(toeplitz(4), np.array([0.4945460, -0.4592764, -0.8462492]))

@@ -7,7 +7,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from copula_rank import (InnerProductContext, gram, norm_cdf, norm_pdf,
-                         norm_quantile, span_residual, theta_inner)
+                         norm_quantile, span_residual, theta_inner, unrestricted)
 from copula_rank.exceptions import DomainError, ShapeError, SingularityError
 from copula_rank.numcore import check_symmetric, cholesky_lower, spd_factor, spd_solve
 
@@ -317,10 +317,29 @@ class TestGram:
         pairwise = [[theta_inner(a, b, ctx) for b in basis] for a in basis]
         assert_allclose(g, pairwise, rtol=1e-12)
         assert np.min(np.linalg.eigvalsh(g)) >= -1e-10
+        assert np.array_equal(gram(np.stack(basis), ctx), g)
+
+    def test_high_k_stack_matches_pairwise(self):
+        # k = 15 generators of unrestricted(6) at a non-trivial R.
+        model = unrestricted(6)
+        theta = 0.1 * np.cos(np.arange(model.k))
+        ctx = InnerProductContext(model.r_of_theta(theta))
+        basis = model.r_dots(theta)
+        g = gram(basis, ctx)
+        pairwise = [[theta_inner(a, b, ctx) for b in basis] for a in basis]
+        assert g.shape == (15, 15)
+        assert_allclose(g, pairwise, rtol=1e-12)
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ShapeError):
             gram([], InnerProductContext(np.eye(2)))
+
+    def test_malformed_basis_rejected(self):
+        ctx = InnerProductContext(np.eye(2))
+        asym = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for basis in ([np.eye(3)], [np.eye(2), np.eye(3)], [asym], np.eye(2)):
+            with pytest.raises(ShapeError):
+                gram(basis, ctx)
 
 
 class TestSpanResidual:
