@@ -34,7 +34,6 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
@@ -254,7 +253,7 @@ def _ple_std_errors(model, theta, n):
         geom = eval_geometry(model, theta)
         _, _, cov = ple_influence(geom)
         return np.sqrt(np.maximum(np.diag(cov), 0.0) / n)
-    except (SingularityError, LinAlgError):
+    except (SingularityError, np.linalg.LinAlgError):
         return None
 
 
@@ -271,21 +270,9 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     raises ConvergenceError, as do `max_iter` steps that do not reach the
     tolerance and a line search that finds no descent; the error carries
     the (theta, sup-norm) trace.
-
-    For the unrestricted family the solution is read off Rhat (its
-    off-diagonal entries, in lower-triangle order) without iteration.
     """
     rhat = normal_scores_matrix(sample)
     tol = 1e-8 * model.k
-
-    if model.name == "unrestricted":
-        from .models import lower_triangle_pairs
-        theta = np.array([rhat[i, j] for i, j in lower_triangle_pairs(model.p)])
-        return EstimateResult(
-            theta_hat=theta, method="ple", iterations=0, converged=True,
-            std_errors_fn=partial(_ple_std_errors, model, theta.copy(), sample.n),
-            tie_warning=sample.has_ties)
-
     theta = model.theta_vec(_default_init(model, rhat) if init is None else init)
     f, s = _objective_and_inverse(model, theta, rhat)
     if s is None:
@@ -333,16 +320,17 @@ def ple_estimate(model, sample, init=None, max_iter=100):
 # ---------------------------------------------------------------------------
 
 def _moment_theta(model, rhat):
-    """Closed-form minimum-distance pilot where the family supports one."""
-    if model.affine_generators is not None:
-        design = model.affine_generators.reshape(model.k, -1).T
-        theta, *_ = np.linalg.lstsq(design, (rhat - np.eye(model.p)).ravel(),
-                                    rcond=None)
-        return theta
-    if model.name == "circular":
-        first = [(0, 1), (1, 2), (2, 3), (0, 3)]
-        return np.array([np.mean([rhat[i, j] for i, j in first])])
-    return None
+    """Closed-form minimum-distance pilot: where R(0) = I and the derivative
+    matrices dR(0) do not all vanish, the least-squares fit of Rhat - I on
+    dR(0).  For affine families dR(0) are the generators, so the fit
+    minimizes ||R(theta) - Rhat||_F; for circular it is the mean
+    first-neighbor correlation.  None otherwise."""
+    zero = np.zeros(model.k)
+    design = model._r_dots(zero).reshape(model.k, -1).T
+    if not np.array_equal(model.corr_fn(zero), np.eye(model.p)) or not design.any():
+        return None
+    theta, *_ = np.linalg.lstsq(design, (rhat - np.eye(model.p)).ravel(), rcond=None)
+    return theta
 
 
 def _clamp_into_domain(model, theta, anchor):
@@ -361,9 +349,11 @@ def _clamp_into_domain(model, theta, anchor):
 
 
 def pilot_moment(model, sample):
-    """Minimum-distance pilot: minimize ||R(theta) - Rhat||_F in closed form
-    over affine families (circular uses the mean first-neighbor correlation).
-    Falls back to ple_estimate for families without an averaging map."""
+    """Minimum-distance pilot `_moment_theta`: the least-squares fit of
+    Rhat - I on the derivative matrices at theta = 0, where R(0) = I and they
+    do not all vanish (for affine families, minimize ||R(theta) - Rhat||_F).
+    A fit outside the domain is clamped into it and flagged.  Other families
+    (dR(0) = 0, or R(0) != I) fall back to ple_estimate."""
     rhat = normal_scores_matrix(sample)
     theta = _moment_theta(model, rhat)
     if theta is None:
@@ -385,19 +375,17 @@ def _one_step_std_errors(model, theta, n):
         geom = eval_geometry(model, theta)
         _, eff_inv = efficient_info(geom)
         return np.sqrt(np.maximum(np.diag(eff_inv), 0.0) / n)
-    except (SingularityError, LinAlgError):
+    except (SingularityError, np.linalg.LinAlgError):
         return None
 
 
-def one_step(model, sample, pilot=None, iterate_twice=False):
+def one_step(model, sample, pilot=None):
     """Efficient one-step update from a root-n-consistent pilot.
 
     theta_hat = pilot + I*^-1(pilot) mean_i efficient_score(pseudo_obs_i),
-    with the mean efficient score computed as tr(A*_m Rhat) / 2.  A single
-    update by default; `iterate_twice` repeats the update once from the
-    updated point.  An update leaving the domain is clamped to its
-    eps-interior, flagged, and is the last, and then `converged` is False;
-    `iterations` counts updates.
+    with the mean efficient score computed as tr(A*_m Rhat) / 2.  An update
+    leaving the domain is clamped to its eps-interior and flagged, and then
+    `converged` is False.
     """
     rhat = normal_scores_matrix(sample)
     pilot = (pilot_moment(model, sample).theta_hat if pilot is None
@@ -405,22 +393,14 @@ def one_step(model, sample, pilot=None, iterate_twice=False):
     if not model.domain_check(pilot):
         raise DomainError(f"pilot {pilot} outside the domain of {model.name}")
 
-    theta = np.asarray(pilot, dtype=float).copy()
-    clamped = False
-    for rounds in range(1, 3 if iterate_twice else 2):
-        geom = eval_geometry(model, theta)
-        mats = efficient_score_matrices(geom)
-        _, eff_inv = efficient_info(geom, eff_matrices=mats)
-        mean_score = 0.5 * np.tensordot(mats, rhat, axes=2)
-        cand = theta + eff_inv @ mean_score
-        if model.domain_check(cand):
-            theta = cand
-        else:
-            theta = _clamp_into_domain(model, cand, theta)
-            clamped = True
-            break
-
+    geom = eval_geometry(model, pilot)
+    mats = efficient_score_matrices(geom)
+    _, eff_inv = efficient_info(geom, eff_matrices=mats)
+    theta = pilot + eff_inv @ (0.5 * np.tensordot(mats, rhat, axes=2))
+    clamped = not model.domain_check(theta)
+    if clamped:
+        theta = _clamp_into_domain(model, theta, pilot)
     return EstimateResult(
-        theta_hat=theta, method="one_step", iterations=rounds, converged=not clamped,
+        theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
         std_errors_fn=partial(_one_step_std_errors, model, theta.copy(), sample.n),
         clamped=clamped, tie_warning=sample.has_ties)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import LinAlgError
 
 from .estimators import one_step, pilot_moment, ple_estimate, rank_transform
 from .exceptions import (ConfigError, ConvergenceError, DomainError,
@@ -187,7 +186,7 @@ def _replicate(payload, rep):
                 result = _estimate(est)
                 errors[est] = (result.theta_hat - theta_true).tolist()
             except (ConvergenceError, SingularityError, DomainError,
-                    LinAlgError) as exc:
+                    np.linalg.LinAlgError) as exc:
                 errors[est] = None
                 failures[est] = f"{type(exc).__name__}: {exc}"
     return rep, errors, failures
@@ -200,7 +199,7 @@ def _bounds_at_truth(config):
         _, eff_inv = efficient_info(geom)
         _, _, ple_cov = ple_influence(geom)
         return np.diag(eff_inv).copy(), np.diag(ple_cov).copy()
-    except (SingularityError, LinAlgError):
+    except (SingularityError, np.linalg.LinAlgError):
         return None, None
 
 

@@ -270,9 +270,6 @@ def factor(p, q, constraint="lower_triangular"):
         e[a, b] = 1.0
         return _offdiag(e @ load.T + load @ e.T)
 
-    def domain_fn(t):
-        return _pd_check(corr_fn(t))
-
     # Mildly staggered loadings: inside the domain with nonzero gradients,
     # and column-independent when q > 1.
     init = np.zeros((p, q))
@@ -286,7 +283,7 @@ def factor(p, q, constraint="lower_triangular"):
     )
     return CorrelationModel(
         name="factor", p=p, k=k, corr_fn=corr_fn, grad_fn=grad_fn,
-        domain_fn=domain_fn, default_init=init.ravel(),
+        default_init=init.ravel(),
         descriptor={"family": "factor", "p": p, "q": q, "constraint": constraint},
         notes=notes,
     )
@@ -312,12 +309,9 @@ def adaptivity_demo():
                          [2 * th, 0.0, 1.0],
                          [2 * th, 1.0, 0.0]])
 
-    def domain_fn(t):
-        return _pd_check(corr_fn(t))
-
     return CorrelationModel(
         name="adaptivity_demo", p=p, k=1, corr_fn=corr_fn, grad_fn=grad_fn,
-        domain_fn=domain_fn, default_init=np.zeros(1),
+        default_init=np.zeros(1),
         descriptor={"family": "adaptivity_demo"},
     )
 

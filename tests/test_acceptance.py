@@ -225,6 +225,13 @@ def test_criterion_7_toeplitz4_finite_sample_inefficiency(capsys):
 
 
 def test_criterion_8_high_dimensional_bias(capsys):
+    """The normal scores of n ranks have mean square sigma_n^2 < 1
+    (sigma_50^2 = 0.8703), so Rhat is close to sigma_n^2 R(theta).  The
+    genuine pseudo-likelihood fits the unit-diagonal R(theta) to that
+    deflated matrix: its score (1 - sigma_n^2) tr(dS R) grows with p, so
+    the PLE is biased at p = 100.  The efficient score matrices satisfy
+    tr(A*_m R) = 0, so the mean efficient score tr(A*_m Rhat) / 2 is blind
+    to the common factor and the one-step update removes the bias."""
     t0 = time.perf_counter()
     rep = run_experiment({
         "model": {"family": "exchangeable", "p": 100}, "theta_true": [0.25],
@@ -236,7 +243,9 @@ def test_criterion_8_high_dimensional_bias(capsys):
     ok = bias_ose <= 0.01 and bias_ple >= 3 * bias_ose and elapsed < 600.0
     report(capsys, 8, ok,
            f"p=100, n=50, 200 reps: |bias(OSE)| {bias_ose:.4f} <= 0.01 while "
-           f"|bias(PLE)| {bias_ple:.4f} >= 3x larger, {elapsed:.0f}s")
+           f"|bias(PLE)| {bias_ple:.4f} >= 3x larger (the pseudo-likelihood "
+           f"fits R(theta) to Rhat ~ sigma_50^2 R = 0.8703 R; the one-step "
+           f"update is blind to the factor), {elapsed:.0f}s")
     assert ok, (bias_ose, bias_ple, elapsed)
 
 

@@ -15,10 +15,8 @@ from numpy.testing import assert_allclose
 
 import copula_rank
 import copula_rank.cli as cli
-from copula_rank import (exchangeable, lower_triangle_pairs, ple_estimate,
-                         rank_transform, sample_copula, toeplitz,
-                         validate_output)
-from copula_rank.estimators import normal_scores_matrix
+from copula_rank import (exchangeable, ple_estimate, rank_transform,
+                         sample_copula, toeplitz, unrestricted, validate_output)
 from copula_rank.exceptions import McExperimentError
 
 
@@ -131,7 +129,7 @@ class TestCheck:
 
 
 class TestEstimate:
-    def test_unrestricted_closed_form(self, capsys, tmp_path):
+    def test_unrestricted_ple(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         u = write_sample_csv(str(path))
         code, out, _ = run_cli(capsys, "estimate", "--family", "unrestricted",
@@ -140,9 +138,8 @@ class TestEstimate:
         assert code == 0
         obj = json.loads(out)
         validate_output("estimate", obj)
-        rhat = normal_scores_matrix(rank_transform(u))
-        expected = [rhat[i, j] for i, j in lower_triangle_pairs(3)]
-        assert_allclose(obj["theta_hat"], expected, rtol=1e-12)
+        expected = ple_estimate(unrestricted(3), rank_transform(u))
+        assert obj["theta_hat"] == expected.theta_hat.tolist()
         assert obj["method"] == "ple"
         assert obj["converged"] is True
 

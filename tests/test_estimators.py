@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.stats import rankdata
 
-from copula_rank import (circular, custom_affine, eval_geometry,
+from copula_rank import (CorrelationModel, circular, custom_affine, eval_geometry,
                          efficient_info, exchangeable, factor, norm_quantile,
                          one_step, pilot_moment, ple_estimate, rank_transform,
                          run_experiment, sample_copula, sigma_n_sq, toeplitz,
@@ -148,17 +148,19 @@ class TestNormalScoresMatrix:
 
 
 class TestPleEstimate:
-    def test_unrestricted_closed_form(self):
+    def test_unrestricted_stationary(self):
+        # Rhat's diagonal is sigma_n^2 < 1, so its off-diagonal entries are
+        # the descent's start, not the pseudo-likelihood minimiser.
         rng = np.random.default_rng(10)
         data = rng.standard_normal((80, 3)) @ np.linalg.cholesky(
             exch_corr(3, 0.4)).T
         sample = rank_transform(data)
         rhat = normal_scores_matrix(sample)
-        result = ple_estimate(unrestricted(3), sample)
-        expected = [rhat[i, j] for i, j in lower_triangle_pairs(3)]
-        assert np.array_equal(result.theta_hat, np.array(expected))
-        assert result.iterations == 0
+        model = unrestricted(3)
+        result = ple_estimate(model, sample)
         assert result.converged
+        assert result.iterations > 0
+        assert np.max(np.abs(_pseudo_score(model, result.theta_hat, rhat))) <= 1e-8 * model.k
 
     def test_exchangeable_vs_bisection_oracle(self):
         model = exchangeable(3)
@@ -185,7 +187,8 @@ class TestPleEstimate:
         (exchangeable(3), np.array([0.5])),
         (toeplitz(3), np.array([0.5, 0.3])),
         (circular(), np.array([0.4])),
-    ], ids=["exch3", "toep3", "circ"])
+        (unrestricted(3), np.array([0.3, -0.1, 0.25])),
+    ], ids=["exch3", "toep3", "circ", "unr3"])
     def test_first_order_condition(self, model, theta):
         u = sample_copula(model.r_of_theta(theta), 300, seed=6)
         sample = rank_transform(u)
@@ -202,7 +205,8 @@ class TestPleEstimate:
         (circular(), np.array([0.4])),
         (adaptivity_demo(), np.array([0.1])),
         (factor(5, 1), np.linspace(0.3, 0.7, 5)),
-    ], ids=["exch3", "toep4", "circ", "adapt", "factor51"])
+        (unrestricted(3), np.array([0.3, -0.1, 0.25])),
+    ], ids=["exch3", "toep4", "circ", "adapt", "factor51", "unr3"])
     def test_local_minimiser(self, model, theta):
         # Moves along single coordinates and along pairs e_i +- e_j: at the
         # factor saddle L = 0 a single loading leaves R unchanged, a pair
@@ -312,11 +316,34 @@ class TestPilotMoment:
         assert_allclose(result.theta_hat[0], expected, rtol=1e-12)
 
     def test_unrestricted_collapse(self):
+        # The pilot is Rhat's off-diagonal; the PLE descends from it to the
+        # stationary point of the pseudo-likelihood.
         u = sample_copula(exch_corr(3, 0.3), 90, seed=8)
         sample = rank_transform(u)
-        pilot = pilot_moment(unrestricted(3), sample)
-        ple = ple_estimate(unrestricted(3), sample)
-        assert_allclose(pilot.theta_hat, ple.theta_hat, rtol=1e-12)
+        rhat = normal_scores_matrix(sample)
+        model = unrestricted(3)
+        pilot = pilot_moment(model, sample)
+        expected = [rhat[i, j] for i, j in lower_triangle_pairs(3)]
+        assert_allclose(pilot.theta_hat, expected, rtol=1e-12)
+        ple = ple_estimate(model, sample)
+        assert ple.converged
+        assert np.max(np.abs(_pseudo_score(model, ple.theta_hat, rhat))) <= 1e-8 * model.k
+
+    def test_family_name_not_consulted(self):
+        circ = circular()
+        ring = CorrelationModel(
+            name="ring", p=4, k=1, corr_fn=circ.corr_fn, grad_fn=circ.grad_fn,
+            domain_fn=circ.domain_fn, clamp_fn=circ.clamp_fn,
+            default_init=circ.default_init)
+        sample = rank_transform(sample_copula(circ.r_of_theta(np.array([0.4])),
+                                              150, seed=15))
+        result = pilot_moment(ring, sample)
+        assert result.method == "pilot_moment"
+        assert np.array_equal(result.theta_hat, pilot_moment(circ, sample).theta_hat)
+        # dR(0) = 0 for factor loadings: no moment pilot, the PLE is used.
+        model = factor(4, 1)
+        u = sample_copula(model.r_of_theta(np.linspace(0.3, 0.6, 4)), 150, seed=15)
+        assert pilot_moment(model, rank_transform(u)).method == "ple"
 
     def test_non_affine_fallback(self):
         model = adaptivity_demo()
@@ -378,13 +405,11 @@ class TestOneStep:
         x = rng.standard_normal((60, 1))
         sample = rank_transform(np.hstack([x, x]))
         model = exchangeable(2)
-        for iterate_twice in (False, True):
-            result = one_step(model, sample, pilot=np.array([1.0 - 1e-6]),
-                              iterate_twice=iterate_twice)
-            assert result.clamped
-            assert not result.converged
-            assert result.iterations == 1
-            assert model.domain_check(result.theta_hat)
+        result = one_step(model, sample, pilot=np.array([1.0 - 1e-6]))
+        assert result.clamped
+        assert not result.converged
+        assert result.iterations == 1
+        assert model.domain_check(result.theta_hat)
 
     def test_default_pilot_and_std_errors(self):
         model = exchangeable(3)
@@ -396,16 +421,6 @@ class TestOneStep:
         _, inv = efficient_info(eval_geometry(model, result.theta_hat))
         assert_allclose(result.std_errors, np.sqrt(np.diag(inv) / 400),
                         rtol=1e-10)
-
-    def test_iterate_twice(self):
-        model = exchangeable(3)
-        u = sample_copula(exch_corr(3, 0.5), 300, seed=23)
-        sample = rank_transform(u)
-        once = one_step(model, sample)
-        twice = one_step(model, sample, iterate_twice=True)
-        assert twice.iterations == 2
-        # second update is second-order small
-        assert abs(twice.theta_hat[0] - once.theta_hat[0]) <= 5e-3
 
     def test_tie_warning_propagates(self):
         data = np.array([[1.0, 4.0], [2.0, 4.0], [2.0, 1.0], [5.0, 0.0]])
