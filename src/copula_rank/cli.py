@@ -26,7 +26,7 @@ from .exceptions import (ConfigError, ConvergenceError, DegenerateMarginError,
                          DomainError, McExperimentError, ShapeError,
                          SingularityError)
 from .geometry import (DiagnosticReport, adaptivity_check, efficiency_bundle,
-                       efficiency_criterion, fisher_info, regularity_check)
+                       efficiency_criterion, regularity_check)
 from .mc import (run_experiment, run_grid, summarize, write_errors_csv,
                  write_report_json, write_summary_csv)
 from .models import build_model, eval_geometry, load_model, validate_assumption1
@@ -174,30 +174,25 @@ def cmd_bound(args):
     theta = _require_in_domain(model, _parse_theta(args.theta))
     geom = eval_geometry(model, theta)
     bundle = efficiency_bundle(geom)
-    obj = {
-        "model": model.descriptor,
-        "theta": [float(v) for v in theta],
-        "fisher_info": _matrix(bundle.fisher),
-        "efficient_info": _matrix(bundle.eff_info),
-        "efficient_info_inv": _matrix(bundle.eff_info_inv),
+    matrices = {  # output key: (bundle field, pretty-format label)
+        "fisher_info": ("fisher", "fisher information I(theta)"),
+        "efficient_info": ("eff_info", "efficient information I*(theta)"),
+        "efficient_info_inv": ("eff_info_inv", "variance bound I*^-1(theta)"),
     }
+    obj = {"model": model.descriptor, "theta": [float(v) for v in theta]}
+    obj.update((name, _matrix(getattr(bundle, field)))
+               for name, (field, _) in matrices.items())
     if args.format == "json":
         _emit_json(obj)
     elif args.format == "csv":
-        rows = []
-        for name in ("fisher_info", "efficient_info", "efficient_info_inv"):
-            for i, row in enumerate(obj[name]):
-                for j, v in enumerate(row):
-                    rows.append([name, i, j, repr(v)])
-        _emit_csv(["matrix", "row", "col", "value"], rows)
+        _emit_csv(["matrix", "row", "col", "value"],
+                  [[name, i, j, repr(v)] for name in matrices
+                   for i, row in enumerate(obj[name]) for j, v in enumerate(row)])
     else:
         print(f"model: {model.name}  theta: {theta.tolist()}")
-        print("fisher information I(theta):")
-        print(_fmt_matrix(bundle.fisher))
-        print("efficient information I*(theta):")
-        print(_fmt_matrix(bundle.eff_info))
-        print("variance bound I*^-1(theta):")
-        print(_fmt_matrix(bundle.eff_info_inv))
+        for field, label in matrices.values():
+            print(f"{label}:")
+            print(_fmt_matrix(getattr(bundle, field)))
     return 0
 
 
@@ -207,10 +202,10 @@ def cmd_check(args):
     tol = args.tolerance
     a1 = validate_assumption1(model, theta)
     geom = eval_geometry(model, theta)
+    bundle = efficiency_bundle(geom)
     efficiency = efficiency_criterion(geom, rtol=tol)
-    adaptivity = adaptivity_check(geom, tol=tol)
+    adaptivity = adaptivity_check(bundle, tol=tol)
     try:
-        bundle = efficiency_bundle(geom)
         ose_influence = np.tensordot(bundle.eff_info_inv, bundle.eff_matrices, axes=1)
         regularity = regularity_check(ose_influence, geom, tol=tol)
         regular = regularity.passed
@@ -268,16 +263,11 @@ def _read_csv_data(path):
         for line_no, row in enumerate(reader, start=1):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
-            if line_no == 1:
-                try:
-                    rows.append([float(cell) for cell in row])
-                    continue
-                except ValueError:
-                    continue  # header line
             try:
                 rows.append([float(cell) for cell in row])
             except ValueError as exc:
-                raise ConfigError(f"data: line {line_no}: {exc}") from exc
+                if line_no > 1:  # a non-numeric first line is a header
+                    raise ConfigError(f"data: line {line_no}: {exc}") from exc
     if not rows:
         raise ConfigError(f"data: no numeric rows in {path}")
     width = len(rows[0])

@@ -37,7 +37,7 @@ import numpy as np
 
 from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
-from .geometry import efficient_info, efficient_score_matrices, ple_influence
+from .geometry import efficiency_bundle
 from .models import eval_geometry
 from .numcore import cholesky_lower, norm_quantile, spd_factor, spd_solve
 
@@ -246,12 +246,11 @@ def _default_init(model, rhat):
     return np.asarray(model.default_init, dtype=float).copy()
 
 
-def _ple_std_errors(model, theta, n):
-    """Standard errors from the PLE asymptotic covariance at theta; None
-    where the geometry is singular."""
+def _std_errors(model, theta, n, field):
+    """Standard errors sqrt(diag(cov) / n), cov the `efficiency_bundle` field
+    "ple_cov" or "eff_info_inv" at theta; None where it is singular."""
     try:
-        geom = eval_geometry(model, theta)
-        _, _, cov = ple_influence(geom)
+        cov = getattr(efficiency_bundle(eval_geometry(model, theta)), field)
         return np.sqrt(np.maximum(np.diag(cov), 0.0) / n)
     except (SingularityError, np.linalg.LinAlgError):
         return None
@@ -291,7 +290,8 @@ def ple_estimate(model, sample, init=None, max_iter=100):
                     f"{eigs[-1]:.3e})", trace=trace)
             return EstimateResult(
                 theta_hat=theta, method="ple", iterations=iteration, converged=True,
-                std_errors_fn=partial(_ple_std_errors, model, theta.copy(), sample.n),
+                std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n,
+                                      "ple_cov"),
                 tie_warning=sample.has_ties)
         if iteration == max_iter:
             break
@@ -368,24 +368,14 @@ def pilot_moment(model, sample):
                           tie_warning=sample.has_ties)
 
 
-def _one_step_std_errors(model, theta, n):
-    """Standard errors from the semiparametric variance bound (the inverse
-    efficient information) at theta; None where the geometry is singular."""
-    try:
-        geom = eval_geometry(model, theta)
-        _, eff_inv = efficient_info(geom)
-        return np.sqrt(np.maximum(np.diag(eff_inv), 0.0) / n)
-    except (SingularityError, np.linalg.LinAlgError):
-        return None
-
-
 def one_step(model, sample, pilot=None):
     """Efficient one-step update from a root-n-consistent pilot.
 
     theta_hat = pilot + I*^-1(pilot) mean_i efficient_score(pseudo_obs_i),
     with the mean efficient score computed as tr(A*_m Rhat) / 2.  An update
     leaving the domain is clamped to its eps-interior and flagged, and then
-    `converged` is False.
+    `converged` is False.  Raises SingularityError where the efficient
+    information at the pilot is singular.
     """
     rhat = normal_scores_matrix(sample)
     pilot = (pilot_moment(model, sample).theta_hat if pilot is None
@@ -393,14 +383,14 @@ def one_step(model, sample, pilot=None):
     if not model.domain_check(pilot):
         raise DomainError(f"pilot {pilot} outside the domain of {model.name}")
 
-    geom = eval_geometry(model, pilot)
-    mats = efficient_score_matrices(geom)
-    _, eff_inv = efficient_info(geom, eff_matrices=mats)
-    theta = pilot + eff_inv @ (0.5 * np.tensordot(mats, rhat, axes=2))
+    bundle = efficiency_bundle(eval_geometry(model, pilot))
+    theta = pilot + bundle.eff_info_inv @ (
+        0.5 * np.tensordot(bundle.eff_matrices, rhat, axes=2))
     clamped = not model.domain_check(theta)
     if clamped:
         theta = _clamp_into_domain(model, theta, pilot)
     return EstimateResult(
         theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
-        std_errors_fn=partial(_one_step_std_errors, model, theta.copy(), sample.n),
+        std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n,
+                              "eff_info_inv"),
         clamped=clamped, tie_warning=sample.has_ties)

@@ -12,18 +12,23 @@ where the generator weights g_m solve (I + R o S) g = -(dR_m o S) 1
 ("o" is the entrywise product).  Gram matrices of these quadratic forms
 under <A,B> = tr(ARBR)/2 give the Fisher information, the efficient
 information (whose inverse is the semiparametric variance bound), and the
-asymptotic covariance of the pseudo-likelihood estimator.
+asymptotic covariance of the pseudo-likelihood estimator.  All of them are
+fields of one lazy `efficiency_bundle`; the other functions here that
+return them read a bundle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ShapeError
-from .numcore import (check_symmetric, check_symmetric_stack, gram, norm_quantile,
-                      spd_factor, spd_solve)
+from .exceptions import ShapeError, SingularityError
+from .numcore import (check_symmetric, check_symmetric_stack, cholesky_lower, gram,
+                      norm_quantile, spd_factor, spd_solve)
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "EfficiencyBundle",
@@ -127,37 +132,43 @@ def generator_function(geom, m, j, u):
     return g * (1.0 - z * z)
 
 
-def efficient_score_matrices(geom, generators=None):
+def efficient_score_matrices(geom):
     """Efficient-score matrices A*_m = D(g_m) - dS_m, as one (k, p, p) array.
 
     The efficient score at z is z' A*_m z / 2; tr(A*_m R) = 0, so the form
     is already centered under the model.
     """
-    g = score_generators(geom) if generators is None else np.asarray(generators)
-    return geom.s * (g[:, :, None] + g[:, None, :]) - geom.s_dots
+    return efficiency_bundle(geom).eff_matrices
 
 
 def _spd_inverse(mat, what):
-    c = spd_factor(mat, f"{what} is not positive definite", cond=True)
-    inv = spd_solve(c, np.eye(mat.shape[0]))
+    """Inverse of a symmetric information matrix; SingularityError where its
+    smallest eigenvalue is at most k * eps times its largest (numpy's
+    matrix_rank tolerance), whether or not Cholesky would succeed."""
+    eigs = np.linalg.eigvalsh(mat)
+    c = cholesky_lower(mat) if eigs[0] > len(eigs) * _EPS * eigs[-1] else None
+    if c is None:
+        raise SingularityError(
+            f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})",
+            eigenvalue=float(eigs[0]), cond=float(np.linalg.cond(mat)))
+    inv = spd_solve(c, np.eye(len(eigs)))
     return 0.5 * (inv + inv.T)
 
 
-def efficient_info(geom, eff_matrices=None):
+def efficient_info(geom):
     """Efficient information matrix and its inverse.
 
     The matrix is the Gram matrix of the efficient-score matrices under
     theta_inner; its inverse is the semiparametric asymptotic variance
     lower bound for estimating theta without knowledge of the margins.
     """
-    mats = efficient_score_matrices(geom) if eff_matrices is None else eff_matrices
-    info = gram(mats, geom.ctx)
-    return info, _spd_inverse(info, "efficient information matrix")
+    bundle = efficiency_bundle(geom)
+    return bundle.eff_info, bundle.eff_info_inv
 
 
 def fisher_info(geom):
     """Parametric Fisher information: Gram matrix of {-dS_m} under theta_inner."""
-    return gram(-geom.s_dots, geom.ctx)
+    return efficiency_bundle(geom).fisher
 
 
 def project_tangent(a, geom):
@@ -206,15 +217,8 @@ def ple_influence(geom):
     asymptotic covariance is cov_{mm'} = theta_inner(A_m, A_m').  B and A
     are (k, p, p) arrays.
     """
-    return _ple_influence(geom, fisher_info(geom))
-
-
-def _ple_influence(geom, fisher):
-    """`ple_influence` given the Fisher information at geom."""
-    diag = np.diagonal(geom.r @ geom.s_dots, axis1=1, axis2=2)  # diag(R dS_m)
-    b = diag[:, :, None] * np.eye(geom.p) - geom.s_dots
-    a = np.tensordot(_spd_inverse(fisher, "Fisher information matrix"), b, axes=1)
-    return b, a, gram(a, geom.ctx)
+    bundle = efficiency_bundle(geom)
+    return bundle.ple_b, bundle.ple_a, bundle.ple_cov
 
 
 def efficiency_criterion(geom, b_matrices=None, rtol=1e-8):
@@ -254,25 +258,24 @@ def efficiency_criterion(geom, b_matrices=None, rtol=1e-8):
     )
 
 
-def adaptivity_check(geom, tol=1e-8):
-    """Adaptivity test: diag(R dS_m) = 0 for all m, equivalently Fisher ==
-    efficient information (knowing the margins would not help).
+def adaptivity_check(bundle, tol=1e-8):
+    """Adaptivity test on an `efficiency_bundle`: diag(R dS_m) = 0 for all
+    m, equivalently Fisher == efficient information (knowing the margins
+    would not help).
 
     per_m_residuals[m] = ||diag(R dS_m)||_inf.  details carries the
     information gap ||fisher - eff_info||_F and whether the two routes agree.
     """
+    geom = bundle.geometry
     diag = np.diagonal(geom.r @ geom.s_dots, axis1=1, axis2=2)
     per_m = tuple(map(float, np.abs(diag).max(axis=1)))
-    fisher = fisher_info(geom)
-    eff, _ = efficient_info(geom)
-    gap = float(np.linalg.norm(fisher - eff))
+    gap = float(np.linalg.norm(bundle.fisher - bundle.eff_info))
     adaptive = max(per_m) <= tol
-    gap_small = gap <= tol * (1.0 + float(np.linalg.norm(fisher)))
+    gap_small = gap <= tol * (1.0 + float(np.linalg.norm(bundle.fisher)))
     return DiagnosticReport(
         criterion="adaptivity", per_m_residuals=per_m, tolerance=tol,
         verdict="adaptive" if adaptive else "not_adaptive",
-        details={"info_gap": gap, "cross_check_consistent": adaptive == gap_small,
-                 "fisher": fisher, "eff_info": eff},
+        details={"info_gap": gap, "cross_check_consistent": adaptive == gap_small},
     )
 
 
@@ -291,29 +294,48 @@ def quad_influence_value(a, geom, u):
 
 @dataclass(frozen=True)
 class EfficiencyBundle:
-    """Everything the estimators and reports need at one theta."""
+    """Every information quantity at one theta, each computed on first read
+    and cached: a caller pays only for what it reads, and only once."""
 
     geometry: object
-    g: np.ndarray               # (k, p) generator weights
-    eff_matrices: np.ndarray    # (k, p, p) efficient-score matrices A*_m
-    fisher: np.ndarray          # k x k parametric information
-    eff_info: np.ndarray        # k x k efficient information
-    eff_info_inv: np.ndarray    # its inverse: the variance bound
-    ple_b: np.ndarray           # (k, p, p) matrices B_m generating the PLE
-    ple_a: np.ndarray           # (k, p, p) normalized PLE influence matrices
-    ple_cov: np.ndarray         # k x k PLE asymptotic covariance
+
+    @cached_property
+    def g(self):  # (k, p) generator weights
+        return score_generators(self.geometry)
+
+    @cached_property
+    def eff_matrices(self):  # (k, p, p) efficient-score matrices A*_m
+        g = self.g
+        return self.geometry.s * (g[:, :, None] + g[:, None, :]) - self.geometry.s_dots
+
+    @cached_property
+    def eff_info(self):  # k x k efficient information
+        return gram(self.eff_matrices, self.geometry.ctx)
+
+    @cached_property
+    def eff_info_inv(self):  # its inverse: the variance bound
+        return _spd_inverse(self.eff_info, "efficient information matrix")
+
+    @cached_property
+    def fisher(self):  # k x k parametric information
+        return gram(-self.geometry.s_dots, self.geometry.ctx)
+
+    @cached_property
+    def ple_b(self):  # (k, p, p) matrices B_m generating the PLE
+        geom = self.geometry
+        diag = np.diagonal(geom.r @ geom.s_dots, axis1=1, axis2=2)  # diag(R dS_m)
+        return diag[:, :, None] * np.eye(geom.p) - geom.s_dots
+
+    @cached_property
+    def ple_a(self):  # (k, p, p) normalized PLE influence matrices
+        return np.tensordot(_spd_inverse(self.fisher, "Fisher information matrix"),
+                            self.ple_b, axes=1)
+
+    @cached_property
+    def ple_cov(self):  # k x k PLE asymptotic covariance
+        return gram(self.ple_a, self.geometry.ctx)
 
 
 def efficiency_bundle(geom):
-    """Assemble generators, efficient scores, information matrices and the
-    PLE influence/covariance in one pass, with one Fisher information."""
-    g = score_generators(geom)
-    mats = efficient_score_matrices(geom, generators=g)
-    eff, eff_inv = efficient_info(geom, eff_matrices=mats)
-    fisher = fisher_info(geom)
-    ple_b, ple_a, ple_cov = _ple_influence(geom, fisher)
-    return EfficiencyBundle(
-        geometry=geom, g=g, eff_matrices=mats, fisher=fisher,
-        eff_info=eff, eff_info_inv=eff_inv,
-        ple_b=ple_b, ple_a=ple_a, ple_cov=ple_cov,
-    )
+    """The `EfficiencyBundle` at geom; nothing is computed until read."""
+    return EfficiencyBundle(geometry=geom)

@@ -23,7 +23,7 @@ import numpy as np
 from .estimators import one_step, pilot_moment, ple_estimate, rank_transform
 from .exceptions import (ConfigError, ConvergenceError, DomainError,
                          McExperimentError, ShapeError, SingularityError)
-from .geometry import efficient_info, ple_influence
+from .geometry import efficiency_bundle
 from .models import build_model, eval_geometry
 from .sampler import MarginSpec, apply_margins, sample_copula
 
@@ -40,6 +40,14 @@ __all__ = [
 
 _ESTIMATORS = ("ple", "one_step", "pilot_moment")
 _FAILURE_LIMIT = 0.05
+
+
+def _int_at_least(key, value, minimum):
+    """`value` where it is an integer >= minimum (bools excluded), else
+    ConfigError naming `key`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{key}: expected an integer >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -74,32 +82,25 @@ class McConfig:
         if not model.domain_check(theta):
             raise ConfigError(f"theta_true: {theta.tolist()} outside the domain "
                               f"of {model.name}")
-        n = raw.get("n")
-        if not isinstance(n, int) or n < 2:
-            raise ConfigError("n: expected an integer >= 2")
-        reps = raw.get("replications")
-        if not isinstance(reps, int) or reps < 1:
-            raise ConfigError("replications: expected an integer >= 1")
+        n = _int_at_least("n", raw.get("n"), 2)
+        reps = _int_at_least("replications", raw.get("replications"), 1)
         ests = raw.get("estimators", ["one_step"])
         if not ests or not all(e in _ESTIMATORS for e in ests):
             raise ConfigError(f"estimators: expected a nonempty subset of {_ESTIMATORS}")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed: expected a nonnegative integer")
+        seed = _int_at_least("seed", raw.get("seed", 0), 0)
         margins = raw.get("margins", "uniform")
         if isinstance(margins, str):
             margins = (margins,)
         if "user" in margins:
             raise ConfigError("margins: 'user' margins require code-level setup")
         MarginSpec(kinds=tuple(margins))  # validates kinds
-        workers = raw.get("workers", 1)
-        if workers is not None and (not isinstance(workers, int) or workers < 1):
-            raise ConfigError("workers: expected a positive integer")
+        workers = raw.get("workers")
         return cls(model=dict(raw["model"]), theta_true=theta, n=n,
                    replications=reps, estimators=tuple(ests), seed=seed,
-                   margins=tuple(margins), workers=workers or 1,
+                   margins=tuple(margins),
+                   workers=1 if workers is None else _int_at_least("workers", workers, 1),
                    keep_errors=bool(raw.get("keep_errors", True)),
-                   lane=int(raw.get("lane", 0)))
+                   lane=_int_at_least("lane", raw.get("lane", 0), 0))
 
     def echo(self):
         """The experiment parameters (not execution details like workers)."""
@@ -195,10 +196,8 @@ def _replicate(payload, rep):
 def _bounds_at_truth(config):
     model = build_model(config.model)
     try:
-        geom = eval_geometry(model, config.theta_true)
-        _, eff_inv = efficient_info(geom)
-        _, _, ple_cov = ple_influence(geom)
-        return np.diag(eff_inv).copy(), np.diag(ple_cov).copy()
+        bundle = efficiency_bundle(eval_geometry(model, config.theta_true))
+        return np.diag(bundle.eff_info_inv).copy(), np.diag(bundle.ple_cov).copy()
     except (SingularityError, np.linalg.LinAlgError):
         return None, None
 

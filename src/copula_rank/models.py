@@ -371,11 +371,9 @@ def build_model(descriptor):
         if key not in allowed:
             raise ConfigError(f"{key}: unexpected field for family {fam!r}")
 
-    def _int_field(key, required=True, default=None):
+    def _int_field(key):
         if key not in descriptor:
-            if required:
-                raise ConfigError(f"{key}: missing required field")
-            return default
+            raise ConfigError(f"{key}: missing required field")
         v = descriptor[key]
         if not isinstance(v, int) or isinstance(v, bool):
             raise ConfigError(f"{key}: expected an integer, got {v!r}")

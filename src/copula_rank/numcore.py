@@ -149,17 +149,15 @@ def cholesky_lower(a):
     return c if info == 0 else None
 
 
-def spd_factor(a, what, cond=False):
+def spd_factor(a, what):
     """`cholesky_lower(a)`, raising SingularityError "<what> (min eigenvalue
-    ...)" carrying the smallest eigenvalue, and the condition number when
-    `cond` is true, where `a` is not positive definite.  Solve with the
-    factor through `spd_solve`.
+    ...)" carrying the smallest eigenvalue where `a` is not positive
+    definite.  Solve with the factor through `spd_solve`.
     """
     c = cholesky_lower(a)
     if c is None:
         eig = float(np.linalg.eigvalsh(a)[0])
-        raise SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig,
-                               cond=float(np.linalg.cond(a)) if cond else None)
+        raise SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig)
     return c
 
 

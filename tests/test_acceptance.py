@@ -15,7 +15,7 @@ import numpy as np
 
 import copula_rank.mc as mc
 from copula_rank import (adaptivity_demo, adaptivity_check, circular,
-                         efficiency_criterion, efficient_info,
+                         efficiency_bundle, efficiency_criterion, efficient_info,
                          efficient_score_matrices, eval_geometry,
                          exchangeable, factor, fisher_info, gram,
                          lower_triangle_pairs, one_step, pilot_moment,
@@ -165,9 +165,9 @@ def test_criterion_5_adaptivity(capsys):
     for name, model, theta in (("exchangeable(3)@0", exchangeable(3), [0.0]),
                                ("circular@0", circular(), [0.0]),
                                ("two-parameter-curve@0", adaptivity_demo(), [0.0])):
-        rep = adaptivity_check(eval_geometry(model, theta))
+        rep = adaptivity_check(efficiency_bundle(eval_geometry(model, theta)))
         conditions[name] = rep.verdict == "adaptive"
-    rep = adaptivity_check(eval_geometry(exchangeable(3), [0.5]))
+    rep = adaptivity_check(efficiency_bundle(eval_geometry(exchangeable(3), [0.5])))
     gap = rep.details["info_gap"]
     conditions["exchangeable(3)@0.5 non-adaptive"] = (
         rep.verdict == "not_adaptive" and gap > 0.1)

@@ -15,8 +15,11 @@ from numpy.testing import assert_allclose
 
 import copula_rank
 import copula_rank.cli as cli
-from copula_rank import (exchangeable, ple_estimate, rank_transform,
-                         sample_copula, toeplitz, unrestricted, validate_output)
+import copula_rank.geometry as geometry
+from copula_rank import (efficiency_bundle, eval_geometry, exchangeable, gram,
+                         ple_estimate, rank_transform, sample_copula,
+                         score_generators, toeplitz, unrestricted,
+                         validate_output)
 from copula_rank.exceptions import McExperimentError
 
 
@@ -120,12 +123,68 @@ class TestCheck:
         assert obj["ple_efficient"] is True  # rank-revealing span solve
         assert obj["assumption1_ok"] is False  # dependent derivatives
 
+    def test_factor_rank_deficient_verdict_at_seeded_points(self, capsys):
+        # factor(5, 2) loadings are identified only up to a rotation, so the
+        # information matrices have rank 9 of 10 at every theta: check skips
+        # regularity, and bound and are report singular information.
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            theta = " ".join(repr(float(v)) for v in rng.uniform(-0.5, 0.5, 10))
+            flags = ["--family", "factor", "--p", "5", "--q", "2",
+                     "--theta", theta, "--format", "json"]
+            code, out, err = run_cli(capsys, "check", *flags)
+            assert code == 0, err
+            obj = json.loads(out)
+            assert obj["regular"] is None
+            assert obj["ple_efficient"] is True
+            for command in ("bound", "are"):
+                code, _, err = run_cli(capsys, command, *flags)
+                assert code == 3
+                assert "not positive definite" in err
+
     def test_pretty_output(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--family", "circular",
                                "--theta", "0.5")
         assert code == 0
         assert "not_efficient" in out
         assert "assumption 1: pass" in out
+
+
+class TestInformationPass:
+    THETA = "0.4945460 -0.4592764 -0.8462492"
+
+    @pytest.mark.parametrize("command", ["check", "bound"])
+    def test_one_generator_solve_fisher_gram_efficient_gram(
+            self, capsys, monkeypatch, command):
+        geom = eval_geometry(toeplitz(4), [float(v) for v in self.THETA.split()])
+        expected = efficiency_bundle(geom)
+        calls = {"score_generators": 0, "_spd_inverse": 0, "gram": []}
+        spd_inverse = geometry._spd_inverse
+
+        def counted_generators(*args):
+            calls["score_generators"] += 1
+            return score_generators(*args)
+
+        def counted_inverse(*args):
+            calls["_spd_inverse"] += 1
+            return spd_inverse(*args)
+
+        def counted_gram(*args):
+            out = gram(*args)
+            calls["gram"].append(out)
+            return out
+
+        monkeypatch.setattr(geometry, "score_generators", counted_generators)
+        monkeypatch.setattr(geometry, "gram", counted_gram)
+        monkeypatch.setattr(geometry, "_spd_inverse", counted_inverse)
+        code, _, err = run_cli(capsys, command, "--family", "toeplitz", "--p", "4",
+                               "--theta", self.THETA, "--format", "json")
+        assert code == 0, err
+        assert calls["score_generators"] == 1
+        assert calls["_spd_inverse"] == 1
+        assert len(calls["gram"]) == 2
+        for matrix in (expected.fisher, expected.eff_info):
+            assert any(np.array_equal(g, matrix) for g in calls["gram"])
 
 
 class TestEstimate:
@@ -299,6 +358,17 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
         assert "theta_true" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("lane", "x"), ("lane", -1), ("lane", 1.7), ("lane", True),
+        ("seed", True), ("n", True), ("replications", True), ("workers", True),
+    ])
+    def test_bad_integer_field_exit_2(self, capsys, tmp_path, field, value):
+        path = self.write_config(tmp_path, **{field: value})
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path),
+                               "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert err.startswith(f"error: {field}: ")
 
     def test_experiment_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         path = self.write_config(tmp_path)

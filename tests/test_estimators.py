@@ -20,7 +20,7 @@ from copula_rank import estimators
 from copula_rank.estimators import (normal_scores_matrix, _mean_pseudo_negloglik,
                                     _pseudo_score)
 from copula_rank.exceptions import (ConvergenceError, DegenerateMarginError,
-                                    DomainError, ShapeError)
+                                    DomainError, ShapeError, SingularityError)
 
 THETA_STAR = np.array([0.4945460, -0.4592764, -0.8462492])
 
@@ -422,6 +422,21 @@ class TestOneStep:
         assert_allclose(result.std_errors, np.sqrt(np.diag(inv) / 400),
                         rtol=1e-10)
 
+    def test_rank_deficient_information_raises(self):
+        # factor(5, 2) loadings are identified only up to a rotation: the
+        # efficient information has rank 9 of 10 at every theta, and the
+        # update must not invert it, whatever the roundoff at theta.
+        model = factor(5, 2)
+        rng = np.random.default_rng(0)
+        for seed in range(50):
+            theta = rng.uniform(-0.5, 0.5, 10)
+            sample = rank_transform(sample_copula(model.r_of_theta(theta), 60, seed=seed))
+            with pytest.raises(SingularityError, match="^efficient information matrix "
+                               "is not positive definite") as exc:
+                one_step(model, sample, pilot=theta)
+            assert abs(exc.value.eigenvalue) <= 1e-14
+            assert exc.value.cond > 1e13
+
     def test_tie_warning_propagates(self):
         data = np.array([[1.0, 4.0], [2.0, 4.0], [2.0, 1.0], [5.0, 0.0]])
         with warnings.catch_warnings():
@@ -437,8 +452,7 @@ class TestLazyStdErrors:
         def forbidden(*args):
             raise AssertionError("standard errors computed")
 
-        monkeypatch.setattr(estimators, "_ple_std_errors", forbidden)
-        monkeypatch.setattr(estimators, "_one_step_std_errors", forbidden)
+        monkeypatch.setattr(estimators, "_std_errors", forbidden)
         report = run_experiment({
             "model": {"family": "circular"}, "theta_true": [0.5], "n": 80,
             "replications": 4, "estimators": ["ple", "one_step", "pilot_moment"],
@@ -455,7 +469,7 @@ class TestLazyStdErrors:
         ple = ple_estimate(model, sample)
         ose = one_step(model, sample, pilot=ple.theta_hat)
         _, eff_inv = efficient_info(eval_geometry(model, ose.theta_hat))
-        expected = [(ple, estimators._ple_std_errors(model, ple.theta_hat, n)),
+        expected = [(ple, estimators._std_errors(model, ple.theta_hat, n, "ple_cov")),
                     (ose, np.sqrt(np.maximum(np.diag(eff_inv), 0.0) / n))]
         for result, eager in expected:
             first = result.std_errors
@@ -464,5 +478,5 @@ class TestLazyStdErrors:
 
     def test_singular_geometry_reads_none(self):
         model = exchangeable(3)
-        assert estimators._ple_std_errors(model, np.array([1.5]), 100) is None
-        assert estimators._one_step_std_errors(model, np.array([1.5]), 100) is None
+        assert estimators._std_errors(model, np.array([1.5]), 100, "ple_cov") is None
+        assert estimators._std_errors(model, np.array([1.5]), 100, "eff_info_inv") is None

@@ -358,23 +358,25 @@ class TestAdaptivity:
     def test_independence_adaptive(self):
         for model, zero in ((exchangeable(3), [0.0]), (circular(), [0.0]),
                             (toeplitz(3), [0.0, 0.0])):
-            report = adaptivity_check(eval_geometry(model, np.array(zero)))
+            report = adaptivity_check(efficiency_bundle(eval_geometry(model, np.array(zero))))
             assert report.verdict == "adaptive"
             assert report.details["cross_check_consistent"]
 
     def test_demo_adaptive_at_zero_only(self):
         model = adaptivity_demo()
-        assert adaptivity_check(eval_geometry(model, np.array([0.0]))).passed
-        assert not adaptivity_check(eval_geometry(model, np.array([0.2]))).passed
+        assert adaptivity_check(
+            efficiency_bundle(eval_geometry(model, np.array([0.0])))).passed
+        assert not adaptivity_check(
+            efficiency_bundle(eval_geometry(model, np.array([0.2])))).passed
 
     def test_exchangeable_not_adaptive(self):
-        geom = eval_geometry(exchangeable(3), np.array([0.5]))
-        report = adaptivity_check(geom)
+        bundle = efficiency_bundle(eval_geometry(exchangeable(3), np.array([0.5])))
+        report = adaptivity_check(bundle)
         assert not report.passed
         assert report.details["info_gap"] > 0.1
         assert report.details["cross_check_consistent"]
         # fisher^-1 = 2/9 differs from the bound 1/3
-        assert_allclose(1.0 / report.details["fisher"][0, 0], 2.0 / 9.0,
+        assert_allclose(1.0 / bundle.fisher[0, 0], 2.0 / 9.0,
                         rtol=1e-10)
 
 
