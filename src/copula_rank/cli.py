@@ -29,7 +29,8 @@ from .geometry import (DiagnosticReport, adaptivity_check, efficiency_bundle,
                        efficiency_criterion, regularity_check)
 from .mc import (run_experiment, run_grid, summarize, write_errors_csv,
                  write_report_json, write_summary_csv)
-from .models import build_model, eval_geometry, load_model, validate_assumption1
+from .models import (FAMILIES, build_model, eval_geometry, load_model,
+                     validate_assumption1)
 
 _USAGE_EPILOG = """\
 theta is given as whitespace-separated numbers.  For the unrestricted
@@ -44,6 +45,12 @@ row.  Examples:
 """
 
 
+# Descriptor fields settable by flags, and the families whose every field is.
+_MODEL_FLAGS = {"p": "dimension of the random vector", "q": "number of factors"}
+_FLAG_FAMILIES = [fam for fam, (_, fields) in FAMILIES.items()
+                  if set(fields) <= set(_MODEL_FLAGS)]
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="copula-rank",
@@ -55,12 +62,10 @@ def _build_parser():
 
     def add_model_flags(p):
         p.add_argument("--model", help="path to a model descriptor JSON file")
-        p.add_argument("--family",
-                       choices=["unrestricted", "exchangeable", "toeplitz",
-                                "circular", "factor", "adaptivity_demo"],
+        p.add_argument("--family", choices=_FLAG_FAMILIES,
                        help="built-in family (alternative to --model)")
-        p.add_argument("--p", type=int, help="dimension of the random vector")
-        p.add_argument("--q", type=int, help="number of factors (factor family)")
+        for key, text in _MODEL_FLAGS.items():
+            p.add_argument(f"--{key}", type=int, help=text)
 
     def add_format(p):
         p.add_argument("--format", choices=["json", "csv", "pretty"],
@@ -115,14 +120,10 @@ def _model_from_args(args):
     if not args.family:
         raise ConfigError("model: provide --model FILE or --family NAME")
     descriptor = {"family": args.family}
-    if args.family in ("unrestricted", "exchangeable", "toeplitz", "factor"):
-        if args.p is None:
-            raise ConfigError("p: required for family " + args.family)
-        descriptor["p"] = args.p
-    if args.family == "factor":
-        if args.q is None:
-            raise ConfigError("q: required for family factor")
-        descriptor["q"] = args.q
+    for key in FAMILIES[args.family][1]:
+        if getattr(args, key) is None:
+            raise ConfigError(f"{key}: required for family {args.family}")
+        descriptor[key] = getattr(args, key)
     return build_model(descriptor)
 
 

@@ -181,10 +181,12 @@ def _pseudo_score(model, theta, rhat):
 
 def _objective_and_inverse(model, theta, rhat):
     """`_mean_pseudo_negloglik` at theta and S = R(theta)^-1, both from one
-    factorization of R(theta); (inf, None) outside the domain."""
-    if not model.domain_check(theta):
-        return np.inf, None
-    c = cholesky_lower(model.corr_fn(theta))
+    factorization attempt on R(theta); (inf, None) where R(theta) is not
+    finite or not positive definite.  The Cholesky is the only
+    positive-definiteness test: the objective is a barrier at the boundary
+    of that region, so no accepted descent step leaves it."""
+    r = model.corr_fn(theta)
+    c = cholesky_lower(r) if np.isfinite(r).all() else None
     if c is None:
         return np.inf, None
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
@@ -199,8 +201,8 @@ def _objective_and_inverse(model, theta, rhat):
 
 def _mean_pseudo_negloglik(model, theta, rhat):
     """Mean negative pseudo-log-likelihood at the float k-vector theta, up to
-    an additive constant: (log det R + tr((S - I) Rhat)) / 2; +inf outside
-    the domain."""
+    an additive constant: (log det R + tr((S - I) Rhat)) / 2; +inf where
+    R(theta) is not positive definite."""
     return _objective_and_inverse(model, theta, rhat)[0]
 
 
@@ -214,8 +216,8 @@ def _descent_step(model, theta, s, rhat):
     J_mj = -tr(d2R_mj W) + tr(S dR_m S dR_j (I - 2 S Rhat)) is the Jacobian
     of psi, from dW_j = -S dR_j S + S dR_j S Rhat S + S Rhat S dR_j S.
     d2R = 0 for affine families; otherwise d2R_mj is one central difference
-    of the analytic `model.r_dot`, exact up to roundoff when dR is affine in
-    theta, as in every built-in family.
+    of `model.r_dots`, exact up to roundoff when dR is affine in theta, as in
+    every built-in family.
     """
     k = model.k
     s_rhat = s @ rhat
@@ -259,16 +261,18 @@ def _std_errors(model, theta, n, field):
 def ple_estimate(model, sample, init=None, max_iter=100):
     """Pseudo-likelihood estimate by Newton descent (`_descent_step`) with an
     Armijo line search on `_mean_pseudo_negloglik`, from `init`, else the
-    moment pilot, else the model's default; every iterate is in the domain.
+    moment pilot, else the model's default; every iterate has R(theta)
+    positive definite.
 
     Converged means pseudo-score sup-norm <= 1e-8 * k, reached in
     `iterations` steps, at a point where the Hessian of the objective has no
-    eigenvalue below -sqrt(eps) times its largest absolute eigenvalue.  A
-    semidefinite Hessian passes: raw factor loadings with q >= 2 have flat
-    directions.  A stationary point with negative curvature (a saddle)
-    raises ConvergenceError, as do `max_iter` steps that do not reach the
-    tolerance and a line search that finds no descent; the error carries
-    the (theta, sup-norm) trace.
+    eigenvalue below -sqrt(eps) times its largest absolute eigenvalue, and
+    which lies in the model's domain (`domain_check`).  A semidefinite
+    Hessian passes: raw factor loadings with q >= 2 have flat directions.
+    A stationary point with negative curvature (a saddle) or outside the
+    domain raises ConvergenceError, as do `max_iter` steps that do not
+    reach the tolerance and a line search that finds no descent; the error
+    carries the (theta, sup-norm) trace.
     """
     rhat = normal_scores_matrix(sample)
     tol = 1e-8 * model.k
@@ -288,6 +292,10 @@ def ple_estimate(model, sample, init=None, max_iter=100):
                     f"pseudo-likelihood Newton descent stopped at a saddle point "
                     f"for {model.name} (Hessian eigenvalues {eigs[0]:.3e} to "
                     f"{eigs[-1]:.3e})", trace=trace)
+            if not model.domain_check(theta):
+                raise ConvergenceError(
+                    f"pseudo-likelihood Newton descent converged to {theta.tolist()}, "
+                    f"outside the domain of {model.name}", trace=trace)
             return EstimateResult(
                 theta_hat=theta, method="ple", iterations=iteration, converged=True,
                 std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n,
@@ -303,7 +311,7 @@ def ple_estimate(model, sample, init=None, max_iter=100):
         scale = 1.0
         while scale > 2.0 ** -30:
             cand = theta + scale * step
-            f_cand, s_cand = _objective_and_inverse(model, cand, rhat)  # inf off-domain
+            f_cand, s_cand = _objective_and_inverse(model, cand, rhat)  # inf if not PD
             if f_cand <= f + 1e-4 * scale * slope + slack:
                 theta, f, s = cand, f_cand, s_cand
                 break

@@ -78,28 +78,38 @@ class McConfig:
         model = build_model(raw["model"])
         if "theta_true" not in raw:
             raise ConfigError("theta_true: missing required field")
-        theta = model.theta_vec(raw["theta_true"])
+        try:
+            theta = model.theta_vec(raw["theta_true"])
+        except (TypeError, ValueError) as exc:  # ShapeError, DomainError included
+            raise ConfigError(f"theta_true: {exc}") from exc
         if not model.domain_check(theta):
             raise ConfigError(f"theta_true: {theta.tolist()} outside the domain "
                               f"of {model.name}")
         n = _int_at_least("n", raw.get("n"), 2)
         reps = _int_at_least("replications", raw.get("replications"), 1)
         ests = raw.get("estimators", ["one_step"])
-        if not ests or not all(e in _ESTIMATORS for e in ests):
+        if (not isinstance(ests, (list, tuple)) or not ests
+                or not all(e in _ESTIMATORS for e in ests)):
             raise ConfigError(f"estimators: expected a nonempty subset of {_ESTIMATORS}")
         seed = _int_at_least("seed", raw.get("seed", 0), 0)
         margins = raw.get("margins", "uniform")
         if isinstance(margins, str):
             margins = (margins,)
+        if not isinstance(margins, (list, tuple)):
+            raise ConfigError(f"margins: expected a string or a list of strings, "
+                              f"got {margins!r}")
         if "user" in margins:
             raise ConfigError("margins: 'user' margins require code-level setup")
         MarginSpec(kinds=tuple(margins))  # validates kinds
         workers = raw.get("workers")
+        keep_errors = raw.get("keep_errors", True)
+        if not isinstance(keep_errors, bool):
+            raise ConfigError(f"keep_errors: expected true or false, got {keep_errors!r}")
         return cls(model=dict(raw["model"]), theta_true=theta, n=n,
                    replications=reps, estimators=tuple(ests), seed=seed,
                    margins=tuple(margins),
                    workers=1 if workers is None else _int_at_least("workers", workers, 1),
-                   keep_errors=bool(raw.get("keep_errors", True)),
+                   keep_errors=keep_errors,
                    lane=_int_at_least("lane", raw.get("lane", 0), 0))
 
     def echo(self):

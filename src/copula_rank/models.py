@@ -32,6 +32,7 @@ __all__ = [
     "factor",
     "adaptivity_demo",
     "custom_affine",
+    "FAMILIES",
     "lower_triangle_pairs",
     "validate_assumption1",
     "eval_geometry",
@@ -54,6 +55,8 @@ class CorrelationModel:
     name : family identifier
     p : dimension of the random vector
     k : parameter dimension
+    grad_fn : analytic dR/dtheta_m as grad_fn(t, m), read only by `r_dots`;
+        None for affine families and for finite differences
     default_init : a point well inside the domain, used to seed solvers
     descriptor : JSON-serializable dict that rebuilds the model via build_model
     notes : caveats attached to diagnostics (e.g. factor identifiability)
@@ -90,32 +93,28 @@ class CorrelationModel:
         return self.corr_fn(self.theta_vec(theta))
 
     def r_dot(self, theta, m):
-        """Derivative matrix dR/dtheta_m; analytic where available, else
-        central finite differences with step max(1e-6, 1e-8*|theta_m|)."""
+        """Derivative matrix dR/dtheta_m, a copy of `r_dots(theta)[m]`."""
         t = self.theta_vec(theta)
         if not 0 <= m < self.k:
             raise ShapeError(f"parameter index {m} out of range for k={self.k}")
-        return self._r_dot(t, m)
-
-    def _r_dot(self, t, m):
-        if self.grad_fn is not None:
-            return self.grad_fn(t, m)
-        h = max(1e-6, 1e-8 * abs(t[m]))
-        up, dn = t.copy(), t.copy()
-        up[m] += h
-        dn[m] -= h
-        return (self.corr_fn(up) - self.corr_fn(dn)) / (2.0 * h)
+        return self._r_dots(t)[m].copy()
 
     def r_dots(self, theta):
         """All k derivative matrices dR/dtheta_m as one C-contiguous
-        (k, p, p) array, validating theta once.  For affine families this is
-        the read-only `affine_generators` itself, not a copy."""
+        (k, p, p) array, validating theta once: the read-only
+        `affine_generators` itself for affine families, else `grad_fn(t, m)`
+        stacked over m, else central finite differences with step
+        max(1e-6, 1e-8*|theta_m|)."""
         return self._r_dots(self.theta_vec(theta))
 
     def _r_dots(self, t):
         if self.affine_generators is not None:
             return self.affine_generators
-        return np.stack([self._r_dot(t, m) for m in range(self.k)])
+        if self.grad_fn is not None:
+            return np.stack([self.grad_fn(t, m) for m in range(self.k)])
+        steps = np.maximum(1e-6, 1e-8 * np.abs(t))
+        return np.stack([(self.corr_fn(t + e) - self.corr_fn(t - e)) / (2.0 * h)
+                         for e, h in zip(np.diag(steps), steps)])
 
     def domain_check(self, theta):
         """True if theta lies in the declared (numerically safe) domain."""
@@ -149,8 +148,13 @@ def _offdiag(a):
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None,
-                  default_init=None, notes=()):
+def _box(lo, hi):
+    """domain_fn and clamp_fn of a one-parameter family on [lo, hi]."""
+    return {"domain_fn": lambda t: bool(lo <= t[0] <= hi),
+            "clamp_fn": lambda t: np.clip(t, lo, hi)}
+
+
+def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None):
     gens = np.array(generators, dtype=float)
     gens.flags.writeable = False
     k = len(gens)
@@ -159,14 +163,10 @@ def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None
     def corr_fn(t):
         return np.eye(p) + (t @ flat).reshape(p, p)
 
-    def grad_fn(t, m):
-        return gens[m].copy()
-
-    init = np.zeros(k) if default_init is None else np.asarray(default_init, float)
     return CorrelationModel(
-        name=name, p=p, k=k, corr_fn=corr_fn, grad_fn=grad_fn,
-        domain_fn=domain_fn, clamp_fn=clamp_fn, default_init=init,
-        descriptor=descriptor, notes=notes, affine_generators=gens,
+        name=name, p=p, k=k, corr_fn=corr_fn, domain_fn=domain_fn,
+        clamp_fn=clamp_fn, default_init=np.zeros(k), descriptor=descriptor,
+        affine_generators=gens,
     )
 
 
@@ -185,20 +185,9 @@ def exchangeable(p):
     """All off-diagonal entries equal theta; domain (-1/(p-1)+eps, 1-eps)."""
     if p < 2:
         raise ConfigError("p: exchangeable model needs p >= 2")
-    lo = -1.0 / (p - 1) + _EPS_DOMAIN
-    hi = 1.0 - _EPS_DOMAIN
-    g = _offdiag(np.ones((p, p)))
-
-    def domain_fn(t):
-        return bool(lo <= t[0] <= hi)
-
-    def clamp_fn(t):
-        return np.clip(t, lo, hi)
-
-    return _affine_model(
-        "exchangeable", p, [g], {"family": "exchangeable", "p": p},
-        domain_fn=domain_fn, clamp_fn=clamp_fn,
-    )
+    return _affine_model("exchangeable", p, [_offdiag(np.ones((p, p)))],
+                         {"family": "exchangeable", "p": p},
+                         **_box(-1.0 / (p - 1) + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN))
 
 
 def toeplitz(p):
@@ -213,7 +202,6 @@ def circular():
     """The p=4 one-parameter family with first neighbors theta and
     second neighbors theta^2 (nonlinear in theta)."""
     p = 4
-    lo, hi = -1.0 + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN
     first = np.zeros((p, p))
     for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]:
         first[i, j] = first[j, i] = 1.0
@@ -227,36 +215,26 @@ def circular():
     def grad_fn(t, m):
         return first + 2.0 * t[0] * second
 
-    def domain_fn(t):
-        return bool(lo <= t[0] <= hi)
-
-    def clamp_fn(t):
-        return np.clip(t, lo, hi)
-
     return CorrelationModel(
         name="circular", p=p, k=1, corr_fn=corr_fn, grad_fn=grad_fn,
-        domain_fn=domain_fn, clamp_fn=clamp_fn, default_init=np.zeros(1),
-        descriptor={"family": "circular"},
+        default_init=np.zeros(1), descriptor={"family": "circular"},
+        **_box(-1.0 + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN),
     )
 
 
-def factor(p, q, constraint="lower_triangular"):
+def factor(p, q):
     """Factor model R(theta) = I + offdiag(L L') with p x q loadings L.
 
     The raw parametrization (theta = L flattened row-major, k = p*q) is not
-    identifiable for q >= 2 -- R(LO) = R(L) for orthogonal O.  `constraint`
-    is recorded in the descriptor and the notes, but no estimator applies
-    it: ple_estimate, pilot_moment and one_step all work on the raw
-    loadings.  Geometry and the efficiency diagnostics work on the raw
-    parametrization too, where the span test tolerates the rank deficiency
-    of the derivative basis.
+    identifiable for q >= 2 -- R(LO) = R(L) for orthogonal O -- and every
+    estimator works on the raw loadings.  Geometry and the efficiency
+    diagnostics work on the raw parametrization too, where the span test
+    tolerates the rank deficiency of the derivative basis.
     """
     if p < 2:
         raise ConfigError("p: factor model needs p >= 2")
     if not 1 <= q < p:
         raise ConfigError("q: factor model needs 1 <= q < p")
-    if constraint not in ("lower_triangular", "none"):
-        raise ConfigError(f"constraint: unknown loading constraint {constraint!r}")
     k = p * q
 
     def corr_fn(t):
@@ -276,15 +254,13 @@ def factor(p, q, constraint="lower_triangular"):
     for j in range(q):
         init[:, j] = 0.5 / (j + 1) * np.cos(np.arange(p) + j)
     notes = (
-        f"loading constraint {constraint} is recorded in the descriptor but not "
-        "applied by ple_estimate, pilot_moment or one_step; raw loadings are "
-        "not identifiable for q >= 2",
+        "raw loadings are not identifiable for q >= 2; ple_estimate, "
+        "pilot_moment and one_step apply no lower-triangular or other constraint",
         "unverified reparametrization condition",
     )
     return CorrelationModel(
         name="factor", p=p, k=k, corr_fn=corr_fn, grad_fn=grad_fn,
-        default_init=init.ravel(),
-        descriptor={"family": "factor", "p": p, "q": q, "constraint": constraint},
+        default_init=init.ravel(), descriptor={"family": "factor", "p": p, "q": q},
         notes=notes,
     )
 
@@ -316,7 +292,7 @@ def adaptivity_demo():
     )
 
 
-def custom_affine(p, generators, name="custom_affine"):
+def custom_affine(p, generators):
     """Affine family R(theta) = I + sum theta_m G_m from user-supplied
     zero-diagonal symmetric generators."""
     if p < 2:
@@ -338,22 +314,25 @@ def custom_affine(p, generators, name="custom_affine"):
         "family": "custom_affine", "p": p,
         "generators": [g.tolist() for g in gens],
     }
-    return _affine_model(name, p, gens, descriptor)
+    return _affine_model("custom_affine", p, gens, descriptor)
 
 
-_FAMILY_FIELDS = {
-    "unrestricted": {"p"},
-    "exchangeable": {"p"},
-    "toeplitz": {"p"},
-    "circular": set(),
-    "factor": {"p", "q", "constraint"},
-    "adaptivity_demo": set(),
-    "custom_affine": {"p", "generators"},
+# family -> (builder, the builder's required descriptor fields in the order
+# they are checked).  Every field is an integer except "generators".
+FAMILIES = {
+    "unrestricted": (unrestricted, ("p",)),
+    "exchangeable": (exchangeable, ("p",)),
+    "toeplitz": (toeplitz, ("p",)),
+    "circular": (circular, ()),
+    "factor": (factor, ("p", "q")),
+    "adaptivity_demo": (adaptivity_demo, ()),
+    "custom_affine": (custom_affine, ("generators", "p")),
 }
 
 
 def build_model(descriptor):
-    """Build a CorrelationModel from a descriptor dict.
+    """Build a CorrelationModel from a descriptor dict, validated against
+    `FAMILIES`.
 
     Examples: {"family": "toeplitz", "p": 4} or
     {"family": "custom_affine", "p": 3, "generators": [[...], ...]}.
@@ -364,39 +343,21 @@ def build_model(descriptor):
     if "family" not in descriptor:
         raise ConfigError("family: missing required field")
     fam = descriptor["family"]
-    if fam not in _FAMILY_FIELDS:
+    if fam not in FAMILIES:
         raise ConfigError(f"family: unknown family {fam!r}")
-    allowed = _FAMILY_FIELDS[fam] | {"family"}
+    builder, fields = FAMILIES[fam]
     for key in descriptor:
-        if key not in allowed:
+        if key != "family" and key not in fields:
             raise ConfigError(f"{key}: unexpected field for family {fam!r}")
-
-    def _int_field(key):
-        if key not in descriptor:
+    args = {}
+    for key in fields:
+        v = descriptor.get(key)
+        if v is None and (key == "generators" or key not in descriptor):
             raise ConfigError(f"{key}: missing required field")
-        v = descriptor[key]
-        if not isinstance(v, int) or isinstance(v, bool):
+        if key != "generators" and (not isinstance(v, int) or isinstance(v, bool)):
             raise ConfigError(f"{key}: expected an integer, got {v!r}")
-        return v
-
-    if fam == "unrestricted":
-        return unrestricted(_int_field("p"))
-    if fam == "exchangeable":
-        return exchangeable(_int_field("p"))
-    if fam == "toeplitz":
-        return toeplitz(_int_field("p"))
-    if fam == "circular":
-        return circular()
-    if fam == "factor":
-        return factor(_int_field("p"), _int_field("q"),
-                      constraint=descriptor.get("constraint", "lower_triangular"))
-    if fam == "adaptivity_demo":
-        return adaptivity_demo()
-    # custom_affine
-    gens = descriptor.get("generators")
-    if gens is None:
-        raise ConfigError("generators: missing required field")
-    return custom_affine(_int_field("p"), gens)
+        args[key] = v
+    return builder(**args)
 
 
 def load_model(path):

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import functools
 import io
@@ -21,6 +22,7 @@ from copula_rank import (efficiency_bundle, eval_geometry, exchangeable, gram,
                          score_generators, toeplitz, unrestricted,
                          validate_output)
 from copula_rank.exceptions import McExperimentError
+from copula_rank.models import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +80,29 @@ class TestBound:
                                "--format", "json")
         assert code == 0
         assert json.loads(out)["theta"] == [0.5, 0.3]
+
+
+class TestModelFlags:
+    @pytest.mark.parametrize("flags,message", [
+        (["--family", "toeplitz"], "p: required for family toeplitz"),
+        (["--family", "factor", "--p", "4"], "q: required for family factor"),
+    ], ids=["p", "q"])
+    def test_missing_flag_named(self, capsys, flags, message):
+        code, _, err = run_cli(capsys, "bound", *flags, "--theta", "0.3")
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["bound", "check", "estimate", "are"])
+    def test_family_choices_are_the_flag_expressible_families(self, command):
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {opt: action for action in subparsers.choices[command]._actions
+                   for opt in action.option_strings}
+        expected = [fam for fam, (_, fields) in FAMILIES.items()
+                    if all(f"--{key}" in options for key in fields)]
+        assert options["--family"].choices == expected
+        assert expected == ["unrestricted", "exchangeable", "toeplitz", "circular",
+                            "factor", "adaptivity_demo"]
 
 
 class TestCheck:
@@ -358,6 +383,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
         assert "theta_true" in err
+
+    def test_malformed_theta_true_exit_2(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, theta_true="abc")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path),
+                               "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert err.startswith("error: theta_true: ")
 
     @pytest.mark.parametrize("field,value", [
         ("lane", "x"), ("lane", -1), ("lane", 1.7), ("lane", True),

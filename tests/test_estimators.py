@@ -246,13 +246,15 @@ class TestPleEstimate:
 
     def test_one_factorization_per_objective_evaluation(self, monkeypatch,
                                                         factorizations):
+        # Every evaluation makes exactly one factorization attempt, which
+        # alone decides positive definiteness; the descent steps make none.
         objective, descent_step = estimators._objective_and_inverse, estimators._descent_step
         per_evaluation, in_steps = [], []
 
         def counted_objective(model, theta, rhat):
             before = len(factorizations)
             out = objective(model, theta, rhat)
-            per_evaluation.append((model.domain_check(theta), len(factorizations) - before))
+            per_evaluation.append(len(factorizations) - before)
             return out
 
         def counted_step(*args):
@@ -270,7 +272,34 @@ class TestPleEstimate:
         assert len(in_steps) == result.iterations + 1
         assert in_steps == [0] * len(in_steps)
         assert len(per_evaluation) > result.iterations
-        assert all(count == int(in_domain) for in_domain, count in per_evaluation)
+        assert per_evaluation == [1] * len(per_evaluation)
+
+    def test_no_eigendecomposition_per_evaluation(self, monkeypatch):
+        # domain_check runs before the descent (the pilot) and once on the
+        # converged point, never inside the line search.
+        calls = []
+        check = CorrelationModel.domain_check
+
+        def counted(self, theta):
+            calls.append(np.array(theta, dtype=float))
+            return check(self, theta)
+
+        monkeypatch.setattr(CorrelationModel, "domain_check", counted)
+        model = toeplitz(4)
+        u = sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6)
+        result = ple_estimate(model, rank_transform(u))
+        assert result.iterations > 0
+        assert len(calls) == 2
+        assert np.array_equal(calls[-1], result.theta_hat)
+
+    def test_converged_outside_domain_raises(self, monkeypatch):
+        u = sample_copula(exch_corr(3, 0.2), 80, seed=1)
+        sample = rank_transform(u)
+        assert ple_estimate(exchangeable(3), sample).converged
+        monkeypatch.setattr(CorrelationModel, "domain_check", lambda self, theta: False)
+        with pytest.raises(ConvergenceError, match="outside the domain") as info:
+            ple_estimate(exchangeable(3), sample)
+        assert info.value.trace[-1][1] <= 1e-8
 
     def test_out_of_domain_init(self):
         u = sample_copula(exch_corr(3, 0.2), 50, seed=1)

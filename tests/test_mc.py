@@ -18,6 +18,7 @@ BASE = {
     "estimators": ["ple", "one_step"],
     "seed": 99,
 }
+MISSING = object()  # a patch value that removes the field
 
 
 class TestConfig:
@@ -29,8 +30,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("patch,field", [
         ({"bogus": 1}, "bogus"),
-        ({"model": None}, "model"),
-        ({"theta_true": None}, "theta_true"),
+        ({"model": MISSING}, "model"),
+        ({"theta_true": MISSING}, "theta_true"),
         ({"theta_true": [2.0]}, "theta_true"),
         ({"n": 1}, "n"),
         ({"n": 2.5}, "n"),
@@ -40,11 +41,18 @@ class TestConfig:
         ({"seed": -4}, "seed"),
         ({"margins": "user"}, "margins"),
         ({"workers": 0}, "workers"),
+        ({"theta_true": "abc"}, "theta_true"),
+        ({"theta_true": {"a": 1}}, "theta_true"),
+        ({"theta_true": [0.5, 0.5]}, "theta_true"),
+        ({"margins": 5}, "margins"),
+        ({"margins": None}, "margins"),
+        ({"estimators": 5}, "estimators"),
+        ({"keep_errors": "no"}, "keep_errors"),
     ])
     def test_validation_names_field(self, patch, field):
         raw = {**BASE, **patch}
         for key, value in patch.items():
-            if value is None:
+            if value is MISSING:
                 raw.pop(key)
         with pytest.raises(ConfigError, match=field):
             McConfig.from_dict(raw)

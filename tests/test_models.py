@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose
 
 from copula_rank import (adaptivity_demo, build_model, circular, custom_affine,
                          eval_geometry, exchangeable, factor, load_model,
-                         lower_triangle_pairs, toeplitz, unrestricted,
-                         validate_assumption1)
+                         load_schema, lower_triangle_pairs, toeplitz,
+                         unrestricted, validate_assumption1)
 from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
+from copula_rank.models import FAMILIES
 
 ALL_BUILTINS = [
     (exchangeable(3), np.array([0.4])),
@@ -79,16 +80,18 @@ class TestBuilders:
         assert any("unverified reparametrization" in note
                    for note in model.notes)
 
-    def test_factor_constraint_note_says_it_is_not_applied(self):
-        for constraint in ("lower_triangular", "none"):
-            model = factor(4, 2, constraint=constraint)
-            assert model.descriptor["constraint"] == constraint
-            note = next(n for n in model.notes if "loading constraint" in n)
-            assert constraint in note
-            assert "not applied" in note
-            for name in ("ple_estimate", "pilot_moment", "one_step"):
-                assert name in note
-            assert "not identifiable for q >= 2" in note
+    def test_factor_note_and_descriptor(self):
+        model = factor(4, 2)
+        assert model.descriptor == {"family": "factor", "p": 4, "q": 2}
+        note = next(n for n in model.notes if "loadings" in n)
+        assert "not identifiable for q >= 2" in note
+        for name in ("ple_estimate", "pilot_moment", "one_step"):
+            assert name in note
+        with pytest.raises(TypeError):
+            factor(4, 2, constraint="none")
+        with pytest.raises(ConfigError, match="constraint: unexpected field"):
+            build_model({"family": "factor", "p": 4, "q": 2,
+                         "constraint": "lower_triangular"})
 
     def test_adaptivity_demo_curve(self):
         model = adaptivity_demo()
@@ -218,6 +221,41 @@ class TestDescriptors:
             build_model({"family": "factor", "p": 4})
         with pytest.raises(ConfigError, match="margin"):
             build_model({"family": "circular", "margin": "x"})
+
+    def test_descriptor_schema_matches_families(self):
+        # The shipped schema and the FAMILIES table describe the same
+        # families and fields.
+        schema = load_schema("model_descriptor")
+        assert schema["properties"]["family"]["enum"] == list(FAMILIES)
+        fields = {key for _, keys in FAMILIES.values() for key in keys}
+        assert set(schema["properties"]) == fields | {"family"}
+
+    def test_descriptor_round_trip(self):
+        gen = [[0.0, 1.0], [1.0, 0.0]]
+        models = [m for m, _ in ALL_BUILTINS] + [custom_affine(2, [gen])]
+        assert {m.descriptor["family"] for m in models} == set(FAMILIES)
+        for model in models:
+            rebuilt = build_model(model.descriptor)
+            assert rebuilt.descriptor == model.descriptor
+            assert (rebuilt.name, rebuilt.p, rebuilt.k) == (model.name, model.p, model.k)
+
+    def test_required_fields_checked_in_table_order(self):
+        gen = [[0.0, 1.0], [1.0, 0.0]]
+        cases = [
+            ({"family": "custom_affine"}, "generators: missing required field"),
+            ({"family": "custom_affine", "p": 2, "generators": None},
+             "generators: missing required field"),
+            ({"family": "custom_affine", "generators": [gen]},
+             "p: missing required field"),
+            ({"family": "custom_affine", "p": None, "generators": [gen]},
+             "p: expected an integer, got None"),
+            ({"family": "factor"}, "p: missing required field"),
+            ({"family": "factor", "p": 4, "q": True}, "q: expected an integer, got True"),
+        ]
+        for descriptor, message in cases:
+            with pytest.raises(ConfigError) as exc:
+                build_model(descriptor)
+            assert str(exc.value) == message
 
     def test_load_model(self, tmp_path):
         path = tmp_path / "model.json"
