@@ -9,16 +9,19 @@ transformations of the raw columns.
 The pseudo-likelihood estimator minimises the mean negative
 pseudo-log-likelihood, whose gradient is minus half the pseudo-score
 tr(dS_m(theta) (R(theta) - Rhat)), by one Newton descent with the exact
-Hessian.  Each iterate costs one Cholesky factorization of R(theta), made
-by the line-search evaluation that accepts it; that factorization also
-gives S = R^-1, and the pseudo-score, its Jacobian and the step are matrix
-products with S.  The descent stops at pseudo-score sup-norm <= 1e-8 * k
-where the Hessian has no negative curvature, or raises ConvergenceError
-with its iterate trace.  The one-step estimator adds the
-inverse efficient information times the empirical mean of the efficient
-score to a root-n-consistent pilot.  The mean efficient score has the closed
-form tr(A*_m Rhat) / 2, since the score is the quadratic form z' A*_m z / 2
-with tr(A*_m R) = 0.
+Hessian.  The descent stops at pseudo-score sup-norm <= 1e-8 * k where the
+Hessian has no negative curvature, or raises ConvergenceError with its
+iterate trace.  It takes its objective and step from the model.  In
+general each iterate costs one Cholesky factorization of R(theta), made by
+the line-search evaluation that accepts it; that factorization also gives
+S = R^-1, and the pseudo-score, its Jacobian and the step are matrix
+products with S.  For a model with a theta-free eigenbasis Q (a
+`Spectrum`), d = diag(Q' Rhat Q) is formed once and every iterate is
+O(p k^2) arithmetic on the eigenvalues lam(theta), with no factorization.
+The one-step estimator adds the inverse efficient information times the
+empirical mean of the efficient score to a root-n-consistent pilot.  The
+mean efficient score has the closed form tr(A*_m Rhat) / 2, since the score
+is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.
 
 An EstimateResult computes its standard errors (a geometry and an
 information matrix at the estimate) on first read of `std_errors`, so a
@@ -234,11 +237,61 @@ def _descent_step(model, theta, s, rhat):
             h = 1e-5 * max(1.0, abs(theta[j]))
             d2r = model._r_dots(theta + h * e) - model._r_dots(theta - h * e)
             jac[:, j] -= (d2r.reshape(k, -1) @ w.ravel()) / (2.0 * h)
+    return (psi, *_newton_step(psi, jac))
 
+
+def _newton_step(psi, jac):
+    """The step -|H|^-1 grad and the eigenvalues of H = -(J + J')/4, from
+    the pseudo-score psi = -2 grad and its Jacobian J."""
     eigs, q = np.linalg.eigh(-0.25 * (jac + jac.T))
     lam = np.maximum(np.abs(eigs), 1e-12 * np.max(np.abs(eigs)))
-    step = q @ ((q.T @ (0.5 * psi)) / lam)
-    return psi, step, eigs
+    return q @ ((q.T @ (0.5 * psi)) / lam), eigs
+
+
+def _spectral_descent(spectrum, rhat):
+    """The (objective, step) pair of `_descent` for R(theta) = Q diag(lam) Q'
+    with a theta-free Q.  With d = diag(Q' Rhat Q), formed once:
+
+        f   = (sum log lam + sum d / lam - tr Rhat) / 2, inf unless lam > 0,
+        psi = dlam' w,  w = (d - lam) / lam^2,
+        J   = dlam' diag((lam - 2 d) / lam^3) dlam + sum_j w_j d2lam_j,
+
+    the `_objective_and_inverse` value and the `_descent_step` pseudo-score
+    and Jacobian written in that basis.  min lam > 0 is the
+    positive-definiteness condition itself; no step factors a matrix.
+    """
+    basis = spectrum.basis
+    d = np.sum(basis * (rhat @ basis), axis=0)
+    trace = float(np.trace(rhat))
+
+    def objective(theta):
+        eig = spectrum.eigen_fn(theta)
+        lam = eig[0]
+        if not lam.min() > 0.0:  # NaN included
+            return np.inf, None
+        return 0.5 * (float(np.sum(np.log(lam))) + float(np.sum(d / lam)) - trace), eig
+
+    def step(theta, eig):
+        lam, dlam, d2lam = eig
+        w = (d - lam) / lam ** 2
+        psi = dlam.T @ w
+        jac = ((dlam.T * ((lam - 2.0 * d) / lam ** 3)) @ dlam
+               + np.einsum("j,jmi->mi", w, d2lam))
+        return (psi, *_newton_step(psi, jac))
+
+    return objective, step
+
+
+def _descent(model, rhat):
+    """The (objective, step) pair the PLE descent runs on: objective(theta)
+    is (f, state), with state None where R(theta) is not positive definite,
+    and step(theta, state) is (psi, step, Hessian eigenvalues).  Spectral
+    (`_spectral_descent`) when the model declares a `Spectrum`, else
+    `_objective_and_inverse` and `_descent_step` on matrices."""
+    if model.spectrum is not None:
+        return _spectral_descent(model.spectrum, rhat)
+    return (lambda theta: _objective_and_inverse(model, theta, rhat),
+            lambda theta, s: _descent_step(model, theta, s, rhat))
 
 
 def _default_init(model, rhat):
@@ -259,10 +312,12 @@ def _std_errors(model, theta, n, field):
 
 
 def ple_estimate(model, sample, init=None, max_iter=100):
-    """Pseudo-likelihood estimate by Newton descent (`_descent_step`) with an
-    Armijo line search on `_mean_pseudo_negloglik`, from `init`, else the
+    """Pseudo-likelihood estimate by Newton descent with an Armijo line
+    search on the mean negative pseudo-log-likelihood, from `init`, else the
     moment pilot, else the model's default; every iterate has R(theta)
-    positive definite.
+    positive definite.  The objective and step come from `_descent`: O(p k^2)
+    eigenvalue arithmetic for a model with a `Spectrum`, else one Cholesky
+    factorization of R(theta) per evaluation and matrix products with S.
 
     Converged means pseudo-score sup-norm <= 1e-8 * k, reached in
     `iterations` steps, at a point where the Hessian of the objective has no
@@ -277,13 +332,14 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     rhat = normal_scores_matrix(sample)
     tol = 1e-8 * model.k
     theta = model.theta_vec(_default_init(model, rhat) if init is None else init)
-    f, s = _objective_and_inverse(model, theta, rhat)
-    if s is None:
+    objective, descent = _descent(model, rhat)
+    f, state = objective(theta)
+    if state is None:
         raise DomainError(f"initial theta {theta} outside the domain of {model.name}")
 
     trace = []
     for iteration in range(max_iter + 1):
-        psi, step, eigs = _descent_step(model, theta, s, rhat)
+        psi, step, eigs = descent(theta, state)
         norm = float(np.max(np.abs(psi)))
         trace.append((theta.copy(), norm))
         if norm <= tol:
@@ -305,15 +361,16 @@ def ple_estimate(model, sample, init=None, max_iter=100):
             break
         # Armijo on the objective; the slack admits steps whose decrease is
         # below the roundoff of f, which near the optimum is all of them.
-        # The accepted candidate's S serves the next step.
+        # The accepted candidate's state (S, or the eigenvalues) serves the
+        # next step.
         slope = -0.5 * float(psi @ step)
         slack = 1e-13 * (1.0 + abs(f))
         scale = 1.0
         while scale > 2.0 ** -30:
             cand = theta + scale * step
-            f_cand, s_cand = _objective_and_inverse(model, cand, rhat)  # inf if not PD
+            f_cand, state_cand = objective(cand)  # inf if not PD
             if f_cand <= f + 1e-4 * scale * slope + slack:
-                theta, f, s = cand, f_cand, s_cand
+                theta, f, state = cand, f_cand, state_cand
                 break
             scale *= 0.5
         else:

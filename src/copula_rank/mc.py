@@ -15,8 +15,8 @@ import csv
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,8 +50,33 @@ def _int_at_least(key, value, minimum):
     return value
 
 
+def _theta_point(model, key, value):
+    """`value` as a validated in-domain theta vector of `model`, else
+    ConfigError naming `key`."""
+    try:
+        theta = model.theta_vec(value)
+    except (TypeError, ValueError) as exc:  # ShapeError, DomainError included
+        raise ConfigError(f"{key}: {exc}") from exc
+    if not model.domain_check(theta):
+        raise ConfigError(f"{key}: {theta.tolist()} outside the domain of {model.name}")
+    return theta
+
+
+def _theta_grid(model, value):
+    """`value` as a tuple of theta vectors: a nonempty list of numbers (k = 1)
+    or of length-k lists, each in the domain; else ConfigError naming
+    theta_grid."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"theta_grid: expected a nonempty list, got {value!r}")
+    return tuple(_theta_point(model, "theta_grid", theta) for theta in value)
+
+
 @dataclass(frozen=True)
 class McConfig:
+    """One experiment.  A config read with a `theta_grid` holds its
+    validated points, and `run_grid` runs one experiment per point; then
+    theta_true is None unless the raw config gave it."""
+
     model: dict
     theta_true: np.ndarray
     n: int
@@ -62,6 +87,7 @@ class McConfig:
     workers: int = 1
     keep_errors: bool = True
     lane: int = 0
+    theta_grid: tuple = ()
 
     @classmethod
     def from_dict(cls, raw):
@@ -76,15 +102,13 @@ class McConfig:
         if "model" not in raw:
             raise ConfigError("model: missing required field")
         model = build_model(raw["model"])
-        if "theta_true" not in raw:
+        grid = _theta_grid(model, raw["theta_grid"]) if "theta_grid" in raw else ()
+        if "theta_true" in raw:
+            theta = _theta_point(model, "theta_true", raw["theta_true"])
+        elif grid:
+            theta = None
+        else:
             raise ConfigError("theta_true: missing required field")
-        try:
-            theta = model.theta_vec(raw["theta_true"])
-        except (TypeError, ValueError) as exc:  # ShapeError, DomainError included
-            raise ConfigError(f"theta_true: {exc}") from exc
-        if not model.domain_check(theta):
-            raise ConfigError(f"theta_true: {theta.tolist()} outside the domain "
-                              f"of {model.name}")
         n = _int_at_least("n", raw.get("n"), 2)
         reps = _int_at_least("replications", raw.get("replications"), 1)
         ests = raw.get("estimators", ["one_step"])
@@ -110,7 +134,8 @@ class McConfig:
                    margins=tuple(margins),
                    workers=1 if workers is None else _int_at_least("workers", workers, 1),
                    keep_errors=keep_errors,
-                   lane=_int_at_least("lane", raw.get("lane", 0), 0))
+                   lane=_int_at_least("lane", raw.get("lane", 0), 0),
+                   theta_grid=grid)
 
     def echo(self):
         """The experiment parameters (not execution details like workers)."""
@@ -162,12 +187,21 @@ class McReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+@lru_cache(maxsize=8)
+def _model_at(descriptor_json, theta_true):
+    """The model of a canonical descriptor JSON and its read-only
+    R(theta_true), built once per process rather than once per replication."""
+    model = build_model(json.loads(descriptor_json))
+    r_true = model.r_of_theta(np.array(theta_true))
+    r_true.flags.writeable = False
+    return model, r_true
+
+
 def _replicate(payload, rep):
     """Run one replication; returns (rep, {estimator: error list or None},
     {estimator: failure message}).  Top-level so process pools can pickle it."""
-    model = build_model(payload["model"])
-    theta_true = np.asarray(payload["theta_true"], dtype=float)
-    r_true = model.r_of_theta(theta_true)
+    model, r_true = _model_at(payload["model"], payload["theta_true"])
+    theta_true = np.array(payload["theta_true"])
     u = sample_copula(r_true, payload["n"], payload["seed"], rep=rep,
                       lane=payload["lane"])
     x = apply_margins(u, MarginSpec(kinds=tuple(payload["margins"])))
@@ -203,10 +237,10 @@ def _replicate(payload, rep):
     return rep, errors, failures
 
 
-def _bounds_at_truth(config):
-    model = build_model(config.model)
+def _bounds_at_truth(payload):
+    model = _model_at(payload["model"], payload["theta_true"])[0]
     try:
-        bundle = efficiency_bundle(eval_geometry(model, config.theta_true))
+        bundle = efficiency_bundle(eval_geometry(model, payload["theta_true"]))
         return np.diag(bundle.eff_info_inv).copy(), np.diag(bundle.ple_cov).copy()
     except (SingularityError, np.linalg.LinAlgError):
         return None, None
@@ -220,8 +254,12 @@ def run_experiment(config):
     """
     if isinstance(config, dict):
         config = McConfig.from_dict(config)
+    if config.theta_true is None:
+        raise ConfigError("theta_true: missing required field "
+                          "(a theta_grid config runs through run_grid)")
     payload = {
-        "model": config.model, "theta_true": [float(v) for v in config.theta_true],
+        "model": json.dumps(config.model, sort_keys=True, default=np.ndarray.tolist),
+        "theta_true": tuple(float(v) for v in config.theta_true),
         "n": config.n, "seed": config.seed, "lane": config.lane,
         "margins": list(config.margins), "estimators": list(config.estimators),
     }
@@ -267,7 +305,7 @@ def run_experiment(config):
             variance[est] = np.zeros(k)
         n_variance[est] = config.n * variance[est]
 
-    eff_bound, ple_bound = _bounds_at_truth(config)
+    eff_bound, ple_bound = _bounds_at_truth(payload)
     return McReport(
         config=config.echo(), estimators=config.estimators, k=k,
         bias=bias, variance=variance, n_variance=n_variance,
@@ -278,18 +316,14 @@ def run_experiment(config):
 
 
 def run_grid(raw_config, thetas, workers=None):
-    """Run one experiment per grid point, on separate RNG lanes."""
-    reports = []
-    for lane, theta in enumerate(thetas):
-        point = dict(raw_config)
-        point.pop("theta_grid", None)
-        point.pop("output", None)
-        point["theta_true"] = theta if isinstance(theta, list) else [float(theta)]
-        point["lane"] = lane
-        if workers is not None:
-            point["workers"] = workers
-        reports.append(run_experiment(point))
-    return reports
+    """Run one experiment per grid point, on separate RNG lanes; the whole
+    config, grid included, is validated before the first point runs."""
+    raw = dict(raw_config, theta_grid=thetas)
+    if workers is not None:
+        raw["workers"] = workers
+    config = McConfig.from_dict(raw)
+    return [run_experiment(replace(config, theta_true=theta, lane=lane, theta_grid=()))
+            for lane, theta in enumerate(config.theta_grid)]
 
 
 def summarize(reports):

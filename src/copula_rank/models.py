@@ -5,7 +5,9 @@ factor (low-rank loadings), a one-parameter demonstration model that is
 adaptive at theta=0, and custom affine families R(theta) = I + sum theta_m G_m
 loaded from config.  A model evaluates into a `Geometry`: the matrices
 R, S = R^-1, dR/dtheta_m and dS/dtheta_m at a fixed theta, which is the
-working context for every downstream formula.
+working context for every downstream formula.  A model whose eigenbasis does
+not depend on theta (one-generator affine families, circular) also declares
+it as a `Spectrum`, which reduces the pseudo-likelihood to its eigenvalues.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .numcore import InnerProductContext, check_symmetric, spd_factor, spd_solve
 
 __all__ = [
     "CorrelationModel",
+    "Spectrum",
     "Geometry",
     "Assumption1Report",
     "build_model",
@@ -47,6 +50,20 @@ def lower_triangle_pairs(p):
 
 
 @dataclass(frozen=True)
+class Spectrum:
+    """A theta-free eigenbasis: R(theta) = Q diag(lam(theta)) Q'.
+
+    basis : the read-only orthonormal (p, p) matrix Q
+    eigen_fn : t -> (lam (p,), dlam (p, k), d2lam (p, k, k)), the eigenvalues
+        of R(t) in the order of Q's columns and their first and second
+        derivatives in theta, so that dR/dtheta_m = Q diag(dlam[:, m]) Q'
+    """
+
+    basis: np.ndarray = field(repr=False)
+    eigen_fn: Callable = field(repr=False)
+
+
+@dataclass(frozen=True)
 class CorrelationModel:
     """A parametrization theta -> R(theta) with derivative structure.
 
@@ -63,6 +80,8 @@ class CorrelationModel:
     affine_generators : for affine families, the read-only (k, p, p) array
         of the constant matrices G_m with R(theta) = I + sum theta_m G_m;
         None otherwise
+    spectrum : the `Spectrum` of a family whose eigenbasis does not depend
+        on theta; None otherwise
     """
 
     name: str
@@ -76,6 +95,7 @@ class CorrelationModel:
     descriptor: dict = field(default_factory=dict)
     notes: tuple = ()
     affine_generators: Optional[np.ndarray] = field(repr=False, default=None)
+    spectrum: Optional[Spectrum] = field(repr=False, default=None)
 
     def theta_vec(self, theta):
         """Coerce theta to a validated 1-d float vector of length k."""
@@ -154,7 +174,15 @@ def _box(lo, hi):
             "clamp_fn": lambda t: np.clip(t, lo, hi)}
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None):
+    """R(theta) = I + sum theta_m G_m.  With one generator G = Q diag(g) Q',
+    R(theta) = Q diag(1 + theta g) Q' and the model declares that spectrum."""
     gens = np.array(generators, dtype=float)
     gens.flags.writeable = False
     k = len(gens)
@@ -163,10 +191,16 @@ def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None
     def corr_fn(t):
         return np.eye(p) + (t @ flat).reshape(p, p)
 
+    spectrum = None
+    if k == 1:
+        g, basis = np.linalg.eigh(gens[0])
+        dlam, d2lam = _read_only(g[:, None], np.zeros((p, 1, 1)))
+        spectrum = Spectrum(*_read_only(basis),
+                            lambda t: (1.0 + t[0] * g, dlam, d2lam))
     return CorrelationModel(
         name=name, p=p, k=k, corr_fn=corr_fn, domain_fn=domain_fn,
         clamp_fn=clamp_fn, default_init=np.zeros(k), descriptor=descriptor,
-        affine_generators=gens,
+        affine_generators=gens, spectrum=spectrum,
     )
 
 
@@ -200,7 +234,11 @@ def toeplitz(p):
 
 def circular():
     """The p=4 one-parameter family with first neighbors theta and
-    second neighbors theta^2 (nonlinear in theta)."""
+    second neighbors theta^2 (nonlinear in theta).
+
+    The real Fourier basis of the 4-cycle diagonalizes R(theta) for every
+    theta, with eigenvalues (1+theta)^2, 1-theta^2 (twice) and (1-theta)^2.
+    """
     p = 4
     first = np.zeros((p, p))
     for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]:
@@ -215,9 +253,23 @@ def circular():
     def grad_fn(t, m):
         return first + 2.0 * t[0] * second
 
+    h = np.sqrt(0.5)
+    basis, d2lam = _read_only(np.array([[0.5, h, 0.0, 0.5],
+                                        [0.5, 0.0, h, -0.5],
+                                        [0.5, -h, 0.0, 0.5],
+                                        [0.5, 0.0, -h, -0.5]]),
+                              np.array([2.0, -2.0, -2.0, 2.0]).reshape(p, 1, 1))
+
+    def eigen_fn(t):
+        th = t[0]
+        lam = np.array([(1.0 + th) ** 2, 1.0 - th * th, 1.0 - th * th, (1.0 - th) ** 2])
+        dlam = np.array([[2.0 + 2.0 * th], [-2.0 * th], [-2.0 * th], [2.0 * th - 2.0]])
+        return lam, dlam, d2lam
+
     return CorrelationModel(
         name="circular", p=p, k=1, corr_fn=corr_fn, grad_fn=grad_fn,
         default_init=np.zeros(1), descriptor={"family": "circular"},
+        spectrum=Spectrum(basis, eigen_fn),
         **_box(-1.0 + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN),
     )
 

@@ -384,6 +384,15 @@ class TestSimulate:
         assert code == 2
         assert "theta_true" in err
 
+    @pytest.mark.parametrize("grid", [["abc"], 5], ids=["string-point", "number"])
+    def test_malformed_theta_grid_exit_2(self, capsys, tmp_path, grid):
+        path = self.write_config(tmp_path, theta_grid=grid)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path),
+                               "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert err.startswith("error: theta_grid: ")
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_theta_true_exit_2(self, capsys, tmp_path):
         path = self.write_config(tmp_path, theta_true="abc")
         code, _, err = run_cli(capsys, "simulate", "--config", str(path),

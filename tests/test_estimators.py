@@ -1,5 +1,6 @@
 """Tests for the rank-based estimation pipeline."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -17,8 +18,8 @@ from copula_rank import (CorrelationModel, circular, custom_affine, eval_geometr
                          run_experiment, sample_copula, sigma_n_sq, toeplitz,
                          unrestricted, adaptivity_demo, lower_triangle_pairs)
 from copula_rank import estimators
-from copula_rank.estimators import (normal_scores_matrix, _mean_pseudo_negloglik,
-                                    _pseudo_score)
+from copula_rank.estimators import (RankedSample, normal_scores_matrix,
+                                    _mean_pseudo_negloglik, _pseudo_score)
 from copula_rank.exceptions import (ConvergenceError, DegenerateMarginError,
                                     DomainError, ShapeError, SingularityError)
 
@@ -293,6 +294,7 @@ class TestPleEstimate:
         assert np.array_equal(calls[-1], result.theta_hat)
 
     def test_converged_outside_domain_raises(self, monkeypatch):
+        # exchangeable(3) declares a Spectrum, so this is the spectral descent.
         u = sample_copula(exch_corr(3, 0.2), 80, seed=1)
         sample = rank_transform(u)
         assert ple_estimate(exchangeable(3), sample).converged
@@ -312,6 +314,53 @@ class TestPleEstimate:
         d = ple_estimate(exchangeable(3), rank_transform(u)).to_dict()
         assert set(d) == {"theta_hat", "std_errors", "method", "converged",
                           "tie_warning"}
+
+
+# Every model shape that declares a Spectrum, with (theta, n) for its samples.
+SPECTRAL = [
+    (exchangeable(3), [0.5], 250),
+    (exchangeable(100), [0.25], 50),
+    (circular(), [0.5], 250),
+    (toeplitz(2), [0.3], 250),
+    (unrestricted(2), [-0.4], 250),
+    (custom_affine(3, [[[0, 1, 0.5], [1, 0, 0], [0.5, 0, 0]]]), [0.3], 250),
+]
+
+
+def matrix_descent(model):
+    """The same model without its Spectrum, so the PLE runs on matrices."""
+    return dataclasses.replace(model, spectrum=None)
+
+
+class TestSpectralDescent:
+    @pytest.mark.parametrize("model,theta,n", SPECTRAL,
+                             ids=lambda v: f"{v.name}{v.p}" if hasattr(v, "p") else None)
+    def test_matches_matrix_descent(self, model, theta, n, factorizations):
+        assert model.spectrum is not None
+        generic = matrix_descent(model)
+        for seed in range(4):
+            sample = rank_transform(sample_copula(model.r_of_theta(theta), n, seed=seed))
+            before = len(factorizations)
+            spectral = ple_estimate(model, sample)
+            assert len(factorizations) == before  # no factorization at all
+            matrix = ple_estimate(generic, sample)
+            assert len(factorizations) > before
+            assert_allclose(spectral.theta_hat, matrix.theta_hat, rtol=0, atol=1e-10)
+            assert spectral.iterations == matrix.iterations
+            assert spectral.converged and matrix.converged
+
+    @pytest.mark.parametrize("spectral", [True, False], ids=["spectral", "matrix"])
+    def test_saddle_point_rejected(self, spectral):
+        # Rhat = I/4: theta = 0 is stationary by symmetry, and there the
+        # Hessian of the objective is -(1 - 2/4) < 0 along the generator.
+        model = unrestricted(2) if spectral else matrix_descent(unrestricted(2))
+        a = np.sqrt(0.5)
+        zhat = np.array([[a, 0.0], [-a, 0.0], [0.0, a], [0.0, -a]])
+        sample = RankedSample(n=4, p=2, ranks=zhat, pseudo_obs=zhat, zhat=zhat)
+        with pytest.raises(ConvergenceError, match="saddle point") as info:
+            ple_estimate(model, sample, init=np.zeros(1))
+        assert len(info.value.trace) == 1
+        assert info.value.trace[-1][1] <= 1e-8
 
 
 class TestPilotMoment:

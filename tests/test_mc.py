@@ -1,9 +1,15 @@
 """Tests for the Monte Carlo harness."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import copula_rank
 import copula_rank.mc as mc
 from copula_rank import (McConfig, run_experiment, run_grid, summarize,
                          validate_output, write_errors_csv, write_report_json,
@@ -48,6 +54,12 @@ class TestConfig:
         ({"margins": None}, "margins"),
         ({"estimators": 5}, "estimators"),
         ({"keep_errors": "no"}, "keep_errors"),
+        ({"theta_grid": ["abc"]}, "theta_grid"),
+        ({"theta_grid": 5}, "theta_grid"),
+        ({"theta_grid": []}, "theta_grid"),
+        ({"theta_grid": [2.0]}, "theta_grid"),
+        ({"theta_grid": [[0.1, 0.2]]}, "theta_grid"),
+        ({"theta_grid": [0.2, None]}, "theta_grid"),
     ])
     def test_validation_names_field(self, patch, field):
         raw = {**BASE, **patch}
@@ -56,6 +68,14 @@ class TestConfig:
                 raw.pop(key)
         with pytest.raises(ConfigError, match=field):
             McConfig.from_dict(raw)
+
+    def test_theta_grid_points(self):
+        raw = {key: v for key, v in BASE.items() if key != "theta_true"}
+        config = McConfig.from_dict({**raw, "theta_grid": [0.2, [0.5]]})
+        assert config.theta_true is None
+        assert [t.tolist() for t in config.theta_grid] == [[0.2], [0.5]]
+        with pytest.raises(ConfigError, match="theta_true"):
+            run_experiment(config)
 
     def test_echo_excludes_execution_details(self):
         config = McConfig.from_dict({**BASE, "workers": 7,
@@ -143,6 +163,55 @@ class TestRunExperiment:
             run_experiment({**BASE, "replications": 20})
         assert exc.value.failures["one_step"] == 10
         assert "forced" in str(exc.value)
+
+
+# Source of a fresh interpreter that runs one config and prints its report
+# and error matrix.
+FRESH_RUN = """
+import json, sys
+from copula_rank import run_experiment
+report = run_experiment(json.loads(sys.argv[1]))
+print(json.dumps([report.to_json(), report.errors.tolist()]))
+"""
+
+
+def fresh_process_report(config):
+    src = os.path.dirname(os.path.dirname(copula_rank.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(config)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestModelCache:
+    def test_model_built_once_per_experiment(self, monkeypatch):
+        config = McConfig.from_dict({**BASE, "replications": 6})
+        calls = []
+        build = mc.build_model
+
+        def counted(descriptor):
+            calls.append(descriptor)
+            return build(descriptor)
+
+        monkeypatch.setattr(mc, "build_model", counted)
+        mc._model_at.cache_clear()
+        run_experiment(config)
+        assert calls == [BASE["model"]]
+        run_experiment(config)
+        assert len(calls) == 1
+
+    def test_cached_models_match_fresh_processes(self):
+        configs = [{**BASE, "replications": 6},
+                   {"model": {"family": "toeplitz", "p": 4},
+                    "theta_true": [0.4, 0.1, -0.2], "n": 60, "replications": 4,
+                    "estimators": ["ple", "one_step"], "seed": 5}]
+        in_process = []
+        for config in configs + configs:
+            report = run_experiment(config)
+            in_process.append([report.to_json(), report.errors.tolist()])
+        fresh = [fresh_process_report(config) for config in configs]
+        assert in_process == fresh + fresh
 
 
 class TestGridAndSummaries:

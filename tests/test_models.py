@@ -13,7 +13,7 @@ from copula_rank import (adaptivity_demo, build_model, circular, custom_affine,
                          unrestricted, validate_assumption1)
 from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
-from copula_rank.models import FAMILIES
+from copula_rank.models import FAMILIES, Spectrum
 
 ALL_BUILTINS = [
     (exchangeable(3), np.array([0.4])),
@@ -194,6 +194,86 @@ class TestDerivativesAndDomains:
         rotated = loadings @ q
         assert_allclose(model.r_of_theta(loadings.ravel()),
                         model.r_of_theta(rotated.ravel()), atol=1e-12)
+
+
+# Instances of every family with in-domain thetas, including each shape that
+# declares a Spectrum (one-generator affine models and circular).
+FAMILY_EXAMPLES = {
+    "unrestricted": [(unrestricted(2), [[-0.7], [0.0], [0.6]]),
+                     (unrestricted(3), [[0.3, -0.1, 0.25]])],
+    "exchangeable": [(exchangeable(3), [[-0.45], [0.0], [0.5], [0.9]]),
+                     (exchangeable(100), [[-0.009], [0.25], [0.8]])],
+    "toeplitz": [(toeplitz(2), [[-0.5], [0.3]]), (toeplitz(4), [[0.4, 0.1, -0.2]])],
+    "circular": [(circular(), [[-0.8], [-0.2], [0.0], [0.45], [0.9]])],
+    "factor": [(factor(4, 1), [[0.6, -0.3, 0.5, 0.2]])],
+    "adaptivity_demo": [(adaptivity_demo(), [[0.1]])],
+    "custom_affine": [(custom_affine(3, [[[0, 1, 0.5], [1, 0, 0], [0.5, 0, 0]]]),
+                       [[-0.5], [0.3]]),
+                      (custom_affine(3, [[[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                                         [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]),
+                       [[0.2, 0.3]])],
+}
+
+
+def spectrum_defects(model, thetas, h=2.0 ** -10):
+    """Largest deviations of a declared Spectrum from the model: Q'Q from I,
+    Q diag(lam) Q' from R(theta), Q diag(dlam_m) Q' from dR/dtheta_m, and
+    d2lam from a central difference of dlam with step h."""
+    q = model.spectrum.basis
+    defects = {"orthonormal": np.max(np.abs(q.T @ q - np.eye(model.p))),
+               "r": 0.0, "r_dots": 0.0, "d2lam": 0.0}
+    for theta in np.asarray(thetas, dtype=float):
+        lam, dlam, d2lam = model.spectrum.eigen_fn(theta)
+        assert (lam.shape, dlam.shape, d2lam.shape) == (
+            (model.p,), (model.p, model.k), (model.p, model.k, model.k))
+        r_dots = np.einsum("ij,jm,kj->mik", q, dlam, q)  # Q diag(dlam_m) Q'
+        fd = np.stack([(model.spectrum.eigen_fn(theta + e)[1]
+                        - model.spectrum.eigen_fn(theta - e)[1]) / (2.0 * h)
+                       for e in h * np.eye(model.k)], axis=-1)
+        defects["r"] = max(defects["r"], np.max(np.abs(
+            (q * lam) @ q.T - model.corr_fn(theta))))
+        defects["r_dots"] = max(defects["r_dots"], np.max(np.abs(
+            r_dots - model.r_dots(theta))))
+        defects["d2lam"] = max(defects["d2lam"], np.max(np.abs(d2lam - fd)))
+    return defects
+
+
+class TestSpectrum:
+    def test_examples_cover_families(self):
+        assert set(FAMILY_EXAMPLES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_declared_spectrum_matches_model(self, family):
+        for model, thetas in FAMILY_EXAMPLES[family]:
+            for theta in thetas:
+                assert model.domain_check(theta)
+            # Exactly the one-parameter affine models and circular declare one.
+            expected = model.k == 1 and (model.affine_generators is not None
+                                         or family == "circular")
+            assert (model.spectrum is not None) == expected, (family, model.p)
+            if model.spectrum is None:
+                continue
+            defects = spectrum_defects(model, thetas)
+            assert max(defects.values()) <= 1e-12, (family, model.p, defects)
+
+    def test_wrong_spectrum_fails_the_check(self):
+        model = circular()
+
+        def first_neighbours_only(t):
+            # 1 +- 2 theta, 1, 1 ignore the theta^2 second neighbours.
+            lam = np.array([1 + 2 * t[0], 1.0, 1.0, 1 - 2 * t[0]])
+            return lam, np.array([[2.0], [0.0], [0.0], [-2.0]]), np.zeros((4, 1, 1))
+
+        def no_curvature(t):
+            lam, dlam, _ = model.spectrum.eigen_fn(t)
+            return lam, dlam, np.zeros((4, 1, 1))
+
+        defects = [spectrum_defects(dataclasses.replace(
+            model, spectrum=Spectrum(model.spectrum.basis, fn)), [[0.45]])
+            for fn in (first_neighbours_only, no_curvature)]
+        assert defects[0]["r"] > 0.1 and defects[0]["r_dots"] > 0.1
+        assert defects[1]["d2lam"] > 1.0
+        assert max(defects[1]["r"], defects[1]["r_dots"]) <= 1e-12
 
 
 class TestDescriptors:
