@@ -364,9 +364,7 @@ def cmd_simulate(args):
     if "theta_grid" in raw:
         reports = run_grid(raw, raw["theta_grid"], workers=workers)
     else:
-        single = dict(raw)
-        single.pop("output", None)
-        reports = [run_experiment(single)]
+        reports = [run_experiment(raw)]
 
     out_dir = args.out_dir or raw.get("output") or "."
     os.makedirs(out_dir, exist_ok=True)

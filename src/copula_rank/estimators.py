@@ -23,6 +23,10 @@ empirical mean of the efficient score to a root-n-consistent pilot.  The
 mean efficient score has the closed form tr(A*_m Rhat) / 2, since the score
 is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.
 
+Rhat is formed once per sample (`RankedSample.rhat`) and shared by every
+estimator, the normal-score grid quantile(i/(n+1)) once per sample size, and
+the moment-pilot map once per model (`CorrelationModel.moment_map`).
+
 An EstimateResult computes its standard errors (a geometry and an
 information matrix at the estimate) on first read of `std_errors`, so a
 caller that reads only theta_hat, as a Monte Carlo replication does, never
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,6 +69,7 @@ class RankedSample:
     ranks holds average ranks (so half-integers may appear when columns are
     tied); tie_columns records which columns had ties.  pseudo_obs is
     rank/(n+1), strictly inside (0,1), and zhat its Gaussianization.
+    `rhat` is the read-only `normal_scores_matrix`, formed on first read.
     """
 
     n: int
@@ -77,6 +82,12 @@ class RankedSample:
     @property
     def has_ties(self):
         return len(self.tie_columns) > 0
+
+    @cached_property
+    def rhat(self):
+        rhat = normal_scores_matrix(self)
+        rhat.flags.writeable = False
+        return rhat
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,8 @@ def rank_transform(data):
     ranks, the mean 1-based position of each run of equal values (so they
     agree exactly with scipy.stats.rankdata(method="average")), and a
     RuntimeWarning naming them.  A constant column is a degenerate margin
-    and raises DegenerateMarginError naming the first one.
+    and raises DegenerateMarginError naming the first one.  Tie-free columns
+    of zhat are permutations of `_score_grid(n)`.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -135,8 +147,9 @@ def rank_transform(data):
     constant = np.all(repeats, axis=0)
     if np.any(constant):
         raise DegenerateMarginError(f"column {int(np.argmax(constant))} is constant")
-    ranks = np.empty((n, p))
+    ranks, zhat = np.empty((n, p)), np.empty((n, p))
     np.put_along_axis(ranks, order, np.arange(1.0, n + 1.0)[:, None], axis=0)
+    np.put_along_axis(zhat, order, _score_grid(n)[:, None], axis=0)
     ties = [int(j) for j in np.flatnonzero(np.any(repeats, axis=0))]
     for j in ties:
         first = np.flatnonzero(np.r_[True, ~repeats[:, j]])
@@ -146,8 +159,18 @@ def rank_transform(data):
         warnings.warn(f"ties in column(s) {ties}; average ranks used", RuntimeWarning,
                       stacklevel=2)
     pseudo = ranks / (n + 1.0)
-    return RankedSample(n=n, p=p, ranks=ranks, pseudo_obs=pseudo,
-                        zhat=norm_quantile(pseudo), tie_columns=tuple(ties))
+    if ties:
+        zhat[:, ties] = norm_quantile(pseudo[:, ties])
+    return RankedSample(n=n, p=p, ranks=ranks, pseudo_obs=pseudo, zhat=zhat,
+                        tie_columns=tuple(ties))
+
+
+@lru_cache(maxsize=8)
+def _score_grid(n):
+    """The read-only normal scores quantile(i/(n+1)), i = 1..n."""
+    grid = norm_quantile(np.arange(1.0, n + 1.0) / (n + 1.0))
+    grid.flags.writeable = False
+    return grid
 
 
 def normal_scores_matrix(sample):
@@ -160,8 +183,7 @@ def normal_scores_matrix(sample):
 
 def sigma_n_sq(n):
     """Mean of quantile(i/(n+1))^2 over i = 1..n; tends to 1 at rate log(n)/n."""
-    grid = np.arange(1, n + 1) / (n + 1.0)
-    z = norm_quantile(grid)
+    z = _score_grid(n)
     return float(np.mean(z * z))
 
 
@@ -209,7 +231,7 @@ def _mean_pseudo_negloglik(model, theta, rhat):
     return _objective_and_inverse(model, theta, rhat)[0]
 
 
-def _descent_step(model, theta, s, rhat):
+def _descent_step(model, theta, s, rhat, eye):
     """Pseudo-score psi, the step -|H|^-1 grad on `_mean_pseudo_negloglik`
     and the eigenvalues of the Hessian H = -(J + J')/4, by matrix products
     with S = R(theta)^-1 (no factorization) at the validated iterate theta;
@@ -229,7 +251,7 @@ def _descent_step(model, theta, s, rhat):
     psi = -(r_dots.reshape(k, -1) @ w.ravel())
 
     x = s @ r_dots  # S dR_j
-    v = x @ (np.eye(model.p) - 2.0 * s_rhat)  # S dR_j (I - 2 S Rhat)
+    v = x @ (eye - 2.0 * s_rhat)  # S dR_j (I - 2 S Rhat)
     # J_mj = tr(x_m v_j) = vec(x_m) . vec(v_j')
     jac = x.reshape(k, -1) @ v.transpose(0, 2, 1).reshape(k, -1).T
     if model.affine_generators is None:
@@ -290,14 +312,16 @@ def _descent(model, rhat):
     `_objective_and_inverse` and `_descent_step` on matrices."""
     if model.spectrum is not None:
         return _spectral_descent(model.spectrum, rhat)
+    eye = np.eye(model.p)
     return (lambda theta: _objective_and_inverse(model, theta, rhat),
-            lambda theta, s: _descent_step(model, theta, s, rhat))
+            lambda theta, s: _descent_step(model, theta, s, rhat, eye))
 
 
 def _default_init(model, rhat):
-    pilot = _moment_theta(model, rhat)
-    if pilot is not None and model.domain_check(pilot):
-        return pilot
+    if model.moment_map is not None:
+        pilot = model.moment_map @ rhat.ravel()
+        if model.domain_check(pilot):
+            return pilot
     return np.asarray(model.default_init, dtype=float).copy()
 
 
@@ -329,7 +353,7 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     reach the tolerance and a line search that finds no descent; the error
     carries the (theta, sup-norm) trace.
     """
-    rhat = normal_scores_matrix(sample)
+    rhat = sample.rhat
     tol = 1e-8 * model.k
     theta = model.theta_vec(_default_init(model, rhat) if init is None else init)
     objective, descent = _descent(model, rhat)
@@ -384,20 +408,6 @@ def ple_estimate(model, sample, init=None, max_iter=100):
 # Pilot and one-step
 # ---------------------------------------------------------------------------
 
-def _moment_theta(model, rhat):
-    """Closed-form minimum-distance pilot: where R(0) = I and the derivative
-    matrices dR(0) do not all vanish, the least-squares fit of Rhat - I on
-    dR(0).  For affine families dR(0) are the generators, so the fit
-    minimizes ||R(theta) - Rhat||_F; for circular it is the mean
-    first-neighbor correlation.  None otherwise."""
-    zero = np.zeros(model.k)
-    design = model._r_dots(zero).reshape(model.k, -1).T
-    if not np.array_equal(model.corr_fn(zero), np.eye(model.p)) or not design.any():
-        return None
-    theta, *_ = np.linalg.lstsq(design, (rhat - np.eye(model.p)).ravel(), rcond=None)
-    return theta
-
-
 def _clamp_into_domain(model, theta, anchor):
     """Clamp theta into the domain: closed-form projection when the family
     has one, otherwise shrink toward the in-domain anchor."""
@@ -414,15 +424,15 @@ def _clamp_into_domain(model, theta, anchor):
 
 
 def pilot_moment(model, sample):
-    """Minimum-distance pilot `_moment_theta`: the least-squares fit of
-    Rhat - I on the derivative matrices at theta = 0, where R(0) = I and they
-    do not all vanish (for affine families, minimize ||R(theta) - Rhat||_F).
-    A fit outside the domain is clamped into it and flagged.  Other families
-    (dR(0) = 0, or R(0) != I) fall back to ple_estimate."""
-    rhat = normal_scores_matrix(sample)
-    theta = _moment_theta(model, rhat)
-    if theta is None:
+    """Closed-form minimum-distance pilot `model.moment_map` vec(Rhat): the
+    least-squares fit of Rhat - I on the derivative matrices at theta = 0,
+    where R(0) = I and they do not all vanish (for affine families, minimize
+    ||R(theta) - Rhat||_F; for circular, the mean first-neighbor
+    correlation).  A fit outside the domain is clamped into it and flagged.
+    Other families (dR(0) = 0, or R(0) != I) fall back to ple_estimate."""
+    if model.moment_map is None:
         return ple_estimate(model, sample, init=model.default_init)
+    theta = model.moment_map @ sample.rhat.ravel()
     clamped = False
     if not model.domain_check(theta):
         theta = _clamp_into_domain(model, theta,
@@ -442,7 +452,6 @@ def one_step(model, sample, pilot=None):
     `converged` is False.  Raises SingularityError where the efficient
     information at the pilot is singular.
     """
-    rhat = normal_scores_matrix(sample)
     pilot = (pilot_moment(model, sample).theta_hat if pilot is None
              else model.theta_vec(pilot))
     if not model.domain_check(pilot):
@@ -450,7 +459,7 @@ def one_step(model, sample, pilot=None):
 
     bundle = efficiency_bundle(eval_geometry(model, pilot))
     theta = pilot + bundle.eff_info_inv @ (
-        0.5 * np.tensordot(bundle.eff_matrices, rhat, axes=2))
+        0.5 * np.tensordot(bundle.eff_matrices, sample.rhat, axes=2))
     clamped = not model.domain_check(theta)
     if clamped:
         theta = _clamp_into_domain(model, theta, pilot)

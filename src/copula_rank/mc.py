@@ -7,6 +7,11 @@ and records the error vector theta_hat - theta_true.  Failed replications
 than 5% failures for any estimator aborts the experiment.  Aggregation is
 a sequential reduction ordered by replication index, so reports are
 byte-identical no matter how many workers ran the replications.
+
+A process builds each model once per descriptor, for `McConfig.from_dict`
+and every replication, and the sampler's factor of R(theta_true) and the
+bounds at the truth once per (descriptor, theta_true).  A replication pays
+only for what its sample changes: the draw, the ranks, Rhat and estimates.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .exceptions import (ConfigError, ConvergenceError, DomainError,
                          McExperimentError, ShapeError, SingularityError)
 from .geometry import efficiency_bundle
 from .models import build_model, eval_geometry
-from .sampler import MarginSpec, apply_margins, sample_copula
+from .sampler import MarginSpec, _copula_factor, apply_margins, sample_copula
 
 __all__ = [
     "McConfig",
@@ -101,7 +106,12 @@ class McConfig:
                 raise ConfigError(f"{key}: unexpected config field")
         if "model" not in raw:
             raise ConfigError("model: missing required field")
-        model = build_model(raw["model"])
+        try:
+            descriptor_json = _canonical(raw["model"])
+        except TypeError:  # not JSON; build_model names the offending field
+            descriptor_json = None
+        model = (build_model(raw["model"]) if descriptor_json is None
+                 else _model(descriptor_json))
         grid = _theta_grid(model, raw["theta_grid"]) if "theta_grid" in raw else ()
         if "theta_true" in raw:
             theta = _theta_point(model, "theta_true", raw["theta_true"])
@@ -113,8 +123,10 @@ class McConfig:
         reps = _int_at_least("replications", raw.get("replications"), 1)
         ests = raw.get("estimators", ["one_step"])
         if (not isinstance(ests, (list, tuple)) or not ests
-                or not all(e in _ESTIMATORS for e in ests)):
-            raise ConfigError(f"estimators: expected a nonempty subset of {_ESTIMATORS}")
+                or not all(e in _ESTIMATORS for e in ests)
+                or len(set(ests)) < len(ests)):
+            raise ConfigError(f"estimators: expected a nonempty subset of "
+                              f"{_ESTIMATORS}, each named once, got {ests!r}")
         seed = _int_at_least("seed", raw.get("seed", 0), 0)
         margins = raw.get("margins", "uniform")
         if isinstance(margins, str):
@@ -122,6 +134,9 @@ class McConfig:
         if not isinstance(margins, (list, tuple)):
             raise ConfigError(f"margins: expected a string or a list of strings, "
                               f"got {margins!r}")
+        if len(margins) not in (1, model.p):
+            raise ConfigError(f"margins: expected 1 or p = {model.p} kinds, "
+                              f"got {len(margins)}")
         if "user" in margins:
             raise ConfigError("margins: 'user' margins require code-level setup")
         MarginSpec(kinds=tuple(margins))  # validates kinds
@@ -129,6 +144,9 @@ class McConfig:
         keep_errors = raw.get("keep_errors", True)
         if not isinstance(keep_errors, bool):
             raise ConfigError(f"keep_errors: expected true or false, got {keep_errors!r}")
+        if not isinstance(raw.get("output", ""), str):
+            raise ConfigError(f"output: expected a directory path string, "
+                              f"got {raw['output']!r}")
         return cls(model=dict(raw["model"]), theta_true=theta, n=n,
                    replications=reps, estimators=tuple(ests), seed=seed,
                    margins=tuple(margins),
@@ -187,22 +205,31 @@ class McReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+def _canonical(descriptor):
+    """The JSON of a model descriptor that keys the caches below."""
+    return json.dumps(descriptor, sort_keys=True, default=np.ndarray.tolist)
+
+
+@lru_cache(maxsize=8)
+def _model(descriptor_json):
+    """The model of a canonical descriptor JSON, built once per process."""
+    return build_model(json.loads(descriptor_json))
+
+
 @lru_cache(maxsize=8)
 def _model_at(descriptor_json, theta_true):
-    """The model of a canonical descriptor JSON and its read-only
-    R(theta_true), built once per process rather than once per replication."""
-    model = build_model(json.loads(descriptor_json))
-    r_true = model.r_of_theta(np.array(theta_true))
-    r_true.flags.writeable = False
-    return model, r_true
+    """The model and the sampler's CopulaFactor of R(theta_true), once per
+    process rather than once per replication."""
+    model = _model(descriptor_json)
+    return model, _copula_factor(model.r_of_theta(np.array(theta_true)))
 
 
 def _replicate(payload, rep):
     """Run one replication; returns (rep, {estimator: error list or None},
     {estimator: failure message}).  Top-level so process pools can pickle it."""
-    model, r_true = _model_at(payload["model"], payload["theta_true"])
+    model, factor = _model_at(payload["model"], payload["theta_true"])
     theta_true = np.array(payload["theta_true"])
-    u = sample_copula(r_true, payload["n"], payload["seed"], rep=rep,
+    u = sample_copula(factor, payload["n"], payload["seed"], rep=rep,
                       lane=payload["lane"])
     x = apply_margins(u, MarginSpec(kinds=tuple(payload["margins"])))
     errors = {}
@@ -237,11 +264,13 @@ def _replicate(payload, rep):
     return rep, errors, failures
 
 
-def _bounds_at_truth(payload):
-    model = _model_at(payload["model"], payload["theta_true"])[0]
+@lru_cache(maxsize=8)
+def _bounds_at_truth(descriptor_json, theta_true):
+    """diag(I*^-1) and diag(PLE covariance) at theta_true as read-only views,
+    once per process; (None, None) where singular."""
     try:
-        bundle = efficiency_bundle(eval_geometry(model, payload["theta_true"]))
-        return np.diag(bundle.eff_info_inv).copy(), np.diag(bundle.ple_cov).copy()
+        bundle = efficiency_bundle(eval_geometry(_model(descriptor_json), theta_true))
+        return np.diag(bundle.eff_info_inv), np.diag(bundle.ple_cov)
     except (SingularityError, np.linalg.LinAlgError):
         return None, None
 
@@ -258,7 +287,7 @@ def run_experiment(config):
         raise ConfigError("theta_true: missing required field "
                           "(a theta_grid config runs through run_grid)")
     payload = {
-        "model": json.dumps(config.model, sort_keys=True, default=np.ndarray.tolist),
+        "model": _canonical(config.model),
         "theta_true": tuple(float(v) for v in config.theta_true),
         "n": config.n, "seed": config.seed, "lane": config.lane,
         "margins": list(config.margins), "estimators": list(config.estimators),
@@ -305,7 +334,7 @@ def run_experiment(config):
             variance[est] = np.zeros(k)
         n_variance[est] = config.n * variance[est]
 
-    eff_bound, ple_bound = _bounds_at_truth(payload)
+    eff_bound, ple_bound = _bounds_at_truth(payload["model"], payload["theta_true"])
     return McReport(
         config=config.echo(), estimators=config.estimators, k=k,
         bias=bias, variance=variance, n_variance=n_variance,

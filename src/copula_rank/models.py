@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,6 +137,22 @@ class CorrelationModel:
         return np.stack([(self.corr_fn(t + e) - self.corr_fn(t - e)) / (2.0 * h)
                          for e, h in zip(np.diag(steps), steps)])
 
+    @cached_property
+    def moment_map(self):
+        """The read-only k x p^2 pseudo-inverse of vec(dR(0)), which maps
+        vec(Rhat) to the least-squares fit of Rhat - I on dR(0), the moment
+        pilot; None unless R(0) = I and dR(0) != 0.  Built on first read."""
+        zero = np.zeros(self.k)
+        design = self._r_dots(zero).reshape(self.k, -1).T
+        if not np.array_equal(self.corr_fn(zero), np.eye(self.p)) or not design.any():
+            return None
+        pilot_map = np.linalg.pinv(design, rtol=None)  # lstsq's rank cutoff
+        # dR(0) has a zero diagonal, so the fit ignores Rhat's diagonal and
+        # the map sends vec(I) to 0.
+        pilot_map[:, ::self.p + 1] = 0.0
+        pilot_map.flags.writeable = False
+        return pilot_map
+
     def domain_check(self, theta):
         """True if theta lies in the declared (numerically safe) domain."""
         try:
@@ -187,9 +204,10 @@ def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None
     gens.flags.writeable = False
     k = len(gens)
     flat = gens.reshape(k, p * p)
+    eye, = _read_only(np.eye(p))
 
     def corr_fn(t):
-        return np.eye(p) + (t @ flat).reshape(p, p)
+        return eye + (t @ flat).reshape(p, p)
 
     spectrum = None
     if k == 1:

@@ -60,32 +60,43 @@ def copula_stream(seed, rep=0, lane=0):
     return np.random.Generator(bitgen)
 
 
+@dataclass(frozen=True)
+class CopulaFactor:
+    """R's read-only lower Cholesky factor, which `sample_copula` takes in
+    place of R to draw from one R many times with one factorization."""
+
+    chol: np.ndarray
+
+
 def _copula_factor(r):
-    """Cholesky factor of R with a single 1e-12 jitter retry near singularity."""
+    """CopulaFactor of R with a single 1e-12 jitter retry near singularity."""
     r = check_symmetric(r, name="R")
     try:
-        return np.linalg.cholesky(r)
+        chol = np.linalg.cholesky(r)
     except np.linalg.LinAlgError:
         try:
-            return np.linalg.cholesky(r + 1e-12 * np.eye(r.shape[0]))
+            chol = np.linalg.cholesky(r + 1e-12 * np.eye(r.shape[0]))
         except np.linalg.LinAlgError as exc:
             eig = float(np.linalg.eigvalsh(r)[0])
             raise SingularityError(
                 f"correlation matrix is not positive definite "
                 f"(min eigenvalue {eig:.3e})", eigenvalue=eig) from exc
+    chol.flags.writeable = False
+    return CopulaFactor(chol)
 
 
 def sample_copula(r, n, seed, rep=0, lane=0):
     """Draw n observations from the Gaussian copula with correlation R.
 
     Z ~ N(0, R) via the Cholesky factor, then U_j = Phi(Z_j).  Identical
-    (seed, R, n, rep, lane) give bit-identical output.
+    (seed, R, n, rep, lane) give bit-identical output, whether `r` is R or
+    its `CopulaFactor`.
 
     Returns an (n, p) matrix with entries strictly inside (0, 1).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    chol = _copula_factor(r)
+    chol = (r if isinstance(r, CopulaFactor) else _copula_factor(r)).chol
     rng = copula_stream(seed, rep=rep, lane=lane)
     z = rng.standard_normal((n, chol.shape[0])) @ chol.T
     return norm_cdf(z)

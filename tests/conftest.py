@@ -5,6 +5,17 @@ import sys
 import pytest
 import scipy.linalg.lapack
 
+from copula_rank import estimators, mc
+
+
+@pytest.fixture(autouse=True)
+def clear_process_caches():
+    """Empty every process-level cache before each test, so that call counts
+    and monkeypatched builders see no state left by earlier tests."""
+    for cache in (mc._model, mc._model_at, mc._bounds_at_truth,
+                  estimators._score_grid):
+        cache.cache_clear()
+
 
 @pytest.fixture
 def factorizations(monkeypatch):

@@ -411,6 +411,17 @@ class TestSimulate:
         assert code == 2
         assert err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("field,value", [
+        ("output", 5), ("margins", []), ("estimators", ["one_step", "one_step"]),
+    ])
+    def test_malformed_field_exit_2(self, capsys, tmp_path, field, value):
+        path = self.write_config(tmp_path, **{field: value})
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path),
+                               "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert err.startswith(f"error: {field}: ")
+        assert not (tmp_path / "x").exists()
+
     def test_experiment_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         path = self.write_config(tmp_path)
 

@@ -148,6 +148,55 @@ class TestNormalScoresMatrix:
         assert abs(sigma_n_sq(5000) - 1.0) <= 0.005
 
 
+class TestComputedOnce:
+    def test_grid_scores_equal_quantiles_of_ranks(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 57):
+            data = rng.integers(0, 4, size=(n, 4)).astype(float)
+            data[:, 0] = rng.standard_normal(n)  # tie-free
+            data[:, 1] = np.arange(n, 0, -1.0)  # tie-free, reversed
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sample = rank_transform(data)
+            assert np.array_equal(sample.zhat, norm_quantile(sample.ranks / (n + 1.0)))
+        assert sample.has_ties
+        assert not estimators._score_grid(57).flags.writeable
+
+    def test_rhat_formed_once_per_sample(self, monkeypatch):
+        calls = []
+        form = estimators.normal_scores_matrix
+
+        def counted(sample):
+            calls.append(sample)
+            return form(sample)
+
+        monkeypatch.setattr(estimators, "normal_scores_matrix", counted)
+        model = exchangeable(3)
+        sample = rank_transform(sample_copula(exch_corr(3, 0.5), 80, seed=2))
+        one_step(model, sample, pilot=ple_estimate(model, sample).theta_hat)
+        pilot_moment(model, sample)
+        assert len(calls) == 1 and calls[0] is sample
+        assert not sample.rhat.flags.writeable
+        assert np.array_equal(sample.rhat, form(sample))
+
+    def test_moment_map_built_once_per_model(self, monkeypatch):
+        calls = []
+        pinv = np.linalg.pinv
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted)
+        model = toeplitz(4)
+        for seed in range(3):
+            sample = rank_transform(sample_copula(model.r_of_theta(THETA_STAR), 100,
+                                                  seed=seed))
+            ple_estimate(model, sample)
+            pilot_moment(model, sample)
+        assert len(calls) == 1
+
+
 class TestPleEstimate:
     def test_unrestricted_stationary(self):
         # Rhat's diagonal is sigma_n^2 < 1, so its off-diagonal entries are

@@ -10,11 +10,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import copula_rank
+import copula_rank.estimators as estimators
 import copula_rank.mc as mc
+import copula_rank.sampler as sampler
 from copula_rank import (McConfig, run_experiment, run_grid, summarize,
                          validate_output, write_errors_csv, write_report_json,
                          write_summary_csv)
 from copula_rank.exceptions import ConfigError, McExperimentError, ShapeError
+from copula_rank.validation import load_schema
 
 BASE = {
     "model": {"family": "exchangeable", "p": 3},
@@ -60,6 +63,11 @@ class TestConfig:
         ({"theta_grid": [2.0]}, "theta_grid"),
         ({"theta_grid": [[0.1, 0.2]]}, "theta_grid"),
         ({"theta_grid": [0.2, None]}, "theta_grid"),
+        ({"margins": []}, "margins"),
+        ({"margins": ["uniform", "gaussian"]}, "margins"),
+        ({"estimators": ["ple", "ple"]}, "estimators"),
+        ({"output": 5}, "output"),
+        ({"output": None}, "output"),
     ])
     def test_validation_names_field(self, patch, field):
         raw = {**BASE, **patch}
@@ -68,6 +76,35 @@ class TestConfig:
                 raw.pop(key)
         with pytest.raises(ConfigError, match=field):
             McConfig.from_dict(raw)
+
+    # Probes on which the shipped schema and from_dict must agree.  A margins
+    # list of the wrong length (neither 1 nor p) is left out: the schema
+    # cannot see p, so that rule is from_dict's alone.
+    @pytest.mark.parametrize("patch,valid", [
+        ({"margins": []}, False),
+        ({"margins": ["uniform"]}, True),
+        ({"margins": ["cauchy", "exponential", "gaussian"]}, True),
+        ({"estimators": ["ple", "ple"]}, False),
+        ({"estimators": ["one_step", "ple", "pilot_moment"]}, True),
+        ({"output": 5}, False),
+        ({"output": None}, False),
+        ({"output": "results"}, True),
+    ])
+    def test_schema_and_from_dict_agree(self, patch, valid):
+        import jsonschema
+
+        raw = {**BASE, **patch}
+        try:
+            jsonschema.validate(raw, load_schema("mc_config"))
+            schema_valid = True
+        except jsonschema.ValidationError:
+            schema_valid = False
+        try:
+            McConfig.from_dict(raw)
+            config_valid = True
+        except ConfigError:
+            config_valid = False
+        assert schema_valid == config_valid == valid
 
     def test_theta_grid_points(self):
         raw = {key: v for key, v in BASE.items() if key != "theta_true"}
@@ -186,7 +223,6 @@ def fresh_process_report(config):
 
 class TestModelCache:
     def test_model_built_once_per_experiment(self, monkeypatch):
-        config = McConfig.from_dict({**BASE, "replications": 6})
         calls = []
         build = mc.build_model
 
@@ -195,7 +231,7 @@ class TestModelCache:
             return build(descriptor)
 
         monkeypatch.setattr(mc, "build_model", counted)
-        mc._model_at.cache_clear()
+        config = McConfig.from_dict({**BASE, "replications": 6})
         run_experiment(config)
         assert calls == [BASE["model"]]
         run_experiment(config)
@@ -212,6 +248,48 @@ class TestModelCache:
             in_process.append([report.to_json(), report.errors.tolist()])
         fresh = [fresh_process_report(config) for config in configs]
         assert in_process == fresh + fresh
+
+
+def counter(monkeypatch, fn, *modules):
+    """Replace `fn` by a counting wrapper in each module; returns the calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestComputedOnce:
+    def test_copula_factor_once_per_run(self, monkeypatch):
+        calls = counter(monkeypatch, sampler._copula_factor, sampler, mc)
+        run_experiment({**BASE, "replications": 6})
+        assert len(calls) == 1
+
+    def test_rhat_once_per_replication(self, monkeypatch):
+        calls = counter(monkeypatch, estimators.normal_scores_matrix, estimators)
+        run_experiment({**BASE, "replications": 6})  # ple and one_step
+        assert len(calls) == 6
+
+    def test_bounds_once_per_truth(self, monkeypatch):
+        calls = counter(monkeypatch, mc.efficiency_bundle, mc)
+        first = run_experiment({**BASE, "replications": 2})
+        second = run_experiment({**BASE, "replications": 3, "seed": 5, "lane": 1})
+        assert len(calls) == 1
+        assert second.eff_bound is first.eff_bound
+
+    def test_cached_arrays_read_only(self):
+        first = run_experiment({**BASE, "replications": 2})
+        for bound in (first.eff_bound, first.ple_bound):
+            with pytest.raises(ValueError, match="read-only"):
+                bound[0] = 0.0
+        second = run_experiment({**BASE, "replications": 2})
+        assert_allclose(second.eff_bound, [1.0 / 3.0], rtol=1e-9)
+        factor = mc._model_at(mc._canonical(BASE["model"]), (0.5,))[1]
+        assert not factor.chol.flags.writeable
 
 
 class TestGridAndSummaries:

@@ -276,6 +276,28 @@ class TestSpectrum:
         assert max(defects[1]["r"], defects[1]["r_dots"]) <= 1e-12
 
 
+class TestMomentMap:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_decision_and_fit_match_least_squares(self, family):
+        # A moment pilot exists where R(0) = I and dR(0) does not vanish; the
+        # map then gives lstsq's fit of Rhat - I on dR(0).
+        rng = np.random.default_rng(8)
+        for model, _ in FAMILY_EXAMPLES[family]:
+            zero = np.zeros(model.k)
+            design = model.r_dots(zero).reshape(model.k, -1).T
+            has_pilot = bool(np.array_equal(model.r_of_theta(zero), np.eye(model.p))
+                             and design.any())
+            assert (model.moment_map is not None) == has_pilot, (family, model.p)
+            assert has_pilot == (family not in ("factor", "adaptivity_demo"))
+            if not has_pilot:
+                continue
+            assert not model.moment_map.flags.writeable
+            assert model.moment_map is model.moment_map
+            b = rng.standard_normal(model.p ** 2)
+            fit = np.linalg.lstsq(design, b, rcond=None)[0]
+            assert_allclose(model.moment_map @ b, fit, rtol=0, atol=1e-12)
+
+
 class TestDescriptors:
     def test_build_model_families(self):
         m = build_model({"family": "toeplitz", "p": 4})

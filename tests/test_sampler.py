@@ -8,6 +8,7 @@ from scipy.stats import kstest
 from copula_rank import (MarginSpec, apply_margins, copula_stream,
                          exchangeable, norm_quantile, rank_transform,
                          sample_copula)
+from copula_rank import sampler
 from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
 
@@ -26,6 +27,14 @@ class TestSampleCopula:
         assert np.array_equal(u1, u2)
         u3 = sample_copula(r, 100, seed=43)
         assert not np.array_equal(u1, u3)
+
+    def test_factor_in_place_of_r_draws_identically(self):
+        r = exch_corr(4, 0.3)
+        factor = sampler._copula_factor(r)
+        assert not factor.chol.flags.writeable
+        for rep in (0, 3):
+            assert np.array_equal(sample_copula(factor, 60, seed=9, rep=rep, lane=2),
+                                  sample_copula(r, 60, seed=9, rep=rep, lane=2))
 
     def test_rep_and_lane_streams_disjoint(self):
         r = exch_corr(2, 0.3)
