@@ -10,8 +10,9 @@ byte-identical no matter how many workers ran the replications.
 
 A process builds each model once per descriptor, for `McConfig.from_dict`
 and every replication, and the sampler's factor of R(theta_true) and the
-bounds at the truth once per (descriptor, theta_true).  A replication pays
-only for what its sample changes: the draw, the ranks, Rhat and estimates.
+bounds at the truth once per (descriptor, theta_true), in one cache.  A
+replication pays only for what its sample changes: the draw, the ranks,
+Rhat and the estimates.
 """
 
 from __future__ import annotations
@@ -218,16 +219,22 @@ def _model(descriptor_json):
 
 @lru_cache(maxsize=8)
 def _model_at(descriptor_json, theta_true):
-    """The model and the sampler's CopulaFactor of R(theta_true), once per
-    process rather than once per replication."""
+    """The model, the sampler's CopulaFactor of R(theta_true), and the bounds
+    diag(I*^-1) and diag(PLE covariance) at theta_true as read-only views
+    ((None, None) where singular), once per process."""
     model = _model(descriptor_json)
-    return model, _copula_factor(model.r_of_theta(np.array(theta_true)))
+    try:
+        bundle = efficiency_bundle(eval_geometry(model, theta_true))
+        bounds = np.diag(bundle.eff_info_inv), np.diag(bundle.ple_cov)
+    except (SingularityError, np.linalg.LinAlgError):
+        bounds = None, None
+    return model, _copula_factor(model.r_of_theta(np.array(theta_true))), bounds
 
 
 def _replicate(payload, rep):
     """Run one replication; returns (rep, {estimator: error list or None},
     {estimator: failure message}).  Top-level so process pools can pickle it."""
-    model, factor = _model_at(payload["model"], payload["theta_true"])
+    model, factor, _ = _model_at(payload["model"], payload["theta_true"])
     theta_true = np.array(payload["theta_true"])
     u = sample_copula(factor, payload["n"], payload["seed"], rep=rep,
                       lane=payload["lane"])
@@ -262,17 +269,6 @@ def _replicate(payload, rep):
                 errors[est] = None
                 failures[est] = f"{type(exc).__name__}: {exc}"
     return rep, errors, failures
-
-
-@lru_cache(maxsize=8)
-def _bounds_at_truth(descriptor_json, theta_true):
-    """diag(I*^-1) and diag(PLE covariance) at theta_true as read-only views,
-    once per process; (None, None) where singular."""
-    try:
-        bundle = efficiency_bundle(eval_geometry(_model(descriptor_json), theta_true))
-        return np.diag(bundle.eff_info_inv), np.diag(bundle.ple_cov)
-    except (SingularityError, np.linalg.LinAlgError):
-        return None, None
 
 
 def run_experiment(config):
@@ -334,7 +330,7 @@ def run_experiment(config):
             variance[est] = np.zeros(k)
         n_variance[est] = config.n * variance[est]
 
-    eff_bound, ple_bound = _bounds_at_truth(payload["model"], payload["theta_true"])
+    eff_bound, ple_bound = _model_at(payload["model"], payload["theta_true"])[2]
     return McReport(
         config=config.echo(), estimators=config.estimators, k=k,
         bias=bias, variance=variance, n_variance=n_variance,
