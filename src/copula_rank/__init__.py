@@ -25,7 +25,8 @@ from .geometry import (DiagnosticReport, EfficiencyBundle, adaptivity_check,
                        generator_function, parametric_score, ple_influence,
                        project_tangent, quad_influence_value, regularity_check,
                        score_generators)
-from .sampler import MarginSpec, apply_margins, copula_stream, sample_copula
+from .sampler import (CopulaFactor, MarginSpec, apply_margins, copula_stream,
+                      sample_copula)
 from .estimators import (EstimateResult, RankedSample, one_step, pilot_moment,
                          ple_estimate, rank_transform, sigma_n_sq)
 from .mc import (McConfig, McReport, run_experiment, run_grid, summarize,
@@ -54,7 +55,8 @@ __all__ = [
     "parametric_score", "ple_influence", "project_tangent",
     "quad_influence_value", "regularity_check", "score_generators",
     # sampling
-    "MarginSpec", "apply_margins", "copula_stream", "sample_copula",
+    "CopulaFactor", "MarginSpec", "apply_margins", "copula_stream",
+    "sample_copula",
     # estimators
     "EstimateResult", "RankedSample", "one_step", "pilot_moment",
     "ple_estimate", "rank_transform", "sigma_n_sq",

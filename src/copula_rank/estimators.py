@@ -155,12 +155,11 @@ def rank_transform(data):
         first = np.flatnonzero(np.r_[True, ~repeats[:, j]])
         last = np.r_[first[1:], n] - 1
         ranks[order[:, j], j] = np.repeat((first + last + 2) / 2.0, last - first + 1)
-    if ties:
-        warnings.warn(f"ties in column(s) {ties}; average ranks used", RuntimeWarning,
-                      stacklevel=2)
     pseudo = ranks / (n + 1.0)
     if ties:
         zhat[:, ties] = norm_quantile(pseudo[:, ties])
+        warnings.warn(f"ties in column(s) {ties}; average ranks used", RuntimeWarning,
+                      stacklevel=2)
     return RankedSample(n=n, p=p, ranks=ranks, pseudo_obs=pseudo, zhat=zhat,
                         tie_columns=tuple(ties))
 

@@ -9,10 +9,10 @@ a sequential reduction ordered by replication index, so reports are
 byte-identical no matter how many workers ran the replications.
 
 A process builds each model once per descriptor, for `McConfig.from_dict`
-and every replication, and the sampler's factor of R(theta_true) and the
-bounds at the truth once per (descriptor, theta_true), in one cache.  A
-replication pays only for what its sample changes: the draw, the ranks,
-Rhat and the estimates.
+and every replication, and once per (descriptor, theta_true) the sampler's
+`CopulaFactor` of R(theta_true) and, in the process that aggregates, the
+bounds at the truth.  A replication pays only for what its sample changes:
+the draw, the ranks, Rhat and the estimates.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .exceptions import (ConfigError, ConvergenceError, DomainError,
                          McExperimentError, ShapeError, SingularityError)
 from .geometry import efficiency_bundle
 from .models import build_model, eval_geometry
-from .sampler import MarginSpec, _copula_factor, apply_margins, sample_copula
+from .sampler import CopulaFactor, MarginSpec, apply_margins, sample_copula
 
 __all__ = [
     "McConfig",
@@ -108,11 +108,9 @@ class McConfig:
         if "model" not in raw:
             raise ConfigError("model: missing required field")
         try:
-            descriptor_json = _canonical(raw["model"])
-        except TypeError:  # not JSON; build_model names the offending field
-            descriptor_json = None
-        model = (build_model(raw["model"]) if descriptor_json is None
-                 else _model(descriptor_json))
+            model = _model(_canonical(raw["model"]))
+        except (TypeError, ValueError):  # rebuilt as given, for its own error text
+            model = build_model(raw["model"])
         grid = _theta_grid(model, raw["theta_grid"]) if "theta_grid" in raw else ()
         if "theta_true" in raw:
             theta = _theta_point(model, "theta_true", raw["theta_true"])
@@ -207,34 +205,38 @@ class McReport:
 
 
 def _canonical(descriptor):
-    """The JSON of a model descriptor that keys the caches below."""
-    return json.dumps(descriptor, sort_keys=True, default=np.ndarray.tolist)
+    """A model descriptor's JSON, keys in the given order: the cache key."""
+    return json.dumps(descriptor, default=np.ndarray.tolist)
 
 
 @lru_cache(maxsize=8)
 def _model(descriptor_json):
-    """The model of a canonical descriptor JSON, built once per process."""
+    """The model of a descriptor JSON, built once per process."""
     return build_model(json.loads(descriptor_json))
 
 
 @lru_cache(maxsize=8)
 def _model_at(descriptor_json, theta_true):
-    """The model, the sampler's CopulaFactor of R(theta_true), and the bounds
-    diag(I*^-1) and diag(PLE covariance) at theta_true as read-only views
-    ((None, None) where singular), once per process."""
+    """The model and the CopulaFactor of R(theta_true), once per process."""
     model = _model(descriptor_json)
+    return model, CopulaFactor(model.r_of_theta(np.array(theta_true)))
+
+
+@lru_cache(maxsize=8)
+def _bounds_at(descriptor_json, theta_true):
+    """diag(I*^-1) and diag(PLE covariance) at theta_true as read-only views,
+    or (None, None) where singular; once per process."""
     try:
-        bundle = efficiency_bundle(eval_geometry(model, theta_true))
-        bounds = np.diag(bundle.eff_info_inv), np.diag(bundle.ple_cov)
+        bundle = efficiency_bundle(eval_geometry(_model(descriptor_json), theta_true))
+        return np.diag(bundle.eff_info_inv), np.diag(bundle.ple_cov)
     except (SingularityError, np.linalg.LinAlgError):
-        bounds = None, None
-    return model, _copula_factor(model.r_of_theta(np.array(theta_true))), bounds
+        return None, None
 
 
 def _replicate(payload, rep):
     """Run one replication; returns (rep, {estimator: error list or None},
     {estimator: failure message}).  Top-level so process pools can pickle it."""
-    model, factor, _ = _model_at(payload["model"], payload["theta_true"])
+    model, factor = _model_at(payload["model"], payload["theta_true"])
     theta_true = np.array(payload["theta_true"])
     u = sample_copula(factor, payload["n"], payload["seed"], rep=rep,
                       lane=payload["lane"])
@@ -330,7 +332,8 @@ def run_experiment(config):
             variance[est] = np.zeros(k)
         n_variance[est] = config.n * variance[est]
 
-    eff_bound, ple_bound = _model_at(payload["model"], payload["theta_true"])[2]
+    eff_bound, ple_bound = (None if b is None else b.copy()
+                            for b in _bounds_at(payload["model"], payload["theta_true"]))
     return McReport(
         config=config.echo(), estimators=config.estimators, k=k,
         bias=bias, variance=variance, n_variance=n_variance,

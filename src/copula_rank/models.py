@@ -146,9 +146,9 @@ class CorrelationModel:
         design = self._r_dots(zero).reshape(self.k, -1).T
         if not np.array_equal(self.corr_fn(zero), np.eye(self.p)) or not design.any():
             return None
-        pilot_map = np.linalg.pinv(design, rtol=None)  # lstsq's rank cutoff
-        # dR(0) has a zero diagonal, so the fit ignores Rhat's diagonal and
-        # the map sends vec(I) to 0.
+        # lstsq's rank cutoff.  dR(0) has a zero diagonal, so zeroing the
+        # diagonal columns sends vec(I) to 0 and changes no fit.
+        pilot_map = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps)
         pilot_map[:, ::self.p + 1] = 0.0
         pilot_map.flags.writeable = False
         return pilot_map

@@ -16,7 +16,8 @@ import numpy as np
 from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
 from .numcore import check_symmetric, norm_cdf, norm_quantile
 
-__all__ = ["MarginSpec", "sample_copula", "apply_margins", "copula_stream"]
+__all__ = ["MarginSpec", "CopulaFactor", "sample_copula", "apply_margins",
+           "copula_stream"]
 
 _MARGIN_KINDS = ("uniform", "gaussian", "exponential", "cauchy", "user")
 
@@ -60,29 +61,29 @@ def copula_stream(seed, rep=0, lane=0):
     return np.random.Generator(bitgen)
 
 
-@dataclass(frozen=True)
-class CopulaFactor:
-    """R's read-only lower Cholesky factor, which `sample_copula` takes in
-    place of R to draw from one R many times with one factorization."""
-
-    chol: np.ndarray
-
-
 def _copula_factor(r):
-    """CopulaFactor of R with a single 1e-12 jitter retry near singularity."""
+    """Cholesky factor of R with a single 1e-12 jitter retry near singularity."""
     r = check_symmetric(r, name="R")
     try:
-        chol = np.linalg.cholesky(r)
+        return np.linalg.cholesky(r)
     except np.linalg.LinAlgError:
         try:
-            chol = np.linalg.cholesky(r + 1e-12 * np.eye(r.shape[0]))
+            return np.linalg.cholesky(r + 1e-12 * np.eye(r.shape[0]))
         except np.linalg.LinAlgError as exc:
             eig = float(np.linalg.eigvalsh(r)[0])
             raise SingularityError(
                 f"correlation matrix is not positive definite "
                 f"(min eigenvalue {eig:.3e})", eigenvalue=eig) from exc
-    chol.flags.writeable = False
-    return CopulaFactor(chol)
+
+
+class CopulaFactor:
+    """The read-only lower Cholesky factor `chol` of a correlation matrix R.
+    `sample_copula` takes it in place of R, so that draws from one R share
+    one factorization."""
+
+    def __init__(self, r):
+        self.chol = _copula_factor(r)
+        self.chol.flags.writeable = False
 
 
 def sample_copula(r, n, seed, rep=0, lane=0):
@@ -96,7 +97,7 @@ def sample_copula(r, n, seed, rep=0, lane=0):
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    chol = (r if isinstance(r, CopulaFactor) else _copula_factor(r)).chol
+    chol = r.chol if isinstance(r, CopulaFactor) else _copula_factor(r)
     rng = copula_stream(seed, rep=rep, lane=lane)
     z = rng.standard_normal((n, chol.shape[0])) @ chol.T
     return norm_cdf(z)

@@ -68,6 +68,9 @@ class TestConfig:
         ({"estimators": ["ple", "ple"]}, "estimators"),
         ({"output": 5}, "output"),
         ({"output": None}, "output"),
+        ({"model": {"family": "exchangeable", "p": 3, "zeta": 1, "alpha": 2}},
+         "^zeta: unexpected field"),
+        ({"model": {"family": ("x",)}}, "^family: unknown family"),
     ])
     def test_validation_names_field(self, patch, field):
         raw = {**BASE, **patch}
@@ -265,7 +268,7 @@ def counter(monkeypatch, fn, *modules):
 
 class TestComputedOnce:
     def test_copula_factor_once_per_run(self, monkeypatch):
-        calls = counter(monkeypatch, sampler._copula_factor, sampler, mc)
+        calls = counter(monkeypatch, sampler._copula_factor, sampler)
         run_experiment({**BASE, "replications": 6})
         assert len(calls) == 1
 
@@ -279,17 +282,28 @@ class TestComputedOnce:
         first = run_experiment({**BASE, "replications": 2})
         second = run_experiment({**BASE, "replications": 3, "seed": 5, "lane": 1})
         assert len(calls) == 1
-        assert second.eff_bound is first.eff_bound
+        assert np.array_equal(second.eff_bound, first.eff_bound)
+        assert np.array_equal(second.ple_bound, first.ple_bound)
+
+    def test_replication_skips_bounds(self, monkeypatch):
+        # Worker processes run only `_replicate`; the bounds are the
+        # aggregating process's.
+        calls = counter(monkeypatch, mc.efficiency_bundle, mc)
+        payload = {"model": mc._canonical(BASE["model"]), "theta_true": (0.5,),
+                   "n": 40, "seed": 1, "lane": 0, "margins": ["uniform"],
+                   "estimators": ["ple", "one_step"]}
+        mc._replicate(payload, 0)
+        assert calls == []
 
     def test_cached_arrays_read_only(self):
         first = run_experiment({**BASE, "replications": 2})
         for bound in (first.eff_bound, first.ple_bound):
-            with pytest.raises(ValueError, match="read-only"):
-                bound[0] = 0.0
+            bound[0] = 0.0  # the report holds its own copies
         second = run_experiment({**BASE, "replications": 2})
         assert_allclose(second.eff_bound, [1.0 / 3.0], rtol=1e-9)
-        factor = mc._model_at(mc._canonical(BASE["model"]), (0.5,))[1]
-        assert not factor.chol.flags.writeable
+        key = (mc._canonical(BASE["model"]), (0.5,))
+        cached = [mc._model_at(*key)[1].chol, *mc._bounds_at(*key)]
+        assert not any(a.flags.writeable for a in cached)
 
 
 class TestGridAndSummaries:

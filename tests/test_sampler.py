@@ -5,10 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
-from copula_rank import (MarginSpec, apply_margins, copula_stream,
+from copula_rank import (CopulaFactor, MarginSpec, apply_margins, copula_stream,
                          exchangeable, norm_quantile, rank_transform,
                          sample_copula)
-from copula_rank import sampler
 from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
 
@@ -30,7 +29,7 @@ class TestSampleCopula:
 
     def test_factor_in_place_of_r_draws_identically(self):
         r = exch_corr(4, 0.3)
-        factor = sampler._copula_factor(r)
+        factor = CopulaFactor(r)
         assert not factor.chol.flags.writeable
         for rep in (0, 3):
             assert np.array_equal(sample_copula(factor, 60, seed=9, rep=rep, lane=2),
