@@ -337,7 +337,7 @@ def cmd_are(args):
 def _resolve_workers(args, raw):
     if args.workers is not None:
         return args.workers
-    if raw.get("workers") is not None:
+    if "workers" in raw:
         return raw["workers"]
     env = os.environ.get("COPULA_RANK_WORKERS")
     if env is not None:

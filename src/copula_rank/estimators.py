@@ -25,7 +25,10 @@ is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.
 
 Rhat is formed once per sample (`RankedSample.rhat`) and shared by every
 estimator, the normal-score grid quantile(i/(n+1)) once per sample size, and
-the moment-pilot map once per model (`CorrelationModel.moment_map`).
+the moment-pilot map once per model (`CorrelationModel.moment_map`).  Rhat
+is a gemm of two C-order operands rather than BLAS's dsyrk, whose threaded
+form made a p = 100 replication several times slower at OpenBLAS's default
+thread count than at one thread.
 
 An EstimateResult computes its standard errors (a geometry and an
 information matrix at the estimate) on first read of `std_errors`, so a
@@ -122,14 +125,16 @@ class EstimateResult:
 def rank_transform(data):
     """Column ranks, pseudo-observations rank/(n+1), and their Gaussianization.
 
-    One stable argsort orders every column; runs of equal values in the
-    sorted columns reveal constant columns and ties.  Tie-free columns get
-    ranks 1..n through the inverse permutation.  Tied columns get average
-    ranks, the mean 1-based position of each run of equal values (so they
-    agree exactly with scipy.stats.rankdata(method="average")), and a
-    RuntimeWarning naming them.  A constant column is a degenerate margin
-    and raises DegenerateMarginError naming the first one.  Tie-free columns
-    of zhat are permutations of `_score_grid(n)`.
+    One argsort orders every column; runs of equal values in the sorted
+    columns reveal constant columns and ties.  The sort need not be stable:
+    a run of equal values gets one average rank, so the order within it
+    never reaches the output.  Tie-free columns get ranks 1..n through the
+    inverse permutation.  Tied columns get average ranks, the mean 1-based
+    position of each run of equal values (so they agree exactly with
+    scipy.stats.rankdata(method="average")), and a RuntimeWarning naming
+    them.  A constant column is a degenerate margin and raises
+    DegenerateMarginError naming the first one.  Tie-free columns of zhat
+    are permutations of `_score_grid(n)`.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -141,7 +146,7 @@ def rank_transform(data):
         raise DomainError("rank transform needs n >= 2 observations")
     if not np.all(np.isfinite(data)):
         raise DomainError("data must be finite")
-    order = np.argsort(data, axis=0, kind="stable")
+    order = np.argsort(data, axis=0)
     ordered = np.take_along_axis(data, order, axis=0)
     repeats = ordered[1:] == ordered[:-1]
     constant = np.all(repeats, axis=0)
@@ -176,7 +181,13 @@ def normal_scores_matrix(sample):
     """Rhat = zhat' zhat / n, the empirical second-moment matrix of the
     Gaussianized pseudo-observations.  For tie-free data its diagonal equals
     sigma_n_sq(n)."""
-    m = sample.zhat.T @ sample.zhat / sample.n
+    z = np.ascontiguousarray(sample.zhat)
+    # Two operands of one layout (C order), so numpy calls gemm.  It hands a
+    # transposed view times its own base to BLAS dsyrk, which multithreaded
+    # OpenBLAS 0.3.31 ran in ~3 ms per p = 100 Monte Carlo replication
+    # against ~15 us for this gemm, and the LAPACK calls after it slowed too
+    # (2-CPU x86-64 VM, Haswell kernel).
+    m = np.ascontiguousarray(z.T) @ z / sample.n
     return 0.5 * (m + m.T)
 
 

@@ -139,7 +139,6 @@ class McConfig:
         if "user" in margins:
             raise ConfigError("margins: 'user' margins require code-level setup")
         MarginSpec(kinds=tuple(margins))  # validates kinds
-        workers = raw.get("workers")
         keep_errors = raw.get("keep_errors", True)
         if not isinstance(keep_errors, bool):
             raise ConfigError(f"keep_errors: expected true or false, got {keep_errors!r}")
@@ -149,7 +148,7 @@ class McConfig:
         return cls(model=dict(raw["model"]), theta_true=theta, n=n,
                    replications=reps, estimators=tuple(ests), seed=seed,
                    margins=tuple(margins),
-                   workers=1 if workers is None else _int_at_least("workers", workers, 1),
+                   workers=_int_at_least("workers", raw.get("workers", 1), 1),
                    keep_errors=keep_errors,
                    lane=_int_at_least("lane", raw.get("lane", 0), 0),
                    theta_grid=grid)

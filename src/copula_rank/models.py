@@ -7,7 +7,9 @@ loaded from config.  A model evaluates into a `Geometry`: the matrices
 R, S = R^-1, dR/dtheta_m and dS/dtheta_m at a fixed theta, which is the
 working context for every downstream formula.  A model whose eigenbasis does
 not depend on theta (one-generator affine families, circular) also declares
-it as a `Spectrum`, which reduces the pseudo-likelihood to its eigenvalues.
+it as a `Spectrum`, which reduces the pseudo-likelihood to its eigenvalues
+and gives S with no factorization; every other model's S comes from one
+Cholesky factorization of R(theta).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError, ShapeError
+from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
 from .numcore import InnerProductContext, check_symmetric, spd_factor, spd_solve
 
 __all__ = [
@@ -368,12 +370,14 @@ def custom_affine(p, generators):
     if p < 2:
         raise ConfigError("p: custom_affine model needs p >= 2")
     gens = []
+    if not isinstance(generators, (list, tuple, np.ndarray)):
+        raise ConfigError(f"generators: expected a list of matrices, got {generators!r}")
     if len(generators) == 0:
         raise ConfigError("generators: custom_affine needs k >= 1 generators")
     for i, g in enumerate(generators):
         try:
             g = check_symmetric(g, name=f"generators[{i}]")
-        except ShapeError as exc:
+        except (ShapeError, TypeError, ValueError) as exc:
             raise ConfigError(f"generators[{i}]: {exc}") from exc
         if g.shape[0] != p:
             raise ConfigError(f"generators[{i}]: dimension {g.shape[0]} != p = {p}")
@@ -543,20 +547,45 @@ class Geometry:
         return len(self.r_dots)
 
 
-def eval_geometry(model, theta):
-    """Evaluate R, S = R^-1 and their theta-derivatives at theta.
+class _ModelContext(InnerProductContext):
+    """The inner-product context on a model's R(theta) that `eval_geometry`
+    has found positive definite: a model builds R(theta) symmetric with unit
+    diagonal, so nothing is checked again, and `chol` is factored only if
+    read."""
 
-    S is computed through one Cholesky factorization, which the inner-product
-    context reuses; failure raises a SingularityError carrying the
-    smallest-eigenvalue estimate.
+    def __post_init__(self):
+        pass
+
+
+def eval_geometry(model, theta):
+    """Evaluate R, S = R^-1 and their theta-derivatives dS_m = -S dR_m S at
+    theta.
+
+    For a model with a `Spectrum` R = Q diag(lam) Q', min lam > 0 is the
+    positive-definiteness test and no matrix is factored:
+    S = I + Q diag(1/lam - 1) Q', the identity plus a correction, so that
+    S = I and dS = -dR hold exactly at independence (lam = 1).  Otherwise S
+    comes from one Cholesky factorization.  A point where R(theta) is not
+    positive definite raises SingularityError carrying the smallest
+    eigenvalue.
     """
     t = model.theta_vec(theta)
     r = model.corr_fn(t)
-    c = spd_factor(r, f"R(theta) is not positive definite for {model.name}")
-    s = spd_solve(c, np.eye(model.p))
+    what = f"R(theta) is not positive definite for {model.name}"
+    if model.spectrum is None:
+        s = spd_solve(spd_factor(r, what), np.eye(model.p))
+    else:
+        q = model.spectrum.basis
+        lam = model.spectrum.eigen_fn(t)[0]
+        eig = float(lam.min())
+        if not eig > 0.0:  # NaN included
+            raise SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig)
+        # Q' in C order: a product of a C and a Fortran operand is slow in
+        # multithreaded OpenBLAS (see estimators._objective_and_inverse).
+        s = np.eye(model.p) + (q * (1.0 / lam - 1.0)) @ np.ascontiguousarray(q.T)
     s = 0.5 * (s + s.T)
     r_dots = model._r_dots(t)
     s_dots = -s @ r_dots @ s
     s_dots = 0.5 * (s_dots + s_dots.transpose(0, 2, 1))
     return Geometry(theta=t, r=r, s=s, r_dots=r_dots, s_dots=s_dots,
-                    ctx=InnerProductContext(r, chol=c))
+                    ctx=_ModelContext(r))

@@ -20,7 +20,8 @@ results bit for bit, but without their per-call overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -183,22 +184,22 @@ class InnerProductContext:
     """Holds the correlation matrix R defining the inner product <A,B> = tr(ARBR)/2.
 
     Construction validates that R is symmetric with unit diagonal and admits
-    a Cholesky factorization (i.e. is positive definite).  A caller that has
-    already factored R passes the lower factor as `chol`, which is kept
-    instead of factoring R again.
+    a Cholesky factorization (i.e. is positive definite); `chol` is that
+    lower factor.
     """
 
     corr: np.ndarray
-    chol: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         r = check_symmetric(self.corr, name="correlation matrix")
         if not _all_close(np.diag(r), 1.0, 1e-10):
             raise ShapeError("correlation matrix must have unit diagonal")
-        if self.chol is None:
-            object.__setattr__(self, "chol", spd_factor(
-                r, "correlation matrix is not positive definite"))
         object.__setattr__(self, "corr", r)
+        _ = self.chol  # the positive-definiteness check factors R
+
+    @cached_property
+    def chol(self):
+        return spd_factor(self.corr, "correlation matrix is not positive definite")
 
     @property
     def dim(self):

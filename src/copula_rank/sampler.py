@@ -19,7 +19,14 @@ from .numcore import check_symmetric, norm_cdf, norm_quantile
 __all__ = ["MarginSpec", "CopulaFactor", "sample_copula", "apply_margins",
            "copula_stream"]
 
-_MARGIN_KINDS = ("uniform", "gaussian", "exponential", "cauchy", "user")
+# kind -> its quantile transform (u, spec) -> x, elementwise in u.
+_MARGINS = {
+    "uniform": lambda u, spec: u,
+    "gaussian": lambda u, spec: norm_quantile(u),
+    "exponential": lambda u, spec: -np.log1p(-u),
+    "cauchy": lambda u, spec: np.tan(np.pi * (u - 0.5)),
+    "user": lambda u, spec: spec.transform(u),
+}
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,8 @@ class MarginSpec:
     kinds is a tuple of margin names, either of length 1 (applied to every
     column) or of length p.  Every kind is a strictly increasing continuous
     transform of the uniform variate; "user" applies the supplied monotone
-    `transform` callable.
+    `transform` callable, elementwise: `apply_margins` calls it once, on the
+    (n, m) array of its m columns.
     """
 
     kinds: tuple = ("uniform",)
@@ -38,7 +46,7 @@ class MarginSpec:
     def __post_init__(self):
         kinds = tuple(self.kinds) if not isinstance(self.kinds, str) else (self.kinds,)
         for kind in kinds:
-            if kind not in _MARGIN_KINDS:
+            if kind not in _MARGINS:
                 raise ConfigError(f"margins: unknown kind {kind!r}")
         if "user" in kinds and self.transform is None:
             raise ConfigError("margins: kind 'user' requires a transform callable")
@@ -104,23 +112,20 @@ def sample_copula(r, n, seed, rep=0, lane=0):
 
 
 def apply_margins(u, spec):
-    """Apply the margin quantile transforms columnwise to copula data U."""
+    """Apply the margin quantile transforms columnwise to copula data U,
+    each kind in one call on the block of its columns (every transform is
+    elementwise)."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ShapeError(f"U must be 2-d, got shape {u.shape}")
-    n, p = u.shape
+    p = u.shape[1]
+    if len(spec.kinds) == 1:
+        columns = {spec.kinds[0]: slice(None)}
+    else:
+        columns = {}
+        for j in range(p):
+            columns.setdefault(spec.kind_for(j, p), []).append(j)
     out = np.empty_like(u)
-    for j in range(p):
-        kind = spec.kind_for(j, p)
-        col = u[:, j]
-        if kind == "uniform":
-            out[:, j] = col
-        elif kind == "gaussian":
-            out[:, j] = norm_quantile(col)
-        elif kind == "exponential":
-            out[:, j] = -np.log1p(-col)
-        elif kind == "cauchy":
-            out[:, j] = np.tan(np.pi * (col - 0.5))
-        else:  # user
-            out[:, j] = spec.transform(col)
+    for kind, cols in columns.items():
+        out[:, cols] = _MARGINS[kind](u[:, cols], spec)
     return out

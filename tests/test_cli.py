@@ -66,6 +66,15 @@ class TestBound:
         assert code == 2
         assert "domain" in err
 
+    @pytest.mark.parametrize("generators", [5, "abc"])
+    def test_malformed_generators_exit_2(self, capsys, tmp_path, generators):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"family": "custom_affine", "p": 3,
+                                    "generators": generators}))
+        code, _, err = run_cli(capsys, "bound", "--model", str(path), "--theta", "0.1")
+        assert code == 2
+        assert err.startswith("error: generators: ")
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--family", "exchangeable",
                                "--p", "3", "--theta", "0.5", "--format", "csv")
@@ -403,6 +412,7 @@ class TestSimulate:
     @pytest.mark.parametrize("field,value", [
         ("lane", "x"), ("lane", -1), ("lane", 1.7), ("lane", True),
         ("seed", True), ("n", True), ("replications", True), ("workers", True),
+        ("workers", None),
     ])
     def test_bad_integer_field_exit_2(self, capsys, tmp_path, field, value):
         path = self.write_config(tmp_path, **{field: value})

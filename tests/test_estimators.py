@@ -122,6 +122,33 @@ class TestRankTransform:
         assert np.array_equal(base.zhat, squeezed.zhat)
 
 
+    @pytest.mark.parametrize("n", [7, 60, 500])
+    def test_matches_stable_sort(self, n, monkeypatch):
+        # The default sort may order a run of equal values differently from a
+        # stable one; average ranks make the outputs bit-identical anyway.
+        rng = np.random.default_rng(n)
+        data = rng.integers(-3, 4, size=(n, 6)).astype(float)
+        data[data == 0.0] *= rng.choice([-1.0, 1.0], size=int(np.sum(data == 0.0)))
+        data[:, 4] = np.round(rng.standard_normal(n), 1)
+        data[:, 5] = rng.standard_normal(n)
+        assert np.signbit(data[data == 0.0]).any()  # -0.0 beside 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fast = rank_transform(data)
+            argsort = np.argsort
+
+            def stable_argsort(a, axis=-1, kind=None):
+                return argsort(a, axis=axis, kind="stable")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "argsort", stable_argsort)
+                stable = rank_transform(data)
+        for field in ("ranks", "pseudo_obs", "zhat"):
+            assert np.array_equal(getattr(fast, field).view(np.int64),
+                                  getattr(stable, field).view(np.int64)), field
+        assert fast.tie_columns == stable.tie_columns == (0, 1, 2, 3, 4)
+
+
 class TestNormalScoresMatrix:
     def test_diagonal_is_sigma_n_sq(self):
         rng = np.random.default_rng(3)

@@ -71,6 +71,7 @@ class TestConfig:
         ({"model": {"family": "exchangeable", "p": 3, "zeta": 1, "alpha": 2}},
          "^zeta: unexpected field"),
         ({"model": {"family": ("x",)}}, "^family: unknown family"),
+        ({"workers": None}, "^workers: "),
     ])
     def test_validation_names_field(self, patch, field):
         raw = {**BASE, **patch}
@@ -92,6 +93,8 @@ class TestConfig:
         ({"output": 5}, False),
         ({"output": None}, False),
         ({"output": "results"}, True),
+        ({"workers": None}, False),
+        ({"workers": 2}, True),
     ])
     def test_schema_and_from_dict_agree(self, patch, valid):
         import jsonschema
@@ -215,13 +218,59 @@ print(json.dumps([report.to_json(), report.errors.tolist()]))
 """
 
 
-def fresh_process_report(config):
+def child_env(**overrides):
+    """The environment with this copula_rank package first on PYTHONPATH,
+    and `overrides` applied: a None value removes the variable."""
     src = os.path.dirname(os.path.dirname(copula_rank.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for key, value in overrides.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    return env
+
+
+def fresh_process_report(config):
     proc = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(config)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=child_env(), check=True)
     return json.loads(proc.stdout)
+
+
+# Source of a fresh interpreter that times criterion 8's config
+# (exchangeable(100), n = 50, one_step + ple, one worker, 40 replications)
+# after one warm-up run, and prints the fastest of three runs in seconds.
+TIMED_RUN = """
+import time
+from copula_rank import run_experiment
+config = {"model": {"family": "exchangeable", "p": 100}, "theta_true": [0.25],
+          "n": 50, "replications": 40, "estimators": ["one_step", "ple"],
+          "seed": 20240607, "workers": 1}
+run_experiment(config)
+best = float("inf")
+for _ in range(3):
+    start = time.perf_counter()
+    run_experiment(config)
+    best = min(best, time.perf_counter() - start)
+print(best)
+"""
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+class TestBlasThreads:
+    def test_default_threads_cost_about_one_thread(self):
+        # At BLAS's default thread count a p = 100 replication once ran ~6x
+        # slower than at one thread: numpy sent zhat' zhat to threaded dsyrk,
+        # and every LAPACK call after it woke a second thread pool.
+        unset = dict.fromkeys(BLAS_THREAD_VARIABLES)
+        seconds = {}
+        for label, env in (("default", child_env(**unset)),
+                           ("one", child_env(**{**unset, "OPENBLAS_NUM_THREADS": "1"}))):
+            proc = subprocess.run([sys.executable, "-c", TIMED_RUN], capture_output=True,
+                                  text=True, env=env, check=True)
+            seconds[label] = float(proc.stdout)
+        assert seconds["default"] <= 2.5 * seconds["one"], seconds
 
 
 class TestModelCache:

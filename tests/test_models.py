@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from copula_rank import (adaptivity_demo, build_model, circular, custom_affine,
-                         eval_geometry, exchangeable, factor, load_model,
-                         load_schema, lower_triangle_pairs, toeplitz,
+                         efficiency_bundle, eval_geometry, exchangeable, factor,
+                         load_model, load_schema, lower_triangle_pairs, toeplitz,
                          unrestricted, validate_assumption1)
 from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
@@ -215,6 +215,10 @@ FAMILY_EXAMPLES = {
 }
 
 
+SPECTRAL_EXAMPLES = [(model, thetas) for examples in FAMILY_EXAMPLES.values()
+                     for model, thetas in examples if model.spectrum is not None]
+
+
 def spectrum_defects(model, thetas, h=2.0 ** -10):
     """Largest deviations of a declared Spectrum from the model: Q'Q from I,
     Q diag(lam) Q' from R(theta), Q diag(dlam_m) Q' from dR/dtheta_m, and
@@ -275,6 +279,50 @@ class TestSpectrum:
         assert defects[1]["d2lam"] > 1.0
         assert max(defects[1]["r"], defects[1]["r_dots"]) <= 1e-12
 
+    @pytest.mark.parametrize("model,thetas", SPECTRAL_EXAMPLES,
+                             ids=[f"{m.name}{m.p}" for m, _ in SPECTRAL_EXAMPLES])
+    def test_geometry_matches_matrix_path(self, model, thetas):
+        # The same model stripped of its Spectrum (as matrix_descent does in
+        # test_estimators) evaluates S and dS by Cholesky; the two agree to
+        # 1e-12 relative to the largest entry, in the geometry and in every
+        # information matrix built on it.
+        generic = dataclasses.replace(model, spectrum=None)
+        for theta in thetas:
+            spectral, matrix = (eval_geometry(m, theta) for m in (model, generic))
+            pairs = [(getattr(spectral, f), getattr(matrix, f)) for f in ("s", "s_dots")]
+            bundles = efficiency_bundle(spectral), efficiency_bundle(matrix)
+            pairs += [(getattr(bundles[0], f), getattr(bundles[1], f))
+                      for f in ("eff_info", "eff_info_inv", "fisher", "ple_cov")]
+            for a, b in pairs:
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (theta, a, b)
+
+    def test_geometry_exact_at_independence(self):
+        # S = I + Q diag(1/lam - 1) Q' carries its correction exactly as
+        # zeros where lam = 1, so S = I and dS = -S dR S = -dR exactly.
+        for model, _ in SPECTRAL_EXAMPLES:
+            geom = eval_geometry(model, np.zeros(model.k))
+            assert np.array_equal(geom.s, np.eye(model.p))
+            assert np.array_equal(geom.s_dots, -geom.r_dots)
+
+    def test_geometry_factors_nothing(self, factorizations):
+        geom = eval_geometry(exchangeable(100), np.array([0.25]))
+        assert len(factorizations) == 0
+        # The context factors R only when its factor is read.
+        assert_allclose(geom.ctx.chol @ geom.ctx.chol.T, geom.r, rtol=0, atol=1e-14)
+        assert len(factorizations) == 1
+
+    @pytest.mark.parametrize("model,theta,eig", [(exchangeable(3), -0.6, -0.2),
+                                                 (exchangeable(100), 1.01, -0.01),
+                                                 (circular(), -1.0, 0.0)],
+                             ids=["exchangeable3", "exchangeable100", "circular"])
+    def test_non_pd_point_raises_with_eigenvalue(self, model, theta, eig):
+        message = f"^R\\(theta\\) is not positive definite for {model.name} \\(min eigenvalue "
+        with pytest.raises(SingularityError, match=message) as exc:
+            eval_geometry(model, np.array([theta]))
+        assert exc.value.eigenvalue == pytest.approx(eig, abs=1e-12)
+        r = model.r_of_theta(np.array([theta]))
+        assert exc.value.eigenvalue == pytest.approx(np.linalg.eigvalsh(r)[0], abs=1e-12)
+
 
 class TestMomentMap:
     @pytest.mark.parametrize("family", list(FAMILIES))
@@ -323,6 +371,10 @@ class TestDescriptors:
             build_model({"family": "factor", "p": 4})
         with pytest.raises(ConfigError, match="margin"):
             build_model({"family": "circular", "margin": "x"})
+        for generators in (5, "abc", True, [5], ["abc"], [None]):
+            with pytest.raises(ConfigError, match="^generators"):
+                build_model({"family": "custom_affine", "p": 3,
+                             "generators": generators})
 
     def test_descriptor_schema_matches_families(self):
         # The shipped schema and the FAMILIES table describe the same
