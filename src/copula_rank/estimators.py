@@ -49,7 +49,8 @@ from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
 from .geometry import efficiency_bundle
 from .models import eval_geometry
-from .numcore import cholesky_lower, norm_quantile, spd_factor, spd_solve
+from .numcore import (cholesky_lower, identity, norm_quantile, spd_factor, spd_inverse,
+                      spd_solve, sym_eig)
 
 __all__ = [
     "RankedSample",
@@ -144,18 +145,19 @@ def rank_transform(data):
     n, p = data.shape
     if n < 2:
         raise DomainError("rank transform needs n >= 2 observations")
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise DomainError("data must be finite")
-    order = np.argsort(data, axis=0)
-    ordered = np.take_along_axis(data, order, axis=0)
+    order = data.argsort(axis=0)
+    cols = np.arange(p)  # with `order`, indexes each column in sorted order
+    ordered = data[order, cols]
     repeats = ordered[1:] == ordered[:-1]
-    constant = np.all(repeats, axis=0)
-    if np.any(constant):
-        raise DegenerateMarginError(f"column {int(np.argmax(constant))} is constant")
+    constant = repeats.all(axis=0)
+    if constant.any():
+        raise DegenerateMarginError(f"column {int(constant.argmax())} is constant")
     ranks, zhat = np.empty((n, p)), np.empty((n, p))
-    np.put_along_axis(ranks, order, np.arange(1.0, n + 1.0)[:, None], axis=0)
-    np.put_along_axis(zhat, order, _score_grid(n)[:, None], axis=0)
-    ties = [int(j) for j in np.flatnonzero(np.any(repeats, axis=0))]
+    ranks[order, cols] = np.arange(1.0, n + 1.0)[:, None]
+    zhat[order, cols] = _score_grid(n)[:, None]
+    ties = [int(j) for j in repeats.any(axis=0).nonzero()[0]]
     for j in ties:
         first = np.flatnonzero(np.r_[True, ~repeats[:, j]])
         last = np.r_[first[1:], n] - 1
@@ -215,33 +217,36 @@ def _pseudo_score(model, theta, rhat):
 
 
 def _objective_and_inverse(model, theta, rhat):
-    """`_mean_pseudo_negloglik` at theta and S = R(theta)^-1, both from one
-    factorization attempt on R(theta); (inf, None) where R(theta) is not
-    finite or not positive definite.  The Cholesky is the only
-    positive-definiteness test: the objective is a barrier at the boundary
-    of that region, so no accepted descent step leaves it."""
+    """log det R(theta) + tr(S Rhat), which is 2 `_mean_pseudo_negloglik` +
+    tr Rhat, and S = R(theta)^-1, both from one factorization attempt on
+    R(theta); (inf, None) where R(theta) is not finite or not positive
+    definite.  The Cholesky is the only positive-definiteness test: the
+    objective is a barrier at the boundary of that region, so no accepted
+    descent step leaves it."""
     r = model.corr_fn(theta)
-    c = cholesky_lower(r) if np.isfinite(r).all() else None
+    try:
+        c = cholesky_lower(r)
+    except ValueError:  # R(theta) is not finite
+        c = None
     if c is None:
         return np.inf, None
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    # spd_solve (LAPACK dpotrs) returns Fortran order.  In C order every
-    # product with S in `_descent_step` has operands of one layout:
-    # multithreaded OpenBLAS 0.3.31 took ~5 ms for a 100 x 100 C-by-Fortran
-    # product, against ~40 us for same-layout operands (2-CPU x86-64 VM,
-    # Haswell kernel).
-    s = np.ascontiguousarray(spd_solve(c, np.eye(model.p)))
-    return 0.5 * (logdet + float(np.sum(s * rhat)) - float(np.trace(rhat))), s
+    logdet = 2.0 * float(np.log(c.diagonal()).sum())
+    # S in C order (`spd_inverse`), so every product with S in
+    # `_descent_step` has operands of one layout: multithreaded OpenBLAS
+    # 0.3.31 took ~5 ms for a 100 x 100 C-by-Fortran product, against
+    # ~40 us for same-layout operands (2-CPU x86-64 VM, Haswell kernel).
+    s = spd_inverse(c)
+    return logdet + float((s * rhat).sum()), s
 
 
 def _mean_pseudo_negloglik(model, theta, rhat):
     """Mean negative pseudo-log-likelihood at the float k-vector theta, up to
     an additive constant: (log det R + tr((S - I) Rhat)) / 2; +inf where
     R(theta) is not positive definite."""
-    return _objective_and_inverse(model, theta, rhat)[0]
+    return 0.5 * (_objective_and_inverse(model, theta, rhat)[0] - float(rhat.trace()))
 
 
-def _descent_step(model, theta, s, rhat, eye):
+def _descent_step(model, theta, s, rhat):
     """Pseudo-score psi, the step -|H|^-1 grad on `_mean_pseudo_negloglik`
     and the eigenvalues of the Hessian H = -(J + J')/4, by matrix products
     with S = R(theta)^-1 (no factorization) at the validated iterate theta;
@@ -261,11 +266,11 @@ def _descent_step(model, theta, s, rhat, eye):
     psi = -(r_dots.reshape(k, -1) @ w.ravel())
 
     x = s @ r_dots  # S dR_j
-    v = x @ (eye - 2.0 * s_rhat)  # S dR_j (I - 2 S Rhat)
+    v = x @ (identity(model.p) - 2.0 * s_rhat)  # S dR_j (I - 2 S Rhat)
     # J_mj = tr(x_m v_j) = vec(x_m) . vec(v_j')
     jac = x.reshape(k, -1) @ v.transpose(0, 2, 1).reshape(k, -1).T
     if model.affine_generators is None:
-        for j, e in enumerate(np.eye(k)):
+        for j, e in enumerate(identity(k)):
             h = 1e-5 * max(1.0, abs(theta[j]))
             d2r = model._r_dots(theta + h * e) - model._r_dots(theta - h * e)
             jac[:, j] -= (d2r.reshape(k, -1) @ w.ravel()) / (2.0 * h)
@@ -275,8 +280,9 @@ def _descent_step(model, theta, s, rhat, eye):
 def _newton_step(psi, jac):
     """The step -|H|^-1 grad and the eigenvalues of H = -(J + J')/4, from
     the pseudo-score psi = -2 grad and its Jacobian J."""
-    eigs, q = np.linalg.eigh(-0.25 * (jac + jac.T))
-    lam = np.maximum(np.abs(eigs), 1e-12 * np.max(np.abs(eigs)))
+    eigs, q = sym_eig(-0.25 * (jac + jac.T))
+    magnitude = np.abs(eigs)
+    lam = np.maximum(magnitude, 1e-12 * magnitude.max())
     return q @ ((q.T @ (0.5 * psi)) / lam), eigs
 
 
@@ -288,20 +294,20 @@ def _spectral_descent(spectrum, rhat):
         psi = dlam' w,  w = (d - lam) / lam^2,
         J   = dlam' diag((lam - 2 d) / lam^3) dlam + sum_j w_j d2lam_j,
 
-    the `_objective_and_inverse` value and the `_descent_step` pseudo-score
+    the `_mean_pseudo_negloglik` value and the `_descent_step` pseudo-score
     and Jacobian written in that basis.  min lam > 0 is the
     positive-definiteness condition itself; no step factors a matrix.
     """
     basis = spectrum.basis
-    d = np.sum(basis * (rhat @ basis), axis=0)
-    trace = float(np.trace(rhat))
+    d = (basis * (rhat @ basis)).sum(axis=0)
+    trace = float(rhat.trace())
 
     def objective(theta):
         eig = spectrum.eigen_fn(theta)
         lam = eig[0]
         if not lam.min() > 0.0:  # NaN included
             return np.inf, None
-        return 0.5 * (float(np.sum(np.log(lam))) + float(np.sum(d / lam)) - trace), eig
+        return 0.5 * (float(np.log(lam).sum()) + float((d / lam).sum()) - trace), eig
 
     def step(theta, eig):
         lam, dlam, d2lam = eig
@@ -319,12 +325,17 @@ def _descent(model, rhat):
     is (f, state), with state None where R(theta) is not positive definite,
     and step(theta, state) is (psi, step, Hessian eigenvalues).  Spectral
     (`_spectral_descent`) when the model declares a `Spectrum`, else
-    `_objective_and_inverse` and `_descent_step` on matrices."""
+    `_objective_and_inverse` and `_descent_step` on matrices, with tr Rhat
+    taken once per solve."""
     if model.spectrum is not None:
         return _spectral_descent(model.spectrum, rhat)
-    eye = np.eye(model.p)
-    return (lambda theta: _objective_and_inverse(model, theta, rhat),
-            lambda theta, s: _descent_step(model, theta, s, rhat, eye))
+    trace = float(rhat.trace())
+
+    def objective(theta):
+        value, s = _objective_and_inverse(model, theta, rhat)
+        return 0.5 * (value - trace), s
+
+    return objective, lambda theta, s: _descent_step(model, theta, s, rhat)
 
 
 def _default_init(model, rhat):
@@ -374,10 +385,10 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     trace = []
     for iteration in range(max_iter + 1):
         psi, step, eigs = descent(theta, state)
-        norm = float(np.max(np.abs(psi)))
+        norm = float(np.abs(psi).max())
         trace.append((theta.copy(), norm))
         if norm <= tol:
-            if eigs[0] < -_SQRT_EPS * np.max(np.abs(eigs)):
+            if eigs[0] < -_SQRT_EPS * np.abs(eigs).max():
                 raise ConvergenceError(
                     f"pseudo-likelihood Newton descent stopped at a saddle point "
                     f"for {model.name} (Hessian eigenvalues {eigs[0]:.3e} to "
@@ -469,7 +480,7 @@ def one_step(model, sample, pilot=None):
 
     bundle = efficiency_bundle(eval_geometry(model, pilot))
     theta = pilot + bundle.eff_info_inv @ (
-        0.5 * np.tensordot(bundle.eff_matrices, sample.rhat, axes=2))
+        0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel()))
     clamped = not model.domain_check(theta)
     if clamped:
         theta = _clamp_into_domain(model, theta, pilot)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .exceptions import ShapeError, SingularityError
 from .numcore import (check_symmetric, check_symmetric_stack, cholesky_lower, gram,
-                      norm_quantile, spd_factor, spd_solve)
+                      identity, norm_quantile, spd_factor, spd_inverse, spd_solve,
+                      sym_eig)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -107,7 +108,7 @@ def _ir_hadamard_factor(geom):
     """Cholesky factor of I + R o S, the shared coefficient matrix of the
     generator and projection systems (a Gram matrix, hence positive definite
     whenever R is)."""
-    m = np.eye(geom.p) + geom.r * geom.s
+    m = identity(geom.p) + geom.r * geom.s
     return spd_factor(0.5 * (m + m.T), "I + R*S failed to factor")
 
 
@@ -145,13 +146,13 @@ def _spd_inverse(mat, what):
     """Inverse of a symmetric information matrix; SingularityError where its
     smallest eigenvalue is at most k * eps times its largest (numpy's
     matrix_rank tolerance), whether or not Cholesky would succeed."""
-    eigs = np.linalg.eigvalsh(mat)
+    eigs = sym_eig(mat, vectors=False)
     c = cholesky_lower(mat) if eigs[0] > len(eigs) * _EPS * eigs[-1] else None
     if c is None:
         raise SingularityError(
             f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})",
             eigenvalue=float(eigs[0]), cond=float(np.linalg.cond(mat)))
-    inv = spd_solve(c, np.eye(len(eigs)))
+    inv = spd_inverse(c)
     return 0.5 * (inv + inv.T)
 
 
@@ -199,7 +200,7 @@ def regularity_check(influence, geom, tol=1e-8):
         raise ShapeError(f"expected {k} influence matrices, got {len(mats)}")
     diag = np.abs(np.diagonal(geom.r @ mats, axis1=1, axis2=2)).max(axis=1)
     traces = np.tensordot(mats, geom.r_dots, axes=([1, 2], [1, 2]))  # tr(A_m dR_m')
-    trace = np.abs(traces - 2.0 * np.eye(k)).max(axis=1)
+    trace = np.abs(traces - 2.0 * identity(k)).max(axis=1)
     per_m = np.maximum(diag, trace)
     return DiagnosticReport(
         criterion="regularity", per_m_residuals=tuple(map(float, per_m)), tolerance=tol,
@@ -324,7 +325,7 @@ class EfficiencyBundle:
     def ple_b(self):  # (k, p, p) matrices B_m generating the PLE
         geom = self.geometry
         diag = np.diagonal(geom.r @ geom.s_dots, axis1=1, axis2=2)  # diag(R dS_m)
-        return diag[:, :, None] * np.eye(geom.p) - geom.s_dots
+        return diag[:, :, None] * identity(geom.p) - geom.s_dots
 
     @cached_property
     def ple_a(self):  # (k, p, p) normalized PLE influence matrices

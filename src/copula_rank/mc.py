@@ -49,11 +49,13 @@ _FAILURE_LIMIT = 0.05
 
 
 def _int_at_least(key, value, minimum):
-    """`value` where it is an integer >= minimum (bools excluded), else
-    ConfigError naming `key`."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    """`value` as an int where it is an integer >= minimum, else ConfigError
+    naming `key`.  As in JSON Schema, a float with no fractional part (2.0)
+    is an integer and a bool is not."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if not isinstance(number, int) or isinstance(number, bool) or number < minimum:
         raise ConfigError(f"{key}: expected an integer >= {minimum}, got {value!r}")
-    return value
+    return number
 
 
 def _theta_point(model, key, value):
@@ -323,10 +325,13 @@ def run_experiment(config):
     for idx, est in enumerate(config.estimators):
         rows = errs[:, idx, :]
         good = rows[~np.isnan(rows[:, 0])]
-        n_success[est] = good.shape[0]
-        bias[est] = good.mean(axis=0) if good.size else np.full(k, np.nan)
-        if good.shape[0] > 1:
-            variance[est] = good.var(axis=0, ddof=1)
+        count = n_success[est] = good.shape[0]
+        # good.mean(axis=0) and good.var(axis=0, ddof=1) to the bit, in the
+        # operations numpy's own reductions make.
+        bias[est] = good.sum(axis=0) / count if count else np.full(k, np.nan)
+        if count > 1:
+            dev = good - bias[est]
+            variance[est] = (dev * dev).sum(axis=0) / (count - 1)
         else:
             variance[est] = np.zeros(k)
         n_variance[est] = config.n * variance[est]

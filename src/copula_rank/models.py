@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
-from .numcore import InnerProductContext, check_symmetric, spd_factor, spd_solve
+from .numcore import (InnerProductContext, check_symmetric, identity, pinv, spd_factor,
+                      spd_inverse, sym_eig)
 
 __all__ = [
     "CorrelationModel",
@@ -146,11 +147,11 @@ class CorrelationModel:
         pilot; None unless R(0) = I and dR(0) != 0.  Built on first read."""
         zero = np.zeros(self.k)
         design = self._r_dots(zero).reshape(self.k, -1).T
-        if not np.array_equal(self.corr_fn(zero), np.eye(self.p)) or not design.any():
+        if not np.array_equal(self.corr_fn(zero), identity(self.p)) or not design.any():
             return None
         # lstsq's rank cutoff.  dR(0) has a zero diagonal, so zeroing the
         # diagonal columns sends vec(I) to 0 and changes no fit.
-        pilot_map = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps)
+        pilot_map = pinv(design, max(design.shape) * np.finfo(float).eps)
         pilot_map[:, ::self.p + 1] = 0.0
         pilot_map.flags.writeable = False
         return pilot_map
@@ -174,7 +175,7 @@ class CorrelationModel:
 
 
 def _pd_check(r, floor=1e-10):
-    return bool(np.linalg.eigvalsh(r)[0] > floor)
+    return bool(sym_eig(r, vectors=False)[0] > floor)
 
 
 def _offdiag(a):
@@ -206,14 +207,14 @@ def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None
     gens.flags.writeable = False
     k = len(gens)
     flat = gens.reshape(k, p * p)
-    eye, = _read_only(np.eye(p))
+    eye = identity(p)
 
     def corr_fn(t):
         return eye + (t @ flat).reshape(p, p)
 
     spectrum = None
     if k == 1:
-        g, basis = np.linalg.eigh(gens[0])
+        g, basis = sym_eig(gens[0])
         dlam, d2lam = _read_only(g[:, None], np.zeros((p, 1, 1)))
         spectrum = Spectrum(*_read_only(basis),
                             lambda t: (1.0 + t[0] * g, dlam, d2lam))
@@ -268,7 +269,7 @@ def circular():
         second[i, j] = second[j, i] = 1.0
 
     def corr_fn(t):
-        return np.eye(p) + t[0] * first + t[0] ** 2 * second
+        return identity(p) + t[0] * first + t[0] ** 2 * second
 
     def grad_fn(t, m):
         return first + 2.0 * t[0] * second
@@ -311,7 +312,7 @@ def factor(p, q):
 
     def corr_fn(t):
         load = t.reshape(p, q)
-        return np.eye(p) + _offdiag(load @ load.T)
+        return identity(p) + _offdiag(load @ load.T)
 
     def grad_fn(t, m):
         load = t.reshape(p, q)
@@ -495,7 +496,7 @@ def validate_assumption1(model, theta, pd_floor=1e-10, indep_rtol=1e-8):
     r = model.corr_fn(t)
     diag_err = float(np.max(np.abs(np.diag(r) - 1.0)))
     unit_ok = diag_err <= 1e-10
-    min_eig = float(np.linalg.eigvalsh(r)[0])
+    min_eig = float(sym_eig(r, vectors=False)[0])
     pd_ok = min_eig > pd_floor
 
     svals = np.linalg.svd(model._r_dots(t).reshape(model.k, -1).T, compute_uv=False)
@@ -573,7 +574,7 @@ def eval_geometry(model, theta):
     r = model.corr_fn(t)
     what = f"R(theta) is not positive definite for {model.name}"
     if model.spectrum is None:
-        s = spd_solve(spd_factor(r, what), np.eye(model.p))
+        s = spd_inverse(spd_factor(r, what))
     else:
         q = model.spectrum.basis
         lam = model.spectrum.eigen_fn(t)[0]
@@ -582,7 +583,7 @@ def eval_geometry(model, theta):
             raise SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig)
         # Q' in C order: a product of a C and a Fortran operand is slow in
         # multithreaded OpenBLAS (see estimators._objective_and_inverse).
-        s = np.eye(model.p) + (q * (1.0 / lam - 1.0)) @ np.ascontiguousarray(q.T)
+        s = identity(model.p) + (q * (1.0 / lam - 1.0)) @ np.ascontiguousarray(q.T)
     s = 0.5 * (s + s.T)
     r_dots = model._r_dots(t)
     s_dots = -s @ r_dots @ s

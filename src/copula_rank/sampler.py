@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
-from .numcore import check_symmetric, norm_cdf, norm_quantile
+from .numcore import check_symmetric, norm_cdf, norm_quantile, sym_eig
 
 __all__ = ["MarginSpec", "CopulaFactor", "sample_copula", "apply_margins",
            "copula_stream"]
@@ -78,7 +78,7 @@ def _copula_factor(r):
         try:
             return np.linalg.cholesky(r + 1e-12 * np.eye(r.shape[0]))
         except np.linalg.LinAlgError as exc:
-            eig = float(np.linalg.eigvalsh(r)[0])
+            eig = float(sym_eig(r, vectors=False)[0])
             raise SingularityError(
                 f"correlation matrix is not positive definite "
                 f"(min eigenvalue {eig:.3e})", eigenvalue=eig) from exc

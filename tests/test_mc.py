@@ -95,6 +95,20 @@ class TestConfig:
         ({"output": "results"}, True),
         ({"workers": None}, False),
         ({"workers": 2}, True),
+        ({"n": 2.0}, True),
+        ({"lane": 1.0}, True),
+        ({"replications": 3.0}, True),
+        ({"seed": 7.0}, True),
+        ({"workers": 2.0}, True),
+        ({"n": 2.5}, False),
+        ({"n": True}, False),
+        ({"lane": False}, False),
+        ({"theta_grid": []}, False),
+        ({"margins": "foo"}, False),
+        ({"margins": ["foo"]}, False),
+        ({"margins": "user"}, False),
+        ({"margins": ["uniform", "user", "cauchy"]}, False),
+        ({"margins": "gaussian"}, True),
     ])
     def test_schema_and_from_dict_agree(self, patch, valid):
         import jsonschema
@@ -111,6 +125,11 @@ class TestConfig:
         except ConfigError:
             config_valid = False
         assert schema_valid == config_valid == valid
+
+    def test_schema_margins_are_the_config_kinds(self):
+        # Every kind but "user", which needs a callable no config can give.
+        enum = load_schema("mc_config")["$defs"]["margin"]["enum"]
+        assert sorted(enum) == sorted(set(sampler._MARGINS) - {"user"})
 
     def test_theta_grid_points(self):
         raw = {key: v for key, v in BASE.items() if key != "theta_true"}
@@ -343,6 +362,30 @@ class TestComputedOnce:
                    "estimators": ["ple", "one_step"]}
         mc._replicate(payload, 0)
         assert calls == []
+
+    @pytest.mark.parametrize("config", [
+        {"model": {"family": "exchangeable", "p": 3}, "theta_true": [0.5], "n": 250,
+         "estimators": ["one_step"]},
+        {"model": {"family": "circular"}, "theta_true": [0.5], "n": 250,
+         "estimators": ["one_step", "ple"]},
+        {"model": {"family": "toeplitz", "p": 4},
+         "theta_true": [0.4945460, -0.4592764, -0.8462492], "n": 250,
+         "estimators": ["one_step", "ple"]},
+        {"model": {"family": "exchangeable", "p": 100}, "theta_true": [0.25], "n": 50,
+         "estimators": ["one_step", "ple"]},
+    ], ids=["exchangeable3", "circular", "toeplitz4", "exchangeable100"])
+    def test_replication_avoids_numpy_linalg(self, monkeypatch, config):
+        # Past the first run of a config, a replication reaches LAPACK only
+        # through numcore, never through numpy.linalg's per-call wrappers.
+        run_experiment({**config, "replications": 1, "seed": 3})
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.linalg called in a replication")
+
+        for name in ("eigh", "eigvalsh", "cholesky", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        report = run_experiment({**config, "replications": 1, "seed": 4})
+        assert all(report.n_success[e] == 1 for e in config["estimators"])
 
     def test_cached_arrays_read_only(self):
         first = run_experiment({**BASE, "replications": 2})

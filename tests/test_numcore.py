@@ -1,5 +1,8 @@
 """Tests for the scalar normal functions and symmetric-matrix algebra."""
 
+import ast
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from numpy.testing import assert_allclose
 
 from copula_rank import (InnerProductContext, gram, norm_cdf, norm_pdf,
                          norm_quantile, span_residual, theta_inner, unrestricted)
+from copula_rank import numcore
 from copula_rank.exceptions import DomainError, ShapeError, SingularityError
-from copula_rank.numcore import check_symmetric, cholesky_lower, spd_factor, spd_solve
+from copula_rank.numcore import (check_symmetric, cholesky_lower, identity, pinv,
+                                 spd_factor, spd_inverse, spd_solve, sym_eig)
 
 
 def oracle_quantile(p, dps=50):
@@ -237,6 +242,9 @@ class TestSpdHelpers:
                 for b in (rng.standard_normal(p), rng.standard_normal((p, 3)), np.eye(p)):
                     assert np.array_equal(spd_solve(c, b),
                                           scipy.linalg.cho_solve((c, True), b))
+                inv = spd_inverse(c)
+                assert inv.flags.c_contiguous
+                assert np.array_equal(inv, scipy.linalg.cho_solve((c, True), np.eye(p)))
 
     def test_error_contract(self):
         a = exchangeable_corr(3, 0.2)
@@ -267,6 +275,142 @@ class TestSpdHelpers:
             spd_factor(indefinite, "what")
         assert exc.value.eigenvalue == pytest.approx(lam, abs=1e-14)
         assert exc.value.cond is None
+
+
+class TestSymEig:
+    @pytest.mark.parametrize("p", [1, 3, 4, 100])
+    def test_matches_numpy(self, p):
+        rng = np.random.default_rng(500 + p)
+        for _ in range(4):
+            x = rng.standard_normal((p, p))
+            a = x + x.T
+            w, v = sym_eig(a)
+            w_np, v_np = np.linalg.eigh(a)
+            scale = np.abs(w_np).max()
+            assert_allclose(w, w_np, rtol=0, atol=1e-13 * scale)
+            assert_allclose(sym_eig(a, vectors=False), np.linalg.eigvalsh(a),
+                            rtol=0, atol=1e-13 * scale)
+            assert v.flags.c_contiguous
+            # Eigenvectors are unique up to sign where the eigenvalues are
+            # simple, as they are for these draws.
+            signs = np.sign(np.sum(v * v_np, axis=0))
+            assert_allclose(v * signs, v_np, rtol=0, atol=1e-13 * p)
+            assert_allclose(v @ np.diag(w) @ v.T, a, rtol=0, atol=1e-13 * scale * p)
+
+    def test_reads_lower_triangle(self):
+        a = exchangeable_corr(3, 0.2)
+        m = a.copy()
+        m[0, 2] = 7.0
+        assert np.array_equal(sym_eig(m, vectors=False), sym_eig(a, vectors=False))
+
+    def test_non_finite_gives_nan(self):
+        a = exchangeable_corr(3, 0.2)
+        for bad in (np.nan, np.inf, -np.inf):
+            for pos in ((0, 0), (1, 0)):
+                m = a.copy()
+                m[pos] = m[pos[::-1]] = bad
+                w, v = sym_eig(m)
+                assert w.shape == (3,) and v.shape == (3, 3)
+                assert np.isnan(w).all() and np.isnan(v).all()
+                assert np.isnan(sym_eig(m, vectors=False)).all()
+        # numpy.linalg's eigenvalues for a non-finite off-diagonal pair
+        m = a.copy()
+        m[1, 0] = m[0, 1] = np.inf
+        assert np.isnan(np.linalg.eigvalsh(m)).all()
+
+    def test_shape_errors(self):
+        for shape in ((2, 3), (3,), (2, 2, 2)):
+            with pytest.raises(ValueError, match="square"):
+                sym_eig(np.ones(shape))
+            with pytest.raises(ValueError, match="square"):
+                sym_eig(np.ones(shape), vectors=False)
+
+    def test_failed_dsyevd_raises(self, monkeypatch):
+        def failed(a, compute_v=1, lower=0):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros((n, n)), 2
+
+        monkeypatch.setattr(numcore, "dsyevd", failed)
+        for vectors in (True, False):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                sym_eig(exchangeable_corr(3, 0.2), vectors=vectors)
+
+
+def linalg_uses(tree):
+    """(module, name) pairs for the scipy.linalg imports and the numpy.linalg
+    eigen-solver and Cholesky names that a module's syntax tree uses."""
+    uses = set()
+    watched = {"eigh", "eigvalsh", "cholesky"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            uses |= {("scipy.linalg", alias.name) for alias in node.names
+                     if alias.name.startswith("scipy.linalg")}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.linalg") or (
+                    node.module == "scipy" and any(a.name == "linalg" for a in node.names)):
+                uses.add(("scipy.linalg", node.module))
+            elif node.module == "numpy.linalg":
+                uses |= {("numpy.linalg", a.name) for a in node.names if a.name in watched}
+        elif (isinstance(node, ast.Attribute) and node.attr in watched
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            uses.add(("numpy.linalg", node.attr))
+    return uses
+
+
+class TestLapackEntryPoint:
+    def test_numcore_is_the_one_lapack_entry_point(self):
+        # Only numcore imports scipy.linalg or calls numpy's eigen-solvers;
+        # only the sampler calls numpy's Cholesky, because another
+        # factorization would change its draws.
+        def owner(use):
+            return "sampler" if use == ("numpy.linalg", "cholesky") else "numcore"
+
+        package = Path(numcore.__file__).parent
+        found = {path.stem: linalg_uses(ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(package.glob("*.py"))}
+        assert found["numcore"] and found["sampler"]  # the rule sees real uses
+        misplaced = sorted((name, use) for name, uses in found.items() for use in uses
+                           if owner(use) != name)
+        assert not misplaced, misplaced
+
+    def test_rule_sees_every_spelling(self):
+        source = ("import scipy.linalg\nfrom scipy import linalg\n"
+                  "from scipy.linalg.lapack import dpotrf\n"
+                  "from numpy.linalg import eigh\nnp.linalg.eigvalsh(a)\n"
+                  "numpy.linalg.cholesky(a)\nnp.linalg.svd(a)\n")
+        assert linalg_uses(ast.parse(source)) == {
+            ("scipy.linalg", "scipy.linalg"), ("scipy.linalg", "scipy"),
+            ("scipy.linalg", "scipy.linalg.lapack"), ("numpy.linalg", "eigh"),
+            ("numpy.linalg", "eigvalsh"), ("numpy.linalg", "cholesky")}
+
+
+class TestPinv:
+    @pytest.mark.parametrize("shape", [(9, 1), (16, 3), (100, 45), (50, 80), (10000, 1)])
+    def test_bit_identical_to_numpy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape)
+        deficient = a.copy()
+        deficient[:, -1] = deficient[:, 0]  # one zero singular value
+        for mat in (a, deficient):
+            for rcond in (max(shape) * np.finfo(float).eps, 1e-2):
+                assert np.array_equal(pinv(mat, rcond), np.linalg.pinv(mat, rcond=rcond))
+
+    def test_error_contract(self):
+        for bad in (np.nan, np.inf):
+            m = np.ones((4, 2))
+            m[1, 0] = bad
+            with pytest.raises(ValueError):
+                pinv(m, 1e-15)
+        with pytest.raises(ValueError, match="matrix"):
+            pinv(np.ones(3), 1e-15)
+
+
+class TestIdentity:
+    def test_read_only_and_shared(self):
+        eye = identity(4)
+        assert np.array_equal(eye, np.eye(4))
+        assert not eye.flags.writeable
+        assert identity(4) is eye
 
 
 class TestGram:
