@@ -5,19 +5,24 @@ Subcommands: bound (information matrices and the variance bound), check
 CSV data), are (per-component asymptotic relative efficiency of the
 pseudo-likelihood estimator), simulate (Monte Carlo harness).
 
-Exit codes: 0 success, 2 usage/config/domain errors, 3 runtime failures
-(non-convergence, singular matrices, failed experiments).  Verdicts such
-as "not efficient" are data, not errors, and exit 0.
+Each cmd_* computes and returns (JSON object, CSV table as a list of rows
+with the header first, or None, pretty lines); `main` alone prints the form
+--format asks for, and prints warnings and errors to stderr.
+
+Exit codes: 0 success, 2 usage/config/domain/input errors (unreadable or
+unwritable paths included), 3 runtime failures (non-convergence, singular
+matrices, failed experiments).  Verdicts such as "not efficient" are data,
+not errors, and exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -27,8 +32,8 @@ from .exceptions import (ConfigError, ConvergenceError, DegenerateMarginError,
                          SingularityError)
 from .geometry import (DiagnosticReport, adaptivity_check, efficiency_bundle,
                        efficiency_criterion, regularity_check)
-from .mc import (run_experiment, run_grid, summarize, write_errors_csv,
-                 write_report_json, write_summary_csv)
+from .mc import (run_grid, summarize, write_errors_csv, write_report_json,
+                 write_summary_csv)
 from .models import (FAMILIES, build_model, eval_geometry, load_model,
                      validate_assumption1)
 
@@ -67,9 +72,9 @@ def _build_parser():
         for key, text in _MODEL_FLAGS.items():
             p.add_argument(f"--{key}", type=int, help=text)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["json", "csv", "pretty"],
-                       default="pretty", help="output format")
+    def add_format(p, choices=("json", "csv", "pretty")):
+        p.add_argument("--format", choices=choices, default="pretty",
+                       help="output format")
 
     p_bound = sub.add_parser("bound", help="information matrices and variance bound")
     add_model_flags(p_bound)
@@ -107,7 +112,7 @@ def _build_parser():
     p_sim.add_argument("--seed", type=int, default=None, help="override config seed")
     p_sim.add_argument("--out-dir", default=None,
                        help="output directory (default: config 'output' or cwd)")
-    add_format(p_sim)
+    add_format(p_sim, ("json", "pretty"))
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -154,18 +159,6 @@ def _fmt_matrix(a):
     return np.array2string(np.asarray(a), precision=6, suppress_small=True)
 
 
-def _emit_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _emit_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -183,24 +176,21 @@ def cmd_bound(args):
     obj = {"model": model.descriptor, "theta": [float(v) for v in theta]}
     obj.update((name, _matrix(getattr(bundle, field)))
                for name, (field, _) in matrices.items())
-    if args.format == "json":
-        _emit_json(obj)
-    elif args.format == "csv":
-        _emit_csv(["matrix", "row", "col", "value"],
-                  [[name, i, j, repr(v)] for name in matrices
-                   for i, row in enumerate(obj[name]) for j, v in enumerate(row)])
-    else:
-        print(f"model: {model.name}  theta: {theta.tolist()}")
-        for field, label in matrices.values():
-            print(f"{label}:")
-            print(_fmt_matrix(getattr(bundle, field)))
-    return 0
+    table = [["matrix", "row", "col", "value"]]
+    table += [[name, i, j, repr(v)] for name in matrices
+              for i, row in enumerate(obj[name]) for j, v in enumerate(row)]
+    lines = [f"model: {model.name}  theta: {theta.tolist()}"]
+    for field, label in matrices.values():
+        lines += [f"{label}:", _fmt_matrix(getattr(bundle, field))]
+    return obj, table, lines
 
 
 def cmd_check(args):
+    tol = args.tolerance
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tolerance: expected a finite number >= 0, got {tol!r}")
     model = _model_from_args(args)
     theta = _require_in_domain(model, _parse_theta(args.theta))
-    tol = args.tolerance
     a1 = validate_assumption1(model, theta)
     geom = eval_geometry(model, theta)
     bundle = efficiency_bundle(geom)
@@ -227,34 +217,28 @@ def cmd_check(args):
         "ple_efficiency": efficiency.to_dict(),
         "adaptivity": adaptivity.to_dict(),
     }
-    if args.format == "json":
-        _emit_json(obj)
-    elif args.format == "csv":
-        rows = [["assumption1", "", "", "", obj["assumption1"]["verdict"]]]
-        for rep in (regularity, efficiency, adaptivity):
-            d = rep.to_dict()
-            if not d["per_m_residuals"]:
-                rows.append([d["criterion"], "", "", repr(d["tolerance"]),
-                             d["verdict"]])
-            for m, resid in enumerate(d["per_m_residuals"]):
-                rows.append([d["criterion"], m, repr(resid),
-                             repr(d["tolerance"]), d["verdict"]])
-        _emit_csv(["criterion", "component", "residual", "tolerance", "verdict"],
-                  rows)
-    else:
-        print(f"model: {model.name}  theta: {theta.tolist()}")
-        verdict = "pass" if a1.passed else f"fail ({', '.join(a1.violated)})"
-        print(f"assumption 1: {verdict}  "
-              f"(min eigenvalue {a1.min_eigenvalue:.3e}, "
-              f"derivative rank {a1.rdot_rank}/{a1.k})")
-        for note in a1.notes:
-            print(f"  note: {note}")
-        print(f"regularity (one-step influence): {regularity.verdict}")
-        print(f"ple efficiency: {efficiency.verdict}  "
-              f"(span residuals {[f'{v:.2e}' for v in efficiency.per_m_residuals]})")
-        print(f"adaptivity: {adaptivity.verdict}  "
-              f"(information gap {adaptivity.details['info_gap']:.3e})")
-    return 0
+    table = [["criterion", "component", "residual", "tolerance", "verdict"],
+             ["assumption1", "", "", "", obj["assumption1"]["verdict"]]]
+    for rep in (regularity, efficiency, adaptivity):
+        d = rep.to_dict()
+        if not d["per_m_residuals"]:
+            table.append([d["criterion"], "", "", repr(d["tolerance"]),
+                          d["verdict"]])
+        for m, resid in enumerate(d["per_m_residuals"]):
+            table.append([d["criterion"], m, repr(resid),
+                          repr(d["tolerance"]), d["verdict"]])
+    verdict = "pass" if a1.passed else f"fail ({', '.join(a1.violated)})"
+    lines = [f"model: {model.name}  theta: {theta.tolist()}",
+             f"assumption 1: {verdict}  "
+             f"(min eigenvalue {a1.min_eigenvalue:.3e}, "
+             f"derivative rank {a1.rdot_rank}/{a1.k})"]
+    lines += [f"  note: {note}" for note in a1.notes]
+    lines += [f"regularity (one-step influence): {regularity.verdict}",
+              f"ple efficiency: {efficiency.verdict}  "
+              f"(span residuals {[f'{v:.2e}' for v in efficiency.per_m_residuals]})",
+              f"adaptivity: {adaptivity.verdict}  "
+              f"(information gap {adaptivity.details['info_gap']:.3e})"]
+    return obj, table, lines
 
 
 def _read_csv_data(path):
@@ -292,24 +276,18 @@ def cmd_estimate(args):
     else:
         result = pilot_moment(model, sample)
     obj = result.to_dict()
-    if args.format == "json":
-        _emit_json(obj)
-    elif args.format == "csv":
-        rows = []
-        std = obj["std_errors"] or [""] * len(obj["theta_hat"])
-        for m, th in enumerate(obj["theta_hat"]):
-            rows.append([m + 1, repr(th),
-                         "" if std[m] == "" else repr(std[m]),
-                         obj["method"], obj["converged"], obj["tie_warning"]])
-        _emit_csv(["component", "theta_hat", "std_error", "method",
-                   "converged", "tie_warning"], rows)
-    else:
-        print(f"method: {obj['method']}  converged: {obj['converged']}"
-              + ("  (ties present)" if obj["tie_warning"] else ""))
-        for m, th in enumerate(obj["theta_hat"]):
-            se = "" if obj["std_errors"] is None else f"  +/- {obj['std_errors'][m]:.6g}"
-            print(f"theta_{m + 1} = {th:.10g}{se}")
-    return 0
+    std = obj["std_errors"] or [""] * len(obj["theta_hat"])
+    table = [["component", "theta_hat", "std_error", "method", "converged",
+              "tie_warning"]]
+    table += [[m + 1, repr(th), "" if std[m] == "" else repr(std[m]),
+               obj["method"], obj["converged"], obj["tie_warning"]]
+              for m, th in enumerate(obj["theta_hat"])]
+    lines = [f"method: {obj['method']}  converged: {obj['converged']}"
+             + ("  (ties present)" if obj["tie_warning"] else "")]
+    for m, th in enumerate(obj["theta_hat"]):
+        se = "" if obj["std_errors"] is None else f"  +/- {obj['std_errors'][m]:.6g}"
+        lines.append(f"theta_{m + 1} = {th:.10g}{se}")
+    return obj, table, lines
 
 
 def cmd_are(args):
@@ -322,16 +300,11 @@ def cmd_are(args):
         "theta": [float(v) for v in theta],
         "are": [float(v) for v in are],
     }
-    if args.format == "json":
-        _emit_json(obj)
-    elif args.format == "csv":
-        _emit_csv(["component", "are"],
-                  [[m + 1, repr(v)] for m, v in enumerate(obj["are"])])
-    else:
-        print(f"model: {model.name}  theta: {theta.tolist()}")
-        for m, v in enumerate(obj["are"]):
-            print(f"ARE_{m + 1} = {v:.6f}")
-    return 0
+    table = [["component", "are"]]
+    table += [[m + 1, repr(v)] for m, v in enumerate(obj["are"])]
+    lines = [f"model: {model.name}  theta: {theta.tolist()}"]
+    lines += [f"ARE_{m + 1} = {v:.6f}" for m, v in enumerate(obj["are"])]
+    return obj, table, lines
 
 
 def _resolve_workers(args, raw):
@@ -360,11 +333,7 @@ def cmd_simulate(args):
         raw["seed"] = args.seed
     workers = _resolve_workers(args, raw)
     raw["workers"] = workers
-
-    if "theta_grid" in raw:
-        reports = run_grid(raw, raw["theta_grid"], workers=workers)
-    else:
-        reports = [run_experiment(raw)]
+    reports = run_grid(raw)
 
     out_dir = args.out_dir or raw.get("output") or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -376,21 +345,18 @@ def cmd_simulate(args):
     rows = summarize(reports)
     write_summary_csv(rows, summary_path)
 
-    if args.format == "json":
-        obj = reports[0].to_dict() if len(reports) == 1 else [r.to_dict()
-                                                              for r in reports]
-        _emit_json(obj)
-    else:
-        print(f"ran {len(reports)} experiment(s), workers={workers}")
-        for row in rows:
-            bound = (f"  eff bound {np.round(row['eff_bound'], 6).tolist()}"
-                     if row["eff_bound"] is not None else "")
-            print(f"theta={row['theta']} n={row['n']} {row['estimator']}: "
-                  f"bias {np.round(row['bias'], 6).tolist()} "
-                  f"n*var {np.round(row['n_variance'], 6).tolist()}"
-                  f"{bound} failures={row['failures']}")
-        print(f"wrote {report_path}, {errors_path}, {summary_path}")
-    return 0
+    obj = reports[0].to_dict() if len(reports) == 1 else [r.to_dict()
+                                                          for r in reports]
+    lines = [f"ran {len(reports)} experiment(s), workers={workers}"]
+    for row in rows:
+        bound = (f"  eff bound {np.round(row['eff_bound'], 6).tolist()}"
+                 if row["eff_bound"] is not None else "")
+        lines.append(f"theta={row['theta']} n={row['n']} {row['estimator']}: "
+                     f"bias {np.round(row['bias'], 6).tolist()} "
+                     f"n*var {np.round(row['n_variance'], 6).tolist()}"
+                     f"{bound} failures={row['failures']}")
+    lines.append(f"wrote {report_path}, {errors_path}, {summary_path}")
+    return obj, None, lines
 
 
 def main(argv=None):
@@ -399,19 +365,31 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    try:
-        return args.func(args)
-    except (ConfigError, DomainError, ShapeError, DegenerateMarginError,
-            FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, SingularityError, McExperimentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ConvergenceError) and exc.trace:
-            theta, norm = exc.trace[-1]
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            obj, table, lines = args.func(args)
+            code = 0
+        except (ConfigError, DomainError, ShapeError, DegenerateMarginError,
+                OSError, UnicodeDecodeError) as exc:
+            error, code = exc, 2
+        except (ConvergenceError, SingularityError, McExperimentError) as exc:
+            error, code = exc, 3
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    if code:
+        print(f"error: {error}", file=sys.stderr)
+        if isinstance(error, ConvergenceError) and error.trace:
+            theta, norm = error.trace[-1]
             print(f"last iterate: theta={np.asarray(theta).tolist()} "
                   f"score sup-norm={norm:.3e}", file=sys.stderr)
-        return 3
+        return code
+    if args.format == "json":
+        print(json.dumps(obj, indent=2, sort_keys=True))
+    elif args.format == "csv":
+        csv.writer(sys.stdout).writerows(table)
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

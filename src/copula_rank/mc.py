@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -59,8 +60,12 @@ def _int_at_least(key, value, minimum):
 
 
 def _theta_point(model, key, value):
-    """`value` as a validated in-domain theta vector of `model`, else
-    ConfigError naming `key`."""
+    """`value`, a number or a list of numbers, as a validated in-domain theta
+    vector of `model`, else ConfigError naming `key`.  As in JSON Schema, a
+    bool is not a number."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        raise ConfigError(f"{key}: expected a number or a list of numbers, got {value!r}")
     try:
         theta = model.theta_vec(value)
     except (TypeError, ValueError) as exc:  # ShapeError, DomainError included
@@ -82,8 +87,8 @@ def _theta_grid(model, value):
 @dataclass(frozen=True)
 class McConfig:
     """One experiment.  A config read with a `theta_grid` holds its
-    validated points, and `run_grid` runs one experiment per point; then
-    theta_true is None unless the raw config gave it."""
+    validated points, and `run_grid(config)` runs one experiment per point;
+    then theta_true is None unless the raw config gave it."""
 
     model: dict
     theta_true: np.ndarray
@@ -109,6 +114,8 @@ class McConfig:
                 raise ConfigError(f"{key}: unexpected config field")
         if "model" not in raw:
             raise ConfigError("model: missing required field")
+        if not isinstance(raw["model"], dict):
+            raise ConfigError(f"model: expected a JSON object, got {raw['model']!r}")
         try:
             model = _model(_canonical(raw["model"]))
         except (TypeError, ValueError):  # rebuilt as given, for its own error text
@@ -132,7 +139,8 @@ class McConfig:
         margins = raw.get("margins", "uniform")
         if isinstance(margins, str):
             margins = (margins,)
-        if not isinstance(margins, (list, tuple)):
+        if (not isinstance(margins, (list, tuple))
+                or not all(isinstance(kind, str) for kind in margins)):
             raise ConfigError(f"margins: expected a string or a list of strings, "
                               f"got {margins!r}")
         if len(margins) not in (1, model.p):
@@ -347,13 +355,15 @@ def run_experiment(config):
     )
 
 
-def run_grid(raw_config, thetas, workers=None):
-    """Run one experiment per grid point, on separate RNG lanes; the whole
-    config, grid included, is validated before the first point runs."""
-    raw = dict(raw_config, theta_grid=thetas)
-    if workers is not None:
-        raw["workers"] = workers
-    config = McConfig.from_dict(raw)
+def run_grid(config):
+    """Run a config, an McConfig or a raw dict, and return its list of
+    McReports: one experiment per `theta_grid` point, on lanes 0, 1, ...,
+    or, without a grid, the config's one experiment on its own lane.  The
+    whole config, grid included, is validated before the first point runs."""
+    if isinstance(config, dict):
+        config = McConfig.from_dict(config)
+    if not config.theta_grid:
+        return [run_experiment(config)]
     return [run_experiment(replace(config, theta_true=theta, lane=lane, theta_grid=()))
             for lane, theta in enumerate(config.theta_grid)]
 

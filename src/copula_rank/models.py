@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _EPS_DOMAIN = 1e-6  # margin keeping theta away from open-interval boundaries
+_PD_FLOOR = 1e-10  # R counts as positive definite when lambda_min(R) exceeds this
+_INDEP_RTOL = 1e-8  # dR/dtheta rank cutoff, relative to max(1, sigma_max)
 
 
 def lower_triangle_pairs(p):
@@ -174,8 +176,8 @@ class CorrelationModel:
         return self.clamp_fn(self.theta_vec(theta))
 
 
-def _pd_check(r, floor=1e-10):
-    return bool(sym_eig(r, vectors=False)[0] > floor)
+def _pd_check(r):
+    return bool(sym_eig(r, vectors=False)[0] > _PD_FLOOR)
 
 
 def _offdiag(a):
@@ -418,7 +420,7 @@ def build_model(descriptor):
     if "family" not in descriptor:
         raise ConfigError("family: missing required field")
     fam = descriptor["family"]
-    if fam not in FAMILIES:
+    if not isinstance(fam, str) or fam not in FAMILIES:
         raise ConfigError(f"family: unknown family {fam!r}")
     builder, fields = FAMILIES[fam]
     for key in descriptor:
@@ -488,7 +490,7 @@ class Assumption1Report:
         }
 
 
-def validate_assumption1(model, theta, pd_floor=1e-10, indep_rtol=1e-8):
+def validate_assumption1(model, theta):
     """Check R(theta) is a correlation matrix (unit diagonal, positive
     definite) and that the derivative matrices dR/dtheta_m are linearly
     independent, via the singular values of their vectorizations."""
@@ -497,12 +499,12 @@ def validate_assumption1(model, theta, pd_floor=1e-10, indep_rtol=1e-8):
     diag_err = float(np.max(np.abs(np.diag(r) - 1.0)))
     unit_ok = diag_err <= 1e-10
     min_eig = float(sym_eig(r, vectors=False)[0])
-    pd_ok = min_eig > pd_floor
+    pd_ok = min_eig > _PD_FLOOR
 
     svals = np.linalg.svd(model._r_dots(t).reshape(model.k, -1).T, compute_uv=False)
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
-    tol = indep_rtol * max(1.0, smax)
+    tol = _INDEP_RTOL * max(1.0, smax)
     rank = int(np.sum(svals > tol))
     indep_ok = rank == model.k
 

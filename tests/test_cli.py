@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import ast
 import csv
 import functools
 import io
@@ -17,6 +18,7 @@ from numpy.testing import assert_allclose
 import copula_rank
 import copula_rank.cli as cli
 import copula_rank.geometry as geometry
+import copula_rank.mc as mc
 from copula_rank import (efficiency_bundle, eval_geometry, exchangeable, gram,
                          ple_estimate, rank_transform, sample_copula,
                          score_generators, toeplitz, unrestricted,
@@ -439,11 +441,118 @@ class TestSimulate:
             raise McExperimentError("estimator 'ple' failed in 6/6 "
                                     "replications", failures={"ple": 6})
 
-        monkeypatch.setattr(cli, "run_experiment", boom)
+        monkeypatch.setattr(mc, "run_experiment", boom)
         code, _, err = run_cli(capsys, "simulate", "--config", str(path),
                                "--out-dir", str(tmp_path / "x"))
         assert code == 3
         assert "failed" in err
+
+
+def command_argv(command, tmp_path):
+    """The arguments of a successful call of `command`, before --format."""
+    if command == "estimate":
+        path = tmp_path / "data.csv"
+        write_sample_csv(str(path))
+        return ["estimate", "--family", "exchangeable", "--p", "3", "--data", str(path)]
+    if command == "simulate":
+        path = TestSimulate().write_config(tmp_path)
+        return ["simulate", "--config", str(path), "--workers", "1",
+                "--out-dir", str(tmp_path / "out")]
+    return [command, "--family", "toeplitz", "--p", "4",
+            "--theta", TestInformationPass.THETA]
+
+
+class TestOutput:
+    SCHEMAS = {"bound": "bound", "check": "check", "estimate": "estimate",
+               "are": "are", "simulate": "mc_report"}
+
+    @pytest.mark.parametrize("command,fmt", [
+        (command, fmt) for command in ("bound", "check", "estimate", "are")
+        for fmt in ("json", "csv", "pretty")
+    ] + [("simulate", "json"), ("simulate", "pretty")])
+    def test_every_command_in_every_format(self, capsys, tmp_path, command, fmt):
+        code, out, err = run_cli(capsys, *command_argv(command, tmp_path),
+                                 "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            validate_output(self.SCHEMAS[command], json.loads(out))
+        elif fmt == "csv":
+            header, *rows = csv.reader(io.StringIO(out))
+            assert rows and all(len(row) == len(header) for row in rows)
+        else:
+            assert out.strip()
+
+    def test_simulate_has_no_csv(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, *command_argv("simulate", tmp_path),
+                                 "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'csv'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_only_main_reads_format_or_prints(self):
+        # One output path: the cmd_* functions return what they computed,
+        # and main alone chooses the format and writes stdout.
+        with open(cli.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        commands = {fn.name for fn in functions if fn.name.startswith("cmd_")}
+        assert commands == {"cmd_bound", "cmd_check", "cmd_estimate", "cmd_are",
+                            "cmd_simulate"}
+        readers, writers = set(), set()
+        for fn in functions:
+            for node in ast.walk(fn):
+                if not isinstance(node, (ast.Attribute, ast.Call)):
+                    continue
+                if isinstance(node, ast.Call):
+                    if isinstance(node.func, ast.Name) and node.func.id == "print":
+                        writers.add(fn.name)
+                elif isinstance(node.value, ast.Name) and (
+                        (node.value.id, node.attr) == ("args", "format")):
+                    readers.add(fn.name)
+                elif isinstance(node.value, ast.Name) and (
+                        (node.value.id, node.attr) == ("sys", "stdout")):
+                    writers.add(fn.name)
+        assert readers == {"main"}
+        assert not writers & commands
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("probe", ["config-directory", "out-dir-file",
+                                       "data-directory", "data-not-utf8"])
+    def test_unusable_path_exit_2(self, capsys, tmp_path, probe):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("a,b,\xe9\n0.1,0.2,0.3\n".encode("latin-1"))
+        exch3 = ["estimate", "--family", "exchangeable", "--p", "3", "--data"]
+        argv = {
+            "config-directory": ["simulate", "--config", str(tmp_path)],
+            "out-dir-file": command_argv("simulate", tmp_path)[:-1] + [str(blocker)],
+            "data-directory": exch3 + [str(tmp_path)],
+            "data-not-utf8": exch3 + [str(latin1)],
+        }[probe]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-3", "inf"])
+    def test_check_tolerance_finite_nonnegative(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, "check", "--family", "circular",
+                                 "--theta", "0.5", f"--tolerance={tolerance}",
+                                 "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerance: ")
+
+    def test_tie_warning_printed_by_main(self, capsys, tmp_path):
+        u = sample_copula(exchangeable(3).r_of_theta([0.5]), 60, seed=4)
+        u[:5, 0] = 0.5
+        path = tmp_path / "tied.csv"
+        np.savetxt(str(path), u, delimiter=",")
+        code, out, err = run_cli(capsys, "estimate", "--family", "exchangeable",
+                                 "--p", "3", "--data", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["tie_warning"] is True
+        assert err == "warning: ties in column(s) [0]; average ranks used\n"
 
 
 def child_env():

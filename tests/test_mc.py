@@ -1,12 +1,15 @@
 """Tests for the Monte Carlo harness."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import copula_rank
@@ -139,6 +142,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="theta_true"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("patch,field", [
+        ({"margins": [[0.5]]}, "margins"),
+        ({"margins": [{}]}, "margins"),
+        ({"theta_true": False}, "theta_true"),
+        ({"theta_true": [False]}, "theta_true"),
+        ({"theta_true": "0.5"}, "theta_true"),
+        ({"theta_grid": [False]}, "theta_grid"),
+        ({"model": 5}, "model"),
+        ({"model": {"family": [1]}}, "family"),
+    ])
+    def test_schema_rejected_value_raises_config_error(self, patch, field):
+        # Values the schema rejects: none may run as a number (a bool, a
+        # numeric string) or raise TypeError inside the config check.
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            McConfig.from_dict({**BASE, **patch})
+
     def test_echo_excludes_execution_details(self):
         config = McConfig.from_dict({**BASE, "workers": 7,
                                      "keep_errors": False})
@@ -147,6 +166,85 @@ class TestConfig:
         assert "keep_errors" not in echo
         assert echo["seed"] == 99
         assert echo["lane"] == 0
+
+
+def _json_values():
+    """Values of every JSON type, nested: bools, integral and non-integral
+    floats, NaN and infinity, None, strings, lists and objects."""
+    scalars = st.one_of(
+        st.booleans(), st.none(),
+        st.sampled_from([0, 1, 2, 3, -1, 0.0, 1.0, 2.0, -1.0, 0.25, -0.4, 2.5,
+                         1e-3, math.nan, math.inf]),
+        st.sampled_from(["", "abc", "0.5", "uniform", "gaussian", "user", "ple",
+                         "one_step", "exchangeable", "circular"]))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["family", "p", "q", "x"]), inner,
+                        max_size=3)), max_leaves=6)
+
+
+class TestConfigContract:
+    """`McConfig.from_dict` against `schemas/mc_config.schema.json`, on
+    valid configs with one field replaced by a drawn value or removed."""
+
+    VALID = [
+        BASE,
+        {"model": {"family": "toeplitz", "p": 3}, "n": 10, "replications": 2,
+         "theta_grid": [[0.2, 0.1], [0.3, -0.1]]},
+        {"model": {"family": "circular"}, "theta_true": 0.3, "theta_grid": [0.1],
+         "n": 2, "replications": 1, "estimators": ["ple", "pilot_moment"],
+         "seed": 0, "margins": ["gaussian"], "workers": 2, "keep_errors": False,
+         "output": "out", "lane": 1},
+    ]
+    FIELDS = sorted(load_schema("mc_config")["properties"]) + ["bogus"]
+
+    @staticmethod
+    def domain_rule_rejects(raw):
+        """True when a rule the schema cannot express rejects `raw`: a model
+        that does not build, a theta of the wrong length or outside the
+        domain, or a margins list of neither 1 nor p kinds."""
+        try:
+            model = copula_rank.build_model(raw["model"])
+        except ConfigError:
+            return True
+        points = [raw["theta_true"]] if "theta_true" in raw else []
+        if not all(model.domain_check(t) for t in points + raw.get("theta_grid", [])):
+            return True
+        margins = raw.get("margins", "uniform")
+        return isinstance(margins, list) and len(margins) not in (1, model.p)
+
+    def test_valid_configs_accepted(self):
+        import jsonschema
+
+        for raw in self.VALID:
+            jsonschema.validate(raw, load_schema("mc_config"))
+            McConfig.from_dict(raw)
+
+    @given(base=st.sampled_from(range(len(VALID))), field=st.sampled_from(FIELDS),
+           value=st.one_of(st.just(MISSING), _json_values()))
+    @settings(max_examples=400, deadline=None)
+    def test_from_dict_agrees_with_schema(self, base, field, value):
+        import jsonschema
+
+        raw = dict(self.VALID[base])
+        if value is MISSING:
+            raw.pop(field, None)
+        else:
+            raw[field] = value
+        schema_valid = jsonschema.Draft202012Validator(
+            load_schema("mc_config")).is_valid(raw)
+        try:
+            McConfig.from_dict(raw)
+        except ConfigError as exc:
+            if schema_valid:
+                assert self.domain_rule_rejects(raw), exc
+                return
+            names = ({"theta_true", "theta_grid"}
+                     if value is MISSING and field in ("theta_true", "theta_grid")
+                     else {field})
+            assert str(exc).split(":")[0] in names, exc
+        else:
+            assert schema_valid, f"accepted a config the schema rejects: {raw!r}"
 
 
 class TestRunExperiment:
@@ -400,8 +498,8 @@ class TestComputedOnce:
 
 class TestGridAndSummaries:
     def test_run_grid_lanes(self):
-        reports = run_grid({**BASE, "replications": 4,
-                            "estimators": ["one_step"]}, [0.2, 0.5])
+        reports = run_grid({**BASE, "replications": 4, "estimators": ["one_step"],
+                            "theta_grid": [0.2, 0.5]})
         assert [r.config["lane"] for r in reports] == [0, 1]
         assert [r.config["theta_true"] for r in reports] == [[0.2], [0.5]]
         rows = summarize(reports)
@@ -409,6 +507,16 @@ class TestGridAndSummaries:
         assert rows[0]["theta"] == [0.2]
         assert rows[1]["estimator"] == "one_step"
         assert rows[0]["n_success"] == 4
+
+    def test_run_grid_point_config(self):
+        # A config without a grid runs its one experiment, on its own lane.
+        raw = {**BASE, "replications": 4, "lane": 3}
+        [report] = run_grid(raw)
+        expected = run_experiment(raw)
+        assert report.config["lane"] == 3
+        assert report.to_json() == expected.to_json()
+        np.testing.assert_array_equal(report.errors, expected.errors)
+        assert run_grid(McConfig.from_dict(raw))[0].to_json() == report.to_json()
 
     def test_summarize_single_and_empty(self):
         report = run_experiment({**BASE, "replications": 2})
