@@ -32,7 +32,7 @@ from .exceptions import (ConfigError, ConvergenceError, DegenerateMarginError,
                          SingularityError)
 from .geometry import (DiagnosticReport, adaptivity_check, efficiency_bundle,
                        efficiency_criterion, regularity_check)
-from .mc import (run_grid, summarize, write_errors_csv, write_report_json,
+from .mc import (McConfig, run_grid, summarize, write_errors_csv, write_report_json,
                  write_summary_csv)
 from .models import (FAMILIES, build_model, eval_geometry, load_model,
                      validate_assumption1)
@@ -333,10 +333,11 @@ def cmd_simulate(args):
         raw["seed"] = args.seed
     workers = _resolve_workers(args, raw)
     raw["workers"] = workers
-    reports = run_grid(raw)
-
+    config = McConfig.from_dict(raw)
     out_dir = args.out_dir or raw.get("output") or "."
     os.makedirs(out_dir, exist_ok=True)
+    reports = run_grid(config)
+
     report_path = os.path.join(out_dir, "report.json")
     errors_path = os.path.join(out_dir, "errors.csv")
     summary_path = os.path.join(out_dir, "summary.csv")

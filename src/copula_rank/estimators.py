@@ -49,8 +49,7 @@ from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
 from .geometry import efficiency_bundle
 from .models import eval_geometry
-from .numcore import (cholesky_lower, identity, norm_quantile, spd_factor, spd_inverse,
-                      spd_solve, sym_eig)
+from .numcore import cholesky_lower, identity, norm_quantile, spd_inverse, sym_eig
 
 __all__ = [
     "RankedSample",
@@ -203,26 +202,14 @@ def sigma_n_sq(n):
 # Pseudo-likelihood estimation
 # ---------------------------------------------------------------------------
 
-def _pseudo_score(model, theta, rhat):
-    """Vector of pseudo-score values tr(dS_m(theta)(R(theta) - Rhat)).
-
-    Computed as -sum(dR_m * W) with W = S (R - Rhat) S, sharing one
-    factorization across components.
-    """
-    t = model.theta_vec(theta)
-    r = model.corr_fn(t)
-    c = spd_factor(r, f"R(theta) is not positive definite for {model.name}")
-    w = spd_solve(c, spd_solve(c, (r - rhat).T).T)
-    return -(model._r_dots(t).reshape(model.k, -1) @ w.ravel())
-
-
-def _objective_and_inverse(model, theta, rhat):
-    """log det R(theta) + tr(S Rhat), which is 2 `_mean_pseudo_negloglik` +
-    tr Rhat, and S = R(theta)^-1, both from one factorization attempt on
-    R(theta); (inf, None) where R(theta) is not finite or not positive
-    definite.  The Cholesky is the only positive-definiteness test: the
-    objective is a barrier at the boundary of that region, so no accepted
-    descent step leaves it."""
+def _objective_and_inverse(model, theta, rhat, trace):
+    """The mean negative pseudo-log-likelihood, up to an additive constant,
+    (log det R(theta) + tr(S Rhat) - `trace`) / 2 with `trace` = tr Rhat,
+    and S = R(theta)^-1, both from one factorization attempt on R(theta);
+    (inf, None) where R(theta) is not finite or not positive definite.  The
+    Cholesky is the only positive-definiteness test: the objective is a
+    barrier at the boundary of that region, so no accepted descent step
+    leaves it."""
     r = model.corr_fn(theta)
     try:
         c = cholesky_lower(r)
@@ -236,18 +223,11 @@ def _objective_and_inverse(model, theta, rhat):
     # 0.3.31 took ~5 ms for a 100 x 100 C-by-Fortran product, against
     # ~40 us for same-layout operands (2-CPU x86-64 VM, Haswell kernel).
     s = spd_inverse(c)
-    return logdet + float((s * rhat).sum()), s
-
-
-def _mean_pseudo_negloglik(model, theta, rhat):
-    """Mean negative pseudo-log-likelihood at the float k-vector theta, up to
-    an additive constant: (log det R + tr((S - I) Rhat)) / 2; +inf where
-    R(theta) is not positive definite."""
-    return 0.5 * (_objective_and_inverse(model, theta, rhat)[0] - float(rhat.trace()))
+    return 0.5 * (logdet + float((s * rhat).sum()) - trace), s
 
 
 def _descent_step(model, theta, s, rhat):
-    """Pseudo-score psi, the step -|H|^-1 grad on `_mean_pseudo_negloglik`
+    """Pseudo-score psi, the step -|H|^-1 grad on `_objective_and_inverse`
     and the eigenvalues of the Hessian H = -(J + J')/4, by matrix products
     with S = R(theta)^-1 (no factorization) at the validated iterate theta;
     |H| takes absolute eigenvalues so that the step always descends.
@@ -294,7 +274,7 @@ def _spectral_descent(spectrum, rhat):
         psi = dlam' w,  w = (d - lam) / lam^2,
         J   = dlam' diag((lam - 2 d) / lam^3) dlam + sum_j w_j d2lam_j,
 
-    the `_mean_pseudo_negloglik` value and the `_descent_step` pseudo-score
+    the `_objective_and_inverse` value and the `_descent_step` pseudo-score
     and Jacobian written in that basis.  min lam > 0 is the
     positive-definiteness condition itself; no step factors a matrix.
     """
@@ -330,12 +310,8 @@ def _descent(model, rhat):
     if model.spectrum is not None:
         return _spectral_descent(model.spectrum, rhat)
     trace = float(rhat.trace())
-
-    def objective(theta):
-        value, s = _objective_and_inverse(model, theta, rhat)
-        return 0.5 * (value - trace), s
-
-    return objective, lambda theta, s: _descent_step(model, theta, s, rhat)
+    return (lambda theta: _objective_and_inverse(model, theta, rhat, trace),
+            lambda theta, s: _descent_step(model, theta, s, rhat))
 
 
 def _default_init(model, rhat):

@@ -145,13 +145,16 @@ def efficient_score_matrices(geom):
 def _spd_inverse(mat, what):
     """Inverse of a symmetric information matrix; SingularityError where its
     smallest eigenvalue is at most k * eps times its largest (numpy's
-    matrix_rank tolerance), whether or not Cholesky would succeed."""
+    matrix_rank tolerance), whether or not Cholesky would succeed.  Its `cond`
+    is max|lam| / min|lam|, the 2-norm condition number."""
     eigs = sym_eig(mat, vectors=False)
     c = cholesky_lower(mat) if eigs[0] > len(eigs) * _EPS * eigs[-1] else None
     if c is None:
+        size = np.abs(eigs)
         raise SingularityError(
             f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})",
-            eigenvalue=float(eigs[0]), cond=float(np.linalg.cond(mat)))
+            eigenvalue=float(eigs[0]),
+            cond=float(size.max() / size.min()) if size.min() > 0.0 else np.inf)
     inv = spd_inverse(c)
     return 0.5 * (inv + inv.T)
 

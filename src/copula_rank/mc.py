@@ -47,15 +47,20 @@ __all__ = [
 
 _ESTIMATORS = ("ple", "one_step", "pilot_moment")
 _FAILURE_LIMIT = 0.05
+# What fails one estimator in one replication, not the experiment.
+_FAILURES = (ConvergenceError, SingularityError, DomainError, np.linalg.LinAlgError)
+_WORD_MAX = 2**64 - 1  # seed and lane are 64-bit words of the Philox key and counter
 
 
-def _int_at_least(key, value, minimum):
-    """`value` as an int where it is an integer >= minimum, else ConfigError
-    naming `key`.  As in JSON Schema, a float with no fractional part (2.0)
-    is an integer and a bool is not."""
+def _int_in(key, value, minimum, maximum=None):
+    """`value` as an int where it is an integer >= minimum and, when given,
+    <= maximum, else ConfigError naming `key`.  As in JSON Schema, a float
+    with no fractional part (2.0) is an integer and a bool is not."""
     number = int(value) if isinstance(value, float) and value.is_integer() else value
-    if not isinstance(number, int) or isinstance(number, bool) or number < minimum:
-        raise ConfigError(f"{key}: expected an integer >= {minimum}, got {value!r}")
+    if (not isinstance(number, int) or isinstance(number, bool) or number < minimum
+            or maximum is not None and number > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{key}: expected an integer {bound}, got {value!r}")
     return number
 
 
@@ -127,15 +132,15 @@ class McConfig:
             theta = None
         else:
             raise ConfigError("theta_true: missing required field")
-        n = _int_at_least("n", raw.get("n"), 2)
-        reps = _int_at_least("replications", raw.get("replications"), 1)
+        n = _int_in("n", raw.get("n"), 2)
+        reps = _int_in("replications", raw.get("replications"), 1)
         ests = raw.get("estimators", ["one_step"])
         if (not isinstance(ests, (list, tuple)) or not ests
                 or not all(e in _ESTIMATORS for e in ests)
                 or len(set(ests)) < len(ests)):
             raise ConfigError(f"estimators: expected a nonempty subset of "
                               f"{_ESTIMATORS}, each named once, got {ests!r}")
-        seed = _int_at_least("seed", raw.get("seed", 0), 0)
+        seed = _int_in("seed", raw.get("seed", 0), 0, _WORD_MAX)
         margins = raw.get("margins", "uniform")
         if isinstance(margins, str):
             margins = (margins,)
@@ -158,9 +163,9 @@ class McConfig:
         return cls(model=dict(raw["model"]), theta_true=theta, n=n,
                    replications=reps, estimators=tuple(ests), seed=seed,
                    margins=tuple(margins),
-                   workers=_int_at_least("workers", raw.get("workers", 1), 1),
+                   workers=_int_in("workers", raw.get("workers", 1), 1),
                    keep_errors=keep_errors,
-                   lane=_int_at_least("lane", raw.get("lane", 0), 0),
+                   lane=_int_in("lane", raw.get("lane", 0), 0, _WORD_MAX),
                    theta_grid=grid)
 
     def echo(self):
@@ -258,25 +263,28 @@ def _replicate(payload, rep):
         # The one-step update is pinned to a pseudo-likelihood pilot: in high
         # dimensions a moment pilot leaves a visible finite-sample bias that
         # the single update does not remove, while the update from the PLE
-        # re-centers the estimate.  The PLE solve is shared when both
-        # estimators are requested.
+        # re-centers the estimate.  The PLE solve, or its failure, is shared
+        # when both estimators are requested.
         ple_cache = {}
 
         def _estimate(est):
             if est == "pilot_moment":
                 return pilot_moment(model, sample)
             if "ple" not in ple_cache:
-                ple_cache["ple"] = ple_estimate(model, sample)
-            if est == "ple":
-                return ple_cache["ple"]
-            return one_step(model, sample, pilot=ple_cache["ple"].theta_hat)
+                try:
+                    ple_cache["ple"] = ple_estimate(model, sample)
+                except _FAILURES as exc:
+                    ple_cache["ple"] = exc
+            ple = ple_cache["ple"]
+            if isinstance(ple, Exception):
+                raise ple
+            return ple if est == "ple" else one_step(model, sample, pilot=ple.theta_hat)
 
         for est in payload["estimators"]:
             try:
                 result = _estimate(est)
                 errors[est] = (result.theta_hat - theta_true).tolist()
-            except (ConvergenceError, SingularityError, DomainError,
-                    np.linalg.LinAlgError) as exc:
+            except _FAILURES as exc:
                 errors[est] = None
                 failures[est] = f"{type(exc).__name__}: {exc}"
     return rep, errors, failures

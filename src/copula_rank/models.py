@@ -47,6 +47,9 @@ __all__ = [
 
 _EPS_DOMAIN = 1e-6  # margin keeping theta away from open-interval boundaries
 _PD_FLOOR = 1e-10  # R counts as positive definite when lambda_min(R) exceeds this
+# Largest p (and q) a descriptor may ask for: every family holds dense p x p
+# matrices, and a larger p fails inside numpy instead of as a ConfigError.
+_DIM_MAX = 1000
 _INDEP_RTOL = 1e-8  # dR/dtheta rank cutoff, relative to max(1, sigma_max)
 
 
@@ -166,7 +169,7 @@ class CorrelationModel:
             return False
         if self.domain_fn is not None:
             return bool(self.domain_fn(t))
-        return _pd_check(self.corr_fn(t))
+        return bool(sym_eig(self.corr_fn(t), vectors=False)[0] > _PD_FLOOR)
 
     def clamp(self, theta):
         """Project theta onto the eps-interior of the domain, when the family
@@ -174,10 +177,6 @@ class CorrelationModel:
         if self.clamp_fn is None:
             return None
         return self.clamp_fn(self.theta_vec(theta))
-
-
-def _pd_check(r):
-    return bool(sym_eig(r, vectors=False)[0] > _PD_FLOOR)
 
 
 def _offdiag(a):
@@ -433,6 +432,8 @@ def build_model(descriptor):
             raise ConfigError(f"{key}: missing required field")
         if key != "generators" and (not isinstance(v, int) or isinstance(v, bool)):
             raise ConfigError(f"{key}: expected an integer, got {v!r}")
+        if key != "generators" and v > _DIM_MAX:
+            raise ConfigError(f"{key}: expected an integer <= {_DIM_MAX}, got {v!r}")
         args[key] = v
     return builder(**args)
 

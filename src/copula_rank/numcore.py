@@ -18,9 +18,7 @@ factorizations, symmetric eigen-solves and the pseudo-inverse:
 eigenvalues and eigenvectors (dsyevd), and `pinv` inverts through the SVD
 (dgesdd).  They call the LAPACK wrappers directly, with the input checks
 and results of scipy.linalg's cholesky/cho_solve and numpy.linalg's
-eigh/eigvalsh/pinv, but without their per-call overhead.  (The sampler
-alone keeps numpy's Cholesky: another factorization would change its
-draws.)
+eigh/eigvalsh/pinv, but without their per-call overhead.
 """
 
 from __future__ import annotations

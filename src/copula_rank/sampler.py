@@ -13,8 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
-from .numcore import check_symmetric, norm_cdf, norm_quantile, sym_eig
+from .exceptions import ConfigError, DomainError, ShapeError
+from .numcore import (check_symmetric, cholesky_lower, identity, norm_cdf, norm_quantile,
+                      spd_factor)
 
 __all__ = ["MarginSpec", "CopulaFactor", "sample_copula", "apply_margins",
            "copula_stream"]
@@ -65,23 +66,16 @@ def copula_stream(seed, rep=0, lane=0):
     if seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
     bitgen = np.random.Philox(key=np.uint64(seed),
-                              counter=[0, 0, np.uint64(rep), np.uint64(lane)])
+                              counter=np.array([0, 0, rep, lane], dtype=np.uint64))
     return np.random.Generator(bitgen)
 
 
 def _copula_factor(r):
     """Cholesky factor of R with a single 1e-12 jitter retry near singularity."""
     r = check_symmetric(r, name="R")
-    try:
-        return np.linalg.cholesky(r)
-    except np.linalg.LinAlgError:
-        try:
-            return np.linalg.cholesky(r + 1e-12 * np.eye(r.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            eig = float(sym_eig(r, vectors=False)[0])
-            raise SingularityError(
-                f"correlation matrix is not positive definite "
-                f"(min eigenvalue {eig:.3e})", eigenvalue=eig) from exc
+    chol = cholesky_lower(r)
+    return chol if chol is not None else spd_factor(
+        r + 1e-12 * identity(len(r)), "correlation matrix is not positive definite")
 
 
 class CopulaFactor:
@@ -101,7 +95,9 @@ def sample_copula(r, n, seed, rep=0, lane=0):
     (seed, R, n, rep, lane) give bit-identical output, whether `r` is R or
     its `CopulaFactor`.
 
-    Returns an (n, p) matrix with entries strictly inside (0, 1).
+    Returns an (n, p) matrix with entries strictly inside (0, 1).  Raises
+    ValueError where R is not finite, and SingularityError where R is not
+    positive definite even with 1e-12 added to its diagonal.
     """
     if n < 1:
         raise DomainError("n must be >= 1")

@@ -414,7 +414,7 @@ class TestSimulate:
     @pytest.mark.parametrize("field,value", [
         ("lane", "x"), ("lane", -1), ("lane", 1.7), ("lane", True),
         ("seed", True), ("n", True), ("replications", True), ("workers", True),
-        ("workers", None),
+        ("workers", None), ("seed", 2**64), ("lane", 2**64),
     ])
     def test_bad_integer_field_exit_2(self, capsys, tmp_path, field, value):
         path = self.write_config(tmp_path, **{field: value})
@@ -422,6 +422,26 @@ class TestSimulate:
                                "--out-dir", str(tmp_path / "x"))
         assert code == 2
         assert err.startswith(f"error: {field}: ")
+
+    def test_seed_flag_beyond_64_bits_exit_2(self, capsys, tmp_path):
+        path = self.write_config(tmp_path)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path),
+                               "--out-dir", str(tmp_path / "x"), "--seed", str(2**64))
+        assert code == 2
+        assert err.startswith("error: seed: ")
+        assert not (tmp_path / "x").exists()
+
+    def test_out_dir_checked_before_running(self, capsys, tmp_path, monkeypatch):
+        def replicate(payload, rep):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(mc, "_replicate", replicate)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = command_argv("simulate", tmp_path)[:-1] + [str(blocker)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("field,value", [
         ("output", 5), ("margins", []), ("estimators", ["one_step", "one_step"]),

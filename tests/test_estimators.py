@@ -13,13 +13,12 @@ from scipy.optimize import brentq
 from scipy.stats import rankdata
 
 from copula_rank import (CorrelationModel, circular, custom_affine, eval_geometry,
-                         efficient_info, exchangeable, factor, norm_quantile,
-                         one_step, pilot_moment, ple_estimate, rank_transform,
-                         run_experiment, sample_copula, sigma_n_sq, toeplitz,
-                         unrestricted, adaptivity_demo, lower_triangle_pairs)
+                         efficient_info, efficient_score_matrices, exchangeable,
+                         factor, norm_quantile, one_step, pilot_moment, ple_estimate,
+                         rank_transform, run_experiment, sample_copula, sigma_n_sq,
+                         toeplitz, unrestricted, adaptivity_demo, lower_triangle_pairs)
 from copula_rank import estimators, models
-from copula_rank.estimators import (RankedSample, normal_scores_matrix,
-                                    _mean_pseudo_negloglik, _pseudo_score)
+from copula_rank.estimators import RankedSample, normal_scores_matrix
 from copula_rank.exceptions import (ConvergenceError, DegenerateMarginError,
                                     DomainError, ShapeError, SingularityError)
 
@@ -30,6 +29,43 @@ def exch_corr(p, theta):
     r = np.full((p, p), theta)
     np.fill_diagonal(r, 1.0)
     return r
+
+
+def mirrored_pairs_sample():
+    """Columns x, x, -x, -x: the lag means of their Rhat, toeplitz(4)'s moment
+    fit, give a Toeplitz R that is not positive definite."""
+    x = np.random.default_rng(0).standard_normal(50)
+    return rank_transform(np.column_stack([x, x, -x, -x]))
+
+
+def assert_shrunk_into_domain(model, theta, anchor, target):
+    """theta is in the domain and lies on the segment from anchor toward the
+    out-of-domain target, strictly short of it."""
+    assert model.domain_check(theta) and not model.domain_check(target)
+    step = target - anchor
+    scale = float((theta - anchor) @ step / (step @ step))
+    assert 0.0 < scale < 1.0
+    assert_allclose(theta, anchor + scale * step, rtol=0, atol=1e-14)
+
+
+def _pseudo_score(model, theta, rhat):
+    """Reference pseudo-score tr(dS_m (R - Rhat)) = -tr(dR_m S (R - Rhat) S),
+    with S = inv(R), independent of the package's objective."""
+    r = model.r_of_theta(theta)
+    s = np.linalg.inv(r)
+    w = s @ (r - rhat) @ s
+    return -np.array([np.sum(dr * w) for dr in model.r_dots(theta)])
+
+
+def _mean_pseudo_negloglik(model, theta, rhat):
+    """Reference mean negative pseudo-log-likelihood up to a constant,
+    (log det R + tr((S - I) Rhat)) / 2; inf where R(theta) is not positive
+    definite."""
+    r = model.r_of_theta(theta)
+    if not np.linalg.eigvalsh(r)[0] > 0.0:
+        return np.inf
+    logdet = np.linalg.slogdet(r)[1]
+    return 0.5 * (logdet + np.sum((np.linalg.inv(r) - np.eye(len(r))) * rhat))
 
 
 class TestRankTransform:
@@ -328,9 +364,9 @@ class TestPleEstimate:
         objective, descent_step = estimators._objective_and_inverse, estimators._descent_step
         per_evaluation, in_steps = [], []
 
-        def counted_objective(model, theta, rhat):
+        def counted_objective(*args, **kwargs):
             before = len(factorizations)
-            out = objective(model, theta, rhat)
+            out = objective(*args, **kwargs)
             per_evaluation.append(len(factorizations) - before)
             return out
 
@@ -499,6 +535,17 @@ class TestPilotMoment:
         u = sample_copula(model.r_of_theta(np.linspace(0.3, 0.6, 4)), 150, seed=15)
         assert pilot_moment(model, rank_transform(u)).method == "ple"
 
+    def test_out_of_domain_fit_shrunk_toward_default(self):
+        # toeplitz has no closed-form clamp, so the fit is shrunk toward
+        # default_init until it is in the domain.
+        model = toeplitz(4)
+        sample = mirrored_pairs_sample()
+        fit = model.moment_map @ sample.rhat.ravel()
+        assert model.clamp(fit) is None
+        result = pilot_moment(model, sample)
+        assert result.clamped and result.method == "pilot_moment"
+        assert_shrunk_into_domain(model, result.theta_hat, model.default_init, fit)
+
     def test_non_affine_fallback(self):
         model = adaptivity_demo()
         u = sample_copula(model.r_of_theta(np.array([0.1])), 200, seed=51)
@@ -564,6 +611,19 @@ class TestOneStep:
         assert not result.converged
         assert result.iterations == 1
         assert model.domain_check(result.theta_hat)
+
+    def test_update_shrunk_toward_pilot_without_a_box(self):
+        # From the pilot theta = 0 the update leaves toeplitz(4)'s domain,
+        # which has no closed-form clamp.
+        model = toeplitz(4)
+        sample = mirrored_pairs_sample()
+        pilot = np.zeros(3)
+        geom = eval_geometry(model, pilot)
+        score = 0.5 * efficient_score_matrices(geom).reshape(3, -1) @ sample.rhat.ravel()
+        update = pilot + efficient_info(geom)[1] @ score
+        result = one_step(model, sample, pilot=pilot)
+        assert result.clamped and not result.converged
+        assert_shrunk_into_domain(model, result.theta_hat, pilot, update)
 
     def test_default_pilot_and_std_errors(self):
         model = exchangeable(3)

@@ -19,7 +19,8 @@ import copula_rank.sampler as sampler
 from copula_rank import (McConfig, run_experiment, run_grid, summarize,
                          validate_output, write_errors_csv, write_report_json,
                          write_summary_csv)
-from copula_rank.exceptions import ConfigError, McExperimentError, ShapeError
+from copula_rank.exceptions import (ConfigError, ConvergenceError, McExperimentError,
+                                   ShapeError)
 from copula_rank.validation import load_schema
 
 BASE = {
@@ -75,6 +76,8 @@ class TestConfig:
          "^zeta: unexpected field"),
         ({"model": {"family": ("x",)}}, "^family: unknown family"),
         ({"workers": None}, "^workers: "),
+        ({"seed": 2**64}, "^seed: "),
+        ({"lane": 2**64}, "^lane: "),
     ])
     def test_validation_names_field(self, patch, field):
         raw = {**BASE, **patch}
@@ -112,6 +115,9 @@ class TestConfig:
         ({"margins": "user"}, False),
         ({"margins": ["uniform", "user", "cauchy"]}, False),
         ({"margins": "gaussian"}, True),
+        ({"seed": 2**64 - 1, "lane": 2**64 - 1}, True),
+        ({"seed": 2**64}, False),
+        ({"lane": 2**64}, False),
     ])
     def test_schema_and_from_dict_agree(self, patch, valid):
         import jsonschema
@@ -170,11 +176,12 @@ class TestConfig:
 
 def _json_values():
     """Values of every JSON type, nested: bools, integral and non-integral
-    floats, NaN and infinity, None, strings, lists and objects."""
+    floats, NaN and infinity, the largest 64-bit word and one past it, None,
+    strings, lists and objects."""
     scalars = st.one_of(
         st.booleans(), st.none(),
         st.sampled_from([0, 1, 2, 3, -1, 0.0, 1.0, 2.0, -1.0, 0.25, -0.4, 2.5,
-                         1e-3, math.nan, math.inf]),
+                         1e-3, math.nan, math.inf, 2**64 - 1, 2**64]),
         st.sampled_from(["", "abc", "0.5", "uniform", "gaussian", "user", "ple",
                          "one_step", "exchangeable", "circular"]))
     return st.recursive(scalars, lambda inner: st.one_of(
@@ -248,6 +255,11 @@ class TestConfigContract:
 
 
 class TestRunExperiment:
+    def test_largest_seed_and_lane_run(self):
+        report = run_experiment({**BASE, "replications": 2, "seed": 2**64 - 1,
+                                 "lane": 2**64 - 1})
+        assert report.n_success == {"ple": 2, "one_step": 2}
+
     def test_single_replication(self):
         report = run_experiment({**BASE, "replications": 1})
         for est in ("ple", "one_step"):
@@ -437,6 +449,28 @@ class TestComputedOnce:
         calls = counter(monkeypatch, sampler._copula_factor, sampler)
         run_experiment({**BASE, "replications": 6})
         assert len(calls) == 1
+
+    def test_failing_ple_solved_once_per_replication(self, monkeypatch):
+        # one_step takes its pilot from the PLE: a failed solve fails both
+        # estimators, each with the solve's own message, and is not repeated.
+        calls = []
+
+        def failing(model, sample, *args, **kwargs):
+            calls.append(sample)
+            raise ConvergenceError("forced")
+
+        monkeypatch.setattr(mc, "ple_estimate", failing)
+        payload = {"model": mc._canonical(BASE["model"]), "theta_true": (0.5,),
+                   "n": 40, "seed": 1, "lane": 0, "margins": ["uniform"],
+                   "estimators": ["one_step", "ple"]}
+        assert mc._replicate(payload, 0) == (
+            0, {"one_step": None, "ple": None},
+            {"one_step": "ConvergenceError: forced", "ple": "ConvergenceError: forced"})
+        assert len(calls) == 1
+        with pytest.raises(McExperimentError) as exc:
+            run_experiment({**BASE, "replications": 6, "estimators": ["one_step", "ple"]})
+        assert exc.value.failures == {"one_step": 6, "ple": 6}
+        assert len(calls) == 1 + 6
 
     def test_rhat_once_per_replication(self, monkeypatch):
         calls = counter(monkeypatch, estimators.normal_scores_matrix, estimators)

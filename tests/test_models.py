@@ -369,6 +369,13 @@ class TestDescriptors:
             build_model({"family": "exchangeable", "p": 2.5})
         with pytest.raises(ConfigError, match="q"):
             build_model({"family": "factor", "p": 4})
+        # A dimension too large for dense p x p matrices is a config error,
+        # not a numpy failure; the schema carries the same bound.
+        limit = load_schema("model_descriptor")["properties"]["p"]["maximum"]
+        for p in (limit + 1, 2**64 - 1):
+            with pytest.raises(ConfigError, match="^p: expected an integer <= "):
+                build_model({"family": "exchangeable", "p": p})
+        assert build_model({"family": "exchangeable", "p": limit}).p == limit
         with pytest.raises(ConfigError, match="margin"):
             build_model({"family": "circular", "margin": "x"})
         for generators in (5, "abc", True, [5], ["abc"], [None]):

@@ -338,9 +338,10 @@ class TestSymEig:
 
 def linalg_uses(tree):
     """(module, name) pairs for the scipy.linalg imports and the numpy.linalg
-    eigen-solver and Cholesky names that a module's syntax tree uses."""
+    names that numcore wraps or makes redundant (factorizations, eigen-solves,
+    inverses, solves, condition numbers) that a module's syntax tree uses."""
     uses = set()
-    watched = {"eigh", "eigvalsh", "cholesky"}
+    watched = {"cholesky", "eigh", "eigvalsh", "eig", "inv", "pinv", "solve", "cond"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             uses |= {("scipy.linalg", alias.name) for alias in node.names
@@ -359,29 +360,29 @@ def linalg_uses(tree):
 
 class TestLapackEntryPoint:
     def test_numcore_is_the_one_lapack_entry_point(self):
-        # Only numcore imports scipy.linalg or calls numpy's eigen-solvers;
-        # only the sampler calls numpy's Cholesky, because another
-        # factorization would change its draws.
-        def owner(use):
-            return "sampler" if use == ("numpy.linalg", "cholesky") else "numcore"
-
+        # Only numcore imports scipy.linalg or calls numpy's factorizations,
+        # eigen-solvers, inverses, solves and condition numbers.
         package = Path(numcore.__file__).parent
         found = {path.stem: linalg_uses(ast.parse(path.read_text(encoding="utf-8")))
                  for path in sorted(package.glob("*.py"))}
-        assert found["numcore"] and found["sampler"]  # the rule sees real uses
+        assert found["numcore"]  # the rule sees real uses
         misplaced = sorted((name, use) for name, uses in found.items() for use in uses
-                           if owner(use) != name)
+                           if name != "numcore")
         assert not misplaced, misplaced
 
     def test_rule_sees_every_spelling(self):
         source = ("import scipy.linalg\nfrom scipy import linalg\n"
                   "from scipy.linalg.lapack import dpotrf\n"
-                  "from numpy.linalg import eigh\nnp.linalg.eigvalsh(a)\n"
-                  "numpy.linalg.cholesky(a)\nnp.linalg.svd(a)\n")
+                  "from numpy.linalg import eigh, inv\nnp.linalg.eigvalsh(a)\n"
+                  "numpy.linalg.cholesky(a)\nnp.linalg.eig(a)\nnp.linalg.pinv(a)\n"
+                  "np.linalg.solve(a, b)\nnp.linalg.cond(a)\nnp.linalg.svd(a)\n"
+                  "np.linalg.norm(a)\nnp.linalg.lstsq(a, b)\n")
         assert linalg_uses(ast.parse(source)) == {
             ("scipy.linalg", "scipy.linalg"), ("scipy.linalg", "scipy"),
             ("scipy.linalg", "scipy.linalg.lapack"), ("numpy.linalg", "eigh"),
-            ("numpy.linalg", "eigvalsh"), ("numpy.linalg", "cholesky")}
+            ("numpy.linalg", "inv"), ("numpy.linalg", "eigvalsh"),
+            ("numpy.linalg", "cholesky"), ("numpy.linalg", "eig"),
+            ("numpy.linalg", "pinv"), ("numpy.linalg", "solve"), ("numpy.linalg", "cond")}
 
 
 class TestPinv:

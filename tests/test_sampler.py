@@ -80,10 +80,32 @@ class TestSampleCopula:
             sample_copula(exch_corr(3, -0.6), 5, seed=1)
         assert exc.value.eigenvalue < -1e-6
 
+    def test_non_finite_r_raises(self):
+        # A factor with an infinite entry would give a column of exactly 1.0.
+        for bad in (np.inf, -np.inf):
+            for r in ([[1.0, 0.5], [0.5, bad]], [[1.0, bad], [bad, 1.0]]):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    sample_copula(r, 5, seed=1)
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    CopulaFactor(r)
+
     def test_jitter_rescues_machine_singular(self):
         # exactly singular within round-off: perfectly dependent pair
         u = sample_copula(np.ones((2, 2)), 1000, seed=3)
         assert_allclose(u[:, 0], u[:, 1], atol=1e-5)
+
+    def test_every_64_bit_lane_has_its_own_stream(self):
+        # rep and lane are exact 64-bit counter words, never rounded through
+        # float64 (which merges lanes above 2**53 and sends 2**64 - 1 to 0).
+        def draws(lane):
+            return copula_stream(11, lane=lane).standard_normal(4)
+
+        assert not np.array_equal(draws(2**53), draws(2**53 + 1))
+        assert not np.array_equal(draws(2**64 - 1), draws(0))
+        top = 2**64 - 1
+        state = copula_stream(top, rep=top, lane=top).bit_generator.state["state"]
+        assert state["key"][0] == top
+        assert state["counter"].tolist() == [0, 0, top, top]
 
     def test_stream_counter_independence(self):
         # replication streams do not depend on how many draws earlier
