@@ -107,8 +107,8 @@ def _build_parser():
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--config", required=True, help="experiment config JSON")
     p_sim.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: config, then "
-                            "COPULA_RANK_WORKERS, then logical cores)")
+                       help="worker processes (default: config 'workers', "
+                            "then logical cores)")
     p_sim.add_argument("--seed", type=int, default=None, help="override config seed")
     p_sim.add_argument("--out-dir", default=None,
                        help="output directory (default: config 'output' or cwd)")
@@ -143,14 +143,6 @@ def _parse_theta(tokens):
     return np.asarray(values)
 
 
-def _require_in_domain(model, theta):
-    theta = model.theta_vec(theta)
-    if not model.domain_check(theta):
-        raise DomainError(
-            f"theta {theta.tolist()} outside the domain of {model.name}")
-    return theta
-
-
 def _matrix(a):
     return [[float(v) for v in row] for row in np.atleast_2d(a)]
 
@@ -165,7 +157,7 @@ def _fmt_matrix(a):
 
 def cmd_bound(args):
     model = _model_from_args(args)
-    theta = _require_in_domain(model, _parse_theta(args.theta))
+    theta = model.require(_parse_theta(args.theta))
     geom = eval_geometry(model, theta)
     bundle = efficiency_bundle(geom)
     matrices = {  # output key: (bundle field, pretty-format label)
@@ -190,7 +182,7 @@ def cmd_check(args):
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"tolerance: expected a finite number >= 0, got {tol!r}")
     model = _model_from_args(args)
-    theta = _require_in_domain(model, _parse_theta(args.theta))
+    theta = model.require(_parse_theta(args.theta))
     a1 = validate_assumption1(model, theta)
     geom = eval_geometry(model, theta)
     bundle = efficiency_bundle(geom)
@@ -292,7 +284,7 @@ def cmd_estimate(args):
 
 def cmd_are(args):
     model = _model_from_args(args)
-    theta = _require_in_domain(model, _parse_theta(args.theta))
+    theta = model.require(_parse_theta(args.theta))
     bundle = efficiency_bundle(eval_geometry(model, theta))
     are = np.diag(bundle.eff_info_inv) / np.diag(bundle.ple_cov)
     obj = {
@@ -312,12 +304,6 @@ def _resolve_workers(args, raw):
         return args.workers
     if "workers" in raw:
         return raw["workers"]
-    env = os.environ.get("COPULA_RANK_WORKERS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"COPULA_RANK_WORKERS: cannot parse {env!r}") from exc
     return os.cpu_count() or 1
 
 

@@ -405,36 +405,18 @@ def ple_estimate(model, sample, init=None, max_iter=100):
 # Pilot and one-step
 # ---------------------------------------------------------------------------
 
-def _clamp_into_domain(model, theta, anchor):
-    """Clamp theta into the domain: closed-form projection when the family
-    has one, otherwise shrink toward the in-domain anchor."""
-    clamped = model.clamp(theta)
-    if clamped is not None and model.domain_check(clamped):
-        return clamped
-    scale = 1.0
-    for _ in range(80):
-        scale *= 0.5
-        cand = anchor + scale * (theta - anchor)
-        if model.domain_check(cand):
-            return cand
-    return anchor.copy()
-
-
 def pilot_moment(model, sample):
     """Closed-form minimum-distance pilot `model.moment_map` vec(Rhat): the
     least-squares fit of Rhat - I on the derivative matrices at theta = 0,
     where R(0) = I and they do not all vanish (for affine families, minimize
     ||R(theta) - Rhat||_F; for circular, the mean first-neighbor
-    correlation).  A fit outside the domain is clamped into it and flagged.
+    correlation).  A fit outside the domain is brought into it toward
+    default_init (`model.into_domain`) and flagged.
     Other families (dR(0) = 0, or R(0) != I) fall back to ple_estimate."""
     if model.moment_map is None:
         return ple_estimate(model, sample, init=model.default_init)
-    theta = model.moment_map @ sample.rhat.ravel()
-    clamped = False
-    if not model.domain_check(theta):
-        theta = _clamp_into_domain(model, theta,
-                                   np.asarray(model.default_init, dtype=float))
-        clamped = True
+    theta, clamped = model.into_domain(model.moment_map @ sample.rhat.ravel(),
+                                       model.default_init)
     return EstimateResult(theta_hat=theta, method="pilot_moment", iterations=0,
                           converged=True, clamped=clamped,
                           tie_warning=sample.has_ties)
@@ -444,22 +426,18 @@ def one_step(model, sample, pilot=None):
     """Efficient one-step update from a root-n-consistent pilot.
 
     theta_hat = pilot + I*^-1(pilot) mean_i efficient_score(pseudo_obs_i),
-    with the mean efficient score computed as tr(A*_m Rhat) / 2.  An update
-    leaving the domain is clamped to its eps-interior and flagged, and then
-    `converged` is False.  Raises SingularityError where the efficient
+    with the mean efficient score computed as tr(A*_m Rhat) / 2.  A pilot
+    outside the domain raises DomainError (`model.require`).  An update
+    leaving the domain is brought into it toward the pilot
+    (`model.into_domain`) and flagged, and then `converged` is False.  Raises SingularityError where the efficient
     information at the pilot is singular.
     """
-    pilot = (pilot_moment(model, sample).theta_hat if pilot is None
-             else model.theta_vec(pilot))
-    if not model.domain_check(pilot):
-        raise DomainError(f"pilot {pilot} outside the domain of {model.name}")
+    pilot = model.require(pilot_moment(model, sample).theta_hat if pilot is None
+                          else pilot, "pilot")
 
     bundle = efficiency_bundle(eval_geometry(model, pilot))
-    theta = pilot + bundle.eff_info_inv @ (
-        0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel()))
-    clamped = not model.domain_check(theta)
-    if clamped:
-        theta = _clamp_into_domain(model, theta, pilot)
+    theta, clamped = model.into_domain(pilot + bundle.eff_info_inv @ (
+        0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel())), pilot)
     return EstimateResult(
         theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
         std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n,

@@ -182,9 +182,7 @@ def project_tangent(a, geom):
     i.e. (I + R o S) b = diag(RA), and returns (b, D(b)).  The residual
     A - D(b) satisfies diag(R (A - D(b))) = 0.
     """
-    a = check_symmetric(a, name="A")
-    if a.shape[0] != geom.p:
-        raise ShapeError(f"A has dim {a.shape[0]}, expected {geom.p}")
+    a = check_symmetric(a, name="A", p=geom.p)
     c = _ir_hadamard_factor(geom)
     b = spd_solve(c, np.diag(geom.r @ a))
     return b, d_operator(geom.s, b)
@@ -286,9 +284,7 @@ def adaptivity_check(bundle, tol=1e-8):
 def quad_influence_value(a, geom, u):
     """Quadratic influence function q_A(u) = (z'Az - tr(AR)) / 2 with
     z = quantile(u) componentwise."""
-    a = check_symmetric(a, name="A")
-    if a.shape[0] != geom.p:
-        raise ShapeError(f"A has dim {a.shape[0]}, expected {geom.p}")
+    a = check_symmetric(a, name="A", p=geom.p)
     u = np.asarray(u, dtype=float)
     if u.shape != (geom.p,):
         raise ShapeError(f"u must have length {geom.p}, got shape {u.shape}")

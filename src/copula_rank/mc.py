@@ -72,12 +72,9 @@ def _theta_point(model, key, value):
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
         raise ConfigError(f"{key}: expected a number or a list of numbers, got {value!r}")
     try:
-        theta = model.theta_vec(value)
+        return model.require(value)
     except (TypeError, ValueError) as exc:  # ShapeError, DomainError included
         raise ConfigError(f"{key}: {exc}") from exc
-    if not model.domain_check(theta):
-        raise ConfigError(f"{key}: {theta.tolist()} outside the domain of {model.name}")
-    return theta
 
 
 def _theta_grid(model, value):

@@ -83,6 +83,10 @@ class CorrelationModel:
     k : parameter dimension
     grad_fn : analytic dR/dtheta_m as grad_fn(t, m), read only by `r_dots`;
         None for affine families and for finite differences
+    box : the closed interval (lo, hi) that is the domain of a one-parameter
+        family, as data: theta is in the domain when lo <= theta[0] <= hi.
+        None where the domain is R(theta) positive definite, lambda_min above
+        1e-10.  `domain_check`, `into_domain` and `require` read it.
     default_init : a point well inside the domain, used to seed solvers
     descriptor : JSON-serializable dict that rebuilds the model via build_model
     notes : caveats attached to diagnostics (e.g. factor identifiability)
@@ -98,8 +102,7 @@ class CorrelationModel:
     k: int
     corr_fn: Callable = field(repr=False)
     grad_fn: Optional[Callable] = field(repr=False, default=None)
-    domain_fn: Optional[Callable] = field(repr=False, default=None)
-    clamp_fn: Optional[Callable] = field(repr=False, default=None)
+    box: Optional[tuple] = None
     default_init: np.ndarray = None
     descriptor: dict = field(default_factory=dict)
     notes: tuple = ()
@@ -167,16 +170,36 @@ class CorrelationModel:
             t = self.theta_vec(theta)
         except (ShapeError, DomainError):
             return False
-        if self.domain_fn is not None:
-            return bool(self.domain_fn(t))
+        if self.box is not None:
+            lo, hi = self.box
+            return bool(lo <= t[0] <= hi)
         return bool(sym_eig(self.corr_fn(t), vectors=False)[0] > _PD_FLOOR)
 
-    def clamp(self, theta):
-        """Project theta onto the eps-interior of the domain, when the family
-        has a box-shaped domain; returns None when no closed-form clamp exists."""
-        if self.clamp_fn is None:
-            return None
-        return self.clamp_fn(self.theta_vec(theta))
+    def into_domain(self, theta, anchor):
+        """(theta, False) where theta is in the domain, else (a point in it,
+        True): theta clipped onto the `box` where the family declares one,
+        else the first in-domain point anchor + 2^-j (theta - anchor),
+        j = 1..80, else a copy of the in-domain `anchor`."""
+        if self.domain_check(theta):
+            return theta, False
+        if self.box is not None:
+            return np.clip(self.theta_vec(theta), *self.box), True
+        anchor = np.asarray(anchor, dtype=float)
+        scale = 1.0
+        for _ in range(80):
+            scale *= 0.5
+            cand = anchor + scale * (theta - anchor)
+            if self.domain_check(cand):
+                return cand, True
+        return anchor.copy(), True
+
+    def require(self, theta, what="theta"):
+        """theta as a validated vector (`theta_vec`) in the domain, else
+        DomainError "<what> [...] outside the domain of <name>"."""
+        t = self.theta_vec(theta)
+        if not self.domain_check(t):
+            raise DomainError(f"{what} {t.tolist()} outside the domain of {self.name}")
+        return t
 
 
 def _offdiag(a):
@@ -189,19 +212,13 @@ def _offdiag(a):
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def _box(lo, hi):
-    """domain_fn and clamp_fn of a one-parameter family on [lo, hi]."""
-    return {"domain_fn": lambda t: bool(lo <= t[0] <= hi),
-            "clamp_fn": lambda t: np.clip(t, lo, hi)}
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None):
+def _affine_model(name, p, generators, descriptor, box=None):
     """R(theta) = I + sum theta_m G_m.  With one generator G = Q diag(g) Q',
     R(theta) = Q diag(1 + theta g) Q' and the model declares that spectrum."""
     gens = np.array(generators, dtype=float)
@@ -220,9 +237,8 @@ def _affine_model(name, p, generators, descriptor, domain_fn=None, clamp_fn=None
         spectrum = Spectrum(*_read_only(basis),
                             lambda t: (1.0 + t[0] * g, dlam, d2lam))
     return CorrelationModel(
-        name=name, p=p, k=k, corr_fn=corr_fn, domain_fn=domain_fn,
-        clamp_fn=clamp_fn, default_init=np.zeros(k), descriptor=descriptor,
-        affine_generators=gens, spectrum=spectrum,
+        name=name, p=p, k=k, corr_fn=corr_fn, box=box, default_init=np.zeros(k),
+        descriptor=descriptor, affine_generators=gens, spectrum=spectrum,
     )
 
 
@@ -243,7 +259,7 @@ def exchangeable(p):
         raise ConfigError("p: exchangeable model needs p >= 2")
     return _affine_model("exchangeable", p, [_offdiag(np.ones((p, p)))],
                          {"family": "exchangeable", "p": p},
-                         **_box(-1.0 / (p - 1) + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN))
+                         box=(-1.0 / (p - 1) + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN))
 
 
 def toeplitz(p):
@@ -291,8 +307,7 @@ def circular():
     return CorrelationModel(
         name="circular", p=p, k=1, corr_fn=corr_fn, grad_fn=grad_fn,
         default_init=np.zeros(1), descriptor={"family": "circular"},
-        spectrum=Spectrum(basis, eigen_fn),
-        **_box(-1.0 + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN),
+        spectrum=Spectrum(basis, eigen_fn), box=(-1.0 + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN),
     )
 
 
@@ -378,11 +393,11 @@ def custom_affine(p, generators):
         raise ConfigError("generators: custom_affine needs k >= 1 generators")
     for i, g in enumerate(generators):
         try:
-            g = check_symmetric(g, name=f"generators[{i}]")
-        except (ShapeError, TypeError, ValueError) as exc:
+            g = check_symmetric(g, name=f"generators[{i}]", p=p)
+        except ShapeError as exc:  # its message names the field
+            raise ConfigError(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"generators[{i}]: {exc}") from exc
-        if g.shape[0] != p:
-            raise ConfigError(f"generators[{i}]: dimension {g.shape[0]} != p = {p}")
         if np.any(np.diag(g) != 0.0):
             raise ConfigError(f"generators[{i}]: diagonal entries must be zero")
         gens.append(g)

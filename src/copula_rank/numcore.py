@@ -109,26 +109,32 @@ def _all_close(x, y, atol):
         return bool(np.all(equal | (np.abs(x - y) <= atol)))
 
 
-def check_symmetric(a, name="matrix", atol=1e-8):
-    """Validate that `a` is a square symmetric 2-d array and return it as float."""
+def check_symmetric(a, name="matrix", atol=1e-8, p=None):
+    """Validate that `a` is a finite square symmetric 2-d array, p x p when
+    `p` is given, and return it as float.  Raises ShapeError for a shape or
+    symmetry fault and ValueError for a non-finite entry."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
-    if not _all_close(a, a.T, atol):
+    if p is not None and a.shape[0] != p:
+        raise ShapeError(f"{name} has dim {a.shape[0]}, expected {p}")
+    if not _all_close(_finite(a), a.T, atol):
         raise ShapeError(f"{name} is not symmetric")
     return a
 
 
 def check_symmetric_stack(mats, p, name="basis", atol=1e-8):
-    """Validate a nonempty sequence of symmetric p x p matrices, or one
-    (k, p, p) array, and return it as one float (k, p, p) array."""
+    """Validate a nonempty sequence of finite symmetric p x p matrices, or
+    one (k, p, p) array, and return it as one float (k, p, p) array.  Raises
+    ShapeError for a shape or symmetry fault and ValueError for a non-finite
+    entry."""
     try:
         a = np.asarray(mats, dtype=float)
     except ValueError:  # a ragged sequence
         a = np.empty(0)
     if a.ndim != 3 or a.shape[1:] != (p, p) or len(a) == 0:
         raise ShapeError(f"{name} must be a nonempty stack of {p} x {p} matrices")
-    if not _all_close(a, a.transpose(0, 2, 1), atol):
+    if not _all_close(_finite(a), a.transpose(0, 2, 1), atol):
         raise ShapeError(f"{name} is not symmetric")
     return a
 
@@ -288,13 +294,6 @@ class InnerProductContext:
         return self.corr.shape[0]
 
 
-def _require_dim(a, p, name):
-    a = check_symmetric(a, name=name)
-    if a.shape[0] != p:
-        raise ShapeError(f"{name} has dim {a.shape[0]}, expected {p}")
-    return a
-
-
 def theta_inner(a, b, ctx):
     """Inner product <A, B> = tr(A R B R) / 2 on symmetric matrices.
 
@@ -309,8 +308,8 @@ def theta_inner(a, b, ctx):
     """
     r = ctx.corr
     p = ctx.dim
-    a = _require_dim(a, p, "A")
-    b = _require_dim(b, p, "B")
+    a = check_symmetric(a, name="A", p=p)
+    b = check_symmetric(b, name="B", p=p)
     ar = a @ r
     br = b @ r
     # tr(X Y) = sum(X * Y.T)

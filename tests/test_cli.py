@@ -20,7 +20,7 @@ import copula_rank.cli as cli
 import copula_rank.geometry as geometry
 import copula_rank.mc as mc
 from copula_rank import (efficiency_bundle, eval_geometry, exchangeable, gram,
-                         ple_estimate, rank_transform, sample_copula,
+                         pilot_moment, ple_estimate, rank_transform, sample_copula,
                          score_generators, toeplitz, unrestricted,
                          validate_output)
 from copula_rank.exceptions import McExperimentError
@@ -238,6 +238,18 @@ class TestEstimate:
         assert obj["method"] == "ple"
         assert obj["converged"] is True
 
+    def test_pilot_moment(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        u = write_sample_csv(str(path))
+        code, out, _ = run_cli(capsys, "estimate", "--family", "exchangeable",
+                               "--p", "3", "--data", str(path),
+                               "--method", "pilot_moment", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        validate_output("estimate", obj)
+        assert obj == pilot_moment(exchangeable(3), rank_transform(u)).to_dict()
+        assert obj["method"] == "pilot_moment"
+
     def test_monotone_transform_identical_bytes(self, capsys, tmp_path):
         raw = tmp_path / "raw.csv"
         u = write_sample_csv(str(raw))
@@ -377,13 +389,16 @@ class TestSimulate:
         reports = json.loads((out_dir / "report.json").read_text())
         assert [r["config"]["lane"] for r in reports] == [0, 1, 2]
 
-    def test_env_workers_fallback(self, capsys, tmp_path, monkeypatch):
+    def test_env_var_does_not_set_workers(self, capsys, tmp_path, monkeypatch):
+        # The worker count comes from --workers, then the config, then the
+        # logical core count; no environment variable is a fourth source.
         path = self.write_config(tmp_path)
         monkeypatch.setenv("COPULA_RANK_WORKERS", "3")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         code, out, _ = run_cli(capsys, "simulate", "--config", str(path),
                                "--out-dir", str(tmp_path / "env"))
         assert code == 0
-        assert "workers=3" in out
+        assert "workers=1" in out
 
     def test_bad_config_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -523,8 +523,7 @@ class TestPilotMoment:
         circ = circular()
         ring = CorrelationModel(
             name="ring", p=4, k=1, corr_fn=circ.corr_fn, grad_fn=circ.grad_fn,
-            domain_fn=circ.domain_fn, clamp_fn=circ.clamp_fn,
-            default_init=circ.default_init)
+            box=circ.box, default_init=circ.default_init)
         sample = rank_transform(sample_copula(circ.r_of_theta(np.array([0.4])),
                                               150, seed=15))
         result = pilot_moment(ring, sample)
@@ -536,12 +535,12 @@ class TestPilotMoment:
         assert pilot_moment(model, rank_transform(u)).method == "ple"
 
     def test_out_of_domain_fit_shrunk_toward_default(self):
-        # toeplitz has no closed-form clamp, so the fit is shrunk toward
+        # toeplitz declares no box to clip onto, so the fit is shrunk toward
         # default_init until it is in the domain.
         model = toeplitz(4)
         sample = mirrored_pairs_sample()
         fit = model.moment_map @ sample.rhat.ravel()
-        assert model.clamp(fit) is None
+        assert model.box is None
         result = pilot_moment(model, sample)
         assert result.clamped and result.method == "pilot_moment"
         assert_shrunk_into_domain(model, result.theta_hat, model.default_init, fit)

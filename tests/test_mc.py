@@ -594,6 +594,23 @@ class TestWriters:
         assert len(lines) == 1 + 3 * 2  # header + reps x estimators
         assert lines[1].startswith("0,0,ple,")
 
+    def test_singular_bounds_report(self, tmp_path):
+        # Raw factor(4, 2) loadings are not identifiable, so the information
+        # at the truth is singular: the report carries no bounds, and the
+        # summary leaves their cells blank.
+        report = run_experiment({
+            "model": {"family": "factor", "p": 4, "q": 2},
+            "theta_true": [0.7, 0.0, 0.6, 0.1, 0.5, 0.2, 0.4, -0.1], "n": 250,
+            "replications": 20, "estimators": ["ple"], "seed": 7, "workers": 1})
+        assert report.eff_bound is None and report.ple_bound is None
+        assert report.n_success["ple"] + report.failures["ple"] == 20
+        validate_output("mc_report", report.to_dict())
+        path = tmp_path / "summary.csv"
+        write_summary_csv(summarize([report]), str(path))
+        header, row = [line.split(",") for line in path.read_text().splitlines()]
+        bounds = [v for key, v in zip(header, row) if "bound" in key]
+        assert len(bounds) == 16 and set(bounds) == {""}
+
     def test_summary_csv(self, tmp_path):
         rows = summarize([run_experiment({**BASE, "replications": 2})])
         path = tmp_path / "summary.csv"

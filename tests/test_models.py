@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from copula_rank import (adaptivity_demo, build_model, circular, custom_affine,
@@ -14,6 +16,7 @@ from copula_rank import (adaptivity_demo, build_model, circular, custom_affine,
 from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
 from copula_rank.models import FAMILIES, Spectrum
+from copula_rank.numcore import cholesky_lower
 
 ALL_BUILTINS = [
     (exchangeable(3), np.array([0.4])),
@@ -119,6 +122,19 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             custom_affine(3, [asym])
 
+    def test_custom_affine_error_names_field_once(self):
+        asym = np.zeros((3, 3))
+        asym[0, 1] = 1.0
+        cases = [([asym], "generators[0] is not symmetric"),
+                 ([np.zeros((3, 3)), np.zeros((2, 2))],
+                  "generators[1] has dim 2, expected 3"),
+                 ([[[0.0, np.nan, 0.0], [np.nan, 0.0, 0.0], np.zeros(3)]],
+                  "generators[0]: array must not contain infs or NaNs")]
+        for generators, message in cases:
+            with pytest.raises(ConfigError) as exc:
+                custom_affine(3, generators)
+            assert str(exc.value) == message
+
     def test_dimension_validation(self):
         with pytest.raises(ConfigError):
             exchangeable(1)
@@ -182,8 +198,8 @@ class TestDerivativesAndDomains:
 
     def test_clamp(self):
         model = exchangeable(3)
-        clamped = model.clamp(np.array([1.7]))
-        assert model.domain_check(clamped)
+        clamped, flag = model.into_domain(np.array([1.7]), model.default_init)
+        assert flag and model.domain_check(clamped)
         assert clamped[0] == pytest.approx(1.0 - 1e-6)
 
     def test_factor_orthogonal_invariance(self):
@@ -213,6 +229,54 @@ FAMILY_EXAMPLES = {
                                          [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]),
                        [[0.2, 0.3]])],
 }
+
+
+class TestDomain:
+    """The model owns its domain: the box declared as data, `into_domain`
+    and `require`."""
+
+    def test_box_ends(self):
+        assert set(FAMILY_EXAMPLES) == set(FAMILIES)
+        boxed = set()
+        for family, examples in FAMILY_EXAMPLES.items():
+            for model, _ in examples:
+                if model.box is None:
+                    continue
+                boxed.add(family)
+                lo, hi = model.box
+                for end, outward in ((lo, -np.inf), (hi, np.inf)):
+                    assert model.domain_check([end])
+                    # circular's ends have lambda_min(R) = (1 - |theta|)^2 ~ 1e-12
+                    assert cholesky_lower(model.r_of_theta([end])) is not None
+                    assert not model.domain_check([np.nextafter(end, outward)])
+        assert boxed == {"exchangeable", "circular"}
+
+    @pytest.mark.parametrize(
+        "model,anchor",
+        [(model, thetas[0]) for examples in FAMILY_EXAMPLES.values()
+         for model, thetas in examples],
+        ids=lambda v: getattr(v, "name", None) or str(v))
+    @settings(max_examples=25, deadline=None)
+    @given(values=st.lists(st.floats(-2.5, 2.5), min_size=8, max_size=8))
+    def test_into_domain_and_require(self, model, anchor, values):
+        theta = np.array(values[:model.k])
+        inside = model.domain_check(theta)
+        result, clamped = model.into_domain(theta, anchor)
+        assert model.domain_check(result)
+        assert clamped == (not inside)
+        anchor = np.asarray(anchor, dtype=float)
+        if inside:
+            assert result is theta
+            assert np.array_equal(model.require(theta), theta)
+        else:
+            if model.box is not None:
+                assert np.array_equal(result, np.clip(theta, *model.box))
+            else:
+                segment = [anchor + 0.5 ** j * (theta - anchor) for j in range(1, 81)]
+                assert any(np.array_equal(result, c) for c in segment + [anchor])
+            with pytest.raises(DomainError,
+                               match=f"^pilot .* outside the domain of {model.name}$"):
+                model.require(theta, "pilot")
 
 
 SPECTRAL_EXAMPLES = [(model, thetas) for examples in FAMILY_EXAMPLES.values()

@@ -210,21 +210,51 @@ class TestCheckSymmetric:
                 if rng.integers(4) == 0:
                     a[rng.integers(p), rng.integers(p)] = rng.choice([np.nan, np.inf])
                 cases.append(a)
+        # A non-finite matrix is rejected as such before the symmetry test.
         outcomes = set()
         for a in cases:
             expected = bool(np.allclose(a, a.T, rtol=0.0, atol=atol))
             outcomes.add(expected)
+            assert numcore._all_close(a, a.T, atol) == expected, a
             try:
                 check_symmetric(a, atol=atol)
                 accepted = True
             except ShapeError as exc:
                 assert "not symmetric" in str(exc)
                 accepted = False
-            assert accepted == expected, a
+            except ValueError as exc:
+                assert str(exc) == "array must not contain infs or NaNs"
+                accepted = None
+            assert accepted == (expected if np.isfinite(a).all() else None), a
         assert outcomes == {True, False}
         for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
             with pytest.raises(ShapeError, match="square"):
                 check_symmetric(bad)
+
+    def test_dimension(self):
+        assert check_symmetric(np.eye(3), p=3).shape == (3, 3)
+        with pytest.raises(ShapeError, match=r"^A has dim 2, expected 3$"):
+            check_symmetric(np.eye(2), name="A", p=3)
+
+
+# Symmetric and asymmetric placements of NaN and +-inf.
+NON_FINITE = [[[1.0, 0.5], [0.5, np.nan]], [[1.0, 0.5], [0.5, np.inf]],
+              [[1.0, np.nan], [np.nan, 1.0]], [[1.0, -np.inf], [np.inf, 1.0]]]
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+    def test_inner_product_context_gram_theta_inner(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            InnerProductContext(bad)
+        ctx = InnerProductContext(np.eye(2))
+        for basis in ([bad], np.array([np.eye(2), bad])):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                gram(basis, ctx)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            theta_inner(bad, np.eye(2), ctx)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            theta_inner(np.eye(2), bad, ctx)
 
 
 class TestSpdHelpers:

@@ -82,7 +82,8 @@ class TestSampleCopula:
 
     def test_non_finite_r_raises(self):
         # A factor with an infinite entry would give a column of exactly 1.0.
-        for bad in (np.inf, -np.inf):
+        # A NaN is named as such, not as an asymmetry.
+        for bad in (np.inf, -np.inf, np.nan):
             for r in ([[1.0, 0.5], [0.5, bad]], [[1.0, bad], [bad, 1.0]]):
                 with pytest.raises(ValueError, match="infs or NaNs"):
                     sample_copula(r, 5, seed=1)
