@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -245,14 +246,15 @@ def _bounds_at(descriptor_json, theta_true):
 
 
 def _replicate(payload, rep):
-    """Run one replication; returns (rep, {estimator: error list or None},
-    {estimator: failure message}).  Top-level so process pools can pickle it."""
+    """Run one replication; returns (errors, failures): the (n_estimators, k)
+    array of theta_hat - theta_true with a NaN row per failed estimator, and
+    {estimator: "Type: message"}.  Top-level so process pools can pickle it."""
     model, factor = _model_at(payload["model"], payload["theta_true"])
-    theta_true = np.array(payload["theta_true"])
     u = sample_copula(factor, payload["n"], payload["seed"], rep=rep,
                       lane=payload["lane"])
-    x = apply_margins(u, MarginSpec(kinds=tuple(payload["margins"])))
-    errors = {}
+    x = apply_margins(u, payload["margins"])
+    estimators = payload["estimators"]
+    errors = np.full((len(estimators), len(payload["theta_true"])), np.nan)
     failures = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -262,36 +264,33 @@ def _replicate(payload, rep):
         # the single update does not remove, while the update from the PLE
         # re-centers the estimate.  The PLE solve, or its failure, is shared
         # when both estimators are requested.
-        ple_cache = {}
-
-        def _estimate(est):
-            if est == "pilot_moment":
-                return pilot_moment(model, sample)
-            if "ple" not in ple_cache:
-                try:
-                    ple_cache["ple"] = ple_estimate(model, sample)
-                except _FAILURES as exc:
-                    ple_cache["ple"] = exc
-            ple = ple_cache["ple"]
-            if isinstance(ple, Exception):
-                raise ple
-            return ple if est == "ple" else one_step(model, sample, pilot=ple.theta_hat)
-
-        for est in payload["estimators"]:
+        if "ple" in estimators or "one_step" in estimators:
             try:
-                result = _estimate(est)
-                errors[est] = (result.theta_hat - theta_true).tolist()
+                ple = ple_estimate(model, sample)
             except _FAILURES as exc:
-                errors[est] = None
+                ple = exc
+        for row, est in enumerate(estimators):
+            try:
+                if est == "pilot_moment":
+                    result = pilot_moment(model, sample)
+                elif isinstance(ple, Exception):
+                    raise ple
+                elif est == "ple":
+                    result = ple
+                else:
+                    result = one_step(model, sample, pilot=ple.theta_hat)
+                errors[row] = result.theta_hat - payload["theta_true"]
+            except _FAILURES as exc:
                 failures[est] = f"{type(exc).__name__}: {exc}"
-    return rep, errors, failures
+    return errors, failures
 
 
 def run_experiment(config):
     """Run a replicated experiment and aggregate into an McReport.
 
     `config` may be an McConfig or a raw dict.  Results are deterministic
-    given the config, independently of the worker count.
+    given the config, independently of the worker count.  At most
+    min(workers, replications, logical cores) worker processes run.
     """
     if isinstance(config, dict):
         config = McConfig.from_dict(config)
@@ -302,42 +301,37 @@ def run_experiment(config):
         "model": _canonical(config.model),
         "theta_true": tuple(float(v) for v in config.theta_true),
         "n": config.n, "seed": config.seed, "lane": config.lane,
-        "margins": list(config.margins), "estimators": list(config.estimators),
+        "margins": MarginSpec(kinds=config.margins),
+        "estimators": config.estimators,
     }
     reps = config.replications
-    if config.workers > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk = max(1, reps // (8 * config.workers))
-            raw = list(pool.map(partial(_replicate, payload), range(reps),
-                                chunksize=chunk))
+    workers = min(config.workers, reps, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(partial(_replicate, payload), range(reps),
+                                    chunksize=max(1, reps // (8 * workers))))
     else:
-        raw = [_replicate(payload, rep) for rep in range(reps)]
-    raw.sort(key=lambda item: item[0])
+        records = [_replicate(payload, rep) for rep in range(reps)]
 
     k = len(config.theta_true)
-    errs = np.full((reps, len(config.estimators), k), np.nan)
-    failures = {e: 0 for e in config.estimators}
-    messages = {e: [] for e in config.estimators}
-    for rep, errors, fails in raw:
-        for idx, est in enumerate(config.estimators):
-            if errors[est] is None:
-                failures[est] += 1
-                if len(messages[est]) < 5:
-                    messages[est].append(f"rep {rep}: {fails[est]}")
-            else:
-                errs[rep, idx, :] = errors[est]
+    errs = np.empty((reps, len(config.estimators), k))
+    for rep, (errors, _) in enumerate(records):
+        errs[rep] = errors
+    failed = np.isnan(errs[:, :, 0])
+    failures = dict(zip(config.estimators, failed.sum(axis=0).tolist()))
 
     for est, count in failures.items():
         if count > _FAILURE_LIMIT * reps:
+            first = [f"rep {rep}: {fails[est]}"
+                     for rep, (_, fails) in enumerate(records) if est in fails][:5]
             raise McExperimentError(
                 f"estimator {est!r} failed in {count}/{reps} replications "
-                f"(> {_FAILURE_LIMIT:.0%}); first failures: {messages[est]}",
+                f"(> {_FAILURE_LIMIT:.0%}); first failures: {first}",
                 failures=failures)
 
     bias, variance, n_variance, n_success = {}, {}, {}, {}
     for idx, est in enumerate(config.estimators):
-        rows = errs[:, idx, :]
-        good = rows[~np.isnan(rows[:, 0])]
+        good = errs[~failed[:, idx], idx]
         count = n_success[est] = good.shape[0]
         # good.mean(axis=0) and good.var(axis=0, ddof=1) to the bit, in the
         # operations numpy's own reductions make.

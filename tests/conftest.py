@@ -1,5 +1,6 @@
 """Shared test fixtures."""
 
+import multiprocessing
 import sys
 
 import pytest
@@ -14,6 +15,15 @@ def clear_process_caches():
     and monkeypatched builders see no state left by earlier tests."""
     for cache in (mc._model, mc._model_at, mc._bounds_at, estimators._score_grid):
         cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, such as the workers
+    of a process pool that was not shut down."""
+    yield
+    children = multiprocessing.active_children()
+    assert not children, f"child processes left running: {children}"
 
 
 @pytest.fixture

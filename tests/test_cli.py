@@ -85,6 +85,12 @@ class TestBound:
         assert rows[0] == ["matrix", "row", "col", "value"]
         assert len(rows) == 4  # header + 3 single-entry matrices
 
+    def test_unparseable_theta_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--family", "toeplitz", "--p", "3",
+                                 "--theta", "0.5 abc")
+        assert (code, out) == (2, "")
+        assert err == "error: theta: cannot parse 'abc'\n"
+
     def test_theta_token_splitting(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--family", "toeplitz",
                                "--p", "3", "--theta", "0.5 0.3",
@@ -99,6 +105,16 @@ class TestModelFlags:
         (["--family", "factor", "--p", "4"], "q: required for family factor"),
     ], ids=["p", "q"])
     def test_missing_flag_named(self, capsys, flags, message):
+        code, _, err = run_cli(capsys, "bound", *flags, "--theta", "0.3")
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "model.json", "--family", "circular"],
+         "model: give either --model or --family, not both"),
+        ([], "model: provide --model FILE or --family NAME"),
+    ], ids=["both", "neither"])
+    def test_model_source_named(self, capsys, flags, message):
         code, _, err = run_cli(capsys, "bound", *flags, "--theta", "0.3")
         assert code == 2
         assert err == f"error: {message}\n"
@@ -280,6 +296,30 @@ class TestEstimate:
         assert code == 2
         assert "line 3" in err
 
+    def test_blank_lines_skipped(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        write_sample_csv(str(path))
+        lines = path.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join(lines[:3] + ["", " , , "] + lines[3:] + [""]) + "\n")
+        outs = [run_cli(capsys, "estimate", "--family", "exchangeable", "--p", "3",
+                        "--data", str(data), "--format", "json")
+                for data in (path, spaced)]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
+
+    @pytest.mark.parametrize("text,message", [
+        ("u0,u1,u2\n\n", "data: no numeric rows in "),
+        ("0.1,0.2,0.3\n0.4,0.5\n", "data: ragged row 2 (2 fields, expected 3)"),
+    ], ids=["no-numeric-rows", "ragged"])
+    def test_unusable_csv_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "estimate", "--family", "exchangeable",
+                               "--p", "3", "--data", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+
     def test_wrong_width(self, capsys, tmp_path):
         path = tmp_path / "narrow.csv"
         write_sample_csv(str(path), p=2)
@@ -409,6 +449,15 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
         assert "theta_true" in err
+
+    def test_config_not_an_object_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"model": {"family": "circular"}}]))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                                 "--out-dir", str(tmp_path / "x"))
+        assert (code, out) == (2, "")
+        assert err == "error: config: expected a JSON object\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("grid", [["abc"], 5], ids=["string-point", "number"])
     def test_malformed_theta_grid_exit_2(self, capsys, tmp_path, grid):

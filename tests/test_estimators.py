@@ -142,6 +142,8 @@ class TestRankTransform:
             rank_transform(np.array([[1.0, 2.0]]))
         with pytest.raises(DomainError):
             rank_transform(np.array([[1.0, np.nan], [2.0, 3.0]]))
+        with pytest.raises(ShapeError, match=r"^data must be 2-d, got shape \(2, 2, 2\)$"):
+            rank_transform(np.zeros((2, 2, 2)))
 
     def test_one_dimensional_promoted(self):
         sample = rank_transform(np.array([5.0, 1.0, 3.0]))
@@ -345,6 +347,22 @@ class TestPleEstimate:
         trace = info.value.trace
         assert trace
         assert trace[-1][1] > 1e-8 * model.k
+
+    def test_line_search_gives_up(self, monkeypatch):
+        # Every candidate of a step of 1e12, halved 30 times, leaves the
+        # positive-definite region, so the descent stops unconverged.
+        monkeypatch.setattr(estimators, "_newton_step",
+                            lambda psi, jac: (np.full_like(psi, 1e12), np.ones_like(psi)))
+        model = toeplitz(4)
+        u = sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6)
+        with pytest.raises(ConvergenceError, match="did not converge for toeplitz") as info:
+            ple_estimate(model, rank_transform(u))
+        assert len(info.value.trace) == 1
+
+    def test_objective_infinite_where_r_overflows(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert estimators._objective_and_inverse(
+                factor(3, 1), np.full(3, 1e200), np.eye(3), 3.0) == (np.inf, None)
 
     def test_saddle_point_rejected(self):
         # At L = 0 every dR_m vanishes, so the pseudo-score is exactly zero,

@@ -153,6 +153,16 @@ class TestGeneratorFunction:
         with pytest.raises(DomainError):
             generator_function(geom, 0, 0, 1.0)
 
+    @pytest.mark.parametrize("m,j,message", [
+        (1, 0, "parameter index 1 out of range for k=1"),
+        (-1, 0, "parameter index -1 out of range for k=1"),
+        (0, 3, "coordinate index 3 out of range for p=3"),
+    ])
+    def test_index_errors(self, m, j, message):
+        geom = eval_geometry(exchangeable(3), np.array([0.5]))
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            generator_function(geom, m, j, 0.5)
+
 
 class TestEfficientScoreMatrices:
     def test_independence_equals_rdot(self):
@@ -347,6 +357,11 @@ class TestEfficiencyCriterion:
         b_mats, _, _ = ple_influence(geom)
         assert not efficiency_criterion(geom, b_matrices=list(b_mats)).passed
 
+    def test_wrong_influence_count(self):
+        geom = eval_geometry(toeplitz(3), np.array([0.4, 0.2]))
+        with pytest.raises(ShapeError, match="^expected 2 influence matrices, got 1$"):
+            efficiency_criterion(geom, b_matrices=[np.zeros((3, 3))])
+
     def test_report_serialization(self):
         report = efficiency_criterion(eval_geometry(circular(), np.array([0.5])))
         d = report.to_dict()
@@ -390,6 +405,11 @@ class TestQuadInfluenceValue:
         geom = eval_geometry(exchangeable(3), np.array([0.5]))
         with pytest.raises(DomainError):
             quad_influence_value(np.eye(3), geom, np.array([0.2, 1.0, 0.8]))
+
+    def test_wrong_length(self):
+        geom = eval_geometry(exchangeable(3), np.array([0.5]))
+        with pytest.raises(ShapeError, match=r"^u must have length 3, got shape \(2,\)$"):
+            quad_influence_value(np.eye(3), geom, np.array([0.2, 0.8]))
 
     def test_mc_mean_and_variance(self):
         rng = np.random.default_rng(41)

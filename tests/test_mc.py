@@ -35,6 +35,10 @@ MISSING = object()  # a patch value that removes the field
 
 
 class TestConfig:
+    def test_config_not_an_object(self):
+        with pytest.raises(ConfigError, match="^config: expected a JSON object$"):
+            McConfig.from_dict([])
+
     def test_defaults(self):
         config = McConfig.from_dict({**BASE, "estimators": ["one_step"]})
         assert config.margins == ("uniform",)
@@ -305,11 +309,11 @@ class TestRunExperiment:
         real = mc._replicate
 
         def flaky(payload, rep):
-            out = real(payload, rep)
+            errors, failures = real(payload, rep)
             if rep == 3:
-                out[1]["ple"] = None
-                out[2]["ple"] = "ConvergenceError: forced"
-            return out
+                errors[payload["estimators"].index("ple")] = np.nan
+                failures["ple"] = "ConvergenceError: forced"
+            return errors, failures
 
         monkeypatch.setattr(mc, "_replicate", flaky)
         report = run_experiment({**BASE, "replications": 30})
@@ -324,17 +328,63 @@ class TestRunExperiment:
         real = mc._replicate
 
         def broken(payload, rep):
-            out = real(payload, rep)
+            errors, failures = real(payload, rep)
             if rep % 2 == 0:
-                out[1]["one_step"] = None
-                out[2]["one_step"] = "SingularityError: forced"
-            return out
+                errors[payload["estimators"].index("one_step")] = np.nan
+                failures["one_step"] = "SingularityError: forced"
+            return errors, failures
 
         monkeypatch.setattr(mc, "_replicate", broken)
         with pytest.raises(McExperimentError) as exc:
             run_experiment({**BASE, "replications": 20})
         assert exc.value.failures["one_step"] == 10
         assert "forced" in str(exc.value)
+
+    def test_real_failure_same_through_the_pool(self):
+        # factor(5, 1)'s PLE fails in replication 75 at this seed, and
+        # pilot_moment, which starts the same solve there, fails with it.
+        config = {"model": {"family": "factor", "p": 5, "q": 1},
+                  "theta_true": [0.5, 0.4, 0.3, 0.6, 0.2], "n": 250,
+                  "replications": 76, "estimators": ["ple", "one_step", "pilot_moment"],
+                  "seed": 20260814}
+        serial = run_experiment({**config, "workers": 1})
+        assert serial.failures == dict.fromkeys(config["estimators"], 1)
+        assert serial.n_success == dict.fromkeys(config["estimators"], 75)
+        assert np.isnan(serial.errors[75]).all()
+        assert not np.isnan(serial.errors[:75]).any()
+        pooled = run_experiment({**config, "workers": 2})
+        assert pooled.to_json() == serial.to_json()
+        assert np.array_equal(pooled.errors, serial.errors, equal_nan=True)
+
+    @pytest.mark.parametrize("cores", [None, 1, 2, 64])
+    def test_pool_size_bounded(self, monkeypatch, cores):
+        # A process pool forks all its workers at the first submit, so no
+        # more start than there are replications or logical cores.
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process: no process starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        config = {**BASE, "replications": 3}
+        serial = run_experiment({**config, "workers": 1})
+        report = run_experiment({**config, "workers": 10**6})
+        assert sizes == ([min(3, cores)] if cores and cores > 1 else [])
+        assert report.to_json() == serial.to_json()
+        assert np.array_equal(report.errors, serial.errors)
 
 
 # Source of a fresh interpreter that runs one config and prints its report
@@ -461,11 +511,12 @@ class TestComputedOnce:
 
         monkeypatch.setattr(mc, "ple_estimate", failing)
         payload = {"model": mc._canonical(BASE["model"]), "theta_true": (0.5,),
-                   "n": 40, "seed": 1, "lane": 0, "margins": ["uniform"],
-                   "estimators": ["one_step", "ple"]}
-        assert mc._replicate(payload, 0) == (
-            0, {"one_step": None, "ple": None},
-            {"one_step": "ConvergenceError: forced", "ple": "ConvergenceError: forced"})
+                   "n": 40, "seed": 1, "lane": 0, "margins": sampler.MarginSpec(),
+                   "estimators": ("one_step", "ple")}
+        errors, failures = mc._replicate(payload, 0)
+        assert errors.shape == (2, 1) and np.isnan(errors).all()
+        assert failures == {"one_step": "ConvergenceError: forced",
+                            "ple": "ConvergenceError: forced"}
         assert len(calls) == 1
         with pytest.raises(McExperimentError) as exc:
             run_experiment({**BASE, "replications": 6, "estimators": ["one_step", "ple"]})
@@ -490,8 +541,8 @@ class TestComputedOnce:
         # aggregating process's.
         calls = counter(monkeypatch, mc.efficiency_bundle, mc)
         payload = {"model": mc._canonical(BASE["model"]), "theta_true": (0.5,),
-                   "n": 40, "seed": 1, "lane": 0, "margins": ["uniform"],
-                   "estimators": ["ple", "one_step"]}
+                   "n": 40, "seed": 1, "lane": 0, "margins": sampler.MarginSpec(),
+                   "estimators": ("ple", "one_step")}
         mc._replicate(payload, 0)
         assert calls == []
 
@@ -593,6 +644,13 @@ class TestWriters:
         assert lines[0] == "lane,replication,estimator,err_1"
         assert len(lines) == 1 + 3 * 2  # header + reps x estimators
         assert lines[1].startswith("0,0,ple,")
+
+    def test_errors_csv_without_errors(self, tmp_path):
+        report = run_experiment({**BASE, "replications": 2, "keep_errors": False})
+        assert report.errors is None
+        path = tmp_path / "errors.csv"
+        write_errors_csv(report, str(path))
+        assert path.read_text().splitlines() == ["lane,replication,estimator,err_1"]
 
     def test_singular_bounds_report(self, tmp_path):
         # Raw factor(4, 2) loadings are not identifiable, so the information

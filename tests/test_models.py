@@ -142,6 +142,10 @@ class TestBuilders:
             factor(3, 0)
         with pytest.raises(ConfigError):
             factor(3, 3)
+        for build in (unrestricted, toeplitz, lambda p: factor(p, 1),
+                      lambda p: custom_affine(p, [[[0.0]]])):
+            with pytest.raises(ConfigError, match="^p: .* needs p >= 2$"):
+                build(1)
 
     def test_theta_vec_validation(self):
         model = exchangeable(3)
@@ -250,6 +254,13 @@ class TestDomain:
                     assert cholesky_lower(model.r_of_theta([end])) is not None
                     assert not model.domain_check([np.nextafter(end, outward)])
         assert boxed == {"exchangeable", "circular"}
+
+    def test_into_domain_falls_back_to_anchor(self):
+        # 2^-80 * 1e30 is still far outside, so no point of the segment is in.
+        model, anchor = toeplitz(4), np.zeros(3)
+        result, clamped = model.into_domain(np.full(3, 1e30), anchor)
+        assert clamped
+        assert np.array_equal(result, anchor) and result is not anchor
 
     @pytest.mark.parametrize(
         "model,anchor",
@@ -425,6 +436,8 @@ class TestDescriptors:
     def test_descriptor_errors_name_field(self):
         with pytest.raises(ConfigError, match="family"):
             build_model({})
+        with pytest.raises(ConfigError, match="^descriptor: expected a JSON object$"):
+            build_model([])
         with pytest.raises(ConfigError, match="family"):
             build_model({"family": "gumbel"})
         with pytest.raises(ConfigError, match="p"):
@@ -454,6 +467,10 @@ class TestDescriptors:
         assert schema["properties"]["family"]["enum"] == list(FAMILIES)
         fields = {key for _, keys in FAMILIES.values() for key in keys}
         assert set(schema["properties"]) == fields | {"family"}
+
+    def test_unknown_schema_named(self):
+        with pytest.raises(KeyError, match="unknown schema 'nope'"):
+            load_schema("nope")
 
     def test_descriptor_round_trip(self):
         gen = [[0.0, 1.0], [1.0, 0.0]]
@@ -488,6 +505,9 @@ class TestDescriptors:
         model = load_model(str(path))
         assert model.name == "exchangeable"
         assert model.descriptor == {"family": "exchangeable", "p": 3}
+        path.write_text("{not json")
+        with pytest.raises(ConfigError, match=r"^descriptor: invalid JSON \("):
+            load_model(str(path))
 
 
 class TestAssumption1:
@@ -511,6 +531,14 @@ class TestAssumption1:
         report = validate_assumption1(factor(3, 1), np.array([0.6, 0.0, 0.0]))
         assert report.rdot_rank == 2
         assert not report.rdot_independent
+        assert not report.passed
+
+    def test_non_unit_diagonal_reported(self):
+        model = dataclasses.replace(exchangeable(3), name="scaled",
+                                    corr_fn=lambda t: 2.0 * exchangeable(3).corr_fn(t))
+        report = validate_assumption1(model, np.array([0.5]))
+        assert report.unit_diag_error == pytest.approx(1.0)
+        assert report.violated == ("unit_diagonal",)
         assert not report.passed
 
     def test_to_dict_shape(self):
