@@ -32,8 +32,8 @@ from .exceptions import (ConfigError, ConvergenceError, DegenerateMarginError,
                          SingularityError)
 from .geometry import (DiagnosticReport, adaptivity_check, efficiency_bundle,
                        efficiency_criterion, regularity_check)
-from .mc import (McConfig, run_grid, summarize, write_errors_csv, write_report_json,
-                 write_summary_csv)
+from .mc import (McConfig, pool_size, run_grid, summarize, write_errors_csv,
+                 write_report_json, write_summary_csv)
 from .models import (FAMILIES, build_model, eval_geometry, load_model,
                      validate_assumption1)
 
@@ -317,8 +317,7 @@ def cmd_simulate(args):
         raise ConfigError("config: expected a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
-    workers = _resolve_workers(args, raw)
-    raw["workers"] = workers
+    raw["workers"] = _resolve_workers(args, raw)
     config = McConfig.from_dict(raw)
     out_dir = args.out_dir or raw.get("output") or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -334,7 +333,7 @@ def cmd_simulate(args):
 
     obj = reports[0].to_dict() if len(reports) == 1 else [r.to_dict()
                                                           for r in reports]
-    lines = [f"ran {len(reports)} experiment(s), workers={workers}"]
+    lines = [f"ran {len(reports)} experiment(s), workers={pool_size(config)}"]
     for row in rows:
         bound = (f"  eff bound {np.round(row['eff_bound'], 6).tolist()}"
                  if row["eff_bound"] is not None else "")

@@ -9,13 +9,16 @@ transformations of the raw columns.
 The pseudo-likelihood estimator minimises the mean negative
 pseudo-log-likelihood, whose gradient is minus half the pseudo-score
 tr(dS_m(theta) (R(theta) - Rhat)), by one Newton descent with the exact
-Hessian.  The descent stops at pseudo-score sup-norm <= 1e-8 * k where the
-Hessian has no negative curvature, or raises ConvergenceError with its
-iterate trace.  It takes its objective and step from the model.  In
-general each iterate costs one Cholesky factorization of R(theta), made by
-the line-search evaluation that accepts it; that factorization also gives
-S = R^-1, and the pseudo-score, its Jacobian and the step are matrix
-products with S.  For a model with a theta-free eigenbasis Q (a
+Hessian.  From the moment pilot, a root-n-consistent start, the first step
+is a Fisher-scoring step instead: the Hessian is replaced by its
+expectation at Rhat = R(theta), F_mj = tr(S dR_m S dR_j) / 2, built from
+the S of the pilot's objective evaluation.  The descent stops at
+pseudo-score sup-norm <= 1e-8 * k where the Hessian has no negative
+curvature, or raises ConvergenceError with its iterate trace.  It takes its
+objective and step from the model.  In general each iterate costs one
+Cholesky factorization of R(theta), made by the line-search evaluation that
+accepts it; that factorization also gives S = R^-1, and the pseudo-score,
+its Jacobian and the step are matrix products with S.  For a model with a theta-free eigenbasis Q (a
 `Spectrum`), d = diag(Q' Rhat Q) is formed once and every iterate is
 O(p k^2) arithmetic on the eigenvalues lam(theta), with no factorization.
 The one-step estimator adds the inverse efficient information times the
@@ -226,7 +229,7 @@ def _objective_and_inverse(model, theta, rhat, trace):
     return 0.5 * (logdet + float((s * rhat).sum()) - trace), s
 
 
-def _descent_step(model, theta, s, rhat):
+def _descent_step(model, theta, s, rhat, scoring):
     """Pseudo-score psi, the step -|H|^-1 grad on `_objective_and_inverse`
     and the eigenvalues of the Hessian H = -(J + J')/4, by matrix products
     with S = R(theta)^-1 (no factorization) at the validated iterate theta;
@@ -237,7 +240,9 @@ def _descent_step(model, theta, s, rhat):
     of psi, from dW_j = -S dR_j S + S dR_j S Rhat S + S Rhat S dR_j S.
     d2R = 0 for affine families; otherwise d2R_mj is one central difference
     of `model.r_dots`, exact up to roundoff when dR is affine in theta, as in
-    every built-in family.
+    every built-in family.  With `scoring`, J is its expectation at Rhat =
+    R(theta), -tr(S dR_m S dR_j), so that H is the Fisher information
+    F_mj = tr(S dR_m S dR_j) / 2 and the step is Fisher scoring.
     """
     k = model.k
     s_rhat = s @ rhat
@@ -246,6 +251,10 @@ def _descent_step(model, theta, s, rhat):
     psi = -(r_dots.reshape(k, -1) @ w.ravel())
 
     x = s @ r_dots  # S dR_j
+    if scoring:
+        # -tr(x_m x_j) = -vec(x_m) . vec(x_j')
+        return (psi, *_newton_step(
+            psi, -(x.reshape(k, -1) @ x.transpose(0, 2, 1).reshape(k, -1).T)))
     v = x @ (identity(model.p) - 2.0 * s_rhat)  # S dR_j (I - 2 S Rhat)
     # J_mj = tr(x_m v_j) = vec(x_m) . vec(v_j')
     jac = x.reshape(k, -1) @ v.transpose(0, 2, 1).reshape(k, -1).T
@@ -274,8 +283,9 @@ def _spectral_descent(spectrum, rhat):
         psi = dlam' w,  w = (d - lam) / lam^2,
         J   = dlam' diag((lam - 2 d) / lam^3) dlam + sum_j w_j d2lam_j,
 
-    the `_objective_and_inverse` value and the `_descent_step` pseudo-score
-    and Jacobian written in that basis.  min lam > 0 is the
+    and, for a scoring step, J at d = lam, -dlam' diag(lam^-2) dlam: the
+    `_objective_and_inverse` value and the `_descent_step` pseudo-score and
+    Jacobian written in that basis.  min lam > 0 is the
     positive-definiteness condition itself; no step factors a matrix.
     """
     basis = spectrum.basis
@@ -289,10 +299,12 @@ def _spectral_descent(spectrum, rhat):
             return np.inf, None
         return 0.5 * (float(np.log(lam).sum()) + float((d / lam).sum()) - trace), eig
 
-    def step(theta, eig):
+    def step(theta, eig, scoring):
         lam, dlam, d2lam = eig
         w = (d - lam) / lam ** 2
         psi = dlam.T @ w
+        if scoring:
+            return (psi, *_newton_step(psi, -(dlam.T / lam ** 2) @ dlam))
         jac = ((dlam.T * ((lam - 2.0 * d) / lam ** 3)) @ dlam
                + np.einsum("j,jmi->mi", w, d2lam))
         return (psi, *_newton_step(psi, jac))
@@ -303,7 +315,8 @@ def _spectral_descent(spectrum, rhat):
 def _descent(model, rhat):
     """The (objective, step) pair the PLE descent runs on: objective(theta)
     is (f, state), with state None where R(theta) is not positive definite,
-    and step(theta, state) is (psi, step, Hessian eigenvalues).  Spectral
+    and step(theta, state, scoring) is (psi, step, Hessian eigenvalues), the
+    Hessian replaced by the Fisher information when `scoring`.  Spectral
     (`_spectral_descent`) when the model declares a `Spectrum`, else
     `_objective_and_inverse` and `_descent_step` on matrices, with tr Rhat
     taken once per solve."""
@@ -311,15 +324,17 @@ def _descent(model, rhat):
         return _spectral_descent(model.spectrum, rhat)
     trace = float(rhat.trace())
     return (lambda theta: _objective_and_inverse(model, theta, rhat, trace),
-            lambda theta, s: _descent_step(model, theta, s, rhat))
+            lambda theta, s, scoring: _descent_step(model, theta, s, rhat, scoring))
 
 
 def _default_init(model, rhat):
+    """(start, from_pilot): the moment pilot where the model has a moment map
+    and the fit is in the domain, else a copy of `default_init`."""
     if model.moment_map is not None:
         pilot = model.moment_map @ rhat.ravel()
         if model.domain_check(pilot):
-            return pilot
-    return np.asarray(model.default_init, dtype=float).copy()
+            return pilot, True
+    return np.asarray(model.default_init, dtype=float).copy(), False
 
 
 def _std_errors(model, theta, n, field):
@@ -339,6 +354,12 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     positive definite.  The objective and step come from `_descent`: O(p k^2)
     eigenvalue arithmetic for a model with a `Spectrum`, else one Cholesky
     factorization of R(theta) per evaluation and matrix products with S.
+    From the moment pilot the first step is Fisher scoring, the Hessian
+    replaced by its expectation F (see the module docstring), and every
+    later step is the exact Newton step; `iterations` counts the scoring
+    step.  From an explicit `init` or `default_init` every step is exact
+    Newton: scoring from factor(5, 1)'s default start can reach the other
+    sign of the loadings.
 
     Converged means pseudo-score sup-norm <= 1e-8 * k, reached in
     `iterations` steps, at a point where the Hessian of the objective has no
@@ -352,7 +373,10 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     """
     rhat = sample.rhat
     tol = 1e-8 * model.k
-    theta = model.theta_vec(_default_init(model, rhat) if init is None else init)
+    scoring = False
+    if init is None:
+        init, scoring = _default_init(model, rhat)
+    theta = model.theta_vec(init)
     objective, descent = _descent(model, rhat)
     f, state = objective(theta)
     if state is None:
@@ -360,10 +384,12 @@ def ple_estimate(model, sample, init=None, max_iter=100):
 
     trace = []
     for iteration in range(max_iter + 1):
-        psi, step, eigs = descent(theta, state)
+        psi, step, eigs = descent(theta, state, scoring)
         norm = float(np.abs(psi).max())
         trace.append((theta.copy(), norm))
         if norm <= tol:
+            if scoring:  # the saddle test reads the exact Hessian
+                eigs = descent(theta, state, False)[2]
             if eigs[0] < -_SQRT_EPS * np.abs(eigs).max():
                 raise ConvergenceError(
                     f"pseudo-likelihood Newton descent stopped at a saddle point "
@@ -380,6 +406,7 @@ def ple_estimate(model, sample, init=None, max_iter=100):
                 tie_warning=sample.has_ties)
         if iteration == max_iter:
             break
+        scoring = False
         # Armijo on the objective; the slack admits steps whose decrease is
         # below the roundoff of f, which near the optimum is all of them.
         # The accepted candidate's state (S, or the eigenvalues) serves the

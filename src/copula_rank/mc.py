@@ -38,6 +38,7 @@ from .sampler import CopulaFactor, MarginSpec, apply_margins, sample_copula
 __all__ = [
     "McConfig",
     "McReport",
+    "pool_size",
     "run_experiment",
     "run_grid",
     "summarize",
@@ -263,26 +264,34 @@ def _replicate(payload, rep):
         # dimensions a moment pilot leaves a visible finite-sample bias that
         # the single update does not remove, while the update from the PLE
         # re-centers the estimate.  The PLE solve, or its failure, is shared
-        # when both estimators are requested.
-        if "ple" in estimators or "one_step" in estimators:
+        # by every estimator that needs it; for a family with no moment map
+        # `pilot_moment` is that same solve from the same start.
+        pilot_is_ple = model.moment_map is None
+        if pilot_is_ple or "ple" in estimators or "one_step" in estimators:
             try:
                 ple = ple_estimate(model, sample)
             except _FAILURES as exc:
                 ple = exc
         for row, est in enumerate(estimators):
             try:
-                if est == "pilot_moment":
+                if est == "pilot_moment" and not pilot_is_ple:
                     result = pilot_moment(model, sample)
                 elif isinstance(ple, Exception):
                     raise ple
-                elif est == "ple":
-                    result = ple
-                else:
+                elif est == "one_step":
                     result = one_step(model, sample, pilot=ple.theta_hat)
+                else:
+                    result = ple
                 errors[row] = result.theta_hat - payload["theta_true"]
             except _FAILURES as exc:
                 failures[est] = f"{type(exc).__name__}: {exc}"
     return errors, failures
+
+
+def pool_size(config):
+    """The worker processes `run_experiment` starts for an McConfig:
+    min(workers, replications, logical cores); 1 runs in the caller."""
+    return min(config.workers, config.replications, os.cpu_count() or 1)
 
 
 def run_experiment(config):
@@ -305,7 +314,7 @@ def run_experiment(config):
         "estimators": config.estimators,
     }
     reps = config.replications
-    workers = min(config.workers, reps, os.cpu_count() or 1)
+    workers = pool_size(config)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(partial(_replicate, payload), range(reps),

@@ -27,6 +27,29 @@ def no_child_process_left():
 
 
 @pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces `mc`'s process pool by one that maps in this process, so no
+    process starts.  Returns the list of pool sizes asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.fixture
 def factorizations(monkeypatch):
     """Counts every Cholesky factorization the package makes: each package
     module attribute bound to LAPACK's dpotrf (numcore's, the package's one

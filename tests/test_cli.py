@@ -440,6 +440,18 @@ class TestSimulate:
         assert code == 0
         assert "workers=1" in out
 
+    @pytest.mark.parametrize("cores", [2, 64])
+    def test_prints_the_workers_that_ran(self, capsys, tmp_path, monkeypatch,
+                                         serial_pool, cores):
+        # 6 replications: the pool holds min(workers, replications, cores).
+        path = self.write_config(tmp_path)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path),
+                               "--out-dir", str(tmp_path / "out"), "--workers", "100000")
+        assert code == 0
+        assert serial_pool == [min(6, cores)]
+        assert f"workers={min(6, cores)}\n" in out
+
     def test_bad_config_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

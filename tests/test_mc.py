@@ -342,7 +342,7 @@ class TestRunExperiment:
 
     def test_real_failure_same_through_the_pool(self):
         # factor(5, 1)'s PLE fails in replication 75 at this seed, and
-        # pilot_moment, which starts the same solve there, fails with it.
+        # pilot_moment, which is the same solve there, fails with it.
         config = {"model": {"family": "factor", "p": 5, "q": 1},
                   "theta_true": [0.5, 0.4, 0.3, 0.6, 0.2], "n": 250,
                   "replications": 76, "estimators": ["ple", "one_step", "pilot_moment"],
@@ -356,33 +356,40 @@ class TestRunExperiment:
         assert pooled.to_json() == serial.to_json()
         assert np.array_equal(pooled.errors, serial.errors, equal_nan=True)
 
+    def test_one_ple_solve_without_a_moment_map(self, monkeypatch):
+        # factor(5, 1) has no moment map, so pilot_moment is the PLE from the
+        # same start: one solve per replication serves all three estimators.
+        calls = []
+        solve = estimators.ple_estimate
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("init"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ple_estimate", counted)
+        monkeypatch.setattr(estimators, "ple_estimate", counted)
+        config = {"model": {"family": "factor", "p": 5, "q": 1},
+                  "theta_true": [0.5, 0.4, 0.3, 0.6, 0.2], "n": 250,
+                  "replications": 10, "seed": 20260814}
+        both = run_experiment({**config, "estimators": ["ple", "one_step", "pilot_moment"]})
+        assert calls == [None] * 10
+        assert np.array_equal(both.errors[:, 2], both.errors[:, 0])
+        calls.clear()
+        alone = run_experiment({**config, "estimators": ["pilot_moment"]})
+        assert len(calls) == 10
+        assert np.array_equal(alone.errors[:, 0], both.errors[:, 2])
+
     @pytest.mark.parametrize("cores", [None, 1, 2, 64])
-    def test_pool_size_bounded(self, monkeypatch, cores):
+    def test_pool_size_bounded(self, monkeypatch, serial_pool, cores):
         # A process pool forks all its workers at the first submit, so no
         # more start than there are replications or logical cores.
-        sizes = []
-
-        class SerialPool:
-            """Records its size and maps in this process: no process starts."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         config = {**BASE, "replications": 3}
         serial = run_experiment({**config, "workers": 1})
         report = run_experiment({**config, "workers": 10**6})
-        assert sizes == ([min(3, cores)] if cores and cores > 1 else [])
+        assert serial_pool == ([min(3, cores)] if cores and cores > 1 else [])
+        assert mc.pool_size(McConfig.from_dict({**config, "workers": 10**6})) == min(
+            3, cores or 1)
         assert report.to_json() == serial.to_json()
         assert np.array_equal(report.errors, serial.errors)
 
