@@ -28,7 +28,8 @@ from .geometry import (DiagnosticReport, EfficiencyBundle, adaptivity_check,
 from .sampler import (CopulaFactor, MarginSpec, apply_margins, copula_stream,
                       sample_copula)
 from .estimators import (EstimateResult, RankedSample, one_step, pilot_moment,
-                         ple_estimate, rank_transform, sigma_n_sq)
+                         ple_estimate, ple_estimate_block, rank_transform,
+                         sigma_n_sq)
 from .mc import (McConfig, McReport, run_experiment, run_grid, summarize,
                  write_errors_csv, write_report_json, write_summary_csv)
 from .validation import load_schema, validate_output
@@ -59,7 +60,7 @@ __all__ = [
     "sample_copula",
     # estimators
     "EstimateResult", "RankedSample", "one_step", "pilot_moment",
-    "ple_estimate", "rank_transform", "sigma_n_sq",
+    "ple_estimate", "ple_estimate_block", "rank_transform", "sigma_n_sq",
     # monte carlo
     "McConfig", "McReport", "run_experiment", "run_grid", "summarize",
     "write_errors_csv", "write_report_json", "write_summary_csv",

@@ -18,9 +18,21 @@ curvature, or raises ConvergenceError with its iterate trace.  It takes its
 objective and step from the model.  In general each iterate costs one
 Cholesky factorization of R(theta), made by the line-search evaluation that
 accepts it; that factorization also gives S = R^-1, and the pseudo-score,
-its Jacobian and the step are matrix products with S.  For a model with a theta-free eigenbasis Q (a
-`Spectrum`), d = diag(Q' Rhat Q) is formed once and every iterate is
-O(p k^2) arithmetic on the eigenvalues lam(theta), with no factorization.
+its Jacobian and the step are matrix products with S.  For a one-parameter
+model with a theta-free eigenbasis Q (a `Spectrum`), d = diag(Q' Rhat Q) is
+formed once and every iterate is elementwise arithmetic and sums on the
+eigenvalues lam(theta), with no factorization and no LAPACK call.
+
+The descent is written once, over a block of samples
+(`ple_estimate_block`): `ple_estimate` is a block of one, and a Monte Carlo
+run solves each block of replications in one call.  A spectral block is a
+(B, p) array of eigenvalues; a matrix family's rows take one Cholesky each
+in the same loop.  Every row keeps its own scoring start, line search, stop
+test, saddle test, domain verdict and iterate trace, and reads only its own
+entries, through elementwise operations and sums along its own row, so a
+block never changes a number: each row is the same to the bit as a block of
+one.
+
 The one-step estimator adds the inverse efficient information times the
 empirical mean of the efficient score to a root-n-consistent pilot.  The
 mean efficient score has the closed form tr(A*_m Rhat) / 2, since the score
@@ -61,6 +73,7 @@ __all__ = [
     "normal_scores_matrix",
     "sigma_n_sq",
     "ple_estimate",
+    "ple_estimate_block",
     "pilot_moment",
     "one_step",
 ]
@@ -271,60 +284,238 @@ def _newton_step(psi, jac):
     the pseudo-score psi = -2 grad and its Jacobian J."""
     eigs, q = sym_eig(-0.25 * (jac + jac.T))
     magnitude = np.abs(eigs)
-    lam = np.maximum(magnitude, 1e-12 * magnitude.max())
+    lam = np.maximum(magnitude, 1e-12 * max(magnitude.tolist()))
     return q @ ((q.T @ (0.5 * psi)) / lam), eigs
 
 
-def _spectral_descent(spectrum, rhat):
-    """The (objective, step) pair of `_descent` for R(theta) = Q diag(lam) Q'
-    with a theta-free Q.  With d = diag(Q' Rhat Q), formed once:
+def _matrix_descent(model, rhats):
+    """The (objective, step) pair of `_descent` on matrices, one row at a
+    time: `_objective_and_inverse` and `_descent_step` on the row's sample,
+    with tr Rhat taken once per sample.  The state is the list of the rows'
+    S."""
+    traces = [float(rhat.trace()) for rhat in rhats]
 
-        f   = (sum log lam + sum d / lam - tr Rhat) / 2, inf unless lam > 0,
-        psi = dlam' w,  w = (d - lam) / lam^2,
-        J   = dlam' diag((lam - 2 d) / lam^3) dlam + sum_j w_j d2lam_j,
+    def objective(rows, theta):
+        f, inverses = [], []
+        for i, row in enumerate(rows):
+            value, s = _objective_and_inverse(model, theta[i], rhats[row], traces[row])
+            f.append(value)
+            inverses.append(s)
+        return f, (inverses,)
 
-    and, for a scoring step, J at d = lam, -dlam' diag(lam^-2) dlam: the
-    `_objective_and_inverse` value and the `_descent_step` pseudo-score and
-    Jacobian written in that basis.  min lam > 0 is the
-    positive-definiteness condition itself; no step factors a matrix.
-    """
-    basis = spectrum.basis
-    d = (basis * (rhat @ basis)).sum(axis=0)
-    trace = float(rhat.trace())
-
-    def objective(theta):
-        eig = spectrum.eigen_fn(theta)
-        lam = eig[0]
-        if not lam.min() > 0.0:  # NaN included
-            return np.inf, None
-        return 0.5 * (float(np.log(lam).sum()) + float((d / lam).sum()) - trace), eig
-
-    def step(theta, eig, scoring):
-        lam, dlam, d2lam = eig
-        w = (d - lam) / lam ** 2
-        psi = dlam.T @ w
-        if scoring:
-            return (psi, *_newton_step(psi, -(dlam.T / lam ** 2) @ dlam))
-        jac = ((dlam.T * ((lam - 2.0 * d) / lam ** 3)) @ dlam
-               + np.einsum("j,jmi->mi", w, d2lam))
-        return (psi, *_newton_step(psi, jac))
+    def step(rows, theta, state, scoring):
+        norm, slope, steps, eigs = [], [], [], []
+        for i, row in enumerate(rows):
+            psi, dx, hess_eigs = _descent_step(model, theta[i], state[0][i], rhats[row],
+                                               scoring[i])
+            norm.append(max(map(abs, psi.tolist())))
+            slope.append(-0.5 * float(psi @ dx))
+            steps.append(dx)
+            eigs.append(hess_eigs)
+        return norm, slope, np.array(steps), eigs
 
     return objective, step
 
 
-def _descent(model, rhat):
-    """The (objective, step) pair the PLE descent runs on: objective(theta)
-    is (f, state), with state None where R(theta) is not positive definite,
-    and step(theta, state, scoring) is (psi, step, Hessian eigenvalues), the
-    Hessian replaced by the Fisher information when `scoring`.  Spectral
-    (`_spectral_descent`) when the model declares a `Spectrum`, else
-    `_objective_and_inverse` and `_descent_step` on matrices, with tr Rhat
-    taken once per solve."""
+def _spectral_descent(spectrum, rhats):
+    """The (objective, step) pair of `_descent` for R(theta) = Q diag(lam) Q'
+    with a theta-free Q and one parameter, on (B, p) arrays.  With
+    d = diag(Q' Rhat Q), formed once per sample, row b holds
+
+        f   = (sum log lam + sum d / lam - tr Rhat) / 2, inf unless lam > 0,
+        psi = sum dlam w,  w = (d - lam) / lam^2,
+        J   = sum dlam^2 (lam - 2 d) / lam^3 + sum w d2lam,
+
+    and, for a scoring step, J at d = lam, -sum dlam^2 / lam^2: the
+    `_objective_and_inverse` value and the `_descent_step` pseudo-score and
+    Jacobian written in that basis.  The Hessian is H = -J / 2 and the step
+    psi / (2 |H|) = psi / |J|.  Every quantity is elementwise or a sum along
+    the row, so no row depends on another, and min lam > 0 is the
+    positive-definiteness condition itself: no step factors a matrix.  The
+    state is (lam, dlam, d2lam).
+    """
+    basis = spectrum.basis
+    d_all = np.array([(basis * (rhat @ basis)).sum(axis=0) for rhat in rhats])
+    trace_all = np.array([float(rhat.trace()) for rhat in rhats])
+    add = np.add.reduce
+
+    def objective(rows, theta):
+        eig = spectrum.eigen_fn(theta[:, 0])
+        lam = eig[0]
+        d, trace = ((d_all, trace_all) if len(rows) == len(d_all)
+                    else (d_all[rows], trace_all[rows]))
+        outside = None
+        if not lam.min() > 0.0:  # NaN included
+            outside = ~(lam.min(axis=1) > 0.0)
+            lam = np.where(outside[:, None], 1.0, lam)
+        f = 0.5 * (add(np.log(lam), 1) + add(d / lam, 1) - trace)
+        if outside is not None:
+            f[outside] = np.inf
+        return f.tolist(), eig
+
+    def step(rows, theta, state, scoring):
+        lam, dlam, d2lam = state
+        d = d_all if len(rows) == len(d_all) else d_all[rows]
+        w = (d - lam) / lam ** 2
+        psi = add(dlam * w, 1)
+        if all(scoring):
+            jac = -add(dlam / lam ** 2 * dlam, 1)
+        else:
+            jac = add(dlam * ((lam - 2.0 * d) / lam ** 3) * dlam, 1) + add(w * d2lam, 1)
+            if any(scoring):
+                fisher = dlam[scoring]
+                jac[scoring] = -add(fisher / lam[scoring] ** 2 * fisher, 1)
+        dx = psi / np.abs(jac)
+        psi_rows = psi.tolist()
+        return ([abs(v) for v in psi_rows],
+                [-0.5 * (v * x) for v, x in zip(psi_rows, dx.tolist())],
+                dx[:, None], (-0.5 * jac)[:, None])
+
+    return objective, step
+
+
+def _descent(model, rhats):
+    """The (objective, step) pair the PLE descent runs on, for the block of
+    samples with normal-scores matrices `rhats`.  Both take `rows`, the
+    ascending list of the block positions they evaluate, and theta, those
+    rows' (len(rows), k) iterates.  objective(rows, theta) is (f, state):
+    the list of objective values, inf where R(theta) is not positive
+    definite, and a tuple of sequences indexed by row.  step(rows, theta,
+    state, scoring) is (norm, slope, step, eigs): the lists of the rows'
+    pseudo-score sup-norms and derivatives of f along their steps, the
+    (len(rows), k) steps -|H|^-1 grad, and each row's Hessian eigenvalues in
+    ascending order, H replaced by the Fisher information in the rows whose
+    `scoring` flag is set.  Spectral (`_spectral_descent`) when the model
+    declares a `Spectrum`, else `_matrix_descent`."""
     if model.spectrum is not None:
-        return _spectral_descent(model.spectrum, rhat)
-    trace = float(rhat.trace())
-    return (lambda theta: _objective_and_inverse(model, theta, rhat, trace),
-            lambda theta, s, scoring: _descent_step(model, theta, s, rhat, scoring))
+        return _spectral_descent(model.spectrum, rhats)
+    return _matrix_descent(model, rhats)
+
+
+def _take(items, keep):
+    """The entries `keep` (a list of positions) of a list or an array."""
+    return items[keep] if isinstance(items, np.ndarray) else [items[i] for i in keep]
+
+
+def _trace(history, row):
+    """The (theta, sup-norm) iterates of the block row `row`."""
+    trace = []
+    for rows, theta, norm in history:
+        if row not in rows:
+            break
+        pos = rows.index(row)
+        trace.append((theta[pos].copy(), norm[pos]))
+    return trace
+
+
+def _descend(model, objective, step, theta, scoring, max_iter):
+    """Newton descent with an Armijo line search on every row of theta
+    (B, k) at once, on the `_descent` pair.  Rows whose `scoring` flag is
+    set take a Fisher-scoring first step.  Returns one outcome per row:
+    (theta_hat, iterations), or the exception `ple_estimate` raises on that
+    row's sample alone.  Each row keeps its own step, stop test, saddle
+    test, domain verdict and iterate trace, and a row that is done leaves
+    the block.  No row reads another, so an outcome does not depend on the
+    block around it."""
+    outcomes = [None] * len(theta)
+    rows = list(range(len(theta)))
+    f, state = objective(rows, theta)
+    for i in rows:
+        if f[i] == np.inf:
+            outcomes[i] = DomainError(
+                f"initial theta {theta[i]} outside the domain of {model.name}")
+    live = [i for i in rows if outcomes[i] is None]
+    tol = 1e-8 * model.k
+    history = []  # (rows, theta, norm) of every iteration, for the traces
+
+    def fail(pos, norm):
+        return ConvergenceError(
+            f"pseudo-likelihood Newton descent did not converge for {model.name} "
+            f"(final sup-norm {norm:.3e}, tolerance {tol:.3e})",
+            trace=_trace(history, rows[pos]))
+
+    for iteration in range(max_iter + 1):
+        if not live:
+            break
+        if len(live) < len(rows):
+            rows, theta, f, scoring = (_take(v, live) for v in (rows, theta, f, scoring))
+            state = tuple(_take(v, live) for v in state)
+        norm, slope, dx, eigs = step(rows, theta, state, scoring)
+        history.append((rows, theta, norm))
+        live = range(len(rows))
+        if min(norm) <= tol:
+            live = [i for i, value in enumerate(norm) if not value <= tol]
+            done = [i for i, value in enumerate(norm) if value <= tol]
+            rescore = [i for i in done if scoring[i]]
+            if rescore:  # the saddle test reads the exact Hessian
+                exact = step(_take(rows, rescore), _take(theta, rescore),
+                             tuple(_take(v, rescore) for v in state),
+                             [False] * len(rescore))[3]
+                eigs = list(eigs)
+                for i, hess_eigs in zip(rescore, exact):
+                    eigs[i] = hess_eigs
+            for i in done:
+                outcomes[rows[i]] = _verdict(model, theta[i], eigs[i], iteration,
+                                             history, rows[i])
+        if iteration == max_iter or not live:
+            for i in live:
+                outcomes[rows[i]] = fail(i, norm[i])
+            break
+        scoring = [False] * len(rows)
+        # Armijo on the objective; the slack admits steps whose decrease is
+        # below the roundoff of f, which near the optimum is all of them.
+        # The accepted candidate's state (S, or the eigenvalues) serves the
+        # next step.  A full step is theta + 1.0 * step to the bit.
+        search, scale, f_cand = live, 1.0, None
+        if len(search) == len(rows):
+            cand = theta + dx
+            f_cand, state_cand = objective(rows, cand)
+            for fc, fi, sl in zip(f_cand, f, slope):
+                if not fc <= fi + 1e-4 * sl + 1e-13 * (1.0 + abs(fi)):
+                    break
+            else:
+                theta, f, state = cand, f_cand, state_cand
+                continue
+        # Backtrack: the rows still searching halve their steps together.
+        theta, f = theta.copy(), list(f)  # the iterates are in `history`
+        state = tuple(v.copy() for v in state)
+        while True:
+            if f_cand is None:
+                cand = _take(theta, search) + scale * _take(dx, search)
+                f_cand, state_cand = objective(_take(rows, search), cand)
+            rejected = []
+            for j, i in enumerate(search):
+                if f_cand[j] <= f[i] + 1e-4 * scale * slope[i] + 1e-13 * (1.0 + abs(f[i])):
+                    theta[i], f[i] = cand[j], f_cand[j]
+                    for v, v_cand in zip(state, state_cand):
+                        v[i] = v_cand[j]
+                else:
+                    rejected.append(i)
+            search, scale, f_cand = rejected, 0.5 * scale, None
+            if not search or not scale > 2.0 ** -30:
+                break
+        for i in search:  # no descent found
+            outcomes[rows[i]] = fail(i, norm[i])
+        live = [i for i in live if i not in search]
+    return outcomes
+
+
+def _verdict(model, theta, eigs, iteration, history, row):
+    """The outcome of a row whose pseudo-score met the tolerance at theta:
+    ConvergenceError at a saddle (a Hessian eigenvalue below -sqrt(eps)
+    times the largest absolute one) or outside the domain, else
+    (theta_hat, iterations)."""
+    low, high = float(eigs[0]), float(eigs[-1])
+    if low < -_SQRT_EPS * max(-low, high):  # the eigenvalues ascend
+        return ConvergenceError(
+            f"pseudo-likelihood Newton descent stopped at a saddle point "
+            f"for {model.name} (Hessian eigenvalues {low:.3e} to {high:.3e})",
+            trace=_trace(history, row))
+    if not model.domain_check(theta):
+        return ConvergenceError(
+            f"pseudo-likelihood Newton descent converged to {theta.tolist()}, "
+            f"outside the domain of {model.name}", trace=_trace(history, row))
+    return theta.copy(), iteration
 
 
 def _default_init(model, rhat):
@@ -347,19 +538,64 @@ def _std_errors(model, theta, n, field):
         return None
 
 
+def ple_estimate_block(model, samples, inits=None, max_iter=100):
+    """`ple_estimate` on every sample of a block in one descent: a list
+    with, for each sample, its EstimateResult or the ConvergenceError or
+    DomainError that `ple_estimate` raises on it.  `inits` is None or holds
+    one start per sample, None for the default.  Every row is the same to
+    the bit as a block of one, so a block never changes a number.
+
+    Raises ValueError naming `max_iter` unless it is an integer >= 0.
+    """
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
+            or max_iter < 0):
+        raise ValueError(f"max_iter: expected an integer >= 0, got {max_iter!r}")
+    samples = list(samples)
+    if inits is None:
+        inits = [None] * len(samples)
+    elif len(inits) != len(samples):
+        raise ShapeError(f"inits: expected {len(samples)} starts, got {len(inits)}")
+    if not samples:
+        return []
+    rhats = [sample.rhat for sample in samples]
+    starts, scoring = [], []
+    for rhat, init in zip(rhats, inits):
+        from_pilot = False
+        if init is None:
+            init, from_pilot = _default_init(model, rhat)
+        # the pilot is a length-k vector that domain_check has validated
+        starts.append(init if from_pilot else model.theta_vec(init))
+        scoring.append(from_pilot)
+    outcomes = _descend(model, *_descent(model, rhats), np.array(starts), scoring,
+                        max_iter)
+    results = []
+    for sample, outcome in zip(samples, outcomes):
+        if not isinstance(outcome, Exception):
+            theta, iterations = outcome
+            outcome = EstimateResult(
+                theta_hat=theta, method="ple", iterations=iterations, converged=True,
+                std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n,
+                                      "ple_cov"),
+                tie_warning=sample.has_ties)
+        results.append(outcome)
+    return results
+
+
 def ple_estimate(model, sample, init=None, max_iter=100):
     """Pseudo-likelihood estimate by Newton descent with an Armijo line
     search on the mean negative pseudo-log-likelihood, from `init`, else the
     moment pilot, else the model's default; every iterate has R(theta)
-    positive definite.  The objective and step come from `_descent`: O(p k^2)
-    eigenvalue arithmetic for a model with a `Spectrum`, else one Cholesky
-    factorization of R(theta) per evaluation and matrix products with S.
-    From the moment pilot the first step is Fisher scoring, the Hessian
-    replaced by its expectation F (see the module docstring), and every
-    later step is the exact Newton step; `iterations` counts the scoring
-    step.  From an explicit `init` or `default_init` every step is exact
-    Newton: scoring from factor(5, 1)'s default start can reach the other
-    sign of the loadings.
+    positive definite.  This is `ple_estimate_block` on a block of one: the
+    descent is written once, over the rows of a block.  The objective and
+    step come from `_descent`: elementwise arithmetic on the eigenvalues for
+    a one-parameter model with a `Spectrum`, else one Cholesky factorization
+    of R(theta) per evaluation and matrix products with S.  From the moment
+    pilot the first step is Fisher scoring, the Hessian replaced by its
+    expectation F (see the module docstring), and every later step is the
+    exact Newton step; `iterations` counts the scoring step.  From an
+    explicit `init` or `default_init` every step is exact Newton: scoring
+    from factor(5, 1)'s default start can reach the other sign of the
+    loadings.
 
     Converged means pseudo-score sup-norm <= 1e-8 * k, reached in
     `iterations` steps, at a point where the Hessian of the objective has no
@@ -369,63 +605,13 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     A stationary point with negative curvature (a saddle) or outside the
     domain raises ConvergenceError, as do `max_iter` steps that do not
     reach the tolerance and a line search that finds no descent; the error
-    carries the (theta, sup-norm) trace.
+    carries the (theta, sup-norm) trace.  A start outside the domain raises
+    DomainError, and a `max_iter` that is not an integer >= 0 ValueError.
     """
-    rhat = sample.rhat
-    tol = 1e-8 * model.k
-    scoring = False
-    if init is None:
-        init, scoring = _default_init(model, rhat)
-    theta = model.theta_vec(init)
-    objective, descent = _descent(model, rhat)
-    f, state = objective(theta)
-    if state is None:
-        raise DomainError(f"initial theta {theta} outside the domain of {model.name}")
-
-    trace = []
-    for iteration in range(max_iter + 1):
-        psi, step, eigs = descent(theta, state, scoring)
-        norm = float(np.abs(psi).max())
-        trace.append((theta.copy(), norm))
-        if norm <= tol:
-            if scoring:  # the saddle test reads the exact Hessian
-                eigs = descent(theta, state, False)[2]
-            if eigs[0] < -_SQRT_EPS * np.abs(eigs).max():
-                raise ConvergenceError(
-                    f"pseudo-likelihood Newton descent stopped at a saddle point "
-                    f"for {model.name} (Hessian eigenvalues {eigs[0]:.3e} to "
-                    f"{eigs[-1]:.3e})", trace=trace)
-            if not model.domain_check(theta):
-                raise ConvergenceError(
-                    f"pseudo-likelihood Newton descent converged to {theta.tolist()}, "
-                    f"outside the domain of {model.name}", trace=trace)
-            return EstimateResult(
-                theta_hat=theta, method="ple", iterations=iteration, converged=True,
-                std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n,
-                                      "ple_cov"),
-                tie_warning=sample.has_ties)
-        if iteration == max_iter:
-            break
-        scoring = False
-        # Armijo on the objective; the slack admits steps whose decrease is
-        # below the roundoff of f, which near the optimum is all of them.
-        # The accepted candidate's state (S, or the eigenvalues) serves the
-        # next step.
-        slope = -0.5 * float(psi @ step)
-        slack = 1e-13 * (1.0 + abs(f))
-        scale = 1.0
-        while scale > 2.0 ** -30:
-            cand = theta + scale * step
-            f_cand, state_cand = objective(cand)  # inf if not PD
-            if f_cand <= f + 1e-4 * scale * slope + slack:
-                theta, f, state = cand, f_cand, state_cand
-                break
-            scale *= 0.5
-        else:
-            break
-    raise ConvergenceError(
-        f"pseudo-likelihood Newton descent did not converge for {model.name} "
-        f"(final sup-norm {norm:.3e}, tolerance {tol:.3e})", trace=trace)
+    outcome, = ple_estimate_block(model, [sample], inits=[init], max_iter=max_iter)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ and every replication, and once per (descriptor, theta_true) the sampler's
 `CopulaFactor` of R(theta_true) and, in the process that aggregates, the
 bounds at the truth.  A replication pays only for what its sample changes:
 the draw, the ranks, Rhat and the estimates.
+
+Replications run in blocks of consecutive indices: at most 64 in a serial
+run, which bounds the samples held at once, and max(1, replications //
+(8 workers)), capped at 64, per process-pool task.  A block solves the PLEs
+of its replications in one `ple_estimate_block` descent, whose rows do not
+depend on the block, so a block never changes a number.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .estimators import one_step, pilot_moment, ple_estimate, rank_transform
+from .estimators import one_step, pilot_moment, ple_estimate_block, rank_transform
 from .exceptions import (ConfigError, ConvergenceError, DomainError,
                          McExperimentError, ShapeError, SingularityError)
 from .geometry import efficiency_bundle
@@ -49,6 +55,9 @@ __all__ = [
 
 _ESTIMATORS = ("ple", "one_step", "pilot_moment")
 _FAILURE_LIMIT = 0.05
+# Most replications one `_replicate` call runs: a block holds its samples at
+# once, so this bounds the memory of a run.
+_BLOCK = 64
 # What fails one estimator in one replication, not the experiment.
 _FAILURES = (ConvergenceError, SingularityError, DomainError, np.linalg.LinAlgError)
 _WORD_MAX = 2**64 - 1  # seed and lane are 64-bit words of the Philox key and counter
@@ -246,20 +255,23 @@ def _bounds_at(descriptor_json, theta_true):
         return None, None
 
 
-def _replicate(payload, rep):
-    """Run one replication; returns (errors, failures): the (n_estimators, k)
+def _replicate(payload, reps):
+    """Run the block of consecutive replications `reps` (a range); returns
+    one (errors, failures) record per replication: the (n_estimators, k)
     array of theta_hat - theta_true with a NaN row per failed estimator, and
-    {estimator: "Type: message"}.  Top-level so process pools can pickle it."""
+    {estimator: "Type: message"}.  The block's PLEs are solved in one
+    `ple_estimate_block` call, whose rows do not depend on the block, so a
+    record is the same in any block.  Top-level so process pools can pickle
+    it."""
     model, factor = _model_at(payload["model"], payload["theta_true"])
-    u = sample_copula(factor, payload["n"], payload["seed"], rep=rep,
-                      lane=payload["lane"])
-    x = apply_margins(u, payload["margins"])
     estimators = payload["estimators"]
-    errors = np.full((len(estimators), len(payload["theta_true"])), np.nan)
-    failures = {}
+    draws = [apply_margins(sample_copula(factor, payload["n"], payload["seed"], rep=rep,
+                                         lane=payload["lane"]), payload["margins"])
+             for rep in reps]
+    records = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sample = rank_transform(x)
+        samples = [rank_transform(x) for x in draws]
         # The one-step update is pinned to a pseudo-likelihood pilot: in high
         # dimensions a moment pilot leaves a visible finite-sample bias that
         # the single update does not remove, while the update from the PLE
@@ -268,24 +280,35 @@ def _replicate(payload, rep):
         # `pilot_moment` is that same solve from the same start.
         pilot_is_ple = model.moment_map is None
         if pilot_is_ple or "ple" in estimators or "one_step" in estimators:
-            try:
-                ple = ple_estimate(model, sample)
-            except _FAILURES as exc:
-                ple = exc
-        for row, est in enumerate(estimators):
-            try:
-                if est == "pilot_moment" and not pilot_is_ple:
-                    result = pilot_moment(model, sample)
-                elif isinstance(ple, Exception):
-                    raise ple
-                elif est == "one_step":
-                    result = one_step(model, sample, pilot=ple.theta_hat)
-                else:
-                    result = ple
-                errors[row] = result.theta_hat - payload["theta_true"]
-            except _FAILURES as exc:
-                failures[est] = f"{type(exc).__name__}: {exc}"
-    return errors, failures
+            ples = ple_estimate_block(model, samples)
+        else:
+            ples = [None] * len(samples)
+        for sample, ple in zip(samples, ples):
+            errors = np.full((len(estimators), len(payload["theta_true"])), np.nan)
+            failures = {}
+            for row, est in enumerate(estimators):
+                try:
+                    if est == "pilot_moment" and not pilot_is_ple:
+                        result = pilot_moment(model, sample)
+                    elif isinstance(ple, Exception):
+                        raise ple
+                    elif est == "one_step":
+                        result = one_step(model, sample, pilot=ple.theta_hat)
+                    else:
+                        result = ple
+                    errors[row] = result.theta_hat - payload["theta_true"]
+                except _FAILURES as exc:
+                    failures[est] = f"{type(exc).__name__}: {exc}"
+            records.append((errors, failures))
+    return records
+
+
+def _blocks(reps, workers):
+    """Consecutive blocks of range(reps): at most _BLOCK replications in one
+    process, and max(1, reps // (8 workers)), capped at _BLOCK, per pool
+    task."""
+    size = _BLOCK if workers == 1 else min(_BLOCK, max(1, reps // (8 * workers)))
+    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
 def pool_size(config):
@@ -315,12 +338,13 @@ def run_experiment(config):
     }
     reps = config.replications
     workers = pool_size(config)
+    blocks = _blocks(reps, workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(partial(_replicate, payload), range(reps),
-                                    chunksize=max(1, reps // (8 * workers))))
+            done = list(pool.map(partial(_replicate, payload), blocks))
     else:
-        records = [_replicate(payload, rep) for rep in range(reps)]
+        done = [_replicate(payload, block) for block in blocks]
+    records = [record for block in done for record in block]
 
     k = len(config.theta_true)
     errs = np.empty((reps, len(config.estimators), k))

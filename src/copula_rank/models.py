@@ -5,11 +5,12 @@ factor (low-rank loadings), a one-parameter demonstration model that is
 adaptive at theta=0, and custom affine families R(theta) = I + sum theta_m G_m
 loaded from config.  A model evaluates into a `Geometry`: the matrices
 R, S = R^-1, dR/dtheta_m and dS/dtheta_m at a fixed theta, which is the
-working context for every downstream formula.  A model whose eigenbasis does
-not depend on theta (one-generator affine families, circular) also declares
-it as a `Spectrum`, which reduces the pseudo-likelihood to its eigenvalues
-and gives S with no factorization; every other model's S comes from one
-Cholesky factorization of R(theta).
+working context for every downstream formula.  A one-parameter model whose
+eigenbasis does not depend on theta (one-generator affine families, circular)
+also declares it as a `Spectrum`, which reduces the pseudo-likelihood of a
+block of samples to elementwise arithmetic on their eigenvalues and gives S
+with no factorization; every other model's S comes from one Cholesky
+factorization of R(theta).
 """
 
 from __future__ import annotations
@@ -60,12 +61,15 @@ def lower_triangle_pairs(p):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A theta-free eigenbasis: R(theta) = Q diag(lam(theta)) Q'.
+    """A theta-free eigenbasis of a one-parameter family:
+    R(theta) = Q diag(lam(theta)) Q'.
 
     basis : the read-only orthonormal (p, p) matrix Q
-    eigen_fn : t -> (lam (p,), dlam (p, k), d2lam (p, k, k)), the eigenvalues
-        of R(t) in the order of Q's columns and their first and second
-        derivatives in theta, so that dR/dtheta_m = Q diag(dlam[:, m]) Q'
+    eigen_fn : t -> (lam, dlam, d2lam) for a vector t of B values of the
+        parameter: three (B, p) arrays whose row b holds the eigenvalues of
+        R(t_b) in the order of Q's columns and their first and second
+        derivatives in theta, so that dR/dtheta = Q diag(dlam[b]) Q'.  Row b
+        is computed elementwise from t_b alone, so it does not depend on B.
     """
 
     basis: np.ndarray = field(repr=False)
@@ -93,8 +97,9 @@ class CorrelationModel:
     affine_generators : for affine families, the read-only (k, p, p) array
         of the constant matrices G_m with R(theta) = I + sum theta_m G_m;
         None otherwise
-    spectrum : the `Spectrum` of a family whose eigenbasis does not depend
-        on theta; None otherwise
+    spectrum : the `Spectrum` of a one-parameter family whose eigenbasis
+        does not depend on theta; None otherwise.  A model with k != 1
+        rejects one with ShapeError.
     """
 
     name: str
@@ -108,6 +113,11 @@ class CorrelationModel:
     notes: tuple = ()
     affine_generators: Optional[np.ndarray] = field(repr=False, default=None)
     spectrum: Optional[Spectrum] = field(repr=False, default=None)
+
+    def __post_init__(self):
+        if self.spectrum is not None and self.k != 1:
+            raise ShapeError(f"spectrum: a Spectrum needs k = 1, got k = {self.k} "
+                             f"for {self.name}")
 
     def theta_vec(self, theta):
         """Coerce theta to a validated 1-d float vector of length k."""
@@ -233,9 +243,14 @@ def _affine_model(name, p, generators, descriptor, box=None):
     spectrum = None
     if k == 1:
         g, basis = sym_eig(gens[0])
-        dlam, d2lam = _read_only(g[:, None], np.zeros((p, 1, 1)))
-        spectrum = Spectrum(*_read_only(basis),
-                            lambda t: (1.0 + t[0] * g, dlam, d2lam))
+
+        def eigen_fn(t):
+            lam = 1.0 + t[:, None] * g
+            dlam = np.empty_like(lam)
+            dlam[:] = g
+            return lam, dlam, np.zeros(lam.shape)
+
+        spectrum = Spectrum(*_read_only(basis), eigen_fn)
     return CorrelationModel(
         name=name, p=p, k=k, corr_fn=corr_fn, box=box, default_init=np.zeros(k),
         descriptor=descriptor, affine_generators=gens, spectrum=spectrum,
@@ -291,18 +306,24 @@ def circular():
     def grad_fn(t, m):
         return first + 2.0 * t[0] * second
 
+    # The eigenvalue columns (1 + theta)^2, 1 - theta^2 (twice), (1 - theta)^2
+    # and their derivatives, each by that formula's own operations: the zero
+    # and unit coefficients below change no rounding.
     h = np.sqrt(0.5)
-    basis, d2lam = _read_only(np.array([[0.5, h, 0.0, 0.5],
-                                        [0.5, 0.0, h, -0.5],
-                                        [0.5, -h, 0.0, 0.5],
-                                        [0.5, 0.0, -h, -0.5]]),
-                              np.array([2.0, -2.0, -2.0, 2.0]).reshape(p, 1, 1))
+    basis, sign, middle, dlam0, d2lam = _read_only(
+        np.array([[0.5, h, 0.0, 0.5],
+                  [0.5, 0.0, h, -0.5],
+                  [0.5, -h, 0.0, 0.5],
+                  [0.5, 0.0, -h, -0.5]]),
+        np.array([1.0, 0.0, 0.0, -1.0]), np.array([0.0, 1.0, 1.0, 0.0]),
+        np.array([2.0, 0.0, 0.0, -2.0]), np.array([2.0, -2.0, -2.0, 2.0]))
 
     def eigen_fn(t):
-        th = t[0]
-        lam = np.array([(1.0 + th) ** 2, 1.0 - th * th, 1.0 - th * th, (1.0 - th) ** 2])
-        dlam = np.array([[2.0 + 2.0 * th], [-2.0 * th], [-2.0 * th], [2.0 * th - 2.0]])
-        return lam, dlam, d2lam
+        th = t[:, None]
+        lam = (1.0 + th * sign) ** 2 - (th * th) * middle
+        d2 = np.empty_like(lam)
+        d2[:] = d2lam
+        return lam, dlam0 + th * d2lam, d2
 
     return CorrelationModel(
         name="circular", p=p, k=1, corr_fn=corr_fn, grad_fn=grad_fn,
@@ -595,7 +616,7 @@ def eval_geometry(model, theta):
         s = spd_inverse(spd_factor(r, what))
     else:
         q = model.spectrum.basis
-        lam = model.spectrum.eigen_fn(t)[0]
+        lam = model.spectrum.eigen_fn(t)[0][0]
         eig = float(lam.min())
         if not eig > 0.0:  # NaN included
             raise SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig)

@@ -15,7 +15,7 @@ from scipy.stats import rankdata
 from copula_rank import (CorrelationModel, circular, custom_affine, eval_geometry,
                          efficient_info, efficient_score_matrices, exchangeable,
                          factor, norm_quantile, one_step, pilot_moment, ple_estimate,
-                         rank_transform, run_experiment, sample_copula, sigma_n_sq,
+                         ple_estimate_block, rank_transform, run_experiment, sample_copula, sigma_n_sq,
                          toeplitz, unrestricted, adaptivity_demo, lower_triangle_pairs)
 from copula_rank import estimators, models
 from copula_rank.estimators import RankedSample, normal_scores_matrix
@@ -433,6 +433,22 @@ class TestPleEstimate:
             ple_estimate(exchangeable(3), sample)
         assert info.value.trace[-1][1] <= 1e-8
 
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, True, "3"])
+    def test_max_iter_must_be_a_count(self, max_iter):
+        u = sample_copula(exch_corr(3, 0.2), 50, seed=1)
+        with pytest.raises(ValueError, match="^max_iter: expected an integer >= 0"):
+            ple_estimate(exchangeable(3), rank_transform(u), max_iter=max_iter)
+        with pytest.raises(ValueError, match="^max_iter"):
+            ple_estimate_block(toeplitz(4), [rank_transform(u)] * 2, max_iter=max_iter)
+
+    def test_max_iter_zero_takes_no_step(self):
+        model = exchangeable(3)
+        sample = rank_transform(sample_copula(exch_corr(3, 0.5), 250, seed=2))
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            ple_estimate(model, sample, max_iter=np.int64(0))
+        assert len(info.value.trace) == 1
+        assert np.array_equal(info.value.trace[0][0], model.moment_map @ sample.rhat.ravel())
+
     def test_out_of_domain_init(self):
         u = sample_copula(exch_corr(3, 0.2), 50, seed=1)
         with pytest.raises(DomainError):
@@ -501,12 +517,12 @@ class TestScoringStart:
         flags = []
         descent = estimators._descent
 
-        def spied(model, rhat):
-            objective, step = descent(model, rhat)
+        def spied(model, rhats):
+            objective, step = descent(model, rhats)
 
-            def recorded(theta, state, scoring):
-                flags.append(scoring)
-                return step(theta, state, scoring)
+            def recorded(rows, theta, state, scoring):
+                flags.extend(scoring)
+                return step(rows, theta, state, scoring)
             return objective, recorded
 
         monkeypatch.setattr(estimators, "_descent", spied)
@@ -576,6 +592,80 @@ class TestScoringStart:
             ple_estimate(model, sample)
         assert len(info.value.trace) == 1
         assert np.array_equal(info.value.trace[0][0], np.zeros(1))
+
+
+def quarter_identity_sample(p):
+    """A sample with Rhat = I/4: its moment pilot theta = 0 is stationary
+    and, for every family with dR(0) != 0, a saddle of the objective."""
+    a = np.sqrt(p) / 2.0
+    zhat = np.vstack([a * np.eye(p), -a * np.eye(p)])
+    return RankedSample(n=2 * p, p=p, ranks=zhat, pseudo_obs=zhat, zhat=zhat)
+
+
+def outcome(solve):
+    """theta_hat bits and iterations of a solve, or its exception type and
+    message."""
+    try:
+        result = solve()
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in result.theta_hat], result.iterations
+
+
+class TestBlockSolve:
+    """`ple_estimate_block` solves every sample of a block in one descent,
+    and a row is the same to the bit as `ple_estimate` on its sample alone."""
+
+    @pytest.mark.parametrize("model,theta,n", SPECTRAL + [
+        (toeplitz(4), THETA_STAR, 250), (factor(5, 1), np.linspace(0.3, 0.7, 5), 300)],
+        ids=lambda v: f"{v.name}{v.p}" if hasattr(v, "p") else None)
+    @pytest.mark.parametrize("max_iter", [100, 4])
+    def test_rows_equal_blocks_of_one(self, model, theta, n, max_iter):
+        # Samples of sizes n and 12 (whose descents backtrack more often),
+        # and the Rhat = I/4 saddle; max_iter = 4 stops rows mid-block.
+        r = model.r_of_theta(theta)
+        samples = [rank_transform(sample_copula(r, n if seed % 2 else 12, seed=seed))
+                   for seed in range(11)]
+        samples.insert(5, quarter_identity_sample(model.p))
+        expected = [outcome(lambda: ple_estimate(model, sample, max_iter=max_iter))
+                    for sample in samples]
+        rng = np.random.default_rng(0)
+        for order in (np.arange(12), np.arange(12)[::-1], rng.permutation(12)):
+            block = ple_estimate_block(model, [samples[i] for i in order],
+                                       max_iter=max_iter)
+            assert len(block) == 12
+            for i, row in zip(order, block):
+                got = outcome(lambda: _raise_or_return(row))
+                assert got == expected[i], (i, got, expected[i])
+
+    def test_rows_keep_their_own_traces_and_starts(self):
+        # An explicit start per row, one of them outside the domain; the
+        # failed rows carry the traces a block of one gives them.
+        model = exchangeable(3)
+        samples = [rank_transform(sample_copula(exch_corr(3, 0.5), 40, seed=seed))
+                   for seed in range(4)]
+        inits = [None, np.array([0.2]), np.array([2.0]), None]
+        block = ple_estimate_block(model, samples, inits=inits, max_iter=1)
+        for sample, init, row in zip(samples, inits, block):
+            try:
+                alone = ple_estimate(model, sample, init=init, max_iter=1)
+            except (ConvergenceError, DomainError) as exc:
+                alone = exc
+            assert type(row) is type(alone) and str(row) == str(alone)
+            if isinstance(row, ConvergenceError):
+                assert len(row.trace) == len(alone.trace) == 2
+                for (t1, n1), (t2, n2) in zip(row.trace, alone.trace):
+                    assert np.array_equal(t1, t2) and n1 == n2
+        assert isinstance(block[2], DomainError)
+        assert ple_estimate_block(model, []) == []
+        with pytest.raises(ShapeError, match="inits"):
+            ple_estimate_block(model, samples, inits=[None])
+
+
+def _raise_or_return(row):
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
 class TestPilotMoment:

@@ -308,12 +308,13 @@ class TestRunExperiment:
         clean = run_experiment({**BASE, "replications": 30})
         real = mc._replicate
 
-        def flaky(payload, rep):
-            errors, failures = real(payload, rep)
-            if rep == 3:
-                errors[payload["estimators"].index("ple")] = np.nan
-                failures["ple"] = "ConvergenceError: forced"
-            return errors, failures
+        def flaky(payload, reps):
+            records = real(payload, reps)
+            for rep, (errors, failures) in zip(reps, records):
+                if rep == 3:
+                    errors[payload["estimators"].index("ple")] = np.nan
+                    failures["ple"] = "ConvergenceError: forced"
+            return records
 
         monkeypatch.setattr(mc, "_replicate", flaky)
         report = run_experiment({**BASE, "replications": 30})
@@ -327,12 +328,13 @@ class TestRunExperiment:
     def test_failure_threshold_aborts(self, monkeypatch):
         real = mc._replicate
 
-        def broken(payload, rep):
-            errors, failures = real(payload, rep)
-            if rep % 2 == 0:
-                errors[payload["estimators"].index("one_step")] = np.nan
-                failures["one_step"] = "SingularityError: forced"
-            return errors, failures
+        def broken(payload, reps):
+            records = real(payload, reps)
+            for rep, (errors, failures) in zip(reps, records):
+                if rep % 2 == 0:
+                    errors[payload["estimators"].index("one_step")] = np.nan
+                    failures["one_step"] = "SingularityError: forced"
+            return records
 
         monkeypatch.setattr(mc, "_replicate", broken)
         with pytest.raises(McExperimentError) as exc:
@@ -360,14 +362,14 @@ class TestRunExperiment:
         # factor(5, 1) has no moment map, so pilot_moment is the PLE from the
         # same start: one solve per replication serves all three estimators.
         calls = []
-        solve = estimators.ple_estimate
+        solve = estimators.ple_estimate_block
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("init"))
-            return solve(*args, **kwargs)
+        def counted(model, samples, *args, **kwargs):
+            calls.extend(kwargs.get("inits") or [None] * len(samples))
+            return solve(model, samples, *args, **kwargs)
 
-        monkeypatch.setattr(mc, "ple_estimate", counted)
-        monkeypatch.setattr(estimators, "ple_estimate", counted)
+        monkeypatch.setattr(mc, "ple_estimate_block", counted)
+        monkeypatch.setattr(estimators, "ple_estimate_block", counted)
         config = {"model": {"family": "factor", "p": 5, "q": 1},
                   "theta_true": [0.5, 0.4, 0.3, 0.6, 0.2], "n": 250,
                   "replications": 10, "seed": 20260814}
@@ -512,15 +514,15 @@ class TestComputedOnce:
         # estimators, each with the solve's own message, and is not repeated.
         calls = []
 
-        def failing(model, sample, *args, **kwargs):
-            calls.append(sample)
-            raise ConvergenceError("forced")
+        def failing(model, samples, *args, **kwargs):
+            calls.extend(samples)
+            return [ConvergenceError("forced") for _ in samples]
 
-        monkeypatch.setattr(mc, "ple_estimate", failing)
+        monkeypatch.setattr(mc, "ple_estimate_block", failing)
         payload = {"model": mc._canonical(BASE["model"]), "theta_true": (0.5,),
                    "n": 40, "seed": 1, "lane": 0, "margins": sampler.MarginSpec(),
                    "estimators": ("one_step", "ple")}
-        errors, failures = mc._replicate(payload, 0)
+        [(errors, failures)] = mc._replicate(payload, range(1))
         assert errors.shape == (2, 1) and np.isnan(errors).all()
         assert failures == {"one_step": "ConvergenceError: forced",
                             "ple": "ConvergenceError: forced"}
@@ -550,7 +552,7 @@ class TestComputedOnce:
         payload = {"model": mc._canonical(BASE["model"]), "theta_true": (0.5,),
                    "n": 40, "seed": 1, "lane": 0, "margins": sampler.MarginSpec(),
                    "estimators": ("ple", "one_step")}
-        mc._replicate(payload, 0)
+        mc._replicate(payload, range(1))
         assert calls == []
 
     @pytest.mark.parametrize("config", [
@@ -586,6 +588,78 @@ class TestComputedOnce:
         key = (mc._canonical(BASE["model"]), (0.5,))
         cached = [mc._model_at(*key)[1].chol, *mc._bounds_at(*key)]
         assert not any(a.flags.writeable for a in cached)
+
+
+# The configs of acceptance criteria 6, 7 and 8.
+CRITERION_CONFIGS = {
+    "exchangeable3": {"model": {"family": "exchangeable", "p": 3}, "theta_true": [0.5],
+                      "n": 250, "estimators": ["one_step"]},
+    "circular": {"model": {"family": "circular"}, "theta_true": [0.5], "n": 250,
+                 "estimators": ["one_step", "ple"]},
+    "toeplitz4": {"model": {"family": "toeplitz", "p": 4},
+                  "theta_true": [0.4945460, -0.4592764, -0.8462492], "n": 250,
+                  "estimators": ["one_step", "ple"]},
+    "exchangeable100": {"model": {"family": "exchangeable", "p": 100},
+                        "theta_true": [0.25], "n": 50, "estimators": ["one_step", "ple"]},
+}
+
+
+class TestBlocks:
+    """`_replicate` runs a block of consecutive replications and solves their
+    PLEs in one call; no record depends on the block it was solved in."""
+
+    def test_block_sizes(self):
+        def sizes(reps, workers):
+            blocks = mc._blocks(reps, workers)
+            assert [r for block in blocks for r in block] == list(range(reps))
+            return [len(block) for block in blocks]
+
+        assert sizes(70, 1) == [64, 6]
+        assert sizes(1, 1) == [1]
+        assert sizes(70, 2) == [4] * 17 + [2]
+        assert sizes(70, 3) == [2] * 35
+        assert sizes(10, 3) == [1] * 10
+        assert set(sizes(10_000, 2)) == {64, 16}
+
+    @pytest.mark.parametrize("name", ["exchangeable3", "circular", "toeplitz4"])
+    def test_reports_do_not_depend_on_blocks(self, monkeypatch, serial_pool, name):
+        # Workers 1, 2 and 3 cut 70 replications into blocks of 64, 4 and
+        # 2; a 10-replication run solves its rows in one block of 10.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        config = {**CRITERION_CONFIGS[name], "n": 60, "replications": 70, "seed": 7}
+        reports = [run_experiment({**config, "workers": w}) for w in (1, 2, 3)]
+        assert serial_pool == [2, 3]
+        for report in reports[1:]:
+            assert report.to_json() == reports[0].to_json()
+            assert np.array_equal(report.errors, reports[0].errors, equal_nan=True)
+        short = run_experiment({**config, "replications": 10})
+        assert np.array_equal(short.errors, reports[0].errors[:10], equal_nan=True)
+
+    @pytest.mark.parametrize("names,batch,batches,iterations", [
+        (["exchangeable3", "circular"], 10, 20, 1271),
+        (["toeplitz4"], 1, 40, 181),
+        (["exchangeable100"], 2, 20, 160),
+    ], ids=["mc-smallp", "mc-toeplitz4", "mc-highdim"])
+    def test_iterations_per_row(self, monkeypatch, names, batch, batches, iterations):
+        # The PLE solves of the benchmark's traced runs (lanes 0.. of the
+        # acceptance seed, `batch` replications per experiment): the same
+        # Newton iterations per row as one solve per replication took, a
+        # mean of 3.1775, 4.525 and 4.0.
+        rows = []
+        solve = estimators.ple_estimate_block
+
+        def counted(model, samples, *args, **kwargs):
+            block = solve(model, samples, *args, **kwargs)
+            rows.extend(result.iterations for result in block)
+            return block
+
+        monkeypatch.setattr(mc, "ple_estimate_block", counted)
+        for lane in range(batches):
+            for name in names:
+                run_experiment({**CRITERION_CONFIGS[name], "replications": batch,
+                                "seed": 20260814, "lane": lane})
+        assert len(rows) == batches * batch * len(names)
+        assert sum(rows) == iterations
 
 
 class TestGridAndSummaries:

@@ -302,17 +302,14 @@ def spectrum_defects(model, thetas, h=2.0 ** -10):
     defects = {"orthonormal": np.max(np.abs(q.T @ q - np.eye(model.p))),
                "r": 0.0, "r_dots": 0.0, "d2lam": 0.0}
     for theta in np.asarray(thetas, dtype=float):
-        lam, dlam, d2lam = model.spectrum.eigen_fn(theta)
-        assert (lam.shape, dlam.shape, d2lam.shape) == (
-            (model.p,), (model.p, model.k), (model.p, model.k, model.k))
-        r_dots = np.einsum("ij,jm,kj->mik", q, dlam, q)  # Q diag(dlam_m) Q'
-        fd = np.stack([(model.spectrum.eigen_fn(theta + e)[1]
-                        - model.spectrum.eigen_fn(theta - e)[1]) / (2.0 * h)
-                       for e in h * np.eye(model.k)], axis=-1)
+        lam, dlam, d2lam = (a[0] for a in model.spectrum.eigen_fn(theta))
+        assert (lam.shape, dlam.shape, d2lam.shape) == ((model.p,),) * 3
+        fd = (model.spectrum.eigen_fn(theta + h)[1][0]
+              - model.spectrum.eigen_fn(theta - h)[1][0]) / (2.0 * h)
         defects["r"] = max(defects["r"], np.max(np.abs(
             (q * lam) @ q.T - model.corr_fn(theta))))
         defects["r_dots"] = max(defects["r_dots"], np.max(np.abs(
-            r_dots - model.r_dots(theta))))
+            (q * dlam) @ q.T - model.r_dots(theta)[0])))  # Q diag(dlam) Q'
         defects["d2lam"] = max(defects["d2lam"], np.max(np.abs(d2lam - fd)))
     return defects
 
@@ -340,12 +337,12 @@ class TestSpectrum:
 
         def first_neighbours_only(t):
             # 1 +- 2 theta, 1, 1 ignore the theta^2 second neighbours.
-            lam = np.array([1 + 2 * t[0], 1.0, 1.0, 1 - 2 * t[0]])
-            return lam, np.array([[2.0], [0.0], [0.0], [-2.0]]), np.zeros((4, 1, 1))
+            lam = 1.0 + np.outer(t, [2.0, 0.0, 0.0, -2.0])
+            return lam, np.tile([2.0, 0.0, 0.0, -2.0], (len(t), 1)), np.zeros(lam.shape)
 
         def no_curvature(t):
             lam, dlam, _ = model.spectrum.eigen_fn(t)
-            return lam, dlam, np.zeros((4, 1, 1))
+            return lam, dlam, np.zeros(lam.shape)
 
         defects = [spectrum_defects(dataclasses.replace(
             model, spectrum=Spectrum(model.spectrum.basis, fn)), [[0.45]])
@@ -353,6 +350,25 @@ class TestSpectrum:
         assert defects[0]["r"] > 0.1 and defects[0]["r_dots"] > 0.1
         assert defects[1]["d2lam"] > 1.0
         assert max(defects[1]["r"], defects[1]["r_dots"]) <= 1e-12
+
+    @pytest.mark.parametrize("model,thetas", SPECTRAL_EXAMPLES,
+                             ids=[f"{m.name}{m.p}" for m, _ in SPECTRAL_EXAMPLES])
+    def test_stacked_rows_equal_blocks_of_one(self, model, thetas):
+        # Row b of eigen_fn on a vector of B parameter values is, to the bit,
+        # eigen_fn on the block of one (theta_b): the PLE descent solves a
+        # block of samples on these rows.
+        t = np.array([theta[0] for theta in thetas] + [-0.3, 1e-3, 0.0, 0.7])
+        stacked = model.spectrum.eigen_fn(t)
+        assert [a.shape for a in stacked] == [(len(t), model.p)] * 3
+        for b in range(len(t)):
+            for rows, single in zip(stacked, model.spectrum.eigen_fn(t[b:b + 1])):
+                assert np.array_equal(rows[b], single[0]), (b, t[b])
+
+    def test_spectrum_needs_one_parameter(self):
+        spectrum = exchangeable(3).spectrum
+        with pytest.raises(ShapeError, match="needs k = 1, got k = 2"):
+            dataclasses.replace(toeplitz(3), spectrum=spectrum)
+        assert dataclasses.replace(toeplitz(3), spectrum=None).spectrum is None
 
     @pytest.mark.parametrize("model,thetas", SPECTRAL_EXAMPLES,
                              ids=[f"{m.name}{m.p}" for m, _ in SPECTRAL_EXAMPLES])
