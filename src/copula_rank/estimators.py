@@ -586,7 +586,8 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     search on the mean negative pseudo-log-likelihood, from `init`, else the
     moment pilot, else the model's default; every iterate has R(theta)
     positive definite.  This is `ple_estimate_block` on a block of one: the
-    descent is written once, over the rows of a block.  The objective and
+    descent is written once, over the rows of a block, and a block never
+    changes a number.  The objective and
     step come from `_descent`: elementwise arithmetic on the eigenvalues for
     a one-parameter model with a `Spectrum`, else one Cholesky factorization
     of R(theta) per evaluation and matrix products with S.  From the moment
