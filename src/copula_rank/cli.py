@@ -86,7 +86,9 @@ def _build_parser():
     add_model_flags(p_check)
     p_check.add_argument("--theta", nargs="+", required=True)
     p_check.add_argument("--tolerance", type=float, default=1e-8,
-                         help="relative tolerance for the diagnostics")
+                         help="tolerance of the diagnostics: relative, "
+                         "tol*(1 + ||M||_F), in the PLE-efficiency span test; "
+                         "absolute on the regularity and adaptivity residuals")
     add_format(p_check)
     p_check.set_defaults(func=cmd_check)
 

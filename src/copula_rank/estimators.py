@@ -12,13 +12,15 @@ tr(dS_m(theta) (R(theta) - Rhat)), by one Newton descent with the exact
 Hessian.  From the moment pilot, a root-n-consistent start, the first step
 is a Fisher-scoring step instead: the Hessian is replaced by its
 expectation at Rhat = R(theta), F_mj = tr(S dR_m S dR_j) / 2, built from
-the S of the pilot's objective evaluation.  The descent stops at
+the S of the pilot's evaluation.  The descent stops at
 pseudo-score sup-norm <= 1e-8 * k where the Hessian has no negative
-curvature, or raises ConvergenceError with its iterate trace.  It takes its
-objective and step from the model.  In general each iterate costs one
-Cholesky factorization of R(theta), made by the line-search evaluation that
-accepts it; that factorization also gives S = R^-1, and the pseudo-score,
-its Jacobian and the step are matrix products with S.  For a one-parameter
+curvature, or raises ConvergenceError with its iterate trace.  It
+evaluates each candidate once, through one function the model selects,
+which returns the objective and the step together: an accepted candidate's
+step is the next step, a rejected one's is discarded.  In general an
+evaluation costs one Cholesky factorization of R(theta), which also gives
+S = R^-1, and the pseudo-score, its Jacobian and the step are matrix
+products with S.  For a one-parameter
 model with a theta-free eigenbasis Q (a `Spectrum`), d = diag(Q' Rhat Q) is
 formed once and every iterate is elementwise arithmetic and sums on the
 eigenvalues lam(theta), with no factorization and no LAPACK call.
@@ -245,8 +247,9 @@ def _objective_and_inverse(model, theta, rhat, trace):
 def _descent_step(model, theta, s, rhat, scoring):
     """Pseudo-score psi, the step -|H|^-1 grad on `_objective_and_inverse`
     and the eigenvalues of the Hessian H = -(J + J')/4, by matrix products
-    with S = R(theta)^-1 (no factorization) at the validated iterate theta;
-    |H| takes absolute eigenvalues so that the step always descends.
+    with S = R(theta)^-1 (no factorization) at a theta where R(theta) is
+    positive definite; |H| takes absolute eigenvalues so that the step
+    always descends.
 
     psi_m = -tr(dR_m W) with W = S (R - Rhat) S = S - (S Rhat) S, and
     J_mj = -tr(d2R_mj W) + tr(S dR_m S dR_j (I - 2 S Rhat)) is the Jacobian
@@ -289,37 +292,33 @@ def _newton_step(psi, jac):
 
 
 def _matrix_descent(model, rhats):
-    """The (objective, step) pair of `_descent` on matrices, one row at a
-    time: `_objective_and_inverse` and `_descent_step` on the row's sample,
-    with tr Rhat taken once per sample.  The state is the list of the rows'
-    S."""
+    """`_descent`'s evaluate on matrices, one row at a time:
+    `_objective_and_inverse` on the row's sample, with tr Rhat taken once per
+    sample, then `_descent_step` with that S.  A row where R(theta) is not
+    positive definite has no S: its f and sup-norm are inf, its step NaN."""
     traces = [float(rhat.trace()) for rhat in rhats]
 
-    def objective(rows, theta):
-        f, inverses = [], []
+    def evaluate(rows, theta, scoring):
+        f, norm, slope, steps, eigs = [], [], [], [], []
         for i, row in enumerate(rows):
             value, s = _objective_and_inverse(model, theta[i], rhats[row], traces[row])
+            if s is None:
+                psi, dx, hess_eigs = np.full(model.k, np.inf), np.full(model.k, np.nan), None
+            else:
+                psi, dx, hess_eigs = _descent_step(model, theta[i], s, rhats[row], scoring[i])
             f.append(value)
-            inverses.append(s)
-        return f, (inverses,)
-
-    def step(rows, theta, state, scoring):
-        norm, slope, steps, eigs = [], [], [], []
-        for i, row in enumerate(rows):
-            psi, dx, hess_eigs = _descent_step(model, theta[i], state[0][i], rhats[row],
-                                               scoring[i])
             norm.append(max(map(abs, psi.tolist())))
             slope.append(-0.5 * float(psi @ dx))
             steps.append(dx)
             eigs.append(hess_eigs)
-        return norm, slope, np.array(steps), eigs
+        return f, norm, slope, np.array(steps), eigs
 
-    return objective, step
+    return evaluate
 
 
 def _spectral_descent(spectrum, rhats):
-    """The (objective, step) pair of `_descent` for R(theta) = Q diag(lam) Q'
-    with a theta-free Q and one parameter, on (B, p) arrays.  With
+    """`_descent`'s evaluate for R(theta) = Q diag(lam) Q' with a theta-free
+    Q and one parameter, in one pass over (B, p) arrays.  With
     d = diag(Q' Rhat Q), formed once per sample, row b holds
 
         f   = (sum log lam + sum d / lam - tr Rhat) / 2, inf unless lam > 0,
@@ -331,19 +330,17 @@ def _spectral_descent(spectrum, rhats):
     Jacobian written in that basis.  The Hessian is H = -J / 2 and the step
     psi / (2 |H|) = psi / |J|.  Every quantity is elementwise or a sum along
     the row, so no row depends on another, and min lam > 0 is the
-    positive-definiteness condition itself: no step factors a matrix.  The
-    state is (lam, dlam, d2lam).
+    positive-definiteness condition itself: no evaluation factors a matrix.
+    A row outside that region is evaluated at lam = 1 beside its f = inf.
     """
     basis = spectrum.basis
     d_all = np.array([(basis * (rhat @ basis)).sum(axis=0) for rhat in rhats])
     trace_all = np.array([float(rhat.trace()) for rhat in rhats])
     add = np.add.reduce
 
-    def objective(rows, theta):
-        eig = spectrum.eigen_fn(theta[:, 0])
-        lam = eig[0]
-        d, trace = ((d_all, trace_all) if len(rows) == len(d_all)
-                    else (d_all[rows], trace_all[rows]))
+    def evaluate(rows, theta, scoring):
+        lam, dlam, d2lam = spectrum.eigen_fn(theta[:, 0])
+        d, trace = _take(d_all, rows), _take(trace_all, rows)
         outside = None
         if not lam.min() > 0.0:  # NaN included
             outside = ~(lam.min(axis=1) > 0.0)
@@ -351,11 +348,6 @@ def _spectral_descent(spectrum, rhats):
         f = 0.5 * (add(np.log(lam), 1) + add(d / lam, 1) - trace)
         if outside is not None:
             f[outside] = np.inf
-        return f.tolist(), eig
-
-    def step(rows, theta, state, scoring):
-        lam, dlam, d2lam = state
-        d = d_all if len(rows) == len(d_all) else d_all[rows]
         w = (d - lam) / lam ** 2
         psi = add(dlam * w, 1)
         if all(scoring):
@@ -367,33 +359,36 @@ def _spectral_descent(spectrum, rhats):
                 jac[scoring] = -add(fisher / lam[scoring] ** 2 * fisher, 1)
         dx = psi / np.abs(jac)
         psi_rows = psi.tolist()
-        return ([abs(v) for v in psi_rows],
+        return (f.tolist(), [abs(v) for v in psi_rows],
                 [-0.5 * (v * x) for v, x in zip(psi_rows, dx.tolist())],
                 dx[:, None], (-0.5 * jac)[:, None])
 
-    return objective, step
+    return evaluate
 
 
 def _descent(model, rhats):
-    """The (objective, step) pair the PLE descent runs on, for the block of
-    samples with normal-scores matrices `rhats`.  Both take `rows`, the
-    ascending list of the block positions they evaluate, and theta, those
-    rows' (len(rows), k) iterates.  objective(rows, theta) is (f, state):
-    the list of objective values, inf where R(theta) is not positive
-    definite, and a tuple of sequences indexed by row.  step(rows, theta,
-    state, scoring) is (norm, slope, step, eigs): the lists of the rows'
-    pseudo-score sup-norms and derivatives of f along their steps, the
-    (len(rows), k) steps -|H|^-1 grad, and each row's Hessian eigenvalues in
-    ascending order, H replaced by the Fisher information in the rows whose
-    `scoring` flag is set.  Spectral (`_spectral_descent`) when the model
-    declares a `Spectrum`, else `_matrix_descent`."""
+    """The one function the PLE descent evaluates, for the block of samples
+    with normal-scores matrices `rhats`.  evaluate(rows, theta, scoring)
+    takes `rows`, the ascending list of the block positions it evaluates,
+    and theta, those rows' (len(rows), k) iterates, and returns
+    (f, norm, slope, step, eigs): the lists of the rows' objective values,
+    inf where R(theta) is not positive definite, pseudo-score sup-norms and
+    derivatives of f along their steps, the (len(rows), k) steps
+    -|H|^-1 grad, and each row's Hessian eigenvalues in ascending order, H
+    replaced by the Fisher information in the rows whose `scoring` flag is
+    set.  Nothing but f is read where f is inf.  Spectral
+    (`_spectral_descent`) when the model declares a `Spectrum`, else
+    `_matrix_descent`."""
     if model.spectrum is not None:
         return _spectral_descent(model.spectrum, rhats)
     return _matrix_descent(model, rhats)
 
 
 def _take(items, keep):
-    """The entries `keep` (a list of positions) of a list or an array."""
+    """The entries `keep` (ascending positions) of a list or an array; the
+    items themselves where `keep` holds them all."""
+    if len(keep) == len(items):
+        return items
     return items[keep] if isinstance(items, np.ndarray) else [items[i] for i in keep]
 
 
@@ -408,25 +403,26 @@ def _trace(history, row):
     return trace
 
 
-def _descend(model, objective, step, theta, scoring, max_iter):
+def _descend(model, evaluate, theta, scoring, max_iter):
     """Newton descent with an Armijo line search on every row of theta
-    (B, k) at once, on the `_descent` pair.  Rows whose `scoring` flag is
+    (B, k) at once, on the `_descent` evaluate.  Rows whose `scoring` flag is
     set take a Fisher-scoring first step.  Returns one outcome per row:
     (theta_hat, iterations), or the exception `ple_estimate` raises on that
     row's sample alone.  Each row keeps its own step, stop test, saddle
-    test, domain verdict and iterate trace, and a row that is done leaves
+    test, domain verdict and iterate trace, and a row with an outcome leaves
     the block.  No row reads another, so an outcome does not depend on the
-    block around it."""
-    outcomes = [None] * len(theta)
+    block around it.  Each candidate is evaluated once, step included: an
+    accepted candidate's step is the next step, a rejected one's is
+    discarded."""
     rows = list(range(len(theta)))
-    f, state = objective(rows, theta)
-    for i in rows:
-        if f[i] == np.inf:
-            outcomes[i] = DomainError(
-                f"initial theta {theta[i]} outside the domain of {model.name}")
-    live = [i for i in rows if outcomes[i] is None]
+    f, norm, slope, dx, eigs = evaluate(rows, theta, scoring)
+    outcomes = [DomainError(f"initial theta {start} outside the domain of {model.name}")
+                if value == np.inf else None for value, start in zip(f, theta)]
     tol = 1e-8 * model.k
-    history = []  # (rows, theta, norm) of every iteration, for the traces
+    # (rows, theta, norm) of every iterate, for the traces.  A row that has
+    # an outcome may stay in one more entry, which its trace, made with the
+    # outcome, never reads.
+    history = []
 
     def fail(pos, norm):
         return ConvergenceError(
@@ -435,68 +431,44 @@ def _descend(model, objective, step, theta, scoring, max_iter):
             trace=_trace(history, rows[pos]))
 
     for iteration in range(max_iter + 1):
-        if not live:
-            break
-        if len(live) < len(rows):
-            rows, theta, f, scoring = (_take(v, live) for v in (rows, theta, f, scoring))
-            state = tuple(_take(v, live) for v in state)
-        norm, slope, dx, eigs = step(rows, theta, state, scoring)
         history.append((rows, theta, norm))
-        live = range(len(rows))
-        if min(norm) <= tol:
-            live = [i for i, value in enumerate(norm) if not value <= tol]
-            done = [i for i, value in enumerate(norm) if value <= tol]
-            rescore = [i for i in done if scoring[i]]
-            if rescore:  # the saddle test reads the exact Hessian
-                exact = step(_take(rows, rescore), _take(theta, rescore),
-                             tuple(_take(v, rescore) for v in state),
-                             [False] * len(rescore))[3]
-                eigs = list(eigs)
-                for i, hess_eigs in zip(rescore, exact):
-                    eigs[i] = hess_eigs
-            for i in done:
-                outcomes[rows[i]] = _verdict(model, theta[i], eigs[i], iteration,
+        for i, value in enumerate(norm):
+            if value <= tol and outcomes[rows[i]] is None:
+                # the saddle test reads the exact Hessian
+                hess_eigs = (evaluate(rows[i:i + 1], theta[i:i + 1], [False])[4][0]
+                             if iteration == 0 and scoring[rows[i]] else eigs[i])
+                outcomes[rows[i]] = _verdict(model, theta[i], hess_eigs, iteration,
                                              history, rows[i])
+        live = [i for i, row in enumerate(rows) if outcomes[row] is None]
         if iteration == max_iter or not live:
             for i in live:
                 outcomes[rows[i]] = fail(i, norm[i])
             break
-        scoring = [False] * len(rows)
+        if len(live) < len(rows):
+            rows, theta, f, norm, slope, dx = (_take(v, live)
+                                               for v in (rows, theta, f, norm, slope, dx))
         # Armijo on the objective; the slack admits steps whose decrease is
-        # below the roundoff of f, which near the optimum is all of them.
-        # The accepted candidate's state (S, or the eigenvalues) serves the
-        # next step.  A full step is theta + 1.0 * step to the bit.
-        search, scale, f_cand = live, 1.0, None
-        if len(search) == len(rows):
-            cand = theta + dx
-            f_cand, state_cand = objective(rows, cand)
-            for fc, fi, sl in zip(f_cand, f, slope):
-                if not fc <= fi + 1e-4 * sl + 1e-13 * (1.0 + abs(fi)):
-                    break
-            else:
-                theta, f, state = cand, f_cand, state_cand
-                continue
-        # Backtrack: the rows still searching halve their steps together.
-        theta, f = theta.copy(), list(f)  # the iterates are in `history`
-        state = tuple(v.copy() for v in state)
-        while True:
-            if f_cand is None:
-                cand = _take(theta, search) + scale * _take(dx, search)
-                f_cand, state_cand = objective(_take(rows, search), cand)
+        # below the roundoff of f, which near the optimum is all of them.  The
+        # first round evaluates the full steps (theta + 1.0 * step is
+        # theta + step to the bit) into new arrays, the next iterate, and
+        # each halving round overwrites the rows still searching.
+        search, scale, new = range(len(rows)), 1.0, None
+        while search and scale > 2.0 ** -30:
+            cand = _take(theta, search) + scale * _take(dx, search)
+            # (theta, f, norm, slope, step, eigs) of the candidates
+            out = (cand, *evaluate(_take(rows, search), cand, [False] * len(search)))
+            new = out if new is None else new
             rejected = []
             for j, i in enumerate(search):
-                if f_cand[j] <= f[i] + 1e-4 * scale * slope[i] + 1e-13 * (1.0 + abs(f[i])):
-                    theta[i], f[i] = cand[j], f_cand[j]
-                    for v, v_cand in zip(state, state_cand):
-                        v[i] = v_cand[j]
-                else:
+                if not out[1][j] <= f[i] + 1e-4 * scale * slope[i] + 1e-13 * (1.0 + abs(f[i])):
                     rejected.append(i)
-            search, scale, f_cand = rejected, 0.5 * scale, None
-            if not search or not scale > 2.0 ** -30:
-                break
+                elif out is not new:
+                    for v, v_out in zip(new, out):
+                        v[i] = v_out[j]
+            search, scale = rejected, 0.5 * scale
         for i in search:  # no descent found
             outcomes[rows[i]] = fail(i, norm[i])
-        live = [i for i in live if i not in search]
+        theta, f, norm, slope, dx, eigs = new
     return outcomes
 
 
@@ -520,12 +492,12 @@ def _verdict(model, theta, eigs, iteration, history, row):
 
 def _default_init(model, rhat):
     """(start, from_pilot): the moment pilot where the model has a moment map
-    and the fit is in the domain, else a copy of `default_init`."""
+    and the fit is in the domain, else `default_init`."""
     if model.moment_map is not None:
         pilot = model.moment_map @ rhat.ravel()
         if model.domain_check(pilot):
             return pilot, True
-    return np.asarray(model.default_init, dtype=float).copy(), False
+    return model.theta_vec(model.default_init), False
 
 
 def _std_errors(model, theta, n, field):
@@ -555,30 +527,31 @@ def ple_estimate_block(model, samples, inits=None, max_iter=100):
         inits = [None] * len(samples)
     elif len(inits) != len(samples):
         raise ShapeError(f"inits: expected {len(samples)} starts, got {len(inits)}")
-    if not samples:
-        return []
-    rhats = [sample.rhat for sample in samples]
-    starts, scoring = [], []
-    for rhat, init in zip(rhats, inits):
-        from_pilot = False
-        if init is None:
-            init, from_pilot = _default_init(model, rhat)
-        # the pilot is a length-k vector that domain_check has validated
-        starts.append(init if from_pilot else model.theta_vec(init))
+    outcomes, starts, scoring = [], [], []
+    for sample, init in zip(samples, inits):
+        try:
+            start, from_pilot = (_default_init(model, sample.rhat) if init is None
+                                 else (model.require(init, "initial theta"), False))
+        except DomainError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append(None)
+        starts.append(start)
         scoring.append(from_pilot)
-    outcomes = _descend(model, *_descent(model, rhats), np.array(starts), scoring,
-                        max_iter)
-    results = []
-    for sample, outcome in zip(samples, outcomes):
-        if not isinstance(outcome, Exception):
-            theta, iterations = outcome
-            outcome = EstimateResult(
-                theta_hat=theta, method="ple", iterations=iterations, converged=True,
-                std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n,
-                                      "ple_cov"),
-                tie_warning=sample.has_ties)
-        results.append(outcome)
-    return results
+    solved = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if solved:
+        evaluate = _descent(model, [samples[i].rhat for i in solved])
+        for i, outcome in zip(solved, _descend(model, evaluate, np.array(starts), scoring,
+                                               max_iter)):
+            if not isinstance(outcome, Exception):
+                theta, iterations = outcome
+                outcome = EstimateResult(
+                    theta_hat=theta, method="ple", iterations=iterations, converged=True,
+                    std_errors_fn=partial(_std_errors, model, theta.copy(), samples[i].n,
+                                          "ple_cov"),
+                    tie_warning=samples[i].has_ties)
+            outcomes[i] = outcome
+    return outcomes
 
 
 def ple_estimate(model, sample, init=None, max_iter=100):
@@ -628,7 +601,7 @@ def pilot_moment(model, sample):
     default_init (`model.into_domain`) and flagged.
     Other families (dR(0) = 0, or R(0) != I) fall back to ple_estimate."""
     if model.moment_map is None:
-        return ple_estimate(model, sample, init=model.default_init)
+        return ple_estimate(model, sample)
     theta, clamped = model.into_domain(model.moment_map @ sample.rhat.ravel(),
                                        model.default_init)
     return EstimateResult(theta_hat=theta, method="pilot_moment", iterations=0,

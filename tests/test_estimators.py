@@ -355,9 +355,61 @@ class TestPleEstimate:
                             lambda psi, jac: (np.full_like(psi, 1e12), np.ones_like(psi)))
         model = toeplitz(4)
         u = sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6)
-        with pytest.raises(ConvergenceError, match="did not converge for toeplitz") as info:
+        with pytest.raises(ConvergenceError) as info:
             ple_estimate(model, rank_transform(u))
+        # The sup-norm is the iterate's, recorded before the descent was
+        # written over one evaluation per candidate.
+        assert str(info.value) == (
+            "pseudo-likelihood Newton descent did not converge for toeplitz "
+            "(final sup-norm 2.081e+01, tolerance 3.000e-08)")
         assert len(info.value.trace) == 1
+
+    def test_spectral_line_search_gives_up(self, monkeypatch):
+        # Every candidate of a step of 1e12, halved 30 times, has an
+        # eigenvalue below 0.
+        descent = estimators._descent
+
+        def huge_steps(model, rhats):
+            evaluate = descent(model, rhats)
+
+            def huge(rows, theta, scoring):
+                f, norm, slope, dx, eigs = evaluate(rows, theta, scoring)
+                return f, norm, slope, np.full_like(dx, 1e12), eigs
+            return huge
+
+        monkeypatch.setattr(estimators, "_descent", huge_steps)
+        model = circular()
+        u = sample_copula(model.r_of_theta(np.array([0.5])), 250, seed=6)
+        with pytest.raises(ConvergenceError) as info:
+            ple_estimate(model, rank_transform(u))
+        assert str(info.value) == (
+            "pseudo-likelihood Newton descent did not converge for circular "
+            "(final sup-norm 4.510e-01, tolerance 1.000e-08)")
+        assert len(info.value.trace) == 1
+
+    @pytest.mark.parametrize("model,theta,seed,theta_hat,iterations,norms", [
+        (toeplitz(4), THETA_STAR, 12,
+         ["0x1.0e721dbf5f6f6p-1", "-0x1.7da8d8efea26dp-2", "-0x1.e9ff5d43b99e0p-1"], 8,
+         ("9.978e+00", "1.768e+01")),
+        (circular(), [0.5], 0, ["0x1.494ec8bbf821bp-1"], 7, ("2.173e+00", "1.232e+00")),
+    ], ids=["toep4", "circ"])
+    def test_backtracking_solves(self, model, theta, seed, theta_hat, iterations, norms):
+        # At n = 12 these descents reject full steps and halve them
+        # (toeplitz(4): 22 evaluations in 8 steps, circular: 9 in 7).
+        # Recorded before the descent was written over one evaluation per
+        # candidate.
+        sample = rank_transform(sample_copula(model.r_of_theta(np.array(theta)), 12,
+                                              seed=seed))
+        result = ple_estimate(model, sample)
+        assert [v.hex() for v in result.theta_hat] == theta_hat
+        assert result.iterations == iterations
+        for max_iter, norm in zip((1, 3), norms):
+            with pytest.raises(ConvergenceError) as info:
+                ple_estimate(model, sample, max_iter=max_iter)
+            assert str(info.value) == (
+                f"pseudo-likelihood Newton descent did not converge for {model.name} "
+                f"(final sup-norm {norm}, tolerance {1e-8 * model.k:.3e})")
+            assert len(info.value.trace) == max_iter + 1
 
     def test_objective_infinite_where_r_overflows(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -455,6 +507,20 @@ class TestPleEstimate:
             ple_estimate(exchangeable(3), rank_transform(u),
                          init=np.array([2.0]))
 
+    @pytest.mark.parametrize("model,init", [
+        (exchangeable(3), [0.9999995]), (circular(), [-0.9999995])],
+        ids=["exch3", "circ"])
+    def test_init_outside_the_box(self, model, init):
+        # R(init) is positive definite, so the descent would run, but init
+        # lies outside the box that is the family's domain.
+        sample = rank_transform(sample_copula(model.r_of_theta(np.array([0.5])), 250,
+                                              seed=1))
+        with pytest.raises(DomainError, match=rf"^initial theta \[{init[0]}\] outside "
+                                              rf"the domain of {model.name}$"):
+            ple_estimate(model, sample, init=init)
+        block = ple_estimate_block(model, [sample, sample], inits=[init, None])
+        assert isinstance(block[0], DomainError) and block[1].converged
+
     def test_to_dict_fields(self):
         u = sample_copula(exch_corr(3, 0.2), 50, seed=1)
         d = ple_estimate(exchangeable(3), rank_transform(u)).to_dict()
@@ -513,17 +579,18 @@ class TestScoringStart:
     """One Fisher-scoring step from the moment pilot, then exact Newton."""
 
     def spy_scoring(self, monkeypatch):
-        """Records the `scoring` flag of every descent step."""
+        """Records the `scoring` flag of every evaluation, whose step is the
+        next descent step where the candidate is accepted."""
         flags = []
         descent = estimators._descent
 
         def spied(model, rhats):
-            objective, step = descent(model, rhats)
+            evaluate = descent(model, rhats)
 
-            def recorded(rows, theta, state, scoring):
+            def recorded(rows, theta, scoring):
                 flags.extend(scoring)
-                return step(rows, theta, state, scoring)
-            return objective, recorded
+                return evaluate(rows, theta, scoring)
+            return recorded
 
         monkeypatch.setattr(estimators, "_descent", spied)
         return flags
