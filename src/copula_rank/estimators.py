@@ -396,8 +396,6 @@ def _trace(history, row):
     """The (theta, sup-norm) iterates of the block row `row`."""
     trace = []
     for rows, theta, norm in history:
-        if row not in rows:
-            break
         pos = rows.index(row)
         trace.append((theta[pos].copy(), norm[pos]))
     return trace

@@ -111,7 +111,6 @@ class McConfig:
     seed: int
     margins: tuple = ("uniform",)
     workers: int = 1
-    keep_errors: bool = True
     lane: int = 0
     theta_grid: tuple = ()
 
@@ -120,8 +119,7 @@ class McConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
         known = {"model", "theta_true", "n", "replications", "estimators",
-                 "seed", "margins", "workers", "keep_errors", "output",
-                 "theta_grid", "lane"}
+                 "seed", "margins", "workers", "output", "theta_grid", "lane"}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"{key}: unexpected config field")
@@ -159,12 +157,7 @@ class McConfig:
         if len(margins) not in (1, model.p):
             raise ConfigError(f"margins: expected 1 or p = {model.p} kinds, "
                               f"got {len(margins)}")
-        if "user" in margins:
-            raise ConfigError("margins: 'user' margins require code-level setup")
         MarginSpec(kinds=tuple(margins))  # validates kinds
-        keep_errors = raw.get("keep_errors", True)
-        if not isinstance(keep_errors, bool):
-            raise ConfigError(f"keep_errors: expected true or false, got {keep_errors!r}")
         if not isinstance(raw.get("output", ""), str):
             raise ConfigError(f"output: expected a directory path string, "
                               f"got {raw['output']!r}")
@@ -172,7 +165,6 @@ class McConfig:
                    replications=reps, estimators=tuple(ests), seed=seed,
                    margins=tuple(margins),
                    workers=_int_in("workers", raw.get("workers", 1), 1),
-                   keep_errors=keep_errors,
                    lane=_int_in("lane", raw.get("lane", 0), 0, _WORD_MAX),
                    theta_grid=grid)
 
@@ -202,7 +194,7 @@ class McReport:
     failures: dict
     eff_bound: object
     ple_bound: object
-    errors: object = field(repr=False, default=None)
+    errors: np.ndarray = field(repr=False)
 
     def to_dict(self):
         def per_est(table):
@@ -383,7 +375,7 @@ def run_experiment(config):
         bias=bias, variance=variance, n_variance=n_variance,
         n_success=n_success, failures=failures,
         eff_bound=eff_bound, ple_bound=ple_bound,
-        errors=errs if config.keep_errors else None,
+        errors=errs,
     )
 
 
@@ -453,8 +445,6 @@ def write_errors_csv(reports, path):
             writer.writerow(["lane", "replication", "estimator"]
                             + [f"err_{m + 1}" for m in range(k)])
         for rep_obj in reports:
-            if rep_obj.errors is None:
-                continue
             lane = rep_obj.config.get("lane", 0)
             for r in range(rep_obj.errors.shape[0]):
                 for idx, est in enumerate(rep_obj.estimators):

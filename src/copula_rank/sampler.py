@@ -9,7 +9,6 @@ disjoint streams no matter how work is scheduled across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,13 +19,13 @@ from .numcore import (check_symmetric, cholesky_lower, identity, norm_cdf, norm_
 __all__ = ["MarginSpec", "CopulaFactor", "sample_copula", "apply_margins",
            "copula_stream"]
 
-# kind -> its quantile transform (u, spec) -> x, elementwise in u.
+# kind -> its quantile transform u -> x, elementwise in u.  gaussian looks
+# norm_quantile up at each call, so a wrapper bound in its place sees it.
 _MARGINS = {
-    "uniform": lambda u, spec: u,
-    "gaussian": lambda u, spec: norm_quantile(u),
-    "exponential": lambda u, spec: -np.log1p(-u),
-    "cauchy": lambda u, spec: np.tan(np.pi * (u - 0.5)),
-    "user": lambda u, spec: spec.transform(u),
+    "uniform": lambda u: u,
+    "gaussian": lambda u: norm_quantile(u),
+    "exponential": lambda u: -np.log1p(-u),
+    "cauchy": lambda u: np.tan(np.pi * (u - 0.5)),
 }
 
 
@@ -36,21 +35,16 @@ class MarginSpec:
 
     kinds is a tuple of margin names, either of length 1 (applied to every
     column) or of length p.  Every kind is a strictly increasing continuous
-    transform of the uniform variate; "user" applies the supplied monotone
-    `transform` callable, elementwise: `apply_margins` calls it once, on the
-    (n, m) array of its m columns.
+    transform of the uniform variate.
     """
 
     kinds: tuple = ("uniform",)
-    transform: Optional[Callable] = None
 
     def __post_init__(self):
         kinds = tuple(self.kinds) if not isinstance(self.kinds, str) else (self.kinds,)
         for kind in kinds:
             if kind not in _MARGINS:
                 raise ConfigError(f"margins: unknown kind {kind!r}")
-        if "user" in kinds and self.transform is None:
-            raise ConfigError("margins: kind 'user' requires a transform callable")
         object.__setattr__(self, "kinds", kinds)
 
     def kind_for(self, j, p):
@@ -123,5 +117,5 @@ def apply_margins(u, spec):
             columns.setdefault(spec.kind_for(j, p), []).append(j)
     out = np.empty_like(u)
     for kind, cols in columns.items():
-        out[:, cols] = _MARGINS[kind](u[:, cols], spec)
+        out[:, cols] = _MARGINS[kind](u[:, cols])
     return out

@@ -521,6 +521,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field,value", [
         ("output", 5), ("margins", []), ("estimators", ["one_step", "one_step"]),
+        ("keep_errors", False), ("margins", "user"),
     ])
     def test_malformed_field_exit_2(self, capsys, tmp_path, field, value):
         path = self.write_config(tmp_path, **{field: value})

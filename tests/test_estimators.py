@@ -728,6 +728,25 @@ class TestBlockSolve:
         with pytest.raises(ShapeError, match="inits"):
             ple_estimate_block(model, samples, inits=[None])
 
+    def test_default_start_outside_positive_definite_region(self):
+        # A default start with R(theta) not positive definite is that row's
+        # DomainError, from the descent's first evaluation; the other rows
+        # of the block still solve.
+        model = factor(3, 1)
+        bad = dataclasses.replace(model, default_init=np.full(3, 5.0))
+        sample = rank_transform(sample_copula(model.r_of_theta(np.array([0.5, 0.6, 0.4])),
+                                              100, seed=1))
+        message = "initial theta [5. 5. 5.] outside the domain of factor"
+        with pytest.raises(DomainError) as exc:
+            ple_estimate(bad, sample)
+        assert str(exc.value) == message
+        good = model.default_init
+        first, second = ple_estimate_block(bad, [sample, sample], inits=[None, good])
+        assert isinstance(first, DomainError) and str(first) == message
+        alone = ple_estimate(model, sample, init=good)
+        assert np.array_equal(second.theta_hat, alone.theta_hat)
+        assert second.iterations == alone.iterations
+
 
 def _raise_or_return(row):
     if isinstance(row, Exception):

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness."""
 
+import argparse
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import copula_rank
+import copula_rank.cli as cli
 import copula_rank.estimators as estimators
 import copula_rank.mc as mc
 import copula_rank.sampler as sampler
@@ -140,9 +142,20 @@ class TestConfig:
         assert schema_valid == config_valid == valid
 
     def test_schema_margins_are_the_config_kinds(self):
-        # Every kind but "user", which needs a callable no config can give.
         enum = load_schema("mc_config")["$defs"]["margin"]["enum"]
-        assert sorted(enum) == sorted(set(sampler._MARGINS) - {"user"})
+        assert enum == list(sampler._MARGINS)
+
+    def test_estimator_names_agree(self):
+        # The harness, `estimate --method` and both schemas name the same
+        # estimators in the same order.
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in subparsers.choices["estimate"]._actions
+                      if "--method" in a.option_strings)
+        names = [list(mc._ESTIMATORS), method.choices,
+                 load_schema("estimate")["properties"]["method"]["enum"],
+                 load_schema("mc_config")["properties"]["estimators"]["items"]["enum"]]
+        assert all(other == names[0] for other in names[1:]), names
 
     def test_theta_grid_points(self):
         raw = {key: v for key, v in BASE.items() if key != "theta_true"}
@@ -169,11 +182,9 @@ class TestConfig:
             McConfig.from_dict({**BASE, **patch})
 
     def test_echo_excludes_execution_details(self):
-        config = McConfig.from_dict({**BASE, "workers": 7,
-                                     "keep_errors": False})
+        config = McConfig.from_dict({**BASE, "workers": 7})
         echo = config.echo()
         assert "workers" not in echo
-        assert "keep_errors" not in echo
         assert echo["seed"] == 99
         assert echo["lane"] == 0
 
@@ -204,8 +215,8 @@ class TestConfigContract:
          "theta_grid": [[0.2, 0.1], [0.3, -0.1]]},
         {"model": {"family": "circular"}, "theta_true": 0.3, "theta_grid": [0.1],
          "n": 2, "replications": 1, "estimators": ["ple", "pilot_moment"],
-         "seed": 0, "margins": ["gaussian"], "workers": 2, "keep_errors": False,
-         "output": "out", "lane": 1},
+         "seed": 0, "margins": ["gaussian"], "workers": 2, "output": "out",
+         "lane": 1},
     ]
     FIELDS = sorted(load_schema("mc_config")["properties"]) + ["bogus"]
 
@@ -532,6 +543,20 @@ class TestComputedOnce:
         assert exc.value.failures == {"one_step": 6, "ple": 6}
         assert len(calls) == 1 + 6
 
+    def test_moment_pilot_alone_solves_no_ple(self, monkeypatch):
+        def no_ple(model, samples, *args, **kwargs):
+            raise AssertionError("a PLE was solved")
+
+        monkeypatch.setattr(mc, "ple_estimate_block", no_ple)
+        report = run_experiment({**BASE, "replications": 3, "estimators": ["pilot_moment"]})
+        assert report.failures == {"pilot_moment": 0}
+        model = copula_rank.exchangeable(3)
+        for rep in range(3):
+            sample = estimators.rank_transform(
+                sampler.sample_copula(model.r_of_theta([0.5]), 40, seed=99, rep=rep))
+            expected = estimators.pilot_moment(model, sample).theta_hat - 0.5
+            assert np.array_equal(report.errors[rep, 0], expected)
+
     def test_rhat_once_per_replication(self, monkeypatch):
         calls = counter(monkeypatch, estimators.normal_scores_matrix, estimators)
         run_experiment({**BASE, "replications": 6})  # ple and one_step
@@ -725,13 +750,6 @@ class TestWriters:
         assert lines[0] == "lane,replication,estimator,err_1"
         assert len(lines) == 1 + 3 * 2  # header + reps x estimators
         assert lines[1].startswith("0,0,ple,")
-
-    def test_errors_csv_without_errors(self, tmp_path):
-        report = run_experiment({**BASE, "replications": 2, "keep_errors": False})
-        assert report.errors is None
-        path = tmp_path / "errors.csv"
-        write_errors_csv(report, str(path))
-        assert path.read_text().splitlines() == ["lane,replication,estimator,err_1"]
 
     def test_singular_bounds_report(self, tmp_path):
         # Raw factor(4, 2) loadings are not identifiable, so the information
