@@ -111,7 +111,7 @@ class RankedSample:
         return rhat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateResult:
     """An estimate and how it was reached.  `std_errors` calls
     `std_errors_fn` on first read and caches the result; it is None without
@@ -121,7 +121,7 @@ class EstimateResult:
     method: str
     iterations: int
     converged: bool
-    std_errors_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
+    std_errors_fn: Optional[Callable] = field(default=None, repr=False)
     clamped: bool = False
     tie_warning: bool = False
 

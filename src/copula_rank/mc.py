@@ -39,7 +39,7 @@ from .exceptions import (ConfigError, ConvergenceError, DomainError,
                          McExperimentError, ShapeError, SingularityError)
 from .geometry import efficiency_bundle
 from .models import build_model, eval_geometry
-from .sampler import CopulaFactor, MarginSpec, apply_margins, sample_copula
+from .sampler import _MARGINS, CopulaFactor, apply_margins, sample_copula
 
 __all__ = [
     "McConfig",
@@ -97,7 +97,7 @@ def _theta_grid(model, value):
     return tuple(_theta_point(model, "theta_grid", theta) for theta in value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McConfig:
     """One experiment.  A config read with a `theta_grid` holds its
     validated points, and `run_grid(config)` runs one experiment per point;
@@ -128,9 +128,11 @@ class McConfig:
         if not isinstance(raw["model"], dict):
             raise ConfigError(f"model: expected a JSON object, got {raw['model']!r}")
         try:
-            model = _model(_canonical(raw["model"]))
-        except (TypeError, ValueError):  # rebuilt as given, for its own error text
+            descriptor = _canonical(raw["model"])
+        except (TypeError, ValueError):  # not JSON: built as given, for its own error text
             model = build_model(raw["model"])
+        else:
+            model = _model(descriptor)
         grid = _theta_grid(model, raw["theta_grid"]) if "theta_grid" in raw else ()
         if "theta_true" in raw:
             theta = _theta_point(model, "theta_true", raw["theta_true"])
@@ -157,7 +159,9 @@ class McConfig:
         if len(margins) not in (1, model.p):
             raise ConfigError(f"margins: expected 1 or p = {model.p} kinds, "
                               f"got {len(margins)}")
-        MarginSpec(kinds=tuple(margins))  # validates kinds
+        for kind in margins:
+            if kind not in _MARGINS:
+                raise ConfigError(f"margins: unknown kind {kind!r}")
         if not isinstance(raw.get("output", ""), str):
             raise ConfigError(f"output: expected a directory path string, "
                               f"got {raw['output']!r}")
@@ -182,7 +186,7 @@ class McConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McReport:
     config: dict
     estimators: tuple
@@ -223,6 +227,12 @@ def _canonical(descriptor):
     return json.dumps(descriptor, default=np.ndarray.tolist)
 
 
+def _keys(config):
+    """The cache keys of a config's model and truth: its descriptor JSON and
+    theta_true as a tuple of floats."""
+    return _canonical(config.model), tuple(float(v) for v in config.theta_true)
+
+
 @lru_cache(maxsize=8)
 def _model(descriptor_json):
     """The model of a descriptor JSON, built once per process."""
@@ -247,18 +257,18 @@ def _bounds_at(descriptor_json, theta_true):
         return None, None
 
 
-def _replicate(payload, reps):
-    """Run the block of consecutive replications `reps` (a range); returns
-    one (errors, failures) record per replication: the (n_estimators, k)
-    array of theta_hat - theta_true with a NaN row per failed estimator, and
-    {estimator: "Type: message"}.  The block's PLEs are solved in one
+def _replicate(config, reps):
+    """Run the block of consecutive replications `reps` (a range) of the
+    McConfig `config`; returns one (errors, failures) record per
+    replication: the (n_estimators, k) array of theta_hat - theta_true with
+    a NaN row per failed estimator, and {estimator: "Type: message"}.  The block's PLEs are solved in one
     `ple_estimate_block` call, whose rows do not depend on the block, so a
     record is the same in any block.  Top-level so process pools can pickle
     it."""
-    model, factor = _model_at(payload["model"], payload["theta_true"])
-    estimators = payload["estimators"]
-    draws = [apply_margins(sample_copula(factor, payload["n"], payload["seed"], rep=rep,
-                                         lane=payload["lane"]), payload["margins"])
+    model, factor = _model_at(*_keys(config))
+    estimators = config.estimators
+    draws = [apply_margins(sample_copula(factor, config.n, config.seed, rep=rep,
+                                         lane=config.lane), config.margins)
              for rep in reps]
     records = []
     with warnings.catch_warnings():
@@ -276,7 +286,7 @@ def _replicate(payload, reps):
         else:
             ples = [None] * len(samples)
         for sample, ple in zip(samples, ples):
-            errors = np.full((len(estimators), len(payload["theta_true"])), np.nan)
+            errors = np.full((len(estimators), len(config.theta_true)), np.nan)
             failures = {}
             for row, est in enumerate(estimators):
                 try:
@@ -288,7 +298,7 @@ def _replicate(payload, reps):
                         result = one_step(model, sample, pilot=ple.theta_hat)
                     else:
                         result = ple
-                    errors[row] = result.theta_hat - payload["theta_true"]
+                    errors[row] = result.theta_hat - config.theta_true
                 except _FAILURES as exc:
                     failures[est] = f"{type(exc).__name__}: {exc}"
             records.append((errors, failures))
@@ -321,21 +331,14 @@ def run_experiment(config):
     if config.theta_true is None:
         raise ConfigError("theta_true: missing required field "
                           "(a theta_grid config runs through run_grid)")
-    payload = {
-        "model": _canonical(config.model),
-        "theta_true": tuple(float(v) for v in config.theta_true),
-        "n": config.n, "seed": config.seed, "lane": config.lane,
-        "margins": MarginSpec(kinds=config.margins),
-        "estimators": config.estimators,
-    }
     reps = config.replications
     workers = pool_size(config)
     blocks = _blocks(reps, workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(partial(_replicate, payload), blocks))
+            done = list(pool.map(partial(_replicate, config), blocks))
     else:
-        done = [_replicate(payload, block) for block in blocks]
+        done = [_replicate(config, block) for block in blocks]
     records = [record for block in done for record in block]
 
     k = len(config.theta_true)
@@ -369,7 +372,7 @@ def run_experiment(config):
         n_variance[est] = config.n * variance[est]
 
     eff_bound, ple_bound = (None if b is None else b.copy()
-                            for b in _bounds_at(payload["model"], payload["theta_true"]))
+                            for b in _bounds_at(*_keys(config)))
     return McReport(
         config=config.echo(), estimators=config.estimators, k=k,
         bias=bias, variance=variance, n_variance=n_variance,

@@ -8,16 +8,13 @@ disjoint streams no matter how work is scheduled across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ShapeError
 from .numcore import (check_symmetric, cholesky_lower, identity, norm_cdf, norm_quantile,
                       spd_factor)
 
-__all__ = ["MarginSpec", "CopulaFactor", "sample_copula", "apply_margins",
-           "copula_stream"]
+__all__ = ["CopulaFactor", "sample_copula", "apply_margins", "copula_stream"]
 
 # kind -> its quantile transform u -> x, elementwise in u.  gaussian looks
 # norm_quantile up at each call, so a wrapper bound in its place sees it.
@@ -27,32 +24,6 @@ _MARGINS = {
     "exponential": lambda u: -np.log1p(-u),
     "cauchy": lambda u: np.tan(np.pi * (u - 0.5)),
 }
-
-
-@dataclass(frozen=True)
-class MarginSpec:
-    """Per-column margin assignment.
-
-    kinds is a tuple of margin names, either of length 1 (applied to every
-    column) or of length p.  Every kind is a strictly increasing continuous
-    transform of the uniform variate.
-    """
-
-    kinds: tuple = ("uniform",)
-
-    def __post_init__(self):
-        kinds = tuple(self.kinds) if not isinstance(self.kinds, str) else (self.kinds,)
-        for kind in kinds:
-            if kind not in _MARGINS:
-                raise ConfigError(f"margins: unknown kind {kind!r}")
-        object.__setattr__(self, "kinds", kinds)
-
-    def kind_for(self, j, p):
-        if len(self.kinds) == 1:
-            return self.kinds[0]
-        if len(self.kinds) != p:
-            raise ShapeError(f"margins: {len(self.kinds)} kinds for p={p} columns")
-        return self.kinds[j]
 
 
 def copula_stream(seed, rep=0, lane=0):
@@ -101,20 +72,27 @@ def sample_copula(r, n, seed, rep=0, lane=0):
     return norm_cdf(z)
 
 
-def apply_margins(u, spec):
-    """Apply the margin quantile transforms columnwise to copula data U,
-    each kind in one call on the block of its columns (every transform is
-    elementwise)."""
+def apply_margins(u, kinds):
+    """Apply margin quantile transforms columnwise to copula data U.  `kinds`
+    is one kind name, or a sequence of 1 name for every column or of p
+    names, one per column.  Each kind runs in one call on the block of its
+    columns (every transform is elementwise and strictly increasing)."""
+    kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
+    for kind in kinds:
+        if kind not in _MARGINS:
+            raise ConfigError(f"margins: unknown kind {kind!r}")
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ShapeError(f"U must be 2-d, got shape {u.shape}")
     p = u.shape[1]
-    if len(spec.kinds) == 1:
-        columns = {spec.kinds[0]: slice(None)}
-    else:
+    if len(kinds) == 1:
+        columns = {kinds[0]: slice(None)}
+    elif len(kinds) == p:
         columns = {}
-        for j in range(p):
-            columns.setdefault(spec.kind_for(j, p), []).append(j)
+        for j, kind in enumerate(kinds):
+            columns.setdefault(kind, []).append(j)
+    else:
+        raise ShapeError(f"margins: {len(kinds)} kinds for p={p} columns")
     out = np.empty_like(u)
     for kind, cols in columns.items():
         out[:, cols] = _MARGINS[kind](u[:, cols])

@@ -508,7 +508,7 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
     def test_out_dir_checked_before_running(self, capsys, tmp_path, monkeypatch):
-        def replicate(payload, rep):
+        def replicate(config, reps):
             raise AssertionError("a replication ran")
 
         monkeypatch.setattr(mc, "_replicate", replicate)

@@ -671,11 +671,15 @@ def quarter_identity_sample(p):
 
 def outcome(solve):
     """theta_hat bits and iterations of a solve, or its exception type and
-    message."""
+    message, and for a ConvergenceError the bits of its trace (theta,
+    sup-norm) per iteration."""
     try:
         result = solve()
-    except (ConvergenceError, DomainError) as exc:
+    except DomainError as exc:
         return type(exc), str(exc)
+    except ConvergenceError as exc:
+        return type(exc), str(exc), [([float(v).hex() for v in theta], float(norm).hex())
+                                     for theta, norm in exc.trace]
     return [v.hex() for v in result.theta_hat], result.iterations
 
 

@@ -311,6 +311,21 @@ class TestRunExperiment:
         for est in plain.estimators:
             assert_allclose(plain.bias[est], wild.bias[est], rtol=0)
 
+    def test_equality_is_identity(self):
+        # Their fields hold arrays, so `==` compares identity and returns a
+        # bool, for k = 1 and k = 2 alike.
+        raw = {**BASE, "model": {"family": "toeplitz", "p": 3}, "theta_true": [0.3, 0.1]}
+        configs = [McConfig.from_dict(raw) for _ in range(2)]
+        reports = [run_experiment(dict(BASE, replications=3)) for _ in range(2)]
+        model = copula_rank.toeplitz(3)
+        sample = estimators.rank_transform(
+            sampler.sample_copula(model.r_of_theta([0.3, 0.1]), 40, seed=1))
+        results = [estimators.ple_estimate(model, sample) for _ in range(2)]
+        for first, second in (configs, reports, results):
+            assert (first == second) is False and (first != second) is True
+            assert (first == first) is True
+        assert reports[0].to_json() == reports[1].to_json()
+
     def test_schema_roundtrip(self):
         report = run_experiment(dict(BASE))
         validate_output("mc_report", report.to_dict())
@@ -319,11 +334,11 @@ class TestRunExperiment:
         clean = run_experiment({**BASE, "replications": 30})
         real = mc._replicate
 
-        def flaky(payload, reps):
-            records = real(payload, reps)
+        def flaky(config, reps):
+            records = real(config, reps)
             for rep, (errors, failures) in zip(reps, records):
                 if rep == 3:
-                    errors[payload["estimators"].index("ple")] = np.nan
+                    errors[config.estimators.index("ple")] = np.nan
                     failures["ple"] = "ConvergenceError: forced"
             return records
 
@@ -339,11 +354,11 @@ class TestRunExperiment:
     def test_failure_threshold_aborts(self, monkeypatch):
         real = mc._replicate
 
-        def broken(payload, reps):
-            records = real(payload, reps)
+        def broken(config, reps):
+            records = real(config, reps)
             for rep, (errors, failures) in zip(reps, records):
                 if rep % 2 == 0:
-                    errors[payload["estimators"].index("one_step")] = np.nan
+                    errors[config.estimators.index("one_step")] = np.nan
                     failures["one_step"] = "SingularityError: forced"
             return records
 
@@ -488,6 +503,14 @@ class TestModelCache:
         run_experiment(config)
         assert len(calls) == 1
 
+    def test_bad_model_built_once(self, monkeypatch):
+        # A descriptor that serialises but does not build raises from the
+        # one cached build, not from a second build as given.
+        calls = counter(monkeypatch, mc.build_model, mc)
+        with pytest.raises(ConfigError, match="^p: "):
+            McConfig.from_dict({**BASE, "model": {"family": "toeplitz", "p": "x"}})
+        assert len(calls) == 1
+
     def test_cached_models_match_fresh_processes(self):
         configs = [{**BASE, "replications": 6},
                    {"model": {"family": "toeplitz", "p": 4},
@@ -530,10 +553,8 @@ class TestComputedOnce:
             return [ConvergenceError("forced") for _ in samples]
 
         monkeypatch.setattr(mc, "ple_estimate_block", failing)
-        payload = {"model": mc._canonical(BASE["model"]), "theta_true": (0.5,),
-                   "n": 40, "seed": 1, "lane": 0, "margins": sampler.MarginSpec(),
-                   "estimators": ("one_step", "ple")}
-        [(errors, failures)] = mc._replicate(payload, range(1))
+        config = McConfig.from_dict({**BASE, "seed": 1, "estimators": ["one_step", "ple"]})
+        [(errors, failures)] = mc._replicate(config, range(1))
         assert errors.shape == (2, 1) and np.isnan(errors).all()
         assert failures == {"one_step": "ConvergenceError: forced",
                             "ple": "ConvergenceError: forced"}
@@ -574,10 +595,7 @@ class TestComputedOnce:
         # Worker processes run only `_replicate`; the bounds are the
         # aggregating process's.
         calls = counter(monkeypatch, mc.efficiency_bundle, mc)
-        payload = {"model": mc._canonical(BASE["model"]), "theta_true": (0.5,),
-                   "n": 40, "seed": 1, "lane": 0, "margins": sampler.MarginSpec(),
-                   "estimators": ("ple", "one_step")}
-        mc._replicate(payload, range(1))
+        mc._replicate(McConfig.from_dict({**BASE, "seed": 1}), range(1))
         assert calls == []
 
     @pytest.mark.parametrize("config", [

@@ -154,6 +154,11 @@ class TestBuilders:
         with pytest.raises(DomainError):
             model.theta_vec(np.array([np.nan]))
 
+    @pytest.mark.parametrize("m", [2, -1])
+    def test_r_dot_validates_index(self, m):
+        with pytest.raises(ShapeError, match=f"parameter index {m} out of range for k=2"):
+            toeplitz(3).r_dot([0.1, 0.1], m)
+
     def test_r_dots_validates_theta(self):
         for model in (exchangeable(3), toeplitz(4), circular()):
             with pytest.raises(ShapeError):

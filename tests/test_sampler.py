@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
-from copula_rank import (CopulaFactor, MarginSpec, apply_margins, copula_stream,
-                         exchangeable, norm_quantile, rank_transform,
-                         sample_copula)
+from copula_rank import (CopulaFactor, apply_margins, copula_stream, exchangeable,
+                         norm_quantile, rank_transform, sample_copula)
 from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
 
@@ -117,50 +116,52 @@ class TestSampleCopula:
         assert np.array_equal(a, b)
 
 
-class TestMarginSpec:
-    def test_normalization(self):
-        assert MarginSpec("gaussian").kinds == ("gaussian",)
-        spec = MarginSpec(("uniform", "cauchy"))
-        assert spec.kind_for(1, 2) == "cauchy"
+class TestApplyMargins:
+    def test_kind_normalization(self):
+        # A bare name, a list and a tuple of one name all mean every column;
+        # p names are one per column.
+        u = sample_copula(exch_corr(2, 0.2), 50, seed=2)
+        gaussian = apply_margins(u, ("gaussian",))
+        for kinds in ("gaussian", ["gaussian"]):
+            assert np.array_equal(apply_margins(u, kinds), gaussian)
+        mixed = apply_margins(u, ["uniform", "cauchy"])
+        assert np.array_equal(mixed[:, 0], u[:, 0])
+        assert np.array_equal(mixed[:, 1], apply_margins(u[:, 1:], "cauchy")[:, 0])
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            MarginSpec(("lognormal",))
+        with pytest.raises(ConfigError, match="margins: unknown kind 'lognormal'"):
+            apply_margins(np.full((2, 2), 0.5), ("lognormal",))
 
     def test_length_mismatch(self):
-        spec = MarginSpec(("uniform", "cauchy"))
-        with pytest.raises(ShapeError):
-            spec.kind_for(0, 3)
+        with pytest.raises(ShapeError, match="margins: 2 kinds for p=3 columns"):
+            apply_margins(np.full((2, 3), 0.5), ("uniform", "cauchy"))
 
-
-class TestApplyMargins:
     def test_uniform_identity(self):
         u = sample_copula(exch_corr(2, 0.2), 50, seed=2)
-        assert np.array_equal(apply_margins(u, MarginSpec()), u)
+        assert np.array_equal(apply_margins(u, ("uniform",)), u)
 
     def test_gaussian_is_quantile(self):
         u = sample_copula(exch_corr(2, 0.2), 50, seed=2)
-        out = apply_margins(u, MarginSpec(("gaussian",)))
+        out = apply_margins(u, ("gaussian",))
         assert_allclose(out, norm_quantile(u), rtol=0)
 
     def test_exponential_and_cauchy_values(self):
         u = np.array([[0.5, 0.5]])
-        out = apply_margins(u, MarginSpec(("exponential", "cauchy")))
+        out = apply_margins(u, ("exponential", "cauchy"))
         assert out[0, 0] == pytest.approx(np.log(2.0))
         assert abs(out[0, 1]) <= 1e-12
 
     def test_rank_invariance_bitwise(self):
         u = sample_copula(exch_corr(3, 0.5), 200, seed=21)
         base = rank_transform(u)
-        for spec in (MarginSpec(("gaussian",)),
-                     MarginSpec(("exponential", "cauchy", "uniform"))):
-            transformed = rank_transform(apply_margins(u, spec))
+        for kinds in (("gaussian",), ("exponential", "cauchy", "uniform")):
+            transformed = rank_transform(apply_margins(u, kinds))
             assert np.array_equal(base.ranks, transformed.ranks)
             assert np.array_equal(base.zhat, transformed.zhat)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            apply_margins(np.zeros(5), MarginSpec())
+            apply_margins(np.zeros(5), ("uniform",))
 
     # The per-column transforms that apply_margins replaced.
     PER_COLUMN = {"uniform": lambda c: c, "gaussian": norm_quantile,
@@ -175,7 +176,7 @@ class TestApplyMargins:
         others = list(self.PER_COLUMN)
         mixed = tuple(kind if j % 2 else others[j // 2 % len(others)] for j in range(100))
         for kinds in ((kind,), mixed):
-            out = apply_margins(u, MarginSpec(kinds))
+            out = apply_margins(u, kinds)
             for j in range(100):
                 expected = self.PER_COLUMN[kinds[j % len(kinds)]](u[:, j])
                 assert np.array_equal(out[:, j].view(np.int64),
