@@ -259,10 +259,7 @@ def _read_csv_data(path):
 
 def cmd_estimate(args):
     model = _model_from_args(args)
-    data = _read_csv_data(args.data)
-    if data.shape[1] != model.p:
-        raise ShapeError(f"data has {data.shape[1]} columns, model needs {model.p}")
-    sample = rank_transform(data)
+    sample = rank_transform(_read_csv_data(args.data))
     if args.method == "ple":
         result = ple_estimate(model, sample)
     elif args.method == "one_step":

@@ -81,6 +81,7 @@ __all__ = [
 ]
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+_MAX_ITER = 100  # steps a PLE descent may take
 
 
 @dataclass(frozen=True)
@@ -401,7 +402,7 @@ def _trace(history, row):
     return trace
 
 
-def _descend(model, evaluate, theta, scoring, max_iter):
+def _descend(model, evaluate, theta, scoring):
     """Newton descent with an Armijo line search on every row of theta
     (B, k) at once, on the `_descent` evaluate.  Rows whose `scoring` flag is
     set take a Fisher-scoring first step.  Returns one outcome per row:
@@ -428,7 +429,7 @@ def _descend(model, evaluate, theta, scoring, max_iter):
             f"(final sup-norm {norm:.3e}, tolerance {tol:.3e})",
             trace=_trace(history, rows[pos]))
 
-    for iteration in range(max_iter + 1):
+    for iteration in range(_MAX_ITER + 1):
         history.append((rows, theta, norm))
         for i, value in enumerate(norm):
             if value <= tol and outcomes[rows[i]] is None:
@@ -438,7 +439,7 @@ def _descend(model, evaluate, theta, scoring, max_iter):
                 outcomes[rows[i]] = _verdict(model, theta[i], hess_eigs, iteration,
                                              history, rows[i])
         live = [i for i, row in enumerate(rows) if outcomes[row] is None]
-        if iteration == max_iter or not live:
+        if iteration == _MAX_ITER or not live:
             for i in live:
                 outcomes[rows[i]] = fail(i, norm[i])
             break
@@ -508,66 +509,45 @@ def _std_errors(model, theta, n, field):
         return None
 
 
-def ple_estimate_block(model, samples, inits=None, max_iter=100):
+def _rhat(model, sample):
+    """The sample's Rhat, else ShapeError where its p is not the model's."""
+    if sample.p != model.p:
+        raise ShapeError(f"sample has {sample.p} columns, model needs {model.p}")
+    return sample.rhat
+
+
+def ple_estimate_block(model, samples):
     """`ple_estimate` on every sample of a block in one descent: a list
     with, for each sample, its EstimateResult or the ConvergenceError or
-    DomainError that `ple_estimate` raises on it.  `inits` is None or holds
-    one start per sample, None for the default.  Every row is the same to
-    the bit as a block of one, so a block never changes a number.
-
-    Raises ValueError naming `max_iter` unless it is an integer >= 0.
-    """
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
-            or max_iter < 0):
-        raise ValueError(f"max_iter: expected an integer >= 0, got {max_iter!r}")
+    DomainError that `ple_estimate` raises on it.  Every row is the same to
+    the bit as a block of one, so a block never changes a number."""
     samples = list(samples)
-    if inits is None:
-        inits = [None] * len(samples)
-    elif len(inits) != len(samples):
-        raise ShapeError(f"inits: expected {len(samples)} starts, got {len(inits)}")
-    outcomes, starts, scoring = [], [], []
-    for sample, init in zip(samples, inits):
-        try:
-            start, from_pilot = (_default_init(model, sample.rhat) if init is None
-                                 else (model.require(init, "initial theta"), False))
-        except DomainError as exc:
-            outcomes.append(exc)
-            continue
-        outcomes.append(None)
-        starts.append(start)
-        scoring.append(from_pilot)
-    solved = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if solved:
-        evaluate = _descent(model, [samples[i].rhat for i in solved])
-        for i, outcome in zip(solved, _descend(model, evaluate, np.array(starts), scoring,
-                                               max_iter)):
-            if not isinstance(outcome, Exception):
-                theta, iterations = outcome
-                outcome = EstimateResult(
-                    theta_hat=theta, method="ple", iterations=iterations, converged=True,
-                    std_errors_fn=partial(_std_errors, model, theta.copy(), samples[i].n,
-                                          "ple_cov"),
-                    tie_warning=samples[i].has_ties)
-            outcomes[i] = outcome
+    if not samples:
+        return []
+    rhats = [_rhat(model, sample) for sample in samples]
+    starts = [_default_init(model, rhat) for rhat in rhats]
+    outcomes = _descend(model, _descent(model, rhats), np.array([t for t, _ in starts]),
+                        [from_pilot for _, from_pilot in starts])
+    for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
+        if not isinstance(outcome, Exception):
+            theta, iterations = outcome
+            outcomes[i] = EstimateResult(
+                theta_hat=theta, method="ple", iterations=iterations, converged=True,
+                std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n, "ple_cov"),
+                tie_warning=sample.has_ties)
     return outcomes
 
 
-def ple_estimate(model, sample, init=None, max_iter=100):
+def ple_estimate(model, sample):
     """Pseudo-likelihood estimate by Newton descent with an Armijo line
-    search on the mean negative pseudo-log-likelihood, from `init`, else the
-    moment pilot, else the model's default; every iterate has R(theta)
-    positive definite.  This is `ple_estimate_block` on a block of one: the
-    descent is written once, over the rows of a block, and a block never
-    changes a number.  The objective and
-    step come from `_descent`: elementwise arithmetic on the eigenvalues for
-    a one-parameter model with a `Spectrum`, else one Cholesky factorization
-    of R(theta) per evaluation and matrix products with S.  From the moment
-    pilot the first step is Fisher scoring, the Hessian replaced by its
-    expectation F (see the module docstring), and every later step is the
-    exact Newton step; `iterations` counts the scoring step.  From an
-    explicit `init` or `default_init` every step is exact Newton: scoring
-    from factor(5, 1)'s default start can reach the other sign of the
-    loadings.
+    search on the mean negative pseudo-log-likelihood (see the module
+    docstring): `ple_estimate_block` on a block of one.  Every iterate has
+    R(theta) positive definite.  The descent starts at the moment pilot with
+    one Fisher-scoring step, the Hessian replaced by its expectation F, and
+    `iterations` counts that step.  Where the model has no moment map or the
+    pilot lies outside the domain, it starts at `default_init` and every
+    step is exact Newton: scoring from factor(5, 1)'s default start can
+    reach the other sign of the loadings.
 
     Converged means pseudo-score sup-norm <= 1e-8 * k, reached in
     `iterations` steps, at a point where the Hessian of the objective has no
@@ -575,12 +555,13 @@ def ple_estimate(model, sample, init=None, max_iter=100):
     which lies in the model's domain (`domain_check`).  A semidefinite
     Hessian passes: raw factor loadings with q >= 2 have flat directions.
     A stationary point with negative curvature (a saddle) or outside the
-    domain raises ConvergenceError, as do `max_iter` steps that do not
+    domain raises ConvergenceError, as do `_MAX_ITER` steps that do not
     reach the tolerance and a line search that finds no descent; the error
-    carries the (theta, sup-norm) trace.  A start outside the domain raises
-    DomainError, and a `max_iter` that is not an integer >= 0 ValueError.
+    carries the (theta, sup-norm) trace.  A start where R(theta) is not
+    positive definite raises DomainError, and a sample whose p is not the
+    model's ShapeError.
     """
-    outcome, = ple_estimate_block(model, [sample], inits=[init], max_iter=max_iter)
+    outcome, = ple_estimate_block(model, [sample])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -597,14 +578,14 @@ def pilot_moment(model, sample):
     ||R(theta) - Rhat||_F; for circular, the mean first-neighbor
     correlation).  A fit outside the domain is brought into it toward
     default_init (`model.into_domain`) and flagged.
-    Other families (dR(0) = 0, or R(0) != I) fall back to ple_estimate."""
+    Other families (dR(0) = 0, or R(0) != I) fall back to ple_estimate.
+    Raises ShapeError where the sample's p is not the model's."""
     if model.moment_map is None:
         return ple_estimate(model, sample)
-    theta, clamped = model.into_domain(model.moment_map @ sample.rhat.ravel(),
+    theta, clamped = model.into_domain(model.moment_map @ _rhat(model, sample).ravel(),
                                        model.default_init)
     return EstimateResult(theta_hat=theta, method="pilot_moment", iterations=0,
-                          converged=True, clamped=clamped,
-                          tie_warning=sample.has_ties)
+                          converged=True, clamped=clamped, tie_warning=sample.has_ties)
 
 
 def one_step(model, sample, pilot=None):
@@ -614,17 +595,21 @@ def one_step(model, sample, pilot=None):
     with the mean efficient score computed as tr(A*_m Rhat) / 2.  A pilot
     outside the domain raises DomainError (`model.require`).  An update
     leaving the domain is brought into it toward the pilot
-    (`model.into_domain`) and flagged, and then `converged` is False.  Raises SingularityError where the efficient
-    information at the pilot is singular.
+    (`model.into_domain`) and flagged, and then `converged` is False.
+    Raises SingularityError where the efficient information at the pilot is
+    singular, and ShapeError where the sample's p is not the model's.
     """
-    pilot = model.require(pilot_moment(model, sample).theta_hat if pilot is None
-                          else pilot, "pilot")
+    return _one_step(model, sample, model.require(
+        pilot_moment(model, sample).theta_hat if pilot is None else pilot, "pilot"))
 
+
+def _one_step(model, sample, pilot):
+    """`one_step` from a pilot known to lie in the domain."""
     bundle = efficiency_bundle(eval_geometry(model, pilot))
     theta, clamped = model.into_domain(pilot + bundle.eff_info_inv @ (
-        0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel())), pilot)
+        0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ _rhat(model, sample).ravel())),
+        pilot)
     return EstimateResult(
         theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
-        std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n,
-                              "eff_info_inv"),
+        std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n, "eff_info_inv"),
         clamped=clamped, tie_warning=sample.has_ties)

@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .estimators import one_step, pilot_moment, ple_estimate_block, rank_transform
+from .estimators import _one_step, pilot_moment, ple_estimate_block, rank_transform
 from .exceptions import (ConfigError, ConvergenceError, DomainError,
                          McExperimentError, ShapeError, SingularityError)
 from .geometry import efficiency_bundle
@@ -129,10 +129,10 @@ class McConfig:
             raise ConfigError(f"model: expected a JSON object, got {raw['model']!r}")
         try:
             descriptor = _canonical(raw["model"])
-        except (TypeError, ValueError):  # not JSON: built as given, for its own error text
-            model = build_model(raw["model"])
-        else:
-            model = _model(descriptor)
+        except (TypeError, ValueError) as exc:  # not JSON: built for its own error text
+            build_model(raw["model"])
+            raise ConfigError(f"model: expected a JSON descriptor ({exc})") from exc
+        model = _model(descriptor)
         grid = _theta_grid(model, raw["theta_grid"]) if "theta_grid" in raw else ()
         if "theta_true" in raw:
             theta = _theta_point(model, "theta_true", raw["theta_true"])
@@ -165,7 +165,7 @@ class McConfig:
         if not isinstance(raw.get("output", ""), str):
             raise ConfigError(f"output: expected a directory path string, "
                               f"got {raw['output']!r}")
-        return cls(model=dict(raw["model"]), theta_true=theta, n=n,
+        return cls(model=json.loads(descriptor), theta_true=theta, n=n,
                    replications=reps, estimators=tuple(ests), seed=seed,
                    margins=tuple(margins),
                    workers=_int_in("workers", raw.get("workers", 1), 1),
@@ -173,10 +173,13 @@ class McConfig:
                    theta_grid=grid)
 
     def echo(self):
-        """The experiment parameters (not execution details like workers)."""
-        return {
+        """The experiment parameters (not execution details like workers):
+        theta_true is None where a grid config gave none, and `theta_grid`
+        is listed only where the config has one."""
+        echo = {
             "model": self.model,
-            "theta_true": [float(v) for v in self.theta_true],
+            "theta_true": None if self.theta_true is None
+            else [float(v) for v in self.theta_true],
             "n": self.n,
             "replications": self.replications,
             "estimators": list(self.estimators),
@@ -184,6 +187,9 @@ class McConfig:
             "margins": list(self.margins),
             "lane": self.lane,
         }
+        if self.theta_grid:
+            echo["theta_grid"] = [[float(v) for v in theta] for theta in self.theta_grid]
+        return echo
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +301,8 @@ def _replicate(config, reps):
                     elif isinstance(ple, Exception):
                         raise ple
                     elif est == "one_step":
-                        result = one_step(model, sample, pilot=ple.theta_hat)
+                        # the PLE's verdict has checked its estimate's domain
+                        result = _one_step(model, sample, ple.theta_hat)
                     else:
                         result = ple
                     errors[row] = result.theta_hat - config.theta_true

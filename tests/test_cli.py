@@ -3,7 +3,6 @@
 import argparse
 import ast
 import csv
-import functools
 import io
 import json
 import os
@@ -17,6 +16,7 @@ from numpy.testing import assert_allclose
 
 import copula_rank
 import copula_rank.cli as cli
+import copula_rank.estimators as estimators
 import copula_rank.geometry as geometry
 import copula_rank.mc as mc
 from copula_rank import (efficiency_bundle, eval_geometry, exchangeable, gram,
@@ -338,8 +338,7 @@ class TestEstimate:
         path = tmp_path / "toep.csv"
         np.savetxt(str(path), sample_copula(toeplitz(4).r_of_theta(theta), 250,
                                             seed=6), delimiter=",")
-        monkeypatch.setattr(cli, "ple_estimate",
-                            functools.partial(ple_estimate, max_iter=1))
+        monkeypatch.setattr(estimators, "_MAX_ITER", 1)
         code, _, err = run_cli(capsys, "estimate", "--family", "toeplitz",
                                "--p", "4", "--data", str(path),
                                "--method", "ple")

@@ -1,6 +1,7 @@
 """Tests for the rank-based estimation pipeline."""
 
 import dataclasses
+import inspect
 import itertools
 import warnings
 
@@ -339,13 +340,14 @@ class TestPleEstimate:
                 f = _mean_pseudo_negloglik(model, theta_hat + h * move, rhat)
                 assert f >= f0 - 1e-12, (move, h, f - f0)
 
-    def test_iteration_cap_raises_with_trace(self):
+    def test_iteration_cap_raises_with_trace(self, monkeypatch):
         model = toeplitz(4)
         u = sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6)
+        monkeypatch.setattr(estimators, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as info:
-            ple_estimate(model, rank_transform(u), max_iter=1)
+            ple_estimate(model, rank_transform(u))
         trace = info.value.trace
-        assert trace
+        assert len(trace) == 2
         assert trace[-1][1] > 1e-8 * model.k
 
     def test_line_search_gives_up(self, monkeypatch):
@@ -393,7 +395,8 @@ class TestPleEstimate:
          ("9.978e+00", "1.768e+01")),
         (circular(), [0.5], 0, ["0x1.494ec8bbf821bp-1"], 7, ("2.173e+00", "1.232e+00")),
     ], ids=["toep4", "circ"])
-    def test_backtracking_solves(self, model, theta, seed, theta_hat, iterations, norms):
+    def test_backtracking_solves(self, monkeypatch, model, theta, seed, theta_hat,
+                                 iterations, norms):
         # At n = 12 these descents reject full steps and halve them
         # (toeplitz(4): 22 evaluations in 8 steps, circular: 9 in 7).
         # Recorded before the descent was written over one evaluation per
@@ -404,8 +407,9 @@ class TestPleEstimate:
         assert [v.hex() for v in result.theta_hat] == theta_hat
         assert result.iterations == iterations
         for max_iter, norm in zip((1, 3), norms):
+            monkeypatch.setattr(estimators, "_MAX_ITER", max_iter)
             with pytest.raises(ConvergenceError) as info:
-                ple_estimate(model, sample, max_iter=max_iter)
+                ple_estimate(model, sample)
             assert str(info.value) == (
                 f"pseudo-likelihood Newton descent did not converge for {model.name} "
                 f"(final sup-norm {norm}, tolerance {1e-8 * model.k:.3e})")
@@ -418,12 +422,14 @@ class TestPleEstimate:
 
     def test_saddle_point_rejected(self):
         # At L = 0 every dR_m vanishes, so the pseudo-score is exactly zero,
-        # but the objective curves downward along pairs of loadings.
+        # but the objective curves downward along pairs of loadings.  factor
+        # has no moment map, so the descent starts at default_init.
         model = factor(5, 1)
         u = sample_copula(model.r_of_theta(np.linspace(0.3, 0.7, 5)), 300, seed=6)
         sample = rank_transform(u)
         with pytest.raises(ConvergenceError, match="saddle point") as info:
-            ple_estimate(model, sample, init=np.zeros(5))
+            ple_estimate(dataclasses.replace(model, default_init=np.zeros(5)), sample)
+        assert len(info.value.trace) == 1
         assert info.value.trace[-1][1] <= 1e-8 * model.k
         assert ple_estimate(model, sample).converged
 
@@ -485,41 +491,14 @@ class TestPleEstimate:
             ple_estimate(exchangeable(3), sample)
         assert info.value.trace[-1][1] <= 1e-8
 
-    @pytest.mark.parametrize("max_iter", [-1, 2.5, True, "3"])
-    def test_max_iter_must_be_a_count(self, max_iter):
-        u = sample_copula(exch_corr(3, 0.2), 50, seed=1)
-        with pytest.raises(ValueError, match="^max_iter: expected an integer >= 0"):
-            ple_estimate(exchangeable(3), rank_transform(u), max_iter=max_iter)
-        with pytest.raises(ValueError, match="^max_iter"):
-            ple_estimate_block(toeplitz(4), [rank_transform(u)] * 2, max_iter=max_iter)
-
-    def test_max_iter_zero_takes_no_step(self):
+    def test_max_iter_zero_takes_no_step(self, monkeypatch):
         model = exchangeable(3)
         sample = rank_transform(sample_copula(exch_corr(3, 0.5), 250, seed=2))
+        monkeypatch.setattr(estimators, "_MAX_ITER", 0)
         with pytest.raises(ConvergenceError, match="did not converge") as info:
-            ple_estimate(model, sample, max_iter=np.int64(0))
+            ple_estimate(model, sample)
         assert len(info.value.trace) == 1
         assert np.array_equal(info.value.trace[0][0], model.moment_map @ sample.rhat.ravel())
-
-    def test_out_of_domain_init(self):
-        u = sample_copula(exch_corr(3, 0.2), 50, seed=1)
-        with pytest.raises(DomainError):
-            ple_estimate(exchangeable(3), rank_transform(u),
-                         init=np.array([2.0]))
-
-    @pytest.mark.parametrize("model,init", [
-        (exchangeable(3), [0.9999995]), (circular(), [-0.9999995])],
-        ids=["exch3", "circ"])
-    def test_init_outside_the_box(self, model, init):
-        # R(init) is positive definite, so the descent would run, but init
-        # lies outside the box that is the family's domain.
-        sample = rank_transform(sample_copula(model.r_of_theta(np.array([0.5])), 250,
-                                              seed=1))
-        with pytest.raises(DomainError, match=rf"^initial theta \[{init[0]}\] outside "
-                                              rf"the domain of {model.name}$"):
-            ple_estimate(model, sample, init=init)
-        block = ple_estimate_block(model, [sample, sample], inits=[init, None])
-        assert isinstance(block[0], DomainError) and block[1].converged
 
     def test_to_dict_fields(self):
         u = sample_copula(exch_corr(3, 0.2), 50, seed=1)
@@ -563,15 +542,27 @@ class TestSpectralDescent:
 
     @pytest.mark.parametrize("spectral", [True, False], ids=["spectral", "matrix"])
     def test_saddle_point_rejected(self, spectral):
-        # Rhat = I/4: theta = 0 is stationary by symmetry, and there the
-        # Hessian of the objective is -(1 - 2/4) < 0 along the generator.
-        model = unrestricted(2) if spectral else matrix_descent(unrestricted(2))
-        a = np.sqrt(0.5)
-        zhat = np.array([[a, 0.0], [-a, 0.0], [0.0, a], [0.0, -a]])
-        sample = RankedSample(n=4, p=2, ranks=zhat, pseudo_obs=zhat, zhat=zhat)
+        # A start where the descent takes exact Newton steps only: the moment
+        # pilot lies outside the domain, so the descent starts at
+        # default_init, here theta = 0.7.  With the generator's eigenvalues
+        # g = (-1, -0.366, 1.366) and eigenbasis Q, Rhat = Q diag(d) Q' with
+        # d_2 solved so that the pseudo-score sum g (d - lam) / lam^2 vanishes
+        # at 0.7, where the objective curves downward.
+        model = dataclasses.replace(
+            custom_affine(3, [[[0, 1, 0.5], [1, 0, 0.5], [0.5, 0.5, 0]]]),
+            default_init=np.array([0.7]))
+        lam, g, _ = (v[0] for v in model.spectrum.eigen_fn(np.array([0.7])))
+        d = np.array([0.01, 0.0, 5.0])
+        d[1] = lam[1] - lam[1] ** 2 / g[1] * sum(g[i] * (d[i] - lam[i]) / lam[i] ** 2
+                                                 for i in (0, 2))
+        rows = np.sqrt(3.0 * d)[:, None] * model.spectrum.basis.T
+        zhat = np.vstack([rows, -rows])
+        sample = RankedSample(n=6, p=3, ranks=zhat, pseudo_obs=zhat, zhat=zhat)
+        assert not model.domain_check(model.moment_map @ sample.rhat.ravel())
         with pytest.raises(ConvergenceError, match="saddle point") as info:
-            ple_estimate(model, sample, init=np.zeros(1))
+            ple_estimate(model if spectral else matrix_descent(model), sample)
         assert len(info.value.trace) == 1
+        assert info.value.trace[0][0].tolist() == [0.7]
         assert info.value.trace[-1][1] <= 1e-8
 
 
@@ -604,20 +595,13 @@ class TestScoringStart:
         result = ple_estimate(model, sample)
         assert result.converged
         assert flags == [True] + [False] * result.iterations
-        flags.clear()
-        ple_estimate(model, sample, init=model.moment_map @ sample.rhat.ravel())
-        assert flags and not any(flags)
 
-    def test_explicit_init_and_no_moment_map_keep_exact_newton(self):
+    def test_default_start_keeps_exact_newton(self, monkeypatch):
         # theta_hat and iterations of the exact Newton descent, recorded
-        # before the scoring step was added: an explicit init and a family
-        # with no moment map start exactly as before.
-        model = toeplitz(4)
-        sample = rank_transform(sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6))
-        result = ple_estimate(model, sample, init=model.moment_map @ sample.rhat.ravel())
-        assert [v.hex() for v in result.theta_hat] == [
-            "0x1.e69d7b629c153p-2", "-0x1.f7edb12fe93a1p-2", "-0x1.bb4cabb779dffp-1"]
-        assert result.iterations == 6
+        # before the scoring step was added: a family with no moment map
+        # starts at default_init exactly as before, and so does a sample
+        # whose moment pilot lies outside the domain.
+        flags = self.spy_scoring(monkeypatch)
         model = factor(5, 1)
         assert model.moment_map is None
         sample = rank_transform(sample_copula(model.r_of_theta(np.linspace(0.3, 0.7, 5)),
@@ -627,6 +611,31 @@ class TestScoringStart:
             "-0x1.610b5a7f4c972p-2", "-0x1.453ea155b6492p-2", "-0x1.0eb97976b159fp-1",
             "-0x1.583774ecb6318p-1", "-0x1.5de31c16838afp-1"]
         assert result.iterations == 7
+        assert flags and not any(flags)
+        flags.clear()
+        model, sample = toeplitz(4), mirrored_pairs_sample()
+        assert not model.domain_check(model.moment_map @ sample.rhat.ravel())
+        with pytest.raises(ConvergenceError) as info:
+            ple_estimate(model, sample)
+        assert np.array_equal(info.value.trace[0][0], model.default_init)
+        assert flags and not any(flags)
+
+    def test_mixed_scoring_rows_in_one_spectral_block(self, monkeypatch):
+        # The comonotone sample's moment pilot, 1.155, lies outside
+        # |theta| < 0.894, so its row starts at default_init with exact
+        # Newton between two rows that start with a scoring step.
+        model, theta, n = SPECTRAL[-1]
+        assert model.name == "custom_affine" and model.spectrum is not None
+        good = [rank_transform(sample_copula(model.r_of_theta(theta), n, seed=seed))
+                for seed in (0, 1)]
+        comonotone = rank_transform(sample_copula(np.ones((3, 3)), 250, seed=2))
+        assert not model.domain_check(model.moment_map @ comonotone.rhat.ravel())
+        samples = [good[0], comonotone, good[1]]
+        expected = [outcome(lambda: ple_estimate(model, sample)) for sample in samples]
+        flags = self.spy_scoring(monkeypatch)
+        block = ple_estimate_block(model, samples)
+        assert flags[:3] == [True, False, True]
+        assert [outcome(lambda: _raise_or_return(row)) for row in block] == expected
 
     def test_fewer_steps_and_evaluations(self, monkeypatch):
         # Exact Newton from the pilot averaged 6.1 steps and 9.6 objective
@@ -691,46 +700,43 @@ class TestBlockSolve:
         (toeplitz(4), THETA_STAR, 250), (factor(5, 1), np.linspace(0.3, 0.7, 5), 300)],
         ids=lambda v: f"{v.name}{v.p}" if hasattr(v, "p") else None)
     @pytest.mark.parametrize("max_iter", [100, 4])
-    def test_rows_equal_blocks_of_one(self, model, theta, n, max_iter):
+    def test_rows_equal_blocks_of_one(self, monkeypatch, model, theta, n, max_iter):
         # Samples of sizes n and 12 (whose descents backtrack more often),
-        # and the Rhat = I/4 saddle; max_iter = 4 stops rows mid-block.
+        # and the Rhat = I/4 saddle; a budget of 4 steps stops rows mid-block.
+        monkeypatch.setattr(estimators, "_MAX_ITER", max_iter)
         r = model.r_of_theta(theta)
         samples = [rank_transform(sample_copula(r, n if seed % 2 else 12, seed=seed))
                    for seed in range(11)]
         samples.insert(5, quarter_identity_sample(model.p))
-        expected = [outcome(lambda: ple_estimate(model, sample, max_iter=max_iter))
-                    for sample in samples]
+        expected = [outcome(lambda: ple_estimate(model, sample)) for sample in samples]
         rng = np.random.default_rng(0)
         for order in (np.arange(12), np.arange(12)[::-1], rng.permutation(12)):
-            block = ple_estimate_block(model, [samples[i] for i in order],
-                                       max_iter=max_iter)
+            block = ple_estimate_block(model, [samples[i] for i in order])
             assert len(block) == 12
             for i, row in zip(order, block):
                 got = outcome(lambda: _raise_or_return(row))
                 assert got == expected[i], (i, got, expected[i])
 
-    def test_rows_keep_their_own_traces_and_starts(self):
-        # An explicit start per row, one of them outside the domain; the
-        # failed rows carry the traces a block of one gives them.
-        model = exchangeable(3)
-        samples = [rank_transform(sample_copula(exch_corr(3, 0.5), 40, seed=seed))
-                   for seed in range(4)]
-        inits = [None, np.array([0.2]), np.array([2.0]), None]
-        block = ple_estimate_block(model, samples, inits=inits, max_iter=1)
-        for sample, init, row in zip(samples, inits, block):
-            try:
-                alone = ple_estimate(model, sample, init=init, max_iter=1)
-            except (ConvergenceError, DomainError) as exc:
-                alone = exc
+    def test_rows_keep_their_own_traces_and_starts(self, monkeypatch):
+        # The mirrored-pairs row starts at default_init, the others at their
+        # moment pilots; one step each, so every row fails and carries the
+        # trace a block of one gives it.
+        monkeypatch.setattr(estimators, "_MAX_ITER", 1)
+        model = toeplitz(4)
+        samples = [rank_transform(sample_copula(model.r_of_theta(THETA_STAR), 40, seed=seed))
+                   for seed in range(3)]
+        samples.insert(1, mirrored_pairs_sample())
+        block = ple_estimate_block(model, samples)
+        for sample, row in zip(samples, block):
+            with pytest.raises(ConvergenceError) as info:
+                ple_estimate(model, sample)
+            alone = info.value
             assert type(row) is type(alone) and str(row) == str(alone)
-            if isinstance(row, ConvergenceError):
-                assert len(row.trace) == len(alone.trace) == 2
-                for (t1, n1), (t2, n2) in zip(row.trace, alone.trace):
-                    assert np.array_equal(t1, t2) and n1 == n2
-        assert isinstance(block[2], DomainError)
+            assert len(row.trace) == len(alone.trace) == 2
+            for (t1, n1), (t2, n2) in zip(row.trace, alone.trace):
+                assert np.array_equal(t1, t2) and n1 == n2
+        assert np.array_equal(block[1].trace[0][0], model.default_init)
         assert ple_estimate_block(model, []) == []
-        with pytest.raises(ShapeError, match="inits"):
-            ple_estimate_block(model, samples, inits=[None])
 
     def test_default_start_outside_positive_definite_region(self):
         # A default start with R(theta) not positive definite is that row's
@@ -744,10 +750,15 @@ class TestBlockSolve:
         with pytest.raises(DomainError) as exc:
             ple_estimate(bad, sample)
         assert str(exc.value) == message
-        good = model.default_init
-        first, second = ple_estimate_block(bad, [sample, sample], inits=[None, good])
-        assert isinstance(first, DomainError) and str(first) == message
-        alone = ple_estimate(model, sample, init=good)
+        # toeplitz(4) starts the mirrored-pairs sample, whose moment pilot
+        # lies outside the domain, at default_init, and the other at its pilot.
+        model = toeplitz(4)
+        bad = dataclasses.replace(model, default_init=np.full(3, 5.0))
+        sample = rank_transform(sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6))
+        first, second = ple_estimate_block(bad, [mirrored_pairs_sample(), sample])
+        assert isinstance(first, DomainError)
+        assert str(first) == "initial theta [5. 5. 5.] outside the domain of toeplitz"
+        alone = ple_estimate(model, sample)
         assert np.array_equal(second.theta_hat, alone.theta_hat)
         assert second.iterations == alone.iterations
 
@@ -756,6 +767,34 @@ def _raise_or_return(row):
     if isinstance(row, Exception):
         raise row
     return row
+
+
+class TestContract:
+    @pytest.mark.parametrize("estimator,signature", [
+        (ple_estimate, "(model, sample)"),
+        (ple_estimate_block, "(model, samples)"),
+        (pilot_moment, "(model, sample)"),
+        (one_step, "(model, sample, pilot=None)"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_no_solver_options(self, estimator, signature):
+        # Where a descent starts and how many steps it takes are the
+        # solver's own: the estimators take a model and ranks, and one_step
+        # its pilot.
+        assert str(inspect.signature(estimator)) == signature
+
+    @pytest.mark.parametrize("model", [exchangeable(3), factor(3, 1)],
+                             ids=["exch3", "factor31"])
+    def test_sample_width_checked(self, model):
+        narrow = rank_transform(sample_copula(np.eye(2), 50, seed=1))
+        wide = rank_transform(sample_copula(np.eye(3), 50, seed=1))
+        message = "^sample has 2 columns, model needs 3$"
+        for estimator in (ple_estimate, pilot_moment, one_step):
+            with pytest.raises(ShapeError, match=message):
+                estimator(model, narrow)
+        with pytest.raises(ShapeError, match=message):
+            one_step(model, narrow, pilot=model.default_init)
+        with pytest.raises(ShapeError, match=message):
+            ple_estimate_block(model, [wide, narrow])
 
 
 class TestPilotMoment:

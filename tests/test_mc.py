@@ -188,6 +188,44 @@ class TestConfig:
         assert echo["seed"] == 99
         assert echo["lane"] == 0
 
+    def test_echo_of_a_grid_config(self):
+        # A grid config echoes its points; each point's report echoes its
+        # own theta_true and lane, and no grid.
+        raw = {key: v for key, v in BASE.items() if key != "theta_true"}
+        config = McConfig.from_dict({**raw, "replications": 2, "theta_grid": [0.2, 0.5]})
+        echo = config.echo()
+        assert echo["theta_true"] is None and echo["theta_grid"] == [[0.2], [0.5]]
+        del echo["theta_grid"]
+        assert [report.config for report in run_grid(config)] == [
+            {**echo, "theta_true": [0.2], "lane": 0}, {**echo, "theta_true": [0.5], "lane": 1}]
+
+    def test_model_held_as_a_json_copy(self):
+        # The config holds its own copy of the descriptor in JSON types: a
+        # caller that changes its generators afterwards changes no run, and
+        # ndarray generators echo as lists.
+        gens = [[[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+        raw = {**BASE, "model": {"family": "custom_affine", "p": 3, "generators": gens},
+               "theta_true": 0.9, "replications": 2}
+        config = McConfig.from_dict(raw)
+        expected = run_experiment(raw).to_json()
+        gens[0][0][1] = gens[0][1][0] = 3.0
+        assert config.model["generators"][0][0] == [0.0, 0.5, 0.0]
+        assert run_experiment(config).to_json() == expected
+        array = {**raw["model"], "generators": np.array([[[0.0, 0.5, 0.0], [0.5, 0.0, 0.0],
+                                                         [0.0, 0.0, 0.0]]])}
+        assert run_experiment({**raw, "model": array}).to_json() == expected
+
+    def test_model_not_json_raises_config_error(self):
+        # Entries json cannot encode: the model's own error where it does not
+        # build, else one naming the model.
+        with pytest.raises(ConfigError, match="^p: expected an integer"):
+            McConfig.from_dict({**BASE, "model": {"family": "exchangeable",
+                                                  "p": np.int64(3)}})
+        gens = [[list(row) for row in np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])]]
+        with pytest.raises(ConfigError, match="^model: expected a JSON descriptor"):
+            McConfig.from_dict({**BASE, "model": {"family": "custom_affine", "p": 3,
+                                                  "generators": gens}})
+
 
 def _json_values():
     """Values of every JSON type, nested: bools, integral and non-integral
@@ -390,9 +428,9 @@ class TestRunExperiment:
         calls = []
         solve = estimators.ple_estimate_block
 
-        def counted(model, samples, *args, **kwargs):
-            calls.extend(kwargs.get("inits") or [None] * len(samples))
-            return solve(model, samples, *args, **kwargs)
+        def counted(model, samples):
+            calls.extend(samples)
+            return solve(model, samples)
 
         monkeypatch.setattr(mc, "ple_estimate_block", counted)
         monkeypatch.setattr(estimators, "ple_estimate_block", counted)
@@ -400,7 +438,7 @@ class TestRunExperiment:
                   "theta_true": [0.5, 0.4, 0.3, 0.6, 0.2], "n": 250,
                   "replications": 10, "seed": 20260814}
         both = run_experiment({**config, "estimators": ["ple", "one_step", "pilot_moment"]})
-        assert calls == [None] * 10
+        assert len(calls) == 10
         assert np.array_equal(both.errors[:, 2], both.errors[:, 0])
         calls.clear()
         alone = run_experiment({**config, "estimators": ["pilot_moment"]})
@@ -577,6 +615,24 @@ class TestComputedOnce:
                 sampler.sample_copula(model.r_of_theta([0.5]), 40, seed=99, rep=rep))
             expected = estimators.pilot_moment(model, sample).theta_hat - 0.5
             assert np.array_equal(report.errors[rep, 0], expected)
+
+    def test_ple_estimate_checked_once_per_replication(self, monkeypatch):
+        # toeplitz(4) has no box, so a domain_check is an eigen-solve.  A
+        # replication checks the PLE's start and estimate and the one-step
+        # update; the update does not check the PLE's estimate again.
+        config = McConfig.from_dict({**CRITERION_CONFIGS["toeplitz4"], "replications": 8,
+                                     "seed": 20260814})
+        calls = []
+        check = copula_rank.CorrelationModel.domain_check
+
+        def counted(self, theta):
+            calls.append(theta)
+            return check(self, theta)
+
+        monkeypatch.setattr(copula_rank.CorrelationModel, "domain_check", counted)
+        records = mc._replicate(config, range(8))
+        assert not any(failures for _, failures in records)
+        assert len(calls) / 8 == 3.0
 
     def test_rhat_once_per_replication(self, monkeypatch):
         calls = counter(monkeypatch, estimators.normal_scores_matrix, estimators)
