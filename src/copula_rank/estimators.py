@@ -38,7 +38,15 @@ one.
 The one-step estimator adds the inverse efficient information times the
 empirical mean of the efficient score to a root-n-consistent pilot.  The
 mean efficient score has the closed form tr(A*_m Rhat) / 2, since the score
-is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.
+is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.  It too is written
+over a block of samples (`one_step_block`), with `one_step` a block of one.
+In general each row builds the geometry at its pilot and reads A* and I*
+from its `efficiency_bundle`: a generator solve, a Gram matrix and an
+inverse.  On a balanced spectrum (`Spectrum.balanced`: exchangeable(p),
+circular, toeplitz(2), unrestricted(2)) the efficient influence function is
+explicit in the eigenvalues, and the block's updates are elementwise
+arithmetic and row sums on (B, p) arrays (`_one_step_update`), so again a
+block never changes a number.
 
 Rhat is formed once per sample (`RankedSample.rhat`) and shared by every
 estimator, the normal-score grid quantile(i/(n+1)) once per sample size, and
@@ -64,7 +72,7 @@ import numpy as np
 
 from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
-from .geometry import efficiency_bundle
+from .geometry import _singular, efficiency_bundle
 from .models import eval_geometry
 from .numcore import cholesky_lower, identity, norm_quantile, spd_inverse, sym_eig
 
@@ -78,6 +86,7 @@ __all__ = [
     "ple_estimate_block",
     "pilot_moment",
     "one_step",
+    "one_step_block",
 ]
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -334,8 +343,7 @@ def _spectral_descent(spectrum, rhats):
     positive-definiteness condition itself: no evaluation factors a matrix.
     A row outside that region is evaluated at lam = 1 beside its f = inf.
     """
-    basis = spectrum.basis
-    d_all = np.array([(basis * (rhat @ basis)).sum(axis=0) for rhat in rhats])
+    d_all = _spectral_d(spectrum, rhats)
     trace_all = np.array([float(rhat.trace()) for rhat in rhats])
     add = np.add.reduce
 
@@ -365,6 +373,12 @@ def _spectral_descent(spectrum, rhats):
                 dx[:, None], (-0.5 * jac)[:, None])
 
     return evaluate
+
+
+def _spectral_d(spectrum, rhats):
+    """The (B, p) array whose row b is d = diag(Q' Rhat_b Q), formed per sample."""
+    basis = spectrum.basis
+    return np.array([(basis * (rhat @ basis)).sum(axis=0) for rhat in rhats])
 
 
 def _descent(model, rhats):
@@ -589,27 +603,91 @@ def pilot_moment(model, sample):
 
 
 def one_step(model, sample, pilot=None):
-    """Efficient one-step update from a root-n-consistent pilot.
+    """Efficient one-step update from a root-n-consistent pilot:
+    `one_step_block` on a block of one, after the pilot's check.
 
     theta_hat = pilot + I*^-1(pilot) mean_i efficient_score(pseudo_obs_i),
-    with the mean efficient score computed as tr(A*_m Rhat) / 2.  A pilot
-    outside the domain raises DomainError (`model.require`).  An update
-    leaving the domain is brought into it toward the pilot
-    (`model.into_domain`) and flagged, and then `converged` is False.
-    Raises SingularityError where the efficient information at the pilot is
-    singular, and ShapeError where the sample's p is not the model's.
+    with the mean efficient score computed as tr(A*_m Rhat) / 2, in closed
+    form on the eigenvalues where the model's spectrum is balanced (see the
+    module docstring).  The pilot defaults to `pilot_moment`; one outside
+    the domain raises DomainError (`model.require`).  An update leaving the
+    domain is brought into it toward the pilot (`model.into_domain`) and
+    flagged, and then `converged` is False.  Raises SingularityError where
+    the efficient information at the pilot is singular, and ShapeError
+    where the sample's p is not the model's.
     """
-    return _one_step(model, sample, model.require(
-        pilot_moment(model, sample).theta_hat if pilot is None else pilot, "pilot"))
+    pilot = model.require(
+        pilot_moment(model, sample).theta_hat if pilot is None else pilot, "pilot")
+    outcome, = one_step_block(model, [sample], [pilot])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _one_step(model, sample, pilot):
-    """`one_step` from a pilot known to lie in the domain."""
-    bundle = efficiency_bundle(eval_geometry(model, pilot))
-    theta, clamped = model.into_domain(pilot + bundle.eff_info_inv @ (
-        0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ _rhat(model, sample).ravel())),
-        pilot)
-    return EstimateResult(
-        theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
-        std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n, "eff_info_inv"),
-        clamped=clamped, tie_warning=sample.has_ties)
+def one_step_block(model, samples, pilots):
+    """`one_step` on every sample of a block from its pilot, which must lie
+    in the domain and is not checked again (the PLE's estimates are checked
+    by its descent): a list with, for each sample, its EstimateResult or the
+    SingularityError, DomainError or LinAlgError that `one_step` raises on
+    it.  A balanced spectrum (`Spectrum.balanced`) updates the block in one pass
+    over (B, p) arrays, every other model row by row through
+    `efficiency_bundle`.  Every row is the same to the bit as a block of one,
+    so a block never changes a number.  Raises ShapeError where a sample's p
+    is not the model's."""
+    samples = list(samples)
+    if not samples:
+        return []
+    rhats = [_rhat(model, sample) for sample in samples]
+    update = _one_step_update(model, rhats, pilots)
+    outcomes = []
+    for i, (sample, pilot) in enumerate(zip(samples, pilots)):
+        try:
+            theta, clamped = model.into_domain(update(i), pilot)
+        except (SingularityError, DomainError, np.linalg.LinAlgError) as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append(EstimateResult(
+            theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
+            std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n, "eff_info_inv"),
+            clamped=clamped, tie_warning=sample.has_ties))
+    return outcomes
+
+
+def _one_step_update(model, rhats, pilots):
+    """update(i): row i's pilot + I*^-1 tr(A* Rhat) / 2 before the clamp,
+    or the SingularityError where I* is singular.
+
+    On a balanced spectrum R = Q diag(lam) Q', diag(dR S) = xbar 1 with
+    x = dlam / lam, so the generator weights are g = -xbar / 2 and
+    A* = Q diag((x - xbar) / lam) Q'.  With d = diag(Q' Rhat Q)
+    (`_spectral_d`, as the spectral PLE forms it), the whole block is then
+
+        I* = sum (x - xbar)^2 / 2,
+        theta = pilot + sum (x - xbar) d / lam / sum (x - xbar)^2,
+
+    elementwise and in row sums, with no solve, Gram or inverse; I* is
+    singular where it is not > 0, `_spd_inverse`'s verdict on a 1 x 1
+    matrix.  Otherwise each row reads its own `efficiency_bundle`."""
+    spectrum = model.spectrum
+    if spectrum is None or not spectrum.balanced:
+        def update(i):
+            bundle = efficiency_bundle(eval_geometry(model, pilots[i]))
+            return pilots[i] + bundle.eff_info_inv @ (
+                0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ rhats[i].ravel()))
+
+        return update
+    d = _spectral_d(spectrum, rhats)
+    lam, dlam, _ = spectrum.eigen_fn(np.array([pilot[0] for pilot in pilots]))
+    x = dlam / lam
+    x -= x.mean(axis=1, keepdims=True)
+    squares = np.add.reduce(x * x, 1)
+    info = (0.5 * squares).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0
+        steps = (np.add.reduce(x * d / lam, 1) / squares).tolist()
+
+    def update(i):
+        if not info[i] > 0.0:  # NaN included
+            raise _singular(np.array(info[i:i + 1]), "efficient information matrix")
+        return pilots[i] + steps[i]
+
+    return update

@@ -142,6 +142,16 @@ def efficient_score_matrices(geom):
     return efficiency_bundle(geom).eff_matrices
 
 
+def _singular(eigs, what):
+    """The SingularityError of `_spd_inverse` for the symmetric matrix `what`
+    with ascending eigenvalues `eigs`."""
+    size = np.abs(eigs)
+    return SingularityError(
+        f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})",
+        eigenvalue=float(eigs[0]),
+        cond=float(size.max() / size.min()) if size.min() > 0.0 else np.inf)
+
+
 def _spd_inverse(mat, what):
     """Inverse of a symmetric information matrix; SingularityError where its
     smallest eigenvalue is at most k * eps times its largest (numpy's
@@ -150,11 +160,7 @@ def _spd_inverse(mat, what):
     eigs = sym_eig(mat, vectors=False)
     c = cholesky_lower(mat) if eigs[0] > len(eigs) * _EPS * eigs[-1] else None
     if c is None:
-        size = np.abs(eigs)
-        raise SingularityError(
-            f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})",
-            eigenvalue=float(eigs[0]),
-            cond=float(size.max() / size.min()) if size.min() > 0.0 else np.inf)
+        raise _singular(eigs, what)
     inv = spd_inverse(c)
     return 0.5 * (inv + inv.T)
 

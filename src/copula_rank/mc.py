@@ -17,8 +17,10 @@ the draw, the ranks, Rhat and the estimates.
 Replications run in blocks of consecutive indices: at most 64 in a serial
 run, which bounds the samples held at once, and max(1, replications //
 (8 workers)), capped at 64, per process-pool task.  A block solves the PLEs
-of its replications in one `ple_estimate_block` descent, whose rows do not
-depend on the block, so a block never changes a number.
+of its replications in one `ple_estimate_block` descent and updates from
+them in one `one_step_block` call, in closed form on the eigenvalues where
+the model's spectrum is balanced.  The rows of both do not depend on the
+block, so a block never changes a number.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .estimators import _one_step, pilot_moment, ple_estimate_block, rank_transform
+from .estimators import one_step_block, pilot_moment, ple_estimate_block, rank_transform
 from .exceptions import (ConfigError, ConvergenceError, DomainError,
                          McExperimentError, ShapeError, SingularityError)
 from .geometry import efficiency_bundle
@@ -267,8 +269,10 @@ def _replicate(config, reps):
     """Run the block of consecutive replications `reps` (a range) of the
     McConfig `config`; returns one (errors, failures) record per
     replication: the (n_estimators, k) array of theta_hat - theta_true with
-    a NaN row per failed estimator, and {estimator: "Type: message"}.  The block's PLEs are solved in one
-    `ple_estimate_block` call, whose rows do not depend on the block, so a
+    a NaN row per failed estimator, and {estimator: "Type: message"}.  The
+    block's PLEs are solved in one `ple_estimate_block` call, and the
+    one-step updates from them in one `one_step_block` call on the rows
+    whose PLE succeeded.  The rows of both do not depend on the block, so a
     record is the same in any block.  Top-level so process pools can pickle
     it."""
     model, factor = _model_at(*_keys(config))
@@ -291,20 +295,26 @@ def _replicate(config, reps):
             ples = ple_estimate_block(model, samples)
         else:
             ples = [None] * len(samples)
-        for sample, ple in zip(samples, ples):
+        # each row's update, or its PLE's failure; the PLE's verdict has
+        # checked the domain of every pilot
+        updates = list(ples)
+        if "one_step" in estimators:
+            solved = [i for i, ple in enumerate(ples) if not isinstance(ple, Exception)]
+            block = one_step_block(model, [samples[i] for i in solved],
+                                   [ples[i].theta_hat for i in solved])
+            for i, update in zip(solved, block):
+                updates[i] = update
+        for sample, ple, update in zip(samples, ples, updates):
             errors = np.full((len(estimators), len(config.theta_true)), np.nan)
             failures = {}
             for row, est in enumerate(estimators):
                 try:
                     if est == "pilot_moment" and not pilot_is_ple:
                         result = pilot_moment(model, sample)
-                    elif isinstance(ple, Exception):
-                        raise ple
-                    elif est == "one_step":
-                        # the PLE's verdict has checked its estimate's domain
-                        result = _one_step(model, sample, ple.theta_hat)
                     else:
-                        result = ple
+                        result = update if est == "one_step" else ple
+                        if isinstance(result, Exception):
+                            raise result
                     errors[row] = result.theta_hat - config.theta_true
                 except _FAILURES as exc:
                     failures[est] = f"{type(exc).__name__}: {exc}"

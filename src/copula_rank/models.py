@@ -8,9 +8,10 @@ R, S = R^-1, dR/dtheta_m and dS/dtheta_m at a fixed theta, which is the
 working context for every downstream formula.  A one-parameter model whose
 eigenbasis does not depend on theta (one-generator affine families, circular)
 also declares it as a `Spectrum`, which reduces the pseudo-likelihood of a
-block of samples to elementwise arithmetic on their eigenvalues and gives S
-with no factorization; every other model's S comes from one Cholesky
-factorization of R(theta).
+block of samples, and on a balanced spectrum the one-step update, to
+elementwise arithmetic on their eigenvalues and gives S with no
+factorization; every other model's S comes from one Cholesky factorization
+of R(theta).
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ _PD_FLOOR = 1e-10  # R counts as positive definite when lambda_min(R) exceeds th
 # matrices, and a larger p fails inside numpy instead of as a ConfigError.
 _DIM_MAX = 1000
 _INDEP_RTOL = 1e-8  # dR/dtheta rank cutoff, relative to max(1, sigma_max)
+# `Spectrum.balanced`: the parameter values its eigenvalue functions are
+# compared at, and the tolerance of that comparison and of the balance.
+_PROBES = np.array([-0.2718, 0.1414, 0.5772])
+_BALANCE_TOL = 1e-10
 
 
 def lower_triangle_pairs(p):
@@ -74,6 +79,26 @@ class Spectrum:
 
     basis: np.ndarray = field(repr=False)
     eigen_fn: Callable = field(repr=False)
+
+    @cached_property
+    def balanced(self):
+        """True where each eigenprojector group has a constant diagonal.  The
+        columns whose eigenvalue functions agree (lam and dlam equal, to 1e-10
+        relative, at three fixed parameter values) form groups, and every
+        group's sum_a Q_ia^2 must equal |group| / p, to 1e-10, for every i.
+        Then diag(dR S) = mean(dlam / lam) 1 at every theta, which puts the
+        efficient score in closed form on the eigenvalues.  Decided on first
+        read."""
+        lam, dlam, _ = self.eigen_fn(_PROBES)
+        values = np.concatenate([lam, dlam]).T  # row a: column a's functions
+        p = len(values)
+        agree = (np.abs(values[:, None] - values[None]) <= _BALANCE_TOL
+                 * (1.0 + np.abs(values[:, None]))).all(axis=2)
+        # members[a, b]: column a is in the group led by b, its first agreeing
+        # column; a column that leads no group has no members and weight 0.
+        members = agree.argmax(axis=1)[:, None] == np.arange(p)
+        weights = (self.basis * self.basis) @ members
+        return bool((np.abs(weights - members.sum(axis=0) / p) <= _BALANCE_TOL).all())
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.stats import rankdata
 
-from copula_rank import (CorrelationModel, circular, custom_affine, eval_geometry,
-                         efficient_info, efficient_score_matrices, exchangeable,
-                         factor, norm_quantile, one_step, pilot_moment, ple_estimate,
-                         ple_estimate_block, rank_transform, run_experiment, sample_copula, sigma_n_sq,
-                         toeplitz, unrestricted, adaptivity_demo, lower_triangle_pairs)
+from copula_rank import (CorrelationModel, circular, custom_affine, efficiency_bundle,
+                         eval_geometry, efficient_info, efficient_score_matrices,
+                         exchangeable, factor, norm_quantile, one_step, one_step_block,
+                         pilot_moment, ple_estimate, ple_estimate_block, rank_transform,
+                         run_experiment, sample_copula, sigma_n_sq, toeplitz, unrestricted,
+                         adaptivity_demo, lower_triangle_pairs)
 from copula_rank import estimators, models
 from copula_rank.estimators import RankedSample, normal_scores_matrix
 from copula_rank.exceptions import (ConvergenceError, DegenerateMarginError,
@@ -775,6 +776,7 @@ class TestContract:
         (ple_estimate_block, "(model, samples)"),
         (pilot_moment, "(model, sample)"),
         (one_step, "(model, sample, pilot=None)"),
+        (one_step_block, "(model, samples, pilots)"),
     ], ids=lambda v: getattr(v, "__name__", None))
     def test_no_solver_options(self, estimator, signature):
         # Where a descent starts and how many steps it takes are the
@@ -980,6 +982,176 @@ class TestOneStep:
         result = one_step(exchangeable(2), sample)
         assert result.tie_warning
         assert result.to_dict()["tie_warning"] is True
+
+
+# The families whose one-step update takes the closed form, and a
+# one-generator custom_affine(3) whose spectrum is not balanced.
+BALANCED = [exchangeable(2), exchangeable(3), exchangeable(4), exchangeable(100),
+            circular(), toeplitz(2), unrestricted(2)]
+UNBALANCED = custom_affine(3, [[[0, 1, 0.5], [1, 0, 0], [0.5, 0, 0]]])
+# Models on the row-by-row `efficiency_bundle` path, with a truth for samples.
+GENERAL = [
+    (UNBALANCED, [0.3]),
+    (toeplitz(4), THETA_STAR),
+    (unrestricted(3), [0.2, -0.1, 0.3]),
+    (factor(5, 1), np.linspace(0.3, 0.7, 5)),
+    (adaptivity_demo(), [0.1]),
+    (custom_affine(3, [[[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                       [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]), [0.3, -0.2]),
+]
+
+
+def model_id(v):
+    return f"{v.name}{v.p}" if isinstance(v, CorrelationModel) else None
+
+
+def bundle_update(model, sample, pilot):
+    """The one-step update before the clamp, in the operations of the
+    row-by-row path: pilot + I*^-1 tr(A* Rhat) / 2 from `efficiency_bundle`."""
+    bundle = efficiency_bundle(eval_geometry(model, pilot))
+    return pilot + bundle.eff_info_inv @ (
+        0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel()))
+
+
+def update_outcome(row):
+    """theta_hat bits, clamped and converged of a one-step row, or its
+    exception's type, message and eigenvalue."""
+    if isinstance(row, Exception):
+        return type(row), str(row), getattr(row, "eigenvalue", None)
+    return [v.hex() for v in row.theta_hat], row.clamped, row.converged
+
+
+def identical_columns_sample(p):
+    """p copies of one column: Rhat is sigma_n^2 times the all-ones matrix."""
+    x = np.random.default_rng(8).standard_normal((60, 1))
+    return rank_transform(np.hstack([x] * p))
+
+
+class TestBalancedSpectrum:
+    """The one-step update is elementwise arithmetic on the eigenvalues where
+    the model's spectrum is balanced, and reads `efficiency_bundle` row by
+    row on every other model."""
+
+    @pytest.mark.parametrize("model", BALANCED, ids=model_id)
+    def test_balanced_families(self, model):
+        assert model.spectrum.balanced
+
+    def test_unbalanced_spectrum(self):
+        # There sum (x - xbar)^2 / 2 is not I*: off by 0.2% to 4.7% at
+        # theta = 0.1 to 0.5.
+        assert UNBALANCED.spectrum is not None
+        assert not UNBALANCED.spectrum.balanced
+        for theta in (0.1, 0.3, 0.5):
+            lam, dlam, _ = UNBALANCED.spectrum.eigen_fn(np.array([theta]))
+            x = dlam / lam - (dlam / lam).mean()
+            eff_info = efficient_info(eval_geometry(UNBALANCED, [theta]))[0][0, 0]
+            assert 0.5 * (x * x).sum() / eff_info - 1.0 > 2e-3
+
+    @pytest.mark.parametrize("model,theta", GENERAL, ids=model_id)
+    def test_general_path_is_the_bundle_update_to_the_bit(self, monkeypatch, model, theta):
+        assert model.spectrum is None or not model.spectrum.balanced
+        geometries = []
+        monkeypatch.setattr(estimators, "eval_geometry",
+                            lambda *args: geometries.append(args) or eval_geometry(*args))
+        r = model.r_of_theta(theta)
+        samples = [rank_transform(sample_copula(r, 40 + 30 * seed, seed=seed))
+                   for seed in range(5)]
+        pilots = [model.theta_vec(theta)] * 5
+        block = one_step_block(model, samples, pilots)
+        assert len(geometries) == 5
+        for sample, pilot, row in zip(samples, pilots, block):
+            theta_hat, clamped = model.into_domain(bundle_update(model, sample, pilot), pilot)
+            assert update_outcome(row) == ([v.hex() for v in theta_hat], clamped, not clamped)
+
+    @pytest.mark.parametrize("model", BALANCED, ids=model_id)
+    def test_closed_form_matches_the_bundle_update(self, monkeypatch, model):
+        # Roundoff only: at most 6.7e-16 at p <= 4 and 5.7e-14 at p = 100
+        # on criteria 6 and 8's configs.
+        theta = {"exchangeable": 0.25 if model.p == 100 else 0.5}.get(model.name, 0.3)
+        r = model.r_of_theta([theta])
+        samples = [rank_transform(sample_copula(r, 250, seed=seed)) for seed in range(8)]
+        pilots = [ple_estimate(model, sample).theta_hat for sample in samples]
+        monkeypatch.setattr(estimators, "eval_geometry", None)  # never called
+        block = one_step_block(model, samples, pilots)
+        monkeypatch.undo()
+        for sample, pilot, row in zip(samples, pilots, block):
+            assert not row.clamped and row.converged
+            assert_allclose(row.theta_hat, bundle_update(model, sample, pilot), rtol=0,
+                            atol=2e-13 if model.p == 100 else 2e-15)
+
+
+class TestOneStepBlock:
+    @pytest.mark.parametrize("model,theta,edge", [
+        (exchangeable(3), [0.5], [1.0 - 1e-6]),
+        (circular(), [0.5], [-1.0 + 1e-6]),
+        (toeplitz(4), THETA_STAR, np.zeros(3)),
+        (UNBALANCED, [0.3], [0.0]),
+    ], ids=["exch3", "circ", "toep4", "unbalanced"])
+    def test_rows_equal_blocks_of_one(self, model, theta, edge):
+        # Draws from the truth updated from the truth, and an edge sample
+        # whose update leaves the domain from the pilot `edge`: identical
+        # columns, or toeplitz(4)'s mirrored pairs, clamped.
+        edge_sample = (mirrored_pairs_sample() if model.name == "toeplitz"
+                       else identical_columns_sample(model.p))
+        r = model.r_of_theta(theta)
+        samples = [rank_transform(sample_copula(r, 40 + 20 * seed, seed=seed))
+                   for seed in range(6)]
+        pilots = [model.theta_vec(theta)] * 6
+        samples[2:2], pilots[2:2] = [edge_sample], [model.theta_vec(edge)]
+        samples.append(edge_sample)
+        pilots.append(model.theta_vec(edge))
+        expected = [update_outcome(one_step_block(model, [s], [t])[0])
+                    for s, t in zip(samples, pilots)]
+        assert [clamped for _, clamped, _ in expected] == [False] * 2 + [True] + [False] * 4 + [True]
+        rng = np.random.default_rng(0)
+        for order in (np.arange(8), np.arange(8)[::-1], rng.permutation(8)):
+            block = one_step_block(model, [samples[i] for i in order],
+                                   [pilots[i] for i in order])
+            assert [update_outcome(row) for row in block] == [expected[i] for i in order]
+        for sample, pilot, want in zip(samples, pilots, expected):
+            assert update_outcome(one_step(model, sample, pilot=pilot)) == want
+
+    def test_empty_block(self):
+        assert one_step_block(exchangeable(3), [], []) == []
+        assert one_step_block(toeplitz(4), [], []) == []
+
+    def test_edge_pilot_same_on_both_paths(self):
+        # exchangeable(3) at the top of its box, 1 - 1e-6, where kappa(R) is
+        # about 3e6: identical columns clamp on both paths, to the same point;
+        # draws from theta = 0.9 stay inside on both, and the row-by-row
+        # update carries about kappa(R) eps of roundoff.
+        model = exchangeable(3)
+        general = matrix_descent(model)
+        pilot = np.array([1.0 - 1e-6])
+        samples = [identical_columns_sample(3)] + [
+            rank_transform(sample_copula(model.r_of_theta([0.9]), 60, seed=seed))
+            for seed in range(1, 4)]
+        for i, sample in enumerate(samples):
+            closed, matrix = one_step(model, sample, pilot), one_step(general, sample, pilot)
+            assert closed.clamped == matrix.clamped == (i == 0)
+            assert closed.converged == matrix.converged == (i != 0)
+            if i == 0:
+                assert np.array_equal(closed.theta_hat, matrix.theta_hat)
+                assert closed.theta_hat[0] == model.box[1]
+            else:
+                assert_allclose(closed.theta_hat, matrix.theta_hat, rtol=0, atol=1e-9)
+
+    def test_constant_x_raises_the_general_paths_error(self):
+        # A zero generator: dlam = 0, so x = dlam / lam is constant and
+        # I* = sum (x - xbar)^2 / 2 = 0 on both paths.
+        model = custom_affine(3, [np.zeros((3, 3))])
+        assert model.spectrum.balanced
+        samples = [rank_transform(sample_copula(np.eye(3), 50, seed=seed)) for seed in (1, 2)]
+        pilots = [np.zeros(1)] * 2
+        closed = one_step_block(model, samples, pilots)
+        matrix = one_step_block(matrix_descent(model), samples, pilots)
+        for row in closed + matrix:
+            assert isinstance(row, SingularityError)
+            assert str(row) == ("efficient information matrix is not positive definite "
+                                "(min eigenvalue 0.000e+00)")
+            assert row.eigenvalue == 0.0 and row.cond == np.inf
+        with pytest.raises(SingularityError, match="^efficient information matrix"):
+            one_step(model, samples[0], pilot=np.zeros(1))
 
 
 class TestLazyStdErrors:

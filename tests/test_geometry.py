@@ -1,5 +1,6 @@
 """Tests for scores, information matrices, projections and diagnostics."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -463,3 +464,72 @@ class TestBundleAndInvariants:
         assert_allclose(bundle.eff_info, efficient_info(geom)[0], rtol=1e-14)
         assert_allclose(bundle.ple_cov, ple_influence(geom)[2], rtol=1e-14)
         assert bundle.g.shape == (1, 4)
+
+
+def _exchangeable_info(p, theta):
+    """I* of exchangeable(p) to 50 digits: p (p - 1) / (2 (1 + (p - 1) t)^2 (1 - t)^2),
+    the balanced-spectrum closed form on its eigenvalues 1 + (p - 1) t (once)
+    and 1 - t (p - 1 times); for p = 3 the inverse of criterion 1's bound."""
+    with mp.workdps(50):
+        t = mp.mpf(theta)
+        return p * (p - 1) / (2 * (1 + (p - 1) * t) ** 2 * (1 - t) ** 2)
+
+
+def _circular_info(theta):
+    """I* of circular to 50 digits: sum (x - xbar)^2 / 2 with x = dlam / lam on
+    its eigenvalues (1 + t)^2, 1 - t^2 (twice) and (1 - t)^2."""
+    with mp.workdps(50):
+        t = mp.mpf(theta)
+        x = [2 / (1 + t), -2 * t / (1 - t * t), -2 * t / (1 - t * t), -2 / (1 - t)]
+        xbar = sum(x) / 4
+        return sum((v - xbar) ** 2 for v in x) / 2
+
+
+# (p, theta, bound on the relative error of efficiency_bundle's eff_info,
+# bound on that of the float closed form): about 10x the largest error seen
+# on a 2-CPU x86-64 VM (numpy 2.4, OpenBLAS).  The general path's error grows
+# with kappa(R) toward the domain's edge; the closed form's only with the
+# roundoff of the generator's eigenvalues.
+EXCHANGEABLE_POINTS = [
+    (p, theta, general, closed)
+    for p in (2, 3, 4, 10, 30, 100)
+    for theta, general, closed in [
+        (-0.5 / (p - 1), 1e-12, 1e-14), (0.0, 1e-12, 1e-14), (0.25, 1e-12, 1e-14),
+        (0.5, 1e-12, 1e-14), (0.9, 5e-12, 1e-13), (0.99, 1e-11, 2e-12),
+        (0.999, 5e-11, 2e-11)]]
+CIRCULAR_POINTS = [
+    (theta, general, 2e-15)
+    for magnitude, general in [(0.0, 1e-14), (0.5, 1e-14), (0.9, 1e-13), (0.999, 2e-9),
+                               (0.9999, 2e-8), (1.0 - 1e-5, 5e-5)]
+    for theta in sorted({magnitude, -magnitude})]
+
+
+class TestBalancedSpectrumOracle:
+    """`efficiency_bundle`'s eff_info and the closed form
+    I* = sum (x - xbar)^2 / 2, x = dlam / lam, that the one-step update uses on
+    a balanced spectrum, against 50-digit references."""
+
+    @staticmethod
+    def check(model, theta, exact, general, closed):
+        eff_info = efficiency_bundle(eval_geometry(model, [theta])).eff_info
+        lam, dlam, _ = model.spectrum.eigen_fn(np.array([theta]))
+        x = dlam / lam
+        x -= x.mean(axis=1, keepdims=True)
+        closed_form = 0.5 * np.add.reduce(x * x, 1)[0]
+        assert float(abs(eff_info[0, 0] - exact) / exact) <= general
+        assert float(abs(closed_form - exact) / exact) <= closed
+
+    @pytest.mark.parametrize("p,theta,general,closed", EXCHANGEABLE_POINTS,
+                             ids=lambda v: f"{v:.6g}" if isinstance(v, float) else None)
+    def test_exchangeable(self, p, theta, general, closed):
+        self.check(exchangeable(p), theta, _exchangeable_info(p, theta), general, closed)
+
+    def test_exchangeable3_is_criterion_1(self):
+        for theta in (-0.4, 0.25, 0.5, 0.9):
+            bound = (1 - theta) ** 2 * (1 + 2 * theta) ** 2 / 3
+            assert_allclose(float(1 / _exchangeable_info(3, theta)), bound, rtol=1e-15)
+
+    @pytest.mark.parametrize("theta,general,closed", CIRCULAR_POINTS,
+                             ids=lambda v: f"{v:.6g}" if isinstance(v, float) else None)
+    def test_circular(self, theta, general, closed):
+        self.check(circular(), theta, _circular_info(theta), general, closed)

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 import copula_rank
 import copula_rank.cli as cli
 import copula_rank.estimators as estimators
+import copula_rank.geometry as geometry
 import copula_rank.mc as mc
 import copula_rank.sampler as sampler
 from copula_rank import (McConfig, run_experiment, run_grid, summarize,
@@ -633,6 +634,19 @@ class TestComputedOnce:
         records = mc._replicate(config, range(8))
         assert not any(failures for _, failures in records)
         assert len(calls) / 8 == 3.0
+
+    @pytest.mark.parametrize("name,per_replication", [
+        ("exchangeable3", 0), ("circular", 0), ("exchangeable100", 0), ("toeplitz4", 1)])
+    def test_one_step_geometry_per_replication(self, monkeypatch, name, per_replication):
+        # A balanced spectrum updates in closed form, with no geometry and no
+        # generator solve; toeplitz(4) builds one of each per replication.
+        config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 6,
+                                     "seed": 20260814})
+        geometries = counter(monkeypatch, estimators.eval_geometry, estimators, mc)
+        generators = counter(monkeypatch, geometry.score_generators, geometry)
+        records = mc._replicate(config, range(6))
+        assert not any(failures for _, failures in records)
+        assert len(geometries) == len(generators) == 6 * per_replication
 
     def test_rhat_once_per_replication(self, monkeypatch):
         calls = counter(monkeypatch, estimators.normal_scores_matrix, estimators)
