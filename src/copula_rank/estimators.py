@@ -48,8 +48,18 @@ explicit in the eigenvalues, and the block's updates are elementwise
 arithmetic and row sums on (B, p) arrays (`_one_step_update`), so again a
 block never changes a number.
 
+Ranking is written once, over a (B, n, p) stack of samples
+(`_rank_block`): one argsort orders every column of every sample, the
+normal-score grid goes into zhat through one scatter on the flat positions
+of the sorted entries, and the constant-column and tie tests read the
+sorted values.  `rank_transform` is a block of one, and a Monte Carlo block
+ranks its replications in one call.  A ranked sample forms its `ranks` and
+`pseudo_obs` on first read.
+
 Rhat is formed once per sample (`RankedSample.rhat`) and shared by every
-estimator, the normal-score grid quantile(i/(n+1)) once per sample size, and
+estimator, and on a spectral family so is d = diag(Q' Rhat Q), which the
+PLE descent and the one-step update both read (`_spectral_d`).  The
+normal-score grid quantile(i/(n+1)) is formed once per sample size, and
 the moment-pilot map once per model (`CorrelationModel.moment_map`).  Rhat
 is a gemm of two C-order operands rather than BLAS's dsyrk, whose threaded
 form made a p = 100 replication several times slower at OpenBLAS's default
@@ -93,22 +103,50 @@ _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 _MAX_ITER = 100  # steps a PLE descent may take
 
 
-@dataclass(frozen=True)
 class RankedSample:
     """An n x p data matrix reduced to ranks.
 
     ranks holds average ranks (so half-integers may appear when columns are
     tied); tie_columns records which columns had ties.  pseudo_obs is
-    rank/(n+1), strictly inside (0,1), and zhat its Gaussianization.
-    `rhat` is the read-only `normal_scores_matrix`, formed on first read.
+    rank/(n+1), strictly inside (0,1), and zhat its Gaussianization.  A
+    sample from `rank_transform` forms `ranks` and `pseudo_obs` on first
+    read, from the column orders its ranking sorted.  `rhat` is the
+    read-only `normal_scores_matrix`, formed on first read.
     """
 
-    n: int
-    p: int
-    ranks: np.ndarray
-    pseudo_obs: np.ndarray
-    zhat: np.ndarray
-    tie_columns: tuple = ()
+    def __init__(self, n, p, ranks, pseudo_obs, zhat, tie_columns=()):
+        self.n, self.p, self.zhat, self.tie_columns = n, p, zhat, tuple(tie_columns)
+        self.ranks, self.pseudo_obs = ranks, pseudo_obs
+
+    @classmethod
+    def _sorted(cls, zhat, block, row, tie_columns):
+        """The sample with `zhat` and `tie_columns` whose ranks are row `row`
+        of the `_rank_block` arrays `block` = (positions, repeats)."""
+        sample = cls.__new__(cls)
+        sample.n, sample.p = zhat.shape
+        sample.zhat, sample.tie_columns = zhat, tie_columns
+        sample._block, sample._row = block, row
+        return sample
+
+    @cached_property
+    def ranks(self):
+        """Ranks 1..n through the inverse of each column's order, and in a
+        tied column the mean 1-based position of each run of equal values."""
+        positions, repeats = self._block
+        n, p, row = self.n, self.p, self._row
+        # the row's sorted positions, (p, n), within its own (n, p) matrix
+        own = positions[row] - row * n * p
+        ranks = np.empty((n, p))
+        ranks.ravel()[own] = np.arange(1.0, n + 1.0)
+        for j in self.tie_columns:
+            first = np.flatnonzero(np.r_[True, ~repeats[row, j]])
+            last = np.r_[first[1:], n] - 1
+            ranks.ravel()[own[j]] = np.repeat((first + last + 2) / 2.0, last - first + 1)
+        return ranks
+
+    @cached_property
+    def pseudo_obs(self):
+        return self.ranks / (self.n + 1.0)
 
     @property
     def has_ties(self):
@@ -119,6 +157,14 @@ class RankedSample:
         rhat = normal_scores_matrix(self)
         rhat.flags.writeable = False
         return rhat
+
+    def _spectral_d(self, basis):
+        """d = diag(Q' Rhat Q) for the eigenbasis Q = `basis`, formed on the
+        first call for that basis and kept for the last basis asked."""
+        kept = self.__dict__.get("_d")
+        if kept is None or kept[0] is not basis:
+            kept = self._d = (basis, (basis * (self.rhat @ basis)).sum(axis=0))
+        return kept[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,49 +199,70 @@ class EstimateResult:
 def rank_transform(data):
     """Column ranks, pseudo-observations rank/(n+1), and their Gaussianization.
 
-    One argsort orders every column; runs of equal values in the sorted
-    columns reveal constant columns and ties.  The sort need not be stable:
-    a run of equal values gets one average rank, so the order within it
-    never reaches the output.  Tie-free columns get ranks 1..n through the
-    inverse permutation.  Tied columns get average ranks, the mean 1-based
-    position of each run of equal values (so they agree exactly with
-    scipy.stats.rankdata(method="average")), and a RuntimeWarning naming
-    them.  A constant column is a degenerate margin and raises
-    DegenerateMarginError naming the first one.  Tie-free columns of zhat
-    are permutations of `_score_grid(n)`.
+    A block of one of `_rank_block`.  Tied columns get average ranks, the
+    mean 1-based position of each run of equal values (so they agree
+    exactly with scipy.stats.rankdata(method="average")), and a
+    RuntimeWarning naming them.  A constant column is a degenerate margin
+    and raises DegenerateMarginError naming the first one.  Tie-free
+    columns of zhat are permutations of `_score_grid(n)`.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
     if data.ndim != 2:
         raise ShapeError(f"data must be 2-d, got shape {data.shape}")
-    n, p = data.shape
+    sample, = _rank_block(data[None])
+    if sample.has_ties:
+        warnings.warn(f"ties in column(s) {list(sample.tie_columns)}; average ranks used",
+                      RuntimeWarning, stacklevel=2)
+    return sample
+
+
+def _rank_block(data):
+    """`rank_transform` on every (n, p) row of the (B, n, p) stack `data`,
+    as a list of RankedSamples, without the tie warning.
+
+    One argsort orders every column of every row; runs of equal values in
+    the sorted columns reveal constant columns and ties.  The sort need not
+    be stable: a run of equal values gets one average rank, so the order
+    within it never reaches the output.  The score grid goes into zhat
+    through one scatter on the flat positions of the sorted entries, and a
+    tied column's zhat is the quantile of its average ranks.  The first row
+    with a non-finite entry or a constant column raises what
+    `rank_transform` raises on it.  Every step is elementwise or along one
+    column of one row, so a row is the same to the bit in any block.
+    """
+    rows, n, p = data.shape
     if n < 2:
         raise DomainError("rank transform needs n >= 2 observations")
-    if not np.isfinite(data).all():
-        raise DomainError("data must be finite")
-    order = data.argsort(axis=0)
-    cols = np.arange(p)  # with `order`, indexes each column in sorted order
-    ordered = data[order, cols]
-    repeats = ordered[1:] == ordered[:-1]
-    constant = repeats.all(axis=0)
-    if constant.any():
-        raise DegenerateMarginError(f"column {int(constant.argmax())} is constant")
-    ranks, zhat = np.empty((n, p)), np.empty((n, p))
-    ranks[order, cols] = np.arange(1.0, n + 1.0)[:, None]
-    zhat[order, cols] = _score_grid(n)[:, None]
-    ties = [int(j) for j in repeats.any(axis=0).nonzero()[0]]
-    for j in ties:
-        first = np.flatnonzero(np.r_[True, ~repeats[:, j]])
-        last = np.r_[first[1:], n] - 1
-        ranks[order[:, j], j] = np.repeat((first + last + 2) / 2.0, last - first + 1)
-    pseudo = ranks / (n + 1.0)
-    if ties:
-        zhat[:, ties] = norm_quantile(pseudo[:, ties])
-        warnings.warn(f"ties in column(s) {ties}; average ranks used", RuntimeWarning,
-                      stacklevel=2)
-    return RankedSample(n=n, p=p, ranks=ranks, pseudo_obs=pseudo, zhat=zhat,
-                        tie_columns=tuple(ties))
+    # positions[b, j, i]: the flat position in `data` of the i-th smallest
+    # entry of column j of row b
+    positions = data.transpose(0, 2, 1).argsort(axis=2)
+    positions *= p
+    positions += np.arange(0, rows * n * p, n * p)[:, None, None] + np.arange(p)[:, None]
+    zhat = data.ravel()[positions]  # the sorted columns, until the scatter
+    repeats = zhat[..., 1:] == zhat[..., :-1]
+    constant = repeats.all(axis=2)
+    finite = np.isfinite(zhat).all(axis=(1, 2))
+    if constant.any() or not finite.all():
+        row = int((constant.any(axis=1) | ~finite).argmax())
+        if not finite[row]:
+            raise DomainError("data must be finite")
+        raise DegenerateMarginError(f"column {int(constant[row].argmax())} is constant")
+    tied = repeats.any(axis=2)
+    tie_columns = [()] * rows
+    for row in tied.any(axis=1).nonzero()[0].tolist():
+        tie_columns[row] = tuple(tied[row].nonzero()[0].tolist())
+    zhat = zhat.reshape(rows, n, p)
+    zhat.ravel()[positions] = _score_grid(n)
+    block = (positions, repeats)
+    samples = [RankedSample._sorted(zhat[row], block, row, ties)
+               for row, ties in enumerate(tie_columns)]
+    for sample in samples:
+        if sample.tie_columns:
+            ties = list(sample.tie_columns)
+            sample.zhat[:, ties] = norm_quantile(sample.pseudo_obs[:, ties])
+    return samples
 
 
 @lru_cache(maxsize=8)
@@ -326,10 +393,10 @@ def _matrix_descent(model, rhats):
     return evaluate
 
 
-def _spectral_descent(spectrum, rhats):
+def _spectral_descent(spectrum, samples):
     """`_descent`'s evaluate for R(theta) = Q diag(lam) Q' with a theta-free
     Q and one parameter, in one pass over (B, p) arrays.  With
-    d = diag(Q' Rhat Q), formed once per sample, row b holds
+    d = diag(Q' Rhat Q) (`_spectral_d`), row b holds
 
         f   = (sum log lam + sum d / lam - tr Rhat) / 2, inf unless lam > 0,
         psi = sum dlam w,  w = (d - lam) / lam^2,
@@ -343,8 +410,8 @@ def _spectral_descent(spectrum, rhats):
     positive-definiteness condition itself: no evaluation factors a matrix.
     A row outside that region is evaluated at lam = 1 beside its f = inf.
     """
-    d_all = _spectral_d(spectrum, rhats)
-    trace_all = np.array([float(rhat.trace()) for rhat in rhats])
+    d_all = _spectral_d(spectrum, samples)
+    trace_all = np.array([float(sample.rhat.trace()) for sample in samples])
     add = np.add.reduce
 
     def evaluate(rows, theta, scoring):
@@ -375,15 +442,16 @@ def _spectral_descent(spectrum, rhats):
     return evaluate
 
 
-def _spectral_d(spectrum, rhats):
-    """The (B, p) array whose row b is d = diag(Q' Rhat_b Q), formed per sample."""
-    basis = spectrum.basis
-    return np.array([(basis * (rhat @ basis)).sum(axis=0) for rhat in rhats])
+def _spectral_d(spectrum, samples):
+    """The (B, p) array whose row b is d = diag(Q' Rhat_b Q), formed once
+    per sample (`RankedSample._spectral_d`) and shared by the PLE descent
+    and the one-step update."""
+    return np.array([sample._spectral_d(spectrum.basis) for sample in samples])
 
 
-def _descent(model, rhats):
-    """The one function the PLE descent evaluates, for the block of samples
-    with normal-scores matrices `rhats`.  evaluate(rows, theta, scoring)
+def _descent(model, samples):
+    """The one function the PLE descent evaluates, for the block of
+    `samples`.  evaluate(rows, theta, scoring)
     takes `rows`, the ascending list of the block positions it evaluates,
     and theta, those rows' (len(rows), k) iterates, and returns
     (f, norm, slope, step, eigs): the lists of the rows' objective values,
@@ -395,8 +463,8 @@ def _descent(model, rhats):
     (`_spectral_descent`) when the model declares a `Spectrum`, else
     `_matrix_descent`."""
     if model.spectrum is not None:
-        return _spectral_descent(model.spectrum, rhats)
-    return _matrix_descent(model, rhats)
+        return _spectral_descent(model.spectrum, samples)
+    return _matrix_descent(model, [sample.rhat for sample in samples])
 
 
 def _take(items, keep):
@@ -540,7 +608,7 @@ def ple_estimate_block(model, samples):
         return []
     rhats = [_rhat(model, sample) for sample in samples]
     starts = [_default_init(model, rhat) for rhat in rhats]
-    outcomes = _descend(model, _descent(model, rhats), np.array([t for t, _ in starts]),
+    outcomes = _descend(model, _descent(model, samples), np.array([t for t, _ in starts]),
                         [from_pilot for _, from_pilot in starts])
     for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
         if not isinstance(outcome, Exception):
@@ -637,12 +705,13 @@ def one_step_block(model, samples, pilots):
     samples = list(samples)
     if not samples:
         return []
-    rhats = [_rhat(model, sample) for sample in samples]
-    update = _one_step_update(model, rhats, pilots)
+    for sample in samples:  # ShapeError before any update
+        _rhat(model, sample)
+    update = _one_step_update(model, samples, pilots)
     outcomes = []
-    for i, (sample, pilot) in enumerate(zip(samples, pilots)):
+    for i, sample in enumerate(samples):
         try:
-            theta, clamped = model.into_domain(update(i), pilot)
+            theta, clamped = update(i)
         except (SingularityError, DomainError, np.linalg.LinAlgError) as exc:
             outcomes.append(exc)
             continue
@@ -653,9 +722,10 @@ def one_step_block(model, samples, pilots):
     return outcomes
 
 
-def _one_step_update(model, rhats, pilots):
-    """update(i): row i's pilot + I*^-1 tr(A* Rhat) / 2 before the clamp,
-    or the SingularityError where I* is singular.
+def _one_step_update(model, samples, pilots):
+    """update(i): row i's (theta, clamped), theta the update
+    pilot + I*^-1 tr(A* Rhat) / 2 brought into the domain toward the pilot
+    (`model.into_domain`), or the SingularityError where I* is singular.
 
     On a balanced spectrum R = Q diag(lam) Q', diag(dR S) = xbar 1 with
     x = dlam / lam, so the generator weights are g = -xbar / 2 and
@@ -667,27 +737,33 @@ def _one_step_update(model, rhats, pilots):
 
     elementwise and in row sums, with no solve, Gram or inverse; I* is
     singular where it is not > 0, `_spd_inverse`'s verdict on a 1 x 1
-    matrix.  Otherwise each row reads its own `efficiency_bundle`."""
+    matrix.  The block's updates take one domain test
+    (`model.domain_check_block`), and only the rows outside the domain
+    call `into_domain`.  Otherwise each row reads its own
+    `efficiency_bundle`."""
     spectrum = model.spectrum
     if spectrum is None or not spectrum.balanced:
         def update(i):
             bundle = efficiency_bundle(eval_geometry(model, pilots[i]))
-            return pilots[i] + bundle.eff_info_inv @ (
-                0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ rhats[i].ravel()))
+            return model.into_domain(pilots[i] + bundle.eff_info_inv @ (
+                0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ samples[i].rhat.ravel())),
+                pilots[i])
 
         return update
-    d = _spectral_d(spectrum, rhats)
-    lam, dlam, _ = spectrum.eigen_fn(np.array([pilot[0] for pilot in pilots]))
+    d = _spectral_d(spectrum, samples)
+    start = np.array([pilot[0] for pilot in pilots])
+    lam, dlam, _ = spectrum.eigen_fn(start)
     x = dlam / lam
     x -= x.mean(axis=1, keepdims=True)
     squares = np.add.reduce(x * x, 1)
     info = (0.5 * squares).tolist()
     with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0
-        steps = (np.add.reduce(x * d / lam, 1) / squares).tolist()
+        theta = (start + np.add.reduce(x * d / lam, 1) / squares)[:, None]
+    inside = model.domain_check_block(theta).tolist()
 
     def update(i):
         if not info[i] > 0.0:  # NaN included
             raise _singular(np.array(info[i:i + 1]), "efficient information matrix")
-        return pilots[i] + steps[i]
+        return (theta[i], False) if inside[i] else model.into_domain(theta[i], pilots[i])
 
     return update

@@ -12,15 +12,21 @@ A process builds each model once per descriptor, for `McConfig.from_dict`
 and every replication, and once per (descriptor, theta_true) the sampler's
 `CopulaFactor` of R(theta_true) and, in the process that aggregates, the
 bounds at the truth.  A replication pays only for what its sample changes:
-the draw, the ranks, Rhat and the estimates.
+the draw, the ranks, Rhat, d = diag(Q' Rhat Q) on a spectral family, and
+the estimates.
 
 Replications run in blocks of consecutive indices: at most 64 in a serial
 run, which bounds the samples held at once, and max(1, replications //
-(8 workers)), capped at 64, per process-pool task.  A block solves the PLEs
-of its replications in one `ple_estimate_block` descent and updates from
-them in one `one_step_block` call, in closed form on the eigenvalues where
-the model's spectrum is balanced.  The rows of both do not depend on the
-block, so a block never changes a number.
+(8 workers)), capped at 64, per process-pool task.  A block draws its
+samples as one (B, n, p) stack (`sampler._sample_block`: one bit generator
+reset to each replication's stream, one matmul with the factor, one Phi),
+applies each margin kind once to the stack, and ranks the stack with one
+argsort (`estimators._rank_block`).  It then solves the PLEs of its
+replications in one `ple_estimate_block` descent and updates from them in
+one `one_step_block` call, in closed form on the eigenvalues where the
+model's spectrum is balanced.  `sample_copula`, `apply_margins` and
+`rank_transform` are blocks of one of the same code, and no row of any
+stage depends on the block, so a block never changes a number.
 """
 
 from __future__ import annotations
@@ -36,12 +42,12 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .estimators import one_step_block, pilot_moment, ple_estimate_block, rank_transform
+from .estimators import _rank_block, one_step_block, pilot_moment, ple_estimate_block
 from .exceptions import (ConfigError, ConvergenceError, DomainError,
                          McExperimentError, ShapeError, SingularityError)
 from .geometry import efficiency_bundle
 from .models import build_model, eval_geometry
-from .sampler import _MARGINS, CopulaFactor, apply_margins, sample_copula
+from .sampler import _MARGINS, CopulaFactor, _margins_block, _sample_block
 
 __all__ = [
     "McConfig",
@@ -270,20 +276,18 @@ def _replicate(config, reps):
     McConfig `config`; returns one (errors, failures) record per
     replication: the (n_estimators, k) array of theta_hat - theta_true with
     a NaN row per failed estimator, and {estimator: "Type: message"}.  The
-    block's PLEs are solved in one `ple_estimate_block` call, and the
-    one-step updates from them in one `one_step_block` call on the rows
-    whose PLE succeeded.  The rows of both do not depend on the block, so a
-    record is the same in any block.  Top-level so process pools can pickle
-    it."""
+    block's samples are drawn, transformed and ranked as one stack, its
+    PLEs are solved in one `ple_estimate_block` call, and the one-step
+    updates from them in one `one_step_block` call on the rows whose PLE
+    succeeded.  No row depends on the block, so a record is the same in
+    any block.  Top-level so process pools can pickle it."""
     model, factor = _model_at(*_keys(config))
     estimators = config.estimators
-    draws = [apply_margins(sample_copula(factor, config.n, config.seed, rep=rep,
-                                         lane=config.lane), config.margins)
-             for rep in reps]
     records = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        samples = [rank_transform(x) for x in draws]
+        samples = _rank_block(_margins_block(
+            _sample_block(factor, config.n, config.seed, reps, config.lane), config.margins))
         # The one-step update is pinned to a pseudo-likelihood pilot: in high
         # dimensions a moment pilot leaves a visible finite-sample bias that
         # the single update does not remove, while the update from the PLE

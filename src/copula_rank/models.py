@@ -210,6 +210,15 @@ class CorrelationModel:
             return bool(lo <= t[0] <= hi)
         return bool(sym_eig(self.corr_fn(t), vectors=False)[0] > _PD_FLOOR)
 
+    def domain_check_block(self, thetas):
+        """`domain_check` on every row of the (B, k) array `thetas`, as a
+        boolean array: one comparison over the block for a family with a
+        `box`, a row at a time otherwise."""
+        if self.box is not None:
+            lo, hi = self.box
+            return (lo <= thetas[:, 0]) & (thetas[:, 0] <= hi)
+        return np.array([self.domain_check(theta) for theta in thetas], dtype=bool)
+
     def into_domain(self, theta, anchor):
         """(theta, False) where theta is in the domain, else (a point in it,
         True): theta clipped onto the `box` where the family declares one,

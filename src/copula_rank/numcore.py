@@ -93,9 +93,12 @@ def norm_quantile(p):
     arr = np.asarray(p, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    q = ndtri(np.minimum(arr, 1.0 - arr))
-    out = np.where(arr > 0.5, -q, q)
-    return float(out) if out.ndim == 0 else out
+    # in one buffer, so a stacked Monte Carlo block holds one temporary
+    q = np.subtract(1.0, arr, out=np.empty_like(arr))
+    np.minimum(arr, q, out=q)
+    ndtri(q, out=q)
+    np.negative(q, out=q, where=arr > 0.5)
+    return float(q) if q.ndim == 0 else q
 
 
 def _all_close(x, y, atol):

@@ -4,6 +4,14 @@ Streams use the counter-based Philox generator keyed by the master seed,
 with the replication index (and an experiment lane) placed in the high
 words of the 256-bit counter.  Distinct replications therefore draw from
 disjoint streams no matter how work is scheduled across workers.
+
+The sampler is written once, over a block of replications stacked as one
+(B, n, p) array (`_sample_block`, `_margins_block`): one bit generator
+whose counter is reset to each replication's stream, one stacked product
+with the factor, one Phi and one call per margin kind.  `sample_copula`
+and `apply_margins` are blocks of one.  Each row's product is its own gemm
+and every other step is elementwise, so a row is the same to the bit in
+any block.
 """
 
 from __future__ import annotations
@@ -16,10 +24,11 @@ from .numcore import (check_symmetric, cholesky_lower, identity, norm_cdf, norm_
 
 __all__ = ["CopulaFactor", "sample_copula", "apply_margins", "copula_stream"]
 
-# kind -> its quantile transform u -> x, elementwise in u.  gaussian looks
-# norm_quantile up at each call, so a wrapper bound in its place sees it.
+# kind -> its quantile transform u -> x, elementwise in u, or None for the
+# identity.  gaussian looks norm_quantile up at each call, so a wrapper bound
+# in its place sees it.
 _MARGINS = {
-    "uniform": lambda u: u,
+    "uniform": None,
     "gaussian": lambda u: norm_quantile(u),
     "exponential": lambda u: -np.log1p(-u),
     "cauchy": lambda u: np.tan(np.pi * (u - 0.5)),
@@ -58,17 +67,35 @@ def sample_copula(r, n, seed, rep=0, lane=0):
 
     Z ~ N(0, R) via the Cholesky factor, then U_j = Phi(Z_j).  Identical
     (seed, R, n, rep, lane) give bit-identical output, whether `r` is R or
-    its `CopulaFactor`.
+    its `CopulaFactor`, and equal to that replication's row of a block
+    (`_sample_block`).
 
     Returns an (n, p) matrix with entries strictly inside (0, 1).  Raises
     ValueError where R is not finite, and SingularityError where R is not
     positive definite even with 1e-12 added to its diagonal.
     """
+    return _sample_block(r, n, seed, (rep,), lane)[0]
+
+
+def _sample_block(r, n, seed, reps, lane=0):
+    """`sample_copula` for every replication of the nonempty sequence
+    `reps`, as one (len(reps), n, p) array whose row b is replication
+    reps[b]'s draw.  One bit generator draws every row: it starts on the
+    stream of reps[0] and has its counter reset to each later one.  The
+    factor multiplies the stack in one matmul, which runs one gemm per row."""
     if n < 1:
         raise DomainError("n must be >= 1")
     chol = r.chol if isinstance(r, CopulaFactor) else _copula_factor(r)
-    rng = copula_stream(seed, rep=rep, lane=lane)
-    z = rng.standard_normal((n, chol.shape[0])) @ chol.T
+    rng = copula_stream(seed, rep=reps[0], lane=lane)
+    bitgen = rng.bit_generator
+    start = bitgen.state  # a fresh stream: empty buffer, counter [0, 0, rep, lane]
+    z = np.empty((len(reps), n, chol.shape[0]))
+    for row, rep in enumerate(reps):
+        if row:
+            start["state"]["counter"][2] = rep
+            bitgen.state = start
+        rng.standard_normal(out=z[row])
+    z = z @ chol.T  # frees the normals
     return norm_cdf(z)
 
 
@@ -76,24 +103,30 @@ def apply_margins(u, kinds):
     """Apply margin quantile transforms columnwise to copula data U.  `kinds`
     is one kind name, or a sequence of 1 name for every column or of p
     names, one per column.  Each kind runs in one call on the block of its
-    columns (every transform is elementwise and strictly increasing)."""
+    columns (every transform is elementwise and strictly increasing): a
+    block of one of `_margins_block`, on a copy of U."""
     kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
     for kind in kinds:
         if kind not in _MARGINS:
             raise ConfigError(f"margins: unknown kind {kind!r}")
-    u = np.asarray(u, dtype=float)
+    u = np.array(u, dtype=float)
     if u.ndim != 2:
         raise ShapeError(f"U must be 2-d, got shape {u.shape}")
-    p = u.shape[1]
+    if len(kinds) not in (1, u.shape[1]):
+        raise ShapeError(f"margins: {len(kinds)} kinds for p={u.shape[1]} columns")
+    return _margins_block(u[None], kinds)[0]
+
+
+def _margins_block(u, kinds):
+    """`apply_margins` in place on the (B, n, p) stack U, with `kinds` a
+    tuple of known names, 1 or p of them; returns U."""
     if len(kinds) == 1:
         columns = {kinds[0]: slice(None)}
-    elif len(kinds) == p:
+    else:
         columns = {}
         for j, kind in enumerate(kinds):
             columns.setdefault(kind, []).append(j)
-    else:
-        raise ShapeError(f"margins: {len(kinds)} kinds for p={p} columns")
-    out = np.empty_like(u)
     for kind, cols in columns.items():
-        out[:, cols] = _MARGINS[kind](u[:, cols])
-    return out
+        if _MARGINS[kind] is not None:
+            u[..., cols] = _MARGINS[kind](u[..., cols])
+    return u

@@ -1111,6 +1111,33 @@ class TestOneStepBlock:
         for sample, pilot, want in zip(samples, pilots, expected):
             assert update_outcome(one_step(model, sample, pilot=pilot)) == want
 
+    @pytest.mark.parametrize("model,theta,edge", [
+        (exchangeable(3), [0.5], [1.0 - 1e-6]),
+        (circular(), [0.5], [-1.0 + 1e-6]),
+    ], ids=["exch3", "circ"])
+    def test_one_box_test_per_block(self, monkeypatch, model, theta, edge):
+        # The closed form tests the block against the box at once; only the
+        # two rows outside it reach into_domain.
+        r = model.r_of_theta(theta)
+        samples = [rank_transform(sample_copula(r, 60, seed=seed)) for seed in range(6)]
+        pilots = [model.theta_vec(theta)] * 6
+        samples[1:1] = samples[5:5] = [identical_columns_sample(model.p)]
+        pilots[1:1] = pilots[5:5] = [model.theta_vec(edge)]
+        expected = [update_outcome(one_step_block(model, [s], [t])[0])
+                    for s, t in zip(samples, pilots)]
+        calls = {"domain_check_block": [], "into_domain": []}
+        for name, rows in calls.items():
+            method = getattr(CorrelationModel, name)
+            monkeypatch.setattr(CorrelationModel, name,
+                                lambda self, *args, _m=method, _rows=rows:
+                                _rows.append(args) or _m(self, *args))
+        block = one_step_block(model, samples, pilots)
+        assert [update_outcome(row) for row in block] == expected
+        assert [row.clamped for row in block] == [False, True] + [False] * 3 + [True, False, False]
+        assert len(calls["domain_check_block"]) == 1
+        assert len(calls["into_domain"]) == 2
+        assert not any(model.domain_check(theta) for theta, _ in calls["into_domain"])
+
     def test_empty_block(self):
         assert one_step_block(exchangeable(3), [], []) == []
         assert one_step_block(toeplitz(4), [], []) == []

@@ -648,6 +648,44 @@ class TestComputedOnce:
         assert not any(failures for _, failures in records)
         assert len(geometries) == len(generators) == 6 * per_replication
 
+    def test_one_bit_generator_per_block(self, monkeypatch):
+        # Each replication draws from its own stream, keyed (seed, rep,
+        # lane), through one Philox whose counter is reset per replication.
+        made = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            made.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        config = McConfig.from_dict({**BASE, "replications": 70})
+        mc._replicate(config, range(64))
+        assert len(made) == 1
+        run_experiment(config)  # blocks of 64 and 6
+        assert len(made) == 3
+
+    @pytest.mark.parametrize("name", ["circular", "exchangeable100"])
+    def test_spectral_d_once_per_sample(self, monkeypatch, name):
+        # d = diag(Q' Rhat Q) is formed once per sample and read by both the
+        # PLE descent and the one-step update.
+        returned = {}  # id(sample) -> [sample, d of each call]
+        spectral_d = estimators.RankedSample._spectral_d
+
+        def recorded(sample, basis):
+            d = spectral_d(sample, basis)
+            returned.setdefault(id(sample), [sample]).append(d)
+            return d
+
+        monkeypatch.setattr(estimators.RankedSample, "_spectral_d", recorded)
+        config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 6,
+                                     "seed": 20260814})
+        records = mc._replicate(config, range(6))
+        assert not any(failures for _, failures in records)
+        assert len(returned) == 6
+        for _, first, second in returned.values():
+            assert second is first
+
     def test_rhat_once_per_replication(self, monkeypatch):
         calls = counter(monkeypatch, estimators.normal_scores_matrix, estimators)
         run_experiment({**BASE, "replications": 6})  # ple and one_step
@@ -717,6 +755,12 @@ CRITERION_CONFIGS = {
 }
 
 
+# The criterion configs and one with non-uniform margins, a kind per column.
+BLOCK_CONFIGS = {**CRITERION_CONFIGS, "circular-margins": {
+    **CRITERION_CONFIGS["circular"], "estimators": ["one_step", "ple", "pilot_moment"],
+    "margins": ["gaussian", "exponential", "cauchy", "uniform"]}}
+
+
 class TestBlocks:
     """`_replicate` runs a block of consecutive replications and solves their
     PLEs in one call; no record depends on the block it was solved in."""
@@ -734,12 +778,13 @@ class TestBlocks:
         assert sizes(10, 3) == [1] * 10
         assert set(sizes(10_000, 2)) == {64, 16}
 
-    @pytest.mark.parametrize("name", ["exchangeable3", "circular", "toeplitz4"])
+    @pytest.mark.parametrize("name", ["exchangeable3", "circular", "toeplitz4",
+                                      "exchangeable100", "circular-margins"])
     def test_reports_do_not_depend_on_blocks(self, monkeypatch, serial_pool, name):
         # Workers 1, 2 and 3 cut 70 replications into blocks of 64, 4 and
         # 2; a 10-replication run solves its rows in one block of 10.
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        config = {**CRITERION_CONFIGS[name], "n": 60, "replications": 70, "seed": 7}
+        config = {**BLOCK_CONFIGS[name], "n": 60, "replications": 70, "seed": 7}
         reports = [run_experiment({**config, "workers": w}) for w in (1, 2, 3)]
         assert serial_pool == [2, 3]
         for report in reports[1:]:

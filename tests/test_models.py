@@ -260,6 +260,23 @@ class TestDomain:
                     assert not model.domain_check([np.nextafter(end, outward)])
         assert boxed == {"exchangeable", "circular"}
 
+    @pytest.mark.parametrize(
+        "model,thetas", [example for examples in FAMILY_EXAMPLES.values()
+                         for example in examples],
+        ids=lambda v: getattr(v, "name", None) and f"{v.name}{v.p}")
+    def test_domain_check_block_is_domain_check_per_row(self, model, thetas):
+        rng = np.random.default_rng(5)
+        rows = np.vstack([rng.uniform(-2.5, 2.5, (30 - len(thetas), model.k)), thetas,
+                          np.full((3, model.k), [np.nan], dtype=float),
+                          np.full((3, model.k), [np.inf], dtype=float)])
+        rows[30:, 1:] = 0.0
+        if model.box is not None:
+            rows[-6:-3, 0] = [model.box[0], model.box[1], np.nextafter(model.box[1], 2.0)]
+        verdict = model.domain_check_block(rows)
+        assert verdict.dtype == bool and verdict.shape == (len(rows),)
+        assert verdict.tolist() == [model.domain_check(theta) for theta in rows]
+        assert verdict.any() and not verdict.all()
+
     def test_into_domain_falls_back_to_anchor(self):
         # 2^-80 * 1e30 is still far outside, so no point of the segment is in.
         model, anchor = toeplitz(4), np.zeros(3)

@@ -1,5 +1,7 @@
 """Tests for seeded Gaussian copula sampling and margin transforms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,8 +9,10 @@ from scipy.stats import kstest
 
 from copula_rank import (CopulaFactor, apply_margins, copula_stream, exchangeable,
                          norm_quantile, rank_transform, sample_copula)
-from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
-                                    SingularityError)
+from copula_rank.estimators import _rank_block
+from copula_rank.exceptions import (ConfigError, DegenerateMarginError, DomainError,
+                                    ShapeError, SingularityError)
+from copula_rank.sampler import _margins_block, _sample_block
 
 
 def exch_corr(p, theta):
@@ -181,3 +185,87 @@ class TestApplyMargins:
                 expected = self.PER_COLUMN[kinds[j % len(kinds)]](u[:, j])
                 assert np.array_equal(out[:, j].view(np.int64),
                                       expected.view(np.int64)), (kinds, j)
+
+
+def bits(a):
+    """An array's shape, dtype and bytes: equal only where bit-identical."""
+    a = np.ascontiguousarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def assert_same_sample(row, expected):
+    for name in ("zhat", "ranks", "pseudo_obs"):
+        assert bits(getattr(row, name)) == bits(getattr(expected, name)), name
+    assert row.tie_columns == expected.tie_columns
+    assert (row.n, row.p) == (expected.n, expected.p)
+
+
+def blocks_of_one(r, n, seed, reps, lane, kinds):
+    """rank_transform(apply_margins(sample_copula(...))) per replication."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return [rank_transform(apply_margins(sample_copula(r, n, seed, rep=rep, lane=lane),
+                                             kinds))
+                for rep in reps]
+
+
+TOP = 2**64 - 1
+
+
+class TestStackedFrontEnd:
+    """A Monte Carlo block draws, transforms and ranks its replications as
+    one (B, n, p) stack; each row is the public per-sample path to the bit."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 64])
+    @pytest.mark.parametrize("p", [3, 100])
+    @pytest.mark.parametrize("kinds", [("uniform",), ("gaussian",), ("exponential",),
+                                       ("cauchy",), "mixed"])
+    def test_rows_equal_blocks_of_one(self, rows, p, kinds):
+        n = 250 if p == 3 else 50
+        if kinds == "mixed":
+            names = ("gaussian", "uniform", "cauchy", "exponential")
+            kinds = tuple(names[j % 4] for j in range(p))
+        factor = CopulaFactor(exch_corr(p, 0.3))
+        # the top replication and lane words, and an ordinary run
+        for reps, lane in ((range(TOP - rows + 1, TOP + 1), TOP), (range(5, 5 + rows), 3)):
+            block = _rank_block(_margins_block(_sample_block(factor, n, 17, reps, lane),
+                                               kinds))
+            assert len(block) == rows
+            for row, expected in zip(block, blocks_of_one(factor, n, 17, reps, lane, kinds)):
+                assert_same_sample(row, expected)
+
+    def test_draws_equal_blocks_of_one(self):
+        # U itself, before the ranks: one gemm per row, whatever the block.
+        for p, n in ((3, 250), (100, 50)):
+            factor = CopulaFactor(exch_corr(p, 0.3))
+            block = _sample_block(factor, n, 5, range(TOP - 63, TOP + 1), TOP)
+            for row, rep in zip(block, range(TOP - 63, TOP + 1)):
+                assert bits(row) == bits(sample_copula(factor, n, 5, rep=rep, lane=TOP))
+
+    def test_tied_row_and_constant_column(self):
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((4, 30, 3))
+        data[1, 5, 2] = data[1, 9, 2]  # a tie in row 1
+        data[1, 7, 0] = data[1, 8, 0] = data[1, 20, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the warning is rank_transform's
+            block = _rank_block(data.copy())
+        for row, x in zip(block, data):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                expected = rank_transform(x)
+            assert_same_sample(row, expected)
+            assert [str(w.message) for w in caught] == (
+                [f"ties in column(s) {list(row.tie_columns)}; average ranks used"]
+                if row.tie_columns else [])
+        assert [row.tie_columns for row in block] == [(), (0, 2), (), ()]
+        # The first row that rank_transform rejects decides the block's error.
+        data[2, :, 1] = 0.25
+        data[3, 0, 0] = np.nan
+        with pytest.raises(DegenerateMarginError, match=r"^column 1 is constant$"):
+            rank_transform(data[2])
+        with pytest.raises(DegenerateMarginError, match=r"^column 1 is constant$"):
+            _rank_block(data.copy())
+        data[1, 3, 1] = np.inf
+        with pytest.raises(DomainError, match=r"^data must be finite$"):
+            _rank_block(data.copy())
