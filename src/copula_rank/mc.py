@@ -17,16 +17,18 @@ the estimates.
 
 Replications run in blocks of consecutive indices: at most 64 in a serial
 run, which bounds the samples held at once, and max(1, replications //
-(8 workers)), capped at 64, per process-pool task.  A block draws its
-samples as one (B, n, p) stack (`sampler._sample_block`: one bit generator
-reset to each replication's stream, one matmul with the factor, one Phi),
-applies each margin kind once to the stack, and ranks the stack with one
-argsort (`estimators._rank_block`).  It then solves the PLEs of its
-replications in one `ple_estimate_block` descent and updates from them in
-one `one_step_block` call, in closed form on the eigenvalues where the
-model's spectrum is balanced.  `sample_copula`, `apply_margins` and
-`rank_transform` are blocks of one of the same code, and no row of any
-stage depends on the block, so a block never changes a number.
+(8 workers)), capped at 64, per process-pool task.  A block draws the
+latent normals Z of its samples as one (B, n, p) stack
+(`sampler._sample_block`: one bit generator reset to each replication's
+stream, one matmul with the factor) and ranks the stack with one argsort
+(`estimators._rank_block`).  The estimators read only ranks, and Phi and
+every margin transform are strictly increasing, so a run applies neither:
+the ranks of Z are those of the copula sample, save where Phi would round
+distinct extreme draws to one float (1.0 for z >= 8.3) and make a tie.  A
+block then solves the PLEs of its replications in one `ple_estimate_block`
+descent and updates from them in one `one_step_block` call, in closed
+form on the eigenvalues where the model's spectrum is balanced.  No row of
+any stage depends on the block, so a block never changes a number.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .exceptions import (ConfigError, ConvergenceError, DomainError,
                          McExperimentError, ShapeError, SingularityError)
 from .geometry import efficiency_bundle
 from .models import build_model, eval_geometry
-from .sampler import _MARGINS, CopulaFactor, _margins_block, _sample_block
+from .sampler import _WORD_MAX, CopulaFactor, _int_in, _sample_block
 
 __all__ = [
     "McConfig",
@@ -68,19 +70,6 @@ _FAILURE_LIMIT = 0.05
 _BLOCK = 64
 # What fails one estimator in one replication, not the experiment.
 _FAILURES = (ConvergenceError, SingularityError, DomainError, np.linalg.LinAlgError)
-_WORD_MAX = 2**64 - 1  # seed and lane are 64-bit words of the Philox key and counter
-
-
-def _int_in(key, value, minimum, maximum=None):
-    """`value` as an int where it is an integer >= minimum and, when given,
-    <= maximum, else ConfigError naming `key`.  As in JSON Schema, a float
-    with no fractional part (2.0) is an integer and a bool is not."""
-    number = int(value) if isinstance(value, float) and value.is_integer() else value
-    if (not isinstance(number, int) or isinstance(number, bool) or number < minimum
-            or maximum is not None and number > maximum):
-        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise ConfigError(f"{key}: expected an integer {bound}, got {value!r}")
-    return number
 
 
 def _theta_point(model, key, value):
@@ -117,7 +106,6 @@ class McConfig:
     replications: int
     estimators: tuple
     seed: int
-    margins: tuple = ("uniform",)
     workers: int = 1
     lane: int = 0
     theta_grid: tuple = ()
@@ -127,7 +115,7 @@ class McConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
         known = {"model", "theta_true", "n", "replications", "estimators",
-                 "seed", "margins", "workers", "output", "theta_grid", "lane"}
+                 "seed", "workers", "output", "theta_grid", "lane"}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"{key}: unexpected config field")
@@ -157,25 +145,11 @@ class McConfig:
             raise ConfigError(f"estimators: expected a nonempty subset of "
                               f"{_ESTIMATORS}, each named once, got {ests!r}")
         seed = _int_in("seed", raw.get("seed", 0), 0, _WORD_MAX)
-        margins = raw.get("margins", "uniform")
-        if isinstance(margins, str):
-            margins = (margins,)
-        if (not isinstance(margins, (list, tuple))
-                or not all(isinstance(kind, str) for kind in margins)):
-            raise ConfigError(f"margins: expected a string or a list of strings, "
-                              f"got {margins!r}")
-        if len(margins) not in (1, model.p):
-            raise ConfigError(f"margins: expected 1 or p = {model.p} kinds, "
-                              f"got {len(margins)}")
-        for kind in margins:
-            if kind not in _MARGINS:
-                raise ConfigError(f"margins: unknown kind {kind!r}")
         if not isinstance(raw.get("output", ""), str):
             raise ConfigError(f"output: expected a directory path string, "
                               f"got {raw['output']!r}")
         return cls(model=json.loads(descriptor), theta_true=theta, n=n,
                    replications=reps, estimators=tuple(ests), seed=seed,
-                   margins=tuple(margins),
                    workers=_int_in("workers", raw.get("workers", 1), 1),
                    lane=_int_in("lane", raw.get("lane", 0), 0, _WORD_MAX),
                    theta_grid=grid)
@@ -192,7 +166,7 @@ class McConfig:
             "replications": self.replications,
             "estimators": list(self.estimators),
             "seed": self.seed,
-            "margins": list(self.margins),
+            "margins": ["uniform"],  # a run ranks Z, whose ranks are those of Phi(Z)
             "lane": self.lane,
         }
         if self.theta_grid:
@@ -276,7 +250,8 @@ def _replicate(config, reps):
     McConfig `config`; returns one (errors, failures) record per
     replication: the (n_estimators, k) array of theta_hat - theta_true with
     a NaN row per failed estimator, and {estimator: "Type: message"}.  The
-    block's samples are drawn, transformed and ranked as one stack, its
+    latent normals Z of the block's samples are drawn and ranked as one
+    stack, with no Phi and no margins, which leave ranks as they are; its
     PLEs are solved in one `ple_estimate_block` call, and the one-step
     updates from them in one `one_step_block` call on the rows whose PLE
     succeeded.  No row depends on the block, so a record is the same in
@@ -286,8 +261,7 @@ def _replicate(config, reps):
     records = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        samples = _rank_block(_margins_block(
-            _sample_block(factor, config.n, config.seed, reps, config.lane), config.margins))
+        samples = _rank_block(_sample_block(factor, config.n, config.seed, reps, config.lane))
         # The one-step update is pinned to a pseudo-likelihood pilot: in high
         # dimensions a moment pilot leaves a visible finite-sample bias that
         # the single update does not remove, while the update from the PLE

@@ -1,20 +1,22 @@
-"""Seeded sampling from a Gaussian copula, with optional margins.
+"""Seeded sampling from a Gaussian copula, and margin transforms.
 
 Streams use the counter-based Philox generator keyed by the master seed,
 with the replication index (and an experiment lane) placed in the high
 words of the 256-bit counter.  Distinct replications therefore draw from
 disjoint streams no matter how work is scheduled across workers.
 
-The sampler is written once, over a block of replications stacked as one
-(B, n, p) array (`_sample_block`, `_margins_block`): one bit generator
-whose counter is reset to each replication's stream, one stacked product
-with the factor, one Phi and one call per margin kind.  `sample_copula`
-and `apply_margins` are blocks of one.  Each row's product is its own gemm
-and every other step is elementwise, so a row is the same to the bit in
-any block.
+The draw is written once, over a block of replications stacked as one
+(B, n, p) array of latent normals Z (`_sample_block`): one bit generator
+reset to each replication's stream, and one matmul with the factor, one
+gemm per row, so a row is the same to the bit in any block.
+`sample_copula` is Phi of a block of one.  A Monte Carlo run ranks Z
+itself: the estimators read only ranks, and Phi and the margin transforms
+of `apply_margins` are strictly increasing.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -33,12 +35,29 @@ _MARGINS = {
     "exponential": lambda u: -np.log1p(-u),
     "cauchy": lambda u: np.tan(np.pi * (u - 0.5)),
 }
+_WORD_MAX = 2**64 - 1  # seed, rep and lane are 64-bit words of the Philox key and counter
+
+
+def _int_in(key, value, minimum, maximum=None):
+    """`value` as an int where it is an integer >= minimum and, when given,
+    <= maximum, else ConfigError naming `key`.  As in JSON Schema, a float
+    with no fractional part (2.0) is an integer and a bool is not; a numpy
+    integer is one too."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if (not isinstance(number, numbers.Integral) or isinstance(number, bool)
+            or number < minimum or maximum is not None and number > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{key}: expected an integer {bound}, got {value!r}")
+    return int(number)
 
 
 def copula_stream(seed, rep=0, lane=0):
-    """Generator for replication `rep` of the experiment `lane` under `seed`."""
-    if seed < 0:
-        raise ConfigError("seed: must be a nonnegative integer")
+    """Generator for replication `rep` of the experiment `lane` under `seed`.
+    Each of the three must be an integer in [0, 2**64 - 1], else ConfigError
+    naming it."""
+    seed = _int_in("seed", seed, 0, _WORD_MAX)
+    rep = _int_in("rep", rep, 0, _WORD_MAX)
+    lane = _int_in("lane", lane, 0, _WORD_MAX)
     bitgen = np.random.Philox(key=np.uint64(seed),
                               counter=np.array([0, 0, rep, lane], dtype=np.uint64))
     return np.random.Generator(bitgen)
@@ -67,22 +86,25 @@ def sample_copula(r, n, seed, rep=0, lane=0):
 
     Z ~ N(0, R) via the Cholesky factor, then U_j = Phi(Z_j).  Identical
     (seed, R, n, rep, lane) give bit-identical output, whether `r` is R or
-    its `CopulaFactor`, and equal to that replication's row of a block
-    (`_sample_block`).
+    its `CopulaFactor`, and equal to Phi of that replication's row of a
+    block (`_sample_block`).
 
-    Returns an (n, p) matrix with entries strictly inside (0, 1).  Raises
-    ValueError where R is not finite, and SingularityError where R is not
-    positive definite even with 1e-12 added to its diagonal.
+    Returns an (n, p) matrix with entries in the closed interval [0, 1]:
+    in floating point Phi(z) rounds to exactly 1.0 for z >= 8.3 and
+    underflows to 0.0 for z <= -37.7, so an extreme draw lands on an end.
+    Raises ValueError where R is not finite, and SingularityError where R
+    is not positive definite even with 1e-12 added to its diagonal.
     """
-    return _sample_block(r, n, seed, (rep,), lane)[0]
+    return norm_cdf(_sample_block(r, n, seed, (rep,), lane)[0])
 
 
 def _sample_block(r, n, seed, reps, lane=0):
-    """`sample_copula` for every replication of the nonempty sequence
-    `reps`, as one (len(reps), n, p) array whose row b is replication
-    reps[b]'s draw.  One bit generator draws every row: it starts on the
-    stream of reps[0] and has its counter reset to each later one.  The
-    factor multiplies the stack in one matmul, which runs one gemm per row."""
+    """The latent normals Z = normals L' of every replication of the
+    nonempty sequence `reps`, as one (len(reps), n, p) array whose row b is
+    replication reps[b]'s draw; `sample_copula` is Phi of a row.  One bit
+    generator draws every row: it starts on the stream of reps[0] and has
+    its counter reset to each later one.  The factor multiplies the stack
+    in one matmul, which runs one gemm per row."""
     if n < 1:
         raise DomainError("n must be >= 1")
     chol = r.chol if isinstance(r, CopulaFactor) else _copula_factor(r)
@@ -95,16 +117,15 @@ def _sample_block(r, n, seed, reps, lane=0):
             start["state"]["counter"][2] = rep
             bitgen.state = start
         rng.standard_normal(out=z[row])
-    z = z @ chol.T  # frees the normals
-    return norm_cdf(z)
+    return z @ chol.T
 
 
 def apply_margins(u, kinds):
-    """Apply margin quantile transforms columnwise to copula data U.  `kinds`
-    is one kind name, or a sequence of 1 name for every column or of p
-    names, one per column.  Each kind runs in one call on the block of its
-    columns (every transform is elementwise and strictly increasing): a
-    block of one of `_margins_block`, on a copy of U."""
+    """Apply margin quantile transforms columnwise to copula data U, on a
+    copy of U.  `kinds` is one kind name, or a sequence of 1 name for every
+    column or of p names, one per column.  Each kind runs in one call on the
+    block of its columns (every transform is elementwise and strictly
+    increasing)."""
     kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
     for kind in kinds:
         if kind not in _MARGINS:
@@ -114,12 +135,6 @@ def apply_margins(u, kinds):
         raise ShapeError(f"U must be 2-d, got shape {u.shape}")
     if len(kinds) not in (1, u.shape[1]):
         raise ShapeError(f"margins: {len(kinds)} kinds for p={u.shape[1]} columns")
-    return _margins_block(u[None], kinds)[0]
-
-
-def _margins_block(u, kinds):
-    """`apply_margins` in place on the (B, n, p) stack U, with `kinds` a
-    tuple of known names, 1 or p of them; returns U."""
     if len(kinds) == 1:
         columns = {kinds[0]: slice(None)}
     else:
@@ -128,5 +143,5 @@ def _margins_block(u, kinds):
             columns.setdefault(kind, []).append(j)
     for kind, cols in columns.items():
         if _MARGINS[kind] is not None:
-            u[..., cols] = _MARGINS[kind](u[..., cols])
+            u[:, cols] = _MARGINS[kind](u[:, cols])
     return u

@@ -44,10 +44,11 @@ class TestConfig:
 
     def test_defaults(self):
         config = McConfig.from_dict({**BASE, "estimators": ["one_step"]})
-        assert config.margins == ("uniform",)
         assert config.workers == 1
         assert config.lane == 0
 
+    # A `margins` entry, whatever its value, is an unexpected field: a run
+    # ranks the latent normals.
     @pytest.mark.parametrize("patch,field", [
         ({"bogus": 1}, "bogus"),
         ({"model": MISSING}, "model"),
@@ -94,13 +95,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             McConfig.from_dict(raw)
 
-    # Probes on which the shipped schema and from_dict must agree.  A margins
-    # list of the wrong length (neither 1 nor p) is left out: the schema
-    # cannot see p, so that rule is from_dict's alone.
+    # Probes on which the shipped schema and from_dict must agree.  A run
+    # ranks the latent normals, so `margins` is no config field.
     @pytest.mark.parametrize("patch,valid", [
-        ({"margins": []}, False),
-        ({"margins": ["uniform"]}, True),
-        ({"margins": ["cauchy", "exponential", "gaussian"]}, True),
+        ({"margins": "uniform"}, False),
+        ({"estimators": ["pilot_moment"]}, True),
+        ({"theta_grid": [0.2, [0.5]]}, True),
         ({"estimators": ["ple", "ple"]}, False),
         ({"estimators": ["one_step", "ple", "pilot_moment"]}, True),
         ({"output": 5}, False),
@@ -117,11 +117,11 @@ class TestConfig:
         ({"n": True}, False),
         ({"lane": False}, False),
         ({"theta_grid": []}, False),
-        ({"margins": "foo"}, False),
-        ({"margins": ["foo"]}, False),
-        ({"margins": "user"}, False),
-        ({"margins": ["uniform", "user", "cauchy"]}, False),
-        ({"margins": "gaussian"}, True),
+        ({"seed": -1}, False),
+        ({"replications": 0}, False),
+        ({"n": 1}, False),
+        ({"estimators": "ple"}, False),
+        ({"theta_true": 0.5}, True),
         ({"seed": 2**64 - 1, "lane": 2**64 - 1}, True),
         ({"seed": 2**64}, False),
         ({"lane": 2**64}, False),
@@ -142,9 +142,13 @@ class TestConfig:
             config_valid = False
         assert schema_valid == config_valid == valid
 
-    def test_schema_margins_are_the_config_kinds(self):
-        enum = load_schema("mc_config")["$defs"]["margin"]["enum"]
-        assert enum == list(sampler._MARGINS)
+    def test_margins_is_no_config_field(self):
+        # A run ranks the latent normals, so no config names margins; the
+        # report still echoes the uniform margins its ranks belong to.
+        for value in ("uniform", ["gaussian"]):
+            with pytest.raises(ConfigError, match="^margins: unexpected config field$"):
+                McConfig.from_dict({**BASE, "margins": value})
+        assert McConfig.from_dict(BASE).echo()["margins"] == ["uniform"]
 
     def test_estimator_names_agree(self):
         # The harness, `estimate --method` and both schemas name the same
@@ -254,25 +258,21 @@ class TestConfigContract:
          "theta_grid": [[0.2, 0.1], [0.3, -0.1]]},
         {"model": {"family": "circular"}, "theta_true": 0.3, "theta_grid": [0.1],
          "n": 2, "replications": 1, "estimators": ["ple", "pilot_moment"],
-         "seed": 0, "margins": ["gaussian"], "workers": 2, "output": "out",
-         "lane": 1},
+         "seed": 0, "workers": 2, "output": "out", "lane": 1},
     ]
     FIELDS = sorted(load_schema("mc_config")["properties"]) + ["bogus"]
 
     @staticmethod
     def domain_rule_rejects(raw):
         """True when a rule the schema cannot express rejects `raw`: a model
-        that does not build, a theta of the wrong length or outside the
-        domain, or a margins list of neither 1 nor p kinds."""
+        that does not build, or a theta of the wrong length or outside the
+        domain."""
         try:
             model = copula_rank.build_model(raw["model"])
         except ConfigError:
             return True
         points = [raw["theta_true"]] if "theta_true" in raw else []
-        if not all(model.domain_check(t) for t in points + raw.get("theta_grid", [])):
-            return True
-        margins = raw.get("margins", "uniform")
-        return isinstance(margins, list) and len(margins) not in (1, model.p)
+        return not all(model.domain_check(t) for t in points + raw.get("theta_grid", []))
 
     def test_valid_configs_accepted(self):
         import jsonschema
@@ -341,14 +341,6 @@ class TestRunExperiment:
         serial = run_experiment({**BASE, "workers": 1})
         parallel = run_experiment({**BASE, "workers": 2})
         assert serial.to_json() == parallel.to_json()
-
-    def test_margins_do_not_change_estimates(self):
-        plain = run_experiment(dict(BASE))
-        wild = run_experiment({**BASE, "margins": ["cauchy", "exponential",
-                                                   "gaussian"]})
-        assert plain.to_json() != wild.to_json()  # config echo differs
-        for est in plain.estimators:
-            assert_allclose(plain.bias[est], wild.bias[est], rtol=0)
 
     def test_equality_is_identity(self):
         # Their fields hold arrays, so `==` compares identity and returns a
@@ -755,10 +747,9 @@ CRITERION_CONFIGS = {
 }
 
 
-# The criterion configs and one with non-uniform margins, a kind per column.
-BLOCK_CONFIGS = {**CRITERION_CONFIGS, "circular-margins": {
-    **CRITERION_CONFIGS["circular"], "estimators": ["one_step", "ple", "pilot_moment"],
-    "margins": ["gaussian", "exponential", "cauchy", "uniform"]}}
+# The criterion configs and circular with all three estimators.
+BLOCK_CONFIGS = {**CRITERION_CONFIGS, "circular-all": {
+    **CRITERION_CONFIGS["circular"], "estimators": ["one_step", "ple", "pilot_moment"]}}
 
 
 class TestBlocks:
@@ -779,7 +770,7 @@ class TestBlocks:
         assert set(sizes(10_000, 2)) == {64, 16}
 
     @pytest.mark.parametrize("name", ["exchangeable3", "circular", "toeplitz4",
-                                      "exchangeable100", "circular-margins"])
+                                      "exchangeable100", "circular-all"])
     def test_reports_do_not_depend_on_blocks(self, monkeypatch, serial_pool, name):
         # Workers 1, 2 and 3 cut 70 replications into blocks of 64, 4 and
         # 2; a 10-replication run solves its rows in one block of 10.
@@ -792,6 +783,19 @@ class TestBlocks:
             assert np.array_equal(report.errors, reports[0].errors, equal_nan=True)
         short = run_experiment({**config, "replications": 10})
         assert np.array_equal(short.errors, reports[0].errors[:10], equal_nan=True)
+
+    @pytest.mark.parametrize("name", list(CRITERION_CONFIGS))
+    def test_runs_rank_the_latent_normals(self, monkeypatch, name):
+        # A run applies neither Phi nor a margin transform: it ranks Z.
+        def boom(*args):
+            raise AssertionError("Phi or a margin transform ran")
+
+        monkeypatch.setattr(sampler, "norm_cdf", boom)
+        for kind in sampler._MARGINS:
+            monkeypatch.setitem(sampler._MARGINS, kind, boom)
+        report = run_experiment({**CRITERION_CONFIGS[name], "n": 60, "replications": 10,
+                                 "seed": 20260814})
+        assert report.failures == dict.fromkeys(report.estimators, 0)
 
     @pytest.mark.parametrize("names,batch,batches,iterations", [
         (["exchangeable3", "circular"], 10, 20, 1271),

@@ -1,5 +1,6 @@
 """Tests for seeded Gaussian copula sampling and margin transforms."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,7 +13,8 @@ from copula_rank import (CopulaFactor, apply_margins, copula_stream, exchangeabl
 from copula_rank.estimators import _rank_block
 from copula_rank.exceptions import (ConfigError, DegenerateMarginError, DomainError,
                                     ShapeError, SingularityError)
-from copula_rank.sampler import _margins_block, _sample_block
+from copula_rank.numcore import norm_cdf
+from copula_rank.sampler import _sample_block
 
 
 def exch_corr(p, theta):
@@ -110,6 +112,30 @@ class TestSampleCopula:
         state = copula_stream(top, rep=top, lane=top).bit_generator.state["state"]
         assert state["key"][0] == top
         assert state["counter"].tolist() == [0, 0, top, top]
+
+    @pytest.mark.parametrize("word", ["seed", "rep", "lane"])
+    @pytest.mark.parametrize("value", [1.5, 2.7, -1, 2**64, True, False, "3", None,
+                                       math.nan, math.inf, np.float64(0.5)])
+    def test_stream_words_validated(self, word, value):
+        # Each word is an integer in [0, 2**64 - 1]: np.uint64 would truncate
+        # a fraction onto another stream, and overflow on the rest.
+        words = {"seed": 1, "rep": 0, "lane": 0, word: value}
+        with pytest.raises(ConfigError, match=f"^{word}: expected an integer in "
+                                              rf"\[0, {2**64 - 1}\], got "):
+            copula_stream(**words)
+        with pytest.raises(ConfigError, match=f"^{word}: "):
+            sample_copula(np.eye(2), 5, **words)
+
+    @pytest.mark.parametrize("word", ["seed", "rep", "lane"])
+    def test_stream_words_integral(self, word):
+        # An integral float and a numpy integer name the stream of that int.
+        def draws(value):
+            return copula_stream(**{"seed": 1, "rep": 0, "lane": 0, word: value}
+                                 ).standard_normal(3)
+
+        for value in (2.0, np.int64(2), np.uint64(2)):
+            assert np.array_equal(draws(value), draws(2))
+        assert np.array_equal(draws(np.uint64(2**64 - 1)), draws(2**64 - 1))
 
     def test_stream_counter_independence(self):
         # replication streams do not depend on how many draws earlier
@@ -213,8 +239,10 @@ TOP = 2**64 - 1
 
 
 class TestStackedFrontEnd:
-    """A Monte Carlo block draws, transforms and ranks its replications as
-    one (B, n, p) stack; each row is the public per-sample path to the bit."""
+    """A Monte Carlo block draws the latent normals Z of its replications as
+    one (B, n, p) stack and ranks Z itself; each row is the public
+    per-sample path, the ranks of the copula sample Phi(Z) on any margins,
+    to the bit."""
 
     @pytest.mark.parametrize("rows", [1, 2, 64])
     @pytest.mark.parametrize("p", [3, 100])
@@ -228,19 +256,19 @@ class TestStackedFrontEnd:
         factor = CopulaFactor(exch_corr(p, 0.3))
         # the top replication and lane words, and an ordinary run
         for reps, lane in ((range(TOP - rows + 1, TOP + 1), TOP), (range(5, 5 + rows), 3)):
-            block = _rank_block(_margins_block(_sample_block(factor, n, 17, reps, lane),
-                                               kinds))
+            block = _rank_block(_sample_block(factor, n, 17, reps, lane))
             assert len(block) == rows
             for row, expected in zip(block, blocks_of_one(factor, n, 17, reps, lane, kinds)):
                 assert_same_sample(row, expected)
 
     def test_draws_equal_blocks_of_one(self):
-        # U itself, before the ranks: one gemm per row, whatever the block.
+        # Phi of Z, before the ranks: one gemm per row, whatever the block.
         for p, n in ((3, 250), (100, 50)):
             factor = CopulaFactor(exch_corr(p, 0.3))
             block = _sample_block(factor, n, 5, range(TOP - 63, TOP + 1), TOP)
             for row, rep in zip(block, range(TOP - 63, TOP + 1)):
-                assert bits(row) == bits(sample_copula(factor, n, 5, rep=rep, lane=TOP))
+                assert bits(norm_cdf(row)) == bits(sample_copula(factor, n, 5, rep=rep,
+                                                                 lane=TOP))
 
     def test_tied_row_and_constant_column(self):
         rng = np.random.default_rng(3)
