@@ -39,14 +39,16 @@ The one-step estimator adds the inverse efficient information times the
 empirical mean of the efficient score to a root-n-consistent pilot.  The
 mean efficient score has the closed form tr(A*_m Rhat) / 2, since the score
 is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.  It too is written
-over a block of samples (`one_step_block`), with `one_step` a block of one.
-In general each row builds the geometry at its pilot and reads A* and I*
-from its `efficiency_bundle`: a generator solve, a Gram matrix and an
-inverse.  On a balanced spectrum (`Spectrum.balanced`: exchangeable(p),
-circular, toeplitz(2), unrestricted(2)) the efficient influence function is
-explicit in the eigenvalues, and the block's updates are elementwise
-arithmetic and row sums on (B, p) arrays (`_one_step_update`), so again a
-block never changes a number.
+over a block of samples (`one_step_block`), with `one_step` a block of one,
+and like the PLE's block it returns a row's failure (here a singular I*) as
+a value, which the block of one raises.  In general each row builds the
+geometry at its pilot and reads A* and I* from its `efficiency_bundle`: a
+generator solve, a Gram matrix and an inverse.  On a balanced spectrum
+(`Spectrum.balanced`: exchangeable(p), circular, toeplitz(2),
+unrestricted(2)) the efficient influence function is explicit in the
+eigenvalues, and the block's updates are elementwise arithmetic and row
+sums on (B, p) arrays (`_one_step_update`), so again a block never changes
+a number.
 
 Ranking is written once, over a (B, n, p) stack of samples
 (`_rank_block`): one argsort orders every column of every sample, the
@@ -695,37 +697,38 @@ def one_step(model, sample, pilot=None):
 def one_step_block(model, samples, pilots):
     """`one_step` on every sample of a block from its pilot, which must lie
     in the domain and is not checked again (the PLE's estimates are checked
-    by its descent): a list with, for each sample, its EstimateResult or the
-    SingularityError, DomainError or LinAlgError that `one_step` raises on
-    it.  A balanced spectrum (`Spectrum.balanced`) updates the block in one pass
-    over (B, p) arrays, every other model row by row through
-    `efficiency_bundle`.  Every row is the same to the bit as a block of one,
-    so a block never changes a number.  Raises ShapeError where a sample's p
-    is not the model's."""
+    by its descent): a list with, for each sample, its EstimateResult or, as
+    a value, the SingularityError, DomainError or LinAlgError that `one_step`
+    raises on it.  A balanced spectrum (`Spectrum.balanced`) updates the
+    block in one pass over (B, p) arrays, every other model row by row
+    through `efficiency_bundle`.  Every row is the same to the bit as a
+    block of one, so a block never changes a number.  Raises ShapeError
+    where a sample's p is not the model's or the pilots are not one per
+    sample."""
     samples = list(samples)
-    if not samples:
-        return []
+    if len(pilots) != len(samples):
+        raise ShapeError(f"{len(samples)} samples but {len(pilots)} pilots")
     for sample in samples:  # ShapeError before any update
         _rhat(model, sample)
-    update = _one_step_update(model, samples, pilots)
-    outcomes = []
-    for i, sample in enumerate(samples):
-        try:
-            theta, clamped = update(i)
-        except (SingularityError, DomainError, np.linalg.LinAlgError) as exc:
-            outcomes.append(exc)
-            continue
-        outcomes.append(EstimateResult(
-            theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
-            std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n, "eff_info_inv"),
-            clamped=clamped, tie_warning=sample.has_ties))
+    if not samples:
+        return []
+    outcomes = _one_step_update(model, samples, pilots)
+    for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
+        if not isinstance(outcome, Exception):
+            theta, clamped = outcome
+            outcomes[i] = EstimateResult(
+                theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
+                std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n, "eff_info_inv"),
+                clamped=clamped, tie_warning=sample.has_ties)
     return outcomes
 
 
 def _one_step_update(model, samples, pilots):
-    """update(i): row i's (theta, clamped), theta the update
+    """Each row's outcome: (theta, clamped), theta the update
     pilot + I*^-1 tr(A* Rhat) / 2 brought into the domain toward the pilot
-    (`model.into_domain`), or the SingularityError where I* is singular.
+    (`model.into_domain`), or, as a value, the error that fails the row: the
+    SingularityError where I* is singular, or on the general path the
+    DomainError or LinAlgError that its geometry raises.
 
     On a balanced spectrum R = Q diag(lam) Q', diag(dR S) = xbar 1 with
     x = dlam / lam, so the generator weights are g = -xbar / 2 and
@@ -743,13 +746,16 @@ def _one_step_update(model, samples, pilots):
     `efficiency_bundle`."""
     spectrum = model.spectrum
     if spectrum is None or not spectrum.balanced:
-        def update(i):
-            bundle = efficiency_bundle(eval_geometry(model, pilots[i]))
-            return model.into_domain(pilots[i] + bundle.eff_info_inv @ (
-                0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ samples[i].rhat.ravel())),
-                pilots[i])
-
-        return update
+        outcomes = []
+        for sample, pilot in zip(samples, pilots):
+            try:
+                bundle = efficiency_bundle(eval_geometry(model, pilot))
+                outcomes.append(model.into_domain(pilot + bundle.eff_info_inv @ (
+                    0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel())),
+                    pilot))
+            except (SingularityError, DomainError, np.linalg.LinAlgError) as exc:
+                outcomes.append(exc)
+        return outcomes
     d = _spectral_d(spectrum, samples)
     start = np.array([pilot[0] for pilot in pilots])
     lam, dlam, _ = spectrum.eigen_fn(start)
@@ -760,10 +766,7 @@ def _one_step_update(model, samples, pilots):
     with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0
         theta = (start + np.add.reduce(x * d / lam, 1) / squares)[:, None]
     inside = model.domain_check_block(theta).tolist()
-
-    def update(i):
-        if not info[i] > 0.0:  # NaN included
-            raise _singular(np.array(info[i:i + 1]), "efficient information matrix")
-        return (theta[i], False) if inside[i] else model.into_domain(theta[i], pilots[i])
-
-    return update
+    return [_singular(np.array([i_star]), "efficient information matrix")
+            if not i_star > 0.0  # NaN included
+            else (row, False) if row_inside else model.into_domain(row, pilot)
+            for i_star, row, row_inside, pilot in zip(info, theta, inside, pilots)]

@@ -2,11 +2,13 @@
 
 Each replication r of an experiment draws its sample from the Philox
 stream keyed (seed, r, lane), estimates with every requested estimator,
-and records the error vector theta_hat - theta_true.  Failed replications
-(solver non-convergence) are counted and excluded, never imputed; more
-than 5% failures for any estimator aborts the experiment.  Aggregation is
-a sequential reduction ordered by replication index, so reports are
-byte-identical no matter how many workers ran the replications.
+and records the error vector theta_hat - theta_true.  An estimator block
+returns a row's failure (solver non-convergence, singular I*) as a value,
+and the records are filled from those values: failures are counted and
+excluded, never imputed, and more than 5% for any estimator aborts the
+experiment, as does anything a block raises.  Aggregation is a sequential
+reduction ordered by replication index, so reports are byte-identical no
+matter how many workers ran the replications.
 
 A process builds each model once per descriptor, for `McConfig.from_dict`
 and every replication, and once per (descriptor, theta_true) the sampler's
@@ -45,8 +47,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .estimators import _rank_block, one_step_block, pilot_moment, ple_estimate_block
-from .exceptions import (ConfigError, ConvergenceError, DomainError,
-                         McExperimentError, ShapeError, SingularityError)
+from .exceptions import ConfigError, McExperimentError, ShapeError, SingularityError
 from .geometry import efficiency_bundle
 from .models import build_model, eval_geometry
 from .sampler import _WORD_MAX, CopulaFactor, _int_in, _sample_block
@@ -68,8 +69,6 @@ _FAILURE_LIMIT = 0.05
 # Most replications one `_replicate` call runs: a block holds its samples at
 # once, so this bounds the memory of a run.
 _BLOCK = 64
-# What fails one estimator in one replication, not the experiment.
-_FAILURES = (ConvergenceError, SingularityError, DomainError, np.linalg.LinAlgError)
 
 
 def _theta_point(model, key, value):
@@ -250,15 +249,16 @@ def _replicate(config, reps):
     McConfig `config`; returns one (errors, failures) record per
     replication: the (n_estimators, k) array of theta_hat - theta_true with
     a NaN row per failed estimator, and {estimator: "Type: message"}.  The
-    latent normals Z of the block's samples are drawn and ranked as one
-    stack, with no Phi and no margins, which leave ranks as they are; its
-    PLEs are solved in one `ple_estimate_block` call, and the one-step
-    updates from them in one `one_step_block` call on the rows whose PLE
-    succeeded.  No row depends on the block, so a record is the same in
-    any block.  Top-level so process pools can pickle it."""
+    block's latent normals Z are drawn and ranked as one stack, its PLEs
+    solved in one `ple_estimate_block` call, and the one-step updates from
+    them in one `one_step_block` call on the rows whose PLE succeeded.  Each
+    estimator gives every row an EstimateResult or, as a value, the error
+    that failed it, and the records are filled from those outcomes; whatever
+    a block raises aborts the run.  No row depends on the block, so a record
+    is the same in any block.  Top-level so process pools can pickle it."""
     model, factor = _model_at(*_keys(config))
     estimators = config.estimators
-    records = []
+    outcomes = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         samples = _rank_block(_sample_block(factor, config.n, config.seed, reps, config.lane))
@@ -270,33 +270,29 @@ def _replicate(config, reps):
         # `pilot_moment` is that same solve from the same start.
         pilot_is_ple = model.moment_map is None
         if pilot_is_ple or "ple" in estimators or "one_step" in estimators:
-            ples = ple_estimate_block(model, samples)
-        else:
-            ples = [None] * len(samples)
-        # each row's update, or its PLE's failure; the PLE's verdict has
-        # checked the domain of every pilot
-        updates = list(ples)
+            outcomes["ple"] = ple_estimate_block(model, samples)
+        if "pilot_moment" in estimators:
+            outcomes["pilot_moment"] = (outcomes["ple"] if pilot_is_ple
+                                        else [pilot_moment(model, s) for s in samples])
         if "one_step" in estimators:
+            # a failed PLE fails its row's update; it checked every pilot's domain
+            ples = outcomes["ple"]
+            updates = outcomes["one_step"] = list(ples)
             solved = [i for i, ple in enumerate(ples) if not isinstance(ple, Exception)]
             block = one_step_block(model, [samples[i] for i in solved],
                                    [ples[i].theta_hat for i in solved])
             for i, update in zip(solved, block):
                 updates[i] = update
-        for sample, ple, update in zip(samples, ples, updates):
-            errors = np.full((len(estimators), len(config.theta_true)), np.nan)
-            failures = {}
-            for row, est in enumerate(estimators):
-                try:
-                    if est == "pilot_moment" and not pilot_is_ple:
-                        result = pilot_moment(model, sample)
-                    else:
-                        result = update if est == "one_step" else ple
-                        if isinstance(result, Exception):
-                            raise result
-                    errors[row] = result.theta_hat - config.theta_true
-                except _FAILURES as exc:
-                    failures[est] = f"{type(exc).__name__}: {exc}"
-            records.append((errors, failures))
+    records = []
+    for row in zip(*(outcomes[est] for est in estimators)):
+        errors = np.full((len(estimators), len(config.theta_true)), np.nan)
+        failures = {}
+        for i, (est, outcome) in enumerate(zip(estimators, row)):
+            if isinstance(outcome, Exception):
+                failures[est] = f"{type(outcome).__name__}: {outcome}"
+            else:
+                errors[i] = outcome.theta_hat - config.theta_true
+        records.append((errors, failures))
     return records
 
 

@@ -100,11 +100,11 @@ def sample_copula(r, n, seed, rep=0, lane=0):
 
 def _sample_block(r, n, seed, reps, lane=0):
     """The latent normals Z = normals L' of every replication of the
-    nonempty sequence `reps`, as one (len(reps), n, p) array whose row b is
-    replication reps[b]'s draw; `sample_copula` is Phi of a row.  One bit
-    generator draws every row: it starts on the stream of reps[0] and has
-    its counter reset to each later one.  The factor multiplies the stack
-    in one matmul, which runs one gemm per row."""
+    nonempty sequence `reps` of words `copula_stream` accepts, as one
+    (len(reps), n, p) array whose row b is replication reps[b]'s draw;
+    `sample_copula` is Phi of a row.  One bit generator draws every row: it
+    starts on the stream of reps[0] and has its counter reset to each later
+    one.  The factor multiplies the stack in one matmul, one gemm per row."""
     if n < 1:
         raise DomainError("n must be >= 1")
     chol = r.chol if isinstance(r, CopulaFactor) else _copula_factor(r)
@@ -114,7 +114,7 @@ def _sample_block(r, n, seed, reps, lane=0):
     z = np.empty((len(reps), n, chol.shape[0]))
     for row, rep in enumerate(reps):
         if row:
-            start["state"]["counter"][2] = rep
+            start["state"]["counter"][2] = _int_in("rep", rep, 0, _WORD_MAX)
             bitgen.state = start
         rng.standard_normal(out=z[row])
     return z @ chol.T

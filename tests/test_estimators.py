@@ -1142,6 +1142,18 @@ class TestOneStepBlock:
         assert one_step_block(exchangeable(3), [], []) == []
         assert one_step_block(toeplitz(4), [], []) == []
 
+    @pytest.mark.parametrize("model", [exchangeable(3), toeplitz(3)], ids=["balanced", "general"])
+    @pytest.mark.parametrize("n_samples,n_pilots", [(2, 1), (2, 3), (1, 3), (0, 1)])
+    def test_one_pilot_per_sample(self, monkeypatch, model, n_samples, n_pilots):
+        # Fewer pilots than samples, or more, is a ShapeError naming both
+        # counts, raised before any update.
+        samples = [rank_transform(sample_copula(np.eye(3), 40, seed=seed))
+                   for seed in range(n_samples)]
+        pilots = [model.theta_vec(model.default_init)] * n_pilots
+        monkeypatch.setattr(estimators, "_one_step_update", None)
+        with pytest.raises(ShapeError, match=f"^{n_samples} samples but {n_pilots} pilots$"):
+            one_step_block(model, samples, pilots)
+
     def test_edge_pilot_same_on_both_paths(self):
         # exchangeable(3) at the top of its box, 1 - 1e-6, where kappa(R) is
         # about 3e6: identical columns clamp on both paths, to the same point;

@@ -415,6 +415,37 @@ class TestRunExperiment:
         assert pooled.to_json() == serial.to_json()
         assert np.array_equal(pooled.errors, serial.errors, equal_nan=True)
 
+    def test_failure_values_counted_whatever_their_type(self, monkeypatch):
+        # A block returns a row's failure as a value, and the record takes
+        # any error it finds there as that estimator's failure.
+        real = mc.one_step_block
+
+        def one_forced(model, samples, pilots):
+            outcomes = real(model, samples, pilots)
+            outcomes[1] = ShapeError("forced")
+            return outcomes
+
+        monkeypatch.setattr(mc, "one_step_block", one_forced)
+        config = McConfig.from_dict({**BASE, "replications": 30})
+        records = mc._replicate(config, range(3))
+        assert [failures for _, failures in records] == [{}, {"one_step": "ShapeError: forced"}, {}]
+        assert np.isnan(records[1][0][1]).all() and not np.isnan(records[1][0][0]).any()
+        report = run_experiment(config)
+        assert report.failures == {"ple": 0, "one_step": 1}
+        assert report.n_success == {"ple": 30, "one_step": 29}
+
+    @pytest.mark.parametrize("block,error", [("ple_estimate_block", RuntimeError),
+                                             ("ple_estimate_block", ConvergenceError),
+                                             ("one_step_block", RuntimeError)])
+    def test_a_raising_block_aborts_the_run(self, monkeypatch, block, error):
+        # What a block raises, rather than returns, is never a failure count.
+        def raising(*args):
+            raise error("raised by the block")
+
+        monkeypatch.setattr(mc, block, raising)
+        with pytest.raises(error, match="^raised by the block$"):
+            run_experiment({**BASE, "replications": 30})
+
     def test_one_ple_solve_without_a_moment_map(self, monkeypatch):
         # factor(5, 1) has no moment map, so pilot_moment is the PLE from the
         # same start: one solve per replication serves all three estimators.

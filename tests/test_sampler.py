@@ -270,6 +270,21 @@ class TestStackedFrontEnd:
                 assert bits(norm_cdf(row)) == bits(sample_copula(factor, n, 5, rep=rep,
                                                                  lane=TOP))
 
+    @pytest.mark.parametrize("rep", [1.5, 2.7, -1, 2**64, True, False, "3", None,
+                                     math.nan, math.inf, np.float64(0.5)])
+    def test_every_rep_validated(self, rep):
+        # A later word is written into the Philox counter: it is checked as
+        # copula_stream checks the first, not truncated onto another stream.
+        with pytest.raises(ConfigError, match=rf"^rep: expected an integer in "
+                                              rf"\[0, {TOP}\], got "):
+            _sample_block(np.eye(2), 5, 1, (0, rep))
+
+    def test_later_reps_integral(self):
+        expected = _sample_block(np.eye(2), 5, 1, (0, 2, TOP))
+        for value in (2.0, np.int64(2), np.uint64(2)):
+            assert bits(_sample_block(np.eye(2), 5, 1, (0, value, np.uint64(TOP)))) == bits(
+                expected)
+
     def test_tied_row_and_constant_column(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((4, 30, 3))
