@@ -55,8 +55,9 @@ Ranking is written once, over a (B, n, p) stack of samples
 normal-score grid goes into zhat through one scatter on the flat positions
 of the sorted entries, and the constant-column and tie tests read the
 sorted values.  `rank_transform` is a block of one, and a Monte Carlo block
-ranks its replications in one call.  A ranked sample forms its `ranks` and
-`pseudo_obs` on first read.
+ranks its replications in one call.  A ranked sample holds only zhat, and
+reads `ranks` back from it on first read by the one average-rank rule
+(`_average_ranks`), which also gives a tied column its zhat.
 
 Rhat is formed once per sample (`RankedSample.rhat`) and shared by every
 estimator, and on a spectral family so is d = diag(Q' Rhat Q), which the
@@ -106,45 +107,23 @@ _MAX_ITER = 100  # steps a PLE descent may take
 
 
 class RankedSample:
-    """An n x p data matrix reduced to ranks.
+    """An n x p data matrix reduced to ranks: its normal scores `zhat`,
+    whose shape gives n and p, and the columns that had ties.
 
     ranks holds average ranks (so half-integers may appear when columns are
-    tied); tie_columns records which columns had ties.  pseudo_obs is
-    rank/(n+1), strictly inside (0,1), and zhat its Gaussianization.  A
-    sample from `rank_transform` forms `ranks` and `pseudo_obs` on first
-    read, from the column orders its ranking sorted.  `rhat` is the
-    read-only `normal_scores_matrix`, formed on first read.
+    tied), read back from zhat on first read (`_average_ranks`): within a
+    column zhat is strictly increasing in the ranks.  pseudo_obs is
+    rank/(n+1), strictly inside (0,1).  `rhat` is the read-only
+    `normal_scores_matrix`, formed on first read.
     """
 
-    def __init__(self, n, p, ranks, pseudo_obs, zhat, tie_columns=()):
-        self.n, self.p, self.zhat, self.tie_columns = n, p, zhat, tuple(tie_columns)
-        self.ranks, self.pseudo_obs = ranks, pseudo_obs
-
-    @classmethod
-    def _sorted(cls, zhat, block, row, tie_columns):
-        """The sample with `zhat` and `tie_columns` whose ranks are row `row`
-        of the `_rank_block` arrays `block` = (positions, repeats)."""
-        sample = cls.__new__(cls)
-        sample.n, sample.p = zhat.shape
-        sample.zhat, sample.tie_columns = zhat, tie_columns
-        sample._block, sample._row = block, row
-        return sample
+    def __init__(self, zhat, tie_columns=()):
+        self.n, self.p = zhat.shape
+        self.zhat, self.tie_columns = zhat, tuple(tie_columns)
 
     @cached_property
     def ranks(self):
-        """Ranks 1..n through the inverse of each column's order, and in a
-        tied column the mean 1-based position of each run of equal values."""
-        positions, repeats = self._block
-        n, p, row = self.n, self.p, self._row
-        # the row's sorted positions, (p, n), within its own (n, p) matrix
-        own = positions[row] - row * n * p
-        ranks = np.empty((n, p))
-        ranks.ravel()[own] = np.arange(1.0, n + 1.0)
-        for j in self.tie_columns:
-            first = np.flatnonzero(np.r_[True, ~repeats[row, j]])
-            last = np.r_[first[1:], n] - 1
-            ranks.ravel()[own[j]] = np.repeat((first + last + 2) / 2.0, last - first + 1)
-        return ranks
+        return _average_ranks(self.zhat)
 
     @cached_property
     def pseudo_obs(self):
@@ -206,7 +185,8 @@ def rank_transform(data):
     exactly with scipy.stats.rankdata(method="average")), and a
     RuntimeWarning naming them.  A constant column is a degenerate margin
     and raises DegenerateMarginError naming the first one.  Tie-free
-    columns of zhat are permutations of `_score_grid(n)`.
+    columns of zhat are permutations of `_score_grid(n)`; ranks are read
+    back from zhat on first read, by the same rule (`_average_ranks`).
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -229,8 +209,9 @@ def _rank_block(data):
     be stable: a run of equal values gets one average rank, so the order
     within it never reaches the output.  The score grid goes into zhat
     through one scatter on the flat positions of the sorted entries, and a
-    tied column's zhat is the quantile of its average ranks.  The first row
-    with a non-finite entry or a constant column raises what
+    tied column's zhat is the quantile of the average ranks of its data
+    (`_average_ranks`, the rule that reads ranks back from zhat).  The first
+    row with a non-finite entry or a constant column raises what
     `rank_transform` raises on it.  Every step is elementwise or along one
     column of one row, so a row is the same to the bit in any block.
     """
@@ -252,19 +233,26 @@ def _rank_block(data):
             raise DomainError("data must be finite")
         raise DegenerateMarginError(f"column {int(constant[row].argmax())} is constant")
     tied = repeats.any(axis=2)
-    tie_columns = [()] * rows
-    for row in tied.any(axis=1).nonzero()[0].tolist():
-        tie_columns[row] = tuple(tied[row].nonzero()[0].tolist())
     zhat = zhat.reshape(rows, n, p)
     zhat.ravel()[positions] = _score_grid(n)
-    block = (positions, repeats)
-    samples = [RankedSample._sorted(zhat[row], block, row, ties)
-               for row, ties in enumerate(tie_columns)]
-    for sample in samples:
-        if sample.tie_columns:
-            ties = list(sample.tie_columns)
-            sample.zhat[:, ties] = norm_quantile(sample.pseudo_obs[:, ties])
-    return samples
+    tie_columns = [()] * rows
+    for row in tied.any(axis=1).nonzero()[0].tolist():
+        ties = tie_columns[row] = tuple(tied[row].nonzero()[0].tolist())
+        zhat[row][:, ties] = norm_quantile(_average_ranks(data[row][:, ties]) / (n + 1.0))
+    return [RankedSample(zhat[row], ties) for row, ties in enumerate(tie_columns)]
+
+
+def _average_ranks(x):
+    """The average ranks of each column of the (n, p) array x: argsort each
+    column, then give each run of equal values the mean 1-based position of
+    the run.  Integer positions make every rank exact."""
+    ranks = np.empty(x.shape)
+    for j, order in enumerate(x.argsort(axis=0).T):
+        column = x[order, j]
+        first = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+        last = np.r_[first[1:], len(x)] - 1
+        ranks[order, j] = np.repeat((first + last + 2) / 2.0, last - first + 1)
+    return ranks
 
 
 @lru_cache(maxsize=8)
@@ -695,16 +683,15 @@ def one_step(model, sample, pilot=None):
 
 
 def one_step_block(model, samples, pilots):
-    """`one_step` on every sample of a block from its pilot, which must lie
-    in the domain and is not checked again (the PLE's estimates are checked
-    by its descent): a list with, for each sample, its EstimateResult or, as
-    a value, the SingularityError, DomainError or LinAlgError that `one_step`
-    raises on it.  A balanced spectrum (`Spectrum.balanced`) updates the
-    block in one pass over (B, p) arrays, every other model row by row
-    through `efficiency_bundle`.  Every row is the same to the bit as a
-    block of one, so a block never changes a number.  Raises ShapeError
-    where a sample's p is not the model's or the pilots are not one per
-    sample."""
+    """`one_step` on every sample of a block from its pilot: a list with, for
+    each sample, its EstimateResult or, as a value, the SingularityError,
+    DomainError or LinAlgError that fails it.  The pilots are read once as a
+    (B, k) float array and not checked against the domain again (the PLE's
+    descent checks its estimates): one that is not finite or where R is not
+    positive definite fails its row with `eval_geometry`'s error, on either
+    path of `_one_step_update`.  Every row is the same to the bit as a block
+    of one.  Raises ShapeError, before any update, where a sample's p is not
+    the model's or the pilots are not a (B, k) array, one per sample."""
     samples = list(samples)
     if len(pilots) != len(samples):
         raise ShapeError(f"{len(samples)} samples but {len(pilots)} pilots")
@@ -712,6 +699,12 @@ def one_step_block(model, samples, pilots):
         _rhat(model, sample)
     if not samples:
         return []
+    try:
+        pilots = np.array(pilots, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        pilots = np.empty(0)
+    if pilots.shape != (len(samples), model.k):
+        raise ShapeError(f"pilots must form a ({len(samples)}, {model.k}) array of floats")
     outcomes = _one_step_update(model, samples, pilots)
     for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
         if not isinstance(outcome, Exception):
@@ -727,8 +720,8 @@ def _one_step_update(model, samples, pilots):
     """Each row's outcome: (theta, clamped), theta the update
     pilot + I*^-1 tr(A* Rhat) / 2 brought into the domain toward the pilot
     (`model.into_domain`), or, as a value, the error that fails the row: the
-    SingularityError where I* is singular, or on the general path the
-    DomainError or LinAlgError that its geometry raises.
+    SingularityError where I* is singular, or the error that the geometry at
+    the pilot raises on the general path (`_bundle_update`).
 
     On a balanced spectrum R = Q diag(lam) Q', diag(dR S) = xbar 1 with
     x = dlam / lam, so the generator weights are g = -xbar / 2 and
@@ -742,31 +735,36 @@ def _one_step_update(model, samples, pilots):
     singular where it is not > 0, `_spd_inverse`'s verdict on a 1 x 1
     matrix.  The block's updates take one domain test
     (`model.domain_check_block`), and only the rows outside the domain
-    call `into_domain`.  Otherwise each row reads its own
+    call `into_domain`.  A row whose pilot is not finite or has min lam <= 0
+    takes the general path's outcome.  Otherwise each row reads its own
     `efficiency_bundle`."""
     spectrum = model.spectrum
     if spectrum is None or not spectrum.balanced:
-        outcomes = []
-        for sample, pilot in zip(samples, pilots):
-            try:
-                bundle = efficiency_bundle(eval_geometry(model, pilot))
-                outcomes.append(model.into_domain(pilot + bundle.eff_info_inv @ (
-                    0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel())),
-                    pilot))
-            except (SingularityError, DomainError, np.linalg.LinAlgError) as exc:
-                outcomes.append(exc)
-        return outcomes
+        return [_bundle_update(model, sample, pilot) for sample, pilot in zip(samples, pilots)]
     d = _spectral_d(spectrum, samples)
-    start = np.array([pilot[0] for pilot in pilots])
+    start = pilots[:, 0]
     lam, dlam, _ = spectrum.eigen_fn(start)
-    x = dlam / lam
-    x -= x.mean(axis=1, keepdims=True)
-    squares = np.add.reduce(x * x, 1)
-    info = (0.5 * squares).tolist()
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0
+    outside = (~(np.isfinite(start) & (lam.min(axis=1) > 0.0))).tolist()  # NaN included
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0, or outside
+        x = dlam / lam
+        x -= x.mean(axis=1, keepdims=True)
+        squares = np.add.reduce(x * x, 1)
         theta = (start + np.add.reduce(x * d / lam, 1) / squares)[:, None]
+    info = (0.5 * squares).tolist()
     inside = model.domain_check_block(theta).tolist()
-    return [_singular(np.array([i_star]), "efficient information matrix")
+    return [_bundle_update(model, sample, pilot) if row_outside
+            else _singular(np.array([i_star]), "efficient information matrix")
             if not i_star > 0.0  # NaN included
             else (row, False) if row_inside else model.into_domain(row, pilot)
-            for i_star, row, row_inside, pilot in zip(info, theta, inside, pilots)]
+            for sample, pilot, row_outside, i_star, row, row_inside
+            in zip(samples, pilots, outside, info, theta, inside)]
+
+
+def _bundle_update(model, sample, pilot):
+    """One row's general-path outcome, or the error that fails it."""
+    try:
+        bundle = efficiency_bundle(eval_geometry(model, pilot))
+        return model.into_domain(pilot + bundle.eff_info_inv @ (
+            0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel())), pilot)
+    except (SingularityError, DomainError, np.linalg.LinAlgError) as exc:
+        return exc

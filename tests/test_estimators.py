@@ -163,30 +163,57 @@ class TestRankTransform:
 
 
     @pytest.mark.parametrize("n", [7, 60, 500])
-    def test_matches_stable_sort(self, n, monkeypatch):
-        # The default sort may order a run of equal values differently from a
-        # stable one; average ranks make the outputs bit-identical anyway.
+    def test_row_order_never_reaches_the_output(self, n):
+        # Permuting the rows changes the order in which the sort meets equal
+        # values (-0.0 beside 0.0 included); average ranks make every output
+        # the base sample's rows, permuted, to the bit.
         rng = np.random.default_rng(n)
         data = rng.integers(-3, 4, size=(n, 6)).astype(float)
         data[data == 0.0] *= rng.choice([-1.0, 1.0], size=int(np.sum(data == 0.0)))
         data[:, 4] = np.round(rng.standard_normal(n), 1)
         data[:, 5] = rng.standard_normal(n)
-        assert np.signbit(data[data == 0.0]).any()  # -0.0 beside 0.0
+        assert np.signbit(data[data == 0.0]).any() and (data == 0.0).sum() > 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            fast = rank_transform(data)
-            argsort = np.argsort
+            base = rank_transform(data)
+            perms = [np.arange(n)[::-1], np.roll(np.arange(n), n // 2)]
+            perms += [rng.permutation(n) for _ in range(3)]
+            for perm in perms:
+                permuted = rank_transform(data[perm])
+                for field in ("ranks", "pseudo_obs", "zhat"):
+                    assert np.array_equal(getattr(permuted, field).view(np.int64),
+                                          getattr(base, field)[perm].view(np.int64)), field
+                assert permuted.tie_columns == base.tie_columns == (0, 1, 2, 3, 4)
 
-            def stable_argsort(a, axis=-1, kind=None):
-                return argsort(a, axis=axis, kind="stable")
 
-            with monkeypatch.context() as patch:
-                patch.setattr(np, "argsort", stable_argsort)
-                stable = rank_transform(data)
-        for field in ("ranks", "pseudo_obs", "zhat"):
-            assert np.array_equal(getattr(fast, field).view(np.int64),
-                                  getattr(stable, field).view(np.int64)), field
-        assert fast.tie_columns == stable.tie_columns == (0, 1, 2, 3, 4)
+class TestRankedSample:
+    """A sample is its normal scores zhat and its tied columns; n, p, ranks
+    and pseudo_obs are read from zhat."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])
+    def test_ranks_read_back_from_zhat(self, tied):
+        rng = np.random.default_rng(4)
+        zhat = (np.round(rng.standard_normal((30, 4)), 1) if tied
+                else rng.standard_normal((30, 4)))
+        assert any(np.unique(col).size < 30 for col in zhat.T) == tied
+        sample = RankedSample(zhat)
+        assert (sample.n, sample.p) == (30, 4)
+        assert sample.tie_columns == () and not sample.has_ties
+        ref = np.column_stack([rankdata(col, method="average") for col in zhat.T])
+        assert np.array_equal(sample.ranks, ref)
+        assert np.array_equal(sample.pseudo_obs, ref / 31.0)
+
+    def test_block_samples_hold_only_zhat_until_read(self):
+        rng = np.random.default_rng(9)
+        data = rng.standard_normal((3, 40, 3))
+        data[1, :, 2] = np.round(data[1, :, 2], 1)  # a tied column in row 1
+        block = estimators._rank_block(data)
+        assert [sample.tie_columns for sample in block] == [(), (2,), ()]
+        for sample, x in zip(block, data):
+            assert set(vars(sample)) == {"zhat", "tie_columns", "n", "p"}
+            ref = np.column_stack([rankdata(col, method="average") for col in x.T])
+            assert np.array_equal(sample.ranks, ref)
+            assert np.array_equal(sample.pseudo_obs, ref / 41.0)
 
 
 class TestNormalScoresMatrix:
@@ -558,7 +585,7 @@ class TestSpectralDescent:
                                                  for i in (0, 2))
         rows = np.sqrt(3.0 * d)[:, None] * model.spectrum.basis.T
         zhat = np.vstack([rows, -rows])
-        sample = RankedSample(n=6, p=3, ranks=zhat, pseudo_obs=zhat, zhat=zhat)
+        sample = RankedSample(zhat)
         assert not model.domain_check(model.moment_map @ sample.rhat.ravel())
         with pytest.raises(ConvergenceError, match="saddle point") as info:
             ple_estimate(model if spectral else matrix_descent(model), sample)
@@ -664,7 +691,7 @@ class TestScoringStart:
         model = unrestricted(2) if spectral else matrix_descent(unrestricted(2))
         a = np.sqrt(0.5)
         zhat = np.array([[a, 0.0], [-a, 0.0], [0.0, a], [0.0, -a]])
-        sample = RankedSample(n=4, p=2, ranks=zhat, pseudo_obs=zhat, zhat=zhat)
+        sample = RankedSample(zhat)
         with pytest.raises(ConvergenceError, match="saddle point") as info:
             ple_estimate(model, sample)
         assert len(info.value.trace) == 1
@@ -676,7 +703,7 @@ def quarter_identity_sample(p):
     and, for every family with dR(0) != 0, a saddle of the objective."""
     a = np.sqrt(p) / 2.0
     zhat = np.vstack([a * np.eye(p), -a * np.eye(p)])
-    return RankedSample(n=2 * p, p=p, ranks=zhat, pseudo_obs=zhat, zhat=zhat)
+    return RankedSample(zhat)
 
 
 def outcome(solve):
@@ -783,6 +810,10 @@ class TestContract:
         # solver's own: the estimators take a model and ranks, and one_step
         # its pilot.
         assert str(inspect.signature(estimator)) == signature
+
+    def test_ranked_sample_takes_only_zhat_and_ties(self):
+        # n, p, ranks and pseudo_obs are read from zhat, never passed.
+        assert str(inspect.signature(RankedSample)) == "(zhat, tie_columns=())"
 
     @pytest.mark.parametrize("model", [exchangeable(3), factor(3, 1)],
                              ids=["exch3", "factor31"])
@@ -1153,6 +1184,42 @@ class TestOneStepBlock:
         monkeypatch.setattr(estimators, "_one_step_update", None)
         with pytest.raises(ShapeError, match=f"^{n_samples} samples but {n_pilots} pilots$"):
             one_step_block(model, samples, pilots)
+
+    @pytest.mark.parametrize("bad,error,message", [
+        ([5.0], SingularityError,
+         "R(theta) is not positive definite for exchangeable (min eigenvalue -4.000e+00)"),
+        ([-0.6], SingularityError,
+         "R(theta) is not positive definite for exchangeable (min eigenvalue -2.000e-01)"),
+        ([np.nan], DomainError, "theta must be finite"),
+        ([np.inf], DomainError, "theta must be finite"),
+    ], ids=["indefinite", "below", "nan", "inf"])
+    def test_bad_pilot_same_outcome_on_both_paths(self, bad, error, message):
+        # A pilot where R is not positive definite, or not finite, fails its
+        # row with eval_geometry's error on both paths, and the good row
+        # beside it keeps its outcome.
+        model = exchangeable(3)
+        samples = [rank_transform(sample_copula(model.r_of_theta([0.5]), 200, seed=seed))
+                   for seed in (1, 2)]
+        for path in (model, matrix_descent(model)):
+            row, good = one_step_block(path, samples, [bad, [0.5]])
+            assert (type(row), str(row)) == (error, message)
+            alone, = one_step_block(path, samples[1:], [[0.5]])
+            assert update_outcome(good) == update_outcome(alone)
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.9], [[0.5]], [[0.5], [0.5]]],
+                             ids=["long", "nested", "column"])
+    def test_pilots_not_b_by_k(self, monkeypatch, bad):
+        # The pilots of one sample as given, and beside a good pilot (a ragged
+        # list): a ShapeError on both paths, before any update.
+        model = exchangeable(3)
+        samples = [rank_transform(sample_copula(model.r_of_theta([0.5]), 200, seed=seed))
+                   for seed in (1, 2)]
+        monkeypatch.setattr(estimators, "_one_step_update", None)
+        for path in (model, matrix_descent(model)):
+            for pilots in ([bad], [bad, [0.5]]):
+                with pytest.raises(ShapeError, match=rf"^pilots must form a \({len(pilots)}, 1\) "
+                                                     r"array of floats$"):
+                    one_step_block(path, samples[:len(pilots)], pilots)
 
     def test_edge_pilot_same_on_both_paths(self):
         # exchangeable(3) at the top of its box, 1 - 1e-6, where kappa(R) is
