@@ -13,7 +13,7 @@ from .exceptions import (ConfigError, ConvergenceError, DegenerateMarginError,
                          DomainError, McExperimentError, ShapeError,
                          SingularityError)
 from .numcore import (InnerProductContext, gram, norm_cdf, norm_pdf,
-                      norm_quantile, span_residual, theta_inner)
+                      norm_quantile, theta_inner)
 from .models import (Assumption1Report, CorrelationModel, Geometry,
                      adaptivity_demo, build_model, circular, custom_affine,
                      eval_geometry, exchangeable, factor, load_model,
@@ -42,7 +42,7 @@ __all__ = [
     "McExperimentError", "ShapeError", "SingularityError",
     # numerics
     "InnerProductContext", "gram", "norm_cdf", "norm_pdf", "norm_quantile",
-    "span_residual", "theta_inner",
+    "theta_inner",
     # models
     "Assumption1Report", "CorrelationModel", "Geometry", "adaptivity_demo",
     "build_model", "circular", "custom_affine", "eval_geometry",

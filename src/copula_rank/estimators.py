@@ -57,7 +57,8 @@ of the sorted entries, and the constant-column and tie tests read the
 sorted values.  `rank_transform` is a block of one, and a Monte Carlo block
 ranks its replications in one call.  A ranked sample holds only zhat, and
 reads `ranks` back from it on first read by the one average-rank rule
-(`_average_ranks`), which also gives a tied column its zhat.
+(`_average_ranks`), which also gives a tied column its zhat, and its tied
+columns, those with two equal scores, by one sort on first read.
 
 Rhat is formed once per sample (`RankedSample.rhat`) and shared by every
 estimator, and on a spectral family so is d = diag(Q' Rhat Q), which the
@@ -68,25 +69,24 @@ is a gemm of two C-order operands rather than BLAS's dsyrk, whose threaded
 form made a p = 100 replication several times slower at OpenBLAS's default
 thread count than at one thread.
 
-An EstimateResult computes its standard errors (a geometry and an
-information matrix at the estimate) on first read of `std_errors`, so a
-caller that reads only theta_hat, as a Monte Carlo replication does, never
-pays for them.
+An EstimateResult holds the model and the sample it was fit on, and reads
+its tie warning and its standard errors (a geometry and an information
+matrix at the estimate) from them on first read, so a caller that reads
+only theta_hat, as a Monte Carlo replication does, pays for neither.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
-from typing import Callable, Optional
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
 from .geometry import _singular, efficiency_bundle
-from .models import eval_geometry
+from .models import CorrelationModel, eval_geometry
 from .numcore import cholesky_lower, identity, norm_quantile, spd_inverse, sym_eig
 
 __all__ = [
@@ -107,19 +107,28 @@ _MAX_ITER = 100  # steps a PLE descent may take
 
 
 class RankedSample:
-    """An n x p data matrix reduced to ranks: its normal scores `zhat`,
-    whose shape gives n and p, and the columns that had ties.
+    """An n x p data matrix reduced to ranks: its normal scores `zhat`, a
+    2-d float array (else ShapeError) whose shape gives n and p.
 
     ranks holds average ranks (so half-integers may appear when columns are
     tied), read back from zhat on first read (`_average_ranks`): within a
-    column zhat is strictly increasing in the ranks.  pseudo_obs is
-    rank/(n+1), strictly inside (0,1).  `rhat` is the read-only
-    `normal_scores_matrix`, formed on first read.
+    column zhat is strictly increasing in the ranks, so equal scores are
+    exactly tied data, and `tie_columns`, read on first read too, are the
+    columns with two equal scores.  pseudo_obs is rank/(n+1), strictly
+    inside (0,1).  `rhat` is the read-only `normal_scores_matrix`, formed on
+    first read.
     """
 
-    def __init__(self, zhat, tie_columns=()):
-        self.n, self.p = zhat.shape
-        self.zhat, self.tie_columns = zhat, tuple(tie_columns)
+    def __init__(self, zhat):
+        self.zhat = np.asarray(zhat, dtype=float)
+        if self.zhat.ndim != 2:
+            raise ShapeError(f"zhat must be 2-d, got shape {self.zhat.shape}")
+        self.n, self.p = self.zhat.shape
+
+    @cached_property
+    def tie_columns(self):
+        ordered = np.sort(self.zhat, axis=0)
+        return tuple((ordered[1:] == ordered[:-1]).any(axis=0).nonzero()[0].tolist())
 
     @cached_property
     def ranks(self):
@@ -150,21 +159,29 @@ class RankedSample:
 
 @dataclass(frozen=True, eq=False)
 class EstimateResult:
-    """An estimate and how it was reached.  `std_errors` calls
-    `std_errors_fn` on first read and caches the result; it is None without
-    one, or where the geometry at theta_hat is singular."""
+    """An estimate, how it was reached, and the `model` and `sample` it was
+    fit on.  `tie_warning` is the sample's `has_ties`.  `std_errors` is read
+    on first read, at theta_hat as it is then, from the method's covariance
+    (`_std_errors`: `ple_cov` for "ple", `eff_info_inv` for "one_step"), and
+    cached; None for "pilot_moment", or where the geometry is singular."""
 
     theta_hat: np.ndarray
     method: str
     iterations: int
     converged: bool
-    std_errors_fn: Optional[Callable] = field(default=None, repr=False)
+    model: CorrelationModel = field(repr=False)
+    sample: RankedSample = field(repr=False)
     clamped: bool = False
-    tie_warning: bool = False
+
+    @property
+    def tie_warning(self):
+        return self.sample.has_ties
 
     @cached_property
     def std_errors(self):
-        return None if self.std_errors_fn is None else self.std_errors_fn()
+        cov = {"ple": "ple_cov", "one_step": "eff_info_inv"}.get(self.method)
+        return None if cov is None else _std_errors(self.model, self.theta_hat,
+                                                    self.sample.n, cov)
 
     def to_dict(self):
         return {
@@ -202,7 +219,7 @@ def rank_transform(data):
 
 def _rank_block(data):
     """`rank_transform` on every (n, p) row of the (B, n, p) stack `data`,
-    as a list of RankedSamples, without the tie warning.
+    as a list of RankedSamples that hold only zhat, without the tie warning.
 
     One argsort orders every column of every row; runs of equal values in
     the sorted columns reveal constant columns and ties.  The sort need not
@@ -235,11 +252,10 @@ def _rank_block(data):
     tied = repeats.any(axis=2)
     zhat = zhat.reshape(rows, n, p)
     zhat.ravel()[positions] = _score_grid(n)
-    tie_columns = [()] * rows
     for row in tied.any(axis=1).nonzero()[0].tolist():
-        ties = tie_columns[row] = tuple(tied[row].nonzero()[0].tolist())
+        ties = tied[row].nonzero()[0]
         zhat[row][:, ties] = norm_quantile(_average_ranks(data[row][:, ties]) / (n + 1.0))
-    return [RankedSample(zhat[row], ties) for row, ties in enumerate(tie_columns)]
+    return [RankedSample(z) for z in zhat]
 
 
 def _average_ranks(x):
@@ -603,10 +619,8 @@ def ple_estimate_block(model, samples):
     for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
         if not isinstance(outcome, Exception):
             theta, iterations = outcome
-            outcomes[i] = EstimateResult(
-                theta_hat=theta, method="ple", iterations=iterations, converged=True,
-                std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n, "ple_cov"),
-                tie_warning=sample.has_ties)
+            outcomes[i] = EstimateResult(theta_hat=theta, method="ple", iterations=iterations,
+                                         converged=True, model=model, sample=sample)
     return outcomes
 
 
@@ -657,7 +671,7 @@ def pilot_moment(model, sample):
     theta, clamped = model.into_domain(model.moment_map @ _rhat(model, sample).ravel(),
                                        model.default_init)
     return EstimateResult(theta_hat=theta, method="pilot_moment", iterations=0,
-                          converged=True, clamped=clamped, tie_warning=sample.has_ties)
+                          converged=True, model=model, sample=sample, clamped=clamped)
 
 
 def one_step(model, sample, pilot=None):
@@ -711,8 +725,7 @@ def one_step_block(model, samples, pilots):
             theta, clamped = outcome
             outcomes[i] = EstimateResult(
                 theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
-                std_errors_fn=partial(_std_errors, model, theta.copy(), sample.n, "eff_info_inv"),
-                clamped=clamped, tie_warning=sample.has_ties)
+                model=model, sample=sample, clamped=clamped)
     return outcomes
 
 

@@ -315,10 +315,15 @@ def run_experiment(config):
 
     `config` may be an McConfig or a raw dict.  Results are deterministic
     given the config, independently of the worker count.  At most
-    min(workers, replications, logical cores) worker processes run.
+    min(workers, replications, logical cores) worker processes run.  A
+    config with a `theta_grid` raises ConfigError: it runs through
+    `run_grid`.
     """
     if isinstance(config, dict):
         config = McConfig.from_dict(config)
+    if config.theta_grid:
+        raise ConfigError("theta_grid: run_experiment runs one theta_true "
+                          "(a theta_grid config runs through run_grid)")
     if config.theta_true is None:
         raise ConfigError("theta_true: missing required field "
                           "(a theta_grid config runs through run_grid)")

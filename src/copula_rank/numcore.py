@@ -39,7 +39,6 @@ __all__ = [
     "InnerProductContext",
     "theta_inner",
     "gram",
-    "span_residual",
     "check_symmetric",
     "check_symmetric_stack",
     "cholesky_lower",
@@ -332,33 +331,3 @@ def gram(basis, ctx):
     out = prods.reshape(k, -1) @ prods.transpose(0, 2, 1).reshape(k, -1).T
     return 0.25 * (out + out.T)
 
-
-def span_residual(m, basis):
-    """Least-squares projection of M onto span(basis) of symmetric matrices.
-
-    Uses the Frobenius inner product (full vectorization counts each
-    off-diagonal pair twice, which is the same geometry as upper triangles
-    with sqrt(2) weights).  Rank-deficient bases are handled by the
-    rank-revealing least-squares solve.
-
-    Parameters
-    ----------
-    m : (p, p) symmetric array
-    basis : sequence of (p, p) symmetric arrays, or one (k, p, p) array;
-        may be empty
-
-    Returns
-    -------
-    residual_norm : float
-        Frobenius norm of M - sum_m c_m basis[m].
-    coefficients : (k,) ndarray
-        The minimizing coefficients (minimum-norm solution if deficient).
-    """
-    m = check_symmetric(m, name="M")
-    p = m.shape[0]
-    if len(basis) == 0:
-        return float(np.linalg.norm(m)), np.empty(0)
-    design = check_symmetric_stack(basis, p).reshape(len(basis), -1).T
-    coeff, *_ = np.linalg.lstsq(design, m.ravel(), rcond=None)
-    resid = m.ravel() - design @ coeff
-    return float(np.linalg.norm(resid)), coeff

@@ -187,18 +187,19 @@ class TestRankTransform:
 
 
 class TestRankedSample:
-    """A sample is its normal scores zhat and its tied columns; n, p, ranks
-    and pseudo_obs are read from zhat."""
+    """A sample is its normal scores zhat; n, p, ranks, pseudo_obs and the
+    tied columns are read from zhat."""
 
     @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])
     def test_ranks_read_back_from_zhat(self, tied):
         rng = np.random.default_rng(4)
         zhat = (np.round(rng.standard_normal((30, 4)), 1) if tied
                 else rng.standard_normal((30, 4)))
-        assert any(np.unique(col).size < 30 for col in zhat.T) == tied
+        tie_columns = tuple(j for j, col in enumerate(zhat.T) if np.unique(col).size < 30)
+        assert bool(tie_columns) == tied
         sample = RankedSample(zhat)
         assert (sample.n, sample.p) == (30, 4)
-        assert sample.tie_columns == () and not sample.has_ties
+        assert sample.tie_columns == tie_columns and sample.has_ties == tied
         ref = np.column_stack([rankdata(col, method="average") for col in zhat.T])
         assert np.array_equal(sample.ranks, ref)
         assert np.array_equal(sample.pseudo_obs, ref / 31.0)
@@ -208,12 +209,32 @@ class TestRankedSample:
         data = rng.standard_normal((3, 40, 3))
         data[1, :, 2] = np.round(data[1, :, 2], 1)  # a tied column in row 1
         block = estimators._rank_block(data)
+        assert [set(vars(sample)) for sample in block] == [{"zhat", "n", "p"}] * 3
         assert [sample.tie_columns for sample in block] == [(), (2,), ()]
         for sample, x in zip(block, data):
-            assert set(vars(sample)) == {"zhat", "tie_columns", "n", "p"}
             ref = np.column_stack([rankdata(col, method="average") for col in x.T])
             assert np.array_equal(sample.ranks, ref)
             assert np.array_equal(sample.pseudo_obs, ref / 41.0)
+
+    def test_tied_columns_read_from_zhat(self):
+        # Four equal zeros in every column of zhat: each column is tied, and
+        # every estimate from the sample carries the tie warning.
+        sample = quarter_identity_sample(3)
+        assert sample.tie_columns == (0, 1, 2) and sample.has_ties
+        model = exchangeable(3)
+        for result in (pilot_moment(model, sample), one_step(model, sample)):
+            assert result.tie_warning
+            assert result.to_dict()["tie_warning"] is True
+
+    def test_zhat_read_as_a_2d_float_array(self):
+        sample = RankedSample([[0, 1], [1, 0], [-1, 0]])
+        assert sample.zhat.dtype == float and (sample.n, sample.p) == (3, 2)
+        assert sample.tie_columns == (1,)
+        zhat = np.random.default_rng(1).standard_normal((5, 2))
+        assert RankedSample(zhat).zhat is zhat  # no copy
+        for bad in (np.zeros(5), np.zeros((2, 3, 4)), 1.0):
+            with pytest.raises(ShapeError, match="^zhat must be 2-d, got shape "):
+                RankedSample(bad)
 
 
 class TestNormalScoresMatrix:
@@ -811,9 +832,10 @@ class TestContract:
         # its pilot.
         assert str(inspect.signature(estimator)) == signature
 
-    def test_ranked_sample_takes_only_zhat_and_ties(self):
-        # n, p, ranks and pseudo_obs are read from zhat, never passed.
-        assert str(inspect.signature(RankedSample)) == "(zhat, tie_columns=())"
+    def test_ranked_sample_takes_only_zhat(self):
+        # n, p, ranks, pseudo_obs and the tied columns are read from zhat,
+        # never passed.
+        assert str(inspect.signature(RankedSample)) == "(zhat)"
 
     @pytest.mark.parametrize("model", [exchangeable(3), factor(3, 1)],
                              ids=["exch3", "factor31"])
@@ -1271,6 +1293,25 @@ class TestLazyStdErrors:
             "replications": 4, "estimators": ["ple", "one_step", "pilot_moment"],
             "seed": 3, "workers": 1})
         assert report.failures == {"ple": 0, "one_step": 0, "pilot_moment": 0}
+
+    @pytest.mark.parametrize("model,theta,estimators_run", [
+        ({"family": "exchangeable", "p": 3}, [0.5], ["one_step"]),
+        ({"family": "circular"}, [0.5], ["one_step", "ple"]),
+        ({"family": "toeplitz", "p": 4}, list(THETA_STAR), ["one_step", "ple"]),
+    ], ids=["exch3", "circ", "toep4"])
+    def test_run_experiment_reads_no_ties(self, monkeypatch, model, theta, estimators_run):
+        # The configs of acceptance criteria 6 and 7, with fewer
+        # replications: a replication reads theta_hat alone, so neither the
+        # tied columns nor the standard errors are ever computed.
+        def forbidden(*args):
+            raise AssertionError("tie columns or standard errors computed")
+
+        monkeypatch.setattr(estimators, "_std_errors", forbidden)
+        monkeypatch.setattr(RankedSample, "tie_columns", property(forbidden))
+        report = run_experiment({
+            "model": model, "theta_true": theta, "n": 250, "replications": 20,
+            "estimators": estimators_run, "seed": 20260814, "workers": 1})
+        assert report.failures == dict.fromkeys(estimators_run, 0)
 
     @pytest.mark.parametrize("model,theta,n", [
         (toeplitz(4), THETA_STAR, 250),

@@ -327,12 +327,13 @@ class TestEfficiencyCriterion:
         (unrestricted(3), np.array([0.3, -0.1, 0.25])),
         (unrestricted(4), np.linspace(0.05, 0.3, 6)),
         (exchangeable(3), np.array([0.5])),
+        (exchangeable(4), np.array([0.3])),
         (exchangeable(5), np.array([-0.2])),
         (toeplitz(3), np.array([0.5, 0.3])),
         (factor(4, 1), np.array([0.6, -0.3, 0.5, 0.2])),
         (factor(5, 2), np.array([0.5, 0.0, 0.2, 0.4, -0.3,
                                  0.1, 0.4, 0.2, -0.2, 0.3])),
-    ], ids=["unr3", "unr4", "exch3", "exch5", "toep3", "factor41", "factor52"])
+    ], ids=["unr3", "unr4", "exch3", "exch4", "exch5", "toep3", "factor41", "factor52"])
     def test_efficient_cases(self, model, theta):
         report = efficiency_criterion(eval_geometry(model, theta))
         assert report.verdict == "efficient"

@@ -170,6 +170,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="theta_true"):
             run_experiment(config)
 
+    def test_grid_config_runs_only_through_run_grid(self):
+        # run_experiment would run theta_true alone and echo the whole grid.
+        raw = {**BASE, "theta_true": 0.3, "theta_grid": [0.2, 0.4], "replications": 2}
+        message = (r"^theta_grid: run_experiment runs one theta_true "
+                   r"\(a theta_grid config runs through run_grid\)$")
+        for config in (raw, McConfig.from_dict(raw)):
+            with pytest.raises(ConfigError, match=message):
+                run_experiment(config)
+        assert [report.config["theta_true"] for report in run_grid(raw)] == [[0.2], [0.4]]
+
     @pytest.mark.parametrize("patch,field", [
         ({"margins": [[0.5]]}, "margins"),
         ({"margins": [{}]}, "margins"),

@@ -10,7 +10,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from copula_rank import (InnerProductContext, gram, norm_cdf, norm_pdf,
-                         norm_quantile, span_residual, theta_inner, unrestricted)
+                         norm_quantile, theta_inner, unrestricted)
 from copula_rank import numcore
 from copula_rank.exceptions import DomainError, ShapeError, SingularityError
 from copula_rank.numcore import (check_symmetric, cholesky_lower, identity, pinv,
@@ -511,61 +511,6 @@ class TestGram:
         for basis in ([np.eye(3)], [np.eye(2), np.eye(3)], [asym], np.eye(2)):
             with pytest.raises(ShapeError):
                 gram(basis, ctx)
-
-
-class TestSpanResidual:
-    def test_member_of_basis(self):
-        basis = [np.array([[0.0, 1.0], [1.0, 0.0]]),
-                 np.array([[1.0, 0.0], [0.0, -1.0]])]
-        resid, coeff = span_residual(basis[0], basis)
-        assert resid <= 1e-14
-        assert_allclose(coeff, [1.0, 0.0], atol=1e-14)
-
-    def test_diagonal_orthogonal_to_zero_diag_span(self):
-        m = np.diag([1.0, 2.0, -1.0]) + 0.3 * (exchangeable_corr(3, 1.0) - np.eye(3))
-        basis = [exchangeable_corr(3, 1.0) - np.eye(3)]
-        resid, _ = span_residual(m, basis)
-        assert resid >= np.linalg.norm(np.diag(m))
-
-    def test_ple_criterion_matrices_exchangeable_p4(self):
-        # The PLE criterion matrices for the exchangeable model lie in the
-        # span of the derivative matrices; assembled here from scratch.
-        theta = 0.3
-        corr = exchangeable_corr(4, theta)
-        s = np.linalg.inv(corr)
-        rdot = exchangeable_corr(4, 1.0) - np.eye(4)
-        ell = corr @ np.diag(np.diag(rdot @ s)) @ corr
-        m = ell - 0.5 * (np.diag(np.diag(ell)) @ corr + corr @ np.diag(np.diag(ell)))
-        resid, _ = span_residual(m, [rdot])
-        assert resid < 1e-10
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(7)
-        p = 4
-        basis = []
-        for _ in range(3):
-            a = rng.standard_normal((p, p))
-            basis.append(a + a.T)
-        m = rng.standard_normal((p, p))
-        m = m + m.T
-        c = rng.standard_normal(3)
-        shifted = m + sum(ci * bi for ci, bi in zip(c, basis))
-        r0, _ = span_residual(m, basis)
-        r1, _ = span_residual(shifted, basis)
-        assert abs(r0 - r1) <= 1e-9
-
-    def test_empty_basis(self):
-        m = np.array([[1.0, 0.5], [0.5, 2.0]])
-        resid, coeff = span_residual(m, [])
-        assert resid == pytest.approx(np.linalg.norm(m))
-        assert coeff.size == 0
-
-    def test_rank_deficient_basis(self):
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        resid, coeff = span_residual(3.0 * b, [b, 2.0 * b])
-        assert resid <= 1e-12
-        # minimum-norm solution of c1 + 2 c2 = 3
-        assert_allclose(coeff[0] + 2 * coeff[1], 3.0, rtol=1e-12)
 
 
 class TestMonteCarloIdentity:
