@@ -12,8 +12,7 @@ bounds.
 from .exceptions import (ConfigError, ConvergenceError, DegenerateMarginError,
                          DomainError, McExperimentError, ShapeError,
                          SingularityError)
-from .numcore import (InnerProductContext, gram, norm_cdf, norm_pdf,
-                      norm_quantile, theta_inner)
+from .numcore import gram, norm_cdf, norm_quantile, theta_inner
 from .models import (Assumption1Report, CorrelationModel, Geometry,
                      adaptivity_demo, build_model, circular, custom_affine,
                      eval_geometry, exchangeable, factor, load_model,
@@ -21,7 +20,7 @@ from .models import (Assumption1Report, CorrelationModel, Geometry,
                      validate_assumption1)
 from .geometry import (DiagnosticReport, EfficiencyBundle, adaptivity_check,
                        d_operator, efficiency_bundle, efficiency_criterion,
-                       efficient_info, efficient_score_matrices, fisher_info,
+                       efficient_info, efficient_score_matrices,
                        generator_function, parametric_score, ple_influence,
                        project_tangent, quad_influence_value, regularity_check,
                        score_generators)
@@ -41,8 +40,7 @@ __all__ = [
     "ConfigError", "ConvergenceError", "DegenerateMarginError", "DomainError",
     "McExperimentError", "ShapeError", "SingularityError",
     # numerics
-    "InnerProductContext", "gram", "norm_cdf", "norm_pdf", "norm_quantile",
-    "theta_inner",
+    "gram", "norm_cdf", "norm_quantile", "theta_inner",
     # models
     "Assumption1Report", "CorrelationModel", "Geometry", "adaptivity_demo",
     "build_model", "circular", "custom_affine", "eval_geometry",
@@ -51,7 +49,7 @@ __all__ = [
     # geometry
     "DiagnosticReport", "EfficiencyBundle", "adaptivity_check", "d_operator",
     "efficiency_bundle", "efficiency_criterion", "efficient_info",
-    "efficient_score_matrices", "fisher_info", "generator_function",
+    "efficient_score_matrices", "generator_function",
     "parametric_score", "ple_influence", "project_tangent",
     "quad_influence_value", "regularity_check", "score_generators",
     # sampling

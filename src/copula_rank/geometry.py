@@ -13,8 +13,11 @@ where the generator weights g_m solve (I + R o S) g = -(dR_m o S) 1
 under <A,B> = tr(ARBR)/2 give the Fisher information, the efficient
 information (whose inverse is the semiparametric variance bound), and the
 asymptotic covariance of the pseudo-likelihood estimator.  All of them are
-fields of one lazy `efficiency_bundle`; the other functions here that
-return them read a bundle.
+fields of one lazy `efficiency_bundle`, which builds each Gram matrix from
+the geometry's R.  Three wrappers still read a bundle field:
+`efficient_score_matrices`, `efficient_info` and `ple_influence`.  No
+package module calls them; they stay because the benchmark's tracer
+(perfbench/tracing.py) times them by name.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "generator_function",
     "efficient_score_matrices",
     "efficient_info",
-    "fisher_info",
     "project_tangent",
     "regularity_check",
     "ple_influence",
@@ -174,11 +176,6 @@ def efficient_info(geom):
     """
     bundle = efficiency_bundle(geom)
     return bundle.eff_info, bundle.eff_info_inv
-
-
-def fisher_info(geom):
-    """Parametric Fisher information: Gram matrix of {-dS_m} under theta_inner."""
-    return efficiency_bundle(geom).fisher
 
 
 def project_tangent(a, geom):
@@ -316,7 +313,7 @@ class EfficiencyBundle:
 
     @cached_property
     def eff_info(self):  # k x k efficient information
-        return gram(self.eff_matrices, self.geometry.ctx)
+        return gram(self.eff_matrices, self.geometry.r)
 
     @cached_property
     def eff_info_inv(self):  # its inverse: the variance bound
@@ -324,7 +321,7 @@ class EfficiencyBundle:
 
     @cached_property
     def fisher(self):  # k x k parametric information
-        return gram(-self.geometry.s_dots, self.geometry.ctx)
+        return gram(-self.geometry.s_dots, self.geometry.r)
 
     @cached_property
     def ple_b(self):  # (k, p, p) matrices B_m generating the PLE
@@ -339,7 +336,7 @@ class EfficiencyBundle:
 
     @cached_property
     def ple_cov(self):  # k x k PLE asymptotic covariance
-        return gram(self.ple_a, self.geometry.ctx)
+        return gram(self.ple_a, self.geometry.r)
 
 
 def efficiency_bundle(geom):

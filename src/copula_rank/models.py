@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
-from .numcore import (InnerProductContext, check_symmetric, identity, pinv, spd_factor,
-                      spd_inverse, sym_eig)
+from .numcore import (check_symmetric, identity, pinv, spd_factor, spd_inverse,
+                      sym_eig)
 
 __all__ = [
     "CorrelationModel",
@@ -158,13 +158,6 @@ class CorrelationModel:
     def r_of_theta(self, theta):
         """Correlation matrix R(theta)."""
         return self.corr_fn(self.theta_vec(theta))
-
-    def r_dot(self, theta, m):
-        """Derivative matrix dR/dtheta_m, a copy of `r_dots(theta)[m]`."""
-        t = self.theta_vec(theta)
-        if not 0 <= m < self.k:
-            raise ShapeError(f"parameter index {m} out of range for k={self.k}")
-        return self._r_dots(t)[m].copy()
 
     def r_dots(self, theta):
         """All k derivative matrices dR/dtheta_m as one C-contiguous
@@ -600,9 +593,9 @@ def validate_assumption1(model, theta):
 class Geometry:
     """All matrices of the model evaluated at a fixed theta.
 
-    r is the correlation matrix, s its inverse, r_dots/s_dots the (k, p, p)
-    arrays of the parameter derivatives of each, and ctx the inner-product
-    context built on r.  s, r_dots and s_dots are C-contiguous.
+    r is the correlation matrix, s its inverse and r_dots/s_dots the
+    (k, p, p) arrays of the parameter derivatives of each.  s, r_dots and
+    s_dots are C-contiguous.
     """
 
     theta: np.ndarray
@@ -610,7 +603,6 @@ class Geometry:
     s: np.ndarray
     r_dots: np.ndarray
     s_dots: np.ndarray
-    ctx: InnerProductContext
 
     @property
     def p(self):
@@ -619,16 +611,6 @@ class Geometry:
     @property
     def k(self):
         return len(self.r_dots)
-
-
-class _ModelContext(InnerProductContext):
-    """The inner-product context on a model's R(theta) that `eval_geometry`
-    has found positive definite: a model builds R(theta) symmetric with unit
-    diagonal, so nothing is checked again, and `chol` is factored only if
-    read."""
-
-    def __post_init__(self):
-        pass
 
 
 def eval_geometry(model, theta):
@@ -661,5 +643,4 @@ def eval_geometry(model, theta):
     r_dots = model._r_dots(t)
     s_dots = -s @ r_dots @ s
     s_dots = 0.5 * (s_dots + s_dots.transpose(0, 2, 1))
-    return Geometry(theta=t, r=r, s=s, r_dots=r_dots, s_dots=s_dots,
-                    ctx=_ModelContext(r))
+    return Geometry(theta=t, r=r, s=s, r_dots=r_dots, s_dots=s_dots)

@@ -1,15 +1,16 @@
 """Scalar normal functions and symmetric-matrix algebra.
 
 Everything downstream is built on two ingredients: the standard normal
-density/cdf/quantile trio (the cdf and quantile are scipy.special's ndtr
-and ndtri, the quantile mirrored about p = 1/2 so that it is exactly odd),
-and the inner product
+cdf and quantile (scipy.special's ndtr and ndtri, the quantile mirrored
+about p = 1/2 so that it is exactly odd), and the inner product
 
     <A, B> = 1/2 tr(A R B R)
 
 on real symmetric p x p matrices, where R is a correlation matrix.  For
 Z ~ N(0, R) this inner product equals Cov(Z'AZ/2, Z'BZ/2), which is why
-Gram matrices built from it are information matrices.
+Gram matrices built from it are information matrices.  `theta_inner` and
+`gram` take R itself and check only that it is a finite symmetric matrix:
+the formula needs nothing more.
 
 This module is the package's only entry point to LAPACK for Cholesky
 factorizations, symmetric eigen-solves and the pseudo-inverse:
@@ -23,8 +24,7 @@ eigh/eigvalsh/pinv, but without their per-call overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd, dgesdd_lwork, dpotrf, dpotrs, dsyevd
@@ -33,10 +33,8 @@ from scipy.special import ndtr, ndtri
 from .exceptions import DomainError, ShapeError, SingularityError
 
 __all__ = [
-    "norm_pdf",
     "norm_cdf",
     "norm_quantile",
-    "InnerProductContext",
     "theta_inner",
     "gram",
     "check_symmetric",
@@ -49,16 +47,6 @@ __all__ = [
     "pinv",
     "identity",
 ]
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-def norm_pdf(x):
-    """Standard normal density, elementwise."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / _SQRT_2PI
-    return float(out) if out.ndim == 0 else out
-
 
 def norm_cdf(x):
     """Standard normal cdf, elementwise."""
@@ -269,47 +257,20 @@ def identity(p):
     return eye
 
 
-@dataclass(frozen=True)
-class InnerProductContext:
-    """Holds the correlation matrix R defining the inner product <A,B> = tr(ARBR)/2.
-
-    Construction validates that R is symmetric with unit diagonal and admits
-    a Cholesky factorization (i.e. is positive definite); `chol` is that
-    lower factor.
-    """
-
-    corr: np.ndarray
-
-    def __post_init__(self):
-        r = check_symmetric(self.corr, name="correlation matrix")
-        if not _all_close(np.diag(r), 1.0, 1e-10):
-            raise ShapeError("correlation matrix must have unit diagonal")
-        object.__setattr__(self, "corr", r)
-        _ = self.chol  # the positive-definiteness check factors R
-
-    @cached_property
-    def chol(self):
-        return spd_factor(self.corr, "correlation matrix is not positive definite")
-
-    @property
-    def dim(self):
-        return self.corr.shape[0]
-
-
-def theta_inner(a, b, ctx):
+def theta_inner(a, b, r):
     """Inner product <A, B> = tr(A R B R) / 2 on symmetric matrices.
 
     Parameters
     ----------
     a, b : (p, p) symmetric arrays
-    ctx : InnerProductContext
+    r : (p, p) symmetric array, the correlation matrix R
 
     Returns
     -------
     float
     """
-    r = ctx.corr
-    p = ctx.dim
+    r = check_symmetric(r, name="correlation matrix")
+    p = r.shape[0]
     a = check_symmetric(a, name="A", p=p)
     b = check_symmetric(b, name="B", p=p)
     ar = a @ r
@@ -318,16 +279,17 @@ def theta_inner(a, b, ctx):
     return 0.5 * float(np.sum(ar * br.T))
 
 
-def gram(basis, ctx):
+def gram(basis, r):
     """Gram matrix of symmetric matrices, a sequence of (p, p) arrays or one
-    (k, p, p) array, under `theta_inner`: entry (i, j) is
-    vec(A_i R) . vec((A_j R)') / 2, one matrix product, symmetrized.
+    (k, p, p) array, under `theta_inner` on the correlation matrix `r`:
+    entry (i, j) is vec(A_i R) . vec((A_j R)') / 2, one matrix product,
+    symmetrized.
 
     The result is symmetric positive semidefinite, and positive definite
     exactly when the basis is linearly independent.
     """
-    prods = check_symmetric_stack(basis, ctx.dim) @ ctx.corr
+    r = check_symmetric(r, name="correlation matrix")
+    prods = check_symmetric_stack(basis, r.shape[0]) @ r
     k = len(prods)
     out = prods.reshape(k, -1) @ prods.transpose(0, 2, 1).reshape(k, -1).T
     return 0.25 * (out + out.T)
-

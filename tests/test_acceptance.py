@@ -17,7 +17,7 @@ import copula_rank.mc as mc
 from copula_rank import (adaptivity_demo, adaptivity_check, circular,
                          efficiency_bundle, efficiency_criterion, efficient_info,
                          efficient_score_matrices, eval_geometry,
-                         exchangeable, factor, fisher_info, gram,
+                         exchangeable, factor, gram,
                          lower_triangle_pairs, one_step, pilot_moment,
                          ple_estimate, ple_influence, rank_transform,
                          run_experiment, sample_copula, theta_inner, toeplitz,
@@ -281,8 +281,8 @@ def test_criterion_9_property_suites(capsys):
             for a_star in eff_matrices:
                 worst_orth = max(worst_orth, float(
                     np.max(np.abs(np.diag(geom.r @ a_star)))))
-            eff = gram(list(eff_matrices), geom.ctx)
-            gap_eigs = np.linalg.eigvalsh(fisher_info(geom) - eff)
+            eff = gram(list(eff_matrices), geom.r)
+            gap_eigs = np.linalg.eigvalsh(efficiency_bundle(geom).fisher - eff)
             worst_psd = max(worst_psd, float(max(0.0, -gap_eigs[0])))
     conditions["orthogonality <= 1e-9"] = worst_orth <= 1e-9
     conditions["information loss PSD"] = worst_psd <= 1e-9
@@ -297,7 +297,7 @@ def test_criterion_9_property_suites(capsys):
             e[m] = h
             fd = (model.r_of_theta(theta + e) - model.r_of_theta(theta - e)) / (2 * h)
             worst_fd = max(worst_fd, float(
-                np.max(np.abs(fd - model.r_dot(theta, m)))))
+                np.max(np.abs(fd - model.r_dots(theta)[m]))))
     conditions["finite differences <= 1e-6"] = worst_fd <= 1e-6
 
     # (c) Monte Carlo covariance identity for quadratic influence functions
@@ -312,7 +312,7 @@ def test_criterion_9_property_suites(capsys):
     qb = 0.5 * (np.einsum("ij,jk,ik->i", z, b, z) - np.sum(b * geom.r))
     prod = (qa - qa.mean()) * (qb - qb.mean())
     se = prod.std(ddof=1) / np.sqrt(len(prod))
-    gap_cov = abs(prod.mean() - theta_inner(a, b, geom.ctx))
+    gap_cov = abs(prod.mean() - theta_inner(a, b, geom.r))
     conditions["covariance identity 3 SE"] = gap_cov <= 3 * se
 
     # (d) bit-exact rank invariance of every estimator under monotone

@@ -6,14 +6,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from copula_rank import (InnerProductContext, adaptivity_check, adaptivity_demo,
-                         circular, custom_affine, d_operator, efficiency_bundle,
-                         efficiency_criterion, efficient_info,
-                         efficient_score_matrices, eval_geometry, exchangeable,
-                         factor, fisher_info, generator_function, norm_cdf,
-                         parametric_score, ple_influence, project_tangent,
-                         quad_influence_value, regularity_check,
-                         score_generators, theta_inner, toeplitz, unrestricted)
+from copula_rank import (adaptivity_check, adaptivity_demo, circular,
+                         d_operator, efficiency_bundle, efficiency_criterion,
+                         efficient_info, efficient_score_matrices,
+                         eval_geometry, exchangeable, factor,
+                         generator_function, norm_cdf, parametric_score,
+                         ple_influence, project_tangent, quad_influence_value,
+                         regularity_check, score_generators, theta_inner,
+                         toeplitz, unrestricted)
 from copula_rank.exceptions import DomainError, ShapeError
 
 THETA_STAR = np.array([0.4945460, -0.4592764, -0.8462492])
@@ -204,15 +204,15 @@ class TestInformationMatrices:
 
     def test_fisher_independence(self):
         geom = eval_geometry(exchangeable(3), np.array([0.0]))
-        assert_allclose(fisher_info(geom), [[3.0]], rtol=1e-14)
+        assert_allclose(efficiency_bundle(geom).fisher, [[3.0]], rtol=1e-14)
 
     def test_fisher_known_margins_ratio(self):
         geom = eval_geometry(exchangeable(3), np.array([0.5]))
-        fisher = fisher_info(geom)
+        fisher = efficiency_bundle(geom).fisher
         _, inv = efficient_info(geom)
         assert_allclose(1.0 / fisher[0, 0], inv[0, 0] / 1.5, rtol=1e-10)
         geom = eval_geometry(circular(), np.array([0.5]))
-        assert_allclose(1.0 / fisher_info(geom)[0, 0], 0.09375, rtol=1e-10)
+        assert_allclose(1.0 / efficiency_bundle(geom).fisher[0, 0], 0.09375, rtol=1e-10)
 
 
 class TestProjectTangent:
@@ -298,7 +298,7 @@ class TestPleInfluence:
         geom = eval_geometry(exchangeable(3), np.array([0.0]))
         b_mats, _, cov = ple_influence(geom)
         assert_allclose(b_mats[0], geom.r_dots[0], atol=1e-13)
-        assert_allclose(cov, np.linalg.inv(fisher_info(geom)), rtol=1e-12)
+        assert_allclose(cov, np.linalg.inv(efficiency_bundle(geom).fisher), rtol=1e-12)
 
     def test_circular_closed_form_grid(self):
         model = circular()
@@ -426,7 +426,7 @@ class TestQuadInfluenceValue:
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean()) <= 3 * se
         var = vals.var(ddof=1)
-        target = theta_inner(a, a, InnerProductContext(geom.r))
+        target = theta_inner(a, a, geom.r)
         var_se = np.sqrt(np.var((vals - vals.mean()) ** 2, ddof=1) / len(vals))
         assert abs(var - target) <= 3 * var_se
 
@@ -444,9 +444,8 @@ class TestBundleAndInvariants:
             mats = efficient_score_matrices(geom)
             for mat in mats:
                 assert np.max(np.abs(np.diag(geom.r @ mat))) <= 1e-9
-            fisher = fisher_info(geom)
-            ctx = InnerProductContext(geom.r)
-            eff = np.array([[theta_inner(a, b, ctx) for b in mats]
+            fisher = efficiency_bundle(geom).fisher
+            eff = np.array([[theta_inner(a, b, geom.r) for b in mats]
                             for a in mats])
             assert np.min(np.linalg.eigvalsh(fisher - eff)) >= -1e-9
 

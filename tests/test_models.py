@@ -37,7 +37,7 @@ class TestBuilders:
         assert_allclose(r, np.array([[1.0, 0.5, 0.5],
                                      [0.5, 1.0, 0.5],
                                      [0.5, 0.5, 1.0]]))
-        rdot = model.r_dot(np.array([0.5]), 0)
+        rdot = model.r_dots(np.array([0.5]))[0]
         assert_allclose(rdot, np.ones((3, 3)) - np.eye(3))
 
     def test_circular_structure(self):
@@ -49,7 +49,7 @@ class TestBuilders:
         for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)):
             assert r[i, j] == pytest.approx(0.4)
         # derivative: 1 on first-neighbor entries, 2*theta on the diagonals
-        rdot = model.r_dot(np.array([0.4]), 0)
+        rdot = model.r_dots(np.array([0.4]))[0]
         assert rdot[0, 1] == pytest.approx(1.0)
         assert rdot[0, 2] == pytest.approx(0.8)
 
@@ -60,7 +60,7 @@ class TestBuilders:
         assert pairs[0] == (1, 0)
         theta = np.linspace(0.05, 0.3, 6)
         for m, (i, j) in enumerate(pairs):
-            rdot = model.r_dot(theta, m)
+            rdot = model.r_dots(theta)[m]
             expected = np.zeros((4, 4))
             expected[i, j] = expected[j, i] = 1.0
             assert_allclose(rdot, expected)
@@ -154,11 +154,6 @@ class TestBuilders:
         with pytest.raises(DomainError):
             model.theta_vec(np.array([np.nan]))
 
-    @pytest.mark.parametrize("m", [2, -1])
-    def test_r_dot_validates_index(self, m):
-        with pytest.raises(ShapeError, match=f"parameter index {m} out of range for k=2"):
-            toeplitz(3).r_dot([0.1, 0.1], m)
-
     def test_r_dots_validates_theta(self):
         for model in (exchangeable(3), toeplitz(4), circular()):
             with pytest.raises(ShapeError):
@@ -176,18 +171,16 @@ class TestDerivativesAndDomains:
             e = np.zeros(model.k)
             e[m] = h
             fd = (model.r_of_theta(theta + e) - model.r_of_theta(theta - e)) / (2 * h)
-            assert np.max(np.abs(model.r_dot(theta, m) - fd)) <= 1e-6
+            assert np.max(np.abs(model.r_dots(theta)[m] - fd)) <= 1e-6
 
     @pytest.mark.parametrize("model,theta", ALL_BUILTINS + [
         (dataclasses.replace(circular(), name="circular_fd", grad_fn=None),
          np.array([0.45]))],
         ids=lambda v: getattr(v, "name", None) or str(v))
-    def test_r_dots_equal_r_dot(self, model, theta):
+    def test_r_dots_stack(self, model, theta):
         # circular_fd has no analytic gradient: finite differences.
         r_dots = model.r_dots(theta)
         assert r_dots.shape == (model.k, model.p, model.p)
-        for m, rd in enumerate(r_dots):
-            assert np.array_equal(rd, model.r_dot(theta, m))
         if model.affine_generators is not None:
             assert r_dots is model.affine_generators
             with pytest.raises(ValueError):
@@ -197,7 +190,7 @@ class TestDerivativesAndDomains:
                              ids=lambda v: getattr(v, "name", None) or str(v))
     def test_derivative_zero_diagonal(self, model, theta):
         for m in range(model.k):
-            assert np.all(np.diag(model.r_dot(theta, m)) == 0.0)
+            assert np.all(np.diag(model.r_dots(theta)[m]) == 0.0)
 
     def test_exchangeable_domain(self):
         model = exchangeable(4)
@@ -418,11 +411,8 @@ class TestSpectrum:
             assert np.array_equal(geom.s_dots, -geom.r_dots)
 
     def test_geometry_factors_nothing(self, factorizations):
-        geom = eval_geometry(exchangeable(100), np.array([0.25]))
+        eval_geometry(exchangeable(100), np.array([0.25]))
         assert len(factorizations) == 0
-        # The context factors R only when its factor is read.
-        assert_allclose(geom.ctx.chol @ geom.ctx.chol.T, geom.r, rtol=0, atol=1e-14)
-        assert len(factorizations) == 1
 
     @pytest.mark.parametrize("model,theta,eig", [(exchangeable(3), -0.6, -0.2),
                                                  (exchangeable(100), 1.01, -0.01),
@@ -623,9 +613,8 @@ class TestGeometry:
             assert a.flags.c_contiguous
 
     def test_factors_r_once(self, factorizations):
-        geom = eval_geometry(toeplitz(4), np.array([0.4945460, -0.4592764, -0.8462492]))
+        eval_geometry(toeplitz(4), np.array([0.4945460, -0.4592764, -0.8462492]))
         assert len(factorizations) == 1
-        assert_allclose(geom.ctx.chol @ geom.ctx.chol.T, geom.r, atol=1e-14)
 
     def test_non_pd_raises_with_eigenvalue(self):
         gen = np.zeros((2, 2))
