@@ -21,9 +21,10 @@ step is the next step, a rejected one's is discarded.  In general an
 evaluation costs one Cholesky factorization of R(theta), which also gives
 S = R^-1, and the pseudo-score, its Jacobian and the step are matrix
 products with S.  For a one-parameter
-model with a theta-free eigenbasis Q (a `Spectrum`), d = diag(Q' Rhat Q) is
-formed once and every iterate is elementwise arithmetic and sums on the
-eigenvalues lam(theta), with no factorization and no LAPACK call.
+model with a theta-free eigenbasis Q (a `Spectrum`), the sample enters only
+through d = diag(Q' Rhat Q), formed once from zhat, and every iterate is
+elementwise arithmetic and sums on the eigenvalues lam(theta), with no
+factorization and no LAPACK call.
 
 The descent is written once, over a block of samples
 (`ple_estimate_block`): `ple_estimate` is a block of one, and a Monte Carlo
@@ -60,14 +61,18 @@ reads `ranks` back from it on first read by the one average-rank rule
 (`_average_ranks`), which also gives a tied column its zhat, and its tied
 columns, those with two equal scores, by one sort on first read.
 
-Rhat is formed once per sample (`RankedSample.rhat`) and shared by every
-estimator, and on a spectral family so is d = diag(Q' Rhat Q), which the
-PLE descent and the one-step update both read (`_spectral_d`).  The
-normal-score grid quantile(i/(n+1)) is formed once per sample size, and
-the moment-pilot map once per model (`CorrelationModel.moment_map`).  Rhat
-is a gemm of two C-order operands rather than BLAS's dsyrk, whose threaded
-form made a p = 100 replication several times slower at OpenBLAS's default
-thread count than at one thread.
+On a spectral family every estimator reads a sample only through d: the
+PLE descent, its moment start sum dlam(0) d / sum dlam(0)^2 (the moment
+pilot's least-squares fit, as `pilot_moment` forms it there too) and the
+balanced one-step update.  A block forms d for all its samples from their
+stacked zhat, d = sum_i (zhat_i Q)^2 / n, one gemm per sample and no Rhat,
+and each sample keeps its row (`_spectral_d`).  Elsewhere Rhat is formed
+once per sample (`RankedSample.rhat`) and shared by every estimator, and
+the moment pilot is `CorrelationModel.moment_map` vec(Rhat), a map built
+once per model.  The normal-score grid quantile(i/(n+1)) is formed once per
+sample size.  Rhat is a gemm of two C-order operands rather than BLAS's
+dsyrk, whose threaded form made a p = 100 replication several times slower
+at OpenBLAS's default thread count than at one thread.
 
 An EstimateResult holds the model and the sample it was fit on, and reads
 its tie warning and its standard errors (a geometry and an information
@@ -116,7 +121,9 @@ class RankedSample:
     exactly tied data, and `tie_columns`, read on first read too, are the
     columns with two equal scores.  pseudo_obs is rank/(n+1), strictly
     inside (0,1).  `rhat` is the read-only `normal_scores_matrix`, formed on
-    first read.
+    first read; a spectral family's estimators never read it, and read
+    d = diag(Q' Rhat Q) instead, which `_spectral_d` forms from zhat and
+    keeps on the sample for the last eigenbasis Q asked.
     """
 
     def __init__(self, zhat):
@@ -147,14 +154,6 @@ class RankedSample:
         rhat = normal_scores_matrix(self)
         rhat.flags.writeable = False
         return rhat
-
-    def _spectral_d(self, basis):
-        """d = diag(Q' Rhat Q) for the eigenbasis Q = `basis`, formed on the
-        first call for that basis and kept for the last basis asked."""
-        kept = self.__dict__.get("_d")
-        if kept is None or kept[0] is not basis:
-            kept = self._d = (basis, (basis * (self.rhat @ basis)).sum(axis=0))
-        return kept[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,9 +401,10 @@ def _matrix_descent(model, rhats):
 def _spectral_descent(spectrum, samples):
     """`_descent`'s evaluate for R(theta) = Q diag(lam) Q' with a theta-free
     Q and one parameter, in one pass over (B, p) arrays.  With
-    d = diag(Q' Rhat Q) (`_spectral_d`), row b holds
+    d = diag(Q' Rhat Q) (`_spectral_d`) and tr Rhat = sum d, Q being
+    orthogonal, row b holds
 
-        f   = (sum log lam + sum d / lam - tr Rhat) / 2, inf unless lam > 0,
+        f   = (sum log lam + sum d / lam - sum d) / 2, inf unless lam > 0,
         psi = sum dlam w,  w = (d - lam) / lam^2,
         J   = sum dlam^2 (lam - 2 d) / lam^3 + sum w d2lam,
 
@@ -416,9 +416,9 @@ def _spectral_descent(spectrum, samples):
     positive-definiteness condition itself: no evaluation factors a matrix.
     A row outside that region is evaluated at lam = 1 beside its f = inf.
     """
-    d_all = _spectral_d(spectrum, samples)
-    trace_all = np.array([float(sample.rhat.trace()) for sample in samples])
     add = np.add.reduce
+    d_all = _spectral_d(spectrum, samples)
+    trace_all = add(d_all, 1)
 
     def evaluate(rows, theta, scoring):
         lam, dlam, d2lam = spectrum.eigen_fn(theta[:, 0])
@@ -449,10 +449,23 @@ def _spectral_descent(spectrum, samples):
 
 
 def _spectral_d(spectrum, samples):
-    """The (B, p) array whose row b is d = diag(Q' Rhat_b Q), formed once
-    per sample (`RankedSample._spectral_d`) and shared by the PLE descent
-    and the one-step update."""
-    return np.array([sample._spectral_d(spectrum.basis) for sample in samples])
+    """The (B, p) array whose row b is d = diag(Q' Rhat_b Q) = sum_i y_i^2 / n
+    over the rows y_i of Y = zhat_b Q, with no Rhat.  The samples that have
+    no d for this Q yet are stacked by n, and each stack takes one (B, n, p)
+    matmul, one gemm per sample, and one sum over n; each sample keeps its
+    row (`_d`, for the last Q asked), so the PLE descent, the moment start
+    and the one-step update read one d.  Every step is along one sample, so
+    a row is the same to the bit in any block."""
+    basis = spectrum.basis
+    stacks = {}
+    for sample in samples:
+        if getattr(sample, "_d", (None,))[0] is not basis:
+            stacks.setdefault(sample.n, []).append(sample)
+    for n, stack in stacks.items():
+        y = np.stack([sample.zhat for sample in stack]) @ basis
+        for sample, d in zip(stack, np.add.reduce(y * y, 1) / n):
+            sample._d = (basis, d)
+    return np.array([sample._d[1] for sample in samples])
 
 
 def _descent(model, samples):
@@ -577,14 +590,30 @@ def _verdict(model, theta, eigs, iteration, history, row):
     return theta.copy(), iteration
 
 
-def _default_init(model, rhat):
-    """(start, from_pilot): the moment pilot where the model has a moment map
-    and the fit is in the domain, else `default_init`."""
-    if model.moment_map is not None:
-        pilot = model.moment_map @ rhat.ravel()
-        if model.domain_check(pilot):
-            return pilot, True
-    return model.theta_vec(model.default_init), False
+def _moment_fits(model, samples):
+    """The (B, k) moment fits of the samples, for a model with a moment map:
+    `moment_map` vec(Rhat), or on a `Spectrum` the same least-squares fit
+    <dR(0), Rhat> / ||dR(0)||^2 = sum dlam(0) d / sum dlam(0)^2 from d
+    (`_spectral_d`), in elementwise row sums."""
+    spectrum = model.spectrum
+    if spectrum is None:
+        return np.array([model.moment_map @ sample.rhat.ravel() for sample in samples])
+    dlam = spectrum.eigen_fn(np.zeros(1))[1]
+    add = np.add.reduce
+    return (add(_spectral_d(spectrum, samples) * dlam, 1) / add(dlam * dlam, 1))[:, None]
+
+
+def _starts(model, samples):
+    """(starts, from_pilot): each sample's moment fit (`_moment_fits`) where
+    the model has a moment map and the fit is in the domain, one
+    `domain_check_block` for the block, else `default_init`."""
+    default = model.theta_vec(model.default_init)
+    if model.moment_map is None:
+        return np.tile(default, (len(samples), 1)), [False] * len(samples)
+    fits = _moment_fits(model, samples)
+    inside = model.domain_check_block(fits)
+    fits[~inside] = default
+    return fits, inside.tolist()
 
 
 def _std_errors(model, theta, n, field):
@@ -597,11 +626,10 @@ def _std_errors(model, theta, n, field):
         return None
 
 
-def _rhat(model, sample):
-    """The sample's Rhat, else ShapeError where its p is not the model's."""
+def _check_p(model, sample):
+    """ShapeError where the sample's p is not the model's."""
     if sample.p != model.p:
         raise ShapeError(f"sample has {sample.p} columns, model needs {model.p}")
-    return sample.rhat
 
 
 def ple_estimate_block(model, samples):
@@ -612,10 +640,9 @@ def ple_estimate_block(model, samples):
     samples = list(samples)
     if not samples:
         return []
-    rhats = [_rhat(model, sample) for sample in samples]
-    starts = [_default_init(model, rhat) for rhat in rhats]
-    outcomes = _descend(model, _descent(model, samples), np.array([t for t, _ in starts]),
-                        [from_pilot for _, from_pilot in starts])
+    for sample in samples:
+        _check_p(model, sample)
+    outcomes = _descend(model, _descent(model, samples), *_starts(model, samples))
     for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
         if not isinstance(outcome, Exception):
             theta, iterations = outcome
@@ -662,14 +689,16 @@ def pilot_moment(model, sample):
     least-squares fit of Rhat - I on the derivative matrices at theta = 0,
     where R(0) = I and they do not all vanish (for affine families, minimize
     ||R(theta) - Rhat||_F; for circular, the mean first-neighbor
-    correlation).  A fit outside the domain is brought into it toward
-    default_init (`model.into_domain`) and flagged.
+    correlation).  On a `Spectrum` the same fit is read from d, with no
+    Rhat (`_moment_fits`), and is the PLE's start to the bit.  A fit outside
+    the domain is brought into it toward default_init (`model.into_domain`)
+    and flagged.
     Other families (dR(0) = 0, or R(0) != I) fall back to ple_estimate.
     Raises ShapeError where the sample's p is not the model's."""
     if model.moment_map is None:
         return ple_estimate(model, sample)
-    theta, clamped = model.into_domain(model.moment_map @ _rhat(model, sample).ravel(),
-                                       model.default_init)
+    _check_p(model, sample)
+    theta, clamped = model.into_domain(_moment_fits(model, [sample])[0], model.default_init)
     return EstimateResult(theta_hat=theta, method="pilot_moment", iterations=0,
                           converged=True, model=model, sample=sample, clamped=clamped)
 
@@ -710,7 +739,7 @@ def one_step_block(model, samples, pilots):
     if len(pilots) != len(samples):
         raise ShapeError(f"{len(samples)} samples but {len(pilots)} pilots")
     for sample in samples:  # ShapeError before any update
-        _rhat(model, sample)
+        _check_p(model, sample)
     if not samples:
         return []
     try:

@@ -14,8 +14,9 @@ A process builds each model once per descriptor, for `McConfig.from_dict`
 and every replication, and once per (descriptor, theta_true) the sampler's
 `CopulaFactor` of R(theta_true) and, in the process that aggregates, the
 bounds at the truth.  A replication pays only for what its sample changes:
-the draw, the ranks, Rhat, d = diag(Q' Rhat Q) on a spectral family, and
-the estimates.
+the draw, the ranks, the estimates, and the statistic they read: on a
+spectral family d = diag(Q' Rhat Q), which the block forms from its
+stacked zhat with no Rhat, and Rhat on any other.
 
 Replications run in blocks of consecutive indices: at most 64 in a serial
 run, which bounds the samples held at once, and max(1, replications //

@@ -50,6 +50,16 @@ def assert_shrunk_into_domain(model, theta, anchor, target):
     assert_allclose(theta, anchor + scale * step, rtol=0, atol=1e-14)
 
 
+def spectral_moment_fit(model, sample):
+    """The moment fit sum dlam(0) d / sum dlam(0)^2 on a Spectrum, with
+    d = sum_i (zhat_i Q)^2 / n = diag(Q' Rhat Q), in the operations that the
+    estimators use for one sample."""
+    y = sample.zhat @ model.spectrum.basis
+    d = np.add.reduce(y * y, 0) / sample.n
+    dlam = model.spectrum.eigen_fn(np.zeros(1))[1][0]
+    return np.add.reduce(d * dlam) / np.add.reduce(dlam * dlam)
+
+
 def _pseudo_score(model, theta, rhat):
     """Reference pseudo-score tr(dS_m (R - Rhat)) = -tr(dR_m S (R - Rhat) S),
     with S = inv(R), independent of the package's objective."""
@@ -278,6 +288,8 @@ class TestComputedOnce:
         assert not estimators._score_grid(57).flags.writeable
 
     def test_rhat_formed_once_per_sample(self, monkeypatch):
+        # A matrix family's estimators share one Rhat; a spectral family's
+        # read d from zhat and form none.
         calls = []
         form = estimators.normal_scores_matrix
 
@@ -286,13 +298,15 @@ class TestComputedOnce:
             return form(sample)
 
         monkeypatch.setattr(estimators, "normal_scores_matrix", counted)
-        model = exchangeable(3)
-        sample = rank_transform(sample_copula(exch_corr(3, 0.5), 80, seed=2))
-        one_step(model, sample, pilot=ple_estimate(model, sample).theta_hat)
-        pilot_moment(model, sample)
-        assert len(calls) == 1 and calls[0] is sample
-        assert not sample.rhat.flags.writeable
-        assert np.array_equal(sample.rhat, form(sample))
+        for model, theta, formed in [(toeplitz(4), THETA_STAR, 1),
+                                     (exchangeable(3), [0.5], 0)]:
+            calls.clear()
+            sample = rank_transform(sample_copula(model.r_of_theta(theta), 80, seed=2))
+            one_step(model, sample, pilot=ple_estimate(model, sample).theta_hat)
+            pilot_moment(model, sample)
+            assert calls == [sample] * formed
+            assert not sample.rhat.flags.writeable
+            assert np.array_equal(sample.rhat, form(sample))
 
     def test_moment_map_built_once_per_model(self, monkeypatch):
         calls = []
@@ -541,13 +555,17 @@ class TestPleEstimate:
         assert info.value.trace[-1][1] <= 1e-8
 
     def test_max_iter_zero_takes_no_step(self, monkeypatch):
+        # The trace holds the start alone: the moment fit from d, which is
+        # moment_map vec(Rhat) up to roundoff.
         model = exchangeable(3)
         sample = rank_transform(sample_copula(exch_corr(3, 0.5), 250, seed=2))
         monkeypatch.setattr(estimators, "_MAX_ITER", 0)
         with pytest.raises(ConvergenceError, match="did not converge") as info:
             ple_estimate(model, sample)
         assert len(info.value.trace) == 1
-        assert np.array_equal(info.value.trace[0][0], model.moment_map @ sample.rhat.ravel())
+        start = info.value.trace[0][0]
+        assert np.array_equal(start, [spectral_moment_fit(model, sample)])
+        assert_allclose(start, model.moment_map @ sample.rhat.ravel(), rtol=2e-15, atol=0)
 
     def test_to_dict_fields(self):
         u = sample_copula(exch_corr(3, 0.2), 50, seed=1)
@@ -812,6 +830,58 @@ class TestBlockSolve:
         assert second.iterations == alone.iterations
 
 
+class TestStackedD:
+    """A spectral block forms d = diag(Q' Rhat Q) from its stacked zhat, and
+    neither a row's d nor its moment start depends on the block."""
+
+    @staticmethod
+    def zhats(model, theta, n):
+        """Samples of sizes n and 12, a tied sample and the Rhat = I/4
+        saddle, as zhat arrays."""
+        r = model.r_of_theta(theta)
+        zhats = [rank_transform(sample_copula(r, n if seed % 2 else 12, seed=seed)).zhat
+                 for seed in range(6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tied = rank_transform(np.round(sample_copula(r, n, seed=7), 2))
+        assert tied.has_ties
+        zhats.insert(2, tied.zhat)
+        zhats.insert(5, quarter_identity_sample(model.p).zhat)
+        return zhats
+
+    @pytest.mark.parametrize("model,theta,n", SPECTRAL,
+                             ids=lambda v: f"{v.name}{v.p}" if hasattr(v, "p") else None)
+    def test_rows_equal_blocks_of_one(self, model, theta, n):
+        zhats = self.zhats(model, theta, n)
+        count = len(zhats)
+
+        def fresh(order):  # new samples, which hold no d yet
+            return [RankedSample(zhats[i]) for i in order]
+
+        d_alone = [estimators._spectral_d(model.spectrum, fresh([i]))[0] for i in range(count)]
+        starts_alone = [estimators._starts(model, fresh([i])) for i in range(count)]
+        rng = np.random.default_rng(0)
+        for order in (np.arange(count), np.arange(count)[::-1], rng.permutation(count)):
+            d = estimators._spectral_d(model.spectrum, fresh(order))
+            starts, from_pilot = estimators._starts(model, fresh(order))
+            for row, i in enumerate(order):
+                assert np.array_equal(d[row], d_alone[i]), (row, i)
+                alone, alone_from_pilot = starts_alone[i]
+                assert np.array_equal(starts[row], alone[0]), (row, i)
+                assert from_pilot[row] == alone_from_pilot[0]
+
+    @pytest.mark.parametrize("model,theta,n", SPECTRAL,
+                             ids=lambda v: f"{v.name}{v.p}" if hasattr(v, "p") else None)
+    def test_equals_diagonal_of_rotated_rhat(self, model, theta, n):
+        # The two orders of summation agree to a few ulps of d's largest entry.
+        basis = model.spectrum.basis
+        for zhat in self.zhats(model, theta, n):
+            sample = RankedSample(zhat)
+            d = estimators._spectral_d(model.spectrum, [sample])[0]
+            reference = np.diag(basis.T @ sample.rhat @ basis)
+            assert_allclose(d, reference, rtol=0, atol=4e-15 * reference.max())
+
+
 def _raise_or_return(row):
     if isinstance(row, Exception):
         raise row
@@ -903,13 +973,48 @@ class TestPilotMoment:
             box=circ.box, default_init=circ.default_init)
         sample = rank_transform(sample_copula(circ.r_of_theta(np.array([0.4])),
                                               150, seed=15))
+        # The ring reads Rhat through the moment map, circular reads d from
+        # its Spectrum: the same fit up to roundoff, and to the bit once the
+        # ring declares that Spectrum too.
         result = pilot_moment(ring, sample)
         assert result.method == "pilot_moment"
-        assert np.array_equal(result.theta_hat, pilot_moment(circ, sample).theta_hat)
+        expected = pilot_moment(circ, sample).theta_hat
+        assert_allclose(result.theta_hat, expected, rtol=1e-15, atol=0)
+        ring = dataclasses.replace(ring, spectrum=circ.spectrum)
+        assert np.array_equal(pilot_moment(ring, sample).theta_hat, expected)
         # dR(0) = 0 for factor loadings: no moment pilot, the PLE is used.
         model = factor(4, 1)
         u = sample_copula(model.r_of_theta(np.linspace(0.3, 0.6, 4)), 150, seed=15)
         assert pilot_moment(model, rank_transform(u)).method == "ple"
+
+    @pytest.mark.parametrize("model,theta,n", SPECTRAL,
+                             ids=lambda v: f"{v.name}{v.p}" if hasattr(v, "p") else None)
+    def test_equals_ple_start_on_spectra(self, monkeypatch, model, theta, n):
+        # One moment rule from d: the pilot is the start that a PLE with no
+        # step budget records, to the bit.
+        monkeypatch.setattr(estimators, "_MAX_ITER", 0)
+        for seed in range(3):
+            zhat = rank_transform(sample_copula(model.r_of_theta(theta), n, seed=seed)).zhat
+            with pytest.raises(ConvergenceError) as info:
+                ple_estimate(model, RankedSample(zhat))
+            pilot = pilot_moment(model, RankedSample(zhat))
+            assert not pilot.clamped
+            assert np.array_equal(pilot.theta_hat, info.value.trace[0][0])
+
+    def test_spectral_fit_outside_domain_shrunk(self, monkeypatch):
+        # The comonotone sample's fit, 1.155, lies outside custom_affine(3)'s
+        # |theta| < 0.894: the pilot is shrunk toward default_init and
+        # flagged, and the PLE starts at default_init.
+        model = SPECTRAL[-1][0]
+        comonotone = rank_transform(sample_copula(np.ones((3, 3)), 250, seed=2))
+        fit = np.array([spectral_moment_fit(model, comonotone)])
+        result = pilot_moment(model, comonotone)
+        assert result.clamped and result.method == "pilot_moment"
+        assert_shrunk_into_domain(model, result.theta_hat, model.default_init, fit)
+        monkeypatch.setattr(estimators, "_MAX_ITER", 0)
+        with pytest.raises(ConvergenceError) as info:
+            ple_estimate(model, comonotone)
+        assert np.array_equal(info.value.trace[0][0], model.default_init)
 
     def test_out_of_domain_fit_shrunk_toward_default(self):
         # toeplitz declares no box to clip onto, so the fit is shrunk toward

@@ -700,29 +700,42 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize("name", ["circular", "exchangeable100"])
     def test_spectral_d_once_per_sample(self, monkeypatch, name):
-        # d = diag(Q' Rhat Q) is formed once per sample and read by both the
-        # PLE descent and the one-step update.
-        returned = {}  # id(sample) -> [sample, d of each call]
-        spectral_d = estimators.RankedSample._spectral_d
+        # d = diag(Q' Rhat Q) is formed once per sample, for the whole block
+        # in one stacked product, and the PLE descent, its moment start and
+        # the one-step update all read that same array.
+        kept = []  # per call, the (Q, d) each sample holds after it
+        spectral_d = estimators._spectral_d
 
-        def recorded(sample, basis):
-            d = spectral_d(sample, basis)
-            returned.setdefault(id(sample), [sample]).append(d)
+        def recorded(spectrum, samples):
+            d = spectral_d(spectrum, samples)
+            kept.append([sample._d for sample in samples])
+            assert all(np.array_equal(row, held) for row, (_, held) in zip(d, kept[-1]))
             return d
 
-        monkeypatch.setattr(estimators.RankedSample, "_spectral_d", recorded)
+        monkeypatch.setattr(estimators, "_spectral_d", recorded)
         config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 6,
                                      "seed": 20260814})
         records = mc._replicate(config, range(6))
         assert not any(failures for _, failures in records)
-        assert len(returned) == 6
-        for _, first, second in returned.values():
-            assert second is first
+        assert len(kept) == 3  # the descent, the starts, the one-step update
+        first = kept[0]
+        assert len(first) == 6
+        assert len({id(d.base) for _, d in first}) == 1  # rows of one stacked d
+        for later in kept[1:]:
+            assert all(a is b for a, b in zip(later, first))
 
     def test_rhat_once_per_replication(self, monkeypatch):
+        # A spectral family reads d from zhat and never forms Rhat; a matrix
+        # family forms it once per replication for the PLE and the one-step.
         calls = counter(monkeypatch, estimators.normal_scores_matrix, estimators)
-        run_experiment({**BASE, "replications": 6})  # ple and one_step
-        assert len(calls) == 6
+        for name, per_replication in [("exchangeable3", 0), ("circular", 0),
+                                      ("exchangeable100", 0), ("toeplitz4", 1)]:
+            calls.clear()
+            config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 6,
+                                         "seed": 20260814})
+            records = mc._replicate(config, range(6))
+            assert not any(failures for _, failures in records)
+            assert len(calls) == 6 * per_replication, name
 
     def test_bounds_once_per_truth(self, monkeypatch):
         calls = counter(monkeypatch, mc.efficiency_bundle, mc)
