@@ -1,14 +1,15 @@
 """Replicated simulation harness.
 
 Each replication r of an experiment draws its sample from the Philox
-stream keyed (seed, r, lane), estimates with every requested estimator,
-and records the error vector theta_hat - theta_true.  An estimator block
-returns a row's failure (solver non-convergence, singular I*) as a value,
-and the records are filled from those values: failures are counted and
+stream keyed (seed, r, lane) and estimates with every requested estimator.
+A block of replications returns one record: its (B, n_estimators, k) array
+of errors theta_hat - theta_true and its list of failures.  An estimator
+block returns a row's failure (solver non-convergence, singular I*) as a
+value, which the record keeps as a NaN row: failures are counted and
 excluded, never imputed, and more than 5% for any estimator aborts the
-experiment, as does anything a block raises.  Aggregation is a sequential
-reduction ordered by replication index, so reports are byte-identical no
-matter how many workers ran the replications.
+experiment, as does anything a block raises.  A run concatenates its
+blocks' arrays in replication order and reduces that one array in order, so
+reports are byte-identical no matter how many workers ran the blocks.
 
 A process builds each model once per descriptor, for `McConfig.from_dict`
 and every replication, and once per (descriptor, theta_true) the sampler's
@@ -40,7 +41,6 @@ import csv
 import json
 import numbers
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -148,11 +148,13 @@ class McConfig:
         if not isinstance(raw.get("output", ""), str):
             raise ConfigError(f"output: expected a directory path string, "
                               f"got {raw['output']!r}")
+        lane = _int_in("lane", raw.get("lane", 0), 0, _WORD_MAX)
+        if lane + len(grid) - 1 > _WORD_MAX:  # a grid's point i runs on lane + i
+            raise ConfigError(f"lane: {len(grid)} theta_grid points from {lane} pass 2**64 - 1")
         return cls(model=json.loads(descriptor), theta_true=theta, n=n,
                    replications=reps, estimators=tuple(ests), seed=seed,
                    workers=_int_in("workers", raw.get("workers", 1), 1),
-                   lane=_int_in("lane", raw.get("lane", 0), 0, _WORD_MAX),
-                   theta_grid=grid)
+                   lane=lane, theta_grid=grid)
 
     def echo(self):
         """The experiment parameters (not execution details like workers):
@@ -247,54 +249,50 @@ def _bounds_at(descriptor_json, theta_true):
 
 def _replicate(config, reps):
     """Run the block of consecutive replications `reps` (a range) of the
-    McConfig `config`; returns one (errors, failures) record per
-    replication: the (n_estimators, k) array of theta_hat - theta_true with
-    a NaN row per failed estimator, and {estimator: "Type: message"}.  The
-    block's latent normals Z are drawn and ranked as one stack, its PLEs
-    solved in one `ple_estimate_block` call, and the one-step updates from
-    them in one `one_step_block` call on the rows whose PLE succeeded.  Each
-    estimator gives every row an EstimateResult or, as a value, the error
-    that failed it, and the records are filled from those outcomes; whatever
-    a block raises aborts the run.  No row depends on the block, so a record
-    is the same in any block.  Top-level so process pools can pickle it."""
+    McConfig `config` and return its record (errors, failures): the
+    (len(reps), n_estimators, k) array of theta_hat - theta_true, a NaN row
+    per failed estimator, and the (replication, estimator, "Type: message")
+    entries in replication order.  The block is drawn and ranked as one
+    stack, its PLEs solved in one `ple_estimate_block` call and the one-step
+    updates from the rows whose PLE succeeded in one `one_step_block` call;
+    each returns a row's failure as a value, and whatever a block raises
+    aborts the run.  No row depends on the block.  Top-level so process
+    pools can pickle it."""
     model, factor = _model_at(*_keys(config))
     estimators = config.estimators
     outcomes = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        samples = _rank_block(_sample_block(factor, config.n, config.seed, reps, config.lane))
-        # The one-step update is pinned to a pseudo-likelihood pilot: in high
-        # dimensions a moment pilot leaves a visible finite-sample bias that
-        # the single update does not remove, while the update from the PLE
-        # re-centers the estimate.  The PLE solve, or its failure, is shared
-        # by every estimator that needs it; for a family with no moment map
-        # `pilot_moment` is that same solve from the same start.
-        pilot_is_ple = model.moment_map is None
-        if pilot_is_ple or "ple" in estimators or "one_step" in estimators:
-            outcomes["ple"] = ple_estimate_block(model, samples)
-        if "pilot_moment" in estimators:
-            outcomes["pilot_moment"] = (outcomes["ple"] if pilot_is_ple
-                                        else [pilot_moment(model, s) for s in samples])
-        if "one_step" in estimators:
-            # a failed PLE fails its row's update; it checked every pilot's domain
-            ples = outcomes["ple"]
-            updates = outcomes["one_step"] = list(ples)
-            solved = [i for i, ple in enumerate(ples) if not isinstance(ple, Exception)]
-            block = one_step_block(model, [samples[i] for i in solved],
-                                   [ples[i].theta_hat for i in solved])
-            for i, update in zip(solved, block):
-                updates[i] = update
-    records = []
-    for row in zip(*(outcomes[est] for est in estimators)):
-        errors = np.full((len(estimators), len(config.theta_true)), np.nan)
-        failures = {}
-        for i, (est, outcome) in enumerate(zip(estimators, row)):
+    samples = _rank_block(_sample_block(factor, config.n, config.seed, reps, config.lane))
+    # The one-step update is pinned to a pseudo-likelihood pilot: in high
+    # dimensions a moment pilot leaves a visible finite-sample bias that the
+    # single update does not remove, while the update from the PLE re-centers
+    # the estimate.  The PLE solve, or its failure, is shared by every
+    # estimator that needs it; for a family with no moment map `pilot_moment`
+    # is that same solve from the same start.
+    pilot_is_ple = model.moment_map is None
+    if pilot_is_ple or "ple" in estimators or "one_step" in estimators:
+        outcomes["ple"] = ple_estimate_block(model, samples)
+    if "pilot_moment" in estimators:
+        outcomes["pilot_moment"] = (outcomes["ple"] if pilot_is_ple
+                                    else [pilot_moment(model, s) for s in samples])
+    if "one_step" in estimators:
+        # a failed PLE fails its row's update; it checked every pilot's domain
+        ples = outcomes["ple"]
+        updates = outcomes["one_step"] = list(ples)
+        solved = [i for i, ple in enumerate(ples) if not isinstance(ple, Exception)]
+        block = one_step_block(model, [samples[i] for i in solved],
+                               [ples[i].theta_hat for i in solved])
+        for i, update in zip(solved, block):
+            updates[i] = update
+    errors = np.full((len(reps), len(estimators), len(config.theta_true)), np.nan)
+    failures = []
+    for i, rep in enumerate(reps):
+        for j, est in enumerate(estimators):
+            outcome = outcomes[est][i]
             if isinstance(outcome, Exception):
-                failures[est] = f"{type(outcome).__name__}: {outcome}"
+                failures.append((rep, est, f"{type(outcome).__name__}: {outcome}"))
             else:
-                errors[i] = outcome.theta_hat - config.theta_true
-        records.append((errors, failures))
-    return records
+                errors[i, j] = outcome.theta_hat - config.theta_true
+    return errors, failures
 
 
 def _blocks(reps, workers):
@@ -336,19 +334,16 @@ def run_experiment(config):
             done = list(pool.map(partial(_replicate, config), blocks))
     else:
         done = [_replicate(config, block) for block in blocks]
-    records = [record for block in done for record in block]
 
     k = len(config.theta_true)
-    errs = np.empty((reps, len(config.estimators), k))
-    for rep, (errors, _) in enumerate(records):
-        errs[rep] = errors
+    errs = np.concatenate([errors for errors, _ in done])
     failed = np.isnan(errs[:, :, 0])
     failures = dict(zip(config.estimators, failed.sum(axis=0).tolist()))
 
     for est, count in failures.items():
         if count > _FAILURE_LIMIT * reps:
-            first = [f"rep {rep}: {fails[est]}"
-                     for rep, (_, fails) in enumerate(records) if est in fails][:5]
+            first = [f"rep {rep}: {text}" for _, listed in done
+                     for rep, name, text in listed if name == est][:5]
             raise McExperimentError(
                 f"estimator {est!r} failed in {count}/{reps} replications "
                 f"(> {_FAILURE_LIMIT:.0%}); first failures: {first}",
@@ -381,15 +376,17 @@ def run_experiment(config):
 
 def run_grid(config):
     """Run a config, an McConfig or a raw dict, and return its list of
-    McReports: one experiment per `theta_grid` point, on lanes 0, 1, ...,
-    or, without a grid, the config's one experiment on its own lane.  The
-    whole config, grid included, is validated before the first point runs."""
+    McReports: one experiment per `theta_grid` point, point i on lane
+    `config.lane + i`, or, without a grid, the config's one experiment on its
+    own lane.  The whole config, grid included, is validated before the
+    first point runs."""
     if isinstance(config, dict):
         config = McConfig.from_dict(config)
     if not config.theta_grid:
         return [run_experiment(config)]
-    return [run_experiment(replace(config, theta_true=theta, lane=lane, theta_grid=()))
-            for lane, theta in enumerate(config.theta_grid)]
+    return [run_experiment(replace(config, theta_true=theta, lane=config.lane + i,
+                                   theta_grid=()))
+            for i, theta in enumerate(config.theta_grid)]
 
 
 def summarize(reports):

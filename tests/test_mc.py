@@ -1,11 +1,13 @@
 """Tests for the Monte Carlo harness."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +88,8 @@ class TestConfig:
         ({"workers": None}, "^workers: "),
         ({"seed": 2**64}, "^seed: "),
         ({"lane": 2**64}, "^lane: "),
+        # a grid's point i runs on lane + i, which must be a 64-bit word too
+        ({"theta_grid": [0.2, 0.5], "lane": 2**64 - 1}, "^lane: "),
     ])
     def test_validation_names_field(self, patch, field):
         raw = {**BASE, **patch}
@@ -168,6 +172,16 @@ class TestConfig:
         assert config.theta_true is None
         assert [t.tolist() for t in config.theta_grid] == [[0.2], [0.5]]
         with pytest.raises(ConfigError, match="theta_true"):
+            run_experiment(config)
+
+    def test_grid_config_without_its_grid_has_no_truth(self):
+        # A grid config stripped of its grid still has no theta_true to run.
+        raw = {key: v for key, v in BASE.items() if key != "theta_true"}
+        config = dataclasses.replace(McConfig.from_dict({**raw, "theta_grid": [0.2]}),
+                                     theta_grid=())
+        message = (r"^theta_true: missing required field "
+                   r"\(a theta_grid config runs through run_grid\)$")
+        with pytest.raises(ConfigError, match=message):
             run_experiment(config)
 
     def test_grid_config_runs_only_through_run_grid(self):
@@ -275,14 +289,18 @@ class TestConfigContract:
     @staticmethod
     def domain_rule_rejects(raw):
         """True when a rule the schema cannot express rejects `raw`: a model
-        that does not build, or a theta of the wrong length or outside the
-        domain."""
+        that does not build, a theta of the wrong length or outside the
+        domain, or a grid whose last point's lane, lane + len(theta_grid) - 1,
+        is past 2**64 - 1."""
         try:
             model = copula_rank.build_model(raw["model"])
         except ConfigError:
             return True
+        grid = raw.get("theta_grid", [])
+        if raw.get("lane", 0) + len(grid) - 1 > 2**64 - 1:
+            return True
         points = [raw["theta_true"]] if "theta_true" in raw else []
-        return not all(model.domain_check(t) for t in points + raw.get("theta_grid", []))
+        return not all(model.domain_check(t) for t in points + grid)
 
     def test_valid_configs_accepted(self):
         import jsonschema
@@ -376,12 +394,11 @@ class TestRunExperiment:
         real = mc._replicate
 
         def flaky(config, reps):
-            records = real(config, reps)
-            for rep, (errors, failures) in zip(reps, records):
-                if rep == 3:
-                    errors[config.estimators.index("ple")] = np.nan
-                    failures["ple"] = "ConvergenceError: forced"
-            return records
+            errors, failures = real(config, reps)
+            if 3 in reps:
+                errors[reps.index(3), config.estimators.index("ple")] = np.nan
+                failures.append((3, "ple", "ConvergenceError: forced"))
+            return errors, failures
 
         monkeypatch.setattr(mc, "_replicate", flaky)
         report = run_experiment({**BASE, "replications": 30})
@@ -396,18 +413,20 @@ class TestRunExperiment:
         real = mc._replicate
 
         def broken(config, reps):
-            records = real(config, reps)
-            for rep, (errors, failures) in zip(reps, records):
+            errors, failures = real(config, reps)
+            for i, rep in enumerate(reps):
                 if rep % 2 == 0:
-                    errors[config.estimators.index("one_step")] = np.nan
-                    failures["one_step"] = "SingularityError: forced"
-            return records
+                    errors[i, config.estimators.index("one_step")] = np.nan
+                    failures.append((rep, "one_step", "SingularityError: forced"))
+            return errors, failures
 
         monkeypatch.setattr(mc, "_replicate", broken)
         with pytest.raises(McExperimentError) as exc:
             run_experiment({**BASE, "replications": 20})
         assert exc.value.failures["one_step"] == 10
-        assert "forced" in str(exc.value)
+        # the first five failures, in replication order
+        first = [f"rep {rep}: SingularityError: forced" for rep in (0, 2, 4, 6, 8)]
+        assert str(exc.value).endswith(f"first failures: {first}")
 
     def test_real_failure_same_through_the_pool(self):
         # factor(5, 1)'s PLE fails in replication 75 at this seed, and
@@ -426,8 +445,8 @@ class TestRunExperiment:
         assert np.array_equal(pooled.errors, serial.errors, equal_nan=True)
 
     def test_failure_values_counted_whatever_their_type(self, monkeypatch):
-        # A block returns a row's failure as a value, and the record takes
-        # any error it finds there as that estimator's failure.
+        # A block returns a row's failure as a value, and the block's record
+        # takes any error it finds there as that estimator's failure.
         real = mc.one_step_block
 
         def one_forced(model, samples, pilots):
@@ -437,9 +456,10 @@ class TestRunExperiment:
 
         monkeypatch.setattr(mc, "one_step_block", one_forced)
         config = McConfig.from_dict({**BASE, "replications": 30})
-        records = mc._replicate(config, range(3))
-        assert [failures for _, failures in records] == [{}, {"one_step": "ShapeError: forced"}, {}]
-        assert np.isnan(records[1][0][1]).all() and not np.isnan(records[1][0][0]).any()
+        errors, failures = mc._replicate(config, range(3))
+        assert failures == [(1, "one_step", "ShapeError: forced")]
+        assert errors.shape == (3, 2, 1)
+        assert np.argwhere(np.isnan(errors)).tolist() == [[1, 1, 0]]
         report = run_experiment(config)
         assert report.failures == {"ple": 0, "one_step": 1}
         assert report.n_success == {"ple": 30, "one_step": 29}
@@ -626,10 +646,10 @@ class TestComputedOnce:
 
         monkeypatch.setattr(mc, "ple_estimate_block", failing)
         config = McConfig.from_dict({**BASE, "seed": 1, "estimators": ["one_step", "ple"]})
-        [(errors, failures)] = mc._replicate(config, range(1))
-        assert errors.shape == (2, 1) and np.isnan(errors).all()
-        assert failures == {"one_step": "ConvergenceError: forced",
-                            "ple": "ConvergenceError: forced"}
+        errors, failures = mc._replicate(config, range(1))
+        assert errors.shape == (1, 2, 1) and np.isnan(errors).all()
+        assert failures == [(0, "one_step", "ConvergenceError: forced"),
+                            (0, "ple", "ConvergenceError: forced")]
         assert len(calls) == 1
         with pytest.raises(McExperimentError) as exc:
             run_experiment({**BASE, "replications": 6, "estimators": ["one_step", "ple"]})
@@ -664,8 +684,8 @@ class TestComputedOnce:
             return check(self, theta)
 
         monkeypatch.setattr(copula_rank.CorrelationModel, "domain_check", counted)
-        records = mc._replicate(config, range(8))
-        assert not any(failures for _, failures in records)
+        errors, failures = mc._replicate(config, range(8))
+        assert failures == [] and not np.isnan(errors).any()
         assert len(calls) / 8 == 3.0
 
     @pytest.mark.parametrize("name,per_replication", [
@@ -677,8 +697,8 @@ class TestComputedOnce:
                                      "seed": 20260814})
         geometries = counter(monkeypatch, estimators.eval_geometry, estimators, mc)
         generators = counter(monkeypatch, geometry.score_generators, geometry)
-        records = mc._replicate(config, range(6))
-        assert not any(failures for _, failures in records)
+        errors, failures = mc._replicate(config, range(6))
+        assert failures == [] and not np.isnan(errors).any()
         assert len(geometries) == len(generators) == 6 * per_replication
 
     def test_one_bit_generator_per_block(self, monkeypatch):
@@ -715,8 +735,8 @@ class TestComputedOnce:
         monkeypatch.setattr(estimators, "_spectral_d", recorded)
         config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 6,
                                      "seed": 20260814})
-        records = mc._replicate(config, range(6))
-        assert not any(failures for _, failures in records)
+        errors, failures = mc._replicate(config, range(6))
+        assert failures == [] and not np.isnan(errors).any()
         assert len(kept) == 3  # the descent, the starts, the one-step update
         first = kept[0]
         assert len(first) == 6
@@ -733,8 +753,8 @@ class TestComputedOnce:
             calls.clear()
             config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 6,
                                          "seed": 20260814})
-            records = mc._replicate(config, range(6))
-            assert not any(failures for _, failures in records)
+            errors, failures = mc._replicate(config, range(6))
+            assert failures == [] and not np.isnan(errors).any()
             assert len(calls) == 6 * per_replication, name
 
     def test_bounds_once_per_truth(self, monkeypatch):
@@ -808,7 +828,7 @@ BLOCK_CONFIGS = {**CRITERION_CONFIGS, "circular-all": {
 
 class TestBlocks:
     """`_replicate` runs a block of consecutive replications and solves their
-    PLEs in one call; no record depends on the block it was solved in."""
+    PLEs in one call; no row of its record depends on the block."""
 
     def test_block_sizes(self):
         def sizes(reps, workers):
@@ -837,6 +857,17 @@ class TestBlocks:
             assert np.array_equal(report.errors, reports[0].errors, equal_nan=True)
         short = run_experiment({**config, "replications": 10})
         assert np.array_equal(short.errors, reports[0].errors[:10], equal_nan=True)
+
+    @pytest.mark.parametrize("name", list(CRITERION_CONFIGS))
+    def test_blocks_raise_no_warning(self, name):
+        # A block runs under no warning filter, so one that warned would
+        # reach the caller; the acceptance configs raise none.
+        config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 64,
+                                     "seed": 20260814})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors, failures = mc._replicate(config, range(64))
+        assert failures == [] and not np.isnan(errors).any()
 
     @pytest.mark.parametrize("name", list(CRITERION_CONFIGS))
     def test_runs_rank_the_latent_normals(self, monkeypatch, name):
@@ -880,9 +911,21 @@ class TestBlocks:
 
 class TestGridAndSummaries:
     def test_run_grid_lanes(self):
-        reports = run_grid({**BASE, "replications": 4, "estimators": ["one_step"],
-                            "theta_grid": [0.2, 0.5]})
+        raw = {**BASE, "replications": 4, "estimators": ["one_step"],
+               "theta_grid": [0.2, 0.5]}
+        reports = run_grid(raw)
         assert [r.config["lane"] for r in reports] == [0, 1]
+        # point i of a grid runs on lane + i, as its own experiment would
+        shifted = run_grid({**raw, "lane": 7})
+        assert [r.config["lane"] for r in shifted] == [7, 8]
+        for report, theta, lane in zip(shifted, (0.2, 0.5), (7, 8)):
+            point = run_experiment({**BASE, "replications": 4, "estimators": ["one_step"],
+                                    "theta_true": theta, "lane": lane})
+            assert report.to_json() == point.to_json()
+            assert np.array_equal(report.errors, point.errors)
+        assert not np.array_equal(shifted[0].errors, reports[0].errors)
+        last = run_grid({**raw, "lane": 2**64 - 2})
+        assert [r.config["lane"] for r in last] == [2**64 - 2, 2**64 - 1]
         assert [r.config["theta_true"] for r in reports] == [[0.2], [0.5]]
         rows = summarize(reports)
         assert len(rows) == 2

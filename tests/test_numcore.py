@@ -406,6 +406,53 @@ class TestLapackEntryPoint:
             ("numpy.linalg", "pinv"), ("numpy.linalg", "solve"), ("numpy.linalg", "cond")}
 
 
+def ignoring_filters(tree):
+    """(line, function) pairs for the warning filters that ignore in a
+    module's syntax tree: `simplefilter` or `filterwarnings` called with the
+    action "ignore", and `catch_warnings(action="ignore")`, however they
+    were imported."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("simplefilter", "filterwarnings"):
+            actions = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "action"]
+        elif name == "catch_warnings":
+            actions = [kw.value for kw in node.keywords if kw.arg == "action"]
+        else:
+            continue
+        if any(isinstance(a, ast.Constant) and a.value == "ignore" for a in actions):
+            found.add((node.lineno, name))
+    return found
+
+
+class TestNoIgnoredWarnings:
+    def test_no_warning_filter_ignores_in_the_package(self):
+        # A warning in the package reaches its caller: the command line
+        # records and prints warnings, and nothing filters one away.
+        package = Path(numcore.__file__).parent
+        found = {path.stem: ignoring_filters(ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(package.glob("*.py"))}
+        assert "cli" in found and "mc" in found  # the rule read the package
+        assert not any(found.values()), found
+
+    def test_rule_sees_every_spelling(self):
+        source = ('warnings.simplefilter("ignore")\n'
+                  'warnings.filterwarnings("ignore", category=RuntimeWarning)\n'
+                  'simplefilter("ignore", RuntimeWarning)\n'
+                  'filterwarnings(action="ignore", message="x")\n'
+                  'warnings.catch_warnings(action="ignore")\n'
+                  'warnings.catch_warnings(record=True)\n'
+                  'warnings.simplefilter("error")\n'
+                  'warnings.filterwarnings("always")\n'
+                  'np.errstate(invalid="ignore")\n')
+        assert ignoring_filters(ast.parse(source)) == {
+            (1, "simplefilter"), (2, "filterwarnings"), (3, "simplefilter"),
+            (4, "filterwarnings"), (5, "catch_warnings")}
+
+
 class TestPinv:
     @pytest.mark.parametrize("shape", [(9, 1), (16, 3), (100, 45), (50, 80), (10000, 1)])
     def test_bit_identical_to_numpy(self, shape):
