@@ -221,7 +221,8 @@ def _rank_block(data):
     as a list of RankedSamples that hold only zhat, without the tie warning.
 
     One argsort orders every column of every row; runs of equal values in
-    the sorted columns reveal constant columns and ties.  The sort need not
+    the sorted columns reveal constant columns and ties, and a block with no
+    repeated value reads neither per column.  The sort need not
     be stable: a run of equal values gets one average rank, so the order
     within it never reaches the output.  The score grid goes into zhat
     through one scatter on the flat positions of the sorted entries, and a
@@ -241,17 +242,20 @@ def _rank_block(data):
     positions += np.arange(0, rows * n * p, n * p)[:, None, None] + np.arange(p)[:, None]
     zhat = data.ravel()[positions]  # the sorted columns, until the scatter
     repeats = zhat[..., 1:] == zhat[..., :-1]
-    constant = repeats.all(axis=2)
     finite = np.isfinite(zhat).all(axis=(1, 2))
-    if constant.any() or not finite.all():
-        row = int((constant.any(axis=1) | ~finite).argmax())
+    bad, tied_rows = ~finite, []
+    if repeats.any():  # else no column is constant or tied
+        constant, tied = repeats.all(axis=2), repeats.any(axis=2)
+        bad |= constant.any(axis=1)
+        tied_rows = tied.any(axis=1).nonzero()[0].tolist()
+    if bad.any():
+        row = int(bad.argmax())
         if not finite[row]:
             raise DomainError("data must be finite")
         raise DegenerateMarginError(f"column {int(constant[row].argmax())} is constant")
-    tied = repeats.any(axis=2)
     zhat = zhat.reshape(rows, n, p)
     zhat.ravel()[positions] = _score_grid(n)
-    for row in tied.any(axis=1).nonzero()[0].tolist():
+    for row in tied_rows:
         ties = tied[row].nonzero()[0]
         zhat[row][:, ties] = norm_quantile(_average_ranks(data[row][:, ties]) / (n + 1.0))
     return [RankedSample(z) for z in zhat]
@@ -382,12 +386,13 @@ def _matrix_descent(model, rhats):
 
     def evaluate(rows, theta, scoring):
         f, norm, slope, steps, eigs = [], [], [], [], []
-        for i, row in enumerate(rows):
-            value, s = _objective_and_inverse(model, theta[i], rhats[row], traces[row])
+        for t, row, score in zip(theta, rows, scoring):
+            rhat = rhats[row]
+            value, s = _objective_and_inverse(model, t, rhat, traces[row])
             if s is None:
                 psi, dx, hess_eigs = np.full(model.k, np.inf), np.full(model.k, np.nan), None
             else:
-                psi, dx, hess_eigs = _descent_step(model, theta[i], s, rhats[row], scoring[i])
+                psi, dx, hess_eigs = _descent_step(model, t, s, rhat, score)
             f.append(value)
             norm.append(max(map(abs, psi.tolist())))
             slope.append(-0.5 * float(psi @ dx))
@@ -549,12 +554,12 @@ def _descend(model, evaluate, theta, scoring):
                                                for v in (rows, theta, f, norm, slope, dx))
         # Armijo on the objective; the slack admits steps whose decrease is
         # below the roundoff of f, which near the optimum is all of them.  The
-        # first round evaluates the full steps (theta + 1.0 * step is
-        # theta + step to the bit) into new arrays, the next iterate, and
-        # each halving round overwrites the rows still searching.
+        # first round evaluates the full steps theta + dx (theta + 1.0 * dx to
+        # the bit) into new arrays, the next iterate, and each halving round
+        # overwrites the rows still searching.
         search, scale, new = range(len(rows)), 1.0, None
         while search and scale > 2.0 ** -30:
-            cand = _take(theta, search) + scale * _take(dx, search)
+            cand = theta + dx if new is None else _take(theta, search) + scale * _take(dx, search)
             # (theta, f, norm, slope, step, eigs) of the candidates
             out = (cand, *evaluate(_take(rows, search), cand, [False] * len(search)))
             new = out if new is None else new
@@ -607,12 +612,13 @@ def _starts(model, samples):
     """(starts, from_pilot): each sample's moment fit (`_moment_fits`) where
     the model has a moment map and the fit is in the domain, one
     `domain_check_block` for the block, else `default_init`."""
-    default = model.theta_vec(model.default_init)
     if model.moment_map is None:
-        return np.tile(default, (len(samples), 1)), [False] * len(samples)
+        return (np.tile(model.theta_vec(model.default_init), (len(samples), 1)),
+                [False] * len(samples))
     fits = _moment_fits(model, samples)
     inside = model.domain_check_block(fits)
-    fits[~inside] = default
+    if not inside.all():
+        fits[~inside] = model.theta_vec(model.default_init)
     return fits, inside.tolist()
 
 

@@ -11,10 +11,14 @@ experiment, as does anything a block raises.  A run concatenates its
 blocks' arrays in replication order and reduces that one array in order, so
 reports are byte-identical no matter how many workers ran the blocks.
 
+A config computes its cache key, its descriptor JSON and theta_true as a
+tuple of floats, once, and `McConfig.from_dict` hands over the key it read.
 A process builds each model once per descriptor, for `McConfig.from_dict`
-and every replication, and once per (descriptor, theta_true) the sampler's
-`CopulaFactor` of R(theta_true) and, in the process that aggregates, the
-bounds at the truth.  A replication pays only for what its sample changes:
+and every replication.  Once per (descriptor, theta_true) it runs the
+truth's domain check (a truth that fails is checked again on every call),
+factors R(theta_true) into the sampler's `CopulaFactor` and, in the process
+that aggregates, forms the bounds at the truth.  Each config still holds
+its own theta_true array.  A replication pays only for what its sample changes:
 the draw, the ranks, the estimates, and the statistic they read: on a
 spectral family d = diag(Q' Rhat Q), which the block forms from its
 stacked zhat with no Rhat, and Rhat on any other.
@@ -43,7 +47,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -72,26 +76,54 @@ _FAILURE_LIMIT = 0.05
 _BLOCK = 64
 
 
-def _theta_point(model, key, value):
-    """`value`, a number or a list of numbers, as a validated in-domain theta
-    vector of `model`, else ConfigError naming `key`.  As in JSON Schema, a
-    bool is not a number."""
+def _canonical(descriptor):
+    """A model descriptor's JSON, keys in the given order: the cache key."""
+    return json.dumps(descriptor, default=np.ndarray.tolist)
+
+
+def _keys(config):
+    """The cache keys of a config's model and truth: its descriptor JSON and
+    theta_true as a tuple of floats."""
+    return _canonical(config.model), tuple(float(v) for v in config.theta_true)
+
+
+@lru_cache(maxsize=8)
+def _model(descriptor_json):
+    """The model of a descriptor JSON, built once per process."""
+    return build_model(json.loads(descriptor_json))
+
+
+@lru_cache(maxsize=8)
+def _require(descriptor_json, theta):
+    """`require` of the descriptor's model on `theta`, a tuple of floats, in
+    full once per process for each point it passes.  A point it rejects
+    raises on every call: lru_cache keeps no exception."""
+    _model(descriptor_json).require(np.array(theta))
+
+
+def _theta_point(descriptor_json, key, value):
+    """`value`, a number or a list of numbers, as a validated theta in the
+    domain of the descriptor's model, a tuple of floats, else ConfigError
+    naming `key`.  As in JSON Schema, a bool is not a number."""
     items = value if isinstance(value, (list, tuple)) else [value]
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
         raise ConfigError(f"{key}: expected a number or a list of numbers, got {value!r}")
     try:
-        return model.require(value)
+        theta = tuple(float(v) for v in items)
+        _require(descriptor_json, theta)
     except (TypeError, ValueError) as exc:  # ShapeError, DomainError included
         raise ConfigError(f"{key}: {exc}") from exc
+    return theta
 
 
-def _theta_grid(model, value):
+def _theta_grid(descriptor_json, value):
     """`value` as a tuple of theta vectors: a nonempty list of numbers (k = 1)
     or of length-k lists, each in the domain; else ConfigError naming
     theta_grid."""
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"theta_grid: expected a nonempty list, got {value!r}")
-    return tuple(_theta_point(model, "theta_grid", theta) for theta in value)
+    return tuple(np.array(_theta_point(descriptor_json, "theta_grid", theta))
+                 for theta in value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +160,10 @@ class McConfig:
         except (TypeError, ValueError) as exc:  # not JSON: built for its own error text
             build_model(raw["model"])
             raise ConfigError(f"model: expected a JSON descriptor ({exc})") from exc
-        model = _model(descriptor)
-        grid = _theta_grid(model, raw["theta_grid"]) if "theta_grid" in raw else ()
+        _model(descriptor)  # a descriptor that does not build fails first
+        grid = _theta_grid(descriptor, raw["theta_grid"]) if "theta_grid" in raw else ()
         if "theta_true" in raw:
-            theta = _theta_point(model, "theta_true", raw["theta_true"])
+            theta = _theta_point(descriptor, "theta_true", raw["theta_true"])
         elif grid:
             theta = None
         else:
@@ -151,10 +183,17 @@ class McConfig:
         lane = _int_in("lane", raw.get("lane", 0), 0, _WORD_MAX)
         if lane + len(grid) - 1 > _WORD_MAX:  # a grid's point i runs on lane + i
             raise ConfigError(f"lane: {len(grid)} theta_grid points from {lane} pass 2**64 - 1")
-        return cls(model=json.loads(descriptor), theta_true=theta, n=n,
-                   replications=reps, estimators=tuple(ests), seed=seed,
-                   workers=_int_in("workers", raw.get("workers", 1), 1),
-                   lane=lane, theta_grid=grid)
+        config = cls(model=json.loads(descriptor),
+                     theta_true=None if theta is None else np.array(theta), n=n,
+                     replications=reps, estimators=tuple(ests), seed=seed,
+                     workers=_int_in("workers", raw.get("workers", 1), 1),
+                     lane=lane, theta_grid=grid)
+        if theta is not None:  # the key `_keys` would compute, with no second json.dumps
+            config.__dict__["_key"] = (descriptor, theta)
+        return config
+
+    # The (descriptor JSON, theta_true) cache key, computed once per config.
+    _key = cached_property(_keys)
 
     def echo(self):
         """The experiment parameters (not execution details like workers):
@@ -212,23 +251,6 @@ class McReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _canonical(descriptor):
-    """A model descriptor's JSON, keys in the given order: the cache key."""
-    return json.dumps(descriptor, default=np.ndarray.tolist)
-
-
-def _keys(config):
-    """The cache keys of a config's model and truth: its descriptor JSON and
-    theta_true as a tuple of floats."""
-    return _canonical(config.model), tuple(float(v) for v in config.theta_true)
-
-
-@lru_cache(maxsize=8)
-def _model(descriptor_json):
-    """The model of a descriptor JSON, built once per process."""
-    return build_model(json.loads(descriptor_json))
-
-
 @lru_cache(maxsize=8)
 def _model_at(descriptor_json, theta_true):
     """The model and the CopulaFactor of R(theta_true), once per process."""
@@ -258,7 +280,7 @@ def _replicate(config, reps):
     each returns a row's failure as a value, and whatever a block raises
     aborts the run.  No row depends on the block.  Top-level so process
     pools can pickle it."""
-    model, factor = _model_at(*_keys(config))
+    model, factor = _model_at(*config._key)
     estimators = config.estimators
     outcomes = {}
     samples = _rank_block(_sample_block(factor, config.n, config.seed, reps, config.lane))
@@ -305,8 +327,10 @@ def _blocks(reps, workers):
 
 def pool_size(config):
     """The worker processes `run_experiment` starts for an McConfig:
-    min(workers, replications, logical cores); 1 runs in the caller."""
-    return min(config.workers, config.replications, os.cpu_count() or 1)
+    min(workers, replications, logical cores); 1 runs in the caller, and
+    asks for no core count."""
+    workers = min(config.workers, config.replications)
+    return workers if workers == 1 else min(workers, os.cpu_count() or 1)
 
 
 def run_experiment(config):
@@ -364,7 +388,7 @@ def run_experiment(config):
         n_variance[est] = config.n * variance[est]
 
     eff_bound, ple_bound = (None if b is None else b.copy()
-                            for b in _bounds_at(*_keys(config)))
+                            for b in _bounds_at(*config._key))
     return McReport(
         config=config.echo(), estimators=config.estimators, k=k,
         bias=bias, variance=variance, n_variance=n_variance,

@@ -104,13 +104,16 @@ def _sample_block(r, n, seed, reps, lane=0):
     (len(reps), n, p) array whose row b is replication reps[b]'s draw;
     `sample_copula` is Phi of a row.  One bit generator draws every row: it
     starts on the stream of reps[0] and has its counter reset to each later
-    one.  The factor multiplies the stack in one matmul, one gemm per row."""
+    one from the fresh stream's state, which it reads only where the block
+    has a second row.  The factor multiplies the stack in one matmul, one
+    gemm per row."""
     if n < 1:
         raise DomainError("n must be >= 1")
     chol = r.chol if isinstance(r, CopulaFactor) else _copula_factor(r)
     rng = copula_stream(seed, rep=reps[0], lane=lane)
     bitgen = rng.bit_generator
-    start = bitgen.state  # a fresh stream: empty buffer, counter [0, 0, rep, lane]
+    if len(reps) > 1:
+        start = bitgen.state  # a fresh stream: empty buffer, counter [0, 0, rep, lane]
     z = np.empty((len(reps), n, chol.shape[0]))
     for row, rep in enumerate(reps):
         if row:

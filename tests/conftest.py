@@ -13,7 +13,8 @@ from copula_rank import estimators, mc
 def clear_process_caches():
     """Empty every process-level cache before each test, so that call counts
     and monkeypatched builders see no state left by earlier tests."""
-    for cache in (mc._model, mc._model_at, mc._bounds_at, estimators._score_grid):
+    for cache in (mc._model, mc._require, mc._model_at, mc._bounds_at,
+                  estimators._score_grid):
         cache.cache_clear()
 
 

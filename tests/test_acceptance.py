@@ -204,7 +204,7 @@ def test_criterion_6_mc_desk_scale_variances(capsys):
            f"2000-rep n=250 desk runs: n*Var(OSE) {nv_exch:.4f} vs 1/3 and "
            f"{nv_circ:.4f} vs 0.140625, n*Var(PLE) {nv_circ_ple:.4f} vs "
            f"0.142578 (10% bands; devs {[f'{d:.1%}' for d in devs]}), "
-           f"variance floor 0.85x bound respected, {elapsed:.0f}s")
+           f"variance floor 0.85x bound respected, {elapsed:.2f}s")
     assert ok, (devs, floors, elapsed)
 
 
@@ -220,7 +220,7 @@ def test_criterion_7_toeplitz4_finite_sample_inefficiency(capsys):
     report(capsys, 7, ok,
            f"Toeplitz p=4 at the low-efficiency point, n=250: "
            f"Var(PLE)/Var(OSE) = {np.round(ratio, 2).tolist()} "
-           f"(components 1,2 >= 3), {elapsed:.0f}s")
+           f"(components 1,2 >= 3), {elapsed:.2f}s")
     assert ok, (ratio, elapsed)
 
 
@@ -245,7 +245,7 @@ def test_criterion_8_high_dimensional_bias(capsys):
            f"p=100, n=50, 200 reps: |bias(OSE)| {bias_ose:.4f} <= 0.01 while "
            f"|bias(PLE)| {bias_ple:.4f} >= 3x larger (the pseudo-likelihood "
            f"fits R(theta) to Rhat ~ sigma_50^2 R = 0.8703 R; the one-step "
-           f"update is blind to the factor), {elapsed:.0f}s")
+           f"update is blind to the factor), {elapsed:.2f}s")
     assert ok, (bias_ose, bias_ple, elapsed)
 
 
@@ -345,5 +345,5 @@ def test_criterion_9_property_suites(capsys):
            f"property suites: orthogonality {worst_orth:.1e}, PSD defect "
            f"{worst_psd:.1e}, FD error {worst_fd:.1e}, covariance-identity "
            f"gap {gap_cov:.1e} vs 3SE {3 * se:.1e}, rank invariance and "
-           f"worker determinism exact, {elapsed:.0f}s")
+           f"worker determinism exact, {elapsed:.2f}s")
     assert ok, (conditions, elapsed)

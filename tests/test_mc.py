@@ -616,6 +616,89 @@ class TestModelCache:
         assert in_process == fresh + fresh
 
 
+class TestFixedCosts:
+    """A config computes its cache key once, and a process checks a truth's
+    domain once; a rejected truth is checked again on every call."""
+
+    def test_key_computed_once(self, monkeypatch):
+        calls = counter(monkeypatch, mc._canonical, mc)
+        config = McConfig.from_dict({**BASE, "replications": 3})
+        assert len(calls) == 1  # from_dict's own, which the config keeps as its key
+        direct = McConfig(model={"family": "circular"}, theta_true=np.array([0.25]), n=40,
+                          replications=3, estimators=("ple", "one_step"), seed=2)
+        replaced = dataclasses.replace(config, theta_true=np.array([0.25]), lane=1)
+        for made, dumps in ((config, 0), (direct, 1), (replaced, 1)):
+            before = len(calls)
+            for _ in range(2):
+                run_experiment(made)
+            assert len(calls) - before == dumps
+            assert made._key is made._key
+            assert made._key == mc._keys(made)  # one more call, from scratch
+        assert replaced._key == (config._key[0], (0.25,))
+        grid = McConfig.from_dict({**BASE, "replications": 2, "theta_grid": [0.1, 0.2]})
+        before = len(calls)
+        run_grid(grid)
+        assert len(calls) - before == 2  # one key per point
+
+    @pytest.mark.parametrize("model,theta", [
+        ({"family": "exchangeable", "p": 3}, [1.5]),
+        ({"family": "exchangeable", "p": 3}, [0.5, 0.1]),
+        ({"family": "toeplitz", "p": 4}, [0.9, 0.0, -0.9]),
+        ({"family": "toeplitz", "p": 4}, 0.5),
+    ])
+    def test_rejected_truth_checked_every_call(self, monkeypatch, model, theta):
+        checks = []
+        check = copula_rank.CorrelationModel.domain_check
+
+        def counted(self, point):
+            checks.append(point)
+            return check(self, point)
+
+        monkeypatch.setattr(copula_rank.CorrelationModel, "domain_check", counted)
+        texts = []
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="^theta_true: ") as exc:
+                McConfig.from_dict({**BASE, "model": model, "theta_true": theta})
+            texts.append(str(exc.value))
+        assert texts == texts[:1] * 3
+        assert mc._require.cache_info().currsize == 0
+        assert len(checks) == (3 if "outside the domain" in texts[0] else 0)
+
+    def test_accepted_truth_checked_once(self, monkeypatch):
+        config = {**CRITERION_CONFIGS["toeplitz4"], "replications": 1, "seed": 1}
+        checks = counter(monkeypatch, mc._require, mc)
+        eigen = counter(monkeypatch, copula_rank.models.sym_eig, copula_rank.models)
+        first = McConfig.from_dict(config)
+        assert len(eigen) == 1  # toeplitz has no box: the check is an eigen-solve
+        second = McConfig.from_dict({**config, "lane": 3})
+        assert len(checks) == 2 and len(eigen) == 1
+
+        # Equal truths, and arrays of their own.
+        assert np.array_equal(first.theta_true, second.theta_true)
+        assert not np.shares_memory(first.theta_true, second.theta_true)
+        first.theta_true[0] = 0.0
+        assert second.theta_true[0] == config["theta_true"][0]
+
+    def test_each_config_keeps_its_own_zero(self):
+        # 0.0 and -0.0 share a cache key, but each config echoes its own.
+        plus = McConfig.from_dict({**BASE, "theta_true": [0.0]})
+        minus = McConfig.from_dict({**BASE, "theta_true": [-0.0]})
+        assert plus._key == minus._key
+        assert [math.copysign(1.0, c.echo()["theta_true"][0]) for c in (plus, minus)] == [
+            1.0, -1.0]
+
+    def test_serial_pool_size_asks_no_core_count(self, monkeypatch, serial_pool):
+        def no_count():
+            raise AssertionError("os.cpu_count called")
+
+        monkeypatch.setattr(os, "cpu_count", no_count)
+        for workers, reps in ((1, 3), (1, 1), (4, 1)):
+            config = McConfig.from_dict({**BASE, "replications": reps, "workers": workers})
+            assert mc.pool_size(config) == 1
+            assert run_experiment(config).n_success == {"ple": reps, "one_step": reps}
+        assert serial_pool == []
+
+
 def counter(monkeypatch, fn, *modules):
     """Replace `fn` by a counting wrapper in each module; returns the calls."""
     calls = []

@@ -312,3 +312,35 @@ class TestStackedFrontEnd:
         data[1, 3, 1] = np.inf
         with pytest.raises(DomainError, match=r"^data must be finite$"):
             _rank_block(data.copy())
+
+    def test_mixed_block_rows_equal_blocks_of_one(self):
+        # A block with no repeated value reads no constant or tie flags, so a
+        # tie-free row is ranked down both paths: alone, and beside a tied row.
+        rng = np.random.default_rng(11)
+        data = rng.standard_normal((4, 30, 3))
+        data[2, 4, 1] = data[2, 17, 1]  # the one tied row
+        block = _rank_block(data.copy())
+        assert [row.tie_columns for row in block] == [(), (), (1,), ()]
+        for row, x in zip(block, data):
+            assert_same_sample(row, _rank_block(x[None].copy())[0])
+
+        def error_text(stack):
+            with pytest.raises((DegenerateMarginError, DomainError)) as exc:
+                _rank_block(stack.copy())
+            return f"{type(exc.value).__name__}: {exc.value}"
+
+        # A constant column, then a non-finite entry with no repeat, among
+        # tie-free rows: the block raises what its first bad row raises alone.
+        clean = np.delete(data, 2, axis=0)
+        for row, col, value in ((1, 2, None), (2, 0, np.nan), (0, 1, np.inf)):
+            bad = clean.copy()
+            if value is None:
+                bad[row, :, col] = 0.25
+            else:
+                bad[row, 7, col] = value
+            assert error_text(bad) == error_text(bad[row][None]), (row, col, value)
+        bad = clean.copy()
+        bad[1, :, 0] = -1.0  # constant, and a later row not finite
+        bad[2, 3, 2] = np.nan
+        assert error_text(bad) == error_text(bad[1][None]) == (
+            "DegenerateMarginError: column 0 is constant")
