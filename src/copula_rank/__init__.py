@@ -24,7 +24,7 @@ from .geometry import (DiagnosticReport, EfficiencyBundle, adaptivity_check,
                        generator_function, parametric_score, ple_influence,
                        project_tangent, quad_influence_value, regularity_check,
                        score_generators)
-from .sampler import CopulaFactor, apply_margins, copula_stream, sample_copula
+from .sampler import apply_margins, copula_stream, sample_copula
 from .estimators import (EstimateResult, RankedSample, one_step, one_step_block,
                          pilot_moment, ple_estimate, ple_estimate_block,
                          rank_transform, sigma_n_sq)
@@ -53,7 +53,7 @@ __all__ = [
     "parametric_score", "ple_influence", "project_tangent",
     "quad_influence_value", "regularity_check", "score_generators",
     # sampling
-    "CopulaFactor", "apply_margins", "copula_stream", "sample_copula",
+    "apply_margins", "copula_stream", "sample_copula",
     # estimators
     "EstimateResult", "RankedSample", "one_step", "one_step_block", "pilot_moment",
     "ple_estimate", "ple_estimate_block", "rank_transform", "sigma_n_sq",

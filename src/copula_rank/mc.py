@@ -14,11 +14,11 @@ reports are byte-identical no matter how many workers ran the blocks.
 A config computes its cache key, its descriptor JSON and theta_true as a
 tuple of floats, once, and `McConfig.from_dict` hands over the key it read.
 A process builds each model once per descriptor, for `McConfig.from_dict`
-and every replication.  Once per (descriptor, theta_true) it runs the
-truth's domain check (a truth that fails is checked again on every call),
-factors R(theta_true) into the sampler's `CopulaFactor` and, in the process
-that aggregates, forms the bounds at the truth.  Each config still holds
-its own theta_true array.  A replication pays only for what its sample changes:
+and every replication.  One cache entry per (descriptor, theta_true) holds
+the truth's domain check and the sampler's factor of R(theta_true) (a truth
+that fails is checked again on every call); the process that aggregates
+also forms the bounds at the truth.  Each config still holds its own
+theta_true array.  A replication pays only for what its sample changes:
 the draw, the ranks, the estimates, and the statistic they read: on a
 spectral family d = diag(Q' Rhat Q), which the block forms from its
 stacked zhat with no Rhat, and Rhat on any other.
@@ -55,7 +55,7 @@ from .estimators import _rank_block, one_step_block, pilot_moment, ple_estimate_
 from .exceptions import ConfigError, McExperimentError, ShapeError, SingularityError
 from .geometry import efficiency_bundle
 from .models import build_model, eval_geometry
-from .sampler import _WORD_MAX, CopulaFactor, _int_in, _sample_block
+from .sampler import _WORD_MAX, _copula_factor, _int_in, _sample_block
 
 __all__ = [
     "McConfig",
@@ -94,11 +94,15 @@ def _model(descriptor_json):
 
 
 @lru_cache(maxsize=8)
-def _require(descriptor_json, theta):
-    """`require` of the descriptor's model on `theta`, a tuple of floats, in
-    full once per process for each point it passes.  A point it rejects
-    raises on every call: lru_cache keeps no exception."""
-    _model(descriptor_json).require(np.array(theta))
+def _truth(descriptor_json, theta):
+    """The descriptor's model and the sampler's read-only factor of
+    R(theta), once per process for each point `theta`, a tuple of floats,
+    that the model's `require` passes.  A point it rejects raises on every
+    call: lru_cache keeps no exception."""
+    model = _model(descriptor_json)
+    theta = np.array(theta)
+    model.require(theta)
+    return model, _copula_factor(model.r_of_theta(theta))
 
 
 def _theta_point(descriptor_json, key, value):
@@ -110,7 +114,7 @@ def _theta_point(descriptor_json, key, value):
         raise ConfigError(f"{key}: expected a number or a list of numbers, got {value!r}")
     try:
         theta = tuple(float(v) for v in items)
-        _require(descriptor_json, theta)
+        _truth(descriptor_json, theta)
     except (TypeError, ValueError) as exc:  # ShapeError, DomainError included
         raise ConfigError(f"{key}: {exc}") from exc
     return theta
@@ -252,13 +256,6 @@ class McReport:
 
 
 @lru_cache(maxsize=8)
-def _model_at(descriptor_json, theta_true):
-    """The model and the CopulaFactor of R(theta_true), once per process."""
-    model = _model(descriptor_json)
-    return model, CopulaFactor(model.r_of_theta(np.array(theta_true)))
-
-
-@lru_cache(maxsize=8)
 def _bounds_at(descriptor_json, theta_true):
     """diag(I*^-1) and diag(PLE covariance) at theta_true as read-only views,
     or (None, None) where singular; once per process."""
@@ -280,10 +277,10 @@ def _replicate(config, reps):
     each returns a row's failure as a value, and whatever a block raises
     aborts the run.  No row depends on the block.  Top-level so process
     pools can pickle it."""
-    model, factor = _model_at(*config._key)
+    model, chol = _truth(*config._key)
     estimators = config.estimators
     outcomes = {}
-    samples = _rank_block(_sample_block(factor, config.n, config.seed, reps, config.lane))
+    samples = _rank_block(_sample_block(chol, config.n, config.seed, reps, config.lane))
     # The one-step update is pinned to a pseudo-likelihood pilot: in high
     # dimensions a moment pilot leaves a visible finite-sample bias that the
     # single update does not remove, while the update from the PLE re-centers

@@ -88,6 +88,10 @@ def norm_quantile(p):
     return float(q) if q.ndim == 0 else q
 
 
+# The largest |a - a'| entry `check_symmetric` and `check_symmetric_stack` accept.
+_SYMMETRY_ATOL = 1e-8
+
+
 def _all_close(x, y, atol):
     """np.allclose(x, y, rtol=0, atol=atol) for equal-shape arrays, without
     its overhead: every entry pair is equal (so equal infinities pass) or
@@ -99,21 +103,22 @@ def _all_close(x, y, atol):
         return bool(np.all(equal | (np.abs(x - y) <= atol)))
 
 
-def check_symmetric(a, name="matrix", atol=1e-8, p=None):
+def check_symmetric(a, name="matrix", p=None):
     """Validate that `a` is a finite square symmetric 2-d array, p x p when
-    `p` is given, and return it as float.  Raises ShapeError for a shape or
+    `p` is given, and return it as float; symmetric means within
+    _SYMMETRY_ATOL of its transpose.  Raises ShapeError for a shape or
     symmetry fault and ValueError for a non-finite entry."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
     if p is not None and a.shape[0] != p:
         raise ShapeError(f"{name} has dim {a.shape[0]}, expected {p}")
-    if not _all_close(_finite(a), a.T, atol):
+    if not _all_close(_finite(a), a.T, _SYMMETRY_ATOL):
         raise ShapeError(f"{name} is not symmetric")
     return a
 
 
-def check_symmetric_stack(mats, p, name="basis", atol=1e-8):
+def check_symmetric_stack(mats, p, name="basis"):
     """Validate a nonempty sequence of finite symmetric p x p matrices, or
     one (k, p, p) array, and return it as one float (k, p, p) array.  Raises
     ShapeError for a shape or symmetry fault and ValueError for a non-finite
@@ -124,7 +129,7 @@ def check_symmetric_stack(mats, p, name="basis", atol=1e-8):
         a = np.empty(0)
     if a.ndim != 3 or a.shape[1:] != (p, p) or len(a) == 0:
         raise ShapeError(f"{name} must be a nonempty stack of {p} x {p} matrices")
-    if not _all_close(_finite(a), a.transpose(0, 2, 1), atol):
+    if not _all_close(_finite(a), a.transpose(0, 2, 1), _SYMMETRY_ATOL):
         raise ShapeError(f"{name} is not symmetric")
     return a
 

@@ -7,11 +7,12 @@ disjoint streams no matter how work is scheduled across workers.
 
 The draw is written once, over a block of replications stacked as one
 (B, n, p) array of latent normals Z (`_sample_block`): one bit generator
-reset to each replication's stream, and one matmul with the factor, one
-gemm per row, so a row is the same to the bit in any block.
-`sample_copula` is Phi of a block of one.  A Monte Carlo run ranks Z
-itself: the estimators read only ranks, and Phi and the margin transforms
-of `apply_margins` are strictly increasing.
+reset to each replication's stream, and one matmul with the read-only
+Cholesky factor of R (`_copula_factor`), one gemm per row, so a row is the
+same to the bit in any block.  `sample_copula` is Phi of a block of one.
+A Monte Carlo run factors its R once, draws every block from that factor
+and ranks Z itself: the estimators read only ranks, and Phi and the margin
+transforms of `apply_margins` are strictly increasing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .exceptions import ConfigError, DomainError, ShapeError
 from .numcore import (check_symmetric, cholesky_lower, identity, norm_cdf, norm_quantile,
                       spd_factor)
 
-__all__ = ["CopulaFactor", "sample_copula", "apply_margins", "copula_stream"]
+__all__ = ["sample_copula", "apply_margins", "copula_stream"]
 
 # kind -> its quantile transform u -> x, elementwise in u, or None for the
 # identity.  gaussian looks norm_quantile up at each call, so a wrapper bound
@@ -64,30 +65,24 @@ def copula_stream(seed, rep=0, lane=0):
 
 
 def _copula_factor(r):
-    """Cholesky factor of R with a single 1e-12 jitter retry near singularity."""
+    """The read-only lower Cholesky factor of R, with a single 1e-12 jitter
+    retry near singularity: what `_sample_block` draws with, so that draws
+    from one R can share one factorization."""
     r = check_symmetric(r, name="R")
     chol = cholesky_lower(r)
-    return chol if chol is not None else spd_factor(
-        r + 1e-12 * identity(len(r)), "correlation matrix is not positive definite")
-
-
-class CopulaFactor:
-    """The read-only lower Cholesky factor `chol` of a correlation matrix R.
-    `sample_copula` takes it in place of R, so that draws from one R share
-    one factorization."""
-
-    def __init__(self, r):
-        self.chol = _copula_factor(r)
-        self.chol.flags.writeable = False
+    if chol is None:
+        chol = spd_factor(r + 1e-12 * identity(len(r)),
+                          "correlation matrix is not positive definite")
+    chol.flags.writeable = False
+    return chol
 
 
 def sample_copula(r, n, seed, rep=0, lane=0):
     """Draw n observations from the Gaussian copula with correlation R.
 
     Z ~ N(0, R) via the Cholesky factor, then U_j = Phi(Z_j).  Identical
-    (seed, R, n, rep, lane) give bit-identical output, whether `r` is R or
-    its `CopulaFactor`, and equal to Phi of that replication's row of a
-    block (`_sample_block`).
+    (seed, R, n, rep, lane) give bit-identical output, equal to Phi of that
+    replication's row of a block (`_sample_block`).
 
     Returns an (n, p) matrix with entries in the closed interval [0, 1]:
     in floating point Phi(z) rounds to exactly 1.0 for z >= 8.3 and
@@ -95,21 +90,20 @@ def sample_copula(r, n, seed, rep=0, lane=0):
     Raises ValueError where R is not finite, and SingularityError where R
     is not positive definite even with 1e-12 added to its diagonal.
     """
-    return norm_cdf(_sample_block(r, n, seed, (rep,), lane)[0])
+    return norm_cdf(_sample_block(_copula_factor(r), n, seed, (rep,), lane)[0])
 
 
-def _sample_block(r, n, seed, reps, lane=0):
+def _sample_block(chol, n, seed, reps, lane):
     """The latent normals Z = normals L' of every replication of the
     nonempty sequence `reps` of words `copula_stream` accepts, as one
     (len(reps), n, p) array whose row b is replication reps[b]'s draw;
     `sample_copula` is Phi of a row.  One bit generator draws every row: it
     starts on the stream of reps[0] and has its counter reset to each later
     one from the fresh stream's state, which it reads only where the block
-    has a second row.  The factor multiplies the stack in one matmul, one
-    gemm per row."""
+    has a second row.  The factor L, from `_copula_factor`, multiplies the
+    stack in one matmul, one gemm per row."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    chol = r.chol if isinstance(r, CopulaFactor) else _copula_factor(r)
     rng = copula_stream(seed, rep=reps[0], lane=lane)
     bitgen = rng.bit_generator
     if len(reps) > 1:
@@ -126,9 +120,8 @@ def _sample_block(r, n, seed, reps, lane=0):
 def apply_margins(u, kinds):
     """Apply margin quantile transforms columnwise to copula data U, on a
     copy of U.  `kinds` is one kind name, or a sequence of 1 name for every
-    column or of p names, one per column.  Each kind runs in one call on the
-    block of its columns (every transform is elementwise and strictly
-    increasing)."""
+    column or of p names, one per column.  Every transform is elementwise
+    and strictly increasing."""
     kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
     for kind in kinds:
         if kind not in _MARGINS:
@@ -138,13 +131,7 @@ def apply_margins(u, kinds):
         raise ShapeError(f"U must be 2-d, got shape {u.shape}")
     if len(kinds) not in (1, u.shape[1]):
         raise ShapeError(f"margins: {len(kinds)} kinds for p={u.shape[1]} columns")
-    if len(kinds) == 1:
-        columns = {kinds[0]: slice(None)}
-    else:
-        columns = {}
-        for j, kind in enumerate(kinds):
-            columns.setdefault(kind, []).append(j)
-    for kind, cols in columns.items():
+    for j, kind in enumerate(kinds * u.shape[1] if len(kinds) == 1 else kinds):
         if _MARGINS[kind] is not None:
-            u[:, cols] = _MARGINS[kind](u[:, cols])
+            u[:, j] = _MARGINS[kind](u[:, j])
     return u

@@ -6,16 +6,27 @@ import sys
 import pytest
 import scipy.linalg.lapack
 
-from copula_rank import estimators, mc
+from copula_rank import mc
+
+
+def package_modules():
+    """The imported `copula_rank` modules, by name."""
+    return {name: module for name, module in list(sys.modules.items())
+            if module is not None and (name == "copula_rank" or name.startswith("copula_rank."))}
 
 
 @pytest.fixture(autouse=True)
 def clear_process_caches():
     """Empty every process-level cache before each test, so that call counts
-    and monkeypatched builders see no state left by earlier tests."""
-    for cache in (mc._model, mc._require, mc._model_at, mc._bounds_at,
-                  estimators._score_grid):
+    and monkeypatched builders see no state left by earlier tests.  The
+    caches are found, not listed: every function with `cache_clear`
+    (functools.lru_cache) that a package module defines.  Returns them."""
+    caches = [value for name, module in package_modules().items()
+              for value in vars(module).values()
+              if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == name]
+    for cache in caches:
         cache.cache_clear()
+    return caches
 
 
 @pytest.fixture(autouse=True)
@@ -64,9 +75,7 @@ def factorizations(monkeypatch):
         return source(*args, **kwargs)
 
     bound = 0
-    for name, module in list(sys.modules.items()):
-        if module is None or not (name == "copula_rank" or name.startswith("copula_rank.")):
-            continue
+    for module in package_modules().values():
         for attr, value in list(vars(module).items()):
             if value is source:
                 monkeypatch.setattr(module, attr, counted)

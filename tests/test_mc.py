@@ -661,12 +661,12 @@ class TestFixedCosts:
                 McConfig.from_dict({**BASE, "model": model, "theta_true": theta})
             texts.append(str(exc.value))
         assert texts == texts[:1] * 3
-        assert mc._require.cache_info().currsize == 0
+        assert mc._truth.cache_info().currsize == 0
         assert len(checks) == (3 if "outside the domain" in texts[0] else 0)
 
     def test_accepted_truth_checked_once(self, monkeypatch):
         config = {**CRITERION_CONFIGS["toeplitz4"], "replications": 1, "seed": 1}
-        checks = counter(monkeypatch, mc._require, mc)
+        checks = counter(monkeypatch, mc._truth, mc)
         eigen = counter(monkeypatch, copula_rank.models.sym_eig, copula_rank.models)
         first = McConfig.from_dict(config)
         assert len(eigen) == 1  # toeplitz has no box: the check is an eigen-solve
@@ -714,7 +714,7 @@ def counter(monkeypatch, fn, *modules):
 
 class TestComputedOnce:
     def test_copula_factor_once_per_run(self, monkeypatch):
-        calls = counter(monkeypatch, sampler._copula_factor, sampler)
+        calls = counter(monkeypatch, sampler._copula_factor, sampler, mc)
         run_experiment({**BASE, "replications": 6})
         assert len(calls) == 1
 
@@ -823,7 +823,8 @@ class TestComputedOnce:
         assert len(kept) == 3  # the descent, the starts, the one-step update
         first = kept[0]
         assert len(first) == 6
-        assert len({id(d.base) for _, d in first}) == 1  # rows of one stacked d
+        stacked = first[0][1].base  # rows of one stacked d
+        assert stacked is not None and all(d.base is stacked for _, d in first)
         for later in kept[1:]:
             assert all(a is b for a, b in zip(later, first))
 
@@ -886,8 +887,13 @@ class TestComputedOnce:
         second = run_experiment({**BASE, "replications": 2})
         assert_allclose(second.eff_bound, [1.0 / 3.0], rtol=1e-9)
         key = (mc._canonical(BASE["model"]), (0.5,))
-        cached = [mc._model_at(*key)[1].chol, *mc._bounds_at(*key)]
+        cached = [mc._truth(*key)[1], *mc._bounds_at(*key)]
         assert not any(a.flags.writeable for a in cached)
+
+    def test_every_process_cache_cleared(self, clear_process_caches):
+        # The autouse fixture finds the package's caches; it lists none by hand.
+        assert mc._truth in clear_process_caches
+        assert estimators._score_grid in clear_process_caches
 
 
 # The configs of acceptance criteria 6, 7 and 8.

@@ -8,13 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
-from copula_rank import (CopulaFactor, apply_margins, copula_stream, exchangeable,
-                         norm_quantile, rank_transform, sample_copula)
+from copula_rank import (apply_margins, copula_stream, exchangeable, norm_quantile,
+                         rank_transform, sample_copula)
 from copula_rank.estimators import _rank_block
 from copula_rank.exceptions import (ConfigError, DegenerateMarginError, DomainError,
                                     ShapeError, SingularityError)
 from copula_rank.numcore import norm_cdf
-from copula_rank.sampler import _sample_block
+from copula_rank.sampler import _copula_factor, _sample_block
 
 
 def exch_corr(p, theta):
@@ -33,11 +33,12 @@ class TestSampleCopula:
         assert not np.array_equal(u1, u3)
 
     def test_factor_in_place_of_r_draws_identically(self):
+        # A run factors R once and draws every block from that read-only factor.
         r = exch_corr(4, 0.3)
-        factor = CopulaFactor(r)
-        assert not factor.chol.flags.writeable
+        chol = _copula_factor(r)
+        assert not chol.flags.writeable
         for rep in (0, 3):
-            assert np.array_equal(sample_copula(factor, 60, seed=9, rep=rep, lane=2),
+            assert np.array_equal(norm_cdf(_sample_block(chol, 60, 9, (rep,), 2)[0]),
                                   sample_copula(r, 60, seed=9, rep=rep, lane=2))
 
     def test_rep_and_lane_streams_disjoint(self):
@@ -93,7 +94,7 @@ class TestSampleCopula:
                 with pytest.raises(ValueError, match="infs or NaNs"):
                     sample_copula(r, 5, seed=1)
                 with pytest.raises(ValueError, match="infs or NaNs"):
-                    CopulaFactor(r)
+                    _copula_factor(r)
 
     def test_jitter_rescues_machine_singular(self):
         # exactly singular within round-off: perfectly dependent pair
@@ -193,15 +194,15 @@ class TestApplyMargins:
         with pytest.raises(ShapeError):
             apply_margins(np.zeros(5), ("uniform",))
 
-    # The per-column transforms that apply_margins replaced.
+    # Each kind's transform, written out apart from apply_margins.
     PER_COLUMN = {"uniform": lambda c: c, "gaussian": norm_quantile,
                   "exponential": lambda c: -np.log1p(-c),
                   "cauchy": lambda c: np.tan(np.pi * (c - 0.5))}
 
     @pytest.mark.parametrize("kind", list(PER_COLUMN))
     def test_block_equals_per_column(self, kind):
-        # Each kind runs once on the block of its columns; the draws are
-        # bit-identical to transforming one (strided) column at a time.
+        # Bit-identical to transforming one (strided) column at a time, for
+        # one kind on every column and for a mix of kinds.
         u = sample_copula(np.eye(100), 50, seed=4)
         others = list(self.PER_COLUMN)
         mixed = tuple(kind if j % 2 else others[j // 2 % len(others)] for j in range(100))
@@ -253,22 +254,21 @@ class TestStackedFrontEnd:
         if kinds == "mixed":
             names = ("gaussian", "uniform", "cauchy", "exponential")
             kinds = tuple(names[j % 4] for j in range(p))
-        factor = CopulaFactor(exch_corr(p, 0.3))
+        r = exch_corr(p, 0.3)
         # the top replication and lane words, and an ordinary run
         for reps, lane in ((range(TOP - rows + 1, TOP + 1), TOP), (range(5, 5 + rows), 3)):
-            block = _rank_block(_sample_block(factor, n, 17, reps, lane))
+            block = _rank_block(_sample_block(_copula_factor(r), n, 17, reps, lane))
             assert len(block) == rows
-            for row, expected in zip(block, blocks_of_one(factor, n, 17, reps, lane, kinds)):
+            for row, expected in zip(block, blocks_of_one(r, n, 17, reps, lane, kinds)):
                 assert_same_sample(row, expected)
 
     def test_draws_equal_blocks_of_one(self):
         # Phi of Z, before the ranks: one gemm per row, whatever the block.
         for p, n in ((3, 250), (100, 50)):
-            factor = CopulaFactor(exch_corr(p, 0.3))
-            block = _sample_block(factor, n, 5, range(TOP - 63, TOP + 1), TOP)
+            r = exch_corr(p, 0.3)
+            block = _sample_block(_copula_factor(r), n, 5, range(TOP - 63, TOP + 1), TOP)
             for row, rep in zip(block, range(TOP - 63, TOP + 1)):
-                assert bits(norm_cdf(row)) == bits(sample_copula(factor, n, 5, rep=rep,
-                                                                 lane=TOP))
+                assert bits(norm_cdf(row)) == bits(sample_copula(r, n, 5, rep=rep, lane=TOP))
 
     @pytest.mark.parametrize("rep", [1.5, 2.7, -1, 2**64, True, False, "3", None,
                                      math.nan, math.inf, np.float64(0.5)])
@@ -277,12 +277,12 @@ class TestStackedFrontEnd:
         # copula_stream checks the first, not truncated onto another stream.
         with pytest.raises(ConfigError, match=rf"^rep: expected an integer in "
                                               rf"\[0, {TOP}\], got "):
-            _sample_block(np.eye(2), 5, 1, (0, rep))
+            _sample_block(np.eye(2), 5, 1, (0, rep), 0)
 
     def test_later_reps_integral(self):
-        expected = _sample_block(np.eye(2), 5, 1, (0, 2, TOP))
+        expected = _sample_block(np.eye(2), 5, 1, (0, 2, TOP), 0)
         for value in (2.0, np.int64(2), np.uint64(2)):
-            assert bits(_sample_block(np.eye(2), 5, 1, (0, value, np.uint64(TOP)))) == bits(
+            assert bits(_sample_block(np.eye(2), 5, 1, (0, value, np.uint64(TOP)), 0)) == bits(
                 expected)
 
     def test_tied_row_and_constant_column(self):
