@@ -21,15 +21,16 @@ step is the next step, a rejected one's is discarded.  In general an
 evaluation costs one Cholesky factorization of R(theta), which also gives
 S = R^-1, and the pseudo-score, its Jacobian and the step are matrix
 products with S.  For a one-parameter
-model with a theta-free eigenbasis Q (a `Spectrum`), the sample enters only
-through d = diag(Q' Rhat Q), formed once from zhat, and every iterate is
-elementwise arithmetic and sums on the eigenvalues lam(theta), with no
-factorization and no LAPACK call.
+model with theta-free eigen-groups (a `Spectrum`: eigenspaces on which the
+eigenvalue lam_g(theta) takes one function of theta), the sample enters
+only through one sum per group, D_g = tr(Q_g' Rhat Q_g), formed once from
+zhat, and every iterate is elementwise arithmetic and sums on the groups'
+eigenvalues and multiplicities, with no factorization and no LAPACK call.
 
 The descent is written once, over a block of samples
 (`ple_estimate_block`): `ple_estimate` is a block of one, and a Monte Carlo
 run solves each block of replications in one call.  A spectral block is a
-(B, p) array of eigenvalues; a matrix family's rows take one Cholesky each
+(B, G) array of group eigenvalues; a matrix family's rows take one Cholesky each
 in the same loop.  Every row keeps its own scoring start, line search, stop
 test, saddle test, domain verdict and iterate trace, and reads only its own
 entries, through elementwise operations and sums along its own row, so a
@@ -48,7 +49,7 @@ generator solve, a Gram matrix and an inverse.  On a balanced spectrum
 (`Spectrum.balanced`: exchangeable(p), circular, toeplitz(2),
 unrestricted(2)) the efficient influence function is explicit in the
 eigenvalues, and the block's updates are elementwise arithmetic and row
-sums on (B, p) arrays (`_one_step_update`), so again a block never changes
+sums on (B, G) arrays (`_one_step_update`), so again a block never changes
 a number.
 
 Ranking is written once, over a (B, n, p) stack of samples
@@ -61,12 +62,18 @@ reads `ranks` back from it on first read by the one average-rank rule
 (`_average_ranks`), which also gives a tied column its zhat, and its tied
 columns, those with two equal scores, by one sort on first read.
 
-On a spectral family every estimator reads a sample only through d: the
-PLE descent, its moment start sum dlam(0) d / sum dlam(0)^2 (the moment
-pilot's least-squares fit, as `pilot_moment` forms it there too) and the
-balanced one-step update.  A block forms d for all its samples from their
-stacked zhat, d = sum_i (zhat_i Q)^2 / n, one gemm per sample and no Rhat,
-and each sample keeps its row (`_spectral_d`).  Elsewhere Rhat is formed
+On a spectral family every estimator reads a sample only through its
+group sums D: the PLE descent, its moment start
+sum dlam(0) D / sum m dlam(0)^2 (the moment pilot's least-squares fit, as
+`pilot_moment` forms it there too) and the balanced one-step update.  A
+block forms D for all its samples from their stacked zhat,
+D_g = ||zhat Q_g||_F^2 / n, one gemm per sample and no Rhat, and each sample
+keeps its row (`_group_sums`).  A family that declares its groups in closed
+form leaves its largest group unprojected: that group's sum is tr Rhat,
+sum zhat^2 / n, minus the others.  So exchangeable(p) reads a sample only
+through its rows' sums (along the one column 1/sqrt(p)) and sum zhat^2,
+with no eigen-solve and no p x p product, and circular projects on two of
+its four columns.  Elsewhere Rhat is formed
 once per sample (`RankedSample.rhat`) and shared by every estimator, and
 the moment pilot is `CorrelationModel.moment_map` vec(Rhat), a map built
 once per model.  The normal-score grid quantile(i/(n+1)) is formed once per
@@ -121,9 +128,9 @@ class RankedSample:
     exactly tied data, and `tie_columns`, read on first read too, are the
     columns with two equal scores.  pseudo_obs is rank/(n+1), strictly
     inside (0,1).  `rhat` is the read-only `normal_scores_matrix`, formed on
-    first read; a spectral family's estimators never read it, and read
-    d = diag(Q' Rhat Q) instead, which `_spectral_d` forms from zhat and
-    keeps on the sample for the last eigenbasis Q asked.
+    first read; a spectral family's estimators never read it, and read the
+    eigen-group sums D_g = tr(Q_g' Rhat Q_g) instead, which `_group_sums`
+    forms from zhat and keeps on the sample for the last spectrum asked.
     """
 
     def __init__(self, zhat):
@@ -404,73 +411,89 @@ def _matrix_descent(model, rhats):
 
 
 def _spectral_descent(spectrum, samples):
-    """`_descent`'s evaluate for R(theta) = Q diag(lam) Q' with a theta-free
-    Q and one parameter, in one pass over (B, p) arrays.  With
-    d = diag(Q' Rhat Q) (`_spectral_d`) and tr Rhat = sum d, Q being
-    orthogonal, row b holds
+    """`_descent`'s evaluate for R(theta) = sum_g lam_g P_g with theta-free
+    eigen-groups and one parameter, in one pass over (B, G) arrays.  With
+    the group sums D_g = tr(P_g Rhat) (`_group_sums`), multiplicities m_g and
+    tr Rhat = sum D, row b holds
 
-        f   = (sum log lam + sum d / lam - sum d) / 2, inf unless lam > 0,
-        psi = sum dlam w,  w = (d - lam) / lam^2,
-        J   = sum dlam^2 (lam - 2 d) / lam^3 + sum w d2lam,
+        f   = (sum m log lam + sum D / lam - tr Rhat) / 2, inf unless lam > 0,
+        psi = sum x (r - m),  x = dlam / lam,  r = D / lam,
+        J   = sum x^2 (m - 2 r) + sum (r - m) d2lam / lam,
 
-    and, for a scoring step, J at d = lam, -sum dlam^2 / lam^2: the
+    and, for a scoring step, J at D = m lam, -sum m x^2: the
     `_objective_and_inverse` value and the `_descent_step` pseudo-score and
-    Jacobian written in that basis.  The Hessian is H = -J / 2 and the step
+    Jacobian written on the groups.  The Hessian is H = -J / 2 and the step
     psi / (2 |H|) = psi / |J|.  Every quantity is elementwise or a sum along
     the row, so no row depends on another, and min lam > 0 is the
     positive-definiteness condition itself: no evaluation factors a matrix.
     A row outside that region is evaluated at lam = 1 beside its f = inf.
     """
     add = np.add.reduce
-    d_all = _spectral_d(spectrum, samples)
-    trace_all = add(d_all, 1)
+    m = spectrum.sizes
+    sums_all = _group_sums(spectrum, samples)
+    trace_all = add(sums_all, 1)
 
     def evaluate(rows, theta, scoring):
-        lam, dlam, d2lam = spectrum.eigen_fn(theta[:, 0])
-        d, trace = _take(d_all, rows), _take(trace_all, rows)
+        lam, dlam, d2lam = spectrum.group_fn(theta[:, 0])
+        sums, trace = _take(sums_all, rows), _take(trace_all, rows)
         outside = None
         if not lam.min() > 0.0:  # NaN included
             outside = ~(lam.min(axis=1) > 0.0)
             lam = np.where(outside[:, None], 1.0, lam)
-        f = 0.5 * (add(np.log(lam), 1) + add(d / lam, 1) - trace)
+        r = sums / lam
+        f = 0.5 * (add(m * np.log(lam) + r, 1) - trace)
         if outside is not None:
             f[outside] = np.inf
-        w = (d - lam) / lam ** 2
-        psi = add(dlam * w, 1)
+        x = dlam / lam
+        excess = r - m
+        psi = add(x * excess, 1)
         if all(scoring):
-            jac = -add(dlam / lam ** 2 * dlam, 1)
+            jac = -add(m * x * x, 1)
         else:
-            jac = add(dlam * ((lam - 2.0 * d) / lam ** 3) * dlam, 1) + add(w * d2lam, 1)
+            jac = add(x * x * (m - 2.0 * r) + excess * d2lam / lam, 1)
             if any(scoring):
-                fisher = dlam[scoring]
-                jac[scoring] = -add(fisher / lam[scoring] ** 2 * fisher, 1)
+                fisher = x[scoring]
+                jac[scoring] = -add(m * fisher * fisher, 1)
         dx = psi / np.abs(jac)
         psi_rows = psi.tolist()
         return (f.tolist(), [abs(v) for v in psi_rows],
-                [-0.5 * (v * x) for v, x in zip(psi_rows, dx.tolist())],
+                [-0.5 * (v * step) for v, step in zip(psi_rows, dx.tolist())],
                 dx[:, None], (-0.5 * jac)[:, None])
 
     return evaluate
 
 
-def _spectral_d(spectrum, samples):
-    """The (B, p) array whose row b is d = diag(Q' Rhat_b Q) = sum_i y_i^2 / n
-    over the rows y_i of Y = zhat_b Q, with no Rhat.  The samples that have
-    no d for this Q yet are stacked by n, and each stack takes one (B, n, p)
-    matmul, one gemm per sample, and one sum over n; each sample keeps its
-    row (`_d`, for the last Q asked), so the PLE descent, the moment start
-    and the one-step update read one d.  Every step is along one sample, so
-    a row is the same to the bit in any block."""
-    basis = spectrum.basis
+def _group_sums(spectrum, samples):
+    """The (B, G) array whose row b holds sample b's eigen-group sums
+    D_g = tr(Q_g' Rhat_b Q_g) = ||zhat_b Q_g||_F^2 / n, with no Rhat.  The
+    groups with `columns` are projected; a last group without them has the
+    sum tr Rhat minus the others, with tr Rhat = sum zhat^2 / n summed from
+    zhat, ties included.  So exchangeable(p) reads zhat only through its
+    rows' sums, along its one column 1/sqrt(p), and through sum zhat^2.  The
+    samples that have no sums for this spectrum yet are stacked by n, and
+    each stack takes one matmul of the columns with the (B, p, n) stack, a
+    sum over n and, for a last group, one dot product per sample; each
+    sample keeps its row (`_sums`, for the last spectrum asked), so the PLE
+    descent, the moment start and the one-step update read one row.  Every
+    step is along one sample, so a row is the same to the bit in any
+    block."""
     stacks = {}
     for sample in samples:
-        if getattr(sample, "_d", (None,))[0] is not basis:
+        if getattr(sample, "_sums", (None,))[0] is not spectrum:
             stacks.setdefault(sample.n, []).append(sample)
+    add = np.add.reduce
     for n, stack in stacks.items():
-        y = np.stack([sample.zhat for sample in stack]) @ basis
-        for sample, d in zip(stack, np.add.reduce(y * y, 1) / n):
-            sample._d = (basis, d)
-    return np.array([sample._d[1] for sample in samples])
+        z = np.stack([sample.zhat for sample in stack])
+        # Y' = Q' zhat', so that each sum over n runs along a contiguous row
+        y = spectrum.columns.T @ z.transpose(0, 2, 1)
+        sums = spectrum.group_totals(add(y * y, 2))
+        if sums.shape[1] < len(spectrum.sizes):  # the last group: tr Rhat - the others
+            flat = z.reshape(len(stack), 1, -1)  # a (1, n p) row per sample: one dot each
+            trace = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+            sums = np.column_stack([sums, trace - add(sums, 1)])
+        for sample, row in zip(stack, sums / n):
+            sample._sums = (spectrum, row)
+    return np.array([sample._sums[1] for sample in samples])
 
 
 def _descent(model, samples):
@@ -598,14 +621,13 @@ def _verdict(model, theta, eigs, iteration, history, row):
 def _moment_fits(model, samples):
     """The (B, k) moment fits of the samples, for a model with a moment map:
     `moment_map` vec(Rhat), or on a `Spectrum` the same least-squares fit
-    <dR(0), Rhat> / ||dR(0)||^2 = sum dlam(0) d / sum dlam(0)^2 from d
-    (`_spectral_d`), in elementwise row sums."""
+    <dR(0), Rhat> / ||dR(0)||^2 = sum w D from the group sums D
+    (`_group_sums`) and the spectrum's `moment_weights` w, in row sums."""
     spectrum = model.spectrum
     if spectrum is None:
         return np.array([model.moment_map @ sample.rhat.ravel() for sample in samples])
-    dlam = spectrum.eigen_fn(np.zeros(1))[1]
-    add = np.add.reduce
-    return (add(_spectral_d(spectrum, samples) * dlam, 1) / add(dlam * dlam, 1))[:, None]
+    sums = _group_sums(spectrum, samples)
+    return np.add.reduce(sums * spectrum.moment_weights, 1)[:, None]
 
 
 def _starts(model, samples):
@@ -695,8 +717,9 @@ def pilot_moment(model, sample):
     least-squares fit of Rhat - I on the derivative matrices at theta = 0,
     where R(0) = I and they do not all vanish (for affine families, minimize
     ||R(theta) - Rhat||_F; for circular, the mean first-neighbor
-    correlation).  On a `Spectrum` the same fit is read from d, with no
-    Rhat (`_moment_fits`), and is the PLE's start to the bit.  A fit outside
+    correlation).  On a `Spectrum` the same fit is read from the
+    eigen-group sums, with no Rhat (`_moment_fits`), and is the PLE's start
+    to the bit.  A fit outside
     the domain is brought into it toward default_init (`model.into_domain`)
     and flagged.
     Other families (dR(0) = 0, or R(0) != I) fall back to ple_estimate.
@@ -773,11 +796,12 @@ def _one_step_update(model, samples, pilots):
 
     On a balanced spectrum R = Q diag(lam) Q', diag(dR S) = xbar 1 with
     x = dlam / lam, so the generator weights are g = -xbar / 2 and
-    A* = Q diag((x - xbar) / lam) Q'.  With d = diag(Q' Rhat Q)
-    (`_spectral_d`, as the spectral PLE forms it), the whole block is then
+    A* = Q diag((x - xbar) / lam) Q'.  On the eigen-groups, with
+    multiplicities m and sums D (`_group_sums`, as the spectral PLE reads
+    them), xbar = sum m x / p and the whole block is then
 
-        I* = sum (x - xbar)^2 / 2,
-        theta = pilot + sum (x - xbar) d / lam / sum (x - xbar)^2,
+        I* = sum m (x - xbar)^2 / 2,
+        theta = pilot + sum (x - xbar) D / lam / sum m (x - xbar)^2,
 
     elementwise and in row sums, with no solve, Gram or inverse; I* is
     singular where it is not > 0, `_spd_inverse`'s verdict on a 1 x 1
@@ -789,15 +813,17 @@ def _one_step_update(model, samples, pilots):
     spectrum = model.spectrum
     if spectrum is None or not spectrum.balanced:
         return [_bundle_update(model, sample, pilot) for sample, pilot in zip(samples, pilots)]
-    d = _spectral_d(spectrum, samples)
+    sums = _group_sums(spectrum, samples)
+    m = spectrum.sizes
+    add = np.add.reduce
     start = pilots[:, 0]
-    lam, dlam, _ = spectrum.eigen_fn(start)
+    lam, dlam, _ = spectrum.group_fn(start)
     outside = (~(np.isfinite(start) & (lam.min(axis=1) > 0.0))).tolist()  # NaN included
     with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0, or outside
         x = dlam / lam
-        x -= x.mean(axis=1, keepdims=True)
-        squares = np.add.reduce(x * x, 1)
-        theta = (start + np.add.reduce(x * d / lam, 1) / squares)[:, None]
+        x -= (add(m * x, 1) / model.p)[:, None]
+        squares = add(m * x * x, 1)
+        theta = (start + add(x * sums / lam, 1) / squares)[:, None]
     info = (0.5 * squares).tolist()
     inside = model.domain_check_block(theta).tolist()
     return [_bundle_update(model, sample, pilot) if row_outside

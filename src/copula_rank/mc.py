@@ -20,8 +20,10 @@ that fails is checked again on every call); the process that aggregates
 also forms the bounds at the truth.  Each config still holds its own
 theta_true array.  A replication pays only for what its sample changes:
 the draw, the ranks, the estimates, and the statistic they read: on a
-spectral family d = diag(Q' Rhat Q), which the block forms from its
-stacked zhat with no Rhat, and Rhat on any other.
+spectral family the eigen-group sums D_g = tr(Q_g' Rhat Q_g), which the
+block forms from its stacked zhat with no Rhat (on exchangeable(p) from
+its rows' sums and sum zhat^2, with no eigen-solve), and Rhat on any
+other.
 
 Replications run in blocks of consecutive indices: at most 64 in a serial
 run, which bounds the samples held at once, and max(1, replications //

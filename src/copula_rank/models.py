@@ -7,11 +7,24 @@ loaded from config.  A model evaluates into a `Geometry`: the matrices
 R, S = R^-1, dR/dtheta_m and dS/dtheta_m at a fixed theta, which is the
 working context for every downstream formula.  A one-parameter model whose
 eigenbasis does not depend on theta (one-generator affine families, circular)
-also declares it as a `Spectrum`, which reduces the pseudo-likelihood of a
-block of samples, and on a balanced spectrum the one-step update, to
-elementwise arithmetic on their eigenvalues and gives S with no
-factorization; every other model's S comes from one Cholesky factorization
-of R(theta).
+also declares it as a `Spectrum`, which gives S with no factorization;
+every other model's S comes from one Cholesky factorization of R(theta).
+
+A Spectrum also declares its eigen-groups: the eigenspaces on which the
+eigenvalue is one function of theta, each with its multiplicity m_g, its
+maps (lam_g, dlam_g, d2lam_g) and its orthonormal columns Q_g, except that
+a family which knows its groups in closed form leaves out the columns of a
+largest one.  The estimators read a sample only through one sum per group,
+D_g = ||zhat Q_g||_F^2 / n, the last group's being tr Rhat minus the others,
+which reduces the pseudo-likelihood of a block of samples, and on a
+balanced spectrum the one-step update, to elementwise arithmetic on (B, G)
+arrays.  exchangeable(p) declares its two groups exactly (1/sqrt(p) with
+eigenvalue 1 + (p - 1) theta, and the rest with 1 - theta), so its
+estimators need no eigen-solve; circular declares its (1, 2, 1) grouping on
+its exact basis, and the other one-generator affine families group the
+eigenvalues of one eigen-solve of their generator.  `eval_geometry`, and so
+`bound`, `check` and `are`, still read the column-by-column basis Q and its
+eigenvalues, from that eigen-solve for every affine family.
 """
 
 from __future__ import annotations
@@ -53,10 +66,10 @@ _PD_FLOOR = 1e-10  # R counts as positive definite when lambda_min(R) exceeds th
 # matrices, and a larger p fails inside numpy instead of as a ConfigError.
 _DIM_MAX = 1000
 _INDEP_RTOL = 1e-8  # dR/dtheta rank cutoff, relative to max(1, sigma_max)
-# `Spectrum.balanced`: the parameter values its eigenvalue functions are
-# compared at, and the tolerance of that comparison and of the balance.
-_PROBES = np.array([-0.2718, 0.1414, 0.5772])
-_BALANCE_TOL = 1e-10
+_BALANCE_TOL = 1e-10  # `Spectrum.balanced`: a group's projector diagonal against m_g / p
+# One-generator affine families group the eigenvalues g of their generator G
+# that lie within this tolerance times max(1, max |g|) of their neighbours.
+_GROUP_TOL = 1e-10
 
 
 def lower_triangle_pairs(p):
@@ -67,7 +80,8 @@ def lower_triangle_pairs(p):
 @dataclass(frozen=True)
 class Spectrum:
     """A theta-free eigenbasis of a one-parameter family:
-    R(theta) = Q diag(lam(theta)) Q'.
+    R(theta) = Q diag(lam(theta)) Q', declared column by column and group by
+    group.
 
     basis : the read-only orthonormal (p, p) matrix Q
     eigen_fn : t -> (lam, dlam, d2lam) for a vector t of B values of the
@@ -75,30 +89,66 @@ class Spectrum:
         R(t_b) in the order of Q's columns and their first and second
         derivatives in theta, so that dR/dtheta = Q diag(dlam[b]) Q'.  Row b
         is computed elementwise from t_b alone, so it does not depend on B.
+        `eval_geometry` reads it.
+    sizes : the read-only float array of the multiplicities m_g of the G
+        eigen-groups, the eigenspaces on which lam takes one function of
+        theta; they sum to p
+    columns : the read-only matrix of the orthonormal columns Q_g of the
+        groups, group by group: of every group (p columns), or of every
+        group but the last, a largest one (p - m_G columns), whose projector
+        is then I - sum Q_g Q_g'.  A family that knows its groups in closed
+        form (exchangeable, circular) leaves the last one out, so its
+        estimators never project on it; one whose groups come from an
+        eigen-solve keeps every column, and its group sums stay sums of
+        squares, equal to the bit where the sample makes them equal.
+    group_fn : t -> (lam, dlam, d2lam), three (B, G) arrays: eigen_fn's
+        maps with one column per group, so that
+        R(t_b) = sum_g lam[b, g] P_g with P_g the group's projector.  Row b
+        is computed elementwise from t_b alone.  The estimators read it.
     """
 
     basis: np.ndarray = field(repr=False)
     eigen_fn: Callable = field(repr=False)
+    sizes: np.ndarray
+    columns: np.ndarray = field(repr=False)
+    group_fn: Callable = field(repr=False)
+
+    @cached_property
+    def _group_starts(self):
+        """The first column of each group that has columns, or None where
+        each of them is one column."""
+        width = self.columns.shape[1]
+        starts = np.cumsum(self.sizes).astype(int) - self.sizes.astype(int)
+        starts = starts[starts < width]
+        return None if len(starts) == width else starts
+
+    def group_totals(self, a):
+        """Sums of the last axis of `a`, one entry per column of `columns`,
+        over each group's columns: one entry per group that has columns."""
+        starts = self._group_starts
+        return a if starts is None else np.add.reduceat(a, starts, axis=-1)
+
+    @cached_property
+    def moment_weights(self):
+        """The read-only weights w_g = dlam_g(0) / sum_g m_g dlam_g(0)^2, so
+        that sum_g w_g tr(P_g Rhat) = <dR(0), Rhat> / ||dR(0)||_F^2, the
+        least-squares fit of Rhat - I on dR(0).  Built on first read."""
+        dlam = self.group_fn(np.zeros(1))[1][0]
+        weights = dlam / np.add.reduce(self.sizes * dlam * dlam)
+        weights.flags.writeable = False
+        return weights
 
     @cached_property
     def balanced(self):
-        """True where each eigenprojector group has a constant diagonal.  The
-        columns whose eigenvalue functions agree (lam and dlam equal, to 1e-10
-        relative, at three fixed parameter values) form groups, and every
-        group's sum_a Q_ia^2 must equal |group| / p, to 1e-10, for every i.
+        """True where every group's projector Q_g Q_g' has the constant
+        diagonal m_g / p, to 1e-10; a last group without columns, whose
+        projector is I minus the others, then has it too.
         Then diag(dR S) = mean(dlam / lam) 1 at every theta, which puts the
         efficient score in closed form on the eigenvalues.  Decided on first
-        read."""
-        lam, dlam, _ = self.eigen_fn(_PROBES)
-        values = np.concatenate([lam, dlam]).T  # row a: column a's functions
-        p = len(values)
-        agree = (np.abs(values[:, None] - values[None]) <= _BALANCE_TOL
-                 * (1.0 + np.abs(values[:, None]))).all(axis=2)
-        # members[a, b]: column a is in the group led by b, its first agreeing
-        # column; a column that leads no group has no members and weight 0.
-        members = agree.argmax(axis=1)[:, None] == np.arange(p)
-        weights = (self.basis * self.basis) @ members
-        return bool((np.abs(weights - members.sum(axis=0) / p) <= _BALANCE_TOL).all())
+        read, from the declared groups."""
+        weights = self.group_totals(self.columns * self.columns)
+        return bool((np.abs(weights - self.sizes[:weights.shape[-1]] / len(self.basis))
+                     <= _BALANCE_TOL).all())
 
 
 @dataclass(frozen=True)
@@ -255,9 +305,38 @@ def _read_only(*arrays):
     return arrays
 
 
-def _affine_model(name, p, generators, descriptor, box=None):
+def _linear_eigen_fn(slopes):
+    """t -> (lam, dlam, d2lam) for eigenvalues 1 + t * slopes: a row per
+    value of t, a column per slope."""
+    def eigen_fn(t):
+        lam = 1.0 + t[:, None] * slopes
+        dlam = np.empty_like(lam)
+        dlam[:] = slopes
+        return lam, dlam, np.zeros(lam.shape)
+    return eigen_fn
+
+
+def _spectrum(basis, eigen_fn, sizes, columns, group_fn):
+    """A Spectrum whose arrays are read-only; `sizes` become floats."""
+    sizes = np.array(sizes, dtype=float)
+    return Spectrum(*_read_only(basis), eigen_fn, *_read_only(sizes, columns), group_fn)
+
+
+def _affine_groups(g, basis):
+    """(slopes, sizes, columns) of the eigen-groups of a generator with
+    ascending eigenvalues g and eigenvectors `basis`: the runs of g whose
+    neighbours lie within _GROUP_TOL * max(1, max |g|), each with its mean
+    slope, and every column of the basis."""
+    tol = _GROUP_TOL * max(1.0, float(np.abs(g).max()))
+    edges = np.r_[0, np.flatnonzero(np.diff(g) > tol) + 1, len(g)]
+    return (np.add.reduceat(g, edges[:-1]) / np.diff(edges), np.diff(edges), basis)
+
+
+def _affine_model(name, p, generators, descriptor, box=None, groups=None):
     """R(theta) = I + sum theta_m G_m.  With one generator G = Q diag(g) Q',
-    R(theta) = Q diag(1 + theta g) Q' and the model declares that spectrum."""
+    R(theta) = Q diag(1 + theta g) Q' and the model declares that spectrum,
+    with `groups` = (slopes, sizes, columns) where the family knows them
+    exactly, else the clusters of g (`_affine_groups`)."""
     gens = np.array(generators, dtype=float)
     gens.flags.writeable = False
     k = len(gens)
@@ -270,14 +349,9 @@ def _affine_model(name, p, generators, descriptor, box=None):
     spectrum = None
     if k == 1:
         g, basis = sym_eig(gens[0])
-
-        def eigen_fn(t):
-            lam = 1.0 + t[:, None] * g
-            dlam = np.empty_like(lam)
-            dlam[:] = g
-            return lam, dlam, np.zeros(lam.shape)
-
-        spectrum = Spectrum(*_read_only(basis), eigen_fn)
+        slopes, sizes, columns = _affine_groups(g, basis) if groups is None else groups
+        spectrum = _spectrum(basis, _linear_eigen_fn(g), sizes, columns,
+                             _linear_eigen_fn(slopes))
     return CorrelationModel(
         name=name, p=p, k=k, corr_fn=corr_fn, box=box, default_init=np.zeros(k),
         descriptor=descriptor, affine_generators=gens, spectrum=spectrum,
@@ -299,9 +373,13 @@ def exchangeable(p):
     """All off-diagonal entries equal theta; domain (-1/(p-1)+eps, 1-eps)."""
     if p < 2:
         raise ConfigError("p: exchangeable model needs p >= 2")
+    # Its two eigen-groups, exactly: the constant vector 1/sqrt(p), with
+    # eigenvalue 1 + (p - 1) theta, and its complement, with 1 - theta.
+    groups = (np.array([p - 1.0, -1.0]), [1, p - 1], np.full((p, 1), 1.0 / np.sqrt(p)))
     return _affine_model("exchangeable", p, [_offdiag(np.ones((p, p)))],
                          {"family": "exchangeable", "p": p},
-                         box=(-1.0 / (p - 1) + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN))
+                         box=(-1.0 / (p - 1) + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN),
+                         groups=groups)
 
 
 def toeplitz(p):
@@ -333,29 +411,36 @@ def circular():
     def grad_fn(t, m):
         return first + 2.0 * t[0] * second
 
-    # The eigenvalue columns (1 + theta)^2, 1 - theta^2 (twice), (1 - theta)^2
-    # and their derivatives, each by that formula's own operations: the zero
-    # and unit coefficients below change no rounding.
+    # The eigen-groups (1 + theta)^2, (1 - theta)^2 and 1 - theta^2 (twice),
+    # each by that formula's own operations: the zero and unit coefficients
+    # below change no rounding.  A column's maps are its group's, read by
+    # index, so they are the same to the bit.
     h = np.sqrt(0.5)
     basis, sign, middle, dlam0, d2lam = _read_only(
         np.array([[0.5, h, 0.0, 0.5],
                   [0.5, 0.0, h, -0.5],
                   [0.5, -h, 0.0, 0.5],
                   [0.5, 0.0, -h, -0.5]]),
-        np.array([1.0, 0.0, 0.0, -1.0]), np.array([0.0, 1.0, 1.0, 0.0]),
-        np.array([2.0, 0.0, 0.0, -2.0]), np.array([2.0, -2.0, -2.0, 2.0]))
+        np.array([1.0, -1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+        np.array([2.0, -2.0, 0.0]), np.array([2.0, 2.0, -2.0]))
+    group_of_column = [0, 2, 2, 1]
 
-    def eigen_fn(t):
+    def group_fn(t):
         th = t[:, None]
         lam = (1.0 + th * sign) ** 2 - (th * th) * middle
         d2 = np.empty_like(lam)
         d2[:] = d2lam
         return lam, dlam0 + th * d2lam, d2
 
+    def eigen_fn(t):
+        return tuple(a[:, group_of_column] for a in group_fn(t))
+
     return CorrelationModel(
         name="circular", p=p, k=1, corr_fn=corr_fn, grad_fn=grad_fn,
         default_init=np.zeros(1), descriptor={"family": "circular"},
-        spectrum=Spectrum(basis, eigen_fn), box=(-1.0 + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN),
+        spectrum=_spectrum(basis, eigen_fn, [1, 1, 2],
+                           np.ascontiguousarray(basis[:, [0, 3]]), group_fn),
+        box=(-1.0 + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN),
     )
 
 

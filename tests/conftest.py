@@ -3,6 +3,7 @@
 import multiprocessing
 import sys
 
+import numpy as np
 import pytest
 import scipy.linalg.lapack
 
@@ -61,18 +62,17 @@ def serial_pool(monkeypatch):
     return sizes
 
 
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Counts every Cholesky factorization the package makes: each package
-    module attribute bound to LAPACK's dpotrf (numcore's, the package's one
-    factor entry point) is wrapped for the test.  Yields the list of calls
-    made so far."""
+def lapack_calls(monkeypatch, name):
+    """Wraps, for the test, each package module attribute bound to the LAPACK
+    routine scipy.linalg.lapack.<name> (numcore's binding is the package's
+    one entry point).  Returns the list of the shapes of the matrices passed
+    to it so far."""
     calls = []
-    source = scipy.linalg.lapack.dpotrf
+    source = getattr(scipy.linalg.lapack, name)
 
-    def counted(*args, **kwargs):
-        calls.append("dpotrf")
-        return source(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return source(a, *args, **kwargs)
 
     bound = 0
     for module in package_modules().values():
@@ -80,5 +80,20 @@ def factorizations(monkeypatch):
             if value is source:
                 monkeypatch.setattr(module, attr, counted)
                 bound += 1
-    assert bound, "no package module binds LAPACK dpotrf"
+    assert bound, f"no package module binds LAPACK {name}"
     return calls
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts every Cholesky factorization the package makes (LAPACK
+    dpotrf): the shapes of the matrices factored so far."""
+    return lapack_calls(monkeypatch, "dpotrf")
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Counts every symmetric eigen-solve the package makes (LAPACK dsyevd,
+    which `numcore.sym_eig` calls): the shapes of the matrices solved so
+    far."""
+    return lapack_calls(monkeypatch, "dsyevd")

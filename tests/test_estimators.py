@@ -50,14 +50,27 @@ def assert_shrunk_into_domain(model, theta, anchor, target):
     assert_allclose(theta, anchor + scale * step, rtol=0, atol=1e-14)
 
 
+def group_sums(spectrum, zhat):
+    """The eigen-group sums D_g = ||zhat Q_g||_F^2 / n of one sample, a last
+    group without columns as sum zhat^2 / n minus the others, in the
+    operations that the estimators use for one sample."""
+    y = spectrum.columns.T @ zhat.T
+    sums = spectrum.group_totals(np.add.reduce(y * y, 1))
+    if len(sums) < len(spectrum.sizes):
+        flat = zhat.ravel()
+        sums = np.r_[sums, flat @ flat - np.add.reduce(sums)]
+    return sums / len(zhat)
+
+
 def spectral_moment_fit(model, sample):
-    """The moment fit sum dlam(0) d / sum dlam(0)^2 on a Spectrum, with
-    d = sum_i (zhat_i Q)^2 / n = diag(Q' Rhat Q), in the operations that the
-    estimators use for one sample."""
-    y = sample.zhat @ model.spectrum.basis
-    d = np.add.reduce(y * y, 0) / sample.n
-    dlam = model.spectrum.eigen_fn(np.zeros(1))[1][0]
-    return np.add.reduce(d * dlam) / np.add.reduce(dlam * dlam)
+    """The moment fit sum w D on a Spectrum's eigen-groups, with the weights
+    w = dlam(0) / sum m dlam(0)^2 and the group sums D = `group_sums`, in the
+    operations that the estimators use for one sample."""
+    spectrum = model.spectrum
+    dlam = spectrum.group_fn(np.zeros(1))[1][0]
+    weights = dlam / np.add.reduce(spectrum.sizes * dlam * dlam)
+    assert np.array_equal(weights, spectrum.moment_weights)
+    return np.add.reduce(group_sums(spectrum, sample.zhat) * weights)
 
 
 def _pseudo_score(model, theta, rhat):
@@ -456,7 +469,7 @@ class TestPleEstimate:
         (toeplitz(4), THETA_STAR, 12,
          ["0x1.0e721dbf5f6f6p-1", "-0x1.7da8d8efea26dp-2", "-0x1.e9ff5d43b99e0p-1"], 8,
          ("9.978e+00", "1.768e+01")),
-        (circular(), [0.5], 0, ["0x1.494ec8bbf821bp-1"], 7, ("2.173e+00", "1.232e+00")),
+        (circular(), [0.5], 0, ["0x1.494ec8bbf821cp-1"], 7, ("2.173e+00", "1.232e+00")),
     ], ids=["toep4", "circ"])
     def test_backtracking_solves(self, monkeypatch, model, theta, seed, theta_hat,
                                  iterations, norms):
@@ -526,9 +539,13 @@ class TestPleEstimate:
         assert len(per_evaluation) > result.iterations
         assert per_evaluation == [1] * len(per_evaluation)
 
-    def test_no_eigendecomposition_per_evaluation(self, monkeypatch):
+    def test_domain_checked_at_the_start_and_the_estimate(self, monkeypatch, eigensolves):
         # domain_check runs before the descent (the pilot) and once on the
-        # converged point, never inside the line search.
+        # converged point, never inside the line search.  toeplitz(4) has no
+        # box, so each check is an eigen-solve of R (4 x 4).  The others are
+        # of the 3 x 3 Hessian, one per evaluation: the start's (its Fisher
+        # information) and each accepted candidate's, the last of which the
+        # saddle test reads.  No candidate is rejected on this sample.
         calls = []
         check = CorrelationModel.domain_check
 
@@ -538,11 +555,14 @@ class TestPleEstimate:
 
         monkeypatch.setattr(CorrelationModel, "domain_check", counted)
         model = toeplitz(4)
-        u = sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6)
-        result = ple_estimate(model, rank_transform(u))
+        sample = rank_transform(sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6))
+        eigensolves.clear()
+        result = ple_estimate(model, sample)
         assert result.iterations > 0
         assert len(calls) == 2
         assert np.array_equal(calls[-1], result.theta_hat)
+        assert result.iterations == 4
+        assert sorted(eigensolves) == [(3, 3)] * 5 + [(4, 4)] * 2
 
     def test_converged_outside_domain_raises(self, monkeypatch):
         # exchangeable(3) declares a Spectrum, so this is the spectral descent.
@@ -555,8 +575,8 @@ class TestPleEstimate:
         assert info.value.trace[-1][1] <= 1e-8
 
     def test_max_iter_zero_takes_no_step(self, monkeypatch):
-        # The trace holds the start alone: the moment fit from d, which is
-        # moment_map vec(Rhat) up to roundoff.
+        # The trace holds the start alone: the moment fit from the group
+        # sums, which is moment_map vec(Rhat) up to roundoff.
         model = exchangeable(3)
         sample = rank_transform(sample_copula(exch_corr(3, 0.5), 250, seed=2))
         monkeypatch.setattr(estimators, "_MAX_ITER", 0)
@@ -830,9 +850,31 @@ class TestBlockSolve:
         assert second.iterations == alone.iterations
 
 
+def column_groups(spectrum, theta=0.3):
+    """The eigen-group of each column of the spectrum's basis: the group
+    whose (lam, dlam) at theta are nearest the column's."""
+    t = np.array([theta])
+    lam, dlam, _ = (a[0] for a in spectrum.eigen_fn(t))
+    group_lam, group_dlam, _ = (a[0] for a in spectrum.group_fn(t))
+    return np.argmin(np.abs(lam[:, None] - group_lam) + np.abs(dlam[:, None] - group_dlam),
+                     axis=1)
+
+
+# SPECTRAL, then samples near each end of exchangeable's and circular's box
+# and near toeplitz(2)'s and unrestricted(2)'s singular R, where one group
+# sum is far smaller than tr Rhat, and a generator whose eigenvalues 2
+# (twice) and -1 (four times) make groups of several columns.
+STACKED = SPECTRAL + [(model, [end], 250) for model in (exchangeable(3), exchangeable(100),
+                                                        circular())
+                      for end in (model.box[0] + 1e-4, model.box[1] - 1e-4)] + [
+    (toeplitz(2), [-0.9999], 250), (unrestricted(2), [0.9999], 250),
+    (custom_affine(6, [np.kron(np.eye(2), np.ones((3, 3))) - np.eye(6)]), [0.3], 250)]
+
+
 class TestStackedD:
-    """A spectral block forms d = diag(Q' Rhat Q) from its stacked zhat, and
-    neither a row's d nor its moment start depends on the block."""
+    """A spectral block forms its eigen-group sums D_g = tr(Q_g' Rhat Q_g)
+    from its stacked zhat, and neither a row's sums nor its moment start
+    depends on the block."""
 
     @staticmethod
     def zhats(model, theta, n):
@@ -849,37 +891,46 @@ class TestStackedD:
         zhats.insert(5, quarter_identity_sample(model.p).zhat)
         return zhats
 
-    @pytest.mark.parametrize("model,theta,n", SPECTRAL,
+    @pytest.mark.parametrize("model,theta,n", STACKED,
                              ids=lambda v: f"{v.name}{v.p}" if hasattr(v, "p") else None)
     def test_rows_equal_blocks_of_one(self, model, theta, n):
         zhats = self.zhats(model, theta, n)
         count = len(zhats)
 
-        def fresh(order):  # new samples, which hold no d yet
+        def fresh(order):  # new samples, which hold no sums yet
             return [RankedSample(zhats[i]) for i in order]
 
-        d_alone = [estimators._spectral_d(model.spectrum, fresh([i]))[0] for i in range(count)]
+        sums_alone = [estimators._group_sums(model.spectrum, fresh([i]))[0]
+                      for i in range(count)]
         starts_alone = [estimators._starts(model, fresh([i])) for i in range(count)]
         rng = np.random.default_rng(0)
         for order in (np.arange(count), np.arange(count)[::-1], rng.permutation(count)):
-            d = estimators._spectral_d(model.spectrum, fresh(order))
+            sums = estimators._group_sums(model.spectrum, fresh(order))
             starts, from_pilot = estimators._starts(model, fresh(order))
             for row, i in enumerate(order):
-                assert np.array_equal(d[row], d_alone[i]), (row, i)
+                assert np.array_equal(sums[row], sums_alone[i]), (row, i)
+                assert np.array_equal(sums[row], group_sums(model.spectrum, zhats[i]))
                 alone, alone_from_pilot = starts_alone[i]
                 assert np.array_equal(starts[row], alone[0]), (row, i)
                 assert from_pilot[row] == alone_from_pilot[0]
 
-    @pytest.mark.parametrize("model,theta,n", SPECTRAL,
+    @pytest.mark.parametrize("model,theta,n", STACKED,
                              ids=lambda v: f"{v.name}{v.p}" if hasattr(v, "p") else None)
     def test_equals_diagonal_of_rotated_rhat(self, model, theta, n):
-        # The two orders of summation agree to a few ulps of d's largest entry.
-        basis = model.spectrum.basis
+        # diag(Q' Rhat Q) summed over each group's columns.  The last group's
+        # sum is tr Rhat minus the others, so the bound is a few ulps of
+        # tr Rhat: at most 6.7 eps tr Rhat was seen (exchangeable(100) near
+        # theta = 1), on a 2-CPU x86-64 VM with numpy 2.4.
+        spectrum = model.spectrum
+        members = column_groups(spectrum)
+        assert np.bincount(members).tolist() == spectrum.sizes.tolist()
         for zhat in self.zhats(model, theta, n):
             sample = RankedSample(zhat)
-            d = estimators._spectral_d(model.spectrum, [sample])[0]
-            reference = np.diag(basis.T @ sample.rhat @ basis)
-            assert_allclose(d, reference, rtol=0, atol=4e-15 * reference.max())
+            sums = estimators._group_sums(spectrum, [sample])[0]
+            reference = np.bincount(members, np.diag(spectrum.basis.T @ sample.rhat
+                                                     @ spectrum.basis))
+            bound = 16 * np.finfo(float).eps * np.trace(sample.rhat)
+            assert_allclose(sums, reference, rtol=0, atol=bound)
 
 
 def _raise_or_return(row):

@@ -802,20 +802,20 @@ class TestComputedOnce:
         assert len(made) == 3
 
     @pytest.mark.parametrize("name", ["circular", "exchangeable100"])
-    def test_spectral_d_once_per_sample(self, monkeypatch, name):
-        # d = diag(Q' Rhat Q) is formed once per sample, for the whole block
-        # in one stacked product, and the PLE descent, its moment start and
-        # the one-step update all read that same array.
-        kept = []  # per call, the (Q, d) each sample holds after it
-        spectral_d = estimators._spectral_d
+    def test_group_sums_once_per_sample(self, monkeypatch, name):
+        # The eigen-group sums are formed once per sample, for the whole
+        # block in one stacked product, and the PLE descent, its moment start
+        # and the one-step update all read that same array.
+        kept = []  # per call, the (spectrum, sums) each sample holds after it
+        group_sums = estimators._group_sums
 
         def recorded(spectrum, samples):
-            d = spectral_d(spectrum, samples)
-            kept.append([sample._d for sample in samples])
-            assert all(np.array_equal(row, held) for row, (_, held) in zip(d, kept[-1]))
-            return d
+            sums = group_sums(spectrum, samples)
+            kept.append([sample._sums for sample in samples])
+            assert all(np.array_equal(row, held) for row, (_, held) in zip(sums, kept[-1]))
+            return sums
 
-        monkeypatch.setattr(estimators, "_spectral_d", recorded)
+        monkeypatch.setattr(estimators, "_group_sums", recorded)
         config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 6,
                                      "seed": 20260814})
         errors, failures = mc._replicate(config, range(6))
@@ -823,10 +823,26 @@ class TestComputedOnce:
         assert len(kept) == 3  # the descent, the starts, the one-step update
         first = kept[0]
         assert len(first) == 6
-        stacked = first[0][1].base  # rows of one stacked d
-        assert stacked is not None and all(d.base is stacked for _, d in first)
+        stacked = first[0][1].base  # rows of one stacked array of sums
+        assert stacked is not None and all(sums.base is stacked for _, sums in first)
         for later in kept[1:]:
             assert all(a is b for a, b in zip(later, first))
+
+    def test_exchangeable_block_solves_and_factors_nothing(self, eigensolves,
+                                                           factorizations):
+        # exchangeable(100) declares its two eigen-groups exactly, so once its
+        # truth is cached (by from_dict) a block projects zhat on the one
+        # column 1/sqrt(p), with no eigen-solve, factorization or p x p
+        # product.
+        config = McConfig.from_dict({**CRITERION_CONFIGS["exchangeable100"],
+                                     "replications": 8, "seed": 20260814})
+        model = mc._truth(*config._key)[0]
+        assert model.spectrum.columns.shape == (100, 1)
+        eigensolves.clear()
+        factorizations.clear()
+        errors, failures = mc._replicate(config, range(8))
+        assert failures == [] and not np.isnan(errors).any()
+        assert eigensolves == [] and factorizations == []
 
     def test_rhat_once_per_replication(self, monkeypatch):
         # A spectral family reads d from zhat and never forms Rhat; a matrix

@@ -15,7 +15,7 @@ from copula_rank import (adaptivity_demo, build_model, circular, custom_affine,
                          unrestricted, validate_assumption1)
 from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
-from copula_rank.models import FAMILIES, Spectrum
+from copula_rank.models import FAMILIES
 from copula_rank.numcore import cholesky_lower
 
 ALL_BUILTINS = [
@@ -360,7 +360,7 @@ class TestSpectrum:
             return lam, dlam, np.zeros(lam.shape)
 
         defects = [spectrum_defects(dataclasses.replace(
-            model, spectrum=Spectrum(model.spectrum.basis, fn)), [[0.45]])
+            model, spectrum=dataclasses.replace(model.spectrum, eigen_fn=fn)), [[0.45]])
             for fn in (first_neighbours_only, no_curvature)]
         assert defects[0]["r"] > 0.1 and defects[0]["r_dots"] > 0.1
         assert defects[1]["d2lam"] > 1.0
@@ -425,6 +425,87 @@ class TestSpectrum:
         assert exc.value.eigenvalue == pytest.approx(eig, abs=1e-12)
         r = model.r_of_theta(np.array([theta]))
         assert exc.value.eigenvalue == pytest.approx(np.linalg.eigvalsh(r)[0], abs=1e-12)
+
+
+def probe_balanced(spectrum):
+    """The balance verdict of the rule that the declared groups replaced:
+    columns whose (lam, dlam) agree, to 1e-10 relative, at three fixed
+    parameter values form groups, and each group's sum_a Q_ia^2 must equal
+    |group| / p, to 1e-10, in every row i."""
+    lam, dlam, _ = spectrum.eigen_fn(np.array([-0.2718, 0.1414, 0.5772]))
+    values = np.concatenate([lam, dlam]).T  # row a: column a's functions
+    p = len(values)
+    agree = (np.abs(values[:, None] - values[None])
+             <= 1e-10 * (1.0 + np.abs(values[:, None]))).all(axis=2)
+    members = agree.argmax(axis=1)[:, None] == np.arange(p)
+    weights = (spectrum.basis * spectrum.basis) @ members
+    return bool((np.abs(weights - members.sum(axis=0) / p) <= 1e-10).all())
+
+
+def block_ones(p, size):
+    """The generator with an all-ones off-diagonal block on each run of
+    `size` coordinates: its eigenvalue size - 1 has multiplicity p / size."""
+    return np.kron(np.eye(p // size), np.ones((size, size))) - np.eye(p)
+
+
+# Every built-in spectral family, with the thetas its groups are checked at.
+# The one-generator custom_affine models: three distinct eigenvalues (not
+# balanced), and eigenvalues 2 (twice) and -1 (four times), whose projected
+# group has two columns.
+GROUPED = [(exchangeable(p), [-0.4 / (p - 1), 0.0, 0.3, 0.9]) for p in (2, 3, 4, 100)] + [
+    (circular(), [-0.9, -0.2, 0.0, 0.45, 0.9]),
+    (toeplitz(2), [-0.5, 0.3]), (unrestricted(2), [-0.7, 0.6]),
+    (custom_affine(3, [[[0, 1, 0.5], [1, 0, 0], [0.5, 0, 0]]]), [-0.5, 0.3]),
+    (custom_affine(6, [block_ones(6, 3)]), [-0.4, 0.2, 0.9]),
+]
+
+
+class TestEigenGroups:
+    """The eigen-groups a Spectrum declares: sum_g lam_g P_g is R(theta), with
+    P_g = Q_g Q_g' and the last group's projector I - sum of the others."""
+
+    @pytest.mark.parametrize("model,thetas", GROUPED,
+                             ids=[f"{m.name}{m.p}" for m, _ in GROUPED])
+    def test_groups_reproduce_the_model(self, model, thetas):
+        spectrum, p = model.spectrum, model.p
+        sizes = spectrum.sizes
+        columns = spectrum.columns
+        assert sizes.sum() == p
+        # every group's columns, or every group's but a largest last one's
+        last = columns.shape == (p, p - sizes[-1])
+        assert columns.shape == (p, p) or (last and sizes[-1] == sizes.max())
+        assert_allclose(columns.T @ columns, np.eye(len(columns.T)), rtol=0, atol=1e-14)
+        # the projectors P_g, group by group
+        owner = np.repeat(np.arange(len(sizes)), sizes.astype(int))[:len(columns.T)]
+        projectors = [(columns[:, owner == g]) @ columns[:, owner == g].T
+                      for g in range(owner[-1] + 1)]
+        if last:
+            projectors.append(np.eye(p) - sum(projectors, np.zeros((p, p))))
+        for theta in np.array(thetas)[:, None]:
+            assert model.domain_check(theta)
+            lam, dlam, d2lam = (a[0] for a in spectrum.group_fn(theta))
+            assert lam.shape == dlam.shape == d2lam.shape == (len(sizes),)
+            h = 2.0 ** -10
+            fd = (spectrum.group_fn(theta + h)[1][0]
+                  - spectrum.group_fn(theta - h)[1][0]) / (2.0 * h)
+            for weights, target in ((lam, model.corr_fn(theta)), (dlam, model.r_dots(theta)[0])):
+                assembled = sum(w * proj for w, proj in zip(weights, projectors))
+                assert_allclose(assembled, target, rtol=0, atol=1e-12)
+            assert_allclose(d2lam, fd, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("model,thetas", GROUPED,
+                             ids=[f"{m.name}{m.p}" for m, _ in GROUPED])
+    def test_balanced_verdict_unchanged(self, model, thetas):
+        assert model.spectrum.balanced == probe_balanced(model.spectrum)
+
+    def test_exchangeable_groups_are_exact(self):
+        for p in (2, 3, 100):
+            spectrum = exchangeable(p).spectrum
+            assert spectrum.sizes.tolist() == [1, p - 1]
+            assert np.array_equal(spectrum.columns, np.full((p, 1), 1 / np.sqrt(p)))
+            lam, dlam, _ = spectrum.group_fn(np.array([0.5]))
+            assert lam.tolist() == [[1 + (p - 1) * 0.5, 0.5]]
+            assert dlam.tolist() == [[p - 1, -1]]
 
 
 class TestMomentMap:
