@@ -27,25 +27,31 @@ only through one sum per group, D_g = tr(Q_g' Rhat Q_g), formed once from
 zhat, and every iterate is elementwise arithmetic and sums on the groups'
 eigenvalues and multiplicities, with no factorization and no LAPACK call.
 
-The descent is written once, over a block of samples
-(`ple_estimate_block`): `ple_estimate` is a block of one, and a Monte Carlo
-run solves each block of replications in one call.  A spectral block is a
-(B, G) array of group eigenvalues; a matrix family's rows take one Cholesky each
-in the same loop.  Every row keeps its own scoring start, line search, stop
-test, saddle test, domain verdict and iterate trace, and reads only its own
-entries, through elementwise operations and sums along its own row, so a
-block never changes a number: each row is the same to the bit as a block of
-one.
+The descent is written once, over a block of samples, as an array core
+(`_ple_solve`) that returns the (B, k) estimates with a NaN row per failed
+row, the iterations and the failed rows' exceptions.  A Monte Carlo run
+solves each block of replications in one call of it, and
+`ple_estimate_block` wraps it, with `ple_estimate` a block of one.  A
+spectral block is a (B, G) array of group eigenvalues; a matrix family's
+rows take one Cholesky each in the same loop.  Every row keeps its own
+scoring start, line search, stop test, saddle test, domain verdict and
+iterate trace, and reads only its own entries, through elementwise
+operations and sums along its own row, so a block never changes a number:
+each row is the same to the bit as a block of one.  The rows that meet the
+tolerance in one round take their saddle tests row by row and then one
+domain test (`model.domain_check_block`).
 
 The one-step estimator adds the inverse efficient information times the
 empirical mean of the efficient score to a root-n-consistent pilot.  The
 mean efficient score has the closed form tr(A*_m Rhat) / 2, since the score
 is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.  It too is written
-over a block of samples (`one_step_block`), with `one_step` a block of one,
-and like the PLE's block it returns a row's failure (here a singular I*) as
-a value, which the block of one raises.  In general each row builds the
-geometry at its pilot and reads A* and I* from its `efficiency_bundle`: a
-generator solve, a Gram matrix and an inverse.  On a balanced spectrum
+over a block of samples, as an array core (`_one_step_update`) that takes
+the pilots as one (B, k) array, so a Monte Carlo block hands it the PLE
+core's rows directly.  `one_step_block` wraps it, with `one_step` a block
+of one, and like the PLE's core it returns a row's failure (here a singular
+I*) as a value, which the block of one raises.  In general each row builds
+the geometry at its pilot and reads A* and I* from its `efficiency_bundle`:
+a generator solve, a Gram matrix and an inverse.  On a balanced spectrum
 (`Spectrum.balanced`: exchangeable(p), circular, toeplitz(2),
 unrestricted(2)) the efficient influence function is explicit in the
 eigenvalues, and the block's updates are elementwise arithmetic and row
@@ -66,14 +72,14 @@ On a spectral family every estimator reads a sample only through its
 group sums D: the PLE descent, its moment start
 sum dlam(0) D / sum m dlam(0)^2 (the moment pilot's least-squares fit, as
 `pilot_moment` forms it there too) and the balanced one-step update.  A
-block forms D for all its samples from their stacked zhat,
-D_g = ||zhat Q_g||_F^2 / n, one gemm per sample and no Rhat, and each sample
-keeps its row (`_group_sums`).  A family that declares its groups in closed
-form leaves its largest group unprojected: that group's sum is tr Rhat,
-sum zhat^2 / n, minus the others.  So exchangeable(p) reads a sample only
-through its rows' sums (along the one column 1/sqrt(p)) and sum zhat^2,
-with no eigen-solve and no p x p product, and circular projects on two of
-its four columns.  Elsewhere Rhat is formed
+block forms D for all its samples once, as one (B, G) array, from their
+stacked zhat, D_g = ||zhat Q_g||_F^2 / n, one gemm per sample and no Rhat
+(`_block_sums`), and hands that array to all three.  A family that
+declares its groups in closed form leaves its largest group unprojected:
+that group's sum is tr Rhat, sum zhat^2 / n, minus the others.  So
+exchangeable(p) reads a sample only through its rows' sums (along the one
+column 1/sqrt(p)) and sum zhat^2, with no eigen-solve and no p x p product,
+and circular projects on two of its four columns.  Elsewhere Rhat is formed
 once per sample (`RankedSample.rhat`) and shared by every estimator, and
 the moment pilot is `CorrelationModel.moment_map` vec(Rhat), a map built
 once per model.  The normal-score grid quantile(i/(n+1)) is formed once per
@@ -84,7 +90,9 @@ at OpenBLAS's default thread count than at one thread.
 An EstimateResult holds the model and the sample it was fit on, and reads
 its tie warning and its standard errors (a geometry and an information
 matrix at the estimate) from them on first read, so a caller that reads
-only theta_hat, as a Monte Carlo replication does, pays for neither.
+only theta_hat pays for neither.  Only the public calls build one: a Monte
+Carlo block reads the array cores (`_ple_solve`, `_moment_pilot`,
+`_one_step_update`) and builds none.
 """
 
 from __future__ import annotations
@@ -130,7 +138,7 @@ class RankedSample:
     inside (0,1).  `rhat` is the read-only `normal_scores_matrix`, formed on
     first read; a spectral family's estimators never read it, and read the
     eigen-group sums D_g = tr(Q_g' Rhat Q_g) instead, which `_group_sums`
-    forms from zhat and keeps on the sample for the last spectrum asked.
+    forms from zhat once per block.
     """
 
     def __init__(self, zhat):
@@ -410,11 +418,11 @@ def _matrix_descent(model, rhats):
     return evaluate
 
 
-def _spectral_descent(spectrum, samples):
+def _spectral_descent(spectrum, sums_all):
     """`_descent`'s evaluate for R(theta) = sum_g lam_g P_g with theta-free
     eigen-groups and one parameter, in one pass over (B, G) arrays.  With
-    the group sums D_g = tr(P_g Rhat) (`_group_sums`), multiplicities m_g and
-    tr Rhat = sum D, row b holds
+    the block's group sums D_g = tr(P_g Rhat) (`sums_all`, from
+    `_group_sums`), multiplicities m_g and tr Rhat = sum D, row b holds
 
         f   = (sum m log lam + sum D / lam - tr Rhat) / 2, inf unless lam > 0,
         psi = sum x (r - m),  x = dlam / lam,  r = D / lam,
@@ -430,7 +438,6 @@ def _spectral_descent(spectrum, samples):
     """
     add = np.add.reduce
     m = spectrum.sizes
-    sums_all = _group_sums(spectrum, samples)
     trace_all = add(sums_all, 1)
 
     def evaluate(rows, theta, scoring):
@@ -470,35 +477,38 @@ def _group_sums(spectrum, samples):
     sum tr Rhat minus the others, with tr Rhat = sum zhat^2 / n summed from
     zhat, ties included.  So exchangeable(p) reads zhat only through its
     rows' sums, along its one column 1/sqrt(p), and through sum zhat^2.  The
-    samples that have no sums for this spectrum yet are stacked by n, and
-    each stack takes one matmul of the columns with the (B, p, n) stack, a
-    sum over n and, for a last group, one dot product per sample; each
-    sample keeps its row (`_sums`, for the last spectrum asked), so the PLE
-    descent, the moment start and the one-step update read one row.  Every
-    step is along one sample, so a row is the same to the bit in any
-    block."""
+    samples are stacked by n, and each stack takes one matmul of the columns
+    with the (B, p, n) stack, a sum over n and, for a last group, one dot
+    product per sample.  Every step is along one sample, so a row is the
+    same to the bit in any block."""
     stacks = {}
-    for sample in samples:
-        if getattr(sample, "_sums", (None,))[0] is not spectrum:
-            stacks.setdefault(sample.n, []).append(sample)
+    for row, sample in enumerate(samples):
+        stacks.setdefault(sample.n, []).append(row)
     add = np.add.reduce
-    for n, stack in stacks.items():
-        z = np.stack([sample.zhat for sample in stack])
+    sums = np.empty((len(samples), len(spectrum.sizes)))
+    for n, rows in stacks.items():
+        z = np.stack([samples[row].zhat for row in rows])
         # Y' = Q' zhat', so that each sum over n runs along a contiguous row
         y = spectrum.columns.T @ z.transpose(0, 2, 1)
-        sums = spectrum.group_totals(add(y * y, 2))
-        if sums.shape[1] < len(spectrum.sizes):  # the last group: tr Rhat - the others
-            flat = z.reshape(len(stack), 1, -1)  # a (1, n p) row per sample: one dot each
+        part = spectrum.group_totals(add(y * y, 2))
+        if part.shape[1] < sums.shape[1]:  # the last group: tr Rhat - the others
+            flat = z.reshape(len(rows), 1, -1)  # a (1, n p) row per sample: one dot each
             trace = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
-            sums = np.column_stack([sums, trace - add(sums, 1)])
-        for sample, row in zip(stack, sums / n):
-            sample._sums = (spectrum, row)
-    return np.array([sample._sums[1] for sample in samples])
+            part = np.column_stack([part, trace - add(part, 1)])
+        sums[rows] = part / n
+    return sums
 
 
-def _descent(model, samples):
+def _block_sums(model, samples):
+    """The block's group sums (`_group_sums`) on a spectral family, else
+    None: formed once per block and handed to every estimator core."""
+    return None if model.spectrum is None else _group_sums(model.spectrum, samples)
+
+
+def _descent(model, samples, sums):
     """The one function the PLE descent evaluates, for the block of
-    `samples`.  evaluate(rows, theta, scoring)
+    `samples` and their group sums `sums` (`_block_sums`).
+    evaluate(rows, theta, scoring)
     takes `rows`, the ascending list of the block positions it evaluates,
     and theta, those rows' (len(rows), k) iterates, and returns
     (f, norm, slope, step, eigs): the lists of the rows' objective values,
@@ -510,7 +520,7 @@ def _descent(model, samples):
     (`_spectral_descent`) when the model declares a `Spectrum`, else
     `_matrix_descent`."""
     if model.spectrum is not None:
-        return _spectral_descent(model.spectrum, samples)
+        return _spectral_descent(model.spectrum, sums)
     return _matrix_descent(model, [sample.rhat for sample in samples])
 
 
@@ -534,18 +544,24 @@ def _trace(history, row):
 def _descend(model, evaluate, theta, scoring):
     """Newton descent with an Armijo line search on every row of theta
     (B, k) at once, on the `_descent` evaluate.  Rows whose `scoring` flag is
-    set take a Fisher-scoring first step.  Returns one outcome per row:
-    (theta_hat, iterations), or the exception `ple_estimate` raises on that
-    row's sample alone.  Each row keeps its own step, stop test, saddle
-    test, domain verdict and iterate trace, and a row with an outcome leaves
-    the block.  No row reads another, so an outcome does not depend on the
-    block around it.  Each candidate is evaluated once, step included: an
-    accepted candidate's step is the next step, a rejected one's is
-    discarded."""
+    set take a Fisher-scoring first step.  Returns (theta_hat, iterations,
+    failures): the (B, k) estimates, a NaN row where the row failed, each
+    row's step count, and {row: the exception `ple_estimate` raises on that
+    row's sample alone}.  Each row keeps its own step, stop test, saddle test
+    and iterate trace, and a row with an outcome leaves the block.  The rows
+    that meet the tolerance in one round take their saddle tests row by row
+    and then one domain test, `model.domain_check_block`.  No row reads
+    another, so an outcome does not depend on the block around it.  Each
+    candidate is evaluated once, step included: an accepted candidate's step
+    is the next step, a rejected one's is discarded."""
     rows = list(range(len(theta)))
     f, norm, slope, dx, eigs = evaluate(rows, theta, scoring)
-    outcomes = [DomainError(f"initial theta {start} outside the domain of {model.name}")
-                if value == np.inf else None for value, start in zip(f, theta)]
+    theta_hat = np.full(theta.shape, np.nan)
+    iterations = [0] * len(rows)
+    failures = {row: DomainError(f"initial theta {theta[row]} outside the domain "
+                                 f"of {model.name}")
+                for row, value in enumerate(f) if value == np.inf}
+    settled = [value == np.inf for value in f]
     tol = 1e-8 * model.k
     # (rows, theta, norm) of every iterate, for the traces.  A row that has
     # an outcome may stay in one more entry, which its trace, made with the
@@ -553,24 +569,49 @@ def _descend(model, evaluate, theta, scoring):
     history = []
 
     def fail(pos, norm):
-        return ConvergenceError(
+        settled[rows[pos]] = True
+        failures[rows[pos]] = ConvergenceError(
             f"pseudo-likelihood Newton descent did not converge for {model.name} "
             f"(final sup-norm {norm:.3e}, tolerance {tol:.3e})",
             trace=_trace(history, rows[pos]))
 
+    def settle(met, iteration):
+        # The verdicts on the positions `met`, whose pseudo-scores met the
+        # tolerance: the saddle test row by row, on the exact Hessian (a
+        # scoring step's is evaluated again), then one domain test.
+        level = []
+        for i in met:
+            settled[rows[i]] = True
+            hess_eigs = (evaluate(rows[i:i + 1], theta[i:i + 1], [False])[4][0]
+                         if iteration == 0 and scoring[rows[i]] else eigs[i])
+            low, high = float(hess_eigs[0]), float(hess_eigs[-1])
+            if low < -_SQRT_EPS * max(-low, high):  # the eigenvalues ascend
+                failures[rows[i]] = ConvergenceError(
+                    f"pseudo-likelihood Newton descent stopped at a saddle point "
+                    f"for {model.name} (Hessian eigenvalues {low:.3e} to {high:.3e})",
+                    trace=_trace(history, rows[i]))
+            else:
+                level.append(i)
+        if not level:
+            return
+        for i, inside in zip(level, model.domain_check_block(_take(theta, level)).tolist()):
+            if inside:
+                theta_hat[rows[i]] = theta[i]
+                iterations[rows[i]] = iteration
+            else:
+                failures[rows[i]] = ConvergenceError(
+                    f"pseudo-likelihood Newton descent converged to {theta[i].tolist()}, "
+                    f"outside the domain of {model.name}", trace=_trace(history, rows[i]))
+
     for iteration in range(_MAX_ITER + 1):
         history.append((rows, theta, norm))
-        for i, value in enumerate(norm):
-            if value <= tol and outcomes[rows[i]] is None:
-                # the saddle test reads the exact Hessian
-                hess_eigs = (evaluate(rows[i:i + 1], theta[i:i + 1], [False])[4][0]
-                             if iteration == 0 and scoring[rows[i]] else eigs[i])
-                outcomes[rows[i]] = _verdict(model, theta[i], hess_eigs, iteration,
-                                             history, rows[i])
-        live = [i for i, row in enumerate(rows) if outcomes[row] is None]
+        met = [i for i, value in enumerate(norm) if value <= tol and not settled[rows[i]]]
+        if met:
+            settle(met, iteration)
+        live = [i for i, row in enumerate(rows) if not settled[row]]
         if iteration == _MAX_ITER or not live:
             for i in live:
-                outcomes[rows[i]] = fail(i, norm[i])
+                fail(i, norm[i])
             break
         if len(live) < len(rows):
             rows, theta, f, norm, slope, dx = (_take(v, live)
@@ -595,53 +636,55 @@ def _descend(model, evaluate, theta, scoring):
                         v[i] = v_out[j]
             search, scale = rejected, 0.5 * scale
         for i in search:  # no descent found
-            outcomes[rows[i]] = fail(i, norm[i])
+            fail(i, norm[i])
         theta, f, norm, slope, dx, eigs = new
-    return outcomes
+    return theta_hat, np.array(iterations), failures
 
 
-def _verdict(model, theta, eigs, iteration, history, row):
-    """The outcome of a row whose pseudo-score met the tolerance at theta:
-    ConvergenceError at a saddle (a Hessian eigenvalue below -sqrt(eps)
-    times the largest absolute one) or outside the domain, else
-    (theta_hat, iterations)."""
-    low, high = float(eigs[0]), float(eigs[-1])
-    if low < -_SQRT_EPS * max(-low, high):  # the eigenvalues ascend
-        return ConvergenceError(
-            f"pseudo-likelihood Newton descent stopped at a saddle point "
-            f"for {model.name} (Hessian eigenvalues {low:.3e} to {high:.3e})",
-            trace=_trace(history, row))
-    if not model.domain_check(theta):
-        return ConvergenceError(
-            f"pseudo-likelihood Newton descent converged to {theta.tolist()}, "
-            f"outside the domain of {model.name}", trace=_trace(history, row))
-    return theta.copy(), iteration
-
-
-def _moment_fits(model, samples):
+def _moment_fits(model, samples, sums):
     """The (B, k) moment fits of the samples, for a model with a moment map:
     `moment_map` vec(Rhat), or on a `Spectrum` the same least-squares fit
-    <dR(0), Rhat> / ||dR(0)||^2 = sum w D from the group sums D
-    (`_group_sums`) and the spectrum's `moment_weights` w, in row sums."""
-    spectrum = model.spectrum
-    if spectrum is None:
+    <dR(0), Rhat> / ||dR(0)||^2 = sum w D from the block's group sums D
+    (`_block_sums`) and the spectrum's `moment_weights` w, in row sums."""
+    if sums is None:
         return np.array([model.moment_map @ sample.rhat.ravel() for sample in samples])
-    sums = _group_sums(spectrum, samples)
-    return np.add.reduce(sums * spectrum.moment_weights, 1)[:, None]
+    return np.add.reduce(sums * model.spectrum.moment_weights, 1)[:, None]
 
 
-def _starts(model, samples):
+def _starts(model, samples, sums):
     """(starts, from_pilot): each sample's moment fit (`_moment_fits`) where
     the model has a moment map and the fit is in the domain, one
     `domain_check_block` for the block, else `default_init`."""
     if model.moment_map is None:
         return (np.tile(model.theta_vec(model.default_init), (len(samples), 1)),
                 [False] * len(samples))
-    fits = _moment_fits(model, samples)
+    fits = _moment_fits(model, samples, sums)
     inside = model.domain_check_block(fits)
     if not inside.all():
         fits[~inside] = model.theta_vec(model.default_init)
     return fits, inside.tolist()
+
+
+def _ple_solve(model, samples, sums):
+    """The PLE of every sample of a block, `sums` its group sums
+    (`_block_sums`), as arrays: (theta, iterations, failures) of `_descend`,
+    with no EstimateResult.  A Monte Carlo block reads this; the public
+    `ple_estimate_block` wraps it."""
+    return _descend(model, _descent(model, samples, sums), *_starts(model, samples, sums))
+
+
+def _moment_pilot(model, samples, sums):
+    """The moment pilots of a block, for a model with a moment map, as
+    arrays: (theta, clamped), theta the (B, k) fits (`_moment_fits`) with each
+    fit outside the domain brought into it toward default_init
+    (`model.into_domain`) and flagged in `clamped`.  One domain test for the
+    block (`model.domain_check_block`); only the rows outside it call
+    `into_domain`."""
+    theta = _moment_fits(model, samples, sums)
+    clamped = ~model.domain_check_block(theta)
+    for row in clamped.nonzero()[0]:
+        theta[row] = model.into_domain(theta[row], model.default_init)[0]
+    return theta, clamped
 
 
 def _std_errors(model, theta, n, field):
@@ -670,13 +713,11 @@ def ple_estimate_block(model, samples):
         return []
     for sample in samples:
         _check_p(model, sample)
-    outcomes = _descend(model, _descent(model, samples), *_starts(model, samples))
-    for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
-        if not isinstance(outcome, Exception):
-            theta, iterations = outcome
-            outcomes[i] = EstimateResult(theta_hat=theta, method="ple", iterations=iterations,
-                                         converged=True, model=model, sample=sample)
-    return outcomes
+    theta, iterations, failures = _ple_solve(model, samples, _block_sums(model, samples))
+    return [failures[i] if i in failures
+            else EstimateResult(theta_hat=theta[i], method="ple", iterations=int(iterations[i]),
+                                converged=True, model=model, sample=sample)
+            for i, sample in enumerate(samples)]
 
 
 def ple_estimate(model, sample):
@@ -727,9 +768,9 @@ def pilot_moment(model, sample):
     if model.moment_map is None:
         return ple_estimate(model, sample)
     _check_p(model, sample)
-    theta, clamped = model.into_domain(_moment_fits(model, [sample])[0], model.default_init)
-    return EstimateResult(theta_hat=theta, method="pilot_moment", iterations=0,
-                          converged=True, model=model, sample=sample, clamped=clamped)
+    theta, clamped = _moment_pilot(model, [sample], _block_sums(model, [sample]))
+    return EstimateResult(theta_hat=theta[0], method="pilot_moment", iterations=0,
+                          converged=True, model=model, sample=sample, clamped=bool(clamped[0]))
 
 
 def one_step(model, sample, pilot=None):
@@ -777,28 +818,31 @@ def one_step_block(model, samples, pilots):
         pilots = np.empty(0)
     if pilots.shape != (len(samples), model.k):
         raise ShapeError(f"pilots must form a ({len(samples)}, {model.k}) array of floats")
-    outcomes = _one_step_update(model, samples, pilots)
-    for i, (sample, outcome) in enumerate(zip(samples, outcomes)):
-        if not isinstance(outcome, Exception):
-            theta, clamped = outcome
-            outcomes[i] = EstimateResult(
-                theta_hat=theta, method="one_step", iterations=1, converged=not clamped,
-                model=model, sample=sample, clamped=clamped)
-    return outcomes
+    theta, clamped, failures = _one_step_update(model, samples, pilots,
+                                                _block_sums(model, samples))
+    return [failures[i] if i in failures
+            else EstimateResult(theta_hat=theta[i], method="one_step", iterations=1,
+                                converged=not clamped[i], model=model, sample=sample,
+                                clamped=bool(clamped[i]))
+            for i, sample in enumerate(samples)]
 
 
-def _one_step_update(model, samples, pilots):
-    """Each row's outcome: (theta, clamped), theta the update
-    pilot + I*^-1 tr(A* Rhat) / 2 brought into the domain toward the pilot
-    (`model.into_domain`), or, as a value, the error that fails the row: the
-    SingularityError where I* is singular, or the error that the geometry at
-    the pilot raises on the general path (`_bundle_update`).
+def _one_step_update(model, samples, pilots, sums):
+    """The one-step updates of a block from its (B, k) float array of pilots,
+    `sums` its group sums (`_block_sums`), as arrays: (theta, clamped,
+    failures).  Row b of theta is the update pilot + I*^-1 tr(A* Rhat) / 2
+    brought into the domain toward the pilot (`model.into_domain`) and
+    flagged in `clamped`, or a NaN row where the row fails; `failures` maps
+    such a row to its error, the SingularityError where I* is singular, or
+    the error that the geometry at the pilot raises on the general path
+    (`_bundle_update`).  A Monte Carlo block reads this; the public
+    `one_step_block` wraps it.
 
     On a balanced spectrum R = Q diag(lam) Q', diag(dR S) = xbar 1 with
     x = dlam / lam, so the generator weights are g = -xbar / 2 and
     A* = Q diag((x - xbar) / lam) Q'.  On the eigen-groups, with
-    multiplicities m and sums D (`_group_sums`, as the spectral PLE reads
-    them), xbar = sum m x / p and the whole block is then
+    multiplicities m and sums D, as the spectral PLE reads them,
+    xbar = sum m x / p and the whole block is then
 
         I* = sum m (x - xbar)^2 / 2,
         theta = pilot + sum (x - xbar) D / lam / sum m (x - xbar)^2,
@@ -812,26 +856,37 @@ def _one_step_update(model, samples, pilots):
     `efficiency_bundle`."""
     spectrum = model.spectrum
     if spectrum is None or not spectrum.balanced:
-        return [_bundle_update(model, sample, pilot) for sample, pilot in zip(samples, pilots)]
-    sums = _group_sums(spectrum, samples)
-    m = spectrum.sizes
-    add = np.add.reduce
-    start = pilots[:, 0]
-    lam, dlam, _ = spectrum.group_fn(start)
-    outside = (~(np.isfinite(start) & (lam.min(axis=1) > 0.0))).tolist()  # NaN included
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0, or outside
-        x = dlam / lam
-        x -= (add(m * x, 1) / model.p)[:, None]
-        squares = add(m * x * x, 1)
-        theta = (start + add(x * sums / lam, 1) / squares)[:, None]
-    info = (0.5 * squares).tolist()
-    inside = model.domain_check_block(theta).tolist()
-    return [_bundle_update(model, sample, pilot) if row_outside
-            else _singular(np.array([i_star]), "efficient information matrix")
-            if not i_star > 0.0  # NaN included
-            else (row, False) if row_inside else model.into_domain(row, pilot)
-            for sample, pilot, row_outside, i_star, row, row_inside
-            in zip(samples, pilots, outside, info, theta, inside)]
+        theta = np.empty(pilots.shape)
+        general = np.ones(len(samples), dtype=bool)
+        irregular = range(len(samples))
+    else:
+        m = spectrum.sizes
+        add = np.add.reduce
+        start = pilots[:, 0]
+        lam, dlam, _ = spectrum.group_fn(start)
+        general = ~(np.isfinite(start) & (lam.min(axis=1) > 0.0))  # NaN included
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0, or general
+            x = dlam / lam
+            x -= (add(m * x, 1) / model.p)[:, None]
+            squares = add(m * x * x, 1)
+            theta = (start + add(x * sums / lam, 1) / squares)[:, None]
+        info = 0.5 * squares
+        inside = model.domain_check_block(theta)
+        irregular = (general | ~(info > 0.0) | ~inside).nonzero()[0].tolist()  # NaN included
+    clamped = np.zeros(len(samples), dtype=bool)
+    failures = {}
+    for row in irregular:
+        if general[row]:
+            outcome = _bundle_update(model, samples[row], pilots[row])
+        elif not info[row] > 0.0:
+            outcome = _singular(info[row:row + 1], "efficient information matrix")
+        else:  # a copy, since the row is overwritten with the outcome
+            outcome = model.into_domain(theta[row].copy(), pilots[row])
+        if isinstance(outcome, Exception):
+            theta[row], failures[row] = np.nan, outcome
+        else:
+            theta[row], clamped[row] = outcome
+    return theta, clamped, failures
 
 
 def _bundle_update(model, sample, pilot):

@@ -3,11 +3,14 @@
 Each replication r of an experiment draws its sample from the Philox
 stream keyed (seed, r, lane) and estimates with every requested estimator.
 A block of replications returns one record: its (B, n_estimators, k) array
-of errors theta_hat - theta_true and its list of failures.  An estimator
-block returns a row's failure (solver non-convergence, singular I*) as a
-value, which the record keeps as a NaN row: failures are counted and
-excluded, never imputed, and more than 5% for any estimator aborts the
-experiment, as does anything a block raises.  A run concatenates its
+of errors theta_hat - theta_true and its list of failures.  It reads the
+estimators' array cores, not the public calls, so it builds no
+EstimateResult: each core returns a (B, k) array of estimates with a NaN
+row per failed row (solver non-convergence, singular I*) and those rows'
+errors as values, and each estimator's error column is one subtraction, the
+NaN rows kept.  Failures are counted and excluded, never imputed, and
+more than 5% for any estimator aborts the experiment, as does anything a
+core raises.  A run concatenates its
 blocks' arrays in replication order and reduces that one array in order, so
 reports are byte-identical no matter how many workers ran the blocks.
 
@@ -21,9 +24,9 @@ also forms the bounds at the truth.  Each config still holds its own
 theta_true array.  A replication pays only for what its sample changes:
 the draw, the ranks, the estimates, and the statistic they read: on a
 spectral family the eigen-group sums D_g = tr(Q_g' Rhat Q_g), which the
-block forms from its stacked zhat with no Rhat (on exchangeable(p) from
-its rows' sums and sum zhat^2, with no eigen-solve), and Rhat on any
-other.
+block forms once, as one (B, G) array, from its stacked zhat with no Rhat
+(on exchangeable(p) from its rows' sums and sum zhat^2, with no
+eigen-solve), and Rhat on any other.
 
 Replications run in blocks of consecutive indices: at most 64 in a serial
 run, which bounds the samples held at once, and max(1, replications //
@@ -35,9 +38,11 @@ stream, one matmul with the factor) and ranks the stack with one argsort
 every margin transform are strictly increasing, so a run applies neither:
 the ranks of Z are those of the copula sample, save where Phi would round
 distinct extreme draws to one float (1.0 for z >= 8.3) and make a tie.  A
-block then solves the PLEs of its replications in one `ple_estimate_block`
-descent and updates from them in one `one_step_block` call, in closed
-form on the eigenvalues where the model's spectrum is balanced.  No row of
+block then solves the PLEs of its replications in one `_ple_solve`
+descent, whose rows that converge in one round take one domain test, and
+updates from the solved rows of its estimates in one `_one_step_update`
+call, in closed form on the eigenvalues where the model's spectrum is
+balanced.  No row of
 any stage depends on the block, so a block never changes a number.
 """
 
@@ -53,7 +58,8 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .estimators import _rank_block, one_step_block, pilot_moment, ple_estimate_block
+from .estimators import (_block_sums, _moment_pilot, _one_step_update, _ple_solve,
+                         _rank_block)
 from .exceptions import ConfigError, McExperimentError, ShapeError, SingularityError
 from .geometry import efficiency_bundle
 from .models import build_model, eval_geometry
@@ -274,15 +280,17 @@ def _replicate(config, reps):
     (len(reps), n_estimators, k) array of theta_hat - theta_true, a NaN row
     per failed estimator, and the (replication, estimator, "Type: message")
     entries in replication order.  The block is drawn and ranked as one
-    stack, its PLEs solved in one `ple_estimate_block` call and the one-step
-    updates from the rows whose PLE succeeded in one `one_step_block` call;
-    each returns a row's failure as a value, and whatever a block raises
-    aborts the run.  No row depends on the block.  Top-level so process
-    pools can pickle it."""
+    stack, its group sums formed once (`_block_sums`), its PLEs solved in one
+    `_ple_solve` call and the one-step updates from the rows whose PLE
+    succeeded in one `_one_step_update` call; each estimator core returns a
+    (B, k) array with a NaN row per failed row and those rows' errors as
+    values, and whatever a core raises aborts the run.  No row depends on
+    the block.  Top-level so process pools can pickle it."""
     model, chol = _truth(*config._key)
     estimators = config.estimators
-    outcomes = {}
     samples = _rank_block(_sample_block(chol, config.n, config.seed, reps, config.lane))
+    sums = _block_sums(model, samples)
+    theta, failed = {}, {}
     # The one-step update is pinned to a pseudo-likelihood pilot: in high
     # dimensions a moment pilot leaves a visible finite-sample bias that the
     # single update does not remove, while the update from the PLE re-centers
@@ -291,29 +299,35 @@ def _replicate(config, reps):
     # is that same solve from the same start.
     pilot_is_ple = model.moment_map is None
     if pilot_is_ple or "ple" in estimators or "one_step" in estimators:
-        outcomes["ple"] = ple_estimate_block(model, samples)
+        theta["ple"], _, failed["ple"] = _ple_solve(model, samples, sums)
     if "pilot_moment" in estimators:
-        outcomes["pilot_moment"] = (outcomes["ple"] if pilot_is_ple
-                                    else [pilot_moment(model, s) for s in samples])
+        if pilot_is_ple:
+            theta["pilot_moment"], failed["pilot_moment"] = theta["ple"], failed["ple"]
+        else:
+            theta["pilot_moment"], failed["pilot_moment"] = _moment_pilot(model, samples,
+                                                                          sums)[0], {}
     if "one_step" in estimators:
         # a failed PLE fails its row's update; it checked every pilot's domain
-        ples = outcomes["ple"]
-        updates = outcomes["one_step"] = list(ples)
-        solved = [i for i, ple in enumerate(ples) if not isinstance(ple, Exception)]
-        block = one_step_block(model, [samples[i] for i in solved],
-                               [ples[i].theta_hat for i in solved])
-        for i, update in zip(solved, block):
-            updates[i] = update
-    errors = np.full((len(reps), len(estimators), len(config.theta_true)), np.nan)
-    failures = []
-    for i, rep in enumerate(reps):
-        for j, est in enumerate(estimators):
-            outcome = outcomes[est][i]
-            if isinstance(outcome, Exception):
-                failures.append((rep, est, f"{type(outcome).__name__}: {outcome}"))
-            else:
-                errors[i, j] = outcome.theta_hat - config.theta_true
-    return errors, failures
+        ple, ple_failed = theta["ple"], failed["ple"]
+        if ple_failed:
+            solved = [i for i in range(len(samples)) if i not in ple_failed]
+            update, _, update_failed = _one_step_update(
+                model, [samples[i] for i in solved], ple[solved],
+                None if sums is None else sums[solved])
+            theta["one_step"] = np.full(ple.shape, np.nan)
+            theta["one_step"][solved] = update
+            failed["one_step"] = {**ple_failed,
+                                  **{solved[j]: exc for j, exc in update_failed.items()}}
+        else:
+            theta["one_step"], _, failed["one_step"] = _one_step_update(model, samples, ple,
+                                                                        sums)
+    errors = np.empty((len(reps), len(estimators), len(config.theta_true)))
+    for j, est in enumerate(estimators):
+        np.subtract(theta[est], config.theta_true, out=errors[:, j])
+    failures = sorted((i, j, exc) for j, est in enumerate(estimators)
+                      for i, exc in failed[est].items())
+    return errors, [(reps[i], estimators[j], f"{type(exc).__name__}: {exc}")
+                    for i, j, exc in failures]
 
 
 def _blocks(reps, workers):

@@ -447,8 +447,8 @@ class TestPleEstimate:
         # eigenvalue below 0.
         descent = estimators._descent
 
-        def huge_steps(model, rhats):
-            evaluate = descent(model, rhats)
+        def huge_steps(*args):
+            evaluate = descent(*args)
 
             def huge(rows, theta, scoring):
                 f, norm, slope, dx, eigs = evaluate(rows, theta, scoring)
@@ -566,10 +566,13 @@ class TestPleEstimate:
 
     def test_converged_outside_domain_raises(self, monkeypatch):
         # exchangeable(3) declares a Spectrum, so this is the spectral descent.
+        # Its box is tested a block at a time, so both tests reject.
         u = sample_copula(exch_corr(3, 0.2), 80, seed=1)
         sample = rank_transform(u)
         assert ple_estimate(exchangeable(3), sample).converged
         monkeypatch.setattr(CorrelationModel, "domain_check", lambda self, theta: False)
+        monkeypatch.setattr(CorrelationModel, "domain_check_block",
+                            lambda self, thetas: np.zeros(len(thetas), dtype=bool))
         with pytest.raises(ConvergenceError, match="outside the domain") as info:
             ple_estimate(exchangeable(3), sample)
         assert info.value.trace[-1][1] <= 1e-8
@@ -662,8 +665,8 @@ class TestScoringStart:
         flags = []
         descent = estimators._descent
 
-        def spied(model, rhats):
-            evaluate = descent(model, rhats)
+        def spied(*args):
+            evaluate = descent(*args)
 
             def recorded(rows, theta, scoring):
                 flags.extend(scoring)
@@ -897,16 +900,20 @@ class TestStackedD:
         zhats = self.zhats(model, theta, n)
         count = len(zhats)
 
-        def fresh(order):  # new samples, which hold no sums yet
+        def fresh(order):
             return [RankedSample(zhats[i]) for i in order]
+
+        def block_starts(order):
+            samples = fresh(order)
+            return estimators._starts(model, samples, estimators._block_sums(model, samples))
 
         sums_alone = [estimators._group_sums(model.spectrum, fresh([i]))[0]
                       for i in range(count)]
-        starts_alone = [estimators._starts(model, fresh([i])) for i in range(count)]
+        starts_alone = [block_starts([i]) for i in range(count)]
         rng = np.random.default_rng(0)
         for order in (np.arange(count), np.arange(count)[::-1], rng.permutation(count)):
             sums = estimators._group_sums(model.spectrum, fresh(order))
-            starts, from_pilot = estimators._starts(model, fresh(order))
+            starts, from_pilot = block_starts(order)
             for row, i in enumerate(order):
                 assert np.array_equal(sums[row], sums_alone[i]), (row, i)
                 assert np.array_equal(sums[row], group_sums(model.spectrum, zhats[i]))

@@ -445,16 +445,17 @@ class TestRunExperiment:
         assert np.array_equal(pooled.errors, serial.errors, equal_nan=True)
 
     def test_failure_values_counted_whatever_their_type(self, monkeypatch):
-        # A block returns a row's failure as a value, and the block's record
-        # takes any error it finds there as that estimator's failure.
-        real = mc.one_step_block
+        # A core returns a row's failure as a value, beside its NaN row, and
+        # the block's record takes any error it finds there as that
+        # estimator's failure.
+        real = mc._one_step_update
 
-        def one_forced(model, samples, pilots):
-            outcomes = real(model, samples, pilots)
-            outcomes[1] = ShapeError("forced")
-            return outcomes
+        def one_forced(model, samples, pilots, sums):
+            theta, clamped, failures = real(model, samples, pilots, sums)
+            theta[1], failures[1] = np.nan, ShapeError("forced")
+            return theta, clamped, failures
 
-        monkeypatch.setattr(mc, "one_step_block", one_forced)
+        monkeypatch.setattr(mc, "_one_step_update", one_forced)
         config = McConfig.from_dict({**BASE, "replications": 30})
         errors, failures = mc._replicate(config, range(3))
         assert failures == [(1, "one_step", "ShapeError: forced")]
@@ -464,11 +465,15 @@ class TestRunExperiment:
         assert report.failures == {"ple": 0, "one_step": 1}
         assert report.n_success == {"ple": 30, "one_step": 29}
 
-    @pytest.mark.parametrize("block,error", [("ple_estimate_block", RuntimeError),
-                                             ("ple_estimate_block", ConvergenceError),
-                                             ("one_step_block", RuntimeError)])
+    @pytest.mark.parametrize("block,error", [("_ple_solve", RuntimeError),
+                                             ("_ple_solve", ConvergenceError),
+                                             ("_one_step_update", RuntimeError)],
+                             ids=["ple_estimate_block-RuntimeError",
+                                  "ple_estimate_block-ConvergenceError",
+                                  "one_step_block-RuntimeError"])
     def test_a_raising_block_aborts_the_run(self, monkeypatch, block, error):
-        # What a block raises, rather than returns, is never a failure count.
+        # What a block's core raises, rather than returns, is never a failure
+        # count.
         def raising(*args):
             raise error("raised by the block")
 
@@ -480,14 +485,14 @@ class TestRunExperiment:
         # factor(5, 1) has no moment map, so pilot_moment is the PLE from the
         # same start: one solve per replication serves all three estimators.
         calls = []
-        solve = estimators.ple_estimate_block
+        solve = estimators._ple_solve
 
-        def counted(model, samples):
+        def counted(model, samples, sums):
             calls.extend(samples)
-            return solve(model, samples)
+            return solve(model, samples, sums)
 
-        monkeypatch.setattr(mc, "ple_estimate_block", counted)
-        monkeypatch.setattr(estimators, "ple_estimate_block", counted)
+        monkeypatch.setattr(mc, "_ple_solve", counted)
+        monkeypatch.setattr(estimators, "_ple_solve", counted)
         config = {"model": {"family": "factor", "p": 5, "q": 1},
                   "theta_true": [0.5, 0.4, 0.3, 0.6, 0.2], "n": 250,
                   "replications": 10, "seed": 20260814}
@@ -723,11 +728,12 @@ class TestComputedOnce:
         # estimators, each with the solve's own message, and is not repeated.
         calls = []
 
-        def failing(model, samples, *args, **kwargs):
+        def failing(model, samples, sums):
             calls.extend(samples)
-            return [ConvergenceError("forced") for _ in samples]
+            return (np.full((len(samples), model.k), np.nan), np.zeros(len(samples), dtype=int),
+                    {row: ConvergenceError("forced") for row in range(len(samples))})
 
-        monkeypatch.setattr(mc, "ple_estimate_block", failing)
+        monkeypatch.setattr(mc, "_ple_solve", failing)
         config = McConfig.from_dict({**BASE, "seed": 1, "estimators": ["one_step", "ple"]})
         errors, failures = mc._replicate(config, range(1))
         assert errors.shape == (1, 2, 1) and np.isnan(errors).all()
@@ -740,10 +746,10 @@ class TestComputedOnce:
         assert len(calls) == 1 + 6
 
     def test_moment_pilot_alone_solves_no_ple(self, monkeypatch):
-        def no_ple(model, samples, *args, **kwargs):
+        def no_ple(model, samples, sums):
             raise AssertionError("a PLE was solved")
 
-        monkeypatch.setattr(mc, "ple_estimate_block", no_ple)
+        monkeypatch.setattr(mc, "_ple_solve", no_ple)
         report = run_experiment({**BASE, "replications": 3, "estimators": ["pilot_moment"]})
         assert report.failures == {"pilot_moment": 0}
         model = copula_rank.exchangeable(3)
@@ -803,30 +809,37 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize("name", ["circular", "exchangeable100"])
     def test_group_sums_once_per_sample(self, monkeypatch, name):
-        # The eigen-group sums are formed once per sample, for the whole
-        # block in one stacked product, and the PLE descent, its moment start
-        # and the one-step update all read that same array.
-        kept = []  # per call, the (spectrum, sums) each sample holds after it
+        # The eigen-group sums are formed in one pass per block, for all its
+        # samples in one stacked product, and the PLE descent, its moment
+        # start and the one-step update all read that one array.
+        made, read = [], {}
         group_sums = estimators._group_sums
 
         def recorded(spectrum, samples):
-            sums = group_sums(spectrum, samples)
-            kept.append([sample._sums for sample in samples])
-            assert all(np.array_equal(row, held) for row, (_, held) in zip(sums, kept[-1]))
-            return sums
+            made.append(group_sums(spectrum, samples))
+            return made[-1]
+
+        def reader(module, name, position):
+            fn = getattr(module, name)
+
+            def spied(*args):
+                read.setdefault(name, []).append(args[position])
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, spied)
 
         monkeypatch.setattr(estimators, "_group_sums", recorded)
+        reader(estimators, "_spectral_descent", 1)
+        reader(estimators, "_moment_fits", 2)
+        reader(mc, "_one_step_update", 3)
         config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 6,
                                      "seed": 20260814})
         errors, failures = mc._replicate(config, range(6))
         assert failures == [] and not np.isnan(errors).any()
-        assert len(kept) == 3  # the descent, the starts, the one-step update
-        first = kept[0]
-        assert len(first) == 6
-        stacked = first[0][1].base  # rows of one stacked array of sums
-        assert stacked is not None and all(sums.base is stacked for _, sums in first)
-        for later in kept[1:]:
-            assert all(a is b for a, b in zip(later, first))
+        assert len(made) == 1
+        assert made[0].shape == (6, len(mc._truth(*config._key)[0].spectrum.sizes))
+        assert sorted(read) == ["_moment_fits", "_one_step_update", "_spectral_descent"]
+        assert all(len(arrays) == 1 and arrays[0] is made[0] for arrays in read.values())
 
     def test_exchangeable_block_solves_and_factors_nothing(self, eigensolves,
                                                            factorizations):
@@ -998,20 +1011,126 @@ class TestBlocks:
         # Newton iterations per row as one solve per replication took, a
         # mean of 3.1775, 4.525 and 4.0.
         rows = []
-        solve = estimators.ple_estimate_block
+        solve = estimators._ple_solve
 
-        def counted(model, samples, *args, **kwargs):
-            block = solve(model, samples, *args, **kwargs)
-            rows.extend(result.iterations for result in block)
-            return block
+        def counted(model, samples, sums):
+            theta, iterations, failures = solve(model, samples, sums)
+            assert not failures
+            rows.extend(iterations.tolist())
+            return theta, iterations, failures
 
-        monkeypatch.setattr(mc, "ple_estimate_block", counted)
+        monkeypatch.setattr(mc, "_ple_solve", counted)
         for lane in range(batches):
             for name in names:
                 run_experiment({**CRITERION_CONFIGS[name], "replications": batch,
                                 "seed": 20260814, "lane": lane})
         assert len(rows) == batches * batch * len(names)
         assert sum(rows) == iterations
+
+
+# Criteria 6-8's configs (circular with all three estimators), and factor(5,
+# 1), whose PLE fails in replication 75 at the acceptance seed: each with the
+# block of replications it runs here.
+CORE_CONFIGS = {
+    "exchangeable3": (CRITERION_CONFIGS["exchangeable3"], range(16)),
+    "circular-all": (BLOCK_CONFIGS["circular-all"], range(16)),
+    "toeplitz4": (CRITERION_CONFIGS["toeplitz4"], range(8)),
+    "exchangeable100": (CRITERION_CONFIGS["exchangeable100"], range(8)),
+    "factor51": ({"model": {"family": "factor", "p": 5, "q": 1},
+                  "theta_true": [0.5, 0.4, 0.3, 0.6, 0.2], "n": 250,
+                  "estimators": ["ple", "one_step", "pilot_moment"]}, range(70, 76)),
+}
+
+
+class TestArrayCores:
+    """A Monte Carlo block reads the estimators' array cores: its rows are the
+    public calls' to the bit, and it builds no EstimateResult."""
+
+    @pytest.mark.parametrize("name", list(CORE_CONFIGS))
+    def test_rows_equal_the_public_calls(self, name):
+        raw, reps = CORE_CONFIGS[name]
+        config = McConfig.from_dict({**raw, "replications": reps.stop, "seed": 20260814})
+        errors, failures = mc._replicate(config, reps)
+        model = mc._truth(*config._key)[0]
+        truth = config.theta_true
+        expected_errors, expected_failures = [], []
+        for rep in reps:
+            sample = estimators.rank_transform(sampler.sample_copula(
+                model.r_of_theta(truth), config.n, seed=config.seed, rep=rep))
+            try:
+                ple = estimators.ple_estimate(model, sample)
+            except ConvergenceError as exc:  # a failed PLE fails the update from it
+                outcomes = {"ple": exc, "one_step": exc}
+            else:
+                outcomes = {"ple": ple, "one_step": estimators.one_step(
+                    model, sample, pilot=ple.theta_hat)}
+            outcomes["pilot_moment"] = (outcomes["ple"] if model.moment_map is None
+                                        else estimators.pilot_moment(model, sample))
+            row = np.full((len(config.estimators), model.k), np.nan)
+            for j, est in enumerate(config.estimators):
+                if isinstance(outcomes[est], Exception):
+                    exc = outcomes[est]
+                    expected_failures.append((rep, est, f"{type(exc).__name__}: {exc}"))
+                else:
+                    row[j] = outcomes[est].theta_hat - truth
+            expected_errors.append(row)
+        assert errors.tobytes() == np.array(expected_errors).tobytes()
+        assert failures == expected_failures
+        assert bool(failures) == (name == "factor51")
+
+    @pytest.mark.parametrize("name", ["exchangeable3", "circular", "toeplitz4",
+                                      "exchangeable100"])
+    def test_block_builds_no_estimate_result(self, monkeypatch, name):
+        built = []
+        init = estimators.EstimateResult.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(estimators.EstimateResult, "__init__", counted)
+        config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 64,
+                                     "seed": 20260814})
+        errors, failures = mc._replicate(config, range(64))
+        assert failures == [] and not np.isnan(errors).any()
+        assert built == []
+        model = mc._truth(*config._key)[0]
+        sample = estimators.rank_transform(sampler.sample_copula(np.eye(model.p), 50, seed=1))
+        estimators.pilot_moment(model, sample)
+        assert len(built) == 1  # the counter sees a public call's result
+
+    @pytest.mark.parametrize("name", ["exchangeable3", "circular", "exchangeable100",
+                                      "circular-all"])
+    def test_one_box_test_per_converging_round(self, monkeypatch, name):
+        # A box family's block tests its moment starts, each round's
+        # converged PLE rows, the one-step updates and the moment pilots a
+        # block at a time, and never a row at a time.
+        sizes, rows = [], []
+        check_block = copula_rank.CorrelationModel.domain_check_block
+        solve = estimators._ple_solve
+
+        def block_counted(self, thetas):
+            sizes.append(len(thetas))
+            return check_block(self, thetas)
+
+        def per_row(self, theta):
+            raise AssertionError("a per-row domain_check")
+
+        def solved(model, samples, sums):
+            theta, iterations, failures = solve(model, samples, sums)
+            rows.extend(iterations.tolist())
+            return theta, iterations, failures
+
+        config = McConfig.from_dict({**BLOCK_CONFIGS[name], "replications": 64,
+                                     "seed": 20260814})
+        monkeypatch.setattr(copula_rank.CorrelationModel, "domain_check_block", block_counted)
+        monkeypatch.setattr(copula_rank.CorrelationModel, "domain_check", per_row)
+        monkeypatch.setattr(mc, "_ple_solve", solved)
+        errors, failures = mc._replicate(config, range(64))
+        assert failures == [] and not np.isnan(errors).any()
+        rounds = sorted(set(rows))
+        after = [64] * (1 + ("pilot_moment" in config.estimators))
+        assert sizes == [64] + [rows.count(r) for r in rounds] + after
 
 
 class TestGridAndSummaries:
