@@ -46,17 +46,21 @@ empirical mean of the efficient score to a root-n-consistent pilot.  The
 mean efficient score has the closed form tr(A*_m Rhat) / 2, since the score
 is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.  It too is written
 over a block of samples, as an array core (`_one_step_update`) that takes
-the pilots as one (B, k) array, so a Monte Carlo block hands it the PLE
-core's rows directly.  `one_step_block` wraps it, with `one_step` a block
-of one, and like the PLE's core it returns a row's failure (here a singular
-I*) as a value, which the block of one raises.  In general each row builds
-the geometry at its pilot and reads A* and I* from its `efficiency_bundle`:
-a generator solve, a Gram matrix and an inverse.  On a balanced spectrum
-(`Spectrum.balanced`: exchangeable(p), circular, toeplitz(2),
-unrestricted(2)) the efficient influence function is explicit in the
-eigenvalues, and the block's updates are elementwise arithmetic and row
-sums on (B, G) arrays (`_one_step_update`), so again a block never changes
-a number.
+the pilots as one finite (B, k) array, so a Monte Carlo block hands it the
+PLE core's solved rows directly.  `one_step_block` wraps it, with
+`one_step` a block of one; it reads the pilots once, and nothing below it
+checks them again.  Like the PLE's core, the update returns a row's
+failure (here a singular I*) as a value, which the block of one raises.
+In general the block's rows go through one call of the block producer of
+A* and I*^-1 (`geometry._efficient_block`): at each pilot the geometry, a
+generator solve, a Gram matrix and an inverse, from the producers that
+`eval_geometry` and `efficiency_bundle` read, with nothing checked again;
+each update is two matrix-vector products, and the block takes one domain
+test.  On a balanced spectrum (`Spectrum.balanced`: exchangeable(p),
+circular, toeplitz(2), unrestricted(2)) the efficient influence function is
+explicit in the eigenvalues, and the block's updates are elementwise
+arithmetic and row sums on (B, G) arrays (`_one_step_update`), so again a
+block never changes a number.
 
 Ranking is written once, over a (B, n, p) stack of samples
 (`_rank_block`): one argsort orders every column of every sample, the
@@ -74,8 +78,10 @@ sum dlam(0) D / sum m dlam(0)^2 (the moment pilot's least-squares fit, as
 `pilot_moment` forms it there too) and the balanced one-step update.  A
 block forms D for all its samples once, as one (B, G) array, from their
 stacked zhat, D_g = ||zhat Q_g||_F^2 / n, one gemm per sample and no Rhat
-(`_block_sums`), and hands that array to all three.  A family that
-declares its groups in closed form leaves its largest group unprojected:
+(`_group_sums`), and hands that array to all three in its `_BlockStats`,
+which also holds, formed on first read, the moment fits and their one
+domain test that the PLE's starts and the moment pilots share.  A family
+that declares its groups in closed form leaves its largest group unprojected:
 that group's sum is tr Rhat, sum zhat^2 / n, minus the others.  So
 exchangeable(p) reads a sample only through its rows' sums (along the one
 column 1/sqrt(p)) and sum zhat^2, with no eigen-solve and no p x p product,
@@ -97,6 +103,7 @@ Carlo block reads the array cores (`_ple_solve`, `_moment_pilot`,
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -105,9 +112,9 @@ import numpy as np
 
 from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
-from .geometry import _singular, efficiency_bundle
-from .models import CorrelationModel, eval_geometry
-from .numcore import cholesky_lower, identity, norm_quantile, spd_inverse, sym_eig
+from .geometry import _efficient_block, _singular, efficiency_bundle
+from .models import _NOT_FINITE, CorrelationModel, eval_geometry
+from .numcore import _cholesky, finite_rows, identity, norm_quantile, spd_inverse, sym_eig
 
 __all__ = [
     "RankedSample",
@@ -328,15 +335,15 @@ def _objective_and_inverse(model, theta, rhat, trace):
     (inf, None) where R(theta) is not finite or not positive definite.  The
     Cholesky is the only positive-definiteness test: the objective is a
     barrier at the boundary of that region, so no accepted descent step
-    leaves it."""
-    r = model.corr_fn(theta)
-    try:
-        c = cholesky_lower(r)
-    except ValueError:  # R(theta) is not finite
-        c = None
+    leaves it.  R(theta) is not scanned for NaN or inf first: one in its
+    lower triangle fails the factorization or reaches the factor's
+    diagonal, and so the log-determinant, which then is not finite."""
+    c = _cholesky(model.corr_fn(theta))
     if c is None:
         return np.inf, None
     logdet = 2.0 * float(np.log(c.diagonal()).sum())
+    if not math.isfinite(logdet):  # R(theta) is not finite
+        return np.inf, None
     # S in C order (`spd_inverse`), so every product with S in
     # `_descent_step` has operands of one layout: multithreaded OpenBLAS
     # 0.3.31 took ~5 ms for a 100 x 100 C-by-Fortran product, against
@@ -499,15 +506,30 @@ def _group_sums(spectrum, samples):
     return sums
 
 
-def _block_sums(model, samples):
-    """The block's group sums (`_group_sums`) on a spectral family, else
-    None: formed once per block and handed to every estimator core."""
-    return None if model.spectrum is None else _group_sums(model.spectrum, samples)
+class _BlockStats:
+    """What more than one estimator core reads from a block of samples, each
+    formed once per block and handed to every core: `sums`, the group sums
+    (`_group_sums`) on a spectral family, else None, and `moment`, formed on
+    first read for a model with a moment map, (fits, inside): the (B, k)
+    moment fits (`_moment_fits`) and their one domain test
+    (`model.domain_check_block`), which the PLE's starts and the moment
+    pilots share."""
+
+    def __init__(self, model, samples):
+        self.model, self.samples, self._moment = model, samples, None
+        self.sums = None if model.spectrum is None else _group_sums(model.spectrum, samples)
+
+    @property
+    def moment(self):
+        if self._moment is None:
+            fits = _moment_fits(self.model, self.samples, self.sums)
+            self._moment = fits, self.model.domain_check_block(fits)
+        return self._moment
 
 
 def _descent(model, samples, sums):
     """The one function the PLE descent evaluates, for the block of
-    `samples` and their group sums `sums` (`_block_sums`).
+    `samples` and their group sums `sums` (`_BlockStats.sums`).
     evaluate(rows, theta, scoring)
     takes `rows`, the ascending list of the block positions it evaluates,
     and theta, those rows' (len(rows), k) iterates, and returns
@@ -645,43 +667,43 @@ def _moment_fits(model, samples, sums):
     """The (B, k) moment fits of the samples, for a model with a moment map:
     `moment_map` vec(Rhat), or on a `Spectrum` the same least-squares fit
     <dR(0), Rhat> / ||dR(0)||^2 = sum w D from the block's group sums D
-    (`_block_sums`) and the spectrum's `moment_weights` w, in row sums."""
+    (`_BlockStats.sums`) and the spectrum's `moment_weights` w, in row sums."""
     if sums is None:
         return np.array([model.moment_map @ sample.rhat.ravel() for sample in samples])
     return np.add.reduce(sums * model.spectrum.moment_weights, 1)[:, None]
 
 
-def _starts(model, samples, sums):
-    """(starts, from_pilot): each sample's moment fit (`_moment_fits`) where
-    the model has a moment map and the fit is in the domain, one
-    `domain_check_block` for the block, else `default_init`."""
+def _starts(model, samples, stats):
+    """(starts, from_pilot): each sample's moment fit where the model has a
+    moment map and the fit is in the domain (the block's `stats.moment`),
+    else `default_init`."""
     if model.moment_map is None:
         return (np.tile(model.theta_vec(model.default_init), (len(samples), 1)),
                 [False] * len(samples))
-    fits = _moment_fits(model, samples, sums)
-    inside = model.domain_check_block(fits)
+    fits, inside = stats.moment
     if not inside.all():
-        fits[~inside] = model.theta_vec(model.default_init)
+        fits = np.where(inside[:, None], fits, model.theta_vec(model.default_init))
     return fits, inside.tolist()
 
 
-def _ple_solve(model, samples, sums):
-    """The PLE of every sample of a block, `sums` its group sums
-    (`_block_sums`), as arrays: (theta, iterations, failures) of `_descend`,
-    with no EstimateResult.  A Monte Carlo block reads this; the public
+def _ple_solve(model, samples, stats):
+    """The PLE of every sample of a block, `stats` its `_BlockStats`, as
+    arrays: (theta, iterations, failures) of `_descend`, with no
+    EstimateResult.  A Monte Carlo block reads this; the public
     `ple_estimate_block` wraps it."""
-    return _descend(model, _descent(model, samples, sums), *_starts(model, samples, sums))
+    return _descend(model, _descent(model, samples, stats.sums),
+                    *_starts(model, samples, stats))
 
 
-def _moment_pilot(model, samples, sums):
+def _moment_pilot(model, samples, stats):
     """The moment pilots of a block, for a model with a moment map, as
-    arrays: (theta, clamped), theta the (B, k) fits (`_moment_fits`) with each
-    fit outside the domain brought into it toward default_init
-    (`model.into_domain`) and flagged in `clamped`.  One domain test for the
-    block (`model.domain_check_block`); only the rows outside it call
-    `into_domain`."""
-    theta = _moment_fits(model, samples, sums)
-    clamped = ~model.domain_check_block(theta)
+    arrays: (theta, clamped), theta the (B, k) fits of the block's
+    `stats.moment` with each fit outside the domain brought into it toward
+    default_init (`model.into_domain`) and flagged in `clamped`.  The fits'
+    one domain test is the one the PLE's starts read; only the rows outside
+    the domain call `into_domain`."""
+    fits, inside = stats.moment
+    theta, clamped = fits.copy(), ~inside
     for row in clamped.nonzero()[0]:
         theta[row] = model.into_domain(theta[row], model.default_init)[0]
     return theta, clamped
@@ -713,7 +735,7 @@ def ple_estimate_block(model, samples):
         return []
     for sample in samples:
         _check_p(model, sample)
-    theta, iterations, failures = _ple_solve(model, samples, _block_sums(model, samples))
+    theta, iterations, failures = _ple_solve(model, samples, _BlockStats(model, samples))
     return [failures[i] if i in failures
             else EstimateResult(theta_hat=theta[i], method="ple", iterations=int(iterations[i]),
                                 converged=True, model=model, sample=sample)
@@ -768,7 +790,7 @@ def pilot_moment(model, sample):
     if model.moment_map is None:
         return ple_estimate(model, sample)
     _check_p(model, sample)
-    theta, clamped = _moment_pilot(model, [sample], _block_sums(model, [sample]))
+    theta, clamped = _moment_pilot(model, [sample], _BlockStats(model, [sample]))
     return EstimateResult(theta_hat=theta[0], method="pilot_moment", iterations=0,
                           converged=True, model=model, sample=sample, clamped=bool(clamped[0]))
 
@@ -799,12 +821,14 @@ def one_step_block(model, samples, pilots):
     """`one_step` on every sample of a block from its pilot: a list with, for
     each sample, its EstimateResult or, as a value, the SingularityError,
     DomainError or LinAlgError that fails it.  The pilots are read once as a
-    (B, k) float array and not checked against the domain again (the PLE's
-    descent checks its estimates): one that is not finite or where R is not
-    positive definite fails its row with `eval_geometry`'s error, on either
-    path of `_one_step_update`.  Every row is the same to the bit as a block
-    of one.  Raises ShapeError, before any update, where a sample's p is not
-    the model's or the pilots are not a (B, k) array, one per sample."""
+    (B, k) float array, the one check of them: one that is not finite fails
+    its row with `theta_vec`'s DomainError, and the others go to
+    `_one_step_update`, not checked against the domain again (the PLE's
+    descent checks its estimates): one where R is not positive definite
+    fails its row with `eval_geometry`'s error, on either path.  Every row
+    is the same to the bit as a block of one.  Raises ShapeError, before any
+    update, where a sample's p is not the model's or the pilots are not a
+    (B, k) array, one per sample."""
     samples = list(samples)
     if len(pilots) != len(samples):
         raise ShapeError(f"{len(samples)} samples but {len(pilots)} pilots")
@@ -818,24 +842,28 @@ def one_step_block(model, samples, pilots):
         pilots = np.empty(0)
     if pilots.shape != (len(samples), model.k):
         raise ShapeError(f"pilots must form a ({len(samples)}, {model.k}) array of floats")
-    theta, clamped, failures = _one_step_update(model, samples, pilots,
-                                                _block_sums(model, samples))
-    return [failures[i] if i in failures
-            else EstimateResult(theta_hat=theta[i], method="one_step", iterations=1,
-                                converged=not clamped[i], model=model, sample=sample,
-                                clamped=bool(clamped[i]))
-            for i, sample in enumerate(samples)]
+    finite = finite_rows(pilots)
+    solved = _take(samples, finite)
+    sums = _BlockStats(model, solved).sums
+    theta, clamped, failures = _one_step_update(model, solved, _take(pilots, finite), sums)
+    outcomes = {}
+    for i, (row, sample) in enumerate(zip(finite, solved)):
+        outcomes[row] = failures[i] if i in failures else EstimateResult(
+            theta_hat=theta[i], method="one_step", iterations=1, converged=not clamped[i],
+            model=model, sample=sample, clamped=bool(clamped[i]))
+    return [outcomes[row] if row in outcomes else DomainError(_NOT_FINITE)
+            for row in range(len(samples))]
 
 
 def _one_step_update(model, samples, pilots, sums):
-    """The one-step updates of a block from its (B, k) float array of pilots,
-    `sums` its group sums (`_block_sums`), as arrays: (theta, clamped,
-    failures).  Row b of theta is the update pilot + I*^-1 tr(A* Rhat) / 2
-    brought into the domain toward the pilot (`model.into_domain`) and
-    flagged in `clamped`, or a NaN row where the row fails; `failures` maps
-    such a row to its error, the SingularityError where I* is singular, or
-    the error that the geometry at the pilot raises on the general path
-    (`_bundle_update`).  A Monte Carlo block reads this; the public
+    """The one-step updates of a block from its finite (B, k) array of
+    pilots, `sums` its group sums (`_BlockStats.sums`), as arrays: (theta,
+    clamped, failures).  Row b of theta is the update
+    pilot + I*^-1 tr(A* Rhat) / 2 brought into the domain toward the pilot
+    (`model.into_domain`) and flagged in `clamped`, or a NaN row where the
+    row fails; `failures` maps such a row to its error, the SingularityError
+    where I* is singular, or the error that the geometry at the pilot raises
+    on the general path.  A Monte Carlo block reads this; the public
     `one_step_block` wraps it.
 
     On a balanced spectrum R = Q diag(lam) Q', diag(dR S) = xbar 1 with
@@ -849,51 +877,52 @@ def _one_step_update(model, samples, pilots, sums):
 
     elementwise and in row sums, with no solve, Gram or inverse; I* is
     singular where it is not > 0, `_spd_inverse`'s verdict on a 1 x 1
-    matrix.  The block's updates take one domain test
-    (`model.domain_check_block`), and only the rows outside the domain
-    call `into_domain`.  A row whose pilot is not finite or has min lam <= 0
-    takes the general path's outcome.  Otherwise each row reads its own
-    `efficiency_bundle`."""
+    matrix.  A row whose pilot has min lam <= 0, and every row of any other
+    model, takes the general path: all those rows go through the block
+    producer of A* and I*^-1 (`geometry._efficient_block`) in one call, and
+    each update is two matrix-vector products.  The block's updates then
+    take one domain test (`model.domain_check_block`), and only the rows
+    outside the domain call `into_domain`."""
     spectrum = model.spectrum
     if spectrum is None or not spectrum.balanced:
-        theta = np.empty(pilots.shape)
-        general = np.ones(len(samples), dtype=bool)
-        irregular = range(len(samples))
+        theta, failures = _general_updates(model, samples, pilots)
     else:
         m = spectrum.sizes
         add = np.add.reduce
         start = pilots[:, 0]
         lam, dlam, _ = spectrum.group_fn(start)
-        general = ~(np.isfinite(start) & (lam.min(axis=1) > 0.0))  # NaN included
+        general = ~(lam.min(axis=1) > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0, or general
             x = dlam / lam
             x -= (add(m * x, 1) / model.p)[:, None]
             squares = add(m * x * x, 1)
             theta = (start + add(x * sums / lam, 1) / squares)[:, None]
         info = 0.5 * squares
-        inside = model.domain_check_block(theta)
-        irregular = (general | ~(info > 0.0) | ~inside).nonzero()[0].tolist()  # NaN included
+        failures = {row: _singular(info[row:row + 1], "efficient information matrix")
+                    for row in (~general & ~(info > 0.0)).nonzero()[0].tolist()}  # NaN included
+        general = general.nonzero()[0].tolist()
+        if general:
+            theta[general], failed = _general_updates(model, [samples[row] for row in general],
+                                                      pilots[general])
+            failures.update((general[pos], exc) for pos, exc in failed.items())
+    if failures:
+        theta[list(failures)] = np.nan
     clamped = np.zeros(len(samples), dtype=bool)
-    failures = {}
-    for row in irregular:
-        if general[row]:
-            outcome = _bundle_update(model, samples[row], pilots[row])
-        elif not info[row] > 0.0:
-            outcome = _singular(info[row:row + 1], "efficient information matrix")
-        else:  # a copy, since the row is overwritten with the outcome
-            outcome = model.into_domain(theta[row].copy(), pilots[row])
-        if isinstance(outcome, Exception):
-            theta[row], failures[row] = np.nan, outcome
-        else:
-            theta[row], clamped[row] = outcome
+    for row in (~model.domain_check_block(theta)).nonzero()[0].tolist():
+        if row not in failures:  # a copy, since the row is overwritten with the outcome
+            theta[row], clamped[row] = model.into_domain(theta[row].copy(), pilots[row])
     return theta, clamped, failures
 
 
-def _bundle_update(model, sample, pilot):
-    """One row's general-path outcome, or the error that fails it."""
-    try:
-        bundle = efficiency_bundle(eval_geometry(model, pilot))
-        return model.into_domain(pilot + bundle.eff_info_inv @ (
-            0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel())), pilot)
-    except (SingularityError, DomainError, np.linalg.LinAlgError) as exc:
-        return exc
+def _general_updates(model, samples, pilots):
+    """The updates pilot + I*^-1 tr(A* Rhat) / 2 of the samples from their
+    (B, k) pilots, before the domain test, with A* and I*^-1 from one call of
+    the block producer (`geometry._efficient_block`): (theta, failures), a
+    NaN row where the producer fails the row and failures mapping it to its
+    error."""
+    effs, invs, failures = _efficient_block(model, pilots)
+    theta = np.empty(pilots.shape)
+    for row, (sample, pilot, eff, inv) in enumerate(zip(samples, pilots, effs, invs)):
+        theta[row] = np.nan if eff is None else pilot + inv @ (
+            0.5 * (eff.reshape(model.k, -1) @ sample.rhat.ravel()))
+    return theta, failures

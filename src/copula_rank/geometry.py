@@ -14,10 +14,21 @@ under <A,B> = tr(ARBR)/2 give the Fisher information, the efficient
 information (whose inverse is the semiparametric variance bound), and the
 asymptotic covariance of the pseudo-likelihood estimator.  All of them are
 fields of one lazy `efficiency_bundle`, which builds each Gram matrix from
-the geometry's R.  Three wrappers still read a bundle field:
-`efficient_score_matrices`, `efficient_info` and `ple_influence`.  No
-package module calls them; they stay because the benchmark's tracer
-(perfbench/tracing.py) times them by name.
+the geometry's R.
+
+The generator weights g, A*, the Gram matrices and the inverse of an
+information matrix each have one producer (`_generators`, `_eff_matrices`,
+`numcore.gram`, `_spd_inverse`), which the bundle's fields read.
+`_efficient_block` reads the same producers, and `models._geometry_at`, at
+every row of a block of thetas, with no `Geometry`, no bundle and no check
+of what the package built: the one-step update of a block reads A* and
+I*^-1 from it in one call, and a row whose R or I* is not positive definite
+fails alone, with the error the bundle raises there.
+
+Three wrappers still read a bundle field: `efficient_score_matrices`,
+`efficient_info` and `ple_influence`.  No package module calls them; they
+stay because the benchmark's tracer (perfbench/tracing.py) times them by
+name.
 """
 
 from __future__ import annotations
@@ -28,9 +39,10 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ShapeError, SingularityError
-from .numcore import (check_symmetric, check_symmetric_stack, cholesky_lower, gram,
-                      identity, norm_quantile, spd_factor, spd_inverse, spd_solve,
-                      sym_eig)
+from .models import _geometry_at
+from .numcore import (_cholesky, _gram, _not_positive_definite, _solve, check_symmetric,
+                      check_symmetric_stack, gram, identity, norm_quantile, spd_inverse,
+                      spd_solve, sym_eig)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -106,12 +118,16 @@ def d_operator(s, b):
     return s * (b[:, None] + b[None, :])
 
 
-def _ir_hadamard_factor(geom):
+def _ir_hadamard_factor(r, s):
     """Cholesky factor of I + R o S, the shared coefficient matrix of the
     generator and projection systems (a Gram matrix, hence positive definite
     whenever R is)."""
-    m = identity(geom.p) + geom.r * geom.s
-    return spd_factor(0.5 * (m + m.T), "I + R*S failed to factor")
+    m = identity(len(r)) + r * s
+    m = 0.5 * (m + m.T)
+    c = _cholesky(m)
+    if c is None:
+        raise _not_positive_definite(m, "I + R*S failed to factor")
+    return c
 
 
 def score_generators(geom):
@@ -120,8 +136,18 @@ def score_generators(geom):
     Returns a (k, p) array; one factorization of the shared coefficient
     matrix serves all m.
     """
-    c = _ir_hadamard_factor(geom)
-    return spd_solve(c, -(geom.r_dots * geom.s).sum(axis=2).T).T
+    return _generators(geom.r, geom.s, geom.r_dots)
+
+
+def _generators(r, s, r_dots):
+    """`score_generators` from R, S and dR: the one producer of g."""
+    return _solve(_ir_hadamard_factor(r, s), -(r_dots * s).sum(axis=2).T).T
+
+
+def _eff_matrices(s, g, s_dots):
+    """The efficient-score matrices A*_m = D(g_m) - dS_m from S, the
+    generator weights g and dS: the one producer of A*."""
+    return s * (g[:, :, None] + g[:, None, :]) - s_dots
 
 
 def generator_function(geom, m, j, u):
@@ -160,7 +186,7 @@ def _spd_inverse(mat, what):
     matrix_rank tolerance), whether or not Cholesky would succeed.  Its `cond`
     is max|lam| / min|lam|, the 2-norm condition number."""
     eigs = sym_eig(mat, vectors=False)
-    c = cholesky_lower(mat) if eigs[0] > len(eigs) * _EPS * eigs[-1] else None
+    c = _cholesky(mat) if eigs[0] > len(eigs) * _EPS * eigs[-1] else None
     if c is None:
         raise _singular(eigs, what)
     inv = spd_inverse(c)
@@ -186,8 +212,7 @@ def project_tangent(a, geom):
     A - D(b) satisfies diag(R (A - D(b))) = 0.
     """
     a = check_symmetric(a, name="A", p=geom.p)
-    c = _ir_hadamard_factor(geom)
-    b = spd_solve(c, np.diag(geom.r @ a))
+    b = spd_solve(_ir_hadamard_factor(geom.r, geom.s), np.diag(geom.r @ a))
     return b, d_operator(geom.s, b)
 
 
@@ -308,8 +333,7 @@ class EfficiencyBundle:
 
     @cached_property
     def eff_matrices(self):  # (k, p, p) efficient-score matrices A*_m
-        g = self.g
-        return self.geometry.s * (g[:, :, None] + g[:, None, :]) - self.geometry.s_dots
+        return _eff_matrices(self.geometry.s, self.g, self.geometry.s_dots)
 
     @cached_property
     def eff_info(self):  # k x k efficient information
@@ -342,3 +366,26 @@ class EfficiencyBundle:
 def efficiency_bundle(geom):
     """The `EfficiencyBundle` at geom; nothing is computed until read."""
     return EfficiencyBundle(geometry=geom)
+
+
+def _efficient_block(model, thetas):
+    """A* and I*^-1 at every row of the finite (B, k) array `thetas`, from
+    the producers that `eval_geometry` and the bundle read, with no
+    `Geometry`, no bundle and no check of what the package built:
+    (eff_matrices, eff_info_inv, failures), the lists of each row's A* and
+    I*^-1, None where the row fails, and failures mapping such a row to the
+    SingularityError or LinAlgError that `efficiency_bundle(eval_geometry(
+    model, theta)).eff_info_inv` raises there.  Every other row has the
+    bundle's bits."""
+    effs, invs, failures = [], [], {}
+    for row, t in enumerate(thetas):
+        try:
+            r, s, r_dots, s_dots = _geometry_at(model, t)
+            eff = _eff_matrices(s, _generators(r, s, r_dots), s_dots)
+            inv = _spd_inverse(_gram(eff, r), "efficient information matrix")
+        except (SingularityError, np.linalg.LinAlgError) as exc:
+            eff = inv = None
+            failures[row] = exc
+        effs.append(eff)
+        invs.append(inv)
+    return effs, invs, failures

@@ -42,8 +42,10 @@ block then solves the PLEs of its replications in one `_ple_solve`
 descent, whose rows that converge in one round take one domain test, and
 updates from the solved rows of its estimates in one `_one_step_update`
 call, in closed form on the eigenvalues where the model's spectrum is
-balanced.  No row of
-any stage depends on the block, so a block never changes a number.
+balanced, else through one call of the block producer of A* and I*^-1, and
+one domain test.  The moment fits and their domain test are formed once per
+block and shared by the PLE's starts and the moment pilots.  No row of any
+stage depends on the block, so a block never changes a number.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .estimators import (_block_sums, _moment_pilot, _one_step_update, _ple_solve,
+from .estimators import (_BlockStats, _moment_pilot, _one_step_update, _ple_solve,
                          _rank_block)
 from .exceptions import ConfigError, McExperimentError, ShapeError, SingularityError
 from .geometry import efficiency_bundle
@@ -280,16 +282,18 @@ def _replicate(config, reps):
     (len(reps), n_estimators, k) array of theta_hat - theta_true, a NaN row
     per failed estimator, and the (replication, estimator, "Type: message")
     entries in replication order.  The block is drawn and ranked as one
-    stack, its group sums formed once (`_block_sums`), its PLEs solved in one
-    `_ple_solve` call and the one-step updates from the rows whose PLE
-    succeeded in one `_one_step_update` call; each estimator core returns a
+    stack, its group sums and moment fits formed once (`_BlockStats`) and
+    handed to every estimator core, its PLEs solved in one `_ple_solve` call
+    and the one-step updates from the rows whose PLE succeeded in one
+    `_one_step_update` call; each estimator core returns a
     (B, k) array with a NaN row per failed row and those rows' errors as
     values, and whatever a core raises aborts the run.  No row depends on
     the block.  Top-level so process pools can pickle it."""
     model, chol = _truth(*config._key)
     estimators = config.estimators
     samples = _rank_block(_sample_block(chol, config.n, config.seed, reps, config.lane))
-    sums = _block_sums(model, samples)
+    stats = _BlockStats(model, samples)
+    sums = stats.sums
     theta, failed = {}, {}
     # The one-step update is pinned to a pseudo-likelihood pilot: in high
     # dimensions a moment pilot leaves a visible finite-sample bias that the
@@ -299,13 +303,13 @@ def _replicate(config, reps):
     # is that same solve from the same start.
     pilot_is_ple = model.moment_map is None
     if pilot_is_ple or "ple" in estimators or "one_step" in estimators:
-        theta["ple"], _, failed["ple"] = _ple_solve(model, samples, sums)
+        theta["ple"], _, failed["ple"] = _ple_solve(model, samples, stats)
     if "pilot_moment" in estimators:
         if pilot_is_ple:
             theta["pilot_moment"], failed["pilot_moment"] = theta["ple"], failed["ple"]
         else:
             theta["pilot_moment"], failed["pilot_moment"] = _moment_pilot(model, samples,
-                                                                          sums)[0], {}
+                                                                          stats)[0], {}
     if "one_step" in estimators:
         # a failed PLE fails its row's update; it checked every pilot's domain
         ple, ple_failed = theta["ple"], failed["ple"]

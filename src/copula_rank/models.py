@@ -5,10 +5,19 @@ factor (low-rank loadings), a one-parameter demonstration model that is
 adaptive at theta=0, and custom affine families R(theta) = I + sum theta_m G_m
 loaded from config.  A model evaluates into a `Geometry`: the matrices
 R, S = R^-1, dR/dtheta_m and dS/dtheta_m at a fixed theta, which is the
-working context for every downstream formula.  A one-parameter model whose
-eigenbasis does not depend on theta (one-generator affine families, circular)
-also declares it as a `Spectrum`, which gives S with no factorization;
-every other model's S comes from one Cholesky factorization of R(theta).
+working context for every downstream formula.  `_geometry_at` is their one
+producer: `eval_geometry` reads it after checking theta, and the one-step
+update of a Monte Carlo block reads it at each row with nothing checked
+again.  A one-parameter model whose eigenbasis does not depend on theta
+(one-generator affine families, circular) also declares it as a
+`Spectrum`, which gives S with no factorization; every other model's S
+comes from one Cholesky factorization of R(theta).
+
+The domain is the model's `box` where it declares one, else lambda_min(R)
+> 1e-10.  `domain_check_block` tests a block of thetas at once, with the
+verdicts of `domain_check` row by row: one comparison with the box, or one
+pass over the rows that takes each R and its eigenvalues, checking each
+theta and each R once.
 
 A Spectrum also declares its eigen-groups: the eigenspaces on which the
 eigenvalue is one function of theta, each with its multiplicity m_g, its
@@ -37,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
-from .numcore import (check_symmetric, identity, pinv, spd_factor, spd_inverse,
+from .numcore import (check_symmetric, finite_rows, identity, pinv, spd_factor, spd_inverse,
                       sym_eig)
 
 __all__ = [
@@ -62,6 +71,7 @@ __all__ = [
 
 _EPS_DOMAIN = 1e-6  # margin keeping theta away from open-interval boundaries
 _PD_FLOOR = 1e-10  # R counts as positive definite when lambda_min(R) exceeds this
+_NOT_FINITE = "theta must be finite"  # the DomainError of a theta with a NaN or inf
 # Largest p (and q) a descriptor may ask for: every family holds dense p x p
 # matrices, and a larger p fails inside numpy instead of as a ConfigError.
 _DIM_MAX = 1000
@@ -202,7 +212,7 @@ class CorrelationModel:
         if t.shape != (self.k,):
             raise ShapeError(f"theta must have length {self.k}, got shape {t.shape}")
         if not np.isfinite(t).all():
-            raise DomainError("theta must be finite")
+            raise DomainError(_NOT_FINITE)
         return t
 
     def r_of_theta(self, theta):
@@ -256,11 +266,16 @@ class CorrelationModel:
     def domain_check_block(self, thetas):
         """`domain_check` on every row of the (B, k) array `thetas`, as a
         boolean array: one comparison over the block for a family with a
-        `box`, a row at a time otherwise."""
+        `box`, otherwise one pass over the finite rows that takes each row's R
+        and its smallest eigenvalue, checking each theta and each R once,
+        with no per-row `domain_check`."""
         if self.box is not None:
             lo, hi = self.box
             return (lo <= thetas[:, 0]) & (thetas[:, 0] <= hi)
-        return np.array([self.domain_check(theta) for theta in thetas], dtype=bool)
+        inside = np.zeros(len(thetas), dtype=bool)
+        for row in finite_rows(thetas):
+            inside[row] = sym_eig(self.corr_fn(thetas[row]), vectors=False)[0] > _PD_FLOOR
+        return inside
 
     def into_domain(self, theta, anchor):
         """(theta, False) where theta is in the domain, else (a point in it,
@@ -700,7 +715,18 @@ class Geometry:
 
 def eval_geometry(model, theta):
     """Evaluate R, S = R^-1 and their theta-derivatives dS_m = -S dR_m S at
-    theta.
+    theta: `_geometry_at` after `theta_vec`, as a `Geometry`.  A point where
+    R(theta) is not positive definite raises SingularityError carrying the
+    smallest eigenvalue.
+    """
+    t = model.theta_vec(theta)
+    return Geometry(t, *_geometry_at(model, t))
+
+
+def _geometry_at(model, t):
+    """(R, S, dR, dS) at the finite theta vector t, which is not checked
+    again: the one producer of these matrices, which `eval_geometry` and the
+    one-step update of a block (`geometry._efficient_block`) read.
 
     For a model with a `Spectrum` R = Q diag(lam) Q', min lam > 0 is the
     positive-definiteness test and no matrix is factored:
@@ -710,7 +736,6 @@ def eval_geometry(model, theta):
     positive definite raises SingularityError carrying the smallest
     eigenvalue.
     """
-    t = model.theta_vec(theta)
     r = model.corr_fn(t)
     what = f"R(theta) is not positive definite for {model.name}"
     if model.spectrum is None:
@@ -728,4 +753,4 @@ def eval_geometry(model, theta):
     r_dots = model._r_dots(t)
     s_dots = -s @ r_dots @ s
     s_dots = 0.5 * (s_dots + s_dots.transpose(0, 2, 1))
-    return Geometry(theta=t, r=r, s=s, r_dots=r_dots, s_dots=s_dots)
+    return r, s, r_dots, s_dots

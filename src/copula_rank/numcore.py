@@ -20,6 +20,10 @@ eigenvalues and eigenvectors (dsyevd), and `pinv` inverts through the SVD
 (dgesdd).  They call the LAPACK wrappers directly, with the input checks
 and results of scipy.linalg's cholesky/cho_solve and numpy.linalg's
 eigh/eigvalsh/pinv, but without their per-call overhead.
+
+Each of them checks its input.  The private `_cholesky`, `_solve` and
+`_gram` make the same calls on arrays that the package built itself, with
+no checks, so an estimator's internal path validates nothing twice.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "spd_solve",
     "spd_inverse",
     "sym_eig",
+    "finite_rows",
     "pinv",
     "identity",
 ]
@@ -152,6 +157,12 @@ def cholesky_lower(a):
     a = _finite(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _cholesky(a)
+
+
+def _cholesky(a):
+    """`cholesky_lower` of a finite square float matrix that the package
+    built, without the checks."""
     c, info = dpotrf(a, lower=1, clean=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
@@ -165,9 +176,15 @@ def spd_factor(a, what):
     """
     c = cholesky_lower(a)
     if c is None:
-        eig = float(sym_eig(a, vectors=False)[0])
-        raise SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig)
+        raise _not_positive_definite(a, what)
     return c
+
+
+def _not_positive_definite(a, what):
+    """`spd_factor`'s SingularityError for the matrix `a`, which is not
+    positive definite: "<what> (min eigenvalue ...)", carrying it."""
+    eig = float(sym_eig(a, vectors=False)[0])
+    return SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig)
 
 
 def spd_solve(c, b):
@@ -181,6 +198,12 @@ def spd_solve(c, b):
     b = _finite(b)
     if b.ndim not in (1, 2) or b.shape[0] != c.shape[0]:
         raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
+    return _solve(c, b)
+
+
+def _solve(c, b):
+    """`spd_solve` of right-hand sides that the package built, without the
+    checks."""
     x, info = dpotrs(c, b, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
@@ -191,10 +214,7 @@ def spd_inverse(c):
     """A^-1 in C order, given the lower Cholesky factor `c` of A: the values
     of `spd_solve(c, identity(p))`, without a finiteness check of the
     identity."""
-    x, info = dpotrs(c, identity(c.shape[0]), lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return np.ascontiguousarray(x)
+    return np.ascontiguousarray(_solve(c, identity(c.shape[0])))
 
 
 def sym_eig(a, vectors=True):
@@ -222,6 +242,16 @@ def sym_eig(a, vectors=True):
     # In C order, as numpy returns it: products with a Fortran-order operand
     # take other BLAS kernels, which sum in another order.
     return (w, np.ascontiguousarray(v)) if vectors else w
+
+
+def finite_rows(a):
+    """The positions of the rows of the array `a` (along its first axis)
+    whose entries are all finite, ascending: a range where all are, else a
+    list."""
+    finite = np.isfinite(a)
+    if np.logical_and.reduce(finite, axis=None):
+        return range(len(a))
+    return finite.reshape(len(a), -1).all(axis=1).nonzero()[0].tolist()
 
 
 def pinv(a, rcond):
@@ -294,7 +324,13 @@ def gram(basis, r):
     exactly when the basis is linearly independent.
     """
     r = check_symmetric(r, name="correlation matrix")
-    prods = check_symmetric_stack(basis, r.shape[0]) @ r
+    return _gram(check_symmetric_stack(basis, r.shape[0]), r)
+
+
+def _gram(basis, r):
+    """`gram` of a (k, p, p) basis and a correlation matrix that the package
+    built, without the checks."""
+    prods = basis @ r
     k = len(prods)
     out = prods.reshape(k, -1) @ prods.transpose(0, 2, 1).reshape(k, -1).T
     return 0.25 * (out + out.T)

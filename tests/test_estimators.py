@@ -496,6 +496,21 @@ class TestPleEstimate:
             assert estimators._objective_and_inverse(
                 factor(3, 1), np.full(3, 1e200), np.eye(3), 3.0) == (np.inf, None)
 
+    @pytest.mark.parametrize("entry", [(1, 0), (2, 1), (0, 0), (2, 2)], ids=str)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    def test_objective_infinite_where_r_is_not_finite(self, entry, value):
+        # R(theta) is not scanned before its factorization: a NaN or inf in
+        # its lower triangle (set symmetrically, as corr_fn builds R) fails
+        # the factorization or reaches the log-determinant.
+        def corr_fn(t):
+            r = exch_corr(3, 0.2)
+            r[entry] = r[entry[::-1]] = value
+            return r
+
+        model = dataclasses.replace(toeplitz(3), corr_fn=corr_fn)
+        assert estimators._objective_and_inverse(
+            model, np.zeros(2), np.eye(3), 3.0) == (np.inf, None)
+
     def test_saddle_point_rejected(self):
         # At L = 0 every dR_m vanishes, so the pseudo-score is exactly zero,
         # but the objective curves downward along pairs of loadings.  factor
@@ -540,27 +555,32 @@ class TestPleEstimate:
         assert per_evaluation == [1] * len(per_evaluation)
 
     def test_domain_checked_at_the_start_and_the_estimate(self, monkeypatch, eigensolves):
-        # domain_check runs before the descent (the pilot) and once on the
-        # converged point, never inside the line search.  toeplitz(4) has no
-        # box, so each check is an eigen-solve of R (4 x 4).  The others are
+        # The domain is tested a block at a time, before the descent (the
+        # pilot) and once on the converged point, never inside the line
+        # search and never by a per-row domain_check.  toeplitz(4) has no
+        # box, so each test is an eigen-solve of R (4 x 4).  The others are
         # of the 3 x 3 Hessian, one per evaluation: the start's (its Fisher
         # information) and each accepted candidate's, the last of which the
         # saddle test reads.  No candidate is rejected on this sample.
         calls = []
-        check = CorrelationModel.domain_check
+        check_block = CorrelationModel.domain_check_block
 
-        def counted(self, theta):
-            calls.append(np.array(theta, dtype=float))
-            return check(self, theta)
+        def counted(self, thetas):
+            calls.append(np.array(thetas, dtype=float))
+            return check_block(self, thetas)
 
-        monkeypatch.setattr(CorrelationModel, "domain_check", counted)
+        def per_row(self, theta):
+            raise AssertionError("a per-row domain_check")
+
+        monkeypatch.setattr(CorrelationModel, "domain_check_block", counted)
+        monkeypatch.setattr(CorrelationModel, "domain_check", per_row)
         model = toeplitz(4)
         sample = rank_transform(sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6))
         eigensolves.clear()
         result = ple_estimate(model, sample)
         assert result.iterations > 0
-        assert len(calls) == 2
-        assert np.array_equal(calls[-1], result.theta_hat)
+        assert [len(thetas) for thetas in calls] == [1, 1]
+        assert np.array_equal(calls[-1][0], result.theta_hat)
         assert result.iterations == 4
         assert sorted(eigensolves) == [(3, 3)] * 5 + [(4, 4)] * 2
 
@@ -905,7 +925,7 @@ class TestStackedD:
 
         def block_starts(order):
             samples = fresh(order)
-            return estimators._starts(model, samples, estimators._block_sums(model, samples))
+            return estimators._starts(model, samples, estimators._BlockStats(model, samples))
 
         sums_alone = [estimators._group_sums(model.spectrum, fresh([i]))[0]
                       for i in range(count)]
@@ -1265,16 +1285,20 @@ class TestBalancedSpectrum:
 
     @pytest.mark.parametrize("model,theta", GENERAL, ids=model_id)
     def test_general_path_is_the_bundle_update_to_the_bit(self, monkeypatch, model, theta):
+        # All the rows go through the block producer of A* and I*^-1 in one
+        # call.
         assert model.spectrum is None or not model.spectrum.balanced
-        geometries = []
-        monkeypatch.setattr(estimators, "eval_geometry",
-                            lambda *args: geometries.append(args) or eval_geometry(*args))
+        blocks = []
+        efficient_block = estimators._efficient_block
+        monkeypatch.setattr(estimators, "_efficient_block",
+                            lambda model, thetas: blocks.append(len(thetas))
+                            or efficient_block(model, thetas))
         r = model.r_of_theta(theta)
         samples = [rank_transform(sample_copula(r, 40 + 30 * seed, seed=seed))
                    for seed in range(5)]
         pilots = [model.theta_vec(theta)] * 5
         block = one_step_block(model, samples, pilots)
-        assert len(geometries) == 5
+        assert blocks == [5]
         for sample, pilot, row in zip(samples, pilots, block):
             theta_hat, clamped = model.into_domain(bundle_update(model, sample, pilot), pilot)
             assert update_outcome(row) == ([v.hex() for v in theta_hat], clamped, not clamped)
@@ -1353,6 +1377,32 @@ class TestOneStepBlock:
         assert len(calls["domain_check_block"]) == 1
         assert len(calls["into_domain"]) == 2
         assert not any(model.domain_check(theta) for theta, _ in calls["into_domain"])
+
+    @pytest.mark.parametrize("model,theta", GENERAL + [(factor(5, 2), np.linspace(0.1, 0.5, 10))],
+                             ids=model_id)
+    def test_failing_rows_fail_alone(self, model, theta):
+        # A pilot where R is not positive definite (the truth scaled by 40),
+        # a NaN pilot and, on factor(5, 2), whose I* is singular at every
+        # point, rows failing on a singular I*: in three orders every row has
+        # the outcome of its block of one, bits, clamp and error alike.
+        theta = model.theta_vec(theta)
+        samples = [rank_transform(sample_copula(model.r_of_theta(theta), 40 + 15 * seed,
+                                                seed=seed)) for seed in range(6)]
+        pilots = [theta, theta * 40.0, theta, np.full(model.k, np.nan), theta * 0.9, theta]
+        expected = [update_outcome(one_step_block(model, [s], [t])[0])
+                    for s, t in zip(samples, pilots)]
+        assert expected[1][:2] == (SingularityError, f"R(theta) is not positive definite for "
+                                   f"{model.name} (min eigenvalue {expected[1][2]:.3e})")
+        assert expected[3] == (DomainError, "theta must be finite", None)
+        others = [expected[i] for i in (0, 2, 4, 5)]
+        if model.k == 10:  # factor(5, 2)
+            assert others == [(SingularityError, "efficient information matrix is not positive "
+                               f"definite (min eigenvalue {row[2]:.3e})", row[2]) for row in others]
+        else:
+            assert not any(row[0] in (SingularityError, DomainError) for row in others)
+        for order in (np.arange(6), np.arange(6)[::-1], np.array([3, 0, 5, 1, 4, 2])):
+            block = one_step_block(model, [samples[i] for i in order], [pilots[i] for i in order])
+            assert [update_outcome(row) for row in block] == [expected[i] for i in order]
 
     def test_empty_block(self):
         assert one_step_block(exchangeable(3), [], []) == []

@@ -760,35 +760,47 @@ class TestComputedOnce:
             assert np.array_equal(report.errors[rep, 0], expected)
 
     def test_ple_estimate_checked_once_per_replication(self, monkeypatch):
-        # toeplitz(4) has no box, so a domain_check is an eigen-solve.  A
+        # toeplitz(4) has no box, so a domain test is an eigen-solve.  A
         # replication checks the PLE's start and estimate and the one-step
-        # update; the update does not check the PLE's estimate again.
+        # update, each in a test of the block's rows and none by a per-row
+        # domain_check; the update does not check the PLE's estimate again.
         config = McConfig.from_dict({**CRITERION_CONFIGS["toeplitz4"], "replications": 8,
                                      "seed": 20260814})
-        calls = []
+        rows, per_row = [], []
+        check_block = copula_rank.CorrelationModel.domain_check_block
         check = copula_rank.CorrelationModel.domain_check
 
-        def counted(self, theta):
-            calls.append(theta)
-            return check(self, theta)
+        def counted(self, thetas):
+            rows.append(len(thetas))
+            return check_block(self, thetas)
 
-        monkeypatch.setattr(copula_rank.CorrelationModel, "domain_check", counted)
+        monkeypatch.setattr(copula_rank.CorrelationModel, "domain_check_block", counted)
+        monkeypatch.setattr(copula_rank.CorrelationModel, "domain_check",
+                            lambda self, theta: per_row.append(theta) or check(self, theta))
         errors, failures = mc._replicate(config, range(8))
         assert failures == [] and not np.isnan(errors).any()
-        assert len(calls) / 8 == 3.0
+        assert sum(rows) / 8 == 3.0
+        assert rows[0] == rows[-1] == 8 and per_row == []
 
     @pytest.mark.parametrize("name,per_replication", [
         ("exchangeable3", 0), ("circular", 0), ("exchangeable100", 0), ("toeplitz4", 1)])
     def test_one_step_geometry_per_replication(self, monkeypatch, name, per_replication):
         # A balanced spectrum updates in closed form, with no geometry and no
-        # generator solve; toeplitz(4) builds one of each per replication.
+        # generator solve; toeplitz(4) builds one of each per replication,
+        # from one call of the block producer per block, and none through
+        # the per-point eval_geometry and score_generators.
         config = McConfig.from_dict({**CRITERION_CONFIGS[name], "replications": 6,
                                      "seed": 20260814})
-        geometries = counter(monkeypatch, estimators.eval_geometry, estimators, mc)
-        generators = counter(monkeypatch, geometry.score_generators, geometry)
+        blocks = counter(monkeypatch, estimators._efficient_block, estimators)
+        geometries = counter(monkeypatch, geometry._geometry_at, geometry)
+        generators = counter(monkeypatch, geometry._generators, geometry)
+        per_point = [counter(monkeypatch, estimators.eval_geometry, estimators, mc),
+                     counter(monkeypatch, geometry.score_generators, geometry)]
         errors, failures = mc._replicate(config, range(6))
         assert failures == [] and not np.isnan(errors).any()
+        assert [len(thetas) for _, thetas in blocks] == [6] * per_replication
         assert len(geometries) == len(generators) == 6 * per_replication
+        assert per_point == [[], []]
 
     def test_one_bit_generator_per_block(self, monkeypatch):
         # Each replication draws from its own stream, keyed (seed, rep,
@@ -1102,9 +1114,10 @@ class TestArrayCores:
     @pytest.mark.parametrize("name", ["exchangeable3", "circular", "exchangeable100",
                                       "circular-all"])
     def test_one_box_test_per_converging_round(self, monkeypatch, name):
-        # A box family's block tests its moment starts, each round's
-        # converged PLE rows, the one-step updates and the moment pilots a
-        # block at a time, and never a row at a time.
+        # A box family's block tests its moment fits, each round's converged
+        # PLE rows and the one-step updates a block at a time, and never a
+        # row at a time.  The PLE's starts and the moment pilots share the
+        # fits' one test.
         sizes, rows = [], []
         check_block = copula_rank.CorrelationModel.domain_check_block
         solve = estimators._ple_solve
@@ -1129,8 +1142,7 @@ class TestArrayCores:
         errors, failures = mc._replicate(config, range(64))
         assert failures == [] and not np.isnan(errors).any()
         rounds = sorted(set(rows))
-        after = [64] * (1 + ("pilot_moment" in config.estimators))
-        assert sizes == [64] + [rows.count(r) for r in rounds] + after
+        assert sizes == [64] + [rows.count(r) for r in rounds] + [64]
 
 
 class TestGridAndSummaries:

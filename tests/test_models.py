@@ -15,6 +15,7 @@ from copula_rank import (adaptivity_demo, build_model, circular, custom_affine,
                          unrestricted, validate_assumption1)
 from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
+from copula_rank import models
 from copula_rank.models import FAMILIES
 from copula_rank.numcore import cholesky_lower
 
@@ -269,6 +270,45 @@ class TestDomain:
         assert verdict.dtype == bool and verdict.shape == (len(rows),)
         assert verdict.tolist() == [model.domain_check(theta) for theta in rows]
         assert verdict.any() and not verdict.all()
+
+    @pytest.mark.parametrize("model,start", [
+        (toeplitz(2), [0.3]), (toeplitz(4), [0.49, -0.46, -0.85]),
+        (unrestricted(3), [0.2, -0.1, 0.3]), (factor(4, 1), [0.5, 0.4, 0.3, 0.6])],
+        ids=lambda v: getattr(v, "name", None) and f"{v.name}{v.p}")
+    def test_no_box_block_is_domain_check_per_row(self, monkeypatch, eigensolves, model, start):
+        # Pairs of rows on both sides of lambda_min(R) = 1e-10, one ulp of
+        # the step apart along a ray from `start`, a row where R is not
+        # positive definite and a NaN row: in three orders, the block's
+        # verdicts are domain_check's, from one pass over the rows (an
+        # eigen-solve per finite row) and no per-row domain_check.
+        def excess(step):
+            theta = np.asarray(start) * (1.0 + step)
+            return np.linalg.eigvalsh(model.r_of_theta(theta))[0] - 1e-10
+
+        pairs = []
+        for direction in (1.0, -1.0):
+            inside, outside = 0.0, direction
+            while excess(outside) > 0.0:
+                outside *= 2.0
+            for _ in range(200):
+                middle = 0.5 * (inside + outside)
+                if middle in (inside, outside):
+                    break
+                inside, outside = (middle, outside) if excess(middle) > 0.0 else (inside, middle)
+            pairs += [np.asarray(start) * (1.0 + inside), np.asarray(start) * (1.0 + outside)]
+        rows = np.array(pairs + [np.asarray(start), np.asarray(start) * 40.0,
+                                 np.full(model.k, np.nan), np.asarray(start) * 0.5])
+        expected = [model.domain_check(theta) for theta in rows]
+        assert expected[:4] == [True, False, True, False]
+        assert expected[4:] == [True, False, False, True]
+        monkeypatch.setattr(models.CorrelationModel, "domain_check",
+                            lambda self, theta: pytest.fail("a per-row domain_check"))
+        for order in (np.arange(8), np.arange(8)[::-1], np.array([6, 1, 4, 0, 7, 3, 5, 2])):
+            eigensolves.clear()
+            verdict = model.domain_check_block(rows[order])
+            assert verdict.dtype == bool
+            assert verdict.tolist() == [expected[i] for i in order]
+            assert eigensolves == [(model.p, model.p)] * 7
 
     def test_into_domain_falls_back_to_anchor(self):
         # 2^-80 * 1e30 is still far outside, so no point of the segment is in.

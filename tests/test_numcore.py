@@ -566,3 +566,38 @@ class TestMonteCarloIdentity:
         cov = prod.mean()
         se = prod.std(ddof=1) / np.sqrt(prod.size)
         assert abs(cov - theta_inner(a, b, corr)) <= 3 * se
+
+
+def spd_stack(p):
+    """Five positive definite p x p matrices: correlation matrices (one
+    near-singular) and a covariance; then one that is not positive
+    definite."""
+    rng = np.random.default_rng(70 + p)
+    mats = []
+    for scale in (0.3, 0.6, 0.9):
+        x = rng.standard_normal((2 * p + 2, p))
+        a = x.T @ x / (2 * p + 2) + scale * np.eye(p)
+        d = 1.0 / np.sqrt(np.diag(a))
+        mats.append(d[:, None] * a * d[None, :])
+    mats.append(exchangeable_corr(p, 1.0 - 1e-9))
+    x = rng.standard_normal((3 * p, p))
+    mats.append(x.T @ x)
+    mats.append(exchangeable_corr(p, 1.5))  # lambda_min = 1 - 1.5 < 0
+    return np.array(mats)
+
+
+class TestUncheckedCores:
+    """The cores that an estimator's internal path calls on arrays it built
+    give the bits of the checked calls."""
+
+    @pytest.mark.parametrize("p", [2, 4, 9])
+    def test_same_bits_as_the_checked_calls(self, p):
+        stack = spd_stack(p)
+        rhs = np.random.default_rng(3).standard_normal((p, 3))
+        for a in stack[:5]:
+            c = numcore._cholesky(a)
+            assert c.tobytes() == cholesky_lower(a).tobytes()
+            assert numcore._solve(c, rhs).tobytes() == spd_solve(c, rhs).tobytes()
+        assert numcore._cholesky(stack[5]) is None
+        basis = stack[:3] - np.eye(p)
+        assert numcore._gram(basis, stack[0]).tobytes() == gram(basis, stack[0]).tobytes()
