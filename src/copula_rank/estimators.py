@@ -30,10 +30,10 @@ eigenvalues and multiplicities, with no factorization and no LAPACK call.
 The descent is written once, over a block of samples, as an array core
 (`_ple_solve`) that returns the (B, k) estimates with a NaN row per failed
 row, the iterations and the failed rows' exceptions.  A Monte Carlo run
-solves each block of replications in one call of it, and
-`ple_estimate_block` wraps it, with `ple_estimate` a block of one.  A
-spectral block is a (B, G) array of group eigenvalues; a matrix family's
-rows take one Cholesky each in the same loop.  Every row keeps its own
+solves each block of replications in one call of it, and `ple_estimate`
+is a block of one.  A spectral block is a (B, G) array of group
+eigenvalues; a matrix family's rows take one Cholesky each in the same
+loop.  Every row keeps its own
 scoring start, line search, stop test, saddle test, domain verdict and
 iterate trace, and reads only its own entries, through elementwise
 operations and sums along its own row, so a block never changes a number:
@@ -46,11 +46,12 @@ empirical mean of the efficient score to a root-n-consistent pilot.  The
 mean efficient score has the closed form tr(A*_m Rhat) / 2, since the score
 is the quadratic form z' A*_m z / 2 with tr(A*_m R) = 0.  It too is written
 over a block of samples, as an array core (`_one_step_update`) that takes
-the pilots as one finite (B, k) array, so a Monte Carlo block hands it the
-PLE core's solved rows directly.  `one_step_block` wraps it, with
-`one_step` a block of one; it reads the pilots once, and nothing below it
-checks them again.  Like the PLE's core, the update returns a row's
-failure (here a singular I*) as a value, which the block of one raises.
+the PLE core's (B, k) estimates as they come, so a Monte Carlo block hands
+it the PLE's output whole: a failed PLE's NaN row fails its update alone.
+`one_step` is a block of one, after its pilot's check (`model.require`),
+and nothing below checks a finite pilot again.  Like the PLE's core, the
+update returns a row's failure (here a singular I*) as a value, which the
+block of one raises.
 In general the block's rows go through one call of the block producer of
 A* and I*^-1 (`geometry._efficient_block`): at each pilot the geometry, a
 generator solve, a Gram matrix and an inverse, from the producers that
@@ -114,7 +115,7 @@ from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
 from .geometry import _efficient_block, _singular, efficiency_bundle
 from .models import _NOT_FINITE, CorrelationModel, eval_geometry
-from .numcore import _cholesky, finite_rows, identity, norm_quantile, spd_inverse, sym_eig
+from .numcore import _cholesky, identity, norm_quantile, spd_inverse, sym_eig
 
 __all__ = [
     "RankedSample",
@@ -123,10 +124,8 @@ __all__ = [
     "normal_scores_matrix",
     "sigma_n_sq",
     "ple_estimate",
-    "ple_estimate_block",
     "pilot_moment",
     "one_step",
-    "one_step_block",
 ]
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -184,7 +183,11 @@ class EstimateResult:
     fit on.  `tie_warning` is the sample's `has_ties`.  `std_errors` is read
     on first read, at theta_hat as it is then, from the method's covariance
     (`_std_errors`: `ple_cov` for "ple", `eff_info_inv` for "one_step"), and
-    cached; None for "pilot_moment", or where the geometry is singular."""
+    cached; None for "pilot_moment", or where the geometry is singular.
+    They are asymptotic, sqrt(diag(cov) / n) at theta_hat: over 1,000
+    replications at n = 250 (seed 7; toeplitz(4) at its low-efficiency
+    point, circular, exchangeable(3)) rms(SE)/SD of theta_hat was 0.93-1.02
+    and 95% Wald coverage 0.917-0.958 (the figures of ROADMAP item R)."""
 
     theta_hat: np.ndarray
     method: str
@@ -689,8 +692,8 @@ def _starts(model, samples, stats):
 def _ple_solve(model, samples, stats):
     """The PLE of every sample of a block, `stats` its `_BlockStats`, as
     arrays: (theta, iterations, failures) of `_descend`, with no
-    EstimateResult.  A Monte Carlo block reads this; the public
-    `ple_estimate_block` wraps it."""
+    EstimateResult.  A Monte Carlo block reads this, and `ple_estimate` is a
+    block of one."""
     return _descend(model, _descent(model, samples, stats.sums),
                     *_starts(model, samples, stats))
 
@@ -725,27 +728,10 @@ def _check_p(model, sample):
         raise ShapeError(f"sample has {sample.p} columns, model needs {model.p}")
 
 
-def ple_estimate_block(model, samples):
-    """`ple_estimate` on every sample of a block in one descent: a list
-    with, for each sample, its EstimateResult or the ConvergenceError or
-    DomainError that `ple_estimate` raises on it.  Every row is the same to
-    the bit as a block of one, so a block never changes a number."""
-    samples = list(samples)
-    if not samples:
-        return []
-    for sample in samples:
-        _check_p(model, sample)
-    theta, iterations, failures = _ple_solve(model, samples, _BlockStats(model, samples))
-    return [failures[i] if i in failures
-            else EstimateResult(theta_hat=theta[i], method="ple", iterations=int(iterations[i]),
-                                converged=True, model=model, sample=sample)
-            for i, sample in enumerate(samples)]
-
-
 def ple_estimate(model, sample):
     """Pseudo-likelihood estimate by Newton descent with an Armijo line
     search on the mean negative pseudo-log-likelihood (see the module
-    docstring): `ple_estimate_block` on a block of one.  Every iterate has
+    docstring): `_ple_solve` on a block of one.  Every iterate has
     R(theta) positive definite.  The descent starts at the moment pilot with
     one Fisher-scoring step, the Hessian replaced by its expectation F, and
     `iterations` counts that step.  Where the model has no moment map or the
@@ -765,10 +751,12 @@ def ple_estimate(model, sample):
     positive definite raises DomainError, and a sample whose p is not the
     model's ShapeError.
     """
-    outcome, = ple_estimate_block(model, [sample])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    _check_p(model, sample)
+    theta, iterations, failures = _ple_solve(model, [sample], _BlockStats(model, [sample]))
+    if failures:
+        raise failures[0]
+    return EstimateResult(theta_hat=theta[0], method="ple", iterations=int(iterations[0]),
+                          converged=True, model=model, sample=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +785,7 @@ def pilot_moment(model, sample):
 
 def one_step(model, sample, pilot=None):
     """Efficient one-step update from a root-n-consistent pilot:
-    `one_step_block` on a block of one, after the pilot's check.
+    `_one_step_update` on a block of one, after the pilot's check.
 
     theta_hat = pilot + I*^-1(pilot) mean_i efficient_score(pseudo_obs_i),
     with the mean efficient score computed as tr(A*_m Rhat) / 2, in closed
@@ -811,60 +799,29 @@ def one_step(model, sample, pilot=None):
     """
     pilot = model.require(
         pilot_moment(model, sample).theta_hat if pilot is None else pilot, "pilot")
-    outcome, = one_step_block(model, [sample], [pilot])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def one_step_block(model, samples, pilots):
-    """`one_step` on every sample of a block from its pilot: a list with, for
-    each sample, its EstimateResult or, as a value, the SingularityError,
-    DomainError or LinAlgError that fails it.  The pilots are read once as a
-    (B, k) float array, the one check of them: one that is not finite fails
-    its row with `theta_vec`'s DomainError, and the others go to
-    `_one_step_update`, not checked against the domain again (the PLE's
-    descent checks its estimates): one where R is not positive definite
-    fails its row with `eval_geometry`'s error, on either path.  Every row
-    is the same to the bit as a block of one.  Raises ShapeError, before any
-    update, where a sample's p is not the model's or the pilots are not a
-    (B, k) array, one per sample."""
-    samples = list(samples)
-    if len(pilots) != len(samples):
-        raise ShapeError(f"{len(samples)} samples but {len(pilots)} pilots")
-    for sample in samples:  # ShapeError before any update
-        _check_p(model, sample)
-    if not samples:
-        return []
-    try:
-        pilots = np.array(pilots, dtype=float)
-    except (TypeError, ValueError):  # ragged or not numbers
-        pilots = np.empty(0)
-    if pilots.shape != (len(samples), model.k):
-        raise ShapeError(f"pilots must form a ({len(samples)}, {model.k}) array of floats")
-    finite = finite_rows(pilots)
-    solved = _take(samples, finite)
-    sums = _BlockStats(model, solved).sums
-    theta, clamped, failures = _one_step_update(model, solved, _take(pilots, finite), sums)
-    outcomes = {}
-    for i, (row, sample) in enumerate(zip(finite, solved)):
-        outcomes[row] = failures[i] if i in failures else EstimateResult(
-            theta_hat=theta[i], method="one_step", iterations=1, converged=not clamped[i],
-            model=model, sample=sample, clamped=bool(clamped[i]))
-    return [outcomes[row] if row in outcomes else DomainError(_NOT_FINITE)
-            for row in range(len(samples))]
+    _check_p(model, sample)
+    theta, clamped, failures = _one_step_update(model, [sample], pilot[None],
+                                                _BlockStats(model, [sample]).sums)
+    if failures:
+        raise failures[0]
+    return EstimateResult(theta_hat=theta[0], method="one_step", iterations=1,
+                          converged=not clamped[0], model=model, sample=sample,
+                          clamped=bool(clamped[0]))
 
 
 def _one_step_update(model, samples, pilots, sums):
-    """The one-step updates of a block from its finite (B, k) array of
-    pilots, `sums` its group sums (`_BlockStats.sums`), as arrays: (theta,
-    clamped, failures).  Row b of theta is the update
+    """The one-step updates of a block from its (B, k) array of pilots, as
+    the PLE core returns it, `sums` its group sums (`_BlockStats.sums`), as
+    arrays: (theta, clamped, failures).  Row b of theta is the update
     pilot + I*^-1 tr(A* Rhat) / 2 brought into the domain toward the pilot
     (`model.into_domain`) and flagged in `clamped`, or a NaN row where the
-    row fails; `failures` maps such a row to its error, the SingularityError
-    where I* is singular, or the error that the geometry at the pilot raises
-    on the general path.  A Monte Carlo block reads this; the public
-    `one_step_block` wraps it.
+    row fails; `failures` maps such a row to its error: `theta_vec`'s
+    DomainError where the pilot is not finite (a failed PLE's NaN row),
+    found by one pass over the pilots, the SingularityError where I* is
+    singular, or the error that the geometry at the pilot raises on the
+    general path.  No finite pilot is checked against the domain again (the
+    PLE's descent checks its estimates, `one_step` its pilot).  A Monte
+    Carlo block reads this, and `one_step` is a block of one.
 
     On a balanced spectrum R = Q diag(lam) Q', diag(dR S) = xbar 1 with
     x = dlam / lam, so the generator weights are g = -xbar / 2 and
@@ -877,34 +834,38 @@ def _one_step_update(model, samples, pilots, sums):
 
     elementwise and in row sums, with no solve, Gram or inverse; I* is
     singular where it is not > 0, `_spd_inverse`'s verdict on a 1 x 1
-    matrix.  A row whose pilot has min lam <= 0, and every row of any other
-    model, takes the general path: all those rows go through the block
-    producer of A* and I*^-1 (`geometry._efficient_block`) in one call, and
-    each update is two matrix-vector products.  The block's updates then
-    take one domain test (`model.domain_check_block`), and only the rows
-    outside the domain call `into_domain`."""
+    matrix.  A finite row whose pilot has min lam <= 0, and every finite row
+    of any other model, takes the general path: all those rows go through
+    the block producer of A* and I*^-1 (`geometry._efficient_block`) in one
+    call, and each update is two matrix-vector products.  The block's
+    updates then take one domain test (`model.domain_check_block`), and only
+    the rows outside the domain call `into_domain`.  Every step reads one
+    row, so a row is the same to the bit as a block of one."""
+    finite = np.isfinite(pilots).all(axis=1)
+    failures = {row: DomainError(_NOT_FINITE) for row in (~finite).nonzero()[0].tolist()}
     spectrum = model.spectrum
     if spectrum is None or not spectrum.balanced:
-        theta, failures = _general_updates(model, samples, pilots)
+        general, theta = finite, np.empty(pilots.shape)
     else:
         m = spectrum.sizes
         add = np.add.reduce
         start = pilots[:, 0]
-        lam, dlam, _ = spectrum.group_fn(start)
-        general = ~(lam.min(axis=1) > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # rows where I* = 0, or general
+        # rows where I* = 0, the general rows and those not finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam, dlam, _ = spectrum.group_fn(start)
             x = dlam / lam
             x -= (add(m * x, 1) / model.p)[:, None]
             squares = add(m * x * x, 1)
             theta = (start + add(x * sums / lam, 1) / squares)[:, None]
+        general = finite & ~(lam.min(axis=1) > 0.0)
         info = 0.5 * squares
-        failures = {row: _singular(info[row:row + 1], "efficient information matrix")
-                    for row in (~general & ~(info > 0.0)).nonzero()[0].tolist()}  # NaN included
-        general = general.nonzero()[0].tolist()
-        if general:
-            theta[general], failed = _general_updates(model, [samples[row] for row in general],
-                                                      pilots[general])
-            failures.update((general[pos], exc) for pos, exc in failed.items())
+        failures.update((row, _singular(info[row:row + 1], "efficient information matrix"))
+                        for row in (finite & ~general & ~(info > 0.0)).nonzero()[0].tolist())
+    general = general.nonzero()[0].tolist()
+    if general:
+        theta[general], failed = _general_updates(model, _take(samples, general),
+                                                  _take(pilots, general))
+        failures.update((general[pos], exc) for pos, exc in failed.items())
     if failures:
         theta[list(failures)] = np.nan
     clamped = np.zeros(len(samples), dtype=bool)

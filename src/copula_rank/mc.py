@@ -40,10 +40,10 @@ the ranks of Z are those of the copula sample, save where Phi would round
 distinct extreme draws to one float (1.0 for z >= 8.3) and make a tie.  A
 block then solves the PLEs of its replications in one `_ple_solve`
 descent, whose rows that converge in one round take one domain test, and
-updates from the solved rows of its estimates in one `_one_step_update`
-call, in closed form on the eigenvalues where the model's spectrum is
-balanced, else through one call of the block producer of A* and I*^-1, and
-one domain test.  The moment fits and their domain test are formed once per
+updates from the PLE's whole output, a failed row's NaN included, in one
+`_one_step_update` call, in closed form on the eigenvalues where the
+model's spectrum is balanced, else through one call of the block producer
+of A* and I*^-1, and one domain test.  The moment fits and their domain test are formed once per
 block and shared by the PLE's starts and the moment pilots.  No row of any
 stage depends on the block, so a block never changes a number.
 """
@@ -284,7 +284,7 @@ def _replicate(config, reps):
     entries in replication order.  The block is drawn and ranked as one
     stack, its group sums and moment fits formed once (`_BlockStats`) and
     handed to every estimator core, its PLEs solved in one `_ple_solve` call
-    and the one-step updates from the rows whose PLE succeeded in one
+    and the one-step updates from the PLE's whole output in one
     `_one_step_update` call; each estimator core returns a
     (B, k) array with a NaN row per failed row and those rows' errors as
     values, and whatever a core raises aborts the run.  No row depends on
@@ -293,7 +293,6 @@ def _replicate(config, reps):
     estimators = config.estimators
     samples = _rank_block(_sample_block(chol, config.n, config.seed, reps, config.lane))
     stats = _BlockStats(model, samples)
-    sums = stats.sums
     theta, failed = {}, {}
     # The one-step update is pinned to a pseudo-likelihood pilot: in high
     # dimensions a moment pilot leaves a visible finite-sample bias that the
@@ -311,20 +310,11 @@ def _replicate(config, reps):
             theta["pilot_moment"], failed["pilot_moment"] = _moment_pilot(model, samples,
                                                                           stats)[0], {}
     if "one_step" in estimators:
-        # a failed PLE fails its row's update; it checked every pilot's domain
-        ple, ple_failed = theta["ple"], failed["ple"]
-        if ple_failed:
-            solved = [i for i in range(len(samples)) if i not in ple_failed]
-            update, _, update_failed = _one_step_update(
-                model, [samples[i] for i in solved], ple[solved],
-                None if sums is None else sums[solved])
-            theta["one_step"] = np.full(ple.shape, np.nan)
-            theta["one_step"][solved] = update
-            failed["one_step"] = {**ple_failed,
-                                  **{solved[j]: exc for j, exc in update_failed.items()}}
-        else:
-            theta["one_step"], _, failed["one_step"] = _one_step_update(model, samples, ple,
-                                                                        sums)
+        # The PLE checked every estimate's domain.  A failed PLE's NaN row
+        # fails its update, which records the PLE's error.
+        theta["one_step"], _, failed["one_step"] = _one_step_update(model, samples,
+                                                                    theta["ple"], stats.sums)
+        failed["one_step"].update(failed["ple"])
     errors = np.empty((len(reps), len(estimators), len(config.theta_true)))
     for j, est in enumerate(estimators):
         np.subtract(theta[est], config.theta_true, out=errors[:, j])

@@ -253,22 +253,22 @@ class CorrelationModel:
         return pilot_map
 
     def domain_check(self, theta):
-        """True if theta lies in the declared (numerically safe) domain."""
+        """True if theta lies in the declared (numerically safe) domain:
+        `domain_check_block` on theta as a block of one, False where theta is
+        not a finite vector of length k (`theta_vec`)."""
         try:
             t = self.theta_vec(theta)
         except (ShapeError, DomainError):
             return False
-        if self.box is not None:
-            lo, hi = self.box
-            return bool(lo <= t[0] <= hi)
-        return bool(sym_eig(self.corr_fn(t), vectors=False)[0] > _PD_FLOOR)
+        return bool(self.domain_check_block(t[None])[0])
 
     def domain_check_block(self, thetas):
-        """`domain_check` on every row of the (B, k) array `thetas`, as a
-        boolean array: one comparison over the block for a family with a
-        `box`, otherwise one pass over the finite rows that takes each row's R
-        and its smallest eigenvalue, checking each theta and each R once,
-        with no per-row `domain_check`."""
+        """The domain test of every row of the (B, k) array `thetas`, as a
+        boolean array: lo <= theta <= hi for a family with a `box`, in one
+        comparison over the block, otherwise a smallest eigenvalue of R(theta)
+        above the floor 1e-10, in one pass over the finite rows that takes
+        each row's R and its smallest eigenvalue.  A row that is not finite is
+        outside."""
         if self.box is not None:
             lo, hi = self.box
             return (lo <= thetas[:, 0]) & (thetas[:, 0] <= hi)

@@ -13,10 +13,10 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.stats import rankdata
 
-from copula_rank import (CorrelationModel, circular, custom_affine, efficiency_bundle,
-                         eval_geometry, efficient_info, efficient_score_matrices,
-                         exchangeable, factor, norm_quantile, one_step, one_step_block,
-                         pilot_moment, ple_estimate, ple_estimate_block, rank_transform,
+from copula_rank import (CorrelationModel, EstimateResult, circular, custom_affine,
+                         efficiency_bundle, eval_geometry, efficient_info,
+                         efficient_score_matrices, exchangeable, factor, norm_quantile,
+                         one_step, pilot_moment, ple_estimate, rank_transform,
                          run_experiment, sample_copula, sigma_n_sq, toeplitz, unrestricted,
                          adaptivity_demo, lower_triangle_pairs)
 from copula_rank import estimators, models
@@ -743,7 +743,7 @@ class TestScoringStart:
         samples = [good[0], comonotone, good[1]]
         expected = [outcome(lambda: ple_estimate(model, sample)) for sample in samples]
         flags = self.spy_scoring(monkeypatch)
-        block = ple_estimate_block(model, samples)
+        block = ple_rows(model, samples)
         assert flags[:3] == [True, False, True]
         assert [outcome(lambda: _raise_or_return(row)) for row in block] == expected
 
@@ -802,9 +802,20 @@ def outcome(solve):
     return [v.hex() for v in result.theta_hat], result.iterations
 
 
+def ple_rows(model, samples):
+    """`_ple_solve` on the block `samples`: for each row, the exception that
+    fails it, or an EstimateResult as `ple_estimate` builds one."""
+    theta, iterations, failures = estimators._ple_solve(
+        model, samples, estimators._BlockStats(model, samples))
+    return [failures[i] if i in failures
+            else EstimateResult(theta_hat=theta[i], method="ple", iterations=int(iterations[i]),
+                                converged=True, model=model, sample=sample)
+            for i, sample in enumerate(samples)]
+
+
 class TestBlockSolve:
-    """`ple_estimate_block` solves every sample of a block in one descent,
-    and a row is the same to the bit as `ple_estimate` on its sample alone."""
+    """`_ple_solve` solves every sample of a block in one descent, and a row
+    is the same to the bit as `ple_estimate` on its sample alone."""
 
     @pytest.mark.parametrize("model,theta,n", SPECTRAL + [
         (toeplitz(4), THETA_STAR, 250), (factor(5, 1), np.linspace(0.3, 0.7, 5), 300)],
@@ -821,7 +832,7 @@ class TestBlockSolve:
         expected = [outcome(lambda: ple_estimate(model, sample)) for sample in samples]
         rng = np.random.default_rng(0)
         for order in (np.arange(12), np.arange(12)[::-1], rng.permutation(12)):
-            block = ple_estimate_block(model, [samples[i] for i in order])
+            block = ple_rows(model, [samples[i] for i in order])
             assert len(block) == 12
             for i, row in zip(order, block):
                 got = outcome(lambda: _raise_or_return(row))
@@ -836,7 +847,7 @@ class TestBlockSolve:
         samples = [rank_transform(sample_copula(model.r_of_theta(THETA_STAR), 40, seed=seed))
                    for seed in range(3)]
         samples.insert(1, mirrored_pairs_sample())
-        block = ple_estimate_block(model, samples)
+        block = ple_rows(model, samples)
         for sample, row in zip(samples, block):
             with pytest.raises(ConvergenceError) as info:
                 ple_estimate(model, sample)
@@ -846,7 +857,6 @@ class TestBlockSolve:
             for (t1, n1), (t2, n2) in zip(row.trace, alone.trace):
                 assert np.array_equal(t1, t2) and n1 == n2
         assert np.array_equal(block[1].trace[0][0], model.default_init)
-        assert ple_estimate_block(model, []) == []
 
     def test_default_start_outside_positive_definite_region(self):
         # A default start with R(theta) not positive definite is that row's
@@ -865,7 +875,7 @@ class TestBlockSolve:
         model = toeplitz(4)
         bad = dataclasses.replace(model, default_init=np.full(3, 5.0))
         sample = rank_transform(sample_copula(model.r_of_theta(THETA_STAR), 250, seed=6))
-        first, second = ple_estimate_block(bad, [mirrored_pairs_sample(), sample])
+        first, second = ple_rows(bad, [mirrored_pairs_sample(), sample])
         assert isinstance(first, DomainError)
         assert str(first) == "initial theta [5. 5. 5.] outside the domain of toeplitz"
         alone = ple_estimate(model, sample)
@@ -969,15 +979,15 @@ def _raise_or_return(row):
 class TestContract:
     @pytest.mark.parametrize("estimator,signature", [
         (ple_estimate, "(model, sample)"),
-        (ple_estimate_block, "(model, samples)"),
+        (estimators._ple_solve, "(model, samples, stats)"),
         (pilot_moment, "(model, sample)"),
         (one_step, "(model, sample, pilot=None)"),
-        (one_step_block, "(model, samples, pilots)"),
+        (estimators._one_step_update, "(model, samples, pilots, sums)"),
     ], ids=lambda v: getattr(v, "__name__", None))
     def test_no_solver_options(self, estimator, signature):
         # Where a descent starts and how many steps it takes are the
-        # solver's own: the estimators take a model and ranks, and one_step
-        # its pilot.
+        # solver's own: the estimators take a model and ranks, one_step its
+        # pilot, and the array cores a block and what the block shares.
         assert str(inspect.signature(estimator)) == signature
 
     def test_ranked_sample_takes_only_zhat(self):
@@ -989,15 +999,12 @@ class TestContract:
                              ids=["exch3", "factor31"])
     def test_sample_width_checked(self, model):
         narrow = rank_transform(sample_copula(np.eye(2), 50, seed=1))
-        wide = rank_transform(sample_copula(np.eye(3), 50, seed=1))
         message = "^sample has 2 columns, model needs 3$"
         for estimator in (ple_estimate, pilot_moment, one_step):
             with pytest.raises(ShapeError, match=message):
                 estimator(model, narrow)
         with pytest.raises(ShapeError, match=message):
             one_step(model, narrow, pilot=model.default_init)
-        with pytest.raises(ShapeError, match=message):
-            ple_estimate_block(model, [wide, narrow])
 
 
 class TestPilotMoment:
@@ -1249,6 +1256,20 @@ def bundle_update(model, sample, pilot):
         0.5 * (bundle.eff_matrices.reshape(model.k, -1) @ sample.rhat.ravel()))
 
 
+def update_rows(model, samples, pilots):
+    """`_one_step_update` on the block `samples` from `pilots`, read as a
+    (B, k) float array: for each row, the exception that fails it, or an
+    EstimateResult as `one_step` builds one."""
+    theta, clamped, failures = estimators._one_step_update(
+        model, samples, np.array(pilots, dtype=float),
+        estimators._BlockStats(model, samples).sums)
+    return [failures[i] if i in failures
+            else EstimateResult(theta_hat=theta[i], method="one_step", iterations=1,
+                                converged=not clamped[i], model=model, sample=sample,
+                                clamped=bool(clamped[i]))
+            for i, sample in enumerate(samples)]
+
+
 def update_outcome(row):
     """theta_hat bits, clamped and converged of a one-step row, or its
     exception's type, message and eigenvalue."""
@@ -1297,7 +1318,7 @@ class TestBalancedSpectrum:
         samples = [rank_transform(sample_copula(r, 40 + 30 * seed, seed=seed))
                    for seed in range(5)]
         pilots = [model.theta_vec(theta)] * 5
-        block = one_step_block(model, samples, pilots)
+        block = update_rows(model, samples, pilots)
         assert blocks == [5]
         for sample, pilot, row in zip(samples, pilots, block):
             theta_hat, clamped = model.into_domain(bundle_update(model, sample, pilot), pilot)
@@ -1312,7 +1333,7 @@ class TestBalancedSpectrum:
         samples = [rank_transform(sample_copula(r, 250, seed=seed)) for seed in range(8)]
         pilots = [ple_estimate(model, sample).theta_hat for sample in samples]
         monkeypatch.setattr(estimators, "eval_geometry", None)  # never called
-        block = one_step_block(model, samples, pilots)
+        block = update_rows(model, samples, pilots)
         monkeypatch.undo()
         for sample, pilot, row in zip(samples, pilots, block):
             assert not row.clamped and row.converged
@@ -1340,12 +1361,12 @@ class TestOneStepBlock:
         samples[2:2], pilots[2:2] = [edge_sample], [model.theta_vec(edge)]
         samples.append(edge_sample)
         pilots.append(model.theta_vec(edge))
-        expected = [update_outcome(one_step_block(model, [s], [t])[0])
+        expected = [update_outcome(update_rows(model, [s], [t])[0])
                     for s, t in zip(samples, pilots)]
         assert [clamped for _, clamped, _ in expected] == [False] * 2 + [True] + [False] * 4 + [True]
         rng = np.random.default_rng(0)
         for order in (np.arange(8), np.arange(8)[::-1], rng.permutation(8)):
-            block = one_step_block(model, [samples[i] for i in order],
+            block = update_rows(model, [samples[i] for i in order],
                                    [pilots[i] for i in order])
             assert [update_outcome(row) for row in block] == [expected[i] for i in order]
         for sample, pilot, want in zip(samples, pilots, expected):
@@ -1357,13 +1378,14 @@ class TestOneStepBlock:
     ], ids=["exch3", "circ"])
     def test_one_box_test_per_block(self, monkeypatch, model, theta, edge):
         # The closed form tests the block against the box at once; only the
-        # two rows outside it reach into_domain.
+        # two rows outside it reach into_domain, whose own test of the row
+        # it is given is a block of one.
         r = model.r_of_theta(theta)
         samples = [rank_transform(sample_copula(r, 60, seed=seed)) for seed in range(6)]
         pilots = [model.theta_vec(theta)] * 6
         samples[1:1] = samples[5:5] = [identical_columns_sample(model.p)]
         pilots[1:1] = pilots[5:5] = [model.theta_vec(edge)]
-        expected = [update_outcome(one_step_block(model, [s], [t])[0])
+        expected = [update_outcome(update_rows(model, [s], [t])[0])
                     for s, t in zip(samples, pilots)]
         calls = {"domain_check_block": [], "into_domain": []}
         for name, rows in calls.items():
@@ -1371,10 +1393,10 @@ class TestOneStepBlock:
             monkeypatch.setattr(CorrelationModel, name,
                                 lambda self, *args, _m=method, _rows=rows:
                                 _rows.append(args) or _m(self, *args))
-        block = one_step_block(model, samples, pilots)
+        block = update_rows(model, samples, pilots)
         assert [update_outcome(row) for row in block] == expected
         assert [row.clamped for row in block] == [False, True] + [False] * 3 + [True, False, False]
-        assert len(calls["domain_check_block"]) == 1
+        assert [len(thetas) for thetas, in calls["domain_check_block"]] == [8, 1, 1]
         assert len(calls["into_domain"]) == 2
         assert not any(model.domain_check(theta) for theta, _ in calls["into_domain"])
 
@@ -1389,7 +1411,7 @@ class TestOneStepBlock:
         samples = [rank_transform(sample_copula(model.r_of_theta(theta), 40 + 15 * seed,
                                                 seed=seed)) for seed in range(6)]
         pilots = [theta, theta * 40.0, theta, np.full(model.k, np.nan), theta * 0.9, theta]
-        expected = [update_outcome(one_step_block(model, [s], [t])[0])
+        expected = [update_outcome(update_rows(model, [s], [t])[0])
                     for s, t in zip(samples, pilots)]
         assert expected[1][:2] == (SingularityError, f"R(theta) is not positive definite for "
                                    f"{model.name} (min eigenvalue {expected[1][2]:.3e})")
@@ -1401,24 +1423,37 @@ class TestOneStepBlock:
         else:
             assert not any(row[0] in (SingularityError, DomainError) for row in others)
         for order in (np.arange(6), np.arange(6)[::-1], np.array([3, 0, 5, 1, 4, 2])):
-            block = one_step_block(model, [samples[i] for i in order], [pilots[i] for i in order])
+            block = update_rows(model, [samples[i] for i in order], [pilots[i] for i in order])
             assert [update_outcome(row) for row in block] == [expected[i] for i in order]
 
-    def test_empty_block(self):
-        assert one_step_block(exchangeable(3), [], []) == []
-        assert one_step_block(toeplitz(4), [], []) == []
-
-    @pytest.mark.parametrize("model", [exchangeable(3), toeplitz(3)], ids=["balanced", "general"])
-    @pytest.mark.parametrize("n_samples,n_pilots", [(2, 1), (2, 3), (1, 3), (0, 1)])
-    def test_one_pilot_per_sample(self, monkeypatch, model, n_samples, n_pilots):
-        # Fewer pilots than samples, or more, is a ShapeError naming both
-        # counts, raised before any update.
-        samples = [rank_transform(sample_copula(np.eye(3), 40, seed=seed))
-                   for seed in range(n_samples)]
-        pilots = [model.theta_vec(model.default_init)] * n_pilots
-        monkeypatch.setattr(estimators, "_one_step_update", None)
-        with pytest.raises(ShapeError, match=f"^{n_samples} samples but {n_pilots} pilots$"):
-            one_step_block(model, samples, pilots)
+    @pytest.mark.parametrize("model,theta", [
+        (exchangeable(3), [0.5]), (circular(), [0.5]), (toeplitz(4), THETA_STAR),
+        (UNBALANCED, [0.3]),
+    ], ids=["exch3", "circ", "toep4", "unbalanced"])
+    def test_nan_pilot_row_fails_alone(self, model, theta):
+        # A failed PLE's NaN row among finite pilots, on the balanced path
+        # (exchangeable(3), circular) and the general one (toeplitz(4), and
+        # a spectrum that is not balanced): it fails alone with theta_vec's
+        # DomainError, every other row is its block of one to the bit, and
+        # no warning is raised.
+        theta = model.theta_vec(theta)
+        samples = [rank_transform(sample_copula(model.r_of_theta(theta), 60, seed=seed))
+                   for seed in range(5)]
+        pilots = np.array([theta] * 5)
+        pilots[2] = np.nan
+        alone = [update_outcome(update_rows(model, [s], [t])[0])
+                 for s, t in zip(samples, pilots)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta_hat, clamped, failures = estimators._one_step_update(
+                model, samples, pilots, estimators._BlockStats(model, samples).sums)
+        assert list(failures) == [2]
+        assert (type(failures[2]), str(failures[2])) == (DomainError, "theta must be finite")
+        assert np.isnan(theta_hat[2]).all() and not clamped[2]
+        assert alone[2] == (DomainError, "theta must be finite", None)
+        for row in (0, 1, 3, 4):
+            assert alone[row] == ([v.hex() for v in theta_hat[row]], clamped[row],
+                                  not clamped[row])
 
     @pytest.mark.parametrize("bad,error,message", [
         ([5.0], SingularityError,
@@ -1429,32 +1464,31 @@ class TestOneStepBlock:
         ([np.inf], DomainError, "theta must be finite"),
     ], ids=["indefinite", "below", "nan", "inf"])
     def test_bad_pilot_same_outcome_on_both_paths(self, bad, error, message):
-        # A pilot where R is not positive definite, or not finite, fails its
-        # row with eval_geometry's error on both paths, and the good row
-        # beside it keeps its outcome.
+        # A pilot where R is not positive definite fails its row with
+        # eval_geometry's error on both paths, one not finite with
+        # theta_vec's, and the good row beside it keeps its outcome.
         model = exchangeable(3)
         samples = [rank_transform(sample_copula(model.r_of_theta([0.5]), 200, seed=seed))
                    for seed in (1, 2)]
         for path in (model, matrix_descent(model)):
-            row, good = one_step_block(path, samples, [bad, [0.5]])
+            row, good = update_rows(path, samples, [bad, [0.5]])
             assert (type(row), str(row)) == (error, message)
-            alone, = one_step_block(path, samples[1:], [[0.5]])
+            alone, = update_rows(path, samples[1:], [[0.5]])
             assert update_outcome(good) == update_outcome(alone)
 
     @pytest.mark.parametrize("bad", [[0.5, 0.9], [[0.5]], [[0.5], [0.5]]],
                              ids=["long", "nested", "column"])
     def test_pilots_not_b_by_k(self, monkeypatch, bad):
-        # The pilots of one sample as given, and beside a good pilot (a ragged
-        # list): a ShapeError on both paths, before any update.
+        # one_step, a block of one, takes its pilot as a length-k vector:
+        # any other shape is theta_vec's ShapeError on both paths, before
+        # any update.
         model = exchangeable(3)
-        samples = [rank_transform(sample_copula(model.r_of_theta([0.5]), 200, seed=seed))
-                   for seed in (1, 2)]
+        sample = rank_transform(sample_copula(model.r_of_theta([0.5]), 200, seed=1))
         monkeypatch.setattr(estimators, "_one_step_update", None)
         for path in (model, matrix_descent(model)):
-            for pilots in ([bad], [bad, [0.5]]):
-                with pytest.raises(ShapeError, match=rf"^pilots must form a \({len(pilots)}, 1\) "
-                                                     r"array of floats$"):
-                    one_step_block(path, samples[:len(pilots)], pilots)
+            with pytest.raises(ShapeError) as info:
+                one_step(path, sample, pilot=bad)
+            assert str(info.value) == f"theta must have length 1, got shape {np.shape(bad)}"
 
     def test_edge_pilot_same_on_both_paths(self):
         # exchangeable(3) at the top of its box, 1 - 1e-6, where kappa(R) is
@@ -1484,8 +1518,8 @@ class TestOneStepBlock:
         assert model.spectrum.balanced
         samples = [rank_transform(sample_copula(np.eye(3), 50, seed=seed)) for seed in (1, 2)]
         pilots = [np.zeros(1)] * 2
-        closed = one_step_block(model, samples, pilots)
-        matrix = one_step_block(matrix_descent(model), samples, pilots)
+        closed = update_rows(model, samples, pilots)
+        matrix = update_rows(matrix_descent(model), samples, pilots)
         for row in closed + matrix:
             assert isinstance(row, SingularityError)
             assert str(row) == ("efficient information matrix is not positive definite "

@@ -468,9 +468,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("block,error", [("_ple_solve", RuntimeError),
                                              ("_ple_solve", ConvergenceError),
                                              ("_one_step_update", RuntimeError)],
-                             ids=["ple_estimate_block-RuntimeError",
-                                  "ple_estimate_block-ConvergenceError",
-                                  "one_step_block-RuntimeError"])
+                             ids=["_ple_solve-RuntimeError",
+                                  "_ple_solve-ConvergenceError",
+                                  "_one_step_update-RuntimeError"])
     def test_a_raising_block_aborts_the_run(self, monkeypatch, block, error):
         # What a block's core raises, rather than returns, is never a failure
         # count.

@@ -8,8 +8,8 @@ the script runs `--blocks` blocks of B consecutive replications and times the
 calls `mc._replicate` makes on each block, one by one: the draw
 (`sampler._sample_block`), the ranks (`estimators._rank_block`), the group
 sums (`estimators._BlockStats`), the PLE solve (`estimators._ple_solve`) and
-the one-step update (`estimators._one_step_update`, from the rows whose PLE
-succeeded).  "total" is one `mc._replicate` call on the same block.  Each
+the one-step update (`estimators._one_step_update`, from the PLE's whole
+output).  "total" is one `mc._replicate` call on the same block.  Each
 figure is the best of `--rounds` rounds, divided by the replications timed,
 and the script runs at one BLAS thread.  It prints one markdown table.
 """
@@ -52,11 +52,9 @@ def stage_times(config, reps):
     clock.append(time.perf_counter())
     stats = estimators._BlockStats(model, samples)
     clock.append(time.perf_counter())
-    theta, _, failures = estimators._ple_solve(model, samples, stats)
+    theta, _, _ = estimators._ple_solve(model, samples, stats)
     clock.append(time.perf_counter())
-    solved = [i for i in range(len(samples)) if i not in failures]
-    estimators._one_step_update(model, [samples[i] for i in solved], theta[solved],
-                                None if stats.sums is None else stats.sums[solved])
+    estimators._one_step_update(model, samples, theta, stats.sums)
     clock.append(time.perf_counter())
     mc._replicate(config, reps)
     clock.append(time.perf_counter())
