@@ -672,7 +672,8 @@ def _moment_fits(model, samples, sums):
     <dR(0), Rhat> / ||dR(0)||^2 = sum w D from the block's group sums D
     (`_BlockStats.sums`) and the spectrum's `moment_weights` w, in row sums."""
     if sums is None:
-        return np.array([model.moment_map @ sample.rhat.ravel() for sample in samples])
+        return np.array([model.moment_map @ sample.rhat.ravel()
+                         for sample in samples]).reshape(len(samples), model.k)
     return np.add.reduce(sums * model.spectrum.moment_weights, 1)[:, None]
 
 
@@ -692,8 +693,10 @@ def _starts(model, samples, stats):
 def _ple_solve(model, samples, stats):
     """The PLE of every sample of a block, `stats` its `_BlockStats`, as
     arrays: (theta, iterations, failures) of `_descend`, with no
-    EstimateResult.  A Monte Carlo block reads this, and `ple_estimate` is a
-    block of one."""
+    EstimateResult: (0, k) and (0,) arrays and {} on an empty block.  A Monte
+    Carlo block reads this, and `ple_estimate` is a block of one."""
+    if not samples:
+        return np.empty((0, model.k)), np.zeros(0, dtype=int), {}
     return _descend(model, _descent(model, samples, stats.sums),
                     *_starts(model, samples, stats))
 

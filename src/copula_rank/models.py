@@ -6,12 +6,10 @@ adaptive at theta=0, and custom affine families R(theta) = I + sum theta_m G_m
 loaded from config.  A model evaluates into a `Geometry`: the matrices
 R, S = R^-1, dR/dtheta_m and dS/dtheta_m at a fixed theta, which is the
 working context for every downstream formula.  `_geometry_at` is their one
-producer: `eval_geometry` reads it after checking theta, and the one-step
+producer, with S from one Cholesky factorization of R(theta) on every
+model: `eval_geometry` reads it after checking theta, and the one-step
 update of a Monte Carlo block reads it at each row with nothing checked
-again.  A one-parameter model whose eigenbasis does not depend on theta
-(one-generator affine families, circular) also declares it as a
-`Spectrum`, which gives S with no factorization; every other model's S
-comes from one Cholesky factorization of R(theta).
+again.
 
 The domain is the model's `box` where it declares one, else lambda_min(R)
 > 1e-10.  `domain_check_block` tests a block of thetas at once, with the
@@ -19,21 +17,20 @@ verdicts of `domain_check` row by row: one comparison with the box, or one
 pass over the rows that takes each R and its eigenvalues, checking each
 theta and each R once.
 
-A Spectrum also declares its eigen-groups: the eigenspaces on which the
-eigenvalue is one function of theta, each with its multiplicity m_g, its
-maps (lam_g, dlam_g, d2lam_g) and its orthonormal columns Q_g, except that
-a family which knows its groups in closed form leaves out the columns of a
-largest one.  The estimators read a sample only through one sum per group,
-D_g = ||zhat Q_g||_F^2 / n, the last group's being tr Rhat minus the others,
-which reduces the pseudo-likelihood of a block of samples, and on a
-balanced spectrum the one-step update, to elementwise arithmetic on (B, G)
-arrays.  exchangeable(p) declares its two groups exactly (1/sqrt(p) with
-eigenvalue 1 + (p - 1) theta, and the rest with 1 - theta), so its
-estimators need no eigen-solve; circular declares its (1, 2, 1) grouping on
-its exact basis, and the other one-generator affine families group the
-eigenvalues of one eigen-solve of their generator.  `eval_geometry`, and so
-`bound`, `check` and `are`, still read the column-by-column basis Q and its
-eigenvalues, from that eigen-solve for every affine family.
+A one-parameter model whose eigenbasis does not depend on theta
+(one-generator affine families, circular) also declares a `Spectrum`: its
+eigen-groups, the eigenspaces on which the eigenvalue is one function of
+theta, each with its multiplicity m_g, maps (lam_g, dlam_g, d2lam_g) and
+orthonormal columns Q_g, except that a family which knows its groups in
+closed form leaves out the columns of a largest one.  The estimators read a
+sample only through one sum per group, D_g = ||zhat Q_g||_F^2 / n, the last
+group's being tr Rhat minus the others, which reduces the pseudo-likelihood
+of a block of samples, and on a balanced spectrum the one-step update, to
+elementwise arithmetic on (B, G) arrays.  exchangeable(p) declares its two
+groups exactly (1/sqrt(p) with eigenvalue 1 + (p - 1) theta, the rest with
+1 - theta) and makes no eigen-solve; circular declares its (1, 2, 1)
+grouping on two exact Fourier columns; the other one-generator affine
+families group the eigenvalues of one eigen-solve of their generator.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError, ShapeError, SingularityError
+from .exceptions import ConfigError, DomainError, ShapeError
 from .numcore import (check_symmetric, finite_rows, identity, pinv, spd_factor, spd_inverse,
                       sym_eig)
 
@@ -89,36 +86,29 @@ def lower_triangle_pairs(p):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A theta-free eigenbasis of a one-parameter family:
-    R(theta) = Q diag(lam(theta)) Q', declared column by column and group by
-    group.
+    """The theta-free eigen-groups of a one-parameter family:
+    R(theta) = sum_g lam_g(theta) P_g, with P_g the orthogonal projector on
+    the g-th eigenspace on which the eigenvalue is one function of theta.
 
-    basis : the read-only orthonormal (p, p) matrix Q
-    eigen_fn : t -> (lam, dlam, d2lam) for a vector t of B values of the
-        parameter: three (B, p) arrays whose row b holds the eigenvalues of
-        R(t_b) in the order of Q's columns and their first and second
-        derivatives in theta, so that dR/dtheta = Q diag(dlam[b]) Q'.  Row b
-        is computed elementwise from t_b alone, so it does not depend on B.
-        `eval_geometry` reads it.
     sizes : the read-only float array of the multiplicities m_g of the G
-        eigen-groups, the eigenspaces on which lam takes one function of
-        theta; they sum to p
+        groups; they sum to p
     columns : the read-only matrix of the orthonormal columns Q_g of the
-        groups, group by group: of every group (p columns), or of every
-        group but the last, a largest one (p - m_G columns), whose projector
-        is then I - sum Q_g Q_g'.  A family that knows its groups in closed
-        form (exchangeable, circular) leaves the last one out, so its
-        estimators never project on it; one whose groups come from an
-        eigen-solve keeps every column, and its group sums stay sums of
-        squares, equal to the bit where the sample makes them equal.
-    group_fn : t -> (lam, dlam, d2lam), three (B, G) arrays: eigen_fn's
-        maps with one column per group, so that
-        R(t_b) = sum_g lam[b, g] P_g with P_g the group's projector.  Row b
-        is computed elementwise from t_b alone.  The estimators read it.
+        groups, group by group, so that P_g = Q_g Q_g': of every group (p
+        columns), or of every group but the last, a largest one (p - m_G
+        columns), whose projector is then I - sum Q_g Q_g'.  A family that
+        knows its groups in closed form (exchangeable, circular) leaves the
+        last one out, so its estimators never project on it; one whose
+        groups come from an eigen-solve keeps every column, and its group
+        sums stay sums of squares, equal to the bit where the sample makes
+        them equal.
+    group_fn : t -> (lam, dlam, d2lam) for a vector t of B values of the
+        parameter: three (B, G) arrays whose row b holds each group's
+        eigenvalue of R(t_b) and its first and second derivatives in theta,
+        so that dR/dtheta = sum_g dlam[b, g] P_g.  Row b is computed
+        elementwise from t_b alone, so it does not depend on B.  The
+        estimators read it.
     """
 
-    basis: np.ndarray = field(repr=False)
-    eigen_fn: Callable = field(repr=False)
     sizes: np.ndarray
     columns: np.ndarray = field(repr=False)
     group_fn: Callable = field(repr=False)
@@ -157,7 +147,7 @@ class Spectrum:
         efficient score in closed form on the eigenvalues.  Decided on first
         read, from the declared groups."""
         weights = self.group_totals(self.columns * self.columns)
-        return bool((np.abs(weights - self.sizes[:weights.shape[-1]] / len(self.basis))
+        return bool((np.abs(weights - self.sizes[:weights.shape[-1]] / len(self.columns))
                      <= _BALANCE_TOL).all())
 
 
@@ -320,38 +310,39 @@ def _read_only(*arrays):
     return arrays
 
 
-def _linear_eigen_fn(slopes):
+def _linear_group_fn(slopes):
     """t -> (lam, dlam, d2lam) for eigenvalues 1 + t * slopes: a row per
     value of t, a column per slope."""
-    def eigen_fn(t):
+    def group_fn(t):
         lam = 1.0 + t[:, None] * slopes
         dlam = np.empty_like(lam)
         dlam[:] = slopes
         return lam, dlam, np.zeros(lam.shape)
-    return eigen_fn
+    return group_fn
 
 
-def _spectrum(basis, eigen_fn, sizes, columns, group_fn):
+def _spectrum(sizes, columns, group_fn):
     """A Spectrum whose arrays are read-only; `sizes` become floats."""
-    sizes = np.array(sizes, dtype=float)
-    return Spectrum(*_read_only(basis), eigen_fn, *_read_only(sizes, columns), group_fn)
+    return Spectrum(*_read_only(np.array(sizes, dtype=float), columns), group_fn)
 
 
-def _affine_groups(g, basis):
-    """(slopes, sizes, columns) of the eigen-groups of a generator with
-    ascending eigenvalues g and eigenvectors `basis`: the runs of g whose
-    neighbours lie within _GROUP_TOL * max(1, max |g|), each with its mean
-    slope, and every column of the basis."""
+def _affine_groups(generator):
+    """(slopes, sizes, columns) of the eigen-groups of a generator, from one
+    eigen-solve: the runs of its ascending eigenvalues g whose neighbours lie
+    within _GROUP_TOL * max(1, max |g|), each with its mean slope, and every
+    column of its eigenbasis."""
+    g, basis = sym_eig(generator)
     tol = _GROUP_TOL * max(1.0, float(np.abs(g).max()))
     edges = np.r_[0, np.flatnonzero(np.diff(g) > tol) + 1, len(g)]
     return (np.add.reduceat(g, edges[:-1]) / np.diff(edges), np.diff(edges), basis)
 
 
 def _affine_model(name, p, generators, descriptor, box=None, groups=None):
-    """R(theta) = I + sum theta_m G_m.  With one generator G = Q diag(g) Q',
-    R(theta) = Q diag(1 + theta g) Q' and the model declares that spectrum,
-    with `groups` = (slopes, sizes, columns) where the family knows them
-    exactly, else the clusters of g (`_affine_groups`)."""
+    """R(theta) = I + sum theta_m G_m.  With one generator,
+    R(theta) = sum_g (1 + theta g_g) P_g on the eigen-groups of G, and the
+    model declares that spectrum, with `groups` = (slopes, sizes, columns)
+    where the family knows them exactly, else the clusters of G's
+    eigenvalues (`_affine_groups`)."""
     gens = np.array(generators, dtype=float)
     gens.flags.writeable = False
     k = len(gens)
@@ -363,10 +354,8 @@ def _affine_model(name, p, generators, descriptor, box=None, groups=None):
 
     spectrum = None
     if k == 1:
-        g, basis = sym_eig(gens[0])
-        slopes, sizes, columns = _affine_groups(g, basis) if groups is None else groups
-        spectrum = _spectrum(basis, _linear_eigen_fn(g), sizes, columns,
-                             _linear_eigen_fn(slopes))
+        slopes, sizes, columns = _affine_groups(gens[0]) if groups is None else groups
+        spectrum = _spectrum(sizes, columns, _linear_group_fn(slopes))
     return CorrelationModel(
         name=name, p=p, k=k, corr_fn=corr_fn, box=box, default_init=np.zeros(k),
         descriptor=descriptor, affine_generators=gens, spectrum=spectrum,
@@ -428,17 +417,12 @@ def circular():
 
     # The eigen-groups (1 + theta)^2, (1 - theta)^2 and 1 - theta^2 (twice),
     # each by that formula's own operations: the zero and unit coefficients
-    # below change no rounding.  A column's maps are its group's, read by
-    # index, so they are the same to the bit.
-    h = np.sqrt(0.5)
-    basis, sign, middle, dlam0, d2lam = _read_only(
-        np.array([[0.5, h, 0.0, 0.5],
-                  [0.5, 0.0, h, -0.5],
-                  [0.5, -h, 0.0, 0.5],
-                  [0.5, 0.0, -h, -0.5]]),
+    # below change no rounding.  The first two groups' columns are the real
+    # Fourier vectors (1, 1, 1, 1) / 2 and (1, -1, 1, -1) / 2.
+    columns, sign, middle, dlam0, d2lam = _read_only(
+        np.array([[0.5, 0.5], [0.5, -0.5], [0.5, 0.5], [0.5, -0.5]]),
         np.array([1.0, -1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
         np.array([2.0, -2.0, 0.0]), np.array([2.0, 2.0, -2.0]))
-    group_of_column = [0, 2, 2, 1]
 
     def group_fn(t):
         th = t[:, None]
@@ -447,14 +431,10 @@ def circular():
         d2[:] = d2lam
         return lam, dlam0 + th * d2lam, d2
 
-    def eigen_fn(t):
-        return tuple(a[:, group_of_column] for a in group_fn(t))
-
     return CorrelationModel(
         name="circular", p=p, k=1, corr_fn=corr_fn, grad_fn=grad_fn,
         default_init=np.zeros(1), descriptor={"family": "circular"},
-        spectrum=_spectrum(basis, eigen_fn, [1, 1, 2],
-                           np.ascontiguousarray(basis[:, [0, 3]]), group_fn),
+        spectrum=_spectrum([1, 1, 2], columns, group_fn),
         box=(-1.0 + _EPS_DOMAIN, 1.0 - _EPS_DOMAIN),
     )
 
@@ -726,29 +706,13 @@ def eval_geometry(model, theta):
 def _geometry_at(model, t):
     """(R, S, dR, dS) at the finite theta vector t, which is not checked
     again: the one producer of these matrices, which `eval_geometry` and the
-    one-step update of a block (`geometry._efficient_block`) read.
-
-    For a model with a `Spectrum` R = Q diag(lam) Q', min lam > 0 is the
-    positive-definiteness test and no matrix is factored:
-    S = I + Q diag(1/lam - 1) Q', the identity plus a correction, so that
-    S = I and dS = -dR hold exactly at independence (lam = 1).  Otherwise S
-    comes from one Cholesky factorization.  A point where R(theta) is not
-    positive definite raises SingularityError carrying the smallest
-    eigenvalue.
+    one-step update of a block (`geometry._efficient_block`) read.  S comes
+    from one Cholesky factorization of R(theta) on every model.  A point
+    where R(theta) is not positive definite raises SingularityError carrying
+    the smallest eigenvalue.
     """
     r = model.corr_fn(t)
-    what = f"R(theta) is not positive definite for {model.name}"
-    if model.spectrum is None:
-        s = spd_inverse(spd_factor(r, what))
-    else:
-        q = model.spectrum.basis
-        lam = model.spectrum.eigen_fn(t)[0][0]
-        eig = float(lam.min())
-        if not eig > 0.0:  # NaN included
-            raise SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig)
-        # Q' in C order: a product of a C and a Fortran operand is slow in
-        # multithreaded OpenBLAS (see estimators._objective_and_inverse).
-        s = identity(model.p) + (q * (1.0 / lam - 1.0)) @ np.ascontiguousarray(q.T)
+    s = spd_inverse(spd_factor(r, f"R(theta) is not positive definite for {model.name}"))
     s = 0.5 * (s + s.T)
     r_dots = model._r_dots(t)
     s_dots = -s @ r_dots @ s

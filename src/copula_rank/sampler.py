@@ -119,9 +119,11 @@ def _sample_block(chol, n, seed, reps, lane):
 
 def apply_margins(u, kinds):
     """Apply margin quantile transforms columnwise to copula data U, on a
-    copy of U.  `kinds` is one kind name, or a sequence of 1 name for every
+    copy of U: user API, which no package path calls (a Monte Carlo run
+    ranks its latent normals).  `kinds` is one kind name ("uniform",
+    "gaussian", "exponential" or "cauchy"), or a sequence of 1 name for every
     column or of p names, one per column.  Every transform is elementwise
-    and strictly increasing."""
+    and strictly increasing, so no rank-based estimate sees it."""
     kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
     for kind in kinds:
         if kind not in _MARGINS:

@@ -19,8 +19,9 @@ def load_schema(name):
 def validate_output(name, obj):
     """Raise jsonschema.ValidationError if obj does not match the named schema.
 
-    jsonschema is imported here, on first use, so that importing the
-    package (and every CLI call, none of which validates) does not pay for it.
+    jsonschema, from the `test` extra and not a runtime dependency, is
+    imported here, on first use, so that importing the package (and every
+    CLI call, none of which validates) does not need it.
     """
     import jsonschema
 

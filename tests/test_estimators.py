@@ -628,6 +628,14 @@ SPECTRAL = [
 ]
 
 
+def eigen_columns(model, theta):
+    """(Q, lam, dlam) of a spectral model at theta, formed test-side: an
+    eigenbasis Q of R(theta) from numpy's eigh and the eigenvalues of R and
+    dR/dtheta along its columns, diag(Q' R Q) and diag(Q' dR Q)."""
+    lam, q = np.linalg.eigh(model.r_of_theta([theta]))
+    return q, lam, np.diag(q.T @ model.r_dots([theta])[0] @ q)
+
+
 def matrix_descent(model):
     """The same model without its Spectrum, so the PLE runs on matrices."""
     return dataclasses.replace(model, spectrum=None)
@@ -661,11 +669,11 @@ class TestSpectralDescent:
         model = dataclasses.replace(
             custom_affine(3, [[[0, 1, 0.5], [1, 0, 0.5], [0.5, 0.5, 0]]]),
             default_init=np.array([0.7]))
-        lam, g, _ = (v[0] for v in model.spectrum.eigen_fn(np.array([0.7])))
+        q, lam, g = eigen_columns(model, 0.7)
         d = np.array([0.01, 0.0, 5.0])
         d[1] = lam[1] - lam[1] ** 2 / g[1] * sum(g[i] * (d[i] - lam[i]) / lam[i] ** 2
                                                  for i in (0, 2))
-        rows = np.sqrt(3.0 * d)[:, None] * model.spectrum.basis.T
+        rows = np.sqrt(3.0 * d)[:, None] * q.T
         zhat = np.vstack([rows, -rows])
         sample = RankedSample(zhat)
         assert not model.domain_check(model.moment_map @ sample.rhat.ravel())
@@ -838,6 +846,21 @@ class TestBlockSolve:
                 got = outcome(lambda: _raise_or_return(row))
                 assert got == expected[i], (i, got, expected[i])
 
+    @pytest.mark.parametrize("model", [exchangeable(3), circular(), toeplitz(4), factor(4, 1)],
+                             ids=lambda m: f"{m.name}{m.p}")
+    def test_empty_block(self, model):
+        # Every core returns its arrays with zero rows, as the one-step core
+        # does, and no failure.
+        stats = estimators._BlockStats(model, [])
+        theta, iterations, failures = estimators._ple_solve(model, [], stats)
+        assert (theta.shape, iterations.shape, iterations.dtype, failures) == (
+            (0, model.k), (0,), np.dtype(int), {})
+        theta, clamped, failures = estimators._one_step_update(model, [], theta, stats.sums)
+        assert (theta.shape, clamped.shape, failures) == ((0, model.k), (0,), {})
+        if model.moment_map is not None:
+            theta, clamped = estimators._moment_pilot(model, [], stats)
+            assert (theta.shape, clamped.shape) == ((0, model.k), (0,))
+
     def test_rows_keep_their_own_traces_and_starts(self, monkeypatch):
         # The mirrored-pairs row starts at default_init, the others at their
         # moment pilots; one step each, so every row fails and carries the
@@ -883,14 +906,14 @@ class TestBlockSolve:
         assert second.iterations == alone.iterations
 
 
-def column_groups(spectrum, theta=0.3):
-    """The eigen-group of each column of the spectrum's basis: the group
-    whose (lam, dlam) at theta are nearest the column's."""
-    t = np.array([theta])
-    lam, dlam, _ = (a[0] for a in spectrum.eigen_fn(t))
-    group_lam, group_dlam, _ = (a[0] for a in spectrum.group_fn(t))
-    return np.argmin(np.abs(lam[:, None] - group_lam) + np.abs(dlam[:, None] - group_dlam),
-                     axis=1)
+def column_groups(model, theta=0.3):
+    """(Q, groups): the eigenbasis Q of `eigen_columns` at theta and the
+    eigen-group of each of its columns, the group whose (lam, dlam) at theta
+    are nearest the column's."""
+    q, lam, dlam = eigen_columns(model, theta)
+    group_lam, group_dlam, _ = (a[0] for a in model.spectrum.group_fn(np.array([theta])))
+    return q, np.argmin(np.abs(lam[:, None] - group_lam) + np.abs(dlam[:, None] - group_dlam),
+                        axis=1)
 
 
 # SPECTRAL, then samples near each end of exchangeable's and circular's box
@@ -959,13 +982,12 @@ class TestStackedD:
         # tr Rhat: at most 6.7 eps tr Rhat was seen (exchangeable(100) near
         # theta = 1), on a 2-CPU x86-64 VM with numpy 2.4.
         spectrum = model.spectrum
-        members = column_groups(spectrum)
+        q, members = column_groups(model)
         assert np.bincount(members).tolist() == spectrum.sizes.tolist()
         for zhat in self.zhats(model, theta, n):
             sample = RankedSample(zhat)
             sums = estimators._group_sums(spectrum, [sample])[0]
-            reference = np.bincount(members, np.diag(spectrum.basis.T @ sample.rhat
-                                                     @ spectrum.basis))
+            reference = np.bincount(members, np.diag(q.T @ sample.rhat @ q))
             bound = 16 * np.finfo(float).eps * np.trace(sample.rhat)
             assert_allclose(sums, reference, rtol=0, atol=bound)
 
@@ -1299,7 +1321,7 @@ class TestBalancedSpectrum:
         assert UNBALANCED.spectrum is not None
         assert not UNBALANCED.spectrum.balanced
         for theta in (0.1, 0.3, 0.5):
-            lam, dlam, _ = UNBALANCED.spectrum.eigen_fn(np.array([theta]))
+            _, lam, dlam = eigen_columns(UNBALANCED, theta)
             x = dlam / lam - (dlam / lam).mean()
             eff_info = efficient_info(eval_geometry(UNBALANCED, [theta]))[0][0, 0]
             assert 0.5 * (x * x).sum() / eff_info - 1.0 > 2e-3

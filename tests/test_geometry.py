@@ -486,12 +486,12 @@ def _circular_info(theta):
 
 
 # (p, theta, bound on the relative error of efficiency_bundle's eff_info,
-# bound on that of the float closed form on the per-column eigenvalues that
-# `eval_geometry` reads, `Spectrum.eigen_fn`): about 10x the largest error
-# seen on a 2-CPU x86-64 VM (numpy 2.4, OpenBLAS).  The general path's error
-# grows with kappa(R) toward the domain's edge; the per-column closed form's
-# only with the roundoff of the generator's eigenvalues from sym_eig
-# (-1 +- a few eps for exchangeable).
+# bound on that of the float closed form on per-column eigenvalues, formed
+# test-side (`column_eigen`): about 10x the largest error seen on a 2-CPU
+# x86-64 VM (numpy 2.4, OpenBLAS).  The general path's error grows with
+# kappa(R) toward the domain's edge; the per-column closed form's on
+# exchangeable only with the roundoff of its generator's eigenvalues from an
+# eigen-solve (-1 +- a few eps), which the declared groups do not have.
 EXCHANGEABLE_POINTS = [
     (p, theta, general, closed)
     for p in (2, 3, 4, 10, 30, 100)
@@ -521,18 +521,29 @@ def closed_form_info(eigen, sizes, theta):
     return 0.5 * np.add.reduce(sizes * x * x, 1)[0]
 
 
+def column_eigen(model):
+    """t -> (lam, dlam, d2lam) column by column, formed test-side: on
+    exchangeable, 1 + t g on the eigenvalues g of numpy's eigen-solve of its
+    generator; on circular, each group's maps repeated over its columns."""
+    if model.affine_generators is None:
+        sizes = model.spectrum.sizes.astype(int)
+        return lambda t: tuple(np.repeat(a, sizes, axis=1) for a in model.spectrum.group_fn(t))
+    g = np.linalg.eigvalsh(model.affine_generators[0])
+    return lambda t: (1.0 + t[:, None] * g, np.tile(g, (len(t), 1)), np.zeros((len(t), len(g))))
+
+
 class TestBalancedSpectrumOracle:
     """`efficiency_bundle`'s eff_info and the closed form
     I* = sum m (x - xbar)^2 / 2, x = dlam / lam, on a balanced spectrum,
     against 50-digit references: on the eigen-groups, as the one-step update
-    uses it, and on the per-column eigenvalues."""
+    uses it, and on per-column eigenvalues (`column_eigen`)."""
 
     @staticmethod
     def check(model, theta, exact, general, closed):
         spectrum = model.spectrum
         eff_info = efficiency_bundle(eval_geometry(model, [theta])).eff_info
         on_groups = closed_form_info(spectrum.group_fn, spectrum.sizes, theta)
-        on_columns = closed_form_info(spectrum.eigen_fn, np.ones(model.p), theta)
+        on_columns = closed_form_info(column_eigen(model), np.ones(model.p), theta)
         assert float(abs(eff_info[0, 0] - exact) / exact) <= general
         assert float(abs(on_groups - exact) / exact) <= GROUP_CLOSED
         assert float(abs(on_columns - exact) / exact) <= closed

@@ -349,22 +349,34 @@ SPECTRAL_EXAMPLES = [(model, thetas) for examples in FAMILY_EXAMPLES.values()
                      for model, thetas in examples if model.spectrum is not None]
 
 
+def projectors(spectrum):
+    """The projectors P_g = Q_g Q_g' of a Spectrum's groups, the last one
+    I - sum of the others where it has no columns."""
+    columns, sizes = spectrum.columns, spectrum.sizes
+    p = len(columns)
+    owner = np.repeat(np.arange(len(sizes)), sizes.astype(int))[:columns.shape[1]]
+    out = [columns[:, owner == g] @ columns[:, owner == g].T for g in range(owner[-1] + 1)]
+    if len(out) < len(sizes):
+        out.append(np.eye(p) - sum(out, np.zeros((p, p))))
+    return out
+
+
 def spectrum_defects(model, thetas, h=2.0 ** -10):
-    """Largest deviations of a declared Spectrum from the model: Q'Q from I,
-    Q diag(lam) Q' from R(theta), Q diag(dlam_m) Q' from dR/dtheta_m, and
-    d2lam from a central difference of dlam with step h."""
-    q = model.spectrum.basis
-    defects = {"orthonormal": np.max(np.abs(q.T @ q - np.eye(model.p))),
+    """Largest deviations of a declared Spectrum from the model: the columns'
+    Q'Q from I, sum lam_g P_g from R(theta), sum dlam_g P_g from
+    dR/dtheta_m, and d2lam from a central difference of dlam with step h."""
+    spectrum = model.spectrum
+    q, proj = spectrum.columns, projectors(spectrum)
+    defects = {"orthonormal": np.max(np.abs(q.T @ q - np.eye(q.shape[1]))),
                "r": 0.0, "r_dots": 0.0, "d2lam": 0.0}
     for theta in np.asarray(thetas, dtype=float):
-        lam, dlam, d2lam = (a[0] for a in model.spectrum.eigen_fn(theta))
-        assert (lam.shape, dlam.shape, d2lam.shape) == ((model.p,),) * 3
-        fd = (model.spectrum.eigen_fn(theta + h)[1][0]
-              - model.spectrum.eigen_fn(theta - h)[1][0]) / (2.0 * h)
-        defects["r"] = max(defects["r"], np.max(np.abs(
-            (q * lam) @ q.T - model.corr_fn(theta))))
-        defects["r_dots"] = max(defects["r_dots"], np.max(np.abs(
-            (q * dlam) @ q.T - model.r_dots(theta)[0])))  # Q diag(dlam) Q'
+        lam, dlam, d2lam = (a[0] for a in spectrum.group_fn(theta))
+        assert (lam.shape, dlam.shape, d2lam.shape) == ((len(spectrum.sizes),),) * 3
+        fd = (spectrum.group_fn(theta + h)[1][0] - spectrum.group_fn(theta - h)[1][0]) / (2.0 * h)
+        for key, weights, target in (("r", lam, model.corr_fn(theta)),
+                                     ("r_dots", dlam, model.r_dots(theta)[0])):
+            assembled = sum(w * pg for w, pg in zip(weights, proj))
+            defects[key] = max(defects[key], np.max(np.abs(assembled - target)))
         defects["d2lam"] = max(defects["d2lam"], np.max(np.abs(d2lam - fd)))
     return defects
 
@@ -391,16 +403,16 @@ class TestSpectrum:
         model = circular()
 
         def first_neighbours_only(t):
-            # 1 +- 2 theta, 1, 1 ignore the theta^2 second neighbours.
-            lam = 1.0 + np.outer(t, [2.0, 0.0, 0.0, -2.0])
-            return lam, np.tile([2.0, 0.0, 0.0, -2.0], (len(t), 1)), np.zeros(lam.shape)
+            # 1 +- 2 theta and 1 ignore the theta^2 second neighbours.
+            lam = 1.0 + np.outer(t, [2.0, -2.0, 0.0])
+            return lam, np.tile([2.0, -2.0, 0.0], (len(t), 1)), np.zeros(lam.shape)
 
         def no_curvature(t):
-            lam, dlam, _ = model.spectrum.eigen_fn(t)
+            lam, dlam, _ = model.spectrum.group_fn(t)
             return lam, dlam, np.zeros(lam.shape)
 
         defects = [spectrum_defects(dataclasses.replace(
-            model, spectrum=dataclasses.replace(model.spectrum, eigen_fn=fn)), [[0.45]])
+            model, spectrum=dataclasses.replace(model.spectrum, group_fn=fn)), [[0.45]])
             for fn in (first_neighbours_only, no_curvature)]
         assert defects[0]["r"] > 0.1 and defects[0]["r_dots"] > 0.1
         assert defects[1]["d2lam"] > 1.0
@@ -409,14 +421,14 @@ class TestSpectrum:
     @pytest.mark.parametrize("model,thetas", SPECTRAL_EXAMPLES,
                              ids=[f"{m.name}{m.p}" for m, _ in SPECTRAL_EXAMPLES])
     def test_stacked_rows_equal_blocks_of_one(self, model, thetas):
-        # Row b of eigen_fn on a vector of B parameter values is, to the bit,
-        # eigen_fn on the block of one (theta_b): the PLE descent solves a
+        # Row b of group_fn on a vector of B parameter values is, to the bit,
+        # group_fn on the block of one (theta_b): the PLE descent solves a
         # block of samples on these rows.
         t = np.array([theta[0] for theta in thetas] + [-0.3, 1e-3, 0.0, 0.7])
-        stacked = model.spectrum.eigen_fn(t)
-        assert [a.shape for a in stacked] == [(len(t), model.p)] * 3
+        stacked = model.spectrum.group_fn(t)
+        assert [a.shape for a in stacked] == [(len(t), len(model.spectrum.sizes))] * 3
         for b in range(len(t)):
-            for rows, single in zip(stacked, model.spectrum.eigen_fn(t[b:b + 1])):
+            for rows, single in zip(stacked, model.spectrum.group_fn(t[b:b + 1])):
                 assert np.array_equal(rows[b], single[0]), (b, t[b])
 
     def test_spectrum_needs_one_parameter(self):
@@ -428,10 +440,9 @@ class TestSpectrum:
     @pytest.mark.parametrize("model,thetas", SPECTRAL_EXAMPLES,
                              ids=[f"{m.name}{m.p}" for m, _ in SPECTRAL_EXAMPLES])
     def test_geometry_matches_matrix_path(self, model, thetas):
-        # The same model stripped of its Spectrum (as matrix_descent does in
-        # test_estimators) evaluates S and dS by Cholesky; the two agree to
-        # 1e-12 relative to the largest entry, in the geometry and in every
-        # information matrix built on it.
+        # The same model stripped of its Spectrum evaluates the same S and dS
+        # to the bit, and so every information matrix built on them: the
+        # geometry factors R on every model and reads no Spectrum.
         generic = dataclasses.replace(model, spectrum=None)
         for theta in thetas:
             spectral, matrix = (eval_geometry(m, theta) for m in (model, generic))
@@ -440,19 +451,25 @@ class TestSpectrum:
             pairs += [(getattr(bundles[0], f), getattr(bundles[1], f))
                       for f in ("eff_info", "eff_info_inv", "fisher", "ple_cov")]
             for a, b in pairs:
-                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (theta, a, b)
+                assert np.array_equal(a, b), (theta, a, b)
 
     def test_geometry_exact_at_independence(self):
-        # S = I + Q diag(1/lam - 1) Q' carries its correction exactly as
-        # zeros where lam = 1, so S = I and dS = -S dR S = -dR exactly.
+        # R(0) = I is its own Cholesky factor and inverse, so S = I and
+        # dS = -S dR S = -dR exactly.
         for model, _ in SPECTRAL_EXAMPLES:
             geom = eval_geometry(model, np.zeros(model.k))
             assert np.array_equal(geom.s, np.eye(model.p))
             assert np.array_equal(geom.s_dots, -geom.r_dots)
 
-    def test_geometry_factors_nothing(self, factorizations):
-        eval_geometry(exchangeable(100), np.array([0.25]))
-        assert len(factorizations) == 0
+    @pytest.mark.parametrize("build,solves", [
+        (lambda: exchangeable(3), 0), (lambda: exchangeable(100), 0), (lambda: toeplitz(2), 1),
+        (lambda: custom_affine(3, [[[0, 1, 0.5], [1, 0, 0], [0.5, 0, 0]]]), 1),
+    ], ids=["exchangeable3", "exchangeable100", "toeplitz2", "custom_affine3"])
+    def test_build_eigen_solves(self, eigensolves, build, solves):
+        # exchangeable declares its groups; the other one-generator affine
+        # families cluster the eigenvalues of one eigen-solve of G.
+        assert build().spectrum is not None
+        assert len(eigensolves) == solves
 
     @pytest.mark.parametrize("model,theta,eig", [(exchangeable(3), -0.6, -0.2),
                                                  (exchangeable(100), 1.01, -0.01),
@@ -467,18 +484,21 @@ class TestSpectrum:
         assert exc.value.eigenvalue == pytest.approx(np.linalg.eigvalsh(r)[0], abs=1e-12)
 
 
-def probe_balanced(spectrum):
-    """The balance verdict of the rule that the declared groups replaced:
-    columns whose (lam, dlam) agree, to 1e-10 relative, at three fixed
-    parameter values form groups, and each group's sum_a Q_ia^2 must equal
-    |group| / p, to 1e-10, in every row i."""
-    lam, dlam, _ = spectrum.eigen_fn(np.array([-0.2718, 0.1414, 0.5772]))
-    values = np.concatenate([lam, dlam]).T  # row a: column a's functions
-    p = len(values)
+def probe_balanced(model, theta0=0.1414):
+    """The balance verdict on an eigenbasis Q of R(theta0) from numpy's eigh,
+    independent of the declared groups: columns whose eigenvalues of R and
+    dR/dtheta, diag(Q' R Q) and diag(Q' dR Q), agree to 1e-10 relative at
+    three fixed parameter values form groups, and each group's sum_a Q_ia^2
+    must equal |group| / p, to 1e-10, in every row i."""
+    q = np.linalg.eigh(model.r_of_theta([theta0]))[1]
+    thetas = [[-0.2718], [0.1414], [0.5772]]
+    values = np.array([np.diag(q.T @ mats @ q) for theta in thetas
+                       for mats in (model.r_of_theta(theta), model.r_dots(theta)[0])]).T
+    p = len(values)  # row a: column a's functions
     agree = (np.abs(values[:, None] - values[None])
              <= 1e-10 * (1.0 + np.abs(values[:, None]))).all(axis=2)
     members = agree.argmax(axis=1)[:, None] == np.arange(p)
-    weights = (spectrum.basis * spectrum.basis) @ members
+    weights = (q * q) @ members
     return bool((np.abs(weights - members.sum(axis=0) / p) <= 1e-10).all())
 
 
@@ -512,31 +532,17 @@ class TestEigenGroups:
         columns = spectrum.columns
         assert sizes.sum() == p
         # every group's columns, or every group's but a largest last one's
-        last = columns.shape == (p, p - sizes[-1])
-        assert columns.shape == (p, p) or (last and sizes[-1] == sizes.max())
+        assert columns.shape == (p, p) or (columns.shape == (p, p - sizes[-1])
+                                           and sizes[-1] == sizes.max())
         assert_allclose(columns.T @ columns, np.eye(len(columns.T)), rtol=0, atol=1e-14)
-        # the projectors P_g, group by group
-        owner = np.repeat(np.arange(len(sizes)), sizes.astype(int))[:len(columns.T)]
-        projectors = [(columns[:, owner == g]) @ columns[:, owner == g].T
-                      for g in range(owner[-1] + 1)]
-        if last:
-            projectors.append(np.eye(p) - sum(projectors, np.zeros((p, p))))
         for theta in np.array(thetas)[:, None]:
             assert model.domain_check(theta)
-            lam, dlam, d2lam = (a[0] for a in spectrum.group_fn(theta))
-            assert lam.shape == dlam.shape == d2lam.shape == (len(sizes),)
-            h = 2.0 ** -10
-            fd = (spectrum.group_fn(theta + h)[1][0]
-                  - spectrum.group_fn(theta - h)[1][0]) / (2.0 * h)
-            for weights, target in ((lam, model.corr_fn(theta)), (dlam, model.r_dots(theta)[0])):
-                assembled = sum(w * proj for w, proj in zip(weights, projectors))
-                assert_allclose(assembled, target, rtol=0, atol=1e-12)
-            assert_allclose(d2lam, fd, rtol=0, atol=1e-12)
+        assert max(spectrum_defects(model, np.array(thetas)[:, None]).values()) <= 1e-12
 
     @pytest.mark.parametrize("model,thetas", GROUPED,
                              ids=[f"{m.name}{m.p}" for m, _ in GROUPED])
     def test_balanced_verdict_unchanged(self, model, thetas):
-        assert model.spectrum.balanced == probe_balanced(model.spectrum)
+        assert model.spectrum.balanced == probe_balanced(model)
 
     def test_exchangeable_groups_are_exact(self):
         for p in (2, 3, 100):
