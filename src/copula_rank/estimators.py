@@ -113,9 +113,9 @@ import numpy as np
 
 from .exceptions import (ConvergenceError, DegenerateMarginError, DomainError,
                          ShapeError, SingularityError)
-from .geometry import _efficient_block, _singular, efficiency_bundle
+from .geometry import _efficient_block, efficiency_bundle
 from .models import _NOT_FINITE, CorrelationModel, eval_geometry
-from .numcore import _cholesky, identity, norm_quantile, spd_inverse, sym_eig
+from .numcore import _cholesky, _singular, identity, norm_quantile, spd_inverse, sym_eig
 
 __all__ = [
     "RankedSample",
@@ -793,18 +793,27 @@ def one_step(model, sample, pilot=None):
     theta_hat = pilot + I*^-1(pilot) mean_i efficient_score(pseudo_obs_i),
     with the mean efficient score computed as tr(A*_m Rhat) / 2, in closed
     form on the eigenvalues where the model's spectrum is balanced (see the
-    module docstring).  The pilot defaults to `pilot_moment`; one outside
-    the domain raises DomainError (`model.require`).  An update leaving the
-    domain is brought into it toward the pilot (`model.into_domain`) and
-    flagged, and then `converged` is False.  Raises SingularityError where
-    the efficient information at the pilot is singular, and ShapeError
-    where the sample's p is not the model's.
+    module docstring).  The pilot defaults to `pilot_moment`'s, read from
+    the same block statistics as the update; one outside the domain raises
+    DomainError (`model.require`).  An update leaving the domain is brought
+    into it toward the pilot (`model.into_domain`) and flagged, and then
+    `converged` is False.  Raises SingularityError where the efficient
+    information at the pilot is singular, and ShapeError where the sample's
+    p is not the model's.
     """
-    pilot = model.require(
-        pilot_moment(model, sample).theta_hat if pilot is None else pilot, "pilot")
+    if pilot is not None:
+        pilot = model.require(pilot, "pilot")
     _check_p(model, sample)
-    theta, clamped, failures = _one_step_update(model, [sample], pilot[None],
-                                                _BlockStats(model, [sample]).sums)
+    stats = _BlockStats(model, [sample])
+    if pilot is None:
+        if model.moment_map is None:  # `pilot_moment` is the PLE
+            theta, _, failures = _ple_solve(model, [sample], stats)
+            if failures:
+                raise failures[0]
+        else:
+            theta = _moment_pilot(model, [sample], stats)[0]
+        pilot = model.require(theta[0], "pilot")
+    theta, clamped, failures = _one_step_update(model, [sample], pilot[None], stats.sums)
     if failures:
         raise failures[0]
     return EstimateResult(theta_hat=theta[0], method="one_step", iterations=1,
@@ -862,7 +871,8 @@ def _one_step_update(model, samples, pilots, sums):
             theta = (start + add(x * sums / lam, 1) / squares)[:, None]
         general = finite & ~(lam.min(axis=1) > 0.0)
         info = 0.5 * squares
-        failures.update((row, _singular(info[row:row + 1], "efficient information matrix"))
+        failures.update((row, _singular(info[row:row + 1],
+                                        "efficient information matrix is not positive definite"))
                         for row in (finite & ~general & ~(info > 0.0)).nonzero()[0].tolist())
     general = general.nonzero()[0].tolist()
     if general:

@@ -25,14 +25,14 @@ class DegenerateMarginError(ValueError):
 
 
 class SingularityError(RuntimeError):
-    """A matrix that must be positive definite failed to factor.
+    """A matrix that must be positive definite is not.
 
     Attributes
     ----------
     eigenvalue : float or None
-        Estimate of the offending (smallest) eigenvalue, when available.
+        The matrix's smallest eigenvalue.
     cond : float or None
-        Condition-number estimate, when available.
+        Its condition number max|lam| / min|lam|, inf where min|lam| = 0.
     """
 
     def __init__(self, message, eigenvalue=None, cond=None):

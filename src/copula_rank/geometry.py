@@ -40,9 +40,9 @@ import numpy as np
 
 from .exceptions import ShapeError, SingularityError
 from .models import _geometry_at
-from .numcore import (_cholesky, _gram, _not_positive_definite, _solve, check_symmetric,
+from .numcore import (_cholesky, _gram, _singular, _solve, check_symmetric,
                       check_symmetric_stack, gram, identity, norm_quantile, spd_inverse,
-                      spd_solve, sym_eig)
+                      sym_eig)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -126,7 +126,7 @@ def _ir_hadamard_factor(r, s):
     m = 0.5 * (m + m.T)
     c = _cholesky(m)
     if c is None:
-        raise _not_positive_definite(m, "I + R*S failed to factor")
+        raise _singular(sym_eig(m, vectors=False), "I + R*S failed to factor")
     return c
 
 
@@ -170,25 +170,14 @@ def efficient_score_matrices(geom):
     return efficiency_bundle(geom).eff_matrices
 
 
-def _singular(eigs, what):
-    """The SingularityError of `_spd_inverse` for the symmetric matrix `what`
-    with ascending eigenvalues `eigs`."""
-    size = np.abs(eigs)
-    return SingularityError(
-        f"{what} is not positive definite (min eigenvalue {eigs[0]:.3e})",
-        eigenvalue=float(eigs[0]),
-        cond=float(size.max() / size.min()) if size.min() > 0.0 else np.inf)
-
-
 def _spd_inverse(mat, what):
     """Inverse of a symmetric information matrix; SingularityError where its
     smallest eigenvalue is at most k * eps times its largest (numpy's
-    matrix_rank tolerance), whether or not Cholesky would succeed.  Its `cond`
-    is max|lam| / min|lam|, the 2-norm condition number."""
+    matrix_rank tolerance), whether or not Cholesky would succeed."""
     eigs = sym_eig(mat, vectors=False)
     c = _cholesky(mat) if eigs[0] > len(eigs) * _EPS * eigs[-1] else None
     if c is None:
-        raise _singular(eigs, what)
+        raise _singular(eigs, f"{what} is not positive definite")
     inv = spd_inverse(c)
     return 0.5 * (inv + inv.T)
 
@@ -212,7 +201,7 @@ def project_tangent(a, geom):
     A - D(b) satisfies diag(R (A - D(b))) = 0.
     """
     a = check_symmetric(a, name="A", p=geom.p)
-    b = spd_solve(_ir_hadamard_factor(geom.r, geom.s), np.diag(geom.r @ a))
+    b = _solve(_ir_hadamard_factor(geom.r, geom.s), np.diag(geom.r @ a))
     return b, d_operator(geom.s, b)
 
 

@@ -14,16 +14,16 @@ the formula needs nothing more.
 
 This module is the package's only entry point to LAPACK for Cholesky
 factorizations, symmetric eigen-solves and the pseudo-inverse:
-`cholesky_lower` and `spd_factor` factor (dpotrf), `spd_solve` and
-`spd_inverse` solve with the factor (dpotrs), `sym_eig` computes
-eigenvalues and eigenvectors (dsyevd), and `pinv` inverts through the SVD
-(dgesdd).  They call the LAPACK wrappers directly, with the input checks
-and results of scipy.linalg's cholesky/cho_solve and numpy.linalg's
-eigh/eigvalsh/pinv, but without their per-call overhead.
+`spd_factor` factors (dpotrf), `spd_inverse` inverts with the factor
+(dpotrs), `sym_eig` computes eigenvalues and eigenvectors (dsyevd), and
+`pinv` inverts through the SVD (dgesdd).  They call the LAPACK wrappers
+directly, with the results of scipy.linalg's cholesky/cho_solve and
+numpy.linalg's eigh/eigvalsh/pinv, but without their per-call overhead.
 
-Each of them checks its input.  The private `_cholesky`, `_solve` and
-`_gram` make the same calls on arrays that the package built itself, with
-no checks, so an estimator's internal path validates nothing twice.
+The private `_cholesky`, `_solve` and `_gram` make the same calls, with no
+checks, on arrays that the package built or checked itself.
+`_singular` builds every SingularityError for a matrix that is not positive
+definite, so each carries its smallest eigenvalue and condition number.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ __all__ = [
     "gram",
     "check_symmetric",
     "check_symmetric_stack",
-    "cholesky_lower",
     "spd_factor",
-    "spd_solve",
     "spd_inverse",
     "sym_eig",
     "finite_rows",
@@ -146,23 +144,10 @@ def _finite(a):
     return a
 
 
-def cholesky_lower(a):
-    """Lower Cholesky factor of the symmetric positive definite matrix `a`,
-    upper triangle zeroed (scipy.linalg.cholesky(a, lower=True)), or None
-    when `a` is not positive definite.  LAPACK reads only the lower
-    triangle; the finiteness check covers all of `a`.
-
-    Raises ValueError for non-square or non-finite input.
-    """
-    a = _finite(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return _cholesky(a)
-
-
 def _cholesky(a):
-    """`cholesky_lower` of a finite square float matrix that the package
-    built, without the checks."""
+    """scipy.linalg.cholesky(a, lower=True) of a finite square float matrix,
+    unchecked, or None where `a` is not positive definite.  LAPACK reads
+    only the lower triangle."""
     c, info = dpotrf(a, lower=1, clean=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
@@ -170,40 +155,33 @@ def _cholesky(a):
 
 
 def spd_factor(a, what):
-    """`cholesky_lower(a)`, raising SingularityError "<what> (min eigenvalue
-    ...)" carrying the smallest eigenvalue where `a` is not positive
-    definite.  Solve with the factor through `spd_solve` or `spd_inverse`.
-    """
-    c = cholesky_lower(a)
+    """`_cholesky(a)` of a finite square matrix, else ValueError, and
+    `_singular(eigenvalues of a, what)` where `a` is not positive definite.
+    Invert with the factor through `spd_inverse`."""
+    a = _finite(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    c = _cholesky(a)
     if c is None:
-        raise _not_positive_definite(a, what)
+        raise _singular(sym_eig(a, vectors=False), what)
     return c
 
 
-def _not_positive_definite(a, what):
-    """`spd_factor`'s SingularityError for the matrix `a`, which is not
-    positive definite: "<what> (min eigenvalue ...)", carrying it."""
-    eig = float(sym_eig(a, vectors=False)[0])
-    return SingularityError(f"{what} (min eigenvalue {eig:.3e})", eigenvalue=eig)
-
-
-def spd_solve(c, b):
-    """Solve A x = b for x given the lower Cholesky factor `c` of A from
-    `cholesky_lower` or `spd_factor` (scipy.linalg.cho_solve((c, True), b)).
-    `b` is a vector or a matrix of right-hand sides; the result has its
-    shape, in Fortran order when 2-d.
-
-    Raises ValueError for non-finite `b` or a length that does not match.
-    """
-    b = _finite(b)
-    if b.ndim not in (1, 2) or b.shape[0] != c.shape[0]:
-        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
-    return _solve(c, b)
+def _singular(eigs, what):
+    """SingularityError "<what> (min eigenvalue ...)" for a symmetric matrix
+    with ascending eigenvalues `eigs`, carrying eigs[0] and the condition
+    number max|lam| / min|lam|, inf where min|lam| = 0."""
+    size = np.abs(eigs)
+    return SingularityError(
+        f"{what} (min eigenvalue {eigs[0]:.3e})",
+        eigenvalue=float(eigs[0]),
+        cond=float(size.max() / size.min()) if size.min() > 0.0 else np.inf)
 
 
 def _solve(c, b):
-    """`spd_solve` of right-hand sides that the package built, without the
-    checks."""
+    """scipy.linalg.cho_solve((c, True), b), unchecked: A^-1 b for the lower
+    Cholesky factor `c` of A and a finite vector or matrix b, in b's shape,
+    Fortran order when 2-d."""
     x, info = dpotrs(c, b, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
@@ -212,8 +190,7 @@ def _solve(c, b):
 
 def spd_inverse(c):
     """A^-1 in C order, given the lower Cholesky factor `c` of A: the values
-    of `spd_solve(c, identity(p))`, without a finiteness check of the
-    identity."""
+    of `_solve(c, identity(p))`."""
     return np.ascontiguousarray(_solve(c, identity(c.shape[0])))
 
 

@@ -22,8 +22,7 @@ import numbers
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, ShapeError
-from .numcore import (check_symmetric, cholesky_lower, identity, norm_cdf, norm_quantile,
-                      spd_factor)
+from .numcore import _cholesky, check_symmetric, identity, norm_cdf, norm_quantile, spd_factor
 
 __all__ = ["sample_copula", "apply_margins", "copula_stream"]
 
@@ -69,7 +68,7 @@ def _copula_factor(r):
     retry near singularity: what `_sample_block` draws with, so that draws
     from one R can share one factorization."""
     r = check_symmetric(r, name="R")
-    chol = cholesky_lower(r)
+    chol = _cholesky(r)
     if chol is None:
         chol = spd_factor(r + 1e-12 * identity(len(r)),
                           "correlation matrix is not positive definite")

@@ -1213,6 +1213,30 @@ class TestOneStep:
         assert result.clamped and not result.converged
         assert_shrunk_into_domain(model, result.theta_hat, pilot, update)
 
+    @pytest.mark.parametrize("p", [3, 100])
+    def test_default_pilot_forms_the_group_sums_once(self, monkeypatch, p):
+        # The default pilot is read from the block statistics that the update
+        # reads, so one one_step call forms the group sums once, and its
+        # estimate is the one from the same pilot passed in.
+        model = exchangeable(p)
+        calls = []
+        group_sums = estimators._group_sums
+
+        def counted(spectrum, samples):
+            calls.append(len(samples))
+            return group_sums(spectrum, samples)
+
+        monkeypatch.setattr(estimators, "_group_sums", counted)
+        for seed in range(3):
+            sample = rank_transform(sample_copula(exch_corr(p, 0.4), 250, seed=seed))
+            calls.clear()
+            result = one_step(model, sample)
+            assert calls == [1]
+            pilot = pilot_moment(model, sample).theta_hat
+            explicit = one_step(model, sample, pilot=pilot)
+            assert result.theta_hat.tobytes() == explicit.theta_hat.tobytes()
+            assert result.clamped == explicit.clamped
+
     def test_default_pilot_and_std_errors(self):
         model = exchangeable(3)
         u = sample_copula(exch_corr(3, 0.5), 400, seed=19)

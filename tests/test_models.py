@@ -17,7 +17,7 @@ from copula_rank.exceptions import (ConfigError, DomainError, ShapeError,
                                     SingularityError)
 from copula_rank import models
 from copula_rank.models import FAMILIES
-from copula_rank.numcore import cholesky_lower
+from copula_rank.numcore import _cholesky
 
 ALL_BUILTINS = [
     (exchangeable(3), np.array([0.4])),
@@ -250,7 +250,7 @@ class TestDomain:
                 for end, outward in ((lo, -np.inf), (hi, np.inf)):
                     assert model.domain_check([end])
                     # circular's ends have lambda_min(R) = (1 - |theta|)^2 ~ 1e-12
-                    assert cholesky_lower(model.r_of_theta([end])) is not None
+                    assert _cholesky(model.r_of_theta([end])) is not None
                     assert not model.domain_check([np.nextafter(end, outward)])
         assert boxed == {"exchangeable", "circular"}
 

@@ -9,11 +9,14 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from copula_rank import gram, norm_cdf, norm_quantile, theta_inner, unrestricted
+from copula_rank import (custom_affine, efficiency_bundle, eval_geometry, exchangeable, factor,
+                         gram, norm_cdf, norm_quantile, one_step, rank_transform, theta_inner,
+                         unrestricted)
 from copula_rank import numcore
+from copula_rank.geometry import _spd_inverse
 from copula_rank.exceptions import DomainError, ShapeError, SingularityError
-from copula_rank.numcore import (check_symmetric, cholesky_lower, identity, pinv,
-                                 spd_factor, spd_inverse, spd_solve, sym_eig)
+from copula_rank.numcore import (_cholesky, _solve, check_symmetric, identity, pinv,
+                                 spd_factor, spd_inverse, sym_eig)
 
 
 def oracle_quantile(p, dps=50):
@@ -257,45 +260,105 @@ class TestSpdHelpers:
             a = x.T @ x / (2 * p + 3) + 0.05 * np.eye(p)
             d = 1.0 / np.sqrt(np.diag(a))
             for mat in (a, d[:, None] * a * d[None, :]):  # covariance and correlation
-                c = cholesky_lower(mat)
+                c = _cholesky(mat)
                 assert np.array_equal(c, scipy.linalg.cholesky(mat, lower=True))
                 assert np.array_equal(spd_factor(mat, "mat"), c)
                 for b in (rng.standard_normal(p), rng.standard_normal((p, 3)), np.eye(p)):
-                    assert np.array_equal(spd_solve(c, b),
-                                          scipy.linalg.cho_solve((c, True), b))
+                    assert np.array_equal(_solve(c, b), scipy.linalg.cho_solve((c, True), b))
                 inv = spd_inverse(c)
                 assert inv.flags.c_contiguous
                 assert np.array_equal(inv, scipy.linalg.cho_solve((c, True), np.eye(p)))
 
     def test_error_contract(self):
         a = exchangeable_corr(3, 0.2)
-        c = cholesky_lower(a)
         for bad in (np.nan, np.inf, -np.inf):
             m = a.copy()
             m[0, 2] = bad  # upper triangle: LAPACK would not read it
             with pytest.raises(ValueError):
-                cholesky_lower(m)
-            with pytest.raises(ValueError):
                 spd_factor(m, "m")
-            b = np.ones(3)
-            b[1] = bad
-            with pytest.raises(ValueError):
-                spd_solve(c, b)
         for shape in ((2, 3), (3,), (2, 2, 2)):
             with pytest.raises(ValueError):
-                cholesky_lower(np.ones(shape))
-            with pytest.raises(ValueError):
                 spd_factor(np.ones(shape), "m")
-        with pytest.raises(ValueError):
-            spd_solve(c, np.ones(4))
 
         indefinite = exchangeable_corr(3, -0.6)
-        assert cholesky_lower(indefinite) is None
+        assert _cholesky(indefinite) is None
         lam = np.linalg.eigvalsh(indefinite)[0]
         with pytest.raises(SingularityError, match=r"^what \(min eigenvalue -2\.000e-01\)$") as exc:
             spd_factor(indefinite, "what")
         assert exc.value.eigenvalue == pytest.approx(lam, abs=1e-14)
-        assert exc.value.cond is None
+        assert exc.value.cond == pytest.approx(8.0, rel=1e-14)  # 1.6 / 0.2
+
+
+def pd_failures():
+    """(raise the error, the matrix it is about, its message) for each
+    producer of a "not positive definite" SingularityError; each message is
+    the one the package has always printed."""
+    indefinite = exchangeable_corr(3, -0.6)
+    info = efficiency_bundle(eval_geometry(factor(5, 2), 0.2 + 0.1 * np.cos(np.arange(10)))).eff_info
+    balanced = custom_affine(3, [np.zeros((3, 3))])
+    sample = rank_transform(np.random.default_rng(1).standard_normal((50, 3)))
+    lam = sym_eig(info, vectors=False)[0]
+    return {
+        "eval_geometry": (lambda: eval_geometry(exchangeable(3), [-0.6]), indefinite,
+                          "R(theta) is not positive definite for exchangeable "
+                          "(min eigenvalue -2.000e-01)"),
+        "spd_factor": (lambda: spd_factor(indefinite, "what"), indefinite,
+                       "what (min eigenvalue -2.000e-01)"),
+        "spd_inverse": (lambda: _spd_inverse(info, "efficient information matrix"), info,
+                        "efficient information matrix is not positive definite "
+                        f"(min eigenvalue {lam:.3e})"),
+        "balanced_one_step": (lambda: one_step(balanced, sample, pilot=np.zeros(1)),
+                              np.zeros((1, 1)), "efficient information matrix is not "
+                              "positive definite (min eigenvalue 0.000e+00)"),
+    }
+
+
+class TestSingularityContract:
+    @pytest.mark.parametrize("producer", ["eval_geometry", "spd_factor", "spd_inverse",
+                                          "balanced_one_step"])
+    def test_message_eigenvalue_and_cond(self, producer):
+        # Every verdict that a matrix is not positive definite carries its
+        # smallest eigenvalue and its condition number max|lam| / min|lam|.
+        fail, mat, message = pd_failures()[producer]
+        with pytest.raises(SingularityError) as exc:
+            fail()
+        eigs = sym_eig(mat, vectors=False)
+        size = np.abs(eigs)
+        assert str(exc.value) == message
+        assert exc.value.eigenvalue == eigs[0]
+        assert exc.value.cond == (size.max() / size.min() if size.min() > 0.0 else np.inf)
+
+
+def singularity_builds(tree):
+    """The lines of a module's syntax tree that call SingularityError(...),
+    however it was imported."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "SingularityError":
+                found.add(node.lineno)
+    return found
+
+
+class TestOneSingularityBuilder:
+    def test_numcore_alone_builds_the_error(self):
+        # numcore._singular builds every "not positive definite" error, so
+        # each carries the same message form, eigenvalue and cond.
+        package = Path(numcore.__file__).parent
+        found = {path.stem: singularity_builds(ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(package.glob("*.py"))}
+        assert len(found["numcore"]) == 1  # the rule sees the real call
+        assert not any(lines for name, lines in found.items() if name != "numcore"), found
+
+    def test_rule_sees_a_call_in_another_module(self):
+        source = ("from .exceptions import SingularityError\n"
+                  "from . import exceptions\n"
+                  "raise SingularityError('R is singular', eigenvalue=0.0)\n"
+                  "err = exceptions.SingularityError('I* is singular')\n"
+                  "try:\n    pass\nexcept SingularityError:\n    pass\n")
+        assert singularity_builds(ast.parse(source)) == {3, 4}
 
 
 class TestSymEig:
@@ -596,8 +659,9 @@ class TestUncheckedCores:
         rhs = np.random.default_rng(3).standard_normal((p, 3))
         for a in stack[:5]:
             c = numcore._cholesky(a)
-            assert c.tobytes() == cholesky_lower(a).tobytes()
-            assert numcore._solve(c, rhs).tobytes() == spd_solve(c, rhs).tobytes()
+            assert c.tobytes() == spd_factor(a, "a").tobytes()
+            assert numcore._solve(c, rhs).tobytes() == scipy.linalg.cho_solve((c, True),
+                                                                             rhs).tobytes()
         assert numcore._cholesky(stack[5]) is None
         basis = stack[:3] - np.eye(p)
         assert numcore._gram(basis, stack[0]).tobytes() == gram(basis, stack[0]).tobytes()
